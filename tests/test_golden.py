@@ -1,0 +1,65 @@
+"""Golden CLI reports: ``build``, ``characters`` (generic and mod p) and
+``classify`` on the acceptance table must reproduce the committed bytes.
+
+``classify`` skips E8, whose report takes minutes; acceptance criterion 5
+covers that datum.  Regenerate the files with
+``PYTHONPATH=src python tests/test_golden.py`` only when a report is meant
+to change.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+from heckelab.cli import main
+from test_acceptance import TABLE
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _runs():
+    """(file name, command, case) for every golden report."""
+    for kind, rank, deco, _, _ in TABLE:
+        label = f"{kind}{rank}" + ("" if deco == 1 else
+                                   "_" + "-".join(map(str, deco)))
+        case = {"type": kind, "rank": rank, "decoration": deco}
+        yield f"build_{label}.json", "build", case
+        for mode in ("generic", "modp"):
+            yield (f"characters-{mode}_{label}.json", "characters",
+                   dict(case, mode=mode))
+        if (kind, rank) != ("E", 8):
+            yield f"classify_{label}.json", "classify", case
+
+
+def _report(command: str, case: dict, workdir: str) -> str:
+    path = os.path.join(workdir, "case.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(case, fh)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([command, "--case", path])
+    assert code == 0, (command, case, code)
+    return buf.getvalue()
+
+
+def test_golden_reports(tmp_path):
+    mismatched = []
+    for name, command, case in _runs():
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            want = fh.read()
+        if _report(command, case, str(tmp_path)) != want:
+            mismatched.append(name)
+    assert not mismatched, mismatched
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.makedirs(GOLDEN, exist_ok=True)
+    with tempfile.TemporaryDirectory() as work:
+        for name, command, case in _runs():
+            with open(os.path.join(GOLDEN, name), "w", encoding="utf-8") as fh:
+                fh.write(_report(command, case, work))
+            print(name, file=sys.stderr)
