@@ -13,7 +13,7 @@ from .errors import (HeckeLabError, InvalidRank, DecorationNotClassConstant,
                      NotAFullOrbit, HilbertBasisOverflow, CharacterExtends,
                      NoIndexTwoStructure, NotSimplyLaced,
                      NegativePowersPresent, RelationsFail, UnhandledCase)
-from .laurent import Laurent, q_power
+from .laurent import Laurent, LaurentMatrix, q_power
 from .rootdata import (RootDatum, build_root_datum, cartan_matrix,
                        dominant_monoid_generators, INFINITE_BOND)
 from .extweyl import (ExtWeylElt, OmegaGroup, translation_word, aut_group,
@@ -35,7 +35,7 @@ __all__ = [
     "NotAFullOrbit", "HilbertBasisOverflow", "CharacterExtends",
     "NoIndexTwoStructure", "NotSimplyLaced", "NegativePowersPresent",
     "RelationsFail", "UnhandledCase",
-    "Laurent", "q_power",
+    "Laurent", "LaurentMatrix", "q_power",
     "RootDatum", "build_root_datum", "cartan_matrix",
     "dominant_monoid_generators", "INFINITE_BOND",
     "ExtWeylElt", "OmegaGroup", "translation_word", "aut_group",

@@ -35,10 +35,10 @@ import numpy as np
 
 from .extweyl import translation_word
 from .hecke import HeckeAlgebra
-from .laurent import Laurent
+from .laurent import LaurentMatrix
 from .modules import (Character, FinModule, character_extends,
                       enumerate_characters, induce_character,
-                      reflection_module, _as_algebra)
+                      reflection_module, stabilizer_and_twist, _as_algebra)
 from .rootdata import dominant_monoid_generators
 
 CASE_ONE_DIM = "Character1Dim"
@@ -102,27 +102,23 @@ def is_discrete_character(algebra, char: Character,
 # ---- central action at v = 0 in characteristic p -------------------------
 
 
-def _matrix_to_slices(mat, p: int) -> list[tuple[int, np.ndarray]]:
-    """Encode a Laurent matrix as ``(degree, coefficient matrix)`` pairs
-    of integers mod ``p``, nonzero degrees only; entries must be
-    polynomial in ``v``.  The arrays are float64 so that products run
-    through BLAS.  Every entry is a nonnegative integer below ``p``, so
-    an accumulator of :func:`_truncated_apply` is a nonnegative integer
-    below $k n p^2$ for $k$ degree slices of an $n \\times n$ matrix.
-    The guard $p \\le 10^6$ of :class:`_TruncatedActor` keeps that, and
-    with it $x + p$, below $2^{53}$ whenever $k n < 9000$ (it is in the
-    tens for the modules here), so float64 sums, products and the floor
-    reduction are exact."""
-    n = len(mat)
-    coeffs: dict[int, np.ndarray] = {}
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            assert not x.has_negative_exponents()
-            for e, c in x.items():
-                if e not in coeffs:
-                    coeffs[e] = np.zeros((n, n))
-                coeffs[e][i, j] = c % p
-    return sorted(coeffs.items())
+def _degree_slices(mats: LaurentMatrix, p: int):
+    """Per stacked matrix of a polynomial tensor, its nonzero degree
+    slices mod ``p`` as ``(degree, coefficient matrix)`` pairs.  The
+    arrays are float64 so that products run through BLAS.  Every entry is
+    a nonnegative integer below ``p``, so an accumulator of
+    :func:`_truncated_apply` is a nonnegative integer below $k n p^2$ for
+    $k$ degree slices of an $n \\times n$ matrix.  The guard
+    $p \\le 10^6$ of :class:`_TruncatedActor` keeps that, and with it
+    $x + p$, below $2^{53}$ whenever $k n < 9000$ (it is in the tens for
+    the modules here), so float64 sums, products and the floor reduction
+    are exact."""
+    mats = mats.trim()
+    assert mats.lo >= 0, "entries must be polynomial in v"
+    coeffs = mats.coeffs % p
+    live = coeffs.any(axis=(-2, -1)).tolist()
+    return [[(mats.lo + k, c) for k, c in enumerate(slices) if on[k]]
+            for slices, on in zip(coeffs.astype(np.float64), live)]
 
 
 def _truncated_apply(cur: np.ndarray, gen_slices, p: int) -> np.ndarray:
@@ -154,31 +150,19 @@ class _TruncatedActor:
     Laurent module for repeated truncated products."""
 
     def __init__(self, module: FinModule, p: int):
-        assert module.ring == "laurent"
-        # secures the exactness bound of _matrix_to_slices
+        assert not module.is_modular
+        # secures the exactness bound of _degree_slices
         if p > 1_000_000:
             raise ValueError("primes beyond 10^6 would overflow the "
                              "float64 product accumulators")
         self.module = module
         self.p = p
         self.n = module.dim
-        alg = module.alg
-        one = Laurent.one()
-        self.t_slices = [_matrix_to_slices(m, p) for m in module.smats]
-        star = []
-        for s, m in enumerate(module.smats):
-            q1 = alg.q(s) - one
-            shifted = tuple(
-                tuple(m[i][j] - q1 if i == j else m[i][j]
-                      for j in range(self.n))
-                for i in range(self.n))
-            star.append(_matrix_to_slices(shifted, p))
-        self.star_slices = star
-        if module.omega_mats is None:
-            self.omega_slices = None
-        else:
-            self.omega_slices = [_matrix_to_slices(m, p)
-                                 for m in module.omega_mats]
+        self.t_slices = _degree_slices(module.smats, p)
+        star = module.smats - module.q_stack() + LaurentMatrix.identity(self.n)
+        self.star_slices = _degree_slices(star, p)  # T*_s = T_s - (q_s - 1)
+        self.omega_slices = (None if module.omega_mats is None
+                             else _degree_slices(module.omega_mats, p))
 
     def _coroot_decomposition(self, lam):
         """Dominant decomposition whose two parts both translate without
@@ -277,7 +261,7 @@ def is_supersingular(module: FinModule, exhaustive: bool = False):
     the generator, the orbit size and the nilpotency degree (``None``
     when the matrix is not nilpotent).
     """
-    assert module.ring != "laurent", "reduce the module mod p first"
+    assert module.is_modular, "reduce the module mod p first"
     src = module.generic
     if src is None:
         raise ValueError("module reduction lost its Laurent source; "
@@ -359,8 +343,7 @@ def key_result_search(datum, p: int = 5, exhaustive: bool = False) -> SearchOutc
     if d.lattice_index != 1:
         raise ValueError("the search needs the full coweight lattice; "
                          f"got a sublattice of index {d.lattice_index}")
-    equal_weights = len(set(d.weights)) == 1
-    if d.kind == "A" and d.rank >= 2 and equal_weights:
+    if d.kind == "A" and len(set(d.weights)) == 1:
         return SearchOutcome(
             case=CASE_EXCLUDED_A,
             certificate={"case": CASE_EXCLUDED_A,
@@ -402,8 +385,7 @@ def key_result_search(datum, p: int = 5, exhaustive: bool = False) -> SearchOutc
     if discrete:
         ch, table = discrete[0]
         module = induce_character(alg, ch)
-        twisted = ch.compose_with_node_permutation(
-            alg.omega.perms[_twist_index(alg, ch)])
+        _, twisted = stabilizer_and_twist(alg, ch)
         _, bar_table = is_discrete_character(alg, twisted, level="coroot")
         fp = module.reduce_mod_p(p)
         ss_flag, ss_detail = is_supersingular(fp, exhaustive=exhaustive)
@@ -436,24 +418,9 @@ def key_result_search(datum, p: int = 5, exhaustive: bool = False) -> SearchOutc
         return SearchOutcome(case=CASE_REFLECTION, dimension=module.dim,
                              module=fp, certificate=cert)
 
-    if d.kind == "A" and equal_weights:
-        return SearchOutcome(
-            case=CASE_EXCLUDED_A,
-            certificate={"case": CASE_EXCLUDED_A,
-                         "note": "type A with equal weights admits no "
-                                 "discrete supersingular answer"})
-
     return SearchOutcome(
         case=CASE_UNHANDLED,
         certificate={"case": CASE_UNHANDLED,
                      "note": "no construction in the case analysis applies "
                              f"to {d!r}"})
 
-
-def _twist_index(alg: HeckeAlgebra, char: Character) -> int:
-    """Index of the fixed coset representative used by induction."""
-    omega = alg.omega
-    n = len(omega.elements)
-    stab = [i for i in range(n)
-            if char.compose_with_node_permutation(omega.perms[i]) == char]
-    return min(i for i in range(n) if i not in stab)

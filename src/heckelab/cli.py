@@ -22,9 +22,6 @@ runs produce byte-identical output; opt into wall-clock data with
 successful classification), 1 verification mismatch, 2 invalid input,
 3 broken internal invariant (failed relations, or no case of the
 analysis applying).
-
-Set ``HECKE_LAB_THREADS`` to run suite cases on a thread pool; results
-merge in case order, so reports do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -32,15 +29,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .errors import HeckeLabError, RelationsFail, UnhandledCase
 from .rootdata import INFINITE_BOND, build_root_datum
 from .hecke import HeckeAlgebra
+from .intlin import is_prime
 from .modules import character_extends, enumerate_characters
 from .classify import (CASE_EXCLUDED_A, CASE_ONE_DIM, CASE_REFLECTION,
                        CASE_TWO_DIM, CASE_UNHANDLED, is_discrete_character,
@@ -54,17 +50,6 @@ EXIT_INTERNAL = 3
 DEFAULT_PRIME = 5
 
 _CASE_KEYS = {"type", "rank", "decoration", "lattice", "mode", "p"}
-
-
-def _is_prime(p) -> bool:
-    if not isinstance(p, int) or p < 2:
-        return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def parse_case(obj: dict) -> dict:
@@ -97,7 +82,7 @@ def parse_case(obj: dict) -> dict:
     if mode not in ("generic", "modp"):
         raise ValueError(f"'mode' must be 'generic' or 'modp', got {mode!r}")
     p = obj.get("p", DEFAULT_PRIME)
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"'p' must be a prime, got {p!r}")
     return {"type": kind, "rank": rank, "decoration": decoration,
             "lattice": lattice, "mode": mode, "p": p}
@@ -268,8 +253,7 @@ def _check_expectations(result: dict, expect: dict) -> list[str]:
 
 
 def run_verify(entries: list[dict], exhaustive: bool = False) -> tuple[dict, int]:
-    def one(indexed):
-        idx, entry = indexed
+    def one(idx, entry):
         case = entry["case"]
         expect = entry.get("expect", {})
         row = {"index": idx}
@@ -292,13 +276,7 @@ def run_verify(entries: list[dict], exhaustive: bool = False) -> tuple[dict, int
                     "pass": not fails, "failures": fails})
         return row
 
-    indexed = list(enumerate(entries))
-    threads = int(os.environ.get("HECKE_LAB_THREADS", "1") or "1")
-    if threads > 1 and len(indexed) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, indexed))
-    else:
-        rows = [one(ix) for ix in indexed]
+    rows = [one(idx, entry) for idx, entry in enumerate(entries)]
     passed = sum(1 for r in rows if r["pass"])
     payload = {
         "results": rows,

@@ -284,6 +284,7 @@ class OmegaGroup:
         self.perms = perms
         self._index = {e: i for i, e in enumerate(elements)}
         self._by_coset = by_coset or {}
+        self._products: dict[tuple[int, int], int] = {}
 
     @staticmethod
     def build(datum: RootDatum) -> "OmegaGroup":
@@ -357,8 +358,11 @@ class OmegaGroup:
         return sub
 
     def mult_index(self, i: int, j: int) -> int:
-        """Index of ``elements[i] * elements[j]``."""
-        return self._index[self.elements[i] * self.elements[j]]
+        """Index of ``elements[i] * elements[j]``, computed once per pair."""
+        if (i, j) not in self._products:
+            product = self.elements[i] * self.elements[j]
+            self._products[i, j] = self._index[product]
+        return self._products[i, j]
 
     def inverse_index(self, i: int) -> int:
         return self._index[self.elements[i].inv()]

@@ -7,6 +7,7 @@ rank of the root system (at most 8), so cubic algorithms are plenty.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,6 +25,12 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> tuple[tuple[int, ...], ...]:
         tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
         for i in range(n)
     )
+
+
+def is_prime(p) -> bool:
+    """Primality of an int by trial division up to its square root."""
+    return (isinstance(p, int) and p >= 2
+            and all(p % k for k in range(2, math.isqrt(p) + 1)))
 
 
 def identity(n: int) -> tuple[tuple[int, ...], ...]:

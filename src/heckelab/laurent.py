@@ -6,7 +6,8 @@ a node with weight $d$ is $q_s = v^{2d}$.  Coefficients are Python ints so
 nothing ever overflows or loses precision.
 
 Internally a :class:`Laurent` is a dict mapping exponent to a *nonzero*
-integer coefficient.  The zero polynomial is the empty dict.
+integer coefficient.  The zero polynomial is the empty dict.  Matrices of
+Laurent polynomials are :class:`LaurentMatrix` tensors indexed by exponent.
 
 >>> x = Laurent.v() + Laurent.of_int(3)
 >>> print(x * x)
@@ -20,9 +21,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from .errors import NegativePowersPresent
 
-__all__ = ["Laurent", "q_power"]
+__all__ = ["Laurent", "LaurentMatrix", "q_power"]
+
+_INT64_MAX = 2**63 - 1
 
 
 class Laurent:
@@ -220,3 +225,140 @@ class Laurent:
 def q_power(d: int) -> Laurent:
     """The parameter v^(2d) attached to a node of weight d."""
     return Laurent({2 * d: 1})
+
+
+class LaurentMatrix:
+    """Matrices over Z[v, v^-1] as one integer tensor indexed by exponent.
+
+    ``coeffs[..., k, i, j]`` is the coefficient of $v^{lo + k}$ in entry
+    ``(i, j)``; leading axes stack matrices of one shape that share the
+    degree origin ``lo``, and indexing a ``LaurentMatrix`` selects along
+    them.  Arithmetic is exact: an operation runs on int64 when a bound on
+    the magnitude of its result stays below $2^{63}$, and on Python ints
+    (``object`` arrays) otherwise, so values never wrap; numpy computes on
+    Python ints anyway once an operand holds them.  ``mag``, when given,
+    bounds the absolute values of the coefficients.
+    """
+
+    __slots__ = ("lo", "coeffs", "_mag")
+
+    def __init__(self, lo: int, coeffs: np.ndarray, mag: int | None = None):
+        self.lo = lo
+        self.coeffs = coeffs
+        self._mag = mag
+
+    def magnitude(self) -> int:
+        """A bound on the absolute values of the coefficients."""
+        if self._mag is None:
+            c = self.coeffs
+            self._mag = int(np.abs(c).max()) if c.size else 0
+        return self._mag
+
+    @staticmethod
+    def from_rows(mats) -> "LaurentMatrix":
+        """Stack matrices given as nested rows of ``Laurent`` or ints."""
+        terms = [(k, i, j, e, a)
+                 for k, m in enumerate(mats)
+                 for i, row in enumerate(m)
+                 for j, x in enumerate(row)
+                 for e, a in (x if isinstance(x, Laurent)
+                              else Laurent.of_int(x)).c.items()]
+        lo = min((t[3] for t in terms), default=0)
+        hi = max((t[3] for t in terms), default=0)
+        big = any(abs(t[4]) > _INT64_MAX for t in terms)
+        shape = (len(mats), hi - lo + 1, len(mats[0]), len(mats[0][0]))
+        coeffs = np.zeros(shape, dtype=object if big else np.int64)
+        for k, i, j, e, a in terms:
+            coeffs[k, e - lo, i, j] = a
+        return LaurentMatrix(lo, coeffs)
+
+    @staticmethod
+    def concat(parts) -> "LaurentMatrix":
+        """One stack of all the matrices of the stacks ``parts``, in order."""
+        lo = min(part.lo for part in parts)
+        size = max(part.lo + part.coeffs.shape[-3] for part in parts) - lo
+        return LaurentMatrix(lo, np.concatenate(
+            [part._on_degrees(lo, size) for part in parts]))
+
+    @staticmethod
+    def identity(n: int) -> "LaurentMatrix":
+        return LaurentMatrix(0, np.eye(n, dtype=np.int64)[None], 1)
+
+    def __len__(self) -> int:
+        """The number of stacked matrices."""
+        return len(self.coeffs)
+
+    def __getitem__(self, index) -> "LaurentMatrix":
+        return LaurentMatrix(self.lo, self.coeffs[index], self.magnitude())
+
+    def entry(self, *index: int) -> Laurent:
+        """The polynomial at ``index``: stack indices, then row and column."""
+        col = self.coeffs[index[:-2] + (slice(None),) + index[-2:]]
+        return Laurent({self.lo + k: a for k, a in enumerate(col.tolist())})
+
+    def trim(self) -> "LaurentMatrix":
+        """Drop degree slices that are zero in every stacked matrix."""
+        c = self.coeffs
+        live = np.flatnonzero(c.any(axis=(*range(c.ndim - 3), -2, -1)))
+        a, b = (live[0], live[-1] + 1) if live.size else (0, 1)
+        return LaurentMatrix(self.lo + a, c[..., a:b, :, :], self._mag)
+
+    def _on_degrees(self, lo: int, size: int) -> np.ndarray:
+        c = self.coeffs
+        if self.lo == lo and c.shape[-3] == size:
+            return c
+        out = np.zeros(c.shape[:-3] + (size,) + c.shape[-2:], dtype=c.dtype)
+        out[..., self.lo - lo:self.lo - lo + c.shape[-3], :, :] = c
+        return out
+
+    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        lo = min(self.lo, other.lo)
+        size = max(self.lo + self.coeffs.shape[-3],
+                   other.lo + other.coeffs.shape[-3]) - lo
+        a, b = self._on_degrees(lo, size), other._on_degrees(lo, size)
+        if self.magnitude() + other.magnitude() > _INT64_MAX:
+            a, b = a.astype(object), b.astype(object)
+        return LaurentMatrix(lo, a + b)
+
+    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        return self + LaurentMatrix(other.lo, -other.coeffs, other._mag)
+
+    def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        """Matrix product, stacked matrices pairing up as in ``np.matmul``."""
+        a, b = self.coeffs, other.coeffs
+        da, db = a.shape[-3], b.shape[-3]
+        bound = self.magnitude() * other.magnitude() * a.shape[-1]
+        if bound * min(da, db) > _INT64_MAX:
+            a, b = a.astype(object), b.astype(object)
+        if min(da, db) == 1:
+            return LaurentMatrix(self.lo + other.lo, a @ b)
+        out = np.zeros(np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+                       + (da + db - 1, a.shape[-2], b.shape[-1]),
+                       dtype=np.result_type(a, b))
+        # out[d] collects a[i] @ b[d - i], one nonzero slice of the shorter
+        # factor at a time, so one term of a stack is alive at once
+        short = a if da <= db else b
+        live = short.any(axis=(*range(short.ndim - 3), -2, -1))
+        for k in np.flatnonzero(live):
+            if da <= db:
+                out[..., k:k + db, :, :] += a[..., k:k + 1, :, :] @ b
+            else:
+                out[..., k:k + da, :, :] += a @ b[..., k:k + 1, :, :]
+        return LaurentMatrix(self.lo + other.lo, out)
+
+    def at_v0(self) -> np.ndarray:
+        """Values at v = 0, one integer matrix per stacked matrix; raises
+        :class:`NegativePowersPresent` when an entry has a pole there."""
+        c = self.coeffs
+        if self.lo < 0 and c[..., :-self.lo, :, :].any():
+            poles = c[..., :-self.lo, :, :].any(axis=-3)
+            entry = self.entry(*np.argwhere(poles)[0].tolist())
+            raise NegativePowersPresent(
+                f"entry {entry} has negative powers of v")
+        if 0 <= -self.lo < c.shape[-3]:
+            return c[..., -self.lo, :, :]
+        return np.zeros(c.shape[:-3] + c.shape[-2:], dtype=c.dtype)
+
+    def reduce(self, p: int) -> "LaurentMatrix":
+        """The values at v = 0 read mod ``p``, as a one-slice tensor."""
+        return LaurentMatrix(0, self.at_v0()[..., None, :, :] % p, p - 1)

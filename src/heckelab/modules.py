@@ -26,16 +26,18 @@ characters supported at single nodes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
-from .errors import (CharacterExtends, DatumMismatch, NegativePowersPresent,
-                     NoIndexTwoStructure, NotSimplyLaced, RelationsFail)
-from .laurent import Laurent, q_power
+import numpy as np
+
+from .errors import (CharacterExtends, DatumMismatch, NoIndexTwoStructure,
+                     NotSimplyLaced, RelationsFail)
+from .intlin import is_prime
+from .laurent import Laurent, LaurentMatrix, q_power
 from .rootdata import RootDatum
 from .hecke import HeckeAlgebra, HeckeElt
-
-LMatrix = tuple[tuple[Laurent, ...], ...]
 
 
 def _as_algebra(datum) -> HeckeAlgebra:
@@ -46,51 +48,51 @@ def _as_algebra(datum) -> HeckeAlgebra:
     raise TypeError(f"expected a root datum or Hecke algebra, got {type(datum)!r}")
 
 
-def _lmat_identity(n: int) -> LMatrix:
-    one, zero = Laurent.one(), Laurent.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n))
-                 for i in range(n))
+def _stack(mats, what: str) -> LaurentMatrix:
+    if isinstance(mats, LaurentMatrix):
+        return mats
+    n = len(mats[0])
+    for k, m in enumerate(mats):
+        if len(m) != n or any(len(row) != n for row in m):
+            raise RelationsFail(f"matrix at {what} {k} is not {n} x {n}")
+    return LaurentMatrix.from_rows(mats)
 
 
-def _lmat_mul(a: LMatrix, b: LMatrix) -> LMatrix:
-    n = len(a)
-    k = len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(k):
-            acc = Laurent.zero()
-            for t in range(len(b)):
-                if a[i][t].is_zero() or b[t][j].is_zero():
-                    continue
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _lmat_add(a: LMatrix, b: LMatrix) -> LMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _lmat_scale(a: LMatrix, c: Laurent) -> LMatrix:
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
-def _lmat_eq(a: LMatrix, b: LMatrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _imat_mul(a, b, p: int):
-    n = len(a)
-    k = len(b[0])
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) % p
-                       for j in range(k)) for i in range(n))
-
-
-def _imat_identity(n: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(n))
-                 for i in range(n))
+@functools.lru_cache(maxsize=4)
+def _relations(alg: HeckeAlgebra, with_omega: bool):
+    """The defining relations in reporting order, built once per algebra
+    (on small modules building them costs more than checking them): the
+    (message, arguments) of each, and an array holding its two words as
+    consecutive rows.  A word lists indices into the factor bank of
+    :meth:`FinModule.check_relations`: ``s`` for $T_s$, ``r + s`` for
+    $T_s - q_s$, ``2r + s`` for $T_s + 1$, ``3r`` for 1, ``3r + 1`` for
+    0 and ``3r + 2 + i`` for the ``i``-th length-zero element."""
+    d, r = alg.datum, alg.datum.rank + 1
+    one, om = 3 * r, 3 * r + 2
+    # T_s^2 = (q_s - 1) T_s + q_s is (T_s - q_s)(T_s + 1) = 0
+    rels = [("quadratic relation fails at node {}", (s,),
+             [r + s, 2 * r + s], [one + 1]) for s in range(r)]
+    for s, t in itertools.combinations(range(r), 2):
+        m = d.coxeter_m[s][t]
+        if m >= 2:
+            rels.append(("braid relation of order {} fails at nodes {}, {}",
+                         (m, s, t), [(s, t)[i % 2] for i in range(m)],
+                         [(t, s)[i % 2] for i in range(m)]))
+    if with_omega:
+        group, k = alg.omega, len(alg.omega.elements)
+        rels.append(("identity length-zero element not identity", (),
+                     [om], [one]))
+        rels += [("length-zero multiplication fails at ({}, {})", (i, j),
+                  [om + i, om + j], [om + group.mult_index(i, j)])
+                 for i in range(k) for j in range(k)]
+        rels += [("conjugation by length-zero element {} fails at node {}",
+                  (i, s), [om + i, s], [group.perms[i][s], om + i])
+                 for i in range(k) for s in range(r)]
+    width = max(len(w) for rel in rels for w in rel[2:])
+    words = np.array([w + [one] * (width - len(w))
+                      for rel in rels for w in rel[2:]])
+    words.setflags(write=False)
+    return tuple(rel[:2] for rel in rels), words
 
 
 class Character:
@@ -221,25 +223,18 @@ class Character:
         alg = _as_algebra(algebra)
         if alg.datum.to_json() != self.datum.to_json():
             raise DatumMismatch("character and algebra built from different data")
-        if self.mode == "generic":
-            if p is not None:
-                raise ValueError("generic characters reduce via reduce_mod_p")
-            smats = tuple(((self.node_value(s),),)
-                          for s in range(self.datum.rank + 1))
-            if self.omega_signs is None:
-                omats = None
-            else:
-                omats = tuple(((Laurent.of_int(sig),),)
-                              for sig in self.omega_signs)
-            mod = FinModule(alg, smats, omats, ring="laurent",
-                            name=f"character {self.label()}")
-        else:
-            if p is None:
-                raise ValueError("mod-p characters need the prime")
-            smats = tuple(((self.values[s] % p,),)
-                          for s in range(self.datum.rank + 1))
-            mod = FinModule(alg, smats, None, ring=("fp", p),
-                            name=f"mod-p character {self.label()}")
+        if self.mode == "generic" and p is not None:
+            raise ValueError("generic characters reduce via reduce_mod_p")
+        if self.mode == "modp" and p is None:
+            raise ValueError("mod-p characters need the prime")
+        # mod-p characters carry no length-zero signs
+        omats = (None if self.omega_signs is None
+                 else tuple(((sig,),) for sig in self.omega_signs))
+        smats = tuple(((self.node_value(s),),)
+                      for s in range(self.datum.rank + 1))
+        kind = "character" if self.mode == "generic" else "mod-p character"
+        mod = FinModule(alg, smats, omats, prime=p,
+                        name=f"{kind} {self.label()}")
         mod.check_relations()
         return mod
 
@@ -283,7 +278,9 @@ def enumerate_characters(datum, char_mode: str = "generic") -> tuple[Character, 
     elif char_mode == "modp":
         for values in itertools.product((0, -1), repeat=d.rank + 1):
             ch = Character.modp(d, values)
-            ch.as_module(alg, p=2)
+            # products of values in {0, -1} lie in {0, 1, -1}, so the
+            # relations hold mod an odd prime exactly when they hold over
+            # Z, hence mod every prime: one check at p = 5 covers them all
             ch.as_module(alg, p=5)
             chars.append(ch)
     else:
@@ -317,6 +314,17 @@ def character_extends(algebra, char: Character):
     return True, tuple(exts)
 
 
+def stabilizer_and_twist(algebra, char: Character):
+    """The indices of the weight-preserving length-zero elements that fix
+    a generic character, and its twist by the first element outside them
+    (by the identity when there is none)."""
+    perms = _as_algebra(algebra).omega.perms
+    stab = [i for i, perm in enumerate(perms)
+            if char.compose_with_node_permutation(perm) == char]
+    u = min(set(range(len(perms))) - set(stab), default=0)
+    return stab, char.compose_with_node_permutation(perms[u])
+
+
 def induce_character(algebra, char: Character) -> "FinModule":
     """The two dimensional module induced from a non-extending character.
 
@@ -331,22 +339,16 @@ def induce_character(algebra, char: Character) -> "FinModule":
     if extends:
         raise CharacterExtends(f"{char.label()} extends; induction would "
                                f"not be simple")
-    omega = alg.omega
-    n = len(omega.elements)
-    stab = [i for i in range(n)
-            if char.compose_with_node_permutation(omega.perms[i]) == char]
+    n = len(alg.omega.elements)
+    stab, twisted = stabilizer_and_twist(alg, char)
     if 2 * len(stab) != n:
         raise NoIndexTwoStructure(
             f"stabilizer has index {n // len(stab)} in the length-zero group")
-    u = min(i for i in range(n) if i not in stab)
-    twisted = char.compose_with_node_permutation(omega.perms[u])
-    zero, one = Laurent.zero(), Laurent.one()
-    smats = tuple(((char.node_value(s), zero), (zero, twisted.node_value(s)))
+    smats = tuple(((char.node_value(s), 0), (0, twisted.node_value(s)))
                   for s in range(alg.datum.rank + 1))
-    swap = ((zero, one), (one, zero))
-    omats = tuple(_lmat_identity(2) if i in stab else swap for i in range(n))
-    mod = FinModule(alg, smats, omats, ring="laurent",
-                    name=f"induced from {char.label()}")
+    omats = tuple(((1, 0), (0, 1)) if i in stab else ((0, 1), (1, 0))
+                  for i in range(n))
+    mod = FinModule(alg, smats, omats, name=f"induced from {char.label()}")
     mod.check_relations()
     return mod
 
@@ -354,155 +356,104 @@ def induce_character(algebra, char: Character) -> "FinModule":
 class FinModule:
     """A finite dimensional right module given by generator matrices.
 
-    ``smats[s]`` is the matrix of the standard generator at affine node
-    ``s``; ``omega_mats[k]`` (when present) the matrix of the ``k``-th
-    element of the algebra's weight-preserving length-zero group.  Without
-    ``omega_mats`` the module only sees the non-extended algebra.
+    ``smats`` stacks the matrices of the standard generators, one per
+    affine node, in one :class:`LaurentMatrix` of shape
+    ``(node, degree, n, n)``; ``omega_mats`` (when present) stacks those
+    of the algebra's weight-preserving length-zero group in its element
+    order.  Without ``omega_mats`` the module only sees the non-extended
+    algebra.  Both also accept nested rows of ``Laurent`` or ints.
 
-    ``ring`` is ``"laurent"`` for exact Laurent polynomial entries or
-    ``("fp", p)`` for integers mod ``p`` obtained at $v = 0$; reductions
-    remember the module they came from in ``generic``.
+    With a ``prime`` the module lives over $F_p$ at $v = 0$: its tensors
+    are the degree-0 slices of the given matrices taken mod ``p``, and a
+    reduction remembers the module it came from in ``generic``.
     """
 
-    __slots__ = ("alg", "smats", "omega_mats", "ring", "generic", "name")
+    __slots__ = ("alg", "smats", "omega_mats", "prime", "generic", "name")
 
-    def __init__(self, alg: HeckeAlgebra, smats, omega_mats, ring="laurent",
+    def __init__(self, alg: HeckeAlgebra, smats, omega_mats,
+                 prime: int | None = None,
                  generic: "FinModule | None" = None, name: str = ""):
+        if prime is not None and not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
         self.alg = alg
-        self.smats = tuple(tuple(tuple(row) for row in m) for m in smats)
-        if omega_mats is None:
-            self.omega_mats = None
-        else:
-            if len(omega_mats) != len(alg.omega.elements):
-                raise ValueError("need one matrix per length-zero element")
-            self.omega_mats = tuple(tuple(tuple(row) for row in m)
-                                    for m in omega_mats)
-        if ring != "laurent":
-            tag, p = ring
-            assert tag == "fp" and isinstance(p, int) and p >= 2
-        self.ring = ring
+        self.prime = prime
         self.generic = generic
         self.name = name
-        if len(self.smats) != alg.datum.rank + 1:
+        if omega_mats is not None and len(omega_mats) != len(alg.omega):
+            raise ValueError("need one matrix per length-zero element")
+        self.omega_mats = (None if omega_mats is None else self._reduce(
+            _stack(omega_mats, "length-zero element")))
+        if len(smats) != alg.datum.rank + 1:
             raise ValueError("need one matrix per affine node")
+        self.smats = self._reduce(_stack(smats, "node"))
 
     @property
     def dim(self) -> int:
-        return len(self.smats[0])
+        return self.smats.coeffs.shape[-1]
 
     @property
     def is_modular(self) -> bool:
-        return self.ring != "laurent"
+        return self.prime is not None
 
-    @property
-    def prime(self) -> int:
-        assert self.ring != "laurent"
-        return self.ring[1]
+    def _reduce(self, mats: LaurentMatrix) -> LaurentMatrix:
+        return mats if self.prime is None else mats.reduce(self.prime)
 
-    def _identity(self):
-        if self.ring == "laurent":
-            return _lmat_identity(self.dim)
-        return _imat_identity(self.dim)
-
-    def _mul(self, a, b):
-        if self.ring == "laurent":
-            return _lmat_mul(a, b)
-        return _imat_mul(a, b, self.ring[1])
-
-    def _q_of_node(self, s: int):
-        if self.ring == "laurent":
-            return self.alg.q(s)
-        return 0
+    def q_stack(self) -> LaurentMatrix:
+        """$q_s$ times the identity, stacked over the nodes (zero at
+        $v = 0$, so for a mod-$p$ module)."""
+        w, n = self.alg.datum.weights, self.dim
+        c = np.zeros((len(w), 2 * max(w) + 1, n, n), dtype=np.int64)
+        c[range(len(w)), [2 * d for d in w]] = np.eye(n, dtype=np.int64)
+        return self._reduce(LaurentMatrix(0, c, 1))
 
     def check_relations(self) -> None:
         """Verify quadratic, braid and length-zero relations; raise
-        :class:`RelationsFail` on the first violation."""
-        d = self.alg.datum
-        n = self.dim
-        ident = self._identity()
-        for s in range(d.rank + 1):
-            m = self.smats[s]
-            if len(m) != n or any(len(row) != n for row in m):
-                raise RelationsFail(f"matrix at node {s} is not {n} x {n}")
-            lhs = self._mul(m, m)
-            if self.ring == "laurent":
-                q = self.alg.q(s)
-                rhs = _lmat_add(_lmat_scale(m, q - Laurent.one()),
-                                _lmat_scale(ident, q))
-                ok = _lmat_eq(lhs, rhs)
-            else:
-                p = self.ring[1]
-                rhs = tuple(tuple((-m[i][j]) % p for j in range(n))
-                            for i in range(n))
-                ok = lhs == rhs
-            if not ok:
-                raise RelationsFail(f"quadratic relation fails at node {s}")
-        for s in range(d.rank + 1):
-            for t in range(s + 1, d.rank + 1):
-                m = d.coxeter_m[s][t]
-                # 1 x 1 matrices commute, so braid relations of even order
-                # hold; an odd order m = 2k - 1 still asks
-                # a^k b^(k-1) = b^k a^(k-1), which fails for a = q, b = -1
-                if m < 2 or (n == 1 and m % 2 == 0):
-                    continue
-                a = self.smats[s]
-                b = self.smats[t]
-                # lhs = abab..., rhs = baba..., m factors each
-                lhs, rhs = a, b
-                for i in range(1, m):
-                    lhs = self._mul(lhs, b if i % 2 else a)
-                    rhs = self._mul(rhs, a if i % 2 else b)
-                equal = (_lmat_eq(lhs, rhs) if self.ring == "laurent"
-                         else lhs == rhs)
-                if not equal:
-                    raise RelationsFail(
-                        f"braid relation of order {m} fails at nodes {s}, {t}")
-        if self.omega_mats is not None:
-            omega = self.alg.omega
-            k = len(omega.elements)
-            eq = _lmat_eq if self.ring == "laurent" else tuple.__eq__
-            if not eq(self.omega_mats[0], ident):
-                raise RelationsFail("identity length-zero element not identity")
-            for i in range(k):
-                for j in range(k):
-                    prod = self._mul(self.omega_mats[i], self.omega_mats[j])
-                    if not eq(prod, self.omega_mats[omega.mult_index(i, j)]):
-                        raise RelationsFail(
-                            f"length-zero multiplication fails at ({i}, {j})")
-            for i in range(k):
-                perm = omega.perms[i]
-                for s in range(d.rank + 1):
-                    lhs = self._mul(self.omega_mats[i], self.smats[s])
-                    rhs = self._mul(self.smats[perm[s]], self.omega_mats[i])
-                    if not eq(lhs, rhs):
-                        raise RelationsFail(
-                            f"conjugation by length-zero element {i} fails "
-                            f"at node {s}")
+        :class:`RelationsFail` naming the first violation.
 
-    def mat_of_omega(self, omega_elt) -> LMatrix:
+        Each relation is a pair of words in a bank of factor matrices, so
+        all of them run as one batch: one product per letter of the
+        longest word."""
+        omats, smats = self.omega_mats, self.smats
+        one = LaurentMatrix.identity(self.dim)
+        # bank: T_s, T_s - q_s, T_s + 1, 1, 0, length-zero matrices
+        bank = LaurentMatrix.concat(
+            [smats, smats - self.q_stack(), smats + one, one[None],
+             LaurentMatrix(0, np.zeros_like(one.coeffs[None]), 0)]
+            + ([] if omats is None else [omats]))
+        labels, words = _relations(self.alg, omats is not None)
+        prod = bank[words[:, 0]]
+        for c in range(1, words.shape[1]):
+            prod = self._reduce(prod @ bank[words[:, c]])
+        diff = self._reduce(prod[0::2] - prod[1::2])
+        bad = diff.coeffs.any(axis=(-3, -2, -1))
+        if bad.any():
+            message, args = labels[int(np.argmax(bad))]
+            raise RelationsFail(message.format(*args))
+
+    def mat_of_omega(self, omega_elt) -> LaurentMatrix:
         if omega_elt.is_identity():
-            return self._identity()
+            return self._reduce(LaurentMatrix.identity(self.dim))
         if self.omega_mats is None:
             raise ValueError("module has no action of length-zero elements")
         return self.omega_mats[self.alg.omega.index_of(omega_elt)]
 
-    def act_word(self, word: Sequence[int]):
+    def act_word(self, word: Sequence[int]) -> LaurentMatrix:
         """Matrix of $T_{s_{i_1}} \\cdots T_{s_{i_k}}$."""
-        out = self._identity()
+        out = self._reduce(LaurentMatrix.identity(self.dim))
         for s in word:
-            out = self._mul(out, self.smats[s])
+            out = self._reduce(out @ self.smats[s])
         return out
 
-    def act(self, elt: HeckeElt) -> LMatrix:
+    def act(self, elt: HeckeElt) -> LaurentMatrix:
         """Matrix of a general algebra element (Laurent ring only)."""
-        assert self.ring == "laurent"
+        assert self.prime is None
         n = self.dim
-        zero = Laurent.zero()
-        acc = tuple(tuple(zero for _ in range(n)) for _ in range(n))
+        acc = LaurentMatrix(0, np.zeros((1, n, n), dtype=np.int64))
         for w in elt.support():
             omega, word = w.reduced_word()
-            mat = self._mul(self.mat_of_omega(omega), self.act_word(word))
-            acc = _lmat_add(acc, _lmat_scale(mat, elt.coeff(w)))
+            c = LaurentMatrix.from_rows([[[elt.coeff(w)]]])[0]
+            scalar = LaurentMatrix(c.lo, c.coeffs * np.eye(n, dtype=np.int64))
+            acc = acc + scalar @ self.mat_of_omega(omega) @ self.act_word(word)
         return acc
 
     def star_twist(self) -> "FinModule":
@@ -512,81 +463,53 @@ class FinModule:
         length-zero matrices are unchanged.  Applying it twice gives back
         the original matrices.
         """
-        assert self.ring == "laurent"
-        n = self.dim
-        ident = _lmat_identity(n)
-        smats = []
-        for s in range(self.alg.datum.rank + 1):
-            q1 = self.alg.q(s) - Laurent.one()
-            smats.append(_lmat_add(_lmat_scale(self.smats[s], Laurent.of_int(-1)),
-                                   _lmat_scale(ident, q1)))
-        mod = FinModule(self.alg, tuple(smats), self.omega_mats,
-                        ring="laurent", name=f"twist of {self.name}")
+        assert self.prime is None
+        smats = self.q_stack() - LaurentMatrix.identity(self.dim) - self.smats
+        mod = FinModule(self.alg, smats, self.omega_mats,
+                        name=f"twist of {self.name}")
         mod.check_relations()
         return mod
 
     def reduce_mod_p(self, p: int) -> "FinModule":
         """Evaluate all entries at $v = 0$ and read them in $F_p$.
 
-        Raises :class:`NegativePowersPresent` if any entry has a pole at
-        $v = 0$.  The result keeps a reference to this module."""
-        if not (isinstance(p, int) and p >= 2):
-            raise ValueError("p must be an integer >= 2")
-        if any(p % k == 0 for k in range(2, min(p, 1000)) if k * k <= p):
-            raise ValueError(f"{p} is not prime")
-
-        def red(mat):
-            out = []
-            for row in mat:
-                new = []
-                for x in row:
-                    if x.has_negative_exponents():
-                        raise NegativePowersPresent(
-                            f"entry {x} of {self.name or 'module'} has "
-                            f"negative powers of v")
-                    new.append(x.at_v0() % p)
-                out.append(tuple(new))
-            return tuple(out)
-
-        smats = tuple(red(m) for m in self.smats)
-        omats = (None if self.omega_mats is None
-                 else tuple(red(m) for m in self.omega_mats))
-        mod = FinModule(self.alg, smats, omats, ring=("fp", p), generic=self,
-                        name=f"{self.name} mod {p}")
+        Raises ``ValueError`` unless ``p`` is prime and
+        :class:`NegativePowersPresent` if any entry has a pole at $v = 0$.
+        The result keeps a reference to this module."""
+        mod = FinModule(self.alg, self.smats, self.omega_mats, prime=p,
+                        generic=self, name=f"{self.name} mod {p}")
         mod.check_relations()
         return mod
 
     def diagonal_character_values(self) -> tuple[tuple[int, ...], ...] | None:
         """For an fp module with diagonal generator matrices, the value
         tuples per basis index (one per node); ``None`` if not diagonal."""
-        assert self.ring != "laurent"
-        n = self.dim
-        p = self.ring[1]
-        for m in self.smats:
-            for i in range(n):
-                for j in range(n):
-                    if i != j and m[i][j] % p:
-                        return None
-        return tuple(tuple(self.smats[s][i][i] for s in range(len(self.smats)))
-                     for i in range(n))
+        assert self.prime is not None
+        mats = self.smats.coeffs[:, 0]
+        if (mats * (1 - np.eye(self.dim, dtype=np.int64))).any():
+            return None
+        diag = np.diagonal(mats, axis1=1, axis2=2).T.tolist()
+        return tuple(map(tuple, diag))
 
     def __repr__(self):
-        ring = "Z[v, 1/v]" if self.ring == "laurent" else f"F_{self.ring[1]}"
+        ring = "Z[v, 1/v]" if self.prime is None else f"F_{self.prime}"
         label = self.name or "module"
         return f"FinModule({label}, dim {self.dim} over {ring})"
 
     def to_json(self) -> dict:
-        def enc(mat):
-            if self.ring == "laurent":
-                return [[str(x) for x in row] for row in mat]
-            return [[int(x) for x in row] for row in mat]
+        n = self.dim
 
-        out = {"dim": self.dim, "name": self.name,
-               "ring": ("laurent" if self.ring == "laurent"
-                        else f"fp({self.ring[1]})"),
-               "generators": [enc(m) for m in self.smats]}
+        def enc(mats: LaurentMatrix):
+            if self.prime is not None:
+                return mats.coeffs[:, 0].tolist()
+            return [[[str(mats.entry(k, i, j)) for j in range(n)]
+                     for i in range(n)] for k in range(len(mats))]
+
+        ring = "laurent" if self.prime is None else f"fp({self.prime})"
+        out = {"dim": n, "name": self.name, "ring": ring,
+               "generators": enc(self.smats)}
         if self.omega_mats is not None:
-            out["length_zero"] = [enc(m) for m in self.omega_mats]
+            out["length_zero"] = enc(self.omega_mats)
         return out
 
 
@@ -612,30 +535,20 @@ def reflection_module(datum) -> FinModule:
     if len(set(d.weights)) != 1:
         raise NotSimplyLaced("reflection module needs equal weights")
     deg = d.weights[0]
-    q = q_power(deg)
-    vd = Laurent.v(deg)
-    zero = Laurent.zero()
-    smats = []
+    smats = np.zeros((n, 2 * deg + 1, n, n), dtype=np.int64)
     for s in range(n):
-        rows = []
         for t in range(n):
-            row = [zero] * n
             if t == s:
-                row[t] = Laurent.of_int(-1)
+                smats[s, 0, t, t] = -1
             else:
-                row[t] = q
+                smats[s, 2 * deg, t, t] = 1
                 if d.coxeter_m[s][t] == 3:
-                    row[s] = row[s] + vd
-            rows.append(tuple(row))
-        smats.append(tuple(rows))
-    omega = alg.omega
-    omats = []
-    for perm in omega.perms:
-        mat = [[zero] * n for _ in range(n)]
-        for t in range(n):
-            mat[perm[t]][t] = Laurent.one()
-        omats.append(tuple(tuple(row) for row in mat))
-    mod = FinModule(alg, tuple(smats), tuple(omats), ring="laurent",
+                    smats[s, deg, t, s] = 1
+    perms = alg.omega.perms
+    omats = np.zeros((len(perms), 1, n, n), dtype=np.int64)
+    for k, perm in enumerate(perms):
+        omats[k, 0, list(perm), range(n)] = 1
+    mod = FinModule(alg, LaurentMatrix(0, smats), LaurentMatrix(0, omats),
                     name=f"reflection module {d.label()}")
     mod.check_relations()
     return mod
@@ -661,29 +574,15 @@ def decompose_at_v0(module: FinModule) -> tuple[Character, ...]:
     Length-zero matrices are ignored, the split is one of modules over
     the non-extended algebra.
     """
-    assert module.ring == "laurent"
-    n = module.dim
-    vals = []
-    for s, mat in enumerate(module.smats):
-        v0 = []
-        for row in mat:
-            out = []
-            for x in row:
-                if x.has_negative_exponents():
-                    raise NegativePowersPresent(
-                        f"entry {x} has negative powers of v")
-                out.append(x.at_v0())
-            v0.append(out)
-        for i in range(n):
-            for j in range(n):
-                if i != j and v0[i][j] != 0:
-                    raise RelationsFail(
-                        f"matrix at node {s} is not diagonal at v = 0")
-                if i == j and v0[i][i] not in (0, -1):
-                    raise RelationsFail(
-                        f"diagonal value {v0[i][i]} at v = 0 is outside "
-                        f"{{0, -1}}")
-        vals.append([v0[i][i] for i in range(n)])
-    return tuple(Character.modp(module.alg.datum,
-                                tuple(vals[s][i] for s in range(len(vals))))
-                 for i in range(n))
+    assert module.prime is None
+    v0 = module.smats.at_v0()
+    diag = np.diagonal(v0, axis1=1, axis2=2)
+    for s, (mat, values) in enumerate(zip(v0, diag.tolist())):
+        if (mat - np.diag(values)).any():
+            raise RelationsFail(f"matrix at node {s} is not diagonal at v = 0")
+        bad = [x for x in values if x not in (0, -1)]
+        if bad:
+            raise RelationsFail(
+                f"diagonal value {bad[0]} at v = 0 is outside {{0, -1}}")
+    return tuple(Character.modp(module.alg.datum, tuple(col))
+                 for col in diag.T.tolist())

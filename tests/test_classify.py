@@ -188,8 +188,7 @@ def test_truncated_route_matches_exact_action():
         exact = m.act(H.central_from_orbit(orbit))
         for p in (7, 999983):
             fast = central_orbit_matrix_v0(m, orbit, p)
-            ex = np.array([[e.at_v0() % p for e in row] for row in exact],
-                          dtype=np.int64)
+            ex = exact.at_v0() % p
             assert np.array_equal(fast, ex), (lam, p)
 
     dd = build_root_datum("D", 4)
@@ -200,8 +199,7 @@ def test_truncated_route_matches_exact_action():
         exact = R.act(Hd.central_from_orbit(orbit))
         for p in (5, 999983):
             fast = central_orbit_matrix_v0(R, orbit, p)
-            ex = np.array([[e.at_v0() % p for e in row] for row in exact],
-                          dtype=np.int64)
+            ex = exact.at_v0() % p
             assert np.array_equal(fast, ex), (lam, p)
 
 

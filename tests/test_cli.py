@@ -164,20 +164,6 @@ def test_output_is_byte_stable(tmp_path, capsys):
     assert first == second
 
 
-def test_thread_pool_does_not_change_bytes(tmp_path, capsys, monkeypatch):
-    suite = {"cases": [
-        {"case": {"type": "C", "rank": 2}},
-        {"case": {"type": "G", "rank": 2}},
-        {"case": {"type": "A", "rank": 3}},
-        {"case": {"type": "C", "rank": 3, "decoration": [2, 1, 1]}},
-    ]}
-    f = write_case(tmp_path, suite, "suite.json")
-    _, serial = run_cli(["verify", "--suite", f], capsys)
-    monkeypatch.setenv("HECKE_LAB_THREADS", "4")
-    _, threaded = run_cli(["verify", "--suite", f], capsys)
-    assert serial == threaded
-
-
 def test_json_file_duplicates_stdout(tmp_path, capsys):
     case = write_case(tmp_path, {"type": "G", "rank": 2})
     target = tmp_path / "report.json"

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from heckelab import Laurent, NegativePowersPresent, q_power
+import pytest
+
+from heckelab import Laurent, LaurentMatrix, NegativePowersPresent, q_power
 
 
 def test_ring_identities():
@@ -78,3 +80,58 @@ def test_json_round_trip():
     x = Laurent.v(-2) + Laurent.of_int(5) - 3 * Laurent.v(4)
     assert Laurent.from_json(x.to_json()) == x
     assert Laurent.from_json(Laurent.zero().to_json()) == Laurent.zero()
+
+
+def _lmul(a, b):
+    """Entry-by-entry product of matrices of ``Laurent``, the reference."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Laurent.zero())
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _entries(m: LaurentMatrix, k: int):
+    n, c = m.coeffs.shape[-2:]
+    return [[m.entry(k, i, j) for j in range(c)] for i in range(n)]
+
+
+def test_laurent_matrix_against_entrywise_laurent():
+    rng = random.Random(11)
+
+    def rand_mat(n):
+        return [[Laurent({rng.randint(-2, 3): rng.randint(-3, 3)
+                          for _ in range(2)}) for _ in range(n)]
+                for _ in range(n)]
+
+    a = [rand_mat(3) for _ in range(4)]
+    b = [rand_mat(3) for _ in range(4)]
+    ta, tb = LaurentMatrix.from_rows(a), LaurentMatrix.from_rows(b)
+    prod, total = ta @ tb, ta - tb
+    for k in range(4):
+        assert _entries(ta, k) == a[k]
+        assert _entries(prod, k) == _lmul(a[k], b[k])
+        assert _entries(total, k) == [[x - y for x, y in zip(ra, rb)]
+                                      for ra, rb in zip(a[k], b[k])]
+    assert not (ta @ LaurentMatrix.identity(3) - ta).coeffs.any()
+    poly = LaurentMatrix.from_rows(
+        [[[Laurent.v(1) + Laurent.of_int(4), Laurent.v(2)]]])
+    assert poly.at_v0().tolist() == [[[4, 0]]]
+    with pytest.raises(NegativePowersPresent):
+        ta.at_v0()
+
+
+def test_laurent_matrix_product_beyond_int64():
+    # int64 inputs whose product has coefficients near 2^80
+    big = 2**40 + 3
+    a = [[Laurent({0: big, 2: -1}), Laurent.v(-1)],
+         [Laurent.of_int(7), Laurent({1: -big})]]
+    b = [[Laurent({-1: big}), Laurent.one()],
+         [Laurent({0: 2, 3: big}), Laurent.zero()]]
+    ta, tb = LaurentMatrix.from_rows([a]), LaurentMatrix.from_rows([b])
+    assert ta.coeffs.dtype != object
+    prod = ta @ tb
+    assert _entries(prod, 0) == _lmul(a, b)
+    assert max(abs(c) for row in _lmul(a, b) for x in row
+               for _, c in x.items()) > 2**63
+    # and again from coefficients that do not fit int64 themselves
+    huge = [[Laurent({0: 3**41, 1: 1})]]
+    assert _entries(LaurentMatrix.from_rows([huge]) @ LaurentMatrix.from_rows(
+        [huge]), 0) == _lmul(huge, huge)
