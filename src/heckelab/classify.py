@@ -16,8 +16,13 @@ nilpotently; it suffices to check the orbits of the dominant monoid
 generators since orbit sums multiply up to lower-order terms.  The matrix
 of a central element at $v = 0$ is extracted without expanding the
 element: each orbit summand is a product of generator matrices with a
-known leading normalization, so the coefficient of the normalizing power
-of $v$ comes out of a truncated polynomial product.
+known leading normalization, and only the coefficient of the normalizing
+power of $v$ is needed.  On a monomial module (diagonal $T_s$ and
+$T^*_s$, length-zero elements acting by signed permutations, every entry
+a single term $c v^e$) that coefficient is read off the letter counts of
+the two translation words in exact integer arithmetic; every other
+module goes through a truncated polynomial product of float64 degree
+slices, the only use of floating point in the package.
 
 The search routine walks the case analysis: a discrete non-special
 character that extends (one dimensional answer), discrete characters
@@ -29,6 +34,7 @@ answer exists there).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +115,7 @@ def _degree_slices(mats: LaurentMatrix, p: int):
     a nonnegative integer below ``p``, so an accumulator of
     :func:`_truncated_apply` is a nonnegative integer below $k n p^2$ for
     $k$ degree slices of an $n \\times n$ matrix.  The guard
-    $p \\le 10^6$ of :class:`_TruncatedActor` keeps that, and with it
+    $p \\le 10^6$ of :class:`_OrbitActor` keeps that, and with it
     $x + p$, below $2^{53}$ whenever $k n < 9000$ (it is in the tens for
     the modules here), so float64 sums, products and the floor reduction
     are exact."""
@@ -131,7 +137,7 @@ def _truncated_apply(cur: np.ndarray, gen_slices, p: int) -> np.ndarray:
     which is exact for nonnegative integers $x$ with $x + p \\le 2^{53}$
     (the quotient cannot round up to the next integer) and much faster
     than ``np.remainder`` on floats.  Inputs reduced mod ``p`` and the
-    $p \\le 10^6$ guard of :class:`_TruncatedActor` keep every
+    $p \\le 10^6$ guard of :class:`_OrbitActor` keep every
     accumulator in that range."""
     cap, n, _ = cur.shape
     flat = cur.reshape(cap * n, n)
@@ -145,9 +151,37 @@ def _truncated_apply(cur: np.ndarray, gen_slices, p: int) -> np.ndarray:
     return out
 
 
-class _TruncatedActor:
-    """Caches the coefficient arrays of the generator matrices of a
-    Laurent module for repeated truncated products."""
+def _monomial_entries(mats: LaurentMatrix):
+    """For a stack of monomial matrices, each row and each column holding
+    exactly one nonzero entry and that entry a single term $c v^e$: per
+    matrix, the lists (column, $c$, $e$) indexed by row.  ``None`` for
+    any other stack."""
+    nz = mats.coeffs != 0
+    terms = nz.sum(axis=-3)
+    if (terms > 1).any() or (terms.sum(axis=-1) != 1).any() or (
+            terms.sum(axis=-2) != 1).any():
+        return None
+    cols = terms.argmax(axis=-1)
+    k, rows = np.indices(cols.shape)
+    degs = nz[k, :, rows, cols].argmax(axis=-1)
+    coefs = mats.coeffs[k, degs, rows, cols]
+    return [(c, a, [mats.lo + d for d in e]) for c, a, e in
+            zip(cols.tolist(), coefs.tolist(), degs.tolist())]
+
+
+class _OrbitActor:
+    """The normalized summands of one central orbit sum at $v = 0$ mod
+    ``p`` on a Laurent module.
+
+    A module whose matrices of $T_s$ and $T^*_s$ are diagonal and whose
+    length-zero matrices are monomial, every nonzero entry a single term
+    $c v^e$ (characters, their extensions, induced modules), takes the
+    *monomial route*: a summand is then a monomial matrix whose entries
+    follow from the letter counts of its two words, in exact integer
+    arithmetic.  Any other module takes the *dense route*, truncated
+    products of float64 degree slices (:func:`_truncated_apply`), built
+    on first use.  Translation words are kept per coweight: the dominant
+    and antidominant parts repeat across the points of an orbit."""
 
     def __init__(self, module: FinModule, p: int):
         assert not module.is_modular
@@ -158,11 +192,40 @@ class _TruncatedActor:
         self.module = module
         self.p = p
         self.n = module.dim
-        self.t_slices = _degree_slices(module.smats, p)
-        star = module.smats - module.q_stack() + LaurentMatrix.identity(self.n)
-        self.star_slices = _degree_slices(star, p)  # T*_s = T_s - (q_s - 1)
-        self.omega_slices = (None if module.omega_mats is None
-                             else _degree_slices(module.omega_mats, p))
+        self.star = (module.smats - module.q_stack()
+                     + LaurentMatrix.identity(self.n))  # T*_s = T_s - q_s + 1
+        self._words: dict = {}
+        self.monomial = self._monomial_form()
+
+    def _monomial_form(self):
+        """``(T_s, T*_s, length-zero)`` monomial entries, the first two
+        diagonal, or ``None`` when the module is not of that shape."""
+        mod, diag = self.module, list(range(self.n))
+        if mod.omega_mats is None:
+            omega = [(diag, [1] * self.n, [0] * self.n)]
+        else:
+            omega = _monomial_entries(mod.omega_mats)
+        t = _monomial_entries(mod.smats)
+        star = _monomial_entries(self.star)
+        if omega is None or t is None or star is None or any(
+                cols != diag for cols, _, _ in t + star):
+            return None
+        return t, star, omega
+
+    @functools.cached_property
+    def _slices(self):
+        mod = self.module
+        omega = (None if mod.omega_mats is None
+                 else _degree_slices(mod.omega_mats, self.p))
+        return (_degree_slices(mod.smats, self.p),
+                _degree_slices(self.star, self.p), omega)
+
+    def _word(self, lam) -> tuple[int, ...]:
+        word = self._words.get(lam)
+        if word is None:
+            word = self._words[lam] = translation_word(
+                self.module.alg.datum, lam)
+        return word
 
     def _coroot_decomposition(self, lam):
         """Dominant decomposition whose two parts both translate without
@@ -181,14 +244,14 @@ class _TruncatedActor:
             minus = tuple(a + b for a, b in zip(minus, shift))
         return plus, minus
 
-    def coefficient_of_term(self, lam) -> np.ndarray:
-        """Matrix coefficient of the normalized orbit summand at ``lam``:
-        the coefficient of $v^{\\delta}$ in the product
-        $T_{\\omega_1} \\prod T^*_{s} \\cdot T_{\\omega_2} \\prod T_{t}$
-        following the dominant/antidominant split of ``lam``."""
+    def _split(self, lam):
+        """The words $w_1$, $w_2$ and length-zero indices of the factors
+        $T_{\\omega_1} \\prod_{w_1} T^*_{s} \\cdot T_{\\omega_2}
+        \\prod_{w_2} T_{t}$ of the summand at ``lam``, and the exponent
+        $\\delta$ of its normalizing power of $v$."""
         alg = self.module.alg
         datum = alg.datum
-        if self.omega_slices is None:
+        if self.module.omega_mats is None:
             if not datum.in_coroot_lattice(lam):
                 raise ValueError(
                     "orbit point outside the coroot lattice acts through "
@@ -197,37 +260,86 @@ class _TruncatedActor:
         else:
             plus, minus = alg.dominant_decomposition(lam)
         neg = tuple(-x for x in minus)
-        w1 = translation_word(datum, plus)
-        w2 = translation_word(datum, neg)
-        w3 = translation_word(datum, lam)
+        w1, w2, w3 = self._word(plus), self._word(neg), self._word(lam)
         wd = lambda word: sum(datum.weights[s] for s in word)
         delta = wd(w1) + wd(w2) - wd(w3)
         assert delta >= 0
         om1 = alg.omega.index_of(alg.omega.element_for_translation(plus))
         om2 = alg.omega.index_of(alg.omega.element_for_translation(neg))
+        if self.module.omega_mats is None:
+            assert om1 == 0 and om2 == 0
+        return w1, w2, om1, om2, delta
+
+    def coefficient_of_term(self, lam) -> np.ndarray:
+        """Matrix coefficient of the normalized orbit summand at ``lam``:
+        the coefficient of $v^{\\delta}$ in the product
+        $T_{\\omega_1} \\prod T^*_{s} \\cdot T_{\\omega_2} \\prod T_{t}$
+        following the dominant/antidominant split of ``lam``."""
+        if self.monomial is None:
+            return self._dense_term(lam)
+        return self._monomial_term(lam)
+
+    def _diagonal(self, entries, word):
+        """Coefficients mod ``p`` and exponents of the diagonal product of
+        the monomial ``entries`` along ``word``, from its letter counts."""
+        p = self.p
+        counts = [(s, word.count(s)) for s in range(len(entries))]
+        counts = [(s, k) for s, k in counts if k]
+        out = []
+        for i in range(self.n):
+            c, e = 1, 0
+            for s, k in counts:
+                c = c * pow(entries[s][1][i], k, p) % p
+                e += k * entries[s][2][i]
+            out.append((c, e))
+        return out
+
+    def _monomial_term(self, lam) -> np.ndarray:
+        """:meth:`coefficient_of_term` on the monomial route: the product
+        $T_{\\omega_1} D_1 T_{\\omega_2} D_2$ sends row ``i`` to one
+        column; its entry is kept when its exponent is $\\delta$."""
+        w1, w2, om1, om2, delta = self._split(lam)
+        t, star, omega = self.monomial
+        cols1, a1, f1 = omega[om1]
+        cols2, a2, f2 = omega[om2]
+        d1, d2 = self._diagonal(star, w1), self._diagonal(t, w2)
+        p = self.p
+        out = np.zeros((self.n, self.n), dtype=np.int64)
+        for i in range(self.n):
+            j = cols1[i]
+            k = cols2[j]
+            e = f1[i] + d1[j][1] + f2[j] + d2[k][1]
+            if e == delta:
+                out[i, k] = a1[i] * d1[j][0] * a2[j] * d2[k][0] % p
+        return out
+
+    def _dense_term(self, lam) -> np.ndarray:
+        """:meth:`coefficient_of_term` by truncated products of degree
+        slices, one letter at a time."""
+        w1, w2, om1, om2, delta = self._split(lam)
+        t_slices, star_slices, omega_slices = self._slices
         cap = delta + 1
         cur = np.zeros((cap, self.n, self.n))
-        if self.omega_slices is None:
-            assert om1 == 0 and om2 == 0
+        if omega_slices is None:
             cur[0] = np.eye(self.n)
             for s in w1:
-                cur = _truncated_apply(cur, self.star_slices[s], self.p)
+                cur = _truncated_apply(cur, star_slices[s], self.p)
         else:
-            for f, g in self.omega_slices[om1]:
+            for f, g in omega_slices[om1]:
                 if f < cap:
                     cur[f] = g
             for s in w1:
-                cur = _truncated_apply(cur, self.star_slices[s], self.p)
-            cur = _truncated_apply(cur, self.omega_slices[om2], self.p)
+                cur = _truncated_apply(cur, star_slices[s], self.p)
+            cur = _truncated_apply(cur, omega_slices[om2], self.p)
         for s in w2:
-            cur = _truncated_apply(cur, self.t_slices[s], self.p)
+            cur = _truncated_apply(cur, t_slices[s], self.p)
         return cur[delta].astype(np.int64)
 
 
 def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     """Matrix of the central orbit sum at $v = 0$ over $F_p$, acting on
     the reduction of a Laurent module with a length-zero action."""
-    actor = _TruncatedActor(module, p)
+    actor = _OrbitActor(module, p)
     n = module.dim
     acc = np.zeros((n, n), dtype=np.int64)
     for lam in orbit:

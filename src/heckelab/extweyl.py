@@ -76,10 +76,7 @@ class ExtWeylElt:
         rank = datum.rank
         if not 0 <= s <= rank:
             raise ValueError(f"node label {s} out of range 0..{rank}")
-        cache = getattr(datum, "_simple_refl_cache", None)
-        if cache is None:
-            cache = {}
-            datum._simple_refl_cache = cache
+        cache = datum.simple_reflections
         if s in cache:
             return cache[s]
         if s == 0:
@@ -364,6 +361,14 @@ class OmegaGroup:
             self._products[i, j] = self._index[product]
         return self._products[i, j]
 
+    def lattice_basis(self) -> tuple[Vec, ...]:
+        """Echelon basis of the lattice of translations whose length-zero
+        parts lie in this group, from the coroots and the representative
+        of each coroot coset those parts index, in ``lattice_cosets``
+        order."""
+        rows = list(self.datum.cartan) + sorted(self._by_coset)
+        return intlin.echelon_basis(rows, self.datum.rank)
+
     def inverse_index(self, i: int) -> int:
         return self._index[self.elements[i].inv()]
 
@@ -420,13 +425,7 @@ def decorated_aut_group(datum: RootDatum) -> OmegaGroup:
 def effective_lattice(datum: RootDatum) -> tuple[Vec, ...]:
     """Echelon basis of the sublattice whose translations stay compatible
     with the node weights (the preimage of the decorated subgroup)."""
-    omega = aut_group(datum)
-    rows = list(datum.cartan)
-    for rep in datum.lattice_cosets():
-        om, _ = ExtWeylElt.translation(datum, rep).reduced_word()
-        if omega.preserves_weights(_node_permutation(datum, om)):
-            rows.append(rep)
-    return intlin.echelon_basis(rows, datum.rank)
+    return decorated_aut_group(datum).lattice_basis()
 
 
 def diagram_automorphisms(datum: RootDatum) -> tuple[tuple[int, ...], ...]:

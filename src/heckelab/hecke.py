@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import intlin
 from .errors import DatumMismatch, NotAFullOrbit, NotInLattice
-from .extweyl import ExtWeylElt, aut_group, effective_lattice
+from .extweyl import ExtWeylElt, aut_group
 from .laurent import Laurent, q_power
 from .rootdata import RootDatum, Vec
 
@@ -41,7 +41,7 @@ class HeckeAlgebra:
         self.datum = datum
         self.omega_full = aut_group(datum)
         self.omega = self.omega_full.decorated()
-        self.effective_basis = effective_lattice(datum)
+        self.effective_basis = self.omega.lattice_basis()
         self._omega_elts = set(self.omega.elements)
 
     # ---- scalars -------------------------------------------------------

@@ -155,6 +155,9 @@ class RootDatum:
             self.weights[cls[0]] for cls in self.classes
         )
         self.lattice_index = abs(intlin.det(lattice_basis))
+        # node -> its simple reflection, filled by
+        # ExtWeylElt.simple_reflection
+        self.simple_reflections: dict = {}
 
     # ---- basic frame -------------------------------------------------
 

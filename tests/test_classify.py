@@ -3,16 +3,19 @@ search over the supported table of data.
 
 The truncated mod-p route for central matrices is cross-checked against
 the exact symbolic action, including on orbits that are not monoid
-generators."""
+generators, and the monomial route against the dense one."""
 
 import numpy as np
 import pytest
 
 from heckelab import (
+    FinModule,
     HeckeAlgebra,
+    LaurentMatrix,
     build_root_datum,
     central_orbit_matrix_v0,
     character_extends,
+    dominant_monoid_generators,
     enumerate_characters,
     induce_character,
     is_discrete_character,
@@ -21,6 +24,7 @@ from heckelab import (
     reflection_module,
     translation_exponent,
 )
+from heckelab.classify import _OrbitActor, _monomial_entries
 
 # label -> exponents on the dominant generators of the coroot lattice
 C2_EXPONENTS = {
@@ -60,6 +64,14 @@ VERDICTS = [
     ("G", 2, 1, "Character1Dim"),
     ("B", 3, [1, 2], "UnhandledCase"),
 ]
+
+# the acceptance rows outside types D and E: answered by characters,
+# extended characters or induced modules (all monomial), or excluded
+C_PATTERNS = [[1, 1, 1], [2, 1, 1], [1, 2, 2], [2, 3, 3]]
+MONOMIAL_ROWS = ([("A", 1, [1, 1]), ("A", 1, [1, 2]), ("A", 2, 1),
+                  ("A", 3, 1), ("A", 4, 1), ("B", 3, 1)]
+                 + [("C", r, w) for r in (2, 3, 4, 5) for w in C_PATTERNS]
+                 + [("F", 4, 1), ("G", 2, 1)])
 
 
 def _exponent_table(kind, rank, table):
@@ -201,6 +213,83 @@ def test_truncated_route_matches_exact_action():
             fast = central_orbit_matrix_v0(R, orbit, p)
             ex = exact.at_v0() % p
             assert np.array_equal(fast, ex), (lam, p)
+
+
+def test_monomial_route_matches_dense_route():
+    # every orbit summand of every generator orbit the certificates use,
+    # with the dense route called directly as the reference
+    checked = 0
+    for kind, rank, w in MONOMIAL_ROWS:
+        H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
+        out = key_result_search(H)
+        if out.module is None:
+            continue
+        checked += 1
+        src, d = out.module.generic, H.datum
+        lattice = ("coroot" if src.omega_mats is None
+                   else H.effective_basis)
+        for gen in dominant_monoid_generators(d, lattice):
+            orbit = d.weyl_orbit(gen)
+            for p in (5, 7, 999983):
+                actor = _OrbitActor(src, p)
+                assert actor.monomial is not None, (kind, rank, w)
+                for lam in orbit:
+                    assert np.array_equal(actor._monomial_term(lam),
+                                          actor._dense_term(lam)), (
+                        kind, rank, w, lam, p)
+    # all but the four type-A rows with equal weights
+    assert checked == len(MONOMIAL_ROWS) - 4
+
+
+def test_non_monomial_module_takes_the_dense_route():
+    # conjugating the induced module by an upper unitriangular matrix
+    # keeps the relations but fills in off-diagonal entries
+    d = build_root_datum("C", 2)
+    H = HeckeAlgebra(d)
+    bad = [c for c in enumerate_characters(H, "generic")
+           if not character_extends(H, c)[0]]
+    m = induce_character(H, bad[0])
+    u = LaurentMatrix.from_rows([[[1, 1], [0, 1]]])
+    u_inv = LaurentMatrix.from_rows([[[1, -1], [0, 1]]])
+    conj = FinModule(H, u @ m.smats @ u_inv, u @ m.omega_mats @ u_inv,
+                     name="conjugated induced module")
+    conj.check_relations()
+    # its length-zero matrix [[1, 0], [1, -1]] has single-term entries,
+    # two in one row; [[1, 0], [1, 0]] has two in one column
+    assert _monomial_entries(conj.omega_mats) is None
+    two_in_column = LaurentMatrix.from_rows([[[1, 0], [1, 0]]])
+    assert _monomial_entries(two_in_column) is None
+    assert _monomial_entries(LaurentMatrix.from_rows(
+        [[[0, 3], [-1, 0]]])) == [([1, 0], [3, -1], [0, 0])]
+    for lam in [(1, 0), (0, 2), (1, 1)]:
+        orbit = d.weyl_orbit(lam)
+        exact = conj.act(H.central_from_orbit(orbit))
+        for p in (5, 7):
+            assert _OrbitActor(conj, p).monomial is None
+            fast = central_orbit_matrix_v0(conj, orbit, p)
+            assert np.array_equal(fast, exact.at_v0() % p), (lam, p)
+
+
+def test_special_character_route_matches_exact_action():
+    # the criterion-6 path: a character without length-zero action,
+    # whose orbits run over the coroot lattice
+    for kind, rank, lams in [("C", 2, [(0, 2), (2, 0), (2, 2)]),
+                             ("G", 2, [(1, 0), (0, 1), (1, 1)])]:
+        d = build_root_datum(kind, rank)
+        H = HeckeAlgebra(d)
+        sp = next(c for c in enumerate_characters(H, "generic")
+                  if c.is_special())
+        mod = sp.as_module(H)
+        assert mod.omega_mats is None
+        for lam in lams:
+            assert d.in_coroot_lattice(lam)
+            orbit = d.weyl_orbit(lam)
+            exact = mod.act(H.central_from_orbit(orbit))
+            for p in (5, 7, 999983):
+                assert _OrbitActor(mod, p).monomial is not None
+                fast = central_orbit_matrix_v0(mod, orbit, p)
+                assert np.array_equal(fast, exact.at_v0() % p), (
+                    kind, lam, p)
 
 
 def test_supersingularity_on_non_generator_orbits():
