@@ -45,7 +45,6 @@ from .laurent import LaurentMatrix
 from .modules import (Character, FinModule, character_extends,
                       enumerate_characters, induce_character,
                       reflection_module, stabilizer_and_twist, _as_algebra)
-from .rootdata import dominant_monoid_generators
 
 CASE_ONE_DIM = "Character1Dim"
 CASE_TWO_DIM = "Induced2Dim"
@@ -63,15 +62,6 @@ SAMPLED_ORBIT_NODE = {("E", 7): 7, ("E", 8): 8}
 def discreteness_level(char: Character) -> str:
     """``"coroot"`` for plain characters, ``"effective"`` for extended."""
     return "coroot" if char.omega_signs is None else "effective"
-
-
-def _monoid_generators(algebra: HeckeAlgebra, level: str):
-    if level == "coroot":
-        return dominant_monoid_generators(algebra.datum, "coroot")
-    if level == "effective":
-        return dominant_monoid_generators(algebra.datum,
-                                          algebra.effective_basis)
-    raise ValueError(f"unknown level {level!r}")
 
 
 def translation_exponent(algebra: HeckeAlgebra, char: Character,
@@ -97,7 +87,7 @@ def is_discrete_character(algebra, char: Character,
     level = level or discreteness_level(char)
     rows = []
     flag = True
-    for gen in _monoid_generators(alg, level):
+    for gen in alg.monoid_generators(level):
         k = translation_exponent(alg, char, gen)
         rows.append({"generator": list(gen), "exponent": k})
         if k >= 0:
@@ -381,10 +371,8 @@ def is_supersingular(module: FinModule, exhaustive: bool = False):
     p = module.prime
     alg = module.alg
     datum = alg.datum
-    if src.omega_mats is not None:
-        gens = dominant_monoid_generators(datum, alg.effective_basis)
-    else:
-        gens = dominant_monoid_generators(datum, "coroot")
+    gens = alg.monoid_generators("coroot" if src.omega_mats is None
+                                 else "effective")
     key = (datum.kind, datum.rank)
     sampled = False
     if not exhaustive and key in SAMPLED_ORBIT_NODE:

@@ -35,7 +35,7 @@ import time
 
 from . import __version__
 from .errors import HeckeLabError, RelationsFail, UnhandledCase
-from .rootdata import INFINITE_BOND, build_root_datum
+from .rootdata import INFINITE_BOND, _is_int, build_root_datum
 from .hecke import HeckeAlgebra
 from .intlin import is_prime
 from .modules import character_extends, enumerate_characters
@@ -66,16 +66,28 @@ def parse_case(obj: dict) -> dict:
     rank = obj["rank"]
     if not isinstance(kind, str) or kind not in "ABCDEFG" or len(kind) != 1:
         raise ValueError(f"'type' must be one of A..G, got {kind!r}")
-    if not isinstance(rank, int):
-        raise ValueError("'rank' must be an integer")
+    if not _is_int(rank):
+        raise ValueError(f"'rank' must be an integer, got {rank!r}")
     decoration = obj.get("decoration", 1)
     if isinstance(decoration, dict):
         try:
             decoration = {int(k): v for k, v in decoration.items()}
         except (TypeError, ValueError):
             raise ValueError("decoration mapping keys must be node labels")
+        weights = list(decoration.values())
+    else:
+        weights = (decoration if isinstance(decoration, (list, tuple))
+                   else [decoration])
+    if not all(_is_int(w) for w in weights):
+        raise ValueError(f"decoration weights must be integers, "
+                         f"got {decoration!r}")
     lattice = obj.get("lattice", "coweight")
     if isinstance(lattice, list):
+        if not all(isinstance(row, (list, tuple))
+                   and all(_is_int(x) for x in row)
+                   for row in lattice):
+            raise ValueError("'lattice' must be 'coweight', 'coroot' or a "
+                             f"list of integer vectors, got {lattice!r}")
         lattice = [tuple(row) for row in lattice]
     elif lattice not in ("coweight", "coroot"):
         raise ValueError(f"unknown lattice choice {lattice!r}")

@@ -31,7 +31,7 @@ from . import intlin
 from .errors import DatumMismatch, NotAFullOrbit, NotInLattice
 from .extweyl import ExtWeylElt, aut_group
 from .laurent import Laurent, q_power
-from .rootdata import RootDatum, Vec
+from .rootdata import RootDatum, Vec, dominant_monoid_generators
 
 
 class HeckeAlgebra:
@@ -43,6 +43,7 @@ class HeckeAlgebra:
         self.omega = self.omega_full.decorated()
         self.effective_basis = self.omega.lattice_basis()
         self._omega_elts = set(self.omega.elements)
+        self._monoid_generators: dict[str, tuple[Vec, ...]] = {}
 
     # ---- scalars -------------------------------------------------------
 
@@ -110,6 +111,22 @@ class HeckeAlgebra:
 
     def in_effective_lattice(self, lam: Sequence[int]) -> bool:
         return intlin.in_row_lattice(self.effective_basis, lam)
+
+    def monoid_generators(self, level: str) -> tuple[Vec, ...]:
+        """Dominant monoid generators of the coroot lattice (``level``
+        ``"coroot"``) or of the effective lattice (``"effective"``),
+        computed once per level."""
+        gens = self._monoid_generators.get(level)
+        if gens is None:
+            if level == "coroot":
+                lattice = "coroot"
+            elif level == "effective":
+                lattice = self.effective_basis
+            else:
+                raise ValueError(f"unknown level {level!r}")
+            gens = dominant_monoid_generators(self.datum, lattice)
+            self._monoid_generators[level] = gens
+        return gens
 
     def dominant_decomposition(self, lam: Sequence[int]) -> tuple[Vec, Vec]:
         """A pair of dominant lattice points with difference ``lam``.

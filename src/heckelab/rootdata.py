@@ -22,7 +22,11 @@ $k$ corresponds to finite node $k + 1$ throughout.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Mapping, Sequence
+import math
+import numbers
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import intlin
 from .errors import (
@@ -358,22 +362,29 @@ class RootDatum:
         }
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool (numpy integers count)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _normalize_weights(datum_classes: tuple[tuple[int, ...], ...],
                        rank: int, weights) -> Vec:
     """Resolve the weight argument to a per-affine-node tuple."""
     n = rank + 1
-    if isinstance(weights, int):
-        if weights < 1:
-            raise DecorationNotClassConstant("weights must be positive")
-        return (weights,) * n
+    if isinstance(weights, (numbers.Number, str, bytes)):
+        if not _is_int(weights):
+            raise DecorationNotClassConstant(
+                f"weights must be integers, got {weights!r}")
+        weights = (weights,) * len(datum_classes)
     if isinstance(weights, Mapping):
         per_node = dict(weights)
-        if sorted(per_node) != list(range(n)):
+        if (not all(_is_int(k) for k in per_node)
+                or sorted(per_node) != list(range(n))):
             raise DecorationNotClassConstant(
                 f"per-node weights must cover nodes 0..{rank}")
-        out = [int(per_node[i]) for i in range(n)]
+        out = [per_node[i] for i in range(n)]
     else:
-        vals = [int(x) for x in weights]
+        vals = list(weights)
         if len(vals) != len(datum_classes):
             raise DecorationNotClassConstant(
                 f"expected one weight per class "
@@ -382,6 +393,10 @@ def _normalize_weights(datum_classes: tuple[tuple[int, ...], ...],
         for val, cls in zip(vals, datum_classes):
             for s in cls:
                 out[s] = val
+    if not all(_is_int(x) for x in out):
+        raise DecorationNotClassConstant(
+            f"weights must be integers, got {out!r}")
+    out = [int(x) for x in out]
     if any(x < 1 for x in out):
         raise DecorationNotClassConstant("weights must be positive")
     for cls in datum_classes:
@@ -416,7 +431,9 @@ def build_root_datum(kind: str, rank: int, weights=1,
     >>> d.weights
     (1, 2, 1)
     """
-    kind = kind.upper()
+    if not _is_int(rank):
+        raise InvalidRank(f"rank must be an integer, got {rank!r}")
+    kind, rank = kind.upper(), int(rank)
     base = _bare_datum(kind, rank)
     w = _normalize_weights(base.classes, rank, weights)
 
@@ -425,7 +442,11 @@ def build_root_datum(kind: str, rank: int, weights=1,
     elif lattice == "coroot":
         name, basis = "coroot", intlin.echelon_basis(base.cartan, rank)
     else:
-        rows = [tuple(int(x) for x in row) for row in lattice]
+        rows = [tuple(row) for row in lattice]
+        if not all(_is_int(x) for r in rows for x in r):
+            raise LatticeNotIntermediate(
+                f"lattice generators must have integer entries, got {rows!r}")
+        rows = [tuple(int(x) for x in r) for r in rows]
         if any(len(r) != rank for r in rows):
             raise LatticeNotIntermediate(
                 f"lattice generators must have length {rank}")
@@ -442,14 +463,26 @@ def build_root_datum(kind: str, rank: int, weights=1,
 
 def dominant_monoid_generators(datum: RootDatum, lattice="lattice",
                                max_box: int = 2_000_000) -> tuple[Vec, ...]:
-    """Minimal generating set of the monoid of dominant lattice points.
+    """Hilbert basis of the monoid of dominant lattice points, sorted.
 
     ``lattice`` selects which lattice to use: ``"lattice"`` for the datum's
     own, ``"coroot"`` for the coroot lattice, or an explicit echelon basis
-    (a sequence of coweight vectors).  Enumerates the box with coordinates
-    up to the lattice index in the coweight lattice; every dominant point
-    reduces into the box by subtracting index-scaled fundamental
-    coweights, so irreducible box points generate.
+    (a sequence of coweight vectors).
+
+    Dominant coweights are the lattice points of the nonnegative orthant,
+    a simplicial cone whose rays are $a_i e_i$ with $a_i$ the least
+    positive multiple of $e_i$ in the lattice.  Every dominant lattice
+    point is a ray combination plus a point of the half-open parallelepiped
+    $\\prod_i [0, a_i)$, whose lattice points form one set of
+    representatives of $L / \\bigoplus_i a_i \\mathbb{Z} e_i$ and are
+    enumerated from the echelon basis.  The rays always belong to the
+    Hilbert basis; a nonzero parallelepiped point belongs to it exactly
+    when it dominates no other nonzero lattice point, which a reduction in
+    degree order decides against the generators found so far (Bruns and
+    Ichim, *Normaliz: algorithms for affine monoids and rational cones*,
+    J. Algebra 324 (2010)).  ``max_box`` bounds the number of candidates,
+    the nonzero parallelepiped points plus the rays; more raise
+    :class:`HilbertBasisOverflow` before any is built.
 
     >>> d = build_root_datum("C", 2)
     >>> dominant_monoid_generators(d, "coroot")
@@ -458,39 +491,41 @@ def dominant_monoid_generators(datum: RootDatum, lattice="lattice",
     rank = datum.rank
     if lattice == "coroot":
         basis = datum.coroot_basis
-        member = datum.in_coroot_lattice
     elif lattice == "lattice":
         basis = datum.lattice_basis
-        member = datum.in_lattice
     elif isinstance(lattice, str):
         raise ValueError(f"unknown lattice selector {lattice!r}")
     else:
         basis = intlin.echelon_basis([tuple(r) for r in lattice], rank)
         if len(basis) != rank:
             raise ValueError("explicit lattice basis must have full rank")
-        member = lambda c: intlin.in_row_lattice(basis, c)
-    f = abs(intlin.det(basis))
-    if (f + 1) ** rank > max_box:
+    # k e_i lies in the lattice exactly when k times row i of the inverse
+    # basis is integral; the echelon pivot of row i divides a_i.
+    rays = [math.lcm(*(x.denominator for x in row))
+            for row in intlin.frac_inverse(basis)]
+    steps = [a // row[i] for i, (a, row) in enumerate(zip(rays, basis))]
+    count = math.prod(steps) - 1 + rank
+    if count > max_box:
         raise HilbertBasisOverflow(
-            f"{(f + 1) ** rank} box points exceed max_box={max_box}")
+            f"{count} candidate points exceed max_box={max_box}")
 
-    def boxes(depth: int) -> Iterable[tuple[int, ...]]:
-        if depth == 0:
-            yield ()
-            return
-        for rest in boxes(depth - 1):
-            for x in range(f + 1):
-                yield rest + (x,)
-
-    points = sorted(p for p in boxes(rank) if any(p) and member(p))
-    pset = set(points)
-    gens = []
-    for p in points:
-        reducible = any(
-            q != p and tuple(a - b for a, b in zip(p, q)) in pset
-            for q in points
-            if all(a >= b for a, b in zip(p, q))
-        )
-        if not reducible:
-            gens.append(p)
-    return tuple(gens)
+    # sum_j c_j b_j mod a with 0 <= c_j < a_j / pivot_j runs once through
+    # the lattice points of the half-open parallelepiped
+    mod = np.array(rays, dtype=np.int64)
+    points = np.zeros((1, rank), dtype=np.int64)
+    for row, m in zip(basis, steps):
+        shifts = np.arange(m, dtype=np.int64)[:, None] * (np.array(row) % mod)
+        points = ((shifts[:, None, :] + points[None, :, :]) % mod
+                  ).reshape(-1, rank)
+    points = points[points.any(axis=1)]
+    points = points[np.argsort(points.sum(axis=1), kind="stable")]
+    gens = [tuple(a * int(i == j) for j in range(rank))
+            for i, a in enumerate(rays)]
+    while len(points):
+        # the first point left has least degree: a nonzero lattice point
+        # strictly below it would be a generator, or dominate one, and
+        # would have removed it; every point that dominates it goes
+        low = points[0]
+        gens.append(tuple(int(x) for x in low))
+        points = points[(points < low).any(axis=1)]
+    return tuple(sorted(gens))

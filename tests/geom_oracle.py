@@ -9,10 +9,15 @@ root, the count per direction is just the floor of the image pairing.
 
 The monoid oracle checks generating sets of dominant lattice points by
 brute force over coordinate boxes: irreducibility by subtracting pairs
-and generation by additive reachability.
+and generation by additive reachability.  ``box_monoid_generators`` is
+the box enumeration the library used before its parallelepiped route,
+kept as the reference that route is compared against.
 """
 
 from fractions import Fraction
+from typing import Iterable
+
+from heckelab import HilbertBasisOverflow, intlin
 
 
 def base_point(datum):
@@ -59,9 +64,11 @@ def check_monoid_generators(datum, gens, bound, lattice="lattice"):
     every generator must be irreducible; returns a list of complaints."""
     complaints = []
     points = set(dominant_box_points(datum, bound, lattice))
+    # every partial sum of a decomposition of a box point into dominant
+    # generators lies below that point, so reaching the box suffices
     reachable = {(0,) * datum.rank}
     frontier = [(0,) * datum.rank]
-    limit = bound * datum.rank
+    limit = bound
     while frontier:
         nxt = []
         for pt in frontier:
@@ -87,3 +94,57 @@ def check_monoid_generators(datum, gens, bound, lattice="lattice"):
     if len(gen_set) != len(gens):
         complaints.append("generator list has duplicates")
     return complaints
+
+
+def box_monoid_generators(datum, lattice="lattice", max_box=2_000_000):
+    """Minimal generating set of the monoid of dominant lattice points.
+
+    ``lattice`` selects which lattice to use: ``"lattice"`` for the datum's
+    own, ``"coroot"`` for the coroot lattice, or an explicit echelon basis
+    (a sequence of coweight vectors).  Enumerates the box with coordinates
+    up to the lattice index in the coweight lattice; every dominant point
+    reduces into the box by subtracting index-scaled fundamental
+    coweights, so irreducible box points generate.
+
+    For C2, ``box_monoid_generators(d, "coroot")`` is
+    ``((0, 2), (1, 0))``.
+    """
+    rank = datum.rank
+    if lattice == "coroot":
+        basis = datum.coroot_basis
+        member = datum.in_coroot_lattice
+    elif lattice == "lattice":
+        basis = datum.lattice_basis
+        member = datum.in_lattice
+    elif isinstance(lattice, str):
+        raise ValueError(f"unknown lattice selector {lattice!r}")
+    else:
+        basis = intlin.echelon_basis([tuple(r) for r in lattice], rank)
+        if len(basis) != rank:
+            raise ValueError("explicit lattice basis must have full rank")
+        member = lambda c: intlin.in_row_lattice(basis, c)
+    f = abs(intlin.det(basis))
+    if (f + 1) ** rank > max_box:
+        raise HilbertBasisOverflow(
+            f"{(f + 1) ** rank} box points exceed max_box={max_box}")
+
+    def boxes(depth: int) -> Iterable[tuple[int, ...]]:
+        if depth == 0:
+            yield ()
+            return
+        for rest in boxes(depth - 1):
+            for x in range(f + 1):
+                yield rest + (x,)
+
+    points = sorted(p for p in boxes(rank) if any(p) and member(p))
+    pset = set(points)
+    gens = []
+    for p in points:
+        reducible = any(
+            q != p and tuple(a - b for a, b in zip(p, q)) in pset
+            for q in points
+            if all(a >= b for a, b in zip(p, q))
+        )
+        if not reducible:
+            gens.append(p)
+    return tuple(gens)

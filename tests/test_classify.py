@@ -181,6 +181,29 @@ def test_reflection_outcome_details():
     assert all(e["nilpotent"] for e in per)
 
 
+def test_monoid_generators_computed_once_per_level(monkeypatch):
+    """The search asks for coroot generators once per character and for
+    effective ones in discreteness and supersingularity; the algebra
+    computes each level once."""
+    from heckelab import hecke
+    seen = []
+    real = hecke.dominant_monoid_generators
+
+    def counted(datum, lattice):
+        seen.append(lattice)
+        return real(datum, lattice)
+
+    monkeypatch.setattr(hecke, "dominant_monoid_generators", counted)
+    H = HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 2]))
+    out = key_result_search(H)
+    assert out.case == "Character1Dim"
+    assert seen == ["coroot", H.effective_basis]
+    assert H.monoid_generators("coroot") == dominant_monoid_generators(
+        H.datum, "coroot")
+    with pytest.raises(ValueError):
+        H.monoid_generators("lattice")
+
+
 def test_search_respects_prime():
     out = key_result_search(HeckeAlgebra(build_root_datum("G", 2)), p=11)
     assert out.module.prime == 11

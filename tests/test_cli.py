@@ -106,6 +106,48 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_uncoerced_inputs_exit_2(tmp_path, capsys):
+    """Bools, floats and strings are refused where integers are due,
+    not read as the integers they resemble."""
+    bad_cases = [
+        {"type": "C", "rank": 3, "decoration": [1.5, 1, 1]},
+        {"type": "C", "rank": 3, "decoration": [1, True, 1]},
+        {"type": "C", "rank": 3, "decoration": ["2", 1, 1]},
+        {"type": "C", "rank": 2, "decoration": True},
+        {"type": "C", "rank": 2, "decoration": 1.0},
+        {"type": "C", "rank": 2, "decoration": "1"},
+        {"type": "C", "rank": 2, "decoration": {"0": 1, "1": 1.0, "2": 1}},
+        {"type": "A", "rank": True},
+        {"type": "A", "rank": 2.0},
+        {"type": "A", "rank": "2"},
+        {"type": "C", "rank": 2, "lattice": [[1, 0], [0, "1"]]},
+        {"type": "C", "rank": 2, "lattice": [[1, 0], [0, True]]},
+        {"type": "C", "rank": 2, "lattice": [[1, 0], [0, 1.0]]},
+        {"type": "C", "rank": 2, "lattice": [1, 0]},
+    ]
+    for payload in bad_cases:
+        case = write_case(tmp_path, payload)
+        for command in ("build", "characters"):
+            code, out = run_cli([command, "--case", case], capsys)
+            assert code == 2, (command, payload)
+            r = json.loads(out)
+            assert set(r) == {"error"} and r["error"]["message"], payload
+
+
+def test_characters_a7(tmp_path, capsys):
+    """A7 generic: two characters, the special one discrete, the trivial
+    one not, over the 64 coroot monoid generators."""
+    case = write_case(tmp_path, {"type": "A", "rank": 7})
+    code, out = run_cli(["characters", "--case", case], capsys)
+    assert code == 0
+    r = json.loads(out)
+    assert r["count"] == 2 and len(r["characters"]) == 2
+    verdicts = {tuple(c["values"]): c["discrete"] for c in r["characters"]}
+    assert verdicts == {(-1,): True, (1,): False}
+    for c in r["characters"]:
+        assert len(c["exponent_table"]["rows"]) == 64
+
+
 def test_verify_suite_pass_and_mismatch(tmp_path, capsys):
     suite = {"cases": [
         {"case": {"type": "G", "rank": 2},

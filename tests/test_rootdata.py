@@ -4,10 +4,12 @@ box enumeration (see geom_oracle)."""
 
 import random
 
+import numpy as np
 import pytest
 
 from heckelab import (
     DecorationNotClassConstant,
+    HeckeAlgebra,
     HilbertBasisOverflow,
     InvalidRank,
     LatticeNotIntermediate,
@@ -15,7 +17,8 @@ from heckelab import (
     cartan_matrix,
     dominant_monoid_generators,
 )
-from geom_oracle import check_monoid_generators
+from geom_oracle import box_monoid_generators, check_monoid_generators
+from test_acceptance import TABLE
 
 # cartan[i][j] = pairing of the j-th simple root with the i-th simple coroot
 CARTAN_TABLE = {
@@ -179,6 +182,54 @@ def test_monoid_generators_c2_frozen():
     d = build_root_datum("C", 2)
     assert set(dominant_monoid_generators(d)) == {(1, 0), (0, 1)}
     assert set(dominant_monoid_generators(d, lattice="coroot")) == {(1, 0), (0, 2)}
+
+
+def test_parallelepiped_matches_box_oracle():
+    """Same tuples, order included, as the box enumeration."""
+    cases = []
+    for kind, rank, deco, _, _ in TABLE:
+        d = build_root_datum(kind, rank, weights=deco)
+        cases += [(d, "coroot"), (d, "lattice"),
+                  (d, HeckeAlgebra(d).effective_basis)]
+    for kind, rank in [("A", 5), ("A", 6), ("D", 6), ("D", 7)]:
+        cases.append((build_root_datum(kind, rank), "coroot"))
+    # intermediate lattices of index 2: the coroots plus a fundamental
+    # coweight of order 2 modulo them
+    for kind, rank, extra in [("A", 3, (0, 1, 0)), ("D", 4, (1, 0, 0, 0))]:
+        rows = list(cartan_matrix(kind, rank)) + [extra]
+        d = build_root_datum(kind, rank, lattice=rows)
+        assert d.lattice_index == 2
+        cases += [(d, "lattice"), (d, "coroot")]
+    for d, which in cases:
+        assert (dominant_monoid_generators(d, which)
+                == box_monoid_generators(d, which)), (d, which)
+
+
+def test_coroot_generators_of_a7_and_a8():
+    for rank, count in [(7, 64), (8, 118)]:
+        d = build_root_datum("A", rank)
+        gens = dominant_monoid_generators(d, "coroot")
+        assert len(gens) == count
+        assert check_monoid_generators(d, gens, bound=2,
+                                       lattice="coroot") == []
+
+
+def test_strict_datum_arguments():
+    with pytest.raises(InvalidRank):
+        build_root_datum("A", True)
+    with pytest.raises(InvalidRank):
+        build_root_datum("A", 2.0)
+    for weights in [True, 1.0, "1", [1.5, 1, 1], [1, True, 1], [1, "1", 1],
+                    {0: 1, 1: 1.0, 2: 1, 3: 1}, {0: 1, True: 1, 2: 1, 3: 1}]:
+        with pytest.raises(DecorationNotClassConstant):
+            build_root_datum("C", 3, weights=weights)
+    for entry in ["1", 1.0, True]:
+        with pytest.raises(LatticeNotIntermediate):
+            build_root_datum("C", 2, lattice=[(1, 0), (0, entry)])
+    # numpy integers are integers
+    d = build_root_datum("C", 2, weights=[np.int64(2), 1, 1],
+                         lattice=[(np.int64(1), 0), (0, 1)])
+    assert d.class_weights == (2, 1, 1)
 
 
 def test_hilbert_box_overflow():
