@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extweyl import translation_word
+from .extweyl import translation_letter_counts, translation_word
 from .hecke import HeckeAlgebra
 from .laurent import LaurentMatrix
 from .modules import (Character, FinModule, character_extends,
@@ -67,10 +67,18 @@ def discreteness_level(char: Character) -> str:
 def translation_exponent(algebra: HeckeAlgebra, char: Character,
                          lam) -> int:
     """The signed weighted letter count of the translation by ``lam``."""
+    return _signed_exponent(
+        algebra, char, translation_letter_counts(algebra.datum, lam))
+
+
+def _signed_exponent(algebra: HeckeAlgebra, char: Character,
+                     counts) -> int:
+    """Sum over nodes of letter count times weight, signed by ``char``."""
     total = 0
-    for s in translation_word(algebra.datum, lam):
-        d = algebra.datum.weights[s]
-        total += d if char.sign_on_node(s) == 1 else -d
+    for s, n in enumerate(counts):
+        if n:
+            d = n * algebra.datum.weights[s]
+            total += d if char.sign_on_node(s) == 1 else -d
     return total
 
 
@@ -87,8 +95,9 @@ def is_discrete_character(algebra, char: Character,
     level = level or discreteness_level(char)
     rows = []
     flag = True
-    for gen in alg.monoid_generators(level):
-        k = translation_exponent(alg, char, gen)
+    for gen, counts in zip(alg.monoid_generators(level),
+                           alg.generator_letter_counts(level)):
+        k = _signed_exponent(alg, char, counts)
         rows.append({"generator": list(gen), "exponent": k})
         if k >= 0:
             flag = False

@@ -14,10 +14,19 @@ $(\lambda, w)\cdot(\beta, k) = (w\beta,\; k - \langle w\beta, \lambda\rangle)$.
 Lengths, descents and reduced words all come from this action; nothing in
 here ever enumerates the group itself except the explicit helper
 :func:`elements_up_to_length`.
+
+Right multiplication by a simple reflection is a rank-one update of the
+two matrices (:meth:`ExtWeylElt.mul_simple`, O(rank^2)), and a right
+descent is read off one column of the root matrix and the translation
+(O(rank)), as in Casselman, *Machine calculations in Weyl groups* (1994).
+Reduced words, words back to elements and :func:`elements_up_to_length`
+take these two steps only; the general product :meth:`ExtWeylElt.__mul__`
+is for two arbitrary elements.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import intlin
@@ -98,7 +107,7 @@ class ExtWeylElt:
                   omega: "ExtWeylElt | None" = None) -> "ExtWeylElt":
         out = omega if omega is not None else ExtWeylElt.identity(datum)
         for s in word:
-            out = out * ExtWeylElt.simple_reflection(datum, s)
+            out = out.mul_simple(s)
         return out
 
     # ---- group structure ------------------------------------------------
@@ -115,6 +124,39 @@ class ExtWeylElt:
         return ExtWeylElt(self.datum, tr,
                           intlin.mat_mul(self.mat, other.mat),
                           intlin.mat_mul(self.rmat, other.rmat))
+
+    def mul_simple(self, s: int) -> "ExtWeylElt":
+        """Right product with the reflection at node ``s``, as a rank-one
+        update.
+
+        With ``root`` and ``cov`` as in :meth:`simple_reflection`, ``mat``
+        loses ``(mat cov) (x) root`` and ``rmat`` loses
+        ``(rmat root) (x) cov``; only node 0 moves the translation, by
+        ``mat theta_coroot``.  For ``s >= 1`` the root is a unit vector,
+        so only one column of ``mat`` changes.
+        """
+        d = self.datum
+        if not 0 <= s <= d.rank:
+            raise ValueError(f"node label {s} out of range 0..{d.rank}")
+        mat, rmat, tr = self.mat, self.rmat, self.tr
+        cov = d.theta_coroot if s == 0 else d.cartan[s - 1]
+        u = [sum(map(mul, row, cov)) for row in mat]
+        if s == 0:
+            root = d.theta
+            tr = tuple(t + x for t, x in zip(tr, u))
+            mat = tuple(
+                tuple(m - x * r for m, r in zip(row, root)) if x else row
+                for row, x in zip(mat, u))
+            a = [sum(map(mul, row, root)) for row in rmat]
+        else:
+            c = s - 1
+            mat = tuple(row[:c] + (row[c] - x,) + row[c + 1:] if x else row
+                        for row, x in zip(mat, u))
+            a = [row[c] for row in rmat]
+        rmat = tuple(
+            tuple(r - x * k for r, k in zip(row, cov)) if x else row
+            for row, x in zip(rmat, a))
+        return ExtWeylElt(d, tr, mat, rmat)
 
     def inv(self) -> "ExtWeylElt":
         mat_inv = intlin.transpose(self.rmat)
@@ -178,9 +220,25 @@ class ExtWeylElt:
         return total
 
     def right_descent(self, s: int) -> bool:
-        """Whether multiplying by the reflection at node ``s`` drops length."""
-        return not affine_root_is_positive(
-            self.act_affine_root(affine_simple(self.datum, s)))
+        """Whether multiplying by the reflection at node ``s`` drops length.
+
+        That is whether the image of the simple affine root at ``s`` is
+        negative.  For ``s >= 1`` its gradient is column ``s - 1`` of
+        ``rmat``, a root, and its constant is minus the pairing of that
+        column with the translation; node 0 sends ``(-theta, 1)`` to
+        ``(-g, 1 + <g, tr>)`` with ``g = rmat theta``.
+        """
+        rank = self.datum.rank
+        if 0 < s <= rank:
+            c = s - 1
+            col = [row[c] for row in self.rmat]
+            p = sum(map(mul, col, self.tr))
+            return p > 0 or (p == 0 and min(col) < 0)
+        if s != 0:
+            raise ValueError(f"node label {s} out of range 0..{rank}")
+        g = [sum(map(mul, row, self.datum.theta)) for row in self.rmat]
+        p = sum(map(mul, g, self.tr))
+        return p < -1 or (p == -1 and max(g) > 0)
 
     def descents(self) -> tuple[int, ...]:
         return tuple(s for s in range(self.datum.rank + 1)
@@ -198,7 +256,7 @@ class ExtWeylElt:
             if s is None:
                 break
             collected.append(s)
-            cur = cur * ExtWeylElt.simple_reflection(self.datum, s)
+            cur = cur.mul_simple(s)
         self._rw = (cur, tuple(reversed(collected)))
         return self._rw
 
@@ -264,6 +322,15 @@ def translation_word(datum: RootDatum, lam: Sequence[int]) -> tuple[int, ...]:
         imgs[j] = [[-x for x in bj], -kj]
     assert len(collected) == expected
     return tuple(reversed(collected))
+
+
+def translation_letter_counts(datum: RootDatum,
+                              lam: Sequence[int]) -> tuple[int, ...]:
+    """How often each affine node occurs in ``translation_word(datum, lam)``."""
+    counts = [0] * (datum.rank + 1)
+    for s in translation_word(datum, lam):
+        counts[s] += 1
+    return tuple(counts)
 
 
 class OmegaGroup:
@@ -474,7 +541,7 @@ def elements_up_to_length(datum: RootDatum, max_len: int,
         for w in layer:
             for s in range(datum.rank + 1):
                 if not w.right_descent(s):
-                    ws = w * ExtWeylElt.simple_reflection(datum, s)
+                    ws = w.mul_simple(s)
                     if ws not in seen:
                         nxt.add(ws)
         seen |= nxt

@@ -9,7 +9,13 @@ relations, with $q_s = v^{2 d(s)}$ for the weight $d(s)$ of node $s$:
 
 Products reduce to these via a reduced word of the right factor, one
 letter at a time:  $T_x T_s$ is $T_{xs}$ when the length goes up and
-$q_s T_{xs} + (q_s - 1) T_x$ when it goes down.
+$q_s T_{xs} + (q_s - 1) T_x$ when it goes down.  Each step $x \mapsto xs$
+is a rank-one update of the group element and each descent test reads
+one column (:mod:`heckelab.extweyl`).  One product keeps a memo of its
+steps, one dict per node mapping $x$ to $xs$, so that the terms of the
+right factor, whose words share letters, share the steps they repeat;
+the memo lives only for that product.  Scaling by $q_s$ is a shift of
+exponents.
 
 On top of the standard basis the module provides the twisted symbols
 $T^*_w$ (products of $T^*_s = T_s - q_s + 1$ along a reduced word), the
@@ -29,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import intlin
 from .errors import DatumMismatch, NotAFullOrbit, NotInLattice
-from .extweyl import ExtWeylElt, aut_group
+from .extweyl import ExtWeylElt, aut_group, translation_letter_counts
 from .laurent import Laurent, q_power
 from .rootdata import RootDatum, Vec, dominant_monoid_generators
 
@@ -44,6 +50,7 @@ class HeckeAlgebra:
         self.effective_basis = self.omega.lattice_basis()
         self._omega_elts = set(self.omega.elements)
         self._monoid_generators: dict[str, tuple[Vec, ...]] = {}
+        self._letter_counts: dict[str, tuple[Vec, ...]] = {}
 
     # ---- scalars -------------------------------------------------------
 
@@ -95,17 +102,18 @@ class HeckeAlgebra:
         omega, word = w.reduced_word()
         cur = HeckeElt(self, {omega: Laurent.one()})
         for s in word:
-            qs1 = self.q(s) - Laurent.one()
-            cur = cur._mul_basis(s) - cur.scale(qs1)
+            cur = cur._mul_basis(s, twisted=True)
         return cur
 
     def sign_star(self, elt: "HeckeElt") -> "HeckeElt":
         """The automorphism $T_w \\mapsto (-1)^{\\ell(w)} T^*_w$."""
-        out = self.zero()
+        out: dict[ExtWeylElt, Laurent] = {}
         for w, c in elt.terms.items():
-            sign = -1 if w.length() % 2 else 1
-            out = out + self.star_t(w).scale(c * sign)
-        return out
+            if w.length() % 2:
+                c = -c
+            for x, a in self.star_t(w).terms.items():
+                _accumulate(out, x, a * c)
+        return HeckeElt._of(self, out)
 
     # ---- Bernstein elements ---------------------------------------------
 
@@ -127,6 +135,17 @@ class HeckeAlgebra:
             gens = dominant_monoid_generators(self.datum, lattice)
             self._monoid_generators[level] = gens
         return gens
+
+    def generator_letter_counts(self, level: str) -> tuple[Vec, ...]:
+        """Per generator of :meth:`monoid_generators` at ``level``, the
+        per-node letter counts of its translation word, computed once per
+        level."""
+        counts = self._letter_counts.get(level)
+        if counts is None:
+            counts = tuple(translation_letter_counts(self.datum, gen)
+                           for gen in self.monoid_generators(level))
+            self._letter_counts[level] = counts
+        return counts
 
     def dominant_decomposition(self, lam: Sequence[int]) -> tuple[Vec, Vec]:
         """A pair of dominant lattice points with difference ``lam``.
@@ -174,11 +193,7 @@ class HeckeAlgebra:
 
     def central(self, lam: Sequence[int]) -> "HeckeElt":
         """The orbit sum z over the finite Weyl orbit of ``lam``."""
-        orbit = self.datum.weyl_orbit(lam)
-        out = self.zero()
-        for mu in orbit:
-            out = out + self.bernstein(mu)
-        return out
+        return self._orbit_sum(self.datum.weyl_orbit(lam))
 
     def central_from_orbit(self, orbit: Iterable[Sequence[int]]) -> "HeckeElt":
         """Same as :meth:`central` but validates the given orbit first."""
@@ -190,10 +205,14 @@ class HeckeAlgebra:
             raise NotAFullOrbit(
                 f"the {len(pts)} given points do not form one full Weyl "
                 f"orbit ({len(expected)} points expected)")
-        out = self.zero()
+        return self._orbit_sum(pts)
+
+    def _orbit_sum(self, pts: Iterable[Sequence[int]]) -> "HeckeElt":
+        out: dict[ExtWeylElt, Laurent] = {}
         for mu in pts:
-            out = out + self.bernstein(mu)
-        return out
+            for x, a in self.bernstein(mu).terms.items():
+                _accumulate(out, x, a)
+        return HeckeElt._of(self, out)
 
     def __repr__(self) -> str:
         return f"HeckeAlgebra({self.datum!r})"
@@ -207,6 +226,14 @@ class HeckeElt:
     def __init__(self, alg: HeckeAlgebra, terms: Mapping[ExtWeylElt, Laurent]):
         self.alg = alg
         self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+
+    @staticmethod
+    def _of(alg: HeckeAlgebra, terms: dict[ExtWeylElt, Laurent]) -> "HeckeElt":
+        """Wrap a dict that holds no zero coefficient, without copying."""
+        out = object.__new__(HeckeElt)
+        out.alg = alg
+        out.terms = terms
+        return out
 
     # ---- linear structure -----------------------------------------------
 
@@ -253,30 +280,35 @@ class HeckeElt:
 
     # ---- multiplication ---------------------------------------------------
 
-    def _mul_basis(self, s: int) -> "HeckeElt":
-        """Right multiplication by T_s for an affine node label ``s``."""
+    def _mul_basis(self, s: int, step: dict | None = None,
+                   twisted: bool = False) -> "HeckeElt":
+        """Right multiplication by T_s, or by $T^*_s = T_s - q_s + 1$ when
+        ``twisted``, for an affine node label ``s``.
+
+        ``step`` is a memo mapping x to xs for this node, shared by the
+        letters of one product.  $T_x T^*_s$ is $q_s T_{xs}$ when s is a
+        descent of x and $T_{xs} - (q_s - 1) T_x$ when it is not.
+        """
         alg = self.alg
-        refl = ExtWeylElt.simple_reflection(alg.datum, s)
-        qs = alg.q(s)
-        qs1 = qs - Laurent.one()
+        d2 = 2 * alg.datum.weights[s]
         out: dict[ExtWeylElt, Laurent] = {}
-
-        def add(w: ExtWeylElt, c: Laurent) -> None:
-            cur = out.get(w)
-            tot = c if cur is None else cur + c
-            if tot.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = tot
-
         for x, c in self.terms.items():
-            xs = x * refl
-            if x.right_descent(s):
-                add(xs, c * qs)
-                add(x, c * qs1)
+            if step is None:
+                xs = x.mul_simple(s)
             else:
-                add(xs, c)
-        return HeckeElt(alg, out)
+                xs = step.get(x)
+                if xs is None:
+                    xs = step[x] = x.mul_simple(s)
+            if x.right_descent(s):
+                cq = c.shift(d2)
+                _accumulate(out, xs, cq)
+                if not twisted:
+                    _accumulate(out, x, cq - c)
+            else:
+                _accumulate(out, xs, c)
+                if twisted:
+                    _accumulate(out, x, c - c.shift(d2))
+        return HeckeElt._of(alg, out)
 
     def _mul_omega(self, omega: ExtWeylElt) -> "HeckeElt":
         return HeckeElt(self.alg,
@@ -284,14 +316,16 @@ class HeckeElt:
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
-        total = self.alg.zero()
+        steps: list[dict] = [{} for _ in range(self.alg.datum.rank + 1)]
+        total: dict[ExtWeylElt, Laurent] = {}
         for y, cy in other.terms.items():
             omega, word = y.reduced_word()
             part = self if omega.is_identity() else self._mul_omega(omega)
             for s in word:
-                part = part._mul_basis(s)
-            total = total + part.scale(cy)
-        return total
+                part = part._mul_basis(s, steps[s])
+            for w, c in part.terms.items():
+                _accumulate(total, w, c * cy)
+        return HeckeElt._of(self.alg, total)
 
     # ---- inspection ---------------------------------------------------------
 
@@ -313,3 +347,14 @@ class HeckeElt:
         for w in self.support():
             bits.append(f"({self.terms[w]})*T[{w!r}]")
         return " + ".join(bits)
+
+
+def _accumulate(out: dict[ExtWeylElt, Laurent], w: ExtWeylElt,
+                c: Laurent) -> None:
+    """Add ``c`` to the coefficient of ``w`` in ``out``, dropping zeros."""
+    cur = out.get(w)
+    tot = c if cur is None else cur + c
+    if tot.is_zero():
+        out.pop(w, None)
+    else:
+        out[w] = tot

@@ -13,6 +13,7 @@ import pytest
 
 from heckelab import (
     ExtWeylElt,
+    intlin,
     aut_group,
     build_root_datum,
     decorated_aut_group,
@@ -195,3 +196,32 @@ def test_from_word_rejects_bad_letters():
     d = build_root_datum("A", 2)
     with pytest.raises(ValueError):
         ExtWeylElt.from_word(d, (0, 7))
+
+
+def test_reduced_word_makes_no_matrix_products(monkeypatch):
+    """Reduced words and words back to elements take rank-one steps
+    only: a long A8 translation makes no general matrix product."""
+    d = build_root_datum("A", 8)
+    t = ExtWeylElt.translation(d, (3, -2, 1, 0, 4, -1, 2, 0))
+    calls = []
+    real = intlin.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(intlin, "mat_mul", counted)
+    omega, word = t.reduced_word()
+    assert len(word) == t.length() > 100
+    assert ExtWeylElt.from_word(d, word, omega=omega) == t
+    assert calls == []
+
+
+def test_rank_one_step_rejects_bad_nodes():
+    d = build_root_datum("C", 2)
+    x = ExtWeylElt.translation(d, (1, 0))
+    for s in (-1, 3):
+        with pytest.raises(ValueError):
+            x.mul_simple(s)
+        with pytest.raises(ValueError):
+            x.right_descent(s)

@@ -3,8 +3,9 @@ reference routes of the test oracles."""
 
 from hypothesis import given, settings, strategies as st
 
-from heckelab import (build_root_datum, cartan_matrix,
-                      dominant_monoid_generators)
+from heckelab import (ExtWeylElt, aut_group, build_root_datum,
+                      cartan_matrix, dominant_monoid_generators)
+from heckelab.extweyl import affine_root_is_positive, affine_simple
 from geom_oracle import box_monoid_generators, check_monoid_generators
 
 
@@ -31,3 +32,43 @@ def test_parallelepiped_on_random_lattices(d):
     gens = dominant_monoid_generators(d)
     assert gens == box_monoid_generators(d)
     assert check_monoid_generators(d, gens, bound=3) == []
+
+
+@st.composite
+def weighted_data(draw):
+    """A datum of rank at most 4 of any type, with random weights on its
+    node classes (weighted affine A1 and C among them) and the coweight,
+    the coroot or an intermediate lattice."""
+    kind, rank = draw(st.sampled_from(SMALL_TYPES))
+    classes = build_root_datum(kind, rank).classes
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(classes),
+                            max_size=len(classes)))
+    lattice = draw(st.sampled_from(["coweight", "coroot", "intermediate"]))
+    if lattice == "intermediate":
+        extra = draw(st.lists(st.integers(-3, 3), min_size=rank,
+                              max_size=rank))
+        lattice = list(cartan_matrix(kind, rank)) + [tuple(extra)]
+    return build_root_datum(kind, rank, weights=weights, lattice=lattice)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_data(), st.data())
+def test_rank_one_step_matches_general_product(d, data):
+    """Along a random word that uses node 0, after a length-zero prefix,
+    each rank-one step equals the general product with the simple
+    reflection, and each fast descent test equals the sign of the image
+    of the simple affine root."""
+    omegas = aut_group(d).elements
+    x = omegas[data.draw(st.integers(0, len(omegas) - 1))]
+    word = data.draw(st.lists(st.integers(0, d.rank), max_size=12))
+    word.insert(data.draw(st.integers(0, len(word))), 0)
+    for s in word:
+        for t in range(d.rank + 1):
+            slow = not affine_root_is_positive(
+                x.act_affine_root(affine_simple(d, t)))
+            assert x.right_descent(t) == slow
+        fast = x.mul_simple(s)
+        general = x * ExtWeylElt.simple_reflection(d, s)
+        assert (fast.tr, fast.mat, fast.rmat) == (
+            general.tr, general.mat, general.rmat)
+        x = fast
