@@ -20,9 +20,9 @@ known leading normalization, and only the coefficient of the normalizing
 power of $v$ is needed.  On a monomial module (diagonal $T_s$ and
 $T^*_s$, length-zero elements acting by signed permutations, every entry
 a single term $c v^e$) that coefficient is read off the letter counts of
-the two translation words in exact integer arithmetic; every other
-module goes through a truncated polynomial product of float64 degree
-slices, the only use of floating point in the package.
+the two translation words; every other module multiplies two exact
+polynomial matrices mod $p$, memoized products of the matrices of the
+monoid generators.  Both routes are exact for every prime $p$.
 
 The search routine walks the case analysis: a discrete non-special
 character that extends (one dimensional answer), discrete characters
@@ -34,7 +34,6 @@ answer exists there).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +51,11 @@ CASE_REFLECTION = "ReflectionTwist"
 CASE_EXCLUDED_A = "ExcludedTypeA"
 CASE_UNHANDLED = "UnhandledCase"
 
-#: Fundamental coweight sampled by default for the two biggest types,
-#: where running every generator orbit is slow: the orbit of the node-7
-#: coweight (the smallest orbit, 56 points) and of the node-8 coweight
-#: (the coroot of the highest root, 240 points).
+#: Fundamental coweight sampled by default for the two biggest types: the
+#: orbit of the node-7 coweight (the smallest orbit, 56 points) and of the
+#: node-8 coweight (the coroot of the highest root, 240 points).  Sampling
+#: stays so that default reports are byte-stable; ``exhaustive`` runs
+#: every generator orbit.
 SAMPLED_ORBIT_NODE = {("E", 7): 7, ("E", 8): 8}
 
 
@@ -107,47 +107,25 @@ def is_discrete_character(algebra, char: Character,
 # ---- central action at v = 0 in characteristic p -------------------------
 
 
-def _degree_slices(mats: LaurentMatrix, p: int):
-    """Per stacked matrix of a polynomial tensor, its nonzero degree
-    slices mod ``p`` as ``(degree, coefficient matrix)`` pairs.  The
-    arrays are float64 so that products run through BLAS.  Every entry is
-    a nonnegative integer below ``p``, so an accumulator of
-    :func:`_truncated_apply` is a nonnegative integer below $k n p^2$ for
-    $k$ degree slices of an $n \\times n$ matrix.  The guard
-    $p \\le 10^6$ of :class:`_OrbitActor` keeps that, and with it
-    $x + p$, below $2^{53}$ whenever $k n < 9000$ (it is in the tens for
-    the modules here), so float64 sums, products and the floor reduction
-    are exact."""
-    mats = mats.trim()
-    assert mats.lo >= 0, "entries must be polynomial in v"
-    coeffs = mats.coeffs % p
-    live = coeffs.any(axis=(-2, -1)).tolist()
-    return [[(mats.lo + k, c) for k, c in enumerate(slices) if on[k]]
-            for slices, on in zip(coeffs.astype(np.float64), live)]
+def _mod_p(mats: LaurentMatrix, p: int) -> LaurentMatrix:
+    """Coefficients reduced into ``[0, p)`` on int64, trimmed."""
+    return LaurentMatrix(mats.lo, (mats.coeffs % p).astype(np.int64),
+                         p - 1).trim()
 
 
-def _truncated_apply(cur: np.ndarray, gen_slices, p: int) -> np.ndarray:
-    """Multiply a truncated polynomial matrix (layout ``(cap, n, n)``,
-    slice ``e`` holding the coefficient of $v^e$) by a generator matrix
-    given as degree slices, dropping coefficients at or above the cap.
-
-    The stacked slices are multiplied as one ``(cap * n, n)`` matrix, and
-    the result is reduced mod ``p`` as $x - p \\lfloor x / p \\rfloor$,
-    which is exact for nonnegative integers $x$ with $x + p \\le 2^{53}$
-    (the quotient cannot round up to the next integer) and much faster
-    than ``np.remainder`` on floats.  Inputs reduced mod ``p`` and the
-    $p \\le 10^6$ guard of :class:`_OrbitActor` keep every
-    accumulator in that range."""
-    cap, n, _ = cur.shape
-    flat = cur.reshape(cap * n, n)
-    out = np.zeros_like(cur)
-    flat_out = out.reshape(cap * n, n)
-    for f, g in gen_slices:
-        if f >= cap:
-            break
-        flat_out[f * n:] += flat[:(cap - f) * n] @ g
-    out -= p * np.floor(out / p)
-    return out
+def _coefficient(a: LaurentMatrix, b: LaurentMatrix, e: int,
+                 p: int) -> np.ndarray:
+    """The coefficient of $v^e$ in ``a @ b`` mod ``p``: the sum of
+    $a_k b_{e-k}$ over the overlap of the two degree ranges, contracted as
+    one product of $[a_k \\cdots]$ by $[b_{e-k}; \\cdots]$ so that
+    :class:`LaurentMatrix` checks its int64 bound."""
+    k = np.arange(max(a.lo, e - b.lo - len(b.coeffs) + 1),
+                  min(a.lo + len(a.coeffs), e - b.lo + 1))
+    n = a.coeffs.shape[-1]
+    x = a.coeffs[k - a.lo].transpose(1, 0, 2).reshape(n, -1)
+    y = b.coeffs[e - b.lo - k].reshape(-1, n)
+    flat = LaurentMatrix(0, x[None], p - 1) @ LaurentMatrix(0, y[None], p - 1)
+    return (flat.coeffs[0] % p).astype(np.int64)
 
 
 def _monomial_entries(mats: LaurentMatrix):
@@ -177,23 +155,27 @@ class _OrbitActor:
     $c v^e$ (characters, their extensions, induced modules), takes the
     *monomial route*: a summand is then a monomial matrix whose entries
     follow from the letter counts of its two words, in exact integer
-    arithmetic.  Any other module takes the *dense route*, truncated
-    products of float64 degree slices (:func:`_truncated_apply`), built
-    on first use.  Translation words are kept per coweight: the dominant
-    and antidominant parts repeat across the points of an orbit."""
+    arithmetic.  Any other module takes the *dense route*: the summand at
+    ``lam`` is the product of the halves $A(\\mu) = \\rho(T^*_{t_\\mu})$ at
+    its dominant part and $B(\\nu) = \\rho(T_{t_{-\\nu}})$ at its
+    antidominant part, exact untruncated Laurent matrices mod ``p``.
+    Dominant translations are length-additive, so
+    $A(\\mu) = A(\\mu - g) A(g)$ for a monoid generator $g \\le \\mu$,
+    and likewise for $B$ (Lusztig, *Affine Hecke algebras and their graded
+    version*, JAMS 1989): only the generators replay their words, and
+    every half is memoized for the life of the actor, one orbit.
+    Translation words are kept per coweight: the dominant and
+    antidominant parts repeat across the points of an orbit."""
 
     def __init__(self, module: FinModule, p: int):
         assert not module.is_modular
-        # secures the exactness bound of _degree_slices
-        if p > 1_000_000:
-            raise ValueError("primes beyond 10^6 would overflow the "
-                             "float64 product accumulators")
         self.module = module
         self.p = p
         self.n = module.dim
         self.star = (module.smats - module.q_stack()
                      + LaurentMatrix.identity(self.n))  # T*_s = T_s - q_s + 1
         self._words: dict = {}
+        self._halves: tuple[dict, dict] = ({}, {})  # B, A by coweight
         self.monomial = self._monomial_form()
 
     def _monomial_form(self):
@@ -211,20 +193,19 @@ class _OrbitActor:
             return None
         return t, star, omega
 
-    @functools.cached_property
-    def _slices(self):
-        mod = self.module
-        omega = (None if mod.omega_mats is None
-                 else _degree_slices(mod.omega_mats, self.p))
-        return (_degree_slices(mod.smats, self.p),
-                _degree_slices(self.star, self.p), omega)
-
     def _word(self, lam) -> tuple[int, ...]:
         word = self._words.get(lam)
         if word is None:
             word = self._words[lam] = translation_word(
                 self.module.alg.datum, lam)
         return word
+
+    def _omega_index(self, lam) -> int:
+        """Index of the length-zero part of the translation by ``lam``."""
+        om = self.module.alg.omega
+        idx = om.index_of(om.element_for_translation(lam))
+        assert idx == 0 or self.module.omega_mats is not None
+        return idx
 
     def _coroot_decomposition(self, lam):
         """Dominant decomposition whose two parts both translate without
@@ -244,12 +225,10 @@ class _OrbitActor:
         return plus, minus
 
     def _split(self, lam):
-        """The words $w_1$, $w_2$ and length-zero indices of the factors
-        $T_{\\omega_1} \\prod_{w_1} T^*_{s} \\cdot T_{\\omega_2}
-        \\prod_{w_2} T_{t}$ of the summand at ``lam``, and the exponent
-        $\\delta$ of its normalizing power of $v$."""
-        alg = self.module.alg
-        datum = alg.datum
+        """The dominant parts ``plus`` and ``minus`` of the factors
+        $T_{t_{plus}}$ and $T_{t_{-minus}}$ of the summand at ``lam``, and
+        the exponent $\\delta$ of its normalizing power of $v$."""
+        datum = self.module.alg.datum
         if self.module.omega_mats is None:
             if not datum.in_coroot_lattice(lam):
                 raise ValueError(
@@ -257,17 +236,11 @@ class _OrbitActor:
                     "length-zero elements this module does not carry")
             plus, minus = self._coroot_decomposition(lam)
         else:
-            plus, minus = alg.dominant_decomposition(lam)
-        neg = tuple(-x for x in minus)
-        w1, w2, w3 = self._word(plus), self._word(neg), self._word(lam)
-        wd = lambda word: sum(datum.weights[s] for s in word)
-        delta = wd(w1) + wd(w2) - wd(w3)
+            plus, minus = self.module.alg.dominant_decomposition(lam)
+        wl = datum.translation_weighted_length
+        delta = wl(plus) + wl(tuple(-x for x in minus)) - wl(lam)
         assert delta >= 0
-        om1 = alg.omega.index_of(alg.omega.element_for_translation(plus))
-        om2 = alg.omega.index_of(alg.omega.element_for_translation(neg))
-        if self.module.omega_mats is None:
-            assert om1 == 0 and om2 == 0
-        return w1, w2, om1, om2, delta
+        return plus, minus, delta
 
     def coefficient_of_term(self, lam) -> np.ndarray:
         """Matrix coefficient of the normalized orbit summand at ``lam``:
@@ -297,11 +270,13 @@ class _OrbitActor:
         """:meth:`coefficient_of_term` on the monomial route: the product
         $T_{\\omega_1} D_1 T_{\\omega_2} D_2$ sends row ``i`` to one
         column; its entry is kept when its exponent is $\\delta$."""
-        w1, w2, om1, om2, delta = self._split(lam)
+        plus, minus, delta = self._split(lam)
+        neg = tuple(-x for x in minus)
         t, star, omega = self.monomial
-        cols1, a1, f1 = omega[om1]
-        cols2, a2, f2 = omega[om2]
-        d1, d2 = self._diagonal(star, w1), self._diagonal(t, w2)
+        cols1, a1, f1 = omega[self._omega_index(plus)]
+        cols2, a2, f2 = omega[self._omega_index(neg)]
+        d1 = self._diagonal(star, self._word(plus))
+        d2 = self._diagonal(t, self._word(neg))
         p = self.p
         out = np.zeros((self.n, self.n), dtype=np.int64)
         for i in range(self.n):
@@ -312,27 +287,38 @@ class _OrbitActor:
                 out[i, k] = a1[i] * d1[j][0] * a2[j] * d2[k][0] % p
         return out
 
-    def _dense_term(self, lam) -> np.ndarray:
-        """:meth:`coefficient_of_term` by truncated products of degree
-        slices, one letter at a time."""
-        w1, w2, om1, om2, delta = self._split(lam)
-        t_slices, star_slices, omega_slices = self._slices
-        cap = delta + 1
-        cur = np.zeros((cap, self.n, self.n))
-        if omega_slices is None:
-            cur[0] = np.eye(self.n)
-            for s in w1:
-                cur = _truncated_apply(cur, star_slices[s], self.p)
+    def _half(self, twisted: bool, mu) -> LaurentMatrix:
+        """$A(\\mu)$ when ``twisted``, else $B(\\mu)$, for a dominant
+        ``mu`` of the lattice whose monoid generators the module sees."""
+        half = self._halves[twisted].get(mu)
+        if half is not None:
+            return half
+        mod, p = self.module, self.p
+        gens = mod.alg.monoid_generators(
+            "coroot" if mod.omega_mats is None else "effective")
+        if not any(mu):
+            half = LaurentMatrix.identity(self.n)
+        elif mu in gens:
+            lam = mu if twisted else tuple(-x for x in mu)
+            mats = self.star if twisted else mod.smats
+            half = (LaurentMatrix.identity(self.n) if mod.omega_mats is None
+                    else _mod_p(mod.omega_mats[self._omega_index(lam)], p))
+            for s in self._word(lam):
+                half = _mod_p(half @ mats[s], p)
         else:
-            for f, g in omega_slices[om1]:
-                if f < cap:
-                    cur[f] = g
-            for s in w1:
-                cur = _truncated_apply(cur, star_slices[s], self.p)
-            cur = _truncated_apply(cur, omega_slices[om2], self.p)
-        for s in w2:
-            cur = _truncated_apply(cur, t_slices[s], self.p)
-        return cur[delta].astype(np.int64)
+            g = next(g for g in gens if all(a >= b for a, b in zip(mu, g)))
+            rest = tuple(a - b for a, b in zip(mu, g))
+            half = _mod_p(self._half(twisted, rest) @ self._half(twisted, g),
+                          p)
+        self._halves[twisted][mu] = half
+        return half
+
+    def _dense_term(self, lam) -> np.ndarray:
+        """:meth:`coefficient_of_term` on the dense route: the coefficient
+        of $v^\\delta$ in $A(plus) B(minus)$."""
+        plus, minus, delta = self._split(lam)
+        return _coefficient(self._half(True, plus), self._half(False, minus),
+                            delta, self.p)
 
 
 def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
@@ -360,13 +346,13 @@ def _nilpotency_degree(mat: np.ndarray, p: int) -> int | None:
 def is_supersingular(module: FinModule, exhaustive: bool = False):
     """Nilpotency of every tested central orbit sum at $v = 0$.
 
-    ``module`` must be a mod-$p$ reduction remembering its Laurent source
-    (the matrices of central elements are extracted from the source by
-    truncated products).  Orbits run over the dominant monoid generators
-    of the lattice the module sees: the weight-compatible sublattice when
-    length-zero elements act, the coroot lattice otherwise.  For the two
-    largest exceptional types a single documented generator orbit is
-    sampled unless ``exhaustive`` is set.
+    ``module`` must be a mod-$p$ reduction remembering its Laurent source,
+    from which the matrices of central elements are extracted.  Orbits run
+    over the dominant monoid generators of the lattice the module sees:
+    the weight-compatible sublattice when length-zero elements act, the
+    coroot lattice otherwise.  For the two largest exceptional types a
+    single documented generator orbit is sampled unless ``exhaustive`` is
+    set.
 
     Returns ``(flag, entries)`` with one entry per tested orbit recording
     the generator, the orbit size and the nilpotency degree (``None``

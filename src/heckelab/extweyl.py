@@ -53,7 +53,7 @@ def affine_root_is_positive(a: AffineRoot) -> bool:
 class ExtWeylElt:
     """An element of the extended affine Weyl group of a root datum."""
 
-    __slots__ = ("datum", "tr", "mat", "rmat", "_rw")
+    __slots__ = ("datum", "tr", "mat", "rmat", "_rw", "_hash")
 
     def __init__(self, datum: RootDatum, tr: Vec,
                  mat: tuple[Vec, ...], rmat: tuple[Vec, ...]):
@@ -62,6 +62,7 @@ class ExtWeylElt:
         self.mat = mat
         self.rmat = rmat
         self._rw: tuple[ExtWeylElt, tuple[int, ...]] | None = None
+        self._hash: int | None = None
 
     # ---- constructors -------------------------------------------------
 
@@ -180,7 +181,9 @@ class ExtWeylElt:
         return self.tr == other.tr and self.mat == other.mat
 
     def __hash__(self) -> int:
-        return hash((self.tr, self.mat))
+        if self._hash is None:
+            self._hash = hash((self.tr, self.mat))
+        return self._hash
 
     # ---- actions --------------------------------------------------------
 

@@ -180,14 +180,11 @@ class HeckeAlgebra:
             raise NotInLattice(f"translation by {lam} is not compatible "
                                f"with the node weights")
         plus, minus = self.dominant_decomposition(lam)
-        t_plus = ExtWeylElt.translation(self.datum, plus)
-        t_minus = ExtWeylElt.translation(self.datum, minus)
-        t_lam = ExtWeylElt.translation(self.datum, lam)
-        delta = (t_plus.weighted_length() + t_minus.weighted_length()
-                 - t_lam.weighted_length())
+        wl = self.datum.translation_weighted_length
+        delta = wl(plus) + wl(minus) - wl(lam)
         assert delta >= 0
         neg = tuple(-x for x in minus)
-        out = self.star_t(t_plus) * self.t(
+        out = self.star_t(ExtWeylElt.translation(self.datum, plus)) * self.t(
             ExtWeylElt.translation(self.datum, neg))
         return out.scale(Laurent.v(-delta))
 

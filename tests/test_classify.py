@@ -347,3 +347,62 @@ def test_supersingular_flag_shape():
     assert entries["sampled"] is False
     assert all(e["nilpotent"] for e in entries["orbits"])
     assert all(e["nilpotency_degree"] <= mod.dim for e in entries["orbits"])
+
+
+def _conjugated_c2_module():
+    """The induced C2 module of the dense-route test, conjugated by an
+    upper unitriangular matrix."""
+    d = build_root_datum("C", 2)
+    H = HeckeAlgebra(d)
+    bad = [c for c in enumerate_characters(H, "generic")
+           if not character_extends(H, c)[0]]
+    m = induce_character(H, bad[0])
+    u = LaurentMatrix.from_rows([[[1, 1], [0, 1]]])
+    u_inv = LaurentMatrix.from_rows([[[1, -1], [0, 1]]])
+    return d, H, FinModule(H, u @ m.smats @ u_inv, u @ m.omega_mats @ u_inv,
+                           name="conjugated induced module")
+
+
+def test_dense_route_matches_exact_action_beyond_int64_products():
+    # at p = 2^31 - 1 a product of two halves reduced mod p can exceed
+    # int64, so the halves multiply on Python ints
+    p = 2**31 - 1
+    dd = build_root_datum("D", 4)
+    Hd = HeckeAlgebra(dd)
+    R = reflection_module(dd).star_twist()
+    assert (p - 1) ** 2 * R.dim > 2**63 - 1
+    d, H, conj = _conjugated_c2_module()
+    cases = [(dd, Hd, R, g) for g in Hd.monoid_generators("effective")]
+    cases += [(d, H, conj, lam) for lam in [(1, 0), (0, 2), (1, 1)]]
+    for datum, alg, mod, lam in cases:
+        assert _OrbitActor(mod, p).monomial is None
+        orbit = datum.weyl_orbit(lam)
+        exact = mod.act(alg.central_from_orbit(orbit))
+        fast = central_orbit_matrix_v0(mod, orbit, p)
+        assert np.array_equal(fast, exact.at_v0() % p), (datum, lam)
+
+
+def test_dense_route_replays_words_of_generators_only(monkeypatch):
+    """Every half of an orbit is a product of memoized halves: the dense
+    route asks for the translation words of the monoid generators and
+    their negatives, each once per orbit, and for no other point."""
+    from heckelab import classify
+    calls = []
+    real = classify.translation_word
+
+    def counted(datum, lam):
+        calls.append(tuple(lam))
+        return real(datum, lam)
+
+    monkeypatch.setattr(classify, "translation_word", counted)
+    d = build_root_datum("D", 5)
+    H = HeckeAlgebra(d)
+    R = reflection_module(H).star_twist()
+    gens = set(H.monoid_generators("effective"))
+    allowed = gens | {tuple(-x for x in g) for g in gens}
+    for gen in sorted(gens):
+        calls.clear()
+        orbit = d.weyl_orbit(gen)
+        central_orbit_matrix_v0(R, orbit, 5)
+        assert calls and set(calls) <= allowed, gen
+        assert len(calls) == len(set(calls)), gen

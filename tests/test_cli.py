@@ -255,3 +255,14 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Character1Dim"
+
+
+def test_classify_d4_at_a_prime_beyond_a_million(tmp_path, capsys):
+    case = write_case(tmp_path, {"type": "D", "rank": 4})
+    code, out = run_cli(["classify", "--case", case, "--p", "1000003"],
+                        capsys)
+    assert code == 0
+    r = json.loads(out)
+    assert r["case"]["p"] == 1000003
+    assert r["verdict"] == "ReflectionTwist"
+    assert r["certificate"]["supersingular_mod_p"]["nilpotent"] is True

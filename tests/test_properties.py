@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from heckelab import (ExtWeylElt, aut_group, build_root_datum,
                       cartan_matrix, dominant_monoid_generators)
-from heckelab.extweyl import affine_root_is_positive, affine_simple
+from heckelab.extweyl import (affine_root_is_positive, affine_simple,
+                              translation_word)
 from geom_oracle import box_monoid_generators, check_monoid_generators
 
 
@@ -72,3 +73,36 @@ def test_rank_one_step_matches_general_product(d, data):
         assert (fast.tr, fast.mat, fast.rmat) == (
             general.tr, general.mat, general.rmat)
         x = fast
+
+
+TYPES_TO_RANK_6 = SMALL_TYPES + [("A", 5), ("A", 6), ("B", 5), ("B", 6),
+                                 ("C", 5), ("C", 6), ("D", 5), ("D", 6),
+                                 ("E", 6)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TYPES_TO_RANK_6), st.data())
+def test_translation_weighted_length_matches_word(kind_rank, data):
+    """The per-class hyperplane count equals the node weights summed along
+    ``translation_word``, for random class weights (weighted affine A1
+    and C among them) and random points of the coweight, the coroot or an
+    intermediate lattice."""
+    kind, rank = kind_rank
+    classes = build_root_datum(kind, rank).classes
+    weights = data.draw(st.lists(st.integers(1, 4), min_size=len(classes),
+                                 max_size=len(classes)))
+    lattice = data.draw(st.sampled_from(["coweight", "coroot",
+                                         "intermediate"]))
+    if lattice == "intermediate":
+        extra = data.draw(st.lists(st.integers(-3, 3), min_size=rank,
+                                   max_size=rank))
+        lattice = list(cartan_matrix(kind, rank)) + [tuple(extra)]
+    d = build_root_datum(kind, rank, weights=weights, lattice=lattice)
+    coords = data.draw(st.lists(st.integers(-2, 2), min_size=rank,
+                                max_size=rank))
+    lam = tuple(sum(c * row[j] for c, row in zip(coords, d.lattice_basis))
+                for j in range(rank))
+    assert d.in_lattice(lam)
+    word = translation_word(d, lam)
+    assert d.translation_weighted_length(lam) == sum(
+        d.weights[s] for s in word)
