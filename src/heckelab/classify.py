@@ -22,7 +22,8 @@ $T^*_s$, length-zero elements acting by signed permutations, every entry
 a single term $c v^e$) that coefficient is read off the letter counts of
 the two translation words; every other module multiplies two exact
 polynomial matrices mod $p$, memoized products of the matrices of the
-monoid generators.  Both routes are exact for every prime $p$.
+monoid generators.  Both routes, and the nilpotency test, are exact for
+every prime $p < 2^{63}$, the bound of a mod-$p$ module's int64 tensors.
 
 The search routine walks the case analysis: a discrete non-special
 character that extends (one dimensional answer), discrete characters
@@ -211,17 +212,11 @@ class _OrbitActor:
         """Dominant decomposition whose two parts both translate without
         a length-zero factor, for modules that carry none."""
         alg = self.module.alg
-        om = alg.omega
         plus, minus = alg.dominant_decomposition(lam)
-        idx = om.index_of(om.element_for_translation(plus))
-        if idx != 0:
-            order, acc = 1, idx
-            while acc != 0:
-                acc = om.mult_index(acc, idx)
-                order += 1
-            shift = tuple((order - 1) * x for x in plus)
-            plus = tuple(a + b for a, b in zip(plus, shift))
-            minus = tuple(a + b for a, b in zip(minus, shift))
+        step = plus  # add it to both parts until plus is a coroot
+        while not alg.datum.in_coroot_lattice(plus):
+            plus = tuple(a + b for a, b in zip(plus, step))
+            minus = tuple(a + b for a, b in zip(minus, step))
         return plus, minus
 
     def _split(self, lam):
@@ -327,18 +322,20 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     actor = _OrbitActor(module, p)
     n = module.dim
     acc = np.zeros((n, n), dtype=np.int64)
-    for lam in orbit:
-        acc = (acc + actor.coefficient_of_term(lam)) % p
+    for lam in orbit:  # each step stays in (-p, p), within int64
+        acc += actor.coefficient_of_term(lam) - p
+        acc[acc < 0] += p
     return acc
 
 
 def _nilpotency_degree(mat: np.ndarray, p: int) -> int | None:
-    """Least $k$ with $M^k = 0$ mod $p$, or ``None`` when $M^n \\neq 0$."""
+    """Least $k$ with $M^k = 0$ mod $p$, or ``None`` when $M^n \\neq 0$;
+    the powers multiply through :class:`LaurentMatrix`'s checked bound."""
     n = mat.shape[0]
-    cur = np.eye(n, dtype=np.int64)
+    m, cur = LaurentMatrix(0, mat[None], p - 1), LaurentMatrix.identity(n)
     for k in range(1, n + 1):
-        cur = (cur @ mat) % p
-        if not cur.any():
+        cur = _mod_p(cur @ m, p)
+        if not cur.coeffs.any():
             return k
     return None
 

@@ -21,7 +21,7 @@ runs produce byte-identical output; opt into wall-clock data with
 ``--timing``.  Exit codes: 0 success (an ``ExcludedTypeA`` verdict is a
 successful classification), 1 verification mismatch, 2 invalid input,
 3 broken internal invariant (failed relations, or no case of the
-analysis applying).
+analysis applying) or memory exhausted.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ def parse_case(obj: dict) -> dict:
     if mode not in ("generic", "modp"):
         raise ValueError(f"'mode' must be 'generic' or 'modp', got {mode!r}")
     p = obj.get("p", DEFAULT_PRIME)
-    if not is_prime(p):
-        raise ValueError(f"'p' must be a prime, got {p!r}")
+    if not (_is_int(p) and p < 2**63 and is_prime(p)):
+        raise ValueError(f"'p' must be a prime below 2^63, got {p!r}")
     return {"type": kind, "rank": rank, "decoration": decoration,
             "lattice": lattice, "mode": mode, "p": p}
 
@@ -272,7 +272,7 @@ def run_verify(entries: list[dict], exhaustive: bool = False) -> tuple[dict, int
         row = {"index": idx}
         try:
             result = run_classify(case, exhaustive=exhaustive)
-        except (RelationsFail, UnhandledCase) as exc:
+        except (RelationsFail, UnhandledCase, MemoryError) as exc:
             row.update({"case": case, "pass": False, "internal": True,
                         "failures": [f"{type(exc).__name__}: {exc}"]})
             return row
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
                     else EXIT_OK)
         _emit(_wrap(args.command, payload, args, case, started), args)
         return code
-    except (RelationsFail, UnhandledCase) as exc:
+    except (RelationsFail, UnhandledCase, MemoryError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
               args)
         return EXIT_INTERNAL

@@ -363,9 +363,10 @@ class FinModule:
     order.  Without ``omega_mats`` the module only sees the non-extended
     algebra.  Both also accept nested rows of ``Laurent`` or ints.
 
-    With a ``prime`` the module lives over $F_p$ at $v = 0$: its tensors
-    are the degree-0 slices of the given matrices taken mod ``p``, and a
-    reduction remembers the module it came from in ``generic``.
+    With a ``prime`` below $2^{63}$ the module lives over $F_p$ at
+    $v = 0$: its int64 tensors are the degree-0 slices of the given
+    matrices taken mod ``p``, and a reduction remembers the module it came
+    from in ``generic``.
     """
 
     __slots__ = ("alg", "smats", "omega_mats", "prime", "generic", "name")
@@ -373,8 +374,9 @@ class FinModule:
     def __init__(self, alg: HeckeAlgebra, smats, omega_mats,
                  prime: int | None = None,
                  generic: "FinModule | None" = None, name: str = ""):
-        if prime is not None and not is_prime(prime):
-            raise ValueError(f"{prime} is not prime")
+        if prime is not None and not (isinstance(prime, int)
+                                      and prime < 2**63 and is_prime(prime)):
+            raise ValueError(f"{prime} is not a prime below 2^63")
         self.alg = alg
         self.prime = prime
         self.generic = generic

@@ -406,3 +406,34 @@ def test_dense_route_replays_words_of_generators_only(monkeypatch):
         central_orbit_matrix_v0(R, orbit, 5)
         assert calls and set(calls) <= allowed, gen
         assert len(calls) == len(set(calls)), gen
+
+
+def test_nilpotency_degree_beyond_int64_products():
+    # M = -a b^T with a . b = 0 has M^2 = 0; its entries p - 1 make an
+    # entry of M @ M sum three products near 2^62, past int64
+    from heckelab.classify import _nilpotency_degree
+    p = 2**31 - 1
+    a, b = np.ones(5, dtype=np.int64), np.array([1, 1, 1, -3, 0])
+    mat = -np.outer(a, b) % p
+    assert 3 * (p - 1) ** 2 > 2**63 - 1
+    assert _nilpotency_degree(mat, p) == 2
+    assert _nilpotency_degree(np.eye(5, k=1, dtype=np.int64) * (p - 1),
+                              p) == 5
+    assert _nilpotency_degree(mat + np.eye(5, dtype=np.int64), p) is None
+
+
+def test_orbit_sum_near_the_largest_prime(monkeypatch):
+    # 2^63 - 25 is the largest prime below 2^63: summands near p must
+    # not wrap int64 while they add up
+    p = 2**63 - 25
+    d = build_root_datum("D", 4)
+    R = reflection_module(d).star_twist()
+    orbit = d.weyl_orbit((0, 0, 0, 1))
+    exact = central_orbit_matrix_v0(R, orbit, p)
+    monkeypatch.setattr(_OrbitActor, "coefficient_of_term",
+                        lambda self, lam: np.full((5, 5), p - 1))
+    assert (central_orbit_matrix_v0(R, orbit, p) == p - len(orbit)).all()
+    monkeypatch.undo()
+    H = HeckeAlgebra(d)
+    assert np.array_equal(
+        exact, R.act(H.central_from_orbit(orbit)).at_v0() % p)

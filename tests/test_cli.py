@@ -266,3 +266,27 @@ def test_classify_d4_at_a_prime_beyond_a_million(tmp_path, capsys):
     assert r["case"]["p"] == 1000003
     assert r["verdict"] == "ReflectionTwist"
     assert r["certificate"]["supersingular_mod_p"]["nilpotent"] is True
+
+
+def test_prime_beyond_int64_is_refused(tmp_path, capsys):
+    # 2^64 - 59 is prime; the refusal comes before any primality test
+    case = write_case(tmp_path, {"type": "G", "rank": 2})
+    code, out = run_cli(["classify", "--case", case,
+                         "--p", str(2**64 - 59)], capsys)
+    assert code == 2
+    assert "below 2^63" in json.loads(out)["error"]["message"]
+
+
+def test_memory_error_is_a_clean_internal_error(tmp_path, capsys,
+                                                monkeypatch):
+    def exhausted(case, exhaustive=False):
+        raise MemoryError("orbit too large")
+
+    monkeypatch.setattr(cli, "run_classify", exhausted)
+    case = write_case(tmp_path, {"type": "E", "rank": 8})
+    code, out = run_cli(["classify", "--case", case, "--exhaustive"], capsys)
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "MemoryError"
+    code, out = run_cli(["verify", "--case", case, "--exhaustive"], capsys)
+    assert code == 3
+    assert json.loads(out)["results"][0]["internal"] is True

@@ -281,3 +281,10 @@ def test_odd_braid_failure_rejected_in_dimension_one():
     bad = FinModule(H, (q, minus, minus), None)
     with pytest.raises(RelationsFail, match="braid relation of order 3"):
         bad.check_relations()
+
+
+def test_reduce_mod_p_refuses_primes_beyond_int64():
+    # 2^64 - 59 is prime, but a mod-p module keeps its tensors in int64
+    d = build_root_datum("D", 4)
+    with pytest.raises(ValueError, match="below 2"):
+        reflection_module(d).reduce_mod_p(2**64 - 59)
