@@ -19,11 +19,13 @@ element: each orbit summand is a product of generator matrices with a
 known leading normalization, and only the coefficient of the normalizing
 power of $v$ is needed.  On a monomial module (diagonal $T_s$ and
 $T^*_s$, length-zero elements acting by signed permutations, every entry
-a single term $c v^e$) that coefficient is read off the letter counts of
-the two translation words; every other module multiplies two exact
-polynomial matrices mod $p$, memoized products of the matrices of the
-monoid generators.  Both routes, and the nilpotency test, are exact for
-every prime $p < 2^{63}$, the bound of a mod-$p$ module's int64 tensors.
+a single term $c v^e$) that coefficient is read off the per-class counts
+of the hyperplanes the two translations cross, with no word; every other
+module multiplies two exact polynomial matrices mod $p$, memoized
+products of the matrices of the monoid generators, which alone replay
+their translation words.  Both routes, and the nilpotency test, are
+exact for every prime $p < 2^{63}$, the bound of a mod-$p$ module's int64
+tensors.
 
 The search routine walks the case analysis: a discrete non-special
 character that extends (one dimensional answer), discrete characters
@@ -155,18 +157,18 @@ class _OrbitActor:
     length-zero matrices are monomial, every nonzero entry a single term
     $c v^e$ (characters, their extensions, induced modules), takes the
     *monomial route*: a summand is then a monomial matrix whose entries
-    follow from the letter counts of its two words, in exact integer
-    arithmetic.  Any other module takes the *dense route*: the summand at
-    ``lam`` is the product of the halves $A(\\mu) = \\rho(T^*_{t_\\mu})$ at
-    its dominant part and $B(\\nu) = \\rho(T_{t_{-\\nu}})$ at its
-    antidominant part, exact untruncated Laurent matrices mod ``p``.
+    follow from the per-class hyperplane counts of its two translations
+    (:meth:`RootDatum.translation_class_counts`), with no word, in exact
+    integer arithmetic.  Any other module takes the *dense route*: the
+    summand at ``lam`` is the product of the halves
+    $A(\\mu) = \\rho(T^*_{t_\\mu})$ at its dominant part and
+    $B(\\nu) = \\rho(T_{t_{-\\nu}})$ at its antidominant part, exact
+    untruncated Laurent matrices mod ``p``.
     Dominant translations are length-additive, so
     $A(\\mu) = A(\\mu - g) A(g)$ for a monoid generator $g \\le \\mu$,
     and likewise for $B$ (Lusztig, *Affine Hecke algebras and their graded
     version*, JAMS 1989): only the generators replay their words, and
-    every half is memoized for the life of the actor, one orbit.
-    Translation words are kept per coweight: the dominant and
-    antidominant parts repeat across the points of an orbit."""
+    every half is memoized for the life of the actor, one orbit."""
 
     def __init__(self, module: FinModule, p: int):
         assert not module.is_modular
@@ -175,13 +177,15 @@ class _OrbitActor:
         self.n = module.dim
         self.star = (module.smats - module.q_stack()
                      + LaurentMatrix.identity(self.n))  # T*_s = T_s - q_s + 1
-        self._words: dict = {}
         self._halves: tuple[dict, dict] = ({}, {})  # B, A by coweight
         self.monomial = self._monomial_form()
 
     def _monomial_form(self):
         """``(T_s, T*_s, length-zero)`` monomial entries, the first two
-        diagonal, or ``None`` when the module is not of that shape."""
+        diagonal and kept per node class, or ``None`` when the module is
+        not of that shape.  The braid relations make diagonal entries
+        equal along odd bonds; a module where they differ within a class
+        takes the dense route."""
         mod, diag = self.module, list(range(self.n))
         if mod.omega_mats is None:
             omega = [(diag, [1] * self.n, [0] * self.n)]
@@ -189,17 +193,13 @@ class _OrbitActor:
             omega = _monomial_entries(mod.omega_mats)
         t = _monomial_entries(mod.smats)
         star = _monomial_entries(self.star)
+        classes = mod.alg.datum.classes
         if omega is None or t is None or star is None or any(
-                cols != diag for cols, _, _ in t + star):
+                e[s] != e[cls[0]] or e[s][0] != diag
+                for e in (t, star) for cls in classes for s in cls):
             return None
-        return t, star, omega
-
-    def _word(self, lam) -> tuple[int, ...]:
-        word = self._words.get(lam)
-        if word is None:
-            word = self._words[lam] = translation_word(
-                self.module.alg.datum, lam)
-        return word
+        return ([t[cls[0]] for cls in classes],
+                [star[cls[0]] for cls in classes], omega)
 
     def _omega_index(self, lam) -> int:
         """Index of the length-zero part of the translation by ``lam``."""
@@ -221,8 +221,9 @@ class _OrbitActor:
 
     def _split(self, lam):
         """The dominant parts ``plus`` and ``minus`` of the factors
-        $T_{t_{plus}}$ and $T_{t_{-minus}}$ of the summand at ``lam``, and
-        the exponent $\\delta$ of its normalizing power of $v$."""
+        $T_{t_{plus}}$ and $T_{t_{-minus}}$ of the summand at ``lam``, the
+        hyperplane class counts of $t_{plus}$ and $t_{-minus}$, and the
+        exponent $\\delta$ of its normalizing power of $v$."""
         datum = self.module.alg.datum
         if self.module.omega_mats is None:
             if not datum.in_coroot_lattice(lam):
@@ -232,10 +233,12 @@ class _OrbitActor:
             plus, minus = self._coroot_decomposition(lam)
         else:
             plus, minus = self.module.alg.dominant_decomposition(lam)
-        wl = datum.translation_weighted_length
-        delta = wl(plus) + wl(tuple(-x for x in minus)) - wl(lam)
+        counts = datum.translation_class_counts((plus, [-x for x in minus],
+                                                 lam))
+        delta = int((counts[0] + counts[1] - counts[2])
+                    @ datum.class_weights)
         assert delta >= 0
-        return plus, minus, delta
+        return plus, minus, counts[0].tolist(), counts[1].tolist(), delta
 
     def coefficient_of_term(self, lam) -> np.ndarray:
         """Matrix coefficient of the normalized orbit summand at ``lam``:
@@ -246,18 +249,18 @@ class _OrbitActor:
             return self._dense_term(lam)
         return self._monomial_term(lam)
 
-    def _diagonal(self, entries, word):
+    def _diagonal(self, entries, counts):
         """Coefficients mod ``p`` and exponents of the diagonal product of
-        the monomial ``entries`` along ``word``, from its letter counts."""
+        the per-class monomial ``entries`` along a reduced word with the
+        class letter ``counts``."""
         p = self.p
-        counts = [(s, word.count(s)) for s in range(len(entries))]
-        counts = [(s, k) for s, k in counts if k]
+        counts = [(k, n) for k, n in enumerate(counts) if n]
         out = []
         for i in range(self.n):
             c, e = 1, 0
-            for s, k in counts:
-                c = c * pow(entries[s][1][i], k, p) % p
-                e += k * entries[s][2][i]
+            for k, n in counts:
+                c = c * pow(entries[k][1][i], n, p) % p
+                e += n * entries[k][2][i]
             out.append((c, e))
         return out
 
@@ -265,13 +268,12 @@ class _OrbitActor:
         """:meth:`coefficient_of_term` on the monomial route: the product
         $T_{\\omega_1} D_1 T_{\\omega_2} D_2$ sends row ``i`` to one
         column; its entry is kept when its exponent is $\\delta$."""
-        plus, minus, delta = self._split(lam)
-        neg = tuple(-x for x in minus)
+        plus, minus, c_plus, c_neg, delta = self._split(lam)
         t, star, omega = self.monomial
         cols1, a1, f1 = omega[self._omega_index(plus)]
-        cols2, a2, f2 = omega[self._omega_index(neg)]
-        d1 = self._diagonal(star, self._word(plus))
-        d2 = self._diagonal(t, self._word(neg))
+        cols2, a2, f2 = omega[self._omega_index(tuple(-x for x in minus))]
+        d1 = self._diagonal(star, c_plus)
+        d2 = self._diagonal(t, c_neg)
         p = self.p
         out = np.zeros((self.n, self.n), dtype=np.int64)
         for i in range(self.n):
@@ -298,7 +300,7 @@ class _OrbitActor:
             mats = self.star if twisted else mod.smats
             half = (LaurentMatrix.identity(self.n) if mod.omega_mats is None
                     else _mod_p(mod.omega_mats[self._omega_index(lam)], p))
-            for s in self._word(lam):
+            for s in translation_word(mod.alg.datum, lam):
                 half = _mod_p(half @ mats[s], p)
         else:
             g = next(g for g in gens if all(a >= b for a, b in zip(mu, g)))
@@ -311,7 +313,7 @@ class _OrbitActor:
     def _dense_term(self, lam) -> np.ndarray:
         """:meth:`coefficient_of_term` on the dense route: the coefficient
         of $v^\\delta$ in $A(plus) B(minus)$."""
-        plus, minus, delta = self._split(lam)
+        plus, minus, _, _, delta = self._split(lam)
         return _coefficient(self._half(True, plus), self._half(False, minus),
                             delta, self.p)
 

@@ -7,7 +7,6 @@ rank of the root system (at most 8), so cubic algorithms are plenty.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,10 +26,31 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> tuple[tuple[int, ...], ...]:
     )
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all of _MR_BASES (Sorenson and Webster,
+# *Strong pseudoprimes to twelve prime bases*, Math. Comp. 86 (2017))
+_MR_LIMIT = 318665857834031151167461
+
+
 def is_prime(p) -> bool:
-    """Primality of an int by trial division up to its square root."""
-    return (isinstance(p, int) and p >= 2
-            and all(p % k for k in range(2, math.isqrt(p) + 1)))
+    """Primality of an int by Miller-Rabin over the first twelve prime
+    bases, deterministic below $3.18 \\cdot 10^{23}$; beyond that bound
+    it raises ``ValueError``."""
+    if not (isinstance(p, int) and p >= 2):
+        return False
+    if p >= _MR_LIMIT:
+        raise ValueError(f"{p} is past the exact Miller-Rabin bound")
+    if p in _MR_BASES or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x not in (1, p - 1) and all(
+                (x := x * x % p) != p - 1 for _ in range(r - 1)):
+            return False
+    return True
 
 
 def identity(n: int) -> tuple[tuple[int, ...], ...]:

@@ -232,27 +232,37 @@ class RootDatum:
             frontier = nxt
         return tuple(sorted(seen))
 
-    def translation_weighted_length(self, lam: Sequence[int]) -> int:
-        """Node weights summed over a reduced word of the translation by
-        ``lam``, counted by hyperplane class (Iwahori and Matsumoto,
-        Publ. IHES 25 (1965)).
+    def translation_class_counts(self, lam) -> np.ndarray:
+        """Letters of each class of :attr:`classes` in a reduced word of
+        the translation by ``lam``, counted by hyperplane (Iwahori and
+        Matsumoto, Publ. IHES 25 (1965); Macdonald, *Affine Hecke
+        algebras and orthogonal polynomials* (2003), section 2); a stack
+        of points gives a stack of counts.
 
         With $m = \\langle \\alpha, \\lambda \\rangle$ for a positive root
         $\\alpha$, the word crosses $H_{\\alpha,k}$ for $k = 0..m-1$ when
-        $m > 0$ and $k = m..-1$ when $m < 0$.  Even $k$ weigh as the
-        finite simple node in the Weyl orbit of $\\alpha$.  Odd $k$ weigh
-        as node 0 when $\\langle \\alpha, Q^\\vee \\rangle$ lies in
-        $2\\mathbb{Z}$ (the long roots of affine $C_n$, the root of
-        affine $A_1$), and as that finite node otherwise."""
-        roots, even, odd = self._hyperplane_weights
-        m = roots @ np.asarray(lam, dtype=np.int64)
+        $m > 0$ and $k = m..-1$ when $m < 0$.  Even $k$ count for the
+        class of the finite simple node in the Weyl orbit of $\\alpha$.
+        Odd $k$ count for the class of node 0 when
+        $\\langle \\alpha, Q^\\vee \\rangle$ lies in $2\\mathbb{Z}$ (the
+        long roots of affine $C_n$, the root of affine $A_1$), and for
+        that finite class otherwise."""
+        roots, even, odd = self._hyperplane_classes
+        m = np.asarray(lam, dtype=np.int64) @ roots
         n_odd = (np.abs(m) + (m < 0)) // 2
-        return int(even @ (np.abs(m) - n_odd) + odd @ n_odd)
+        return (np.abs(m) - n_odd) @ even + n_odd @ odd
+
+    def translation_weighted_length(self, lam: Sequence[int]) -> int:
+        """Node weights summed over a reduced word of the translation by
+        ``lam``: :meth:`translation_class_counts` times the class
+        weights."""
+        return int(self.translation_class_counts(lam) @ self.class_weights)
 
     @functools.cached_property
-    def _hyperplane_weights(self):
-        """Positive roots as rows, with the weights of their even and odd
-        hyperplanes for :meth:`translation_weighted_length`."""
+    def _hyperplane_classes(self):
+        """Positive roots as columns and the int64 one-hot (root, class)
+        tables of their even and odd hyperplanes for
+        :meth:`translation_class_counts`."""
         even, odd = [], []
         for root, _ in self.pos_roots:
             beta = root  # descend to a simple root of the same Weyl orbit
@@ -260,11 +270,12 @@ class RootDatum:
                 i = next(i for i, cov in enumerate(self.cartan)
                          if self.pairing(beta, cov) > 0)
                 beta = reflect_root(self.cartan, i + 1, beta)
-            even.append(self.weights[beta.index(1) + 1])
+            even.append(self.class_of_node[beta.index(1) + 1])
             two = all(self.pairing(root, cov) % 2 == 0 for cov in self.cartan)
-            odd.append(self.weights[0] if two else even[-1])
-        return (np.array([r for r, _ in self.pos_roots], dtype=np.int64),
-                np.array(even, dtype=np.int64), np.array(odd, dtype=np.int64))
+            odd.append(self.class_of_node[0] if two else even[-1])
+        one_hot = np.eye(len(self.classes), dtype=np.int64)
+        return (np.array([r for r, _ in self.pos_roots], dtype=np.int64).T,
+                one_hot[even], one_hot[odd])
 
     def dominant_rep(self, c: Sequence[int]) -> Vec:
         """The unique dominant coweight in the Weyl orbit of ``c``."""

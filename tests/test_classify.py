@@ -1,7 +1,7 @@
 """Discreteness exponents, supersingularity, and the classification
 search over the supported table of data.
 
-The truncated mod-p route for central matrices is cross-checked against
+The exact mod-p routes for central matrices are cross-checked against
 the exact symbolic action, including on orbits that are not monoid
 generators, and the monomial route against the dense one."""
 
@@ -217,7 +217,7 @@ def test_truncated_route_matches_exact_action():
            if not character_extends(H, c)[0]]
     m = induce_character(H, bad[0])
     # (1,1) and (2,2) are regular orbits, not monoid generators; 999983 is
-    # the largest prime the truncated route accepts
+    # the largest prime below 10^6, where a float64 route stopped
     for lam in [(1, 0), (0, 2), (1, 1), (2, 2)]:
         orbit = d.weyl_orbit(lam)
         exact = m.act(H.central_from_orbit(orbit))
@@ -406,6 +406,41 @@ def test_dense_route_replays_words_of_generators_only(monkeypatch):
         central_orbit_matrix_v0(R, orbit, 5)
         assert calls and set(calls) <= allowed, gen
         assert len(calls) == len(set(calls)), gen
+
+
+def test_monomial_route_replays_no_word(monkeypatch):
+    """A summand on the monomial route reads hyperplane class counts and
+    asks for no translation word."""
+    from heckelab import classify, extweyl
+
+    def refused(datum, lam):
+        raise AssertionError(f"translation word of {lam} requested")
+
+    modules = []
+    for kind, rank, w, case in [("C", 3, [1, 1, 1], "Induced2Dim"),
+                                ("F", 4, 1, "Character1Dim")]:
+        H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
+        out = key_result_search(H)
+        assert out.case == case
+        modules.append((H, out.module))
+    monkeypatch.setattr(classify, "translation_word", refused)
+    monkeypatch.setattr(extweyl, "translation_word", refused)
+    for H, fp in modules:
+        src = fp.generic
+        assert _OrbitActor(src, fp.prime).monomial is not None
+        for gen in H.monoid_generators("effective"):
+            mat = central_orbit_matrix_v0(src, H.datum.weyl_orbit(gen),
+                                          fp.prime)
+            assert mat.shape == (src.dim, src.dim)
+
+
+def test_diagonal_entries_differing_within_a_class_take_the_dense_route():
+    # the affine A2 nodes form one class; the braid relations would force
+    # equal diagonal entries on them
+    H = HeckeAlgebra(build_root_datum("A", 2))
+    q, minus = ((H.q(0),),), ((-1,),)
+    assert _OrbitActor(FinModule(H, (q, q, q), None), 5).monomial
+    assert _OrbitActor(FinModule(H, (q, q, minus), None), 5).monomial is None
 
 
 def test_nilpotency_degree_beyond_int64_products():

@@ -4,6 +4,7 @@ output, and the thread pool."""
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -290,3 +291,16 @@ def test_memory_error_is_a_clean_internal_error(tmp_path, capsys,
     code, out = run_cli(["verify", "--case", case, "--exhaustive"], capsys)
     assert code == 3
     assert json.loads(out)["results"][0]["internal"] is True
+
+
+def test_classify_at_a_prime_near_two_to_the_61(tmp_path, capsys):
+    # validating p takes a Miller-Rabin test, not a trial division
+    p = 2**61 - 1
+    case = write_case(tmp_path, {"type": "C", "rank": 2})
+    start = time.monotonic()
+    code, out = run_cli(["classify", "--case", case, "--p", str(p)], capsys)
+    assert time.monotonic() - start < 5
+    assert code == 0
+    r = json.loads(out)
+    assert r["case"]["p"] == p
+    assert r["certificate"]["supersingular_mod_p"]["nilpotent"] is True

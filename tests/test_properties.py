@@ -80,29 +80,46 @@ TYPES_TO_RANK_6 = SMALL_TYPES + [("A", 5), ("A", 6), ("B", 5), ("B", 6),
                                  ("E", 6)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(TYPES_TO_RANK_6), st.data())
-def test_translation_weighted_length_matches_word(kind_rank, data):
-    """The per-class hyperplane count equals the node weights summed along
-    ``translation_word``, for random class weights (weighted affine A1
-    and C among them) and random points of the coweight, the coroot or an
-    intermediate lattice."""
-    kind, rank = kind_rank
+@st.composite
+def weighted_lattice_points(draw):
+    """A datum of rank at most 6 with random class weights (weighted
+    affine A1 and C among them) and the coweight, the coroot or an
+    intermediate lattice, and a random point of that lattice."""
+    kind, rank = draw(st.sampled_from(TYPES_TO_RANK_6))
     classes = build_root_datum(kind, rank).classes
-    weights = data.draw(st.lists(st.integers(1, 4), min_size=len(classes),
-                                 max_size=len(classes)))
-    lattice = data.draw(st.sampled_from(["coweight", "coroot",
-                                         "intermediate"]))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(classes),
+                            max_size=len(classes)))
+    lattice = draw(st.sampled_from(["coweight", "coroot", "intermediate"]))
     if lattice == "intermediate":
-        extra = data.draw(st.lists(st.integers(-3, 3), min_size=rank,
-                                   max_size=rank))
+        extra = draw(st.lists(st.integers(-3, 3), min_size=rank,
+                              max_size=rank))
         lattice = list(cartan_matrix(kind, rank)) + [tuple(extra)]
     d = build_root_datum(kind, rank, weights=weights, lattice=lattice)
-    coords = data.draw(st.lists(st.integers(-2, 2), min_size=rank,
-                                max_size=rank))
+    coords = draw(st.lists(st.integers(-2, 2), min_size=rank,
+                           max_size=rank))
     lam = tuple(sum(c * row[j] for c, row in zip(coords, d.lattice_basis))
                 for j in range(rank))
     assert d.in_lattice(lam)
+    return d, lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_lattice_points())
+def test_translation_weighted_length_matches_word(point):
+    """The per-class hyperplane count equals the node weights summed along
+    ``translation_word``."""
+    d, lam = point
     word = translation_word(d, lam)
     assert d.translation_weighted_length(lam) == sum(
         d.weights[s] for s in word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_lattice_points())
+def test_translation_class_counts_match_word(point):
+    """The hyperplane class counts equal the letters of each node class
+    in ``translation_word``."""
+    d, lam = point
+    word = translation_word(d, lam)
+    assert d.translation_class_counts(lam).tolist() == [
+        sum(1 for s in word if s in cls) for cls in d.classes]
