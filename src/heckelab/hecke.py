@@ -7,13 +7,19 @@ relations, with $q_s = v^{2 d(s)}$ for the weight $d(s)$ of node $s$:
 * $T_x T_y = T_{xy}$ whenever lengths add,
 * $(T_s - q_s)(T_s + 1) = 0$ for every simple reflection.
 
-Products reduce to these via a reduced word of the right factor, one
-letter at a time:  $T_x T_s$ is $T_{xs}$ when the length goes up and
-$q_s T_{xs} + (q_s - 1) T_x$ when it goes down.  Each step $x \mapsto xs$
-is a rank-one update of the group element and each descent test reads
-one column (:mod:`heckelab.extweyl`).  One product keeps a memo of its
-steps, one dict per node mapping $x$ to $xs$, so that the terms of the
-right factor, whose words share letters, share the steps they repeat;
+Products reduce to these via reduced words of the right factor:  $T_x T_s$
+is $T_{xs}$ when the length goes up and $q_s T_{xs} + (q_s - 1) T_x$ when
+it goes down.  One product walks the prefix trie of the pairs (length-zero
+part, reduced word) of the right factor's terms depth first, so each
+partial product $h \, T_\omega T_{s_1} \cdots T_{s_k}$ of the left factor
+$h$ is computed once and
+shared by every term whose word starts with that prefix; a partial product
+is released after its last child.  The twisted symbols below take the same
+walk with twisted letters.  Each step $x \mapsto xs$ is a rank-one
+update of the group element and each descent test reads one column
+(:mod:`heckelab.extweyl`).  One product also keeps a memo of its steps,
+one dict per node mapping $x$ to $xs$ and whether $s$ is a descent of
+$x$, so that branches of the trie that meet the same $x$ share the step;
 the memo lives only for that product.  Scaling by $q_s$ is a shift of
 exponents.
 
@@ -21,7 +27,8 @@ On top of the standard basis the module provides the twisted symbols
 $T^*_w$ (products of $T^*_s = T_s - q_s + 1$ along a reduced word), the
 algebra automorphism sending $T_w$ to $(-1)^{\ell(w)} T^*_w$, Bernstein
 elements $E_\lambda$ for lattice points $\lambda$, and central orbit sums
-$z_\mathcal{O} = \sum_{\lambda \in \mathcal{O}} E_\lambda$.
+$z_\mathcal{O} = \sum_{\lambda \in \mathcal{O}} E_\lambda$ (Lusztig 1989),
+taken as one product per dominant part of the orbit's points.
 
 Weights that are not constant on length-zero orbits shrink the algebra:
 only translations by the sublattice compatible with the weights give
@@ -99,21 +106,15 @@ class HeckeAlgebra:
         $T^*_s = T_s - q_s + 1$ for each letter.
         """
         self._check_supported(w)
-        omega, word = w.reduced_word()
-        cur = HeckeElt(self, {omega: Laurent.one()})
-        for s in word:
-            cur = cur._mul_basis(s, twisted=True)
-        return cur
+        return self.one()._product({w: Laurent.one()}, twisted=True)
 
     def sign_star(self, elt: "HeckeElt") -> "HeckeElt":
         """The automorphism $T_w \\mapsto (-1)^{\\ell(w)} T^*_w$."""
-        out: dict[ExtWeylElt, Laurent] = {}
-        for w, c in elt.terms.items():
-            if w.length() % 2:
-                c = -c
-            for x, a in self.star_t(w).terms.items():
-                _accumulate(out, x, a * c)
-        return HeckeElt._of(self, out)
+        for w in elt.terms:
+            self._check_supported(w)
+        signed = {w: -c if w.length() % 2 else c
+                  for w, c in elt.terms.items()}
+        return self.one()._product(signed, twisted=True)
 
     # ---- Bernstein elements ---------------------------------------------
 
@@ -170,27 +171,18 @@ class HeckeAlgebra:
         """The Bernstein basis element E_lambda.
 
         Normalized so that dominant lattice points give twisted basis
-        elements and antidominant ones give standard basis elements.
+        elements and antidominant ones give standard basis elements:
+        $E_\\lambda = v^{-\\delta} T^*_{t_+} T_{t_{-}}$ for the
+        decomposition $\\lambda = \\lambda_+ - \\lambda_-$ of
+        :meth:`dominant_decomposition`, with $t_\\pm$ the translations by
+        $\\pm\\lambda_\\pm$ and $\\delta$ the weighted length that the
+        product loses.
         """
-        lam = tuple(int(x) for x in lam)
-        if not self.datum.in_lattice(lam):
-            raise NotInLattice(f"{lam} is not in the "
-                               f"{self.datum.lattice_name} lattice")
-        if not self.in_effective_lattice(lam):
-            raise NotInLattice(f"translation by {lam} is not compatible "
-                               f"with the node weights")
-        plus, minus = self.dominant_decomposition(lam)
-        wl = self.datum.translation_weighted_length
-        delta = wl(plus) + wl(minus) - wl(lam)
-        assert delta >= 0
-        neg = tuple(-x for x in minus)
-        out = self.star_t(ExtWeylElt.translation(self.datum, plus)) * self.t(
-            ExtWeylElt.translation(self.datum, neg))
-        return out.scale(Laurent.v(-delta))
+        return self._bernstein_sum([lam])
 
     def central(self, lam: Sequence[int]) -> "HeckeElt":
         """The orbit sum z over the finite Weyl orbit of ``lam``."""
-        return self._orbit_sum(self.datum.weyl_orbit(lam))
+        return self._bernstein_sum(self.datum.weyl_orbit(lam))
 
     def central_from_orbit(self, orbit: Iterable[Sequence[int]]) -> "HeckeElt":
         """Same as :meth:`central` but validates the given orbit first."""
@@ -202,12 +194,36 @@ class HeckeAlgebra:
             raise NotAFullOrbit(
                 f"the {len(pts)} given points do not form one full Weyl "
                 f"orbit ({len(expected)} points expected)")
-        return self._orbit_sum(pts)
+        return self._bernstein_sum(pts)
 
-    def _orbit_sum(self, pts: Iterable[Sequence[int]]) -> "HeckeElt":
-        out: dict[ExtWeylElt, Laurent] = {}
+    def _bernstein_sum(self, pts: Iterable[Sequence[int]]) -> "HeckeElt":
+        """$\\sum_\\mu E_\\mu$ over distinct lattice points ``pts``.
+
+        Points with the same dominant part $\\lambda_+$ share the left
+        factor $T^*_{t_+}$, so the sum takes one product per $\\lambda_+$
+        with the right factor $\\sum v^{-\\delta} T_{t_{-}}$ over its points.
+        """
+        wl = self.datum.translation_weighted_length
+        groups: dict[Vec, dict[ExtWeylElt, Laurent]] = {}
         for mu in pts:
-            for x, a in self.bernstein(mu).terms.items():
+            mu = tuple(int(x) for x in mu)
+            if not self.datum.in_lattice(mu):
+                raise NotInLattice(f"{mu} is not in the "
+                                   f"{self.datum.lattice_name} lattice")
+            if not self.in_effective_lattice(mu):
+                raise NotInLattice(f"translation by {mu} is not compatible "
+                                   f"with the node weights")
+            plus, minus = self.dominant_decomposition(mu)
+            delta = wl(plus) + wl(minus) - wl(mu)
+            assert delta >= 0
+            t_minus = ExtWeylElt.translation(self.datum,
+                                             tuple(-x for x in minus))
+            self._check_supported(t_minus)
+            groups.setdefault(plus, {})[t_minus] = Laurent.v(-delta)
+        out: dict[ExtWeylElt, Laurent] = {}
+        for plus, right in groups.items():
+            left = self.star_t(ExtWeylElt.translation(self.datum, plus))
+            for x, a in left._product(right).terms.items():
                 _accumulate(out, x, a)
         return HeckeElt._of(self, out)
 
@@ -277,26 +293,25 @@ class HeckeElt:
 
     # ---- multiplication ---------------------------------------------------
 
-    def _mul_basis(self, s: int, step: dict | None = None,
+    def _mul_basis(self, s: int, step: dict,
                    twisted: bool = False) -> "HeckeElt":
         """Right multiplication by T_s, or by $T^*_s = T_s - q_s + 1$ when
         ``twisted``, for an affine node label ``s``.
 
-        ``step`` is a memo mapping x to xs for this node, shared by the
-        letters of one product.  $T_x T^*_s$ is $q_s T_{xs}$ when s is a
-        descent of x and $T_{xs} - (q_s - 1) T_x$ when it is not.
+        ``step`` is a memo for node ``s`` mapping x to xs and whether s is
+        a right descent of x, shared by the letters of one product.
+        $T_x T^*_s$ is $q_s T_{xs}$ when s is a descent of x and
+        $T_{xs} - (q_s - 1) T_x$ when it is not.
         """
         alg = self.alg
         d2 = 2 * alg.datum.weights[s]
         out: dict[ExtWeylElt, Laurent] = {}
         for x, c in self.terms.items():
-            if step is None:
-                xs = x.mul_simple(s)
-            else:
-                xs = step.get(x)
-                if xs is None:
-                    xs = step[x] = x.mul_simple(s)
-            if x.right_descent(s):
+            hit = step.get(x)
+            if hit is None:
+                hit = step[x] = (x.mul_simple(s), x.right_descent(s))
+            xs, descent = hit
+            if descent:
                 cq = c.shift(d2)
                 _accumulate(out, xs, cq)
                 if not twisted:
@@ -313,16 +328,52 @@ class HeckeElt:
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
-        steps: list[dict] = [{} for _ in range(self.alg.datum.rank + 1)]
-        total: dict[ExtWeylElt, Laurent] = {}
-        for y, cy in other.terms.items():
+        return self._product(other.terms)
+
+    def _product(self, right: Mapping[ExtWeylElt, Laurent],
+                 twisted: bool = False) -> "HeckeElt":
+        """``self`` times $\\sum_y c_y T_y$, or $\\sum_y c_y T^*_y$ when
+        ``twisted``, for ``right`` mapping y to $c_y$.
+
+        The pairs (length-zero part, reduced word) of the y form a prefix
+        trie, one root per length-zero part; a node is a pair
+        [coefficient of the term that ends there or None, children by
+        letter].  The walk keeps a stack of (parent's partial product,
+        letter, child), so each partial product is computed once and
+        released once its last child has been taken.
+        """
+        roots: dict[ExtWeylElt, list] = {}
+        for y, cy in right.items():
             omega, word = y.reduced_word()
-            part = self if omega.is_identity() else self._mul_omega(omega)
+            node = roots.get(omega)
+            if node is None:
+                node = roots[omega] = [None, {}]
             for s in word:
-                part = part._mul_basis(s, steps[s])
-            for w, c in part.terms.items():
-                _accumulate(total, w, c * cy)
-        return HeckeElt._of(self.alg, total)
+                kids = node[1]
+                node = kids.get(s)
+                if node is None:
+                    node = kids[s] = [None, {}]
+            node[0] = cy
+        steps: list[dict] = [{} for _ in range(self.alg.datum.rank + 1)]
+        total: dict[ExtWeylElt, Laurent] | None = None
+        for omega, root in roots.items():
+            part = self if omega.is_identity() else self._mul_omega(omega)
+            stack = [(part, None, root)]
+            while stack:
+                part, s, (cy, kids) = stack.pop()
+                if s is not None:
+                    part = part._mul_basis(s, steps[s], twisted)
+                if cy is not None:
+                    # the first term ending is copied; Z[v, v^-1] has no
+                    # zero divisors, so c * cy is never zero
+                    if total is None:
+                        total = (dict(part.terms) if cy == 1 else
+                                 {w: c * cy for w, c in part.terms.items()})
+                    else:
+                        for w, c in part.terms.items():
+                            _accumulate(total, w, c * cy)
+                stack.extend((part, t, kid) for t, kid in kids.items())
+        return HeckeElt._of(self.alg, total or {})
 
     # ---- inspection ---------------------------------------------------------
 

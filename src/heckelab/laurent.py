@@ -112,7 +112,16 @@ class Laurent:
         return r
 
     def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + (-other)
+        out = dict(self.c)
+        for e, a in other.c.items():
+            s = out.get(e, 0) - a
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        r = Laurent()
+        r.c = out
+        return r
 
     def __mul__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):

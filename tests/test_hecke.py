@@ -18,6 +18,7 @@ from heckelab import (
     effective_lattice,
     elements_up_to_length,
 )
+from heckelab.hecke import HeckeElt
 
 DATA = [
     ("A", 1, 1), ("A", 1, [1, 2]), ("A", 2, 1),
@@ -184,6 +185,54 @@ def test_central_elements_commute_with_generators():
             for omega in decorated_aut_group(d).elements:
                 to = H.t(omega)
                 assert z * to == to * z
+
+
+def test_central_equals_sum_of_bernstein_elements():
+    # one product per dominant part gives the same element as one
+    # Bernstein element per orbit point; A2 on the coroot lattice also
+    # takes the shifted branch of dominant_decomposition (B3 on the coroot
+    # lattice does too, but its shifted points cost 5-14 s each)
+    shifted = {}
+    cases = list(algebras()) + [
+        HeckeAlgebra(build_root_datum("A", 2, lattice="coroot"))]
+    for H in cases:
+        d = H.datum
+        for gen in eff_gens(H):
+            orbit = d.weyl_orbit(gen)
+            total = H.zero()
+            for mu in orbit:
+                total = total + H.bernstein(mu)
+                plus, _ = H.dominant_decomposition(mu)
+                if plus != tuple(max(x, 0) for x in mu):
+                    shifted[d.label()] = shifted.get(d.label(), 0) + 1
+            assert H.central(gen) == total, (d.label(), gen)
+    assert shifted == {"A2": 4}
+
+
+def test_product_takes_one_step_per_trie_edge(monkeypatch):
+    H = HeckeAlgebra(build_root_datum("A", 3))
+    d = H.datum
+    calls = []
+    mul_basis = HeckeElt._mul_basis
+
+    def counted(self, s, step, twisted=False):
+        calls.append(s)
+        return mul_basis(self, s, step, twisted)
+
+    monkeypatch.setattr(HeckeElt, "_mul_basis", counted)
+    x = H.t_word((0, 1))
+    y21, y23 = (ExtWeylElt.from_word(d, w) for w in [(2, 1), (2, 3)])
+    assert [y.reduced_word()[1] for y in (y21, y23)] == [(2, 1), (2, 3)]
+    prod = x * (H.t(y21) + H.t(y23))
+    assert sorted(calls) == [1, 2, 3]  # the prefix 2 is taken once
+    assert prod == x * H.t(y21) + x * H.t(y23)
+    z = ExtWeylElt.from_word(d, (1, 2, 3, 0))
+    calls.clear()
+    x * H.t(z)
+    assert calls == list(z.reduced_word()[1])
+    calls.clear()
+    H.star_t(z)
+    assert calls == list(z.reduced_word()[1])
 
 
 def test_central_from_orbit_validates():

@@ -41,6 +41,23 @@ def test_random_arithmetic_against_integer_evaluation():
         assert (a - b).evaluate(pt) == av - bv
 
 
+def test_subtraction_in_one_pass():
+    rng = random.Random(11)
+
+    def rand_poly():
+        return Laurent({rng.randint(-4, 4): rng.randint(-3, 3)
+                        for _ in range(rng.randint(0, 5))})
+
+    for _ in range(200):
+        x, y = rand_poly(), rand_poly()
+        assert (x - y).c == (x + (-y)).c
+    x = Laurent({-2: 5, 0: -1, 3: 7})
+    diff = x - Laurent({-2: 5, 0: -1, 3: 7})
+    assert diff.c == {}
+    assert diff == Laurent.zero() and hash(diff) == hash(Laurent.zero())
+    assert (x - Laurent({3: 7})).c == {-2: 5, 0: -1}
+
+
 def test_exponent_queries():
     x = Laurent.v(-2) + Laurent.of_int(5)
     assert x.min_exp() == -2

@@ -3,10 +3,12 @@ reference routes of the test oracles."""
 
 from hypothesis import given, settings, strategies as st
 
-from heckelab import (ExtWeylElt, aut_group, build_root_datum,
-                      cartan_matrix, dominant_monoid_generators)
+from heckelab import (ExtWeylElt, HeckeAlgebra, Laurent, aut_group,
+                      build_root_datum, cartan_matrix,
+                      dominant_monoid_generators)
 from heckelab.extweyl import (affine_root_is_positive, affine_simple,
                               translation_word)
+from heckelab.hecke import HeckeElt
 from geom_oracle import box_monoid_generators, check_monoid_generators
 
 
@@ -123,3 +125,57 @@ def test_translation_class_counts_match_word(point):
     word = translation_word(d, lam)
     assert d.translation_class_counts(lam).tolist() == [
         sum(1 for s in word if s in cls) for cls in d.classes]
+
+
+def letter_by_letter(x, y, twisted=False):
+    """``x`` times ``y`` (times the twisted symbols of ``y``'s support when
+    ``twisted``), one right-hand term at a time: the length-zero part, then
+    each letter of the reduced word on the whole partial product."""
+    total = x.alg.zero()
+    for w, c in y.terms.items():
+        omega, word = w.reduced_word()
+        part = x._mul_omega(omega)
+        for s in word:
+            part = part._mul_basis(s, {}, twisted)
+        total = total + part.scale(c)
+    return total
+
+
+@st.composite
+def hecke_elements(draw, H, max_terms=4):
+    """A sum of up to ``max_terms`` basis elements with random Laurent
+    coefficients.  Each index is a random supported length-zero part times
+    a word that starts with a prefix shared by the element's terms, so the
+    reduced words of the support often share prefixes."""
+    d = H.datum
+    omegas = H.omega.elements
+    prefix = draw(st.lists(st.integers(0, d.rank), max_size=3))
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        omega = omegas[draw(st.integers(0, len(omegas) - 1))]
+        tail = draw(st.lists(st.integers(0, d.rank), max_size=3))
+        w = ExtWeylElt.from_word(d, prefix + tail, omega)
+        coeffs = draw(st.dictionaries(st.integers(-3, 3),
+                                      st.integers(-3, 3), max_size=3))
+        terms[w] = Laurent(coeffs) + terms.get(w, Laurent.zero())
+    return HeckeElt(H, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_data(), st.data())
+def test_trie_product_matches_letter_by_letter(d, data):
+    """The product over the prefix trie of the right factor's reduced
+    words equals the letter-by-letter product, for plain and twisted
+    letters, and the sign automorphism equals the sum of its values on the
+    terms."""
+    H = HeckeAlgebra(d)
+    x = data.draw(hecke_elements(H))
+    y = data.draw(hecke_elements(H))
+    assert x * y == letter_by_letter(x, y)
+    assert x._product(y.terms, twisted=True) == letter_by_letter(
+        x, y, twisted=True)
+    expected = H.zero()
+    for w, c in y.terms.items():
+        sign = -1 if w.length() % 2 else 1
+        expected = expected + H.star_t(w).scale(c * sign)
+    assert H.sign_star(y) == expected
