@@ -9,9 +9,9 @@ functionality case by case.
 """
 
 from .errors import (HeckeLabError, InvalidRank, DecorationNotClassConstant,
-                     LatticeNotIntermediate, NotInLattice, DatumMismatch,
-                     NotAFullOrbit, HilbertBasisOverflow, CharacterExtends,
-                     NoIndexTwoStructure, NotSimplyLaced,
+                     WeightTooLarge, LatticeNotIntermediate, NotInLattice,
+                     DatumMismatch, NotAFullOrbit, HilbertBasisOverflow,
+                     CharacterExtends, NoIndexTwoStructure, NotSimplyLaced,
                      NegativePowersPresent, RelationsFail, UnhandledCase)
 from .laurent import Laurent, LaurentMatrix, q_power
 from .rootdata import (RootDatum, build_root_datum, cartan_matrix,
@@ -31,6 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HeckeLabError", "InvalidRank", "DecorationNotClassConstant",
+    "WeightTooLarge",
     "LatticeNotIntermediate", "NotInLattice", "DatumMismatch",
     "NotAFullOrbit", "HilbertBasisOverflow", "CharacterExtends",
     "NoIndexTwoStructure", "NotSimplyLaced", "NegativePowersPresent",

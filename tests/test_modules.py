@@ -1,6 +1,8 @@
 """One-dimensional characters, their extensions and inductions, and the
 reflection representation with its specialization at v=0."""
 
+import itertools
+
 import pytest
 
 from heckelab import (
@@ -247,6 +249,22 @@ def test_modp_character_values():
         assert ch.mode == "modp"
         assert set(ch.values) <= {0, -1}
         assert len(ch.values) == 3
+
+
+def test_modp_characters_take_one_relation_check(monkeypatch):
+    from heckelab.modules import FinModule
+    calls = []
+    check = FinModule.check_relations
+    monkeypatch.setattr(FinModule, "check_relations",
+                        lambda self: calls.append(self) or check(self))
+    for kind, rank, w in [("E", 8, 1), ("D", 7, 1), ("C", 2, [1, 2, 2])]:
+        d = build_root_datum(kind, rank, weights=w)
+        H = HeckeAlgebra(d)
+        calls.clear()
+        chars = enumerate_characters(H, "modp")
+        assert len(calls) == 1, d.label()
+        assert [ch.values for ch in chars] == list(
+            itertools.product((0, -1), repeat=rank + 1))
 
 
 def test_bad_module_matrices_rejected():

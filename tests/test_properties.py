@@ -1,9 +1,12 @@
 """Property tests: randomly drawn inputs checked against the slow
 reference routes of the test oracles."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckelab import (ExtWeylElt, HeckeAlgebra, Laurent, aut_group,
+from heckelab import (ExtWeylElt, FinModule, HeckeAlgebra, Laurent,
+                      LaurentMatrix, RelationsFail, aut_group,
                       build_root_datum, cartan_matrix,
                       dominant_monoid_generators)
 from heckelab.extweyl import (affine_root_is_positive, affine_simple,
@@ -179,3 +182,37 @@ def test_trie_product_matches_letter_by_letter(d, data):
         sign = -1 if w.length() % 2 else 1
         expected = expected + H.star_t(w).scale(c * sign)
     assert H.sign_star(y) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_data(), st.data())
+def test_family_check_matches_member_checks(d, data):
+    """A stack of 1x1 mod-5 modules with values in {0, -1, 1} (1 breaks
+    the quadratic relation) fails its one relation check exactly when
+    some member fails its own, and names the first such member's first
+    failing relation."""
+    H = HeckeAlgebra(d)
+    n = d.rank + 1
+    shape = data.draw(st.sampled_from([(1,), (3,), (6,), (2, 3)]))
+    members = [data.draw(st.lists(st.sampled_from([0, -1, -1, 1]),
+                                  min_size=n, max_size=n))
+               for _ in range(int(np.prod(shape)))]
+    stack = np.array(members, dtype=np.int64).T.reshape((n,) + shape)
+    family = FinModule(H, LaurentMatrix(0, stack[..., None, None, None]),
+                       None, prime=5)
+    first = None
+    for k, values in enumerate(members):
+        try:
+            FinModule(H, [[[x]] for x in values], None,
+                      prime=5).check_relations()
+        except RelationsFail as exc:
+            first = k, str(exc)
+            break
+    if first is None:
+        family.check_relations()
+        return
+    with pytest.raises(RelationsFail) as caught:
+        family.check_relations()
+    index = tuple(int(i) for i in np.unravel_index(first[0], shape))
+    assert str(caught.value).startswith(
+        f"{first[1]} in family member {index} with node values ")
