@@ -175,6 +175,8 @@ class _OrbitActor:
         self.module = module
         self.p = p
         self.n = module.dim
+        # a module without a length-zero action sees coroot translations
+        self.level = "coroot" if module.omega_mats is None else "effective"
         self.star = (module.smats - module.q_stack()
                      + LaurentMatrix.identity(self.n))  # T*_s = T_s - q_s + 1
         self._halves: tuple[dict, dict] = ({}, {})  # B, A by coweight
@@ -208,31 +210,18 @@ class _OrbitActor:
         assert idx == 0 or self.module.omega_mats is not None
         return idx
 
-    def _coroot_decomposition(self, lam):
-        """Dominant decomposition whose two parts both translate without
-        a length-zero factor, for modules that carry none."""
-        alg = self.module.alg
-        plus, minus = alg.dominant_decomposition(lam)
-        step = plus  # add it to both parts until plus is a coroot
-        while not alg.datum.in_coroot_lattice(plus):
-            plus = tuple(a + b for a, b in zip(plus, step))
-            minus = tuple(a + b for a, b in zip(minus, step))
-        return plus, minus
-
     def _split(self, lam):
         """The dominant parts ``plus`` and ``minus`` of the factors
         $T_{t_{plus}}$ and $T_{t_{-minus}}$ of the summand at ``lam``, the
         hyperplane class counts of $t_{plus}$ and $t_{-minus}$, and the
         exponent $\\delta$ of its normalizing power of $v$."""
-        datum = self.module.alg.datum
-        if self.module.omega_mats is None:
-            if not datum.in_coroot_lattice(lam):
-                raise ValueError(
-                    "orbit point outside the coroot lattice acts through "
-                    "length-zero elements this module does not carry")
-            plus, minus = self._coroot_decomposition(lam)
-        else:
-            plus, minus = self.module.alg.dominant_decomposition(lam)
+        alg = self.module.alg
+        datum = alg.datum
+        if self.level == "coroot" and not datum.in_coroot_lattice(lam):
+            raise ValueError(
+                "orbit point outside the coroot lattice acts through "
+                "length-zero elements this module does not carry")
+        plus, minus = alg.dominant_decomposition(lam, self.level)
         counts = datum.translation_class_counts((plus, [-x for x in minus],
                                                  lam))
         delta = int((counts[0] + counts[1] - counts[2])
@@ -291,8 +280,7 @@ class _OrbitActor:
         if half is not None:
             return half
         mod, p = self.module, self.p
-        gens = mod.alg.monoid_generators(
-            "coroot" if mod.omega_mats is None else "effective")
+        gens = mod.alg.monoid_generators(self.level)
         if not any(mu):
             half = LaurentMatrix.identity(self.n)
         elif mu in gens:

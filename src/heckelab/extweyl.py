@@ -386,9 +386,6 @@ class OmegaGroup:
     def index_of(self, elt: ExtWeylElt) -> int:
         return self._index[elt]
 
-    def permutation_of(self, elt: ExtWeylElt) -> tuple[int, ...]:
-        return self.perms[self._index[elt]]
-
     def structure(self) -> str:
         """Isomorphism type, e.g. ``"1"``, ``"Z/4"``, ``"Z/2 x Z/2"``."""
         n = len(self.elements)
@@ -496,37 +493,6 @@ def effective_lattice(datum: RootDatum) -> tuple[Vec, ...]:
     """Echelon basis of the sublattice whose translations stay compatible
     with the node weights (the preimage of the decorated subgroup)."""
     return decorated_aut_group(datum).lattice_basis()
-
-
-def diagram_automorphisms(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
-    """All permutations of affine nodes preserving the affine Cartan matrix.
-
-    This is the full symmetry group of the decorated-free diagram; it can
-    be strictly larger than the group of length-zero elements.
-    """
-    a = datum.affine_cartan
-    n = datum.rank + 1
-    sig = [
-        (tuple(sorted(a[i])), tuple(sorted(a[j][i] for j in range(n))))
-        for i in range(n)
-    ]
-    found: list[tuple[int, ...]] = []
-
-    def extend(partial: list[int]) -> None:
-        k = len(partial)
-        if k == n:
-            found.append(tuple(partial))
-            return
-        for img in range(n):
-            if img in partial or sig[img] != sig[k]:
-                continue
-            if all(a[partial[j]][img] == a[j][k]
-                   and a[img][partial[j]] == a[k][j] for j in range(k)):
-                extend(partial + [img])
-        return
-
-    extend([])
-    return tuple(sorted(found))
 
 
 def elements_up_to_length(datum: RootDatum, max_len: int,

@@ -29,6 +29,11 @@ algebra automorphism sending $T_w$ to $(-1)^{\ell(w)} T^*_w$, Bernstein
 elements $E_\lambda$ for lattice points $\lambda$, and central orbit sums
 $z_\mathcal{O} = \sum_{\lambda \in \mathcal{O}} E_\lambda$ (Lusztig 1989),
 taken as one product per dominant part of the orbit's points.
+$E_\lambda$ is read off one split $\lambda = \lambda_+ - \lambda_-$ into
+dominant lattice points, by one rule for the coroot and the effective
+lattice: the componentwise positive and negative parts when $\lambda_+$
+lies in the lattice, else both shifted by the least $s \ge 0$ that makes
+$\lambda_+ + s$ a sum of the lattice's rays $a_i e_i$.
 
 Weights that are not constant on length-zero orbits shrink the algebra:
 only translations by the sublattice compatible with the weights give
@@ -58,6 +63,7 @@ class HeckeAlgebra:
         self._omega_elts = set(self.omega.elements)
         self._monoid_generators: dict[str, tuple[Vec, ...]] = {}
         self._letter_counts: dict[str, tuple[Vec, ...]] = {}
+        self._rays: dict[str, tuple[int, ...]] = {}
 
     # ---- scalars -------------------------------------------------------
 
@@ -95,9 +101,6 @@ class HeckeAlgebra:
                omega: ExtWeylElt | None = None) -> "HeckeElt":
         return self.t(ExtWeylElt.from_word(self.datum, word, omega))
 
-    def t_translation(self, lam: Sequence[int]) -> "HeckeElt":
-        return self.t(ExtWeylElt.translation(self.datum, lam))
-
     def star_t(self, w: ExtWeylElt) -> "HeckeElt":
         """The twisted basis element T*_w.
 
@@ -121,19 +124,23 @@ class HeckeAlgebra:
     def in_effective_lattice(self, lam: Sequence[int]) -> bool:
         return intlin.in_row_lattice(self.effective_basis, lam)
 
+    def _level_basis(self, level: str) -> tuple[Vec, ...]:
+        """Echelon basis of the coroot lattice (``level`` ``"coroot"``) or
+        of the effective lattice (``"effective"``)."""
+        if level == "coroot":
+            return self.datum.coroot_basis
+        if level == "effective":
+            return self.effective_basis
+        raise ValueError(f"unknown level {level!r}")
+
     def monoid_generators(self, level: str) -> tuple[Vec, ...]:
-        """Dominant monoid generators of the coroot lattice (``level``
-        ``"coroot"``) or of the effective lattice (``"effective"``),
+        """Dominant monoid generators of the lattice at ``level``,
         computed once per level."""
         gens = self._monoid_generators.get(level)
         if gens is None:
-            if level == "coroot":
-                lattice = "coroot"
-            elif level == "effective":
-                lattice = self.effective_basis
-            else:
-                raise ValueError(f"unknown level {level!r}")
-            gens = dominant_monoid_generators(self.datum, lattice)
+            basis = self._level_basis(level)
+            gens = dominant_monoid_generators(
+                self.datum, "coroot" if level == "coroot" else basis)
             self._monoid_generators[level] = gens
         return gens
 
@@ -148,24 +155,31 @@ class HeckeAlgebra:
             self._letter_counts[level] = counts
         return counts
 
-    def dominant_decomposition(self, lam: Sequence[int]) -> tuple[Vec, Vec]:
-        """A pair of dominant lattice points with difference ``lam``.
+    def dominant_decomposition(self, lam: Sequence[int],
+                               level: str = "effective") -> tuple[Vec, Vec]:
+        """A pair of dominant points of the lattice at ``level`` (see
+        :meth:`monoid_generators`) with difference ``lam``, a point of
+        that lattice.
 
-        Componentwise positive and negative parts when both stay in the
-        lattice; otherwise both parts are shifted by a strictly dominant
-        lattice point, which the multiplicativity of the Bernstein basis
-        makes immaterial.
+        The componentwise positive and negative parts when the positive
+        part lies in the lattice; otherwise both parts shifted by $s$ with
+        $s_i = -\\lambda_{+,i} \\bmod a_i$, where the $a_i e_i$ are the rays
+        of the lattice (:func:`intlin.lattice_rays`), so that the positive
+        part becomes a sum of rays.  The Bernstein element does not depend
+        on the split (Lusztig 1989).
         """
         lam = tuple(int(x) for x in lam)
         plus = tuple(max(x, 0) for x in lam)
         minus = tuple(max(-x, 0) for x in lam)
-        if self.datum.in_lattice(plus) and self.in_effective_lattice(plus):
+        basis = self._level_basis(level)
+        if intlin.in_row_lattice(basis, plus):
             return plus, minus
-        f = abs(intlin.det(self.effective_basis))
-        gamma = tuple(f for _ in lam)
-        m = max(0, max(-(x // f) for x in lam))
-        shift = tuple(m * g for g in gamma)
-        return tuple(a + b for a, b in zip(lam, shift)), shift
+        rays = self._rays.get(level)
+        if rays is None:
+            rays = self._rays[level] = intlin.lattice_rays(basis)
+        shift = tuple(-x % a for x, a in zip(plus, rays))
+        return (tuple(a + b for a, b in zip(plus, shift)),
+                tuple(a + b for a, b in zip(minus, shift)))
 
     def bernstein(self, lam: Sequence[int]) -> "HeckeElt":
         """The Bernstein basis element E_lambda.

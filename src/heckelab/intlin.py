@@ -7,6 +7,7 @@ rank of the root system (at most 8), so cubic algorithms are plenty.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -82,16 +83,13 @@ def frac_inverse(m: IntMatrix) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
-def int_inverse(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """Inverse of an integer matrix with determinant +-1, as exact ints."""
-    inv = frac_inverse(m)
-    out = []
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix inverse is not integral")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+def lattice_rays(echelon: IntMatrix) -> tuple[int, ...]:
+    """The least positive $a_i$ with $a_i e_i$ in the full-rank lattice
+    with echelon basis ``echelon``, for each coordinate $i$: $k e_i$ lies
+    in the lattice exactly when $k$ times row $i$ of the inverse basis is
+    integral."""
+    return tuple(math.lcm(*(x.denominator for x in row))
+                 for row in frac_inverse(echelon))
 
 
 def det(m: IntMatrix) -> int:

@@ -297,7 +297,11 @@ class RootDatum:
     # ---- derivation helpers --------------------------------------------
 
     def _close_roots(self) -> tuple[tuple[Vec, Vec], ...]:
-        """All positive roots as (root coords, coroot coweight coords)."""
+        """All positive roots as (root coords, coroot coweight coords).
+
+        Closes the simple roots under simple reflections, skipping images
+        with a negative coordinate: every positive root is reached from a
+        simple root through positive roots of rising height."""
         rank, cartan = self.rank, self.cartan
         seen: dict[Vec, Vec] = {}
         frontier: list[tuple[Vec, Vec]] = []
@@ -310,14 +314,12 @@ class RootDatum:
             for root, cov in frontier:
                 for s in range(1, rank + 1):
                     r2 = reflect_root(cartan, s, root)
-                    if r2 not in seen:
+                    if r2 not in seen and min(r2) >= 0:
                         c2 = reflect_coweight(cartan, s, cov)
                         seen[r2] = c2
                         nxt.append((r2, c2))
             frontier = nxt
-        return tuple(sorted(
-            (r, c) for r, c in seen.items() if all(x >= 0 for x in r)
-        ))
+        return tuple(sorted(seen.items()))
 
     def _highest_root(self) -> tuple[Vec, Vec]:
         best = None
@@ -554,10 +556,8 @@ def dominant_monoid_generators(datum: RootDatum, lattice="lattice",
         basis = intlin.echelon_basis([tuple(r) for r in lattice], rank)
         if len(basis) != rank:
             raise ValueError("explicit lattice basis must have full rank")
-    # k e_i lies in the lattice exactly when k times row i of the inverse
-    # basis is integral; the echelon pivot of row i divides a_i.
-    rays = [math.lcm(*(x.denominator for x in row))
-            for row in intlin.frac_inverse(basis)]
+    # the echelon pivot of row i divides a_i
+    rays = intlin.lattice_rays(basis)
     steps = [a // row[i] for i, (a, row) in enumerate(zip(rays, basis))]
     count = math.prod(steps) - 1 + rank
     if count > max_box:

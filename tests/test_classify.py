@@ -295,9 +295,11 @@ def test_non_monomial_module_takes_the_dense_route():
 
 def test_special_character_route_matches_exact_action():
     # the criterion-6 path: a character without length-zero action,
-    # whose orbits run over the coroot lattice
+    # whose orbits run over the coroot lattice; 4 points of the B3 orbit
+    # split with a shift at the coroot level
     for kind, rank, lams in [("C", 2, [(0, 2), (2, 0), (2, 2)]),
-                             ("G", 2, [(1, 0), (0, 1), (1, 1)])]:
+                             ("G", 2, [(1, 0), (0, 1), (1, 1)]),
+                             ("B", 3, [(0, 1, 0)])]:
         d = build_root_datum(kind, rank)
         H = HeckeAlgebra(d)
         sp = next(c for c in enumerate_characters(H, "generic")

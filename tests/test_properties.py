@@ -9,6 +9,7 @@ from heckelab import (ExtWeylElt, FinModule, HeckeAlgebra, Laurent,
                       LaurentMatrix, RelationsFail, aut_group,
                       build_root_datum, cartan_matrix,
                       dominant_monoid_generators)
+from heckelab import intlin
 from heckelab.extweyl import (affine_root_is_positive, affine_simple,
                               translation_word)
 from heckelab.hecke import HeckeElt
@@ -182,6 +183,34 @@ def test_trie_product_matches_letter_by_letter(d, data):
         sign = -1 if w.length() % 2 else 1
         expected = expected + H.star_t(w).scale(c * sign)
     assert H.sign_star(y) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_data(), st.sampled_from(["coroot", "effective"]),
+       st.data())
+def test_dominant_decomposition_rule(d, level, data):
+    """At either level, a point of the level's lattice splits into two
+    dominant lattice points with difference the point: its positive and
+    negative parts exactly when the positive part lies in the lattice,
+    else both shifted by the least s >= 0 that makes the positive part a
+    sum of the rays a_i e_i."""
+    H = HeckeAlgebra(d)
+    basis = d.coroot_basis if level == "coroot" else H.effective_basis
+    coords = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                                max_size=len(basis)))
+    lam = tuple(sum(c * row[j] for c, row in zip(coords, basis))
+                for j in range(d.rank))
+    plus, minus = H.dominant_decomposition(lam, level)
+    assert tuple(a - b for a, b in zip(plus, minus)) == lam
+    for part in (plus, minus):
+        assert d.is_dominant(part)
+        assert intlin.in_row_lattice(basis, part)
+    parts = (tuple(max(x, 0) for x in lam), tuple(max(-x, 0) for x in lam))
+    shift = tuple(a - b for a, b in zip(plus, parts[0]))
+    assert ((plus, minus) == parts) == intlin.in_row_lattice(basis, parts[0])
+    assert all(0 <= s < a for s, a in zip(shift, intlin.lattice_rays(basis)))
+    if level == "effective":
+        assert H.dominant_decomposition(lam) == (plus, minus)
 
 
 @settings(max_examples=100, deadline=None)
