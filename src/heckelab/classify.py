@@ -32,7 +32,10 @@ character that extends (one dimensional answer), discrete characters
 none of which extend (two dimensional induced answer), only the special
 character discrete on a simply laced diagram (twisted reflection module),
 and type $A$ with equal weights (excluded: no supersingular discrete
-answer exists there).
+answer exists there).  Type $A$ is decided by the affine diagram, not by
+its label, so D3, whose diagram is that of A3, is excluded with it.  The
+three answers share one path: the module is reduced mod $p$, tested for
+supersingularity and recorded in one certificate shape.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .laurent import LaurentMatrix
 from .modules import (Character, FinModule, character_extends,
                       enumerate_characters, induce_character,
                       reflection_module, stabilizer_and_twist, _as_algebra)
+from .rootdata import INFINITE_BOND
 
 CASE_ONE_DIM = "Character1Dim"
 CASE_TWO_DIM = "Induced2Dim"
@@ -60,11 +64,6 @@ CASE_UNHANDLED = "UnhandledCase"
 #: stays so that default reports are byte-stable; ``exhaustive`` runs
 #: every generator orbit.
 SAMPLED_ORBIT_NODE = {("E", 7): 7, ("E", 8): 8}
-
-
-def discreteness_level(char: Character) -> str:
-    """``"coroot"`` for plain characters, ``"effective"`` for extended."""
-    return "coroot" if char.omega_signs is None else "effective"
 
 
 def translation_exponent(algebra: HeckeAlgebra, char: Character,
@@ -85,26 +84,24 @@ def _signed_exponent(algebra: HeckeAlgebra, char: Character,
     return total
 
 
-def is_discrete_character(algebra, char: Character,
-                          level: str | None = None):
+def is_discrete_character(algebra, char: Character):
     """Strict negativity of the exponent on every dominant generator.
 
-    Returns ``(flag, table)`` where the table lists each generator with
-    its exponent; the flag is true exactly when all exponents are
-    negative.
+    The lattice is read off the character: the coroot lattice for a
+    character of the non-extended algebra, the effective lattice for one
+    with length-zero signs.  Returns ``(flag, table)`` where the table
+    lists each generator with its exponent; the flag is true exactly when
+    all exponents are negative.
     """
     alg = _as_algebra(algebra)
     assert char.mode == "generic"
-    level = level or discreteness_level(char)
-    rows = []
-    flag = True
-    for gen, counts in zip(alg.monoid_generators(level),
-                           alg.generator_letter_counts(level)):
-        k = _signed_exponent(alg, char, counts)
-        rows.append({"generator": list(gen), "exponent": k})
-        if k >= 0:
-            flag = False
-    return flag, {"level": level, "rows": rows}
+    level = "coroot" if char.omega_signs is None else "effective"
+    rows = [{"generator": list(gen),
+             "exponent": _signed_exponent(alg, char, counts)}
+            for gen, counts in zip(alg.monoid_generators(level),
+                                   alg.generator_letter_counts(level))]
+    return (all(row["exponent"] < 0 for row in rows),
+            {"level": level, "rows": rows})
 
 
 # ---- central action at v = 0 in characteristic p -------------------------
@@ -367,7 +364,6 @@ def is_supersingular(module: FinModule, exhaustive: bool = False):
         gens = (gen,)
         sampled = True
     entries = []
-    flag = True
     for gen in gens:
         orbit = datum.weyl_orbit(gen)
         mat = central_orbit_matrix_v0(src, orbit, p)
@@ -375,9 +371,8 @@ def is_supersingular(module: FinModule, exhaustive: bool = False):
         entries.append({"orbit": list(gen), "orbit_size": len(orbit),
                         "nilpotency_degree": deg,
                         "nilpotent": deg is not None})
-        if deg is None:
-            flag = False
-    return flag, {"sampled": sampled, "orbits": entries}
+    return (all(e["nilpotent"] for e in entries),
+            {"sampled": sampled, "orbits": entries})
 
 
 # ---- the classification search -------------------------------------------
@@ -394,22 +389,31 @@ class SearchOutcome:
     module: FinModule | None = None
     certificate: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return dict(self.certificate)
 
-
-def _supersingular_cert(flag: bool, detail: dict) -> dict:
-    degrees = [e["nilpotency_degree"] for e in detail["orbits"]]
-    cert = {
-        "orbit": [e["orbit"] for e in detail["orbits"]],
-        "nilpotency_degree": max((d for d in degrees if d is not None),
-                                 default=0),
+def _answer(case: str, module: FinModule, character: Character | None,
+            discrete: dict, p: int, exhaustive: bool) -> SearchOutcome:
+    """The outcome answering with the Laurent ``module`` and its reduction
+    mod ``p``; an answer built from a ``character`` records it and has
+    ``r`` equal to its dimension, the reflection answer has no ``r``."""
+    fp = module.reduce_mod_p(p)
+    flag, detail = is_supersingular(fp, exhaustive=exhaustive)
+    orbits = detail["orbits"]
+    ss = {
+        "orbit": [e["orbit"] for e in orbits],
+        "nilpotency_degree": max(e["nilpotency_degree"] or 0 for e in orbits),
         "nilpotent": flag,
-        "per_orbit": detail["orbits"],
+        "per_orbit": orbits,
     }
     if detail["sampled"]:
-        cert["sampled"] = True
-    return cert
+        ss["sampled"] = True
+    cert = {"case": case, "dimension": module.dim, "relations": "pass",
+            "supersingular_mod_p": ss, "discrete": discrete}
+    r = None
+    if character is not None:
+        cert["character"] = character.to_json()
+        r = module.dim
+    return SearchOutcome(case=case, dimension=module.dim, r=r,
+                         character=character, module=fp, certificate=cert)
 
 
 def key_result_search(datum, p: int = 5, exhaustive: bool = False) -> SearchOutcome:
@@ -425,84 +429,51 @@ def key_result_search(datum, p: int = 5, exhaustive: bool = False) -> SearchOutc
     if d.lattice_index != 1:
         raise ValueError("the search needs the full coweight lattice; "
                          f"got a sublattice of index {d.lattice_index}")
-    if d.kind == "A" and len(set(d.weights)) == 1:
+    # type A by its affine diagram, whatever the label (D3 is A3): rank one
+    # with an infinite bond, or a cycle, every node with two neighbours
+    m = d.coxeter_m
+    type_a = (m[0][1] == INFINITE_BOND if d.rank == 1
+              else all(sum(b not in (1, 2) for b in row) == 2 for row in m))
+    if type_a and len(set(d.weights)) == 1:
         return SearchOutcome(
             case=CASE_EXCLUDED_A,
             certificate={"case": CASE_EXCLUDED_A,
                          "note": "type A with equal weights admits no "
                                  "discrete supersingular answer"})
 
-    chars = enumerate_characters(alg, "generic")
     discrete = []
-    for ch in chars:
-        flag, table = is_discrete_character(alg, ch, level="coroot")
+    for ch in enumerate_characters(alg, "generic"):
+        flag, table = is_discrete_character(alg, ch)
         if flag and not ch.is_special():
             discrete.append((ch, table))
 
-    extendable = []
-    for ch, table in discrete:
-        flag, exts = character_extends(alg, ch)
-        if flag:
-            extendable.append((ch, table, exts))
-
-    if extendable:
-        ch, _, exts = extendable[0]
-        ext = exts[0]
-        module = ext.as_module(alg)
-        eff_flag, eff_table = is_discrete_character(alg, ext,
-                                                    level="effective")
-        fp = module.reduce_mod_p(p)
-        ss_flag, ss_detail = is_supersingular(fp, exhaustive=exhaustive)
-        cert = {
-            "case": CASE_ONE_DIM,
-            "dimension": 1,
-            "relations": "pass",
-            "supersingular_mod_p": _supersingular_cert(ss_flag, ss_detail),
-            "discrete": {"method": "exponent-table", "table": eff_table},
-            "character": ext.to_json(),
-        }
-        return SearchOutcome(case=CASE_ONE_DIM, dimension=1, r=1,
-                             character=ext, module=fp, certificate=cert)
+    for ch, _ in discrete:
+        extends, exts = character_extends(alg, ch)
+        if extends:
+            ext = exts[0]
+            _, ext_table = is_discrete_character(alg, ext)
+            return _answer(CASE_ONE_DIM, ext.as_module(alg), ext,
+                           {"method": "exponent-table", "table": ext_table},
+                           p, exhaustive)
 
     if discrete:
         ch, table = discrete[0]
-        module = induce_character(alg, ch)
         _, twisted = stabilizer_and_twist(alg, ch)
-        _, bar_table = is_discrete_character(alg, twisted, level="coroot")
-        fp = module.reduce_mod_p(p)
-        ss_flag, ss_detail = is_supersingular(fp, exhaustive=exhaustive)
-        cert = {
-            "case": CASE_TWO_DIM,
-            "dimension": 2,
-            "relations": "pass",
-            "supersingular_mod_p": _supersingular_cert(ss_flag, ss_detail),
-            "discrete": {"method": "exponent-table",
-                         "table": {"component": table,
-                                   "twisted_component": bar_table}},
-            "character": ch.to_json(),
-        }
-        return SearchOutcome(case=CASE_TWO_DIM, dimension=2, r=2,
-                             character=ch, module=fp, certificate=cert)
+        _, bar_table = is_discrete_character(alg, twisted)
+        return _answer(CASE_TWO_DIM, induce_character(alg, ch), ch,
+                       {"method": "exponent-table",
+                        "table": {"component": table,
+                                  "twisted_component": bar_table}},
+                       p, exhaustive)
 
     if d.kind in ("D", "E"):
-        module = reflection_module(alg).star_twist()
-        fp = module.reduce_mod_p(p)
-        ss_flag, ss_detail = is_supersingular(fp, exhaustive=exhaustive)
-        cert = {
-            "case": CASE_REFLECTION,
-            "dimension": module.dim,
-            "relations": "pass",
-            "supersingular_mod_p": _supersingular_cert(ss_flag, ss_detail),
-            "discrete": {"method": "cited-lusztig",
-                         "table": {},
-                         "note": "cited, not recomputed"},
-        }
-        return SearchOutcome(case=CASE_REFLECTION, dimension=module.dim,
-                             module=fp, certificate=cert)
+        return _answer(CASE_REFLECTION, reflection_module(alg).star_twist(),
+                       None, {"method": "cited-lusztig", "table": {},
+                              "note": "cited, not recomputed"},
+                       p, exhaustive)
 
     return SearchOutcome(
         case=CASE_UNHANDLED,
         certificate={"case": CASE_UNHANDLED,
                      "note": "no construction in the case analysis applies "
                              f"to {d!r}"})
-

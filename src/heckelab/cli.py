@@ -210,7 +210,7 @@ def run_characters(case: dict) -> dict:
     if case["mode"] == "generic":
         for ch in enumerate_characters(alg, "generic"):
             extends, exts = character_extends(alg, ch)
-            discrete, table = is_discrete_character(alg, ch, level="coroot")
+            discrete, table = is_discrete_character(alg, ch)
             rows.append({
                 "label": ch.label(),
                 "values": list(ch.values),

@@ -60,7 +60,6 @@ class HeckeAlgebra:
         self.omega_full = aut_group(datum)
         self.omega = self.omega_full.decorated()
         self.effective_basis = self.omega.lattice_basis()
-        self._omega_elts = set(self.omega.elements)
         self._monoid_generators: dict[str, tuple[Vec, ...]] = {}
         self._letter_counts: dict[str, tuple[Vec, ...]] = {}
         self._rays: dict[str, tuple[int, ...]] = {}
@@ -86,8 +85,8 @@ class HeckeAlgebra:
         if w.datum is not self.datum:
             raise DatumMismatch(
                 "group element belongs to a different root datum")
-        omega, _ = w.reduced_word()
-        if not omega.is_identity() and omega not in self._omega_elts:
+        # the effective lattice is the preimage of the decorated group
+        if not self.in_effective_lattice(w.tr):
             raise NotInLattice(
                 "length-zero part of the index is not compatible with the "
                 "node weights, so this basis element does not exist")

@@ -45,6 +45,9 @@ Vec = tuple[int, ...]
 # in about a second and 92 MB on a 2 vCPU box).
 MAX_WEIGHT = 10_000
 
+# Candidate points refused by dominant_monoid_generators above this bound.
+MAX_BOX = 2_000_000
+
 # Coxeter bond m(s,t) stored as an int; this sentinel means an infinite bond
 # (it occurs only in the affine diagram of rank one).
 INFINITE_BOND = -1
@@ -156,8 +159,10 @@ class RootDatum:
         assert len(self.pos_roots) == _POS_ROOT_COUNT[kind](rank)
         self.theta, self.theta_coroot = self._highest_root()
         self.coroot_basis = intlin.echelon_basis(cartan, rank)
-        self.coxeter_m = self._affine_coxeter()
-        self.affine_cartan = self._affine_cartan()
+        self.affine_cartan = a = self._affine_cartan()
+        self.coxeter_m = tuple(
+            tuple(1 if i == j else _bond_from_product(a[i][j] * a[j][i])
+                  for j in range(rank + 1)) for i in range(rank + 1))
         self.classes = self._conjugacy_classes()
         self.class_of_node = {
             s: k for k, cls in enumerate(self.classes) for s in cls
@@ -349,24 +354,6 @@ class RootDatum:
                 out[i][j] = 2 if i == j else self.pairing(grad, cov)
         return tuple(tuple(r) for r in out)
 
-    def _affine_coxeter(self) -> tuple[Vec, ...]:
-        n = self.rank + 1
-        m = [[0] * n for _ in range(n)]
-        for i in range(n):
-            cov_i = (tuple(-x for x in self.theta_coroot) if i == 0
-                     else self.simple_coroot(i))
-            grad_i = self._affine_gradient(i)
-            for j in range(n):
-                if i == j:
-                    m[i][j] = 1
-                    continue
-                cov_j = (tuple(-x for x in self.theta_coroot) if j == 0
-                         else self.simple_coroot(j))
-                grad_j = self._affine_gradient(j)
-                prod = self.pairing(grad_j, cov_i) * self.pairing(grad_i, cov_j)
-                m[i][j] = _bond_from_product(prod)
-        return tuple(tuple(r) for r in m)
-
     def _conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Conjugacy classes of affine simple reflections.
 
@@ -518,8 +505,8 @@ def build_root_datum(kind: str, rank: int, weights=1,
     return RootDatum(kind, rank, base.cartan, w, name, basis)
 
 
-def dominant_monoid_generators(datum: RootDatum, lattice="lattice",
-                               max_box: int = 2_000_000) -> tuple[Vec, ...]:
+def dominant_monoid_generators(datum: RootDatum,
+                               lattice="lattice") -> tuple[Vec, ...]:
     """Hilbert basis of the monoid of dominant lattice points, sorted.
 
     ``lattice`` selects which lattice to use: ``"lattice"`` for the datum's
@@ -537,8 +524,8 @@ def dominant_monoid_generators(datum: RootDatum, lattice="lattice",
     when it dominates no other nonzero lattice point, which a reduction in
     degree order decides against the generators found so far (Bruns and
     Ichim, *Normaliz: algorithms for affine monoids and rational cones*,
-    J. Algebra 324 (2010)).  ``max_box`` bounds the number of candidates,
-    the nonzero parallelepiped points plus the rays; more raise
+    J. Algebra 324 (2010)).  More than :data:`MAX_BOX` candidates, the
+    nonzero parallelepiped points plus the rays, raise
     :class:`HilbertBasisOverflow` before any is built.
 
     >>> d = build_root_datum("C", 2)
@@ -560,9 +547,9 @@ def dominant_monoid_generators(datum: RootDatum, lattice="lattice",
     rays = intlin.lattice_rays(basis)
     steps = [a // row[i] for i, (a, row) in enumerate(zip(rays, basis))]
     count = math.prod(steps) - 1 + rank
-    if count > max_box:
+    if count > MAX_BOX:
         raise HilbertBasisOverflow(
-            f"{count} candidate points exceed max_box={max_box}")
+            f"{count} candidate points exceed MAX_BOX={MAX_BOX}")
 
     # sum_j c_j b_j mod a with 0 <= c_j < a_j / pivot_j runs once through
     # the lattice points of the half-open parallelepiped

@@ -198,9 +198,8 @@ def test_criterion_6_special_and_trivial_characters():
         chars = enumerate_characters(H, "generic")
         special = next(c for c in chars if c.is_special())
         trivial = next(c for c in chars if c.is_trivial())
-        assert is_discrete_character(H, special, level="coroot")[0], d.label()
-        assert not is_discrete_character(H, trivial, level="coroot")[0], (
-            d.label())
+        assert is_discrete_character(H, special)[0], d.label()
+        assert not is_discrete_character(H, trivial)[0], d.label()
         mod = special.as_module(H).reduce_mod_p(5)
         flag, _ = is_supersingular(mod)
         assert flag is False, d.label()

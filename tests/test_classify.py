@@ -59,6 +59,7 @@ VERDICTS = [
     ("C", 3, [2, 1, 1], "Character1Dim"),
     ("C", 3, [1, 2, 2], "Induced2Dim"),
     ("C", 3, [2, 3, 3], "Induced2Dim"),
+    ("D", 3, 1, "ExcludedTypeA"),
     ("D", 4, 1, "ReflectionTwist"),
     ("F", 4, 1, "Character1Dim"),
     ("G", 2, 1, "Character1Dim"),
@@ -109,7 +110,7 @@ def test_discreteness_flags_c2():
     H = HeckeAlgebra(d)
     discrete = set()
     for ch in enumerate_characters(H, "generic"):
-        flag, cert = is_discrete_character(H, ch, level="coroot")
+        flag, cert = is_discrete_character(H, ch)
         if flag:
             discrete.add(ch.label())
             assert all(row["exponent"] < 0 for row in cert["rows"])
@@ -118,7 +119,7 @@ def test_discreteness_flags_c2():
 
 def test_discreteness_flags_b3_unhandled_decoration():
     H = HeckeAlgebra(build_root_datum("B", 3, weights=[1, 2]))
-    flags = {ch.label(): is_discrete_character(H, ch, level="coroot")[0]
+    flags = {ch.label(): is_discrete_character(H, ch)[0]
              for ch in enumerate_characters(H, "generic")}
     assert flags == {"(q, q^2)": False, "(q, -1)": False,
                      "(-1, q^2)": False, "(-1, -1)": True}
@@ -131,8 +132,8 @@ def test_trivial_never_discrete_special_always():
         chars = enumerate_characters(H, "generic")
         trivial = next(c for c in chars if c.is_trivial())
         special = next(c for c in chars if c.is_special())
-        assert not is_discrete_character(H, trivial, level="coroot")[0]
-        assert is_discrete_character(H, special, level="coroot")[0]
+        assert not is_discrete_character(H, trivial)[0]
+        assert is_discrete_character(H, special)[0]
 
 
 def test_verdict_table():

@@ -1,10 +1,8 @@
 """Golden CLI reports: ``build``, ``characters`` (generic and mod p) and
 ``classify`` on the acceptance table must reproduce the committed bytes.
 
-``classify`` skips E8, whose report takes minutes; acceptance criterion 5
-covers that datum.  Regenerate the files with
-``PYTHONPATH=src python tests/test_golden.py`` only when a report is meant
-to change.
+Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``
+only when a report is meant to change.
 """
 
 import contextlib
@@ -29,8 +27,7 @@ def _runs():
         for mode in ("generic", "modp"):
             yield (f"characters-{mode}_{label}.json", "characters",
                    dict(case, mode=mode))
-        if (kind, rank) != ("E", 8):
-            yield f"classify_{label}.json", "classify", case
+        yield f"classify_{label}.json", "classify", case
 
 
 def _report(command: str, case: dict, workdir: str) -> str:

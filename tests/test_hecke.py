@@ -255,6 +255,20 @@ def test_lattice_guards():
     with pytest.raises(NotInLattice):
         # not in the effective lattice of these node weights
         Hw.bernstein((0, 1))
+    # T_w exists exactly when the length-zero part of w preserves the weights
+    for kind, rank, w in [("A", 1, [1, 2]), ("C", 2, [1, 2, 3]),
+                          ("C", 3, [1, 2, 3]), ("C", 4, [1, 1, 2]),
+                          ("D", 4, 1), ("D", 5, 1), ("A", 5, 1)]:
+        H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
+        kept = set(H.omega.elements)
+        for om in H.omega_full.elements:
+            for x in elements_up_to_length(H.datum, 3):
+                g = om * x
+                if g.reduced_word()[0] in kept:
+                    H.t(g)
+                else:
+                    with pytest.raises(NotInLattice):
+                        H.t(g)
 
 
 def test_cross_algebra_guards():

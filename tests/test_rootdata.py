@@ -16,6 +16,7 @@ from heckelab import (
     build_root_datum,
     cartan_matrix,
     dominant_monoid_generators,
+    rootdata,
 )
 from geom_oracle import box_monoid_generators, check_monoid_generators
 from test_acceptance import TABLE
@@ -232,9 +233,10 @@ def test_strict_datum_arguments():
     assert d.class_weights == (2, 1, 1)
 
 
-def test_hilbert_box_overflow():
+def test_hilbert_box_overflow(monkeypatch):
+    monkeypatch.setattr(rootdata, "MAX_BOX", 1)
     with pytest.raises(HilbertBasisOverflow):
-        dominant_monoid_generators(build_root_datum("C", 2), max_box=1)
+        dominant_monoid_generators(build_root_datum("C", 2))
 
 
 def test_json_round_trip_shape():
