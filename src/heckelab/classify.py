@@ -17,15 +17,16 @@ generators since orbit sums multiply up to lower-order terms.  The matrix
 of a central element at $v = 0$ is extracted without expanding the
 element: each orbit summand is a product of generator matrices with a
 known leading normalization, and only the coefficient of the normalizing
-power of $v$ is needed.  On a monomial module (diagonal $T_s$ and
-$T^*_s$, length-zero elements acting by signed permutations, every entry
-a single term $c v^e$) that coefficient is read off the per-class counts
-of the hyperplanes the two translations cross, with no word; every other
-module multiplies two exact polynomial matrices mod $p$, memoized
-products of the matrices of the monoid generators, which alone replay
-their translation words.  Both routes, and the nilpotency test, are
-exact for every prime $p < 2^{63}$, the bound of a mod-$p$ module's int64
-tensors.
+power of $v$ is needed.  An orbit is taken as one stack of points, split
+and counted at once.  On a monomial module (diagonal $T_s$ and $T^*_s$,
+length-zero elements acting by signed permutations, every entry a unit
+$\\pm v^e$) the coefficients of the whole orbit are integer arrays read
+off the per-class counts of the hyperplanes the two translations cross,
+with no word; every other module multiplies, per point, two exact
+polynomial matrices mod $p$, memoized products of the matrices of the
+monoid generators, which alone replay their translation words.  Both
+routes, and the nilpotency test, are exact for every prime $p < 2^{63}$,
+the bound of a mod-$p$ module's int64 tensors.
 
 The search routine walks the case analysis: a discrete non-special
 character that extends (one dimensional answer), discrete characters
@@ -44,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import intlin
 from .extweyl import translation_letter_counts, translation_word
 from .hecke import HeckeAlgebra
 from .laurent import LaurentMatrix
@@ -147,20 +149,27 @@ def _monomial_entries(mats: LaurentMatrix):
 
 
 class _OrbitActor:
-    """The normalized summands of one central orbit sum at $v = 0$ mod
-    ``p`` on a Laurent module.
+    """The normalized summands of central orbit sums at $v = 0$ mod ``p``
+    on a Laurent module, one orbit at a time as one stack.
+
+    An orbit is one (N, rank) int64 stack of points.  One stacked split
+    (:meth:`HeckeAlgebra.dominant_decomposition`) gives every point its
+    dominant parts ``plus`` and ``minus``, one stacked hyperplane count
+    (:meth:`RootDatum.translation_class_counts`) the class letter counts
+    of $t_{plus}$ and $t_{-minus}$ and the exponent $\\delta$ of the
+    normalizing power of $v$, and the summands come out as one
+    (N, n, n) stack.
 
     A module whose matrices of $T_s$ and $T^*_s$ are diagonal and whose
-    length-zero matrices are monomial, every nonzero entry a single term
-    $c v^e$ (characters, their extensions, induced modules), takes the
-    *monomial route*: a summand is then a monomial matrix whose entries
-    follow from the per-class hyperplane counts of its two translations
-    (:meth:`RootDatum.translation_class_counts`), with no word, in exact
-    integer arithmetic.  Any other module takes the *dense route*: the
-    summand at ``lam`` is the product of the halves
-    $A(\\mu) = \\rho(T^*_{t_\\mu})$ at its dominant part and
-    $B(\\nu) = \\rho(T_{t_{-\\nu}})$ at its antidominant part, exact
-    untruncated Laurent matrices mod ``p``.
+    length-zero matrices are monomial, every nonzero entry a unit
+    $\\pm v^e$ (characters, their extensions, induced modules), takes the
+    *monomial route*: the summands are monomial matrices whose exponents
+    and signs are integer arrays over the stack, read off the class
+    counts and the length-zero indices of the two translations, with no
+    word.  Any other module takes the *dense route*: the summand at a
+    point is the product of the halves $A(\\mu) = \\rho(T^*_{t_\\mu})$ at
+    its dominant part and $B(\\nu) = \\rho(T_{t_{-\\nu}})$ at its
+    antidominant part, exact untruncated Laurent matrices mod ``p``.
     Dominant translations are length-additive, so
     $A(\\mu) = A(\\mu - g) A(g)$ for a monoid generator $g \\le \\mu$,
     and likewise for $B$ (Lusztig, *Affine Hecke algebras and their graded
@@ -180,11 +189,15 @@ class _OrbitActor:
         self.monomial = self._monomial_form()
 
     def _monomial_form(self):
-        """``(T_s, T*_s, length-zero)`` monomial entries, the first two
-        diagonal and kept per node class, or ``None`` when the module is
-        not of that shape.  The braid relations make diagonal entries
-        equal along odd bonds; a module where they differ within a class
-        takes the dense route."""
+        """``(T_s, T*_s, length-zero)`` monomial entries as int64 arrays of
+        (columns, sign bits, exponents), one row per node class for the
+        first two (diagonal) and per length-zero element for the last, or
+        ``None`` when the module is not of that shape.  The braid
+        relations make diagonal entries equal along odd bonds, and the
+        quadratic relations and the finite order of length-zero elements
+        make every monomial entry a unit $\\pm v^e$; a module where
+        entries differ within a class or are not units takes the dense
+        route."""
         mod, diag = self.module, list(range(self.n))
         if mod.omega_mats is None:
             omega = [(diag, [1] * self.n, [0] * self.n)]
@@ -197,77 +210,76 @@ class _OrbitActor:
                 e[s] != e[cls[0]] or e[s][0] != diag
                 for e in (t, star) for cls in classes for s in cls):
             return None
-        return ([t[cls[0]] for cls in classes],
-                [star[cls[0]] for cls in classes], omega)
+        t, star = ([e[cls[0]] for cls in classes] for e in (t, star))
+        if any(abs(c) != 1 for e in (t, star, omega) for _, coefs, _ in e
+               for c in coefs):
+            return None
+        return tuple((np.array([e[0] for e in entries], dtype=np.int64),
+                      np.array([[c < 0 for c in e[1]] for e in entries],
+                               dtype=np.int64),
+                      np.array([e[2] for e in entries], dtype=np.int64))
+                     for entries in (t, star, omega))
 
-    def _omega_index(self, lam) -> int:
-        """Index of the length-zero part of the translation by ``lam``."""
-        om = self.module.alg.omega
-        idx = om.index_of(om.element_for_translation(lam))
-        assert idx == 0 or self.module.omega_mats is not None
-        return idx
-
-    def _split(self, lam):
-        """The dominant parts ``plus`` and ``minus`` of the factors
-        $T_{t_{plus}}$ and $T_{t_{-minus}}$ of the summand at ``lam``, the
-        hyperplane class counts of $t_{plus}$ and $t_{-minus}$, and the
-        exponent $\\delta$ of its normalizing power of $v$."""
+    def _split(self, pts: np.ndarray):
+        """For an (N, rank) stack of orbit points: the dominant parts
+        ``plus`` and ``minus`` of the factors $T_{t_{plus}}$ and
+        $T_{t_{-minus}}$ of each summand, the hyperplane class counts of
+        $t_{plus}$ and $t_{-minus}$, and the exponents $\\delta$ of the
+        normalizing powers of $v$."""
         alg = self.module.alg
         datum = alg.datum
-        if self.level == "coroot" and not datum.in_coroot_lattice(lam):
+        if self.level == "coroot" and not intlin.rows_in_lattice(
+                datum.coroot_basis, pts).all():
             raise ValueError(
                 "orbit point outside the coroot lattice acts through "
                 "length-zero elements this module does not carry")
-        plus, minus = alg.dominant_decomposition(lam, self.level)
-        counts = datum.translation_class_counts((plus, [-x for x in minus],
-                                                 lam))
-        delta = int((counts[0] + counts[1] - counts[2])
-                    @ datum.class_weights)
-        assert delta >= 0
-        return plus, minus, counts[0].tolist(), counts[1].tolist(), delta
+        plus, minus = alg.dominant_decomposition(pts, self.level)
+        c_plus, c_neg, c_lam = datum.translation_class_counts(
+            np.stack((plus, -minus, pts)))
+        delta = (c_plus + c_neg - c_lam) @ np.array(datum.class_weights)
+        assert (delta >= 0).all()
+        return plus, minus, c_plus, c_neg, delta
 
-    def coefficient_of_term(self, lam) -> np.ndarray:
-        """Matrix coefficient of the normalized orbit summand at ``lam``:
-        the coefficient of $v^{\\delta}$ in the product
+    def orbit_terms(self, orbit) -> np.ndarray:
+        """The (N, n, n) stack of matrix coefficients of the normalized
+        summands at the N points of ``orbit``: at each point ``lam``, the
+        coefficient of $v^{\\delta}$ in the product
         $T_{\\omega_1} \\prod T^*_{s} \\cdot T_{\\omega_2} \\prod T_{t}$
         following the dominant/antidominant split of ``lam``."""
-        if self.monomial is None:
-            return self._dense_term(lam)
-        return self._monomial_term(lam)
+        pts = np.array(orbit, dtype=np.int64).reshape(
+            -1, self.module.alg.datum.rank)
+        plus, minus, c_plus, c_neg, delta = self._split(pts)
+        if self.monomial is not None:
+            return self._monomial_terms(plus, minus, c_plus, c_neg, delta)
+        terms = [self._dense_term(a, b, e) for a, b, e in
+                 zip(map(tuple, plus.tolist()), map(tuple, minus.tolist()),
+                     delta.tolist())]
+        return np.array(terms, dtype=np.int64).reshape(-1, self.n, self.n)
 
-    def _diagonal(self, entries, counts):
-        """Coefficients mod ``p`` and exponents of the diagonal product of
-        the per-class monomial ``entries`` along a reduced word with the
-        class letter ``counts``."""
-        p = self.p
-        counts = [(k, n) for k, n in enumerate(counts) if n]
-        out = []
-        for i in range(self.n):
-            c, e = 1, 0
-            for k, n in counts:
-                c = c * pow(entries[k][1][i], n, p) % p
-                e += n * entries[k][2][i]
-            out.append((c, e))
-        return out
-
-    def _monomial_term(self, lam) -> np.ndarray:
-        """:meth:`coefficient_of_term` on the monomial route: the product
-        $T_{\\omega_1} D_1 T_{\\omega_2} D_2$ sends row ``i`` to one
-        column; its entry is kept when its exponent is $\\delta$."""
-        plus, minus, c_plus, c_neg, delta = self._split(lam)
-        t, star, omega = self.monomial
-        cols1, a1, f1 = omega[self._omega_index(plus)]
-        cols2, a2, f2 = omega[self._omega_index(tuple(-x for x in minus))]
-        d1 = self._diagonal(star, c_plus)
-        d2 = self._diagonal(t, c_neg)
-        p = self.p
-        out = np.zeros((self.n, self.n), dtype=np.int64)
-        for i in range(self.n):
-            j = cols1[i]
-            k = cols2[j]
-            e = f1[i] + d1[j][1] + f2[j] + d2[k][1]
-            if e == delta:
-                out[i, k] = a1[i] * d1[j][0] * a2[j] * d2[k][0] % p
+    def _monomial_terms(self, plus, minus, c_plus, c_neg,
+                        delta) -> np.ndarray:
+        """:meth:`orbit_terms` on the monomial route.  At each point the
+        product $T_{\\omega_1} D_1 T_{\\omega_2} D_2$ sends row ``i`` to
+        column ``j`` of $T_{\\omega_1}$, then to column ``k`` of
+        $T_{\\omega_2}$; the diagonals $D_1$ of $T^*$ and $D_2$ of $T$ have
+        exponents and sign counts linear in the class counts.  The entry
+        is kept when its exponent is $\\delta$, with value $1$ or $p - 1$
+        by the parity of its signs."""
+        (_, t_neg, t_exp), (_, s_neg, s_exp), (o_cols, o_neg, o_exp) = (
+            self.monomial)
+        omega = self.module.alg.omega
+        g1 = omega.translation_indices(plus)
+        g2 = omega.translation_indices(-minus)
+        rows = np.arange(len(delta))[:, None]
+        j = o_cols[g1]
+        k = o_cols[g2][rows, j]
+        exp = (o_exp[g1] + (c_plus @ s_exp)[rows, j]
+               + o_exp[g2][rows, j] + (c_neg @ t_exp)[rows, k])
+        neg = (o_neg[g1] + (c_plus @ s_neg)[rows, j]
+               + o_neg[g2][rows, j] + (c_neg @ t_neg)[rows, k])
+        r, i = np.nonzero(exp == delta[:, None])
+        out = np.zeros((len(delta), self.n, self.n), dtype=np.int64)
+        out[r, i, k[r, i]] = np.where(neg[r, i] % 2, self.p - 1, 1)
         return out
 
     def _half(self, twisted: bool, mu) -> LaurentMatrix:
@@ -284,7 +296,8 @@ class _OrbitActor:
             lam = mu if twisted else tuple(-x for x in mu)
             mats = self.star if twisted else mod.smats
             half = (LaurentMatrix.identity(self.n) if mod.omega_mats is None
-                    else _mod_p(mod.omega_mats[self._omega_index(lam)], p))
+                    else _mod_p(mod.omega_mats[
+                        mod.alg.omega.translation_indices([lam])[0]], p))
             for s in translation_word(mod.alg.datum, lam):
                 half = _mod_p(half @ mats[s], p)
         else:
@@ -295,24 +308,26 @@ class _OrbitActor:
         self._halves[twisted][mu] = half
         return half
 
-    def _dense_term(self, lam) -> np.ndarray:
-        """:meth:`coefficient_of_term` on the dense route: the coefficient
-        of $v^\\delta$ in $A(plus) B(minus)$."""
-        plus, minus, _, _, delta = self._split(lam)
+    def _dense_term(self, plus, minus, delta: int) -> np.ndarray:
+        """One summand on the dense route: the coefficient of
+        $v^\\delta$ in $A(plus) B(minus)$, for tuples ``plus`` and
+        ``minus``."""
         return _coefficient(self._half(True, plus), self._half(False, minus),
                             delta, self.p)
 
 
 def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     """Matrix of the central orbit sum at $v = 0$ over $F_p$, acting on
-    the reduction of a Laurent module with a length-zero action."""
-    actor = _OrbitActor(module, p)
-    n = module.dim
-    acc = np.zeros((n, n), dtype=np.int64)
-    for lam in orbit:  # each step stays in (-p, p), within int64
-        acc += actor.coefficient_of_term(lam) - p
-        acc[acc < 0] += p
-    return acc
+    the reduction of a Laurent module with a length-zero action: the sum
+    of the orbit's stack of summands (:meth:`_OrbitActor.orbit_terms`).
+
+    Each summand lies in $[0, p)$ with $p < 2^{63}$; its high and low 32
+    bits are summed separately, so neither sum wraps int64 below $2^{31}$
+    points, and the two meet mod ``p`` on Python ints."""
+    terms = _OrbitActor(module, p).orbit_terms(orbit)
+    high, low = np.divmod(terms, 1 << 32)
+    total = (high.sum(axis=0).astype(object) << 32) + low.sum(axis=0)
+    return (total % p).astype(np.int64)
 
 
 def _nilpotency_degree(mat: np.ndarray, p: int) -> int | None:

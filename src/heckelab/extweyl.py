@@ -358,7 +358,6 @@ class OmegaGroup:
         items = []
         for rep in datum.lattice_cosets():
             omega, _ = ExtWeylElt.translation(datum, rep).reduced_word()
-            assert omega.length() == 0
             perm = _node_permutation(datum, omega)
             items.append((perm, omega, rep))
         items.sort(key=lambda t: t[0])
@@ -376,6 +375,14 @@ class OmegaGroup:
             raise KeyError(f"coset of {tuple(lam)} has no length-zero "
                            f"element in this group")
         return self.elements[self._by_coset[key]]
+
+    def translation_indices(self, pts) -> list[int]:
+        """Indices in :attr:`elements` of the length-zero parts of the
+        translations by an (N, rank) stack of points, read off their
+        coroot-coset representatives (one stacked
+        :func:`intlin.reduce_rows_mod_lattice`)."""
+        reps = intlin.reduce_rows_mod_lattice(self.datum.coroot_basis, pts)
+        return [self._by_coset[rep] for rep in map(tuple, reps.tolist())]
 
     def __len__(self) -> int:
         return len(self.elements)

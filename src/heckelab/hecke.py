@@ -45,6 +45,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import intlin
 from .errors import DatumMismatch, NotAFullOrbit, NotInLattice
 from .extweyl import ExtWeylElt, aut_group, translation_letter_counts
@@ -154,8 +156,7 @@ class HeckeAlgebra:
             self._letter_counts[level] = counts
         return counts
 
-    def dominant_decomposition(self, lam: Sequence[int],
-                               level: str = "effective") -> tuple[Vec, Vec]:
+    def dominant_decomposition(self, lam, level: str = "effective"):
         """A pair of dominant points of the lattice at ``level`` (see
         :meth:`monoid_generators`) with difference ``lam``, a point of
         that lattice.
@@ -166,19 +167,28 @@ class HeckeAlgebra:
         of the lattice (:func:`intlin.lattice_rays`), so that the positive
         part becomes a sum of rays.  The Bernstein element does not depend
         on the split (Lusztig 1989).
+
+        ``lam`` may be an (N, rank) stack of points, split at once with
+        one stacked lattice test (:func:`intlin.rows_in_lattice`); the
+        parts are then two (N, rank) int64 stacks.  A single point is a
+        stack of one and gives a pair of tuples.
         """
-        lam = tuple(int(x) for x in lam)
-        plus = tuple(max(x, 0) for x in lam)
-        minus = tuple(max(-x, 0) for x in lam)
+        pts = np.array(lam, dtype=np.int64)
+        single = pts.ndim == 1
+        pts = pts.reshape(-1, self.datum.rank)
+        plus, minus = np.maximum(pts, 0), np.maximum(-pts, 0)
         basis = self._level_basis(level)
-        if intlin.in_row_lattice(basis, plus):
-            return plus, minus
-        rays = self._rays.get(level)
-        if rays is None:
-            rays = self._rays[level] = intlin.lattice_rays(basis)
-        shift = tuple(-x % a for x, a in zip(plus, rays))
-        return (tuple(a + b for a, b in zip(plus, shift)),
-                tuple(a + b for a, b in zip(minus, shift)))
+        off = ~intlin.rows_in_lattice(basis, plus)
+        if off.any():
+            rays = self._rays.get(level)
+            if rays is None:
+                rays = self._rays[level] = intlin.lattice_rays(basis)
+            shift = -plus[off] % np.array(rays, dtype=np.int64)
+            plus[off] += shift
+            minus[off] += shift
+        if single:
+            return tuple(plus[0].tolist()), tuple(minus[0].tolist())
+        return plus, minus
 
     def bernstein(self, lam: Sequence[int]) -> "HeckeElt":
         """The Bernstein basis element E_lambda.
@@ -216,21 +226,25 @@ class HeckeAlgebra:
         factor $T^*_{t_+}$, so the sum takes one product per $\\lambda_+$
         with the right factor $\\sum v^{-\\delta} T_{t_{-}}$ over its points.
         """
-        wl = self.datum.translation_weighted_length
-        groups: dict[Vec, dict[ExtWeylElt, Laurent]] = {}
+        datum = self.datum
+        pts = [tuple(int(x) for x in mu) for mu in pts]
         for mu in pts:
-            mu = tuple(int(x) for x in mu)
-            if not self.datum.in_lattice(mu):
+            if not datum.in_lattice(mu):
                 raise NotInLattice(f"{mu} is not in the "
-                                   f"{self.datum.lattice_name} lattice")
+                                   f"{datum.lattice_name} lattice")
             if not self.in_effective_lattice(mu):
                 raise NotInLattice(f"translation by {mu} is not compatible "
                                    f"with the node weights")
-            plus, minus = self.dominant_decomposition(mu)
-            delta = wl(plus) + wl(minus) - wl(mu)
-            assert delta >= 0
-            t_minus = ExtWeylElt.translation(self.datum,
-                                             tuple(-x for x in minus))
+        stack = np.array(pts, dtype=np.int64).reshape(-1, datum.rank)
+        plus_s, minus_s = self.dominant_decomposition(stack)
+        c_plus, c_minus, c_mu = datum.translation_class_counts(
+            np.stack((plus_s, minus_s, stack)))
+        deltas = (c_plus + c_minus - c_mu) @ np.array(datum.class_weights)
+        assert (deltas >= 0).all()
+        groups: dict[Vec, dict[ExtWeylElt, Laurent]] = {}
+        for plus, minus, delta in zip(map(tuple, plus_s.tolist()),
+                                      minus_s.tolist(), deltas.tolist()):
+            t_minus = ExtWeylElt.translation(datum, tuple(-x for x in minus))
             self._check_supported(t_minus)
             groups.setdefault(plus, {})[t_minus] = Laurent.v(-delta)
         out: dict[ExtWeylElt, Laurent] = {}

@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers and rationals at tiny sizes.
 
-Everything here operates on lists of ints or Fractions and never touches
-floating point.  Matrices are lists of rows.  Sizes are bounded by the
-rank of the root system (at most 8), so cubic algorithms are plenty.
+Everything here operates on lists of ints or Fractions, or on int64
+stacks of points, and never touches floating point.  Matrices are lists
+of rows.  Sizes are bounded by the rank of the root system (at most 8),
+so cubic algorithms are plenty.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 IntMatrix = Sequence[Sequence[int]]
 
@@ -176,3 +179,35 @@ def reduce_mod_lattice(
         for j in range(len(rem)):
             rem[j] -= f * row[j]
     return tuple(rem)
+
+
+def reduce_rows_mod_lattice(echelon: Sequence[Sequence[int]],
+                            rows) -> np.ndarray:
+    """:func:`reduce_mod_lattice` on every row of an (N, width) integer
+    stack at once: the same reduction, one basis row at a time over all
+    rows, in int64.
+
+    A row reduces to zero exactly when it lies in the lattice, for any
+    echelon basis (:func:`in_row_lattice`); with a square basis the rows
+    are the canonical coset representatives.  Each basis row multiplies
+    the bound $M + 1$ on the entries by at most $1 + B$, for $B$ the
+    largest basis entry, so a stack that could leave int64 is refused
+    with ``OverflowError``.
+    """
+    rem = np.array(rows, dtype=np.int64)
+    top = max(int(rem.max(initial=0)), -int(rem.min(initial=0)))
+    grow = 1 + max((abs(x) for row in echelon for x in row), default=0)
+    if (top + 1) * grow ** len(echelon) >= 2**63:
+        raise OverflowError("stack entries too large for an int64 "
+                            "lattice reduction")
+    for row in echelon:
+        col = next(j for j, x in enumerate(row) if x)
+        rem -= (rem[:, col] // row[col])[:, None] * np.asarray(
+            row, dtype=np.int64)
+    return rem
+
+
+def rows_in_lattice(echelon: Sequence[Sequence[int]], rows) -> np.ndarray:
+    """:func:`in_row_lattice` on every row of an (N, width) integer stack:
+    a boolean array of length N."""
+    return ~reduce_rows_mod_lattice(echelon, rows).any(axis=1)

@@ -112,17 +112,14 @@ def box_monoid_generators(datum, lattice="lattice", max_box=2_000_000):
     rank = datum.rank
     if lattice == "coroot":
         basis = datum.coroot_basis
-        member = datum.in_coroot_lattice
     elif lattice == "lattice":
         basis = datum.lattice_basis
-        member = datum.in_lattice
     elif isinstance(lattice, str):
         raise ValueError(f"unknown lattice selector {lattice!r}")
     else:
         basis = intlin.echelon_basis([tuple(r) for r in lattice], rank)
         if len(basis) != rank:
             raise ValueError("explicit lattice basis must have full rank")
-        member = lambda c: intlin.in_row_lattice(basis, c)
     f = abs(intlin.det(basis))
     if (f + 1) ** rank > max_box:
         raise HilbertBasisOverflow(
@@ -136,7 +133,10 @@ def box_monoid_generators(datum, lattice="lattice", max_box=2_000_000):
             for x in range(f + 1):
                 yield rest + (x,)
 
-    points = sorted(p for p in boxes(rank) if any(p) and member(p))
+    # one stacked membership test for the whole box
+    box = list(boxes(rank))
+    member = intlin.rows_in_lattice(basis, box).tolist()
+    points = sorted(p for p, inside in zip(box, member) if any(p) and inside)
     pset = set(points)
     gens = []
     for p in points:

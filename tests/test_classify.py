@@ -11,6 +11,7 @@ import pytest
 from heckelab import (
     FinModule,
     HeckeAlgebra,
+    Laurent,
     LaurentMatrix,
     build_root_datum,
     central_orbit_matrix_v0,
@@ -240,8 +241,9 @@ def test_truncated_route_matches_exact_action():
 
 
 def test_monomial_route_matches_dense_route():
-    # every orbit summand of every generator orbit the certificates use,
-    # with the dense route called directly as the reference
+    # every orbit summand of every generator orbit the certificates use:
+    # row by row, the monomial route's stack against the dense route
+    # called directly at each point, on that point's own split
     checked = 0
     for kind, rank, w in MONOMIAL_ROWS:
         H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
@@ -252,17 +254,77 @@ def test_monomial_route_matches_dense_route():
         src, d = out.module.generic, H.datum
         lattice = ("coroot" if src.omega_mats is None
                    else H.effective_basis)
+        wl = d.translation_weighted_length
         for gen in dominant_monoid_generators(d, lattice):
             orbit = d.weyl_orbit(gen)
             for p in (5, 7, 999983):
                 actor = _OrbitActor(src, p)
                 assert actor.monomial is not None, (kind, rank, w)
-                for lam in orbit:
-                    assert np.array_equal(actor._monomial_term(lam),
-                                          actor._dense_term(lam)), (
+                stack = actor.orbit_terms(orbit)
+                assert stack.shape == (len(orbit), src.dim, src.dim)
+                for lam, term in zip(orbit, stack):
+                    plus, minus = H.dominant_decomposition(lam, actor.level)
+                    delta = wl(plus) + wl(minus) - wl(lam)
+                    assert np.array_equal(
+                        term, actor._dense_term(plus, minus, delta)), (
                         kind, rank, w, lam, p)
     # all but the four type-A rows with equal weights
     assert checked == len(MONOMIAL_ROWS) - 4
+
+
+def test_monomial_route_at_the_largest_prime():
+    # at 2^63 - 25, the largest prime below 2^63, on a character over the
+    # coroot lattice (B3's special character, whose (0, 1, 0) orbit splits
+    # with a shift) and on the induced C2 answer over the effective
+    # lattice, whose summands reach p - 1
+    p = 2**63 - 25
+    d3 = build_root_datum("B", 3)
+    H3 = HeckeAlgebra(d3)
+    sp = next(c for c in enumerate_characters(H3, "generic")
+              if c.is_special())
+    d2 = build_root_datum("C", 2)
+    H2 = HeckeAlgebra(d2)
+    induced = key_result_search(H2).module.generic
+    assert induced.dim == 2 and induced.omega_mats is not None
+    cases = [(d3, H3, sp.as_module(H3), [(0, 1, 0), (2, 0, 0)]),
+             (d2, H2, induced, list(H2.monoid_generators("effective")))]
+    top = 0
+    for d, H, mod, lams in cases:
+        actor = _OrbitActor(mod, p)
+        assert actor.monomial is not None
+        for lam in lams:
+            orbit = d.weyl_orbit(lam)
+            top = max(top, int(actor.orbit_terms(orbit).max()))
+            fast = central_orbit_matrix_v0(mod, orbit, p)
+            exact = mod.act(H.central_from_orbit(orbit)).at_v0() % p
+            assert np.array_equal(fast, exact), (d, lam)
+    assert top == p - 1
+
+
+def test_monomial_route_on_the_regular_length_zero_action():
+    # scalar T_s on A3 with the regular representation of its Z/4 of
+    # length-zero elements: the two length-zero factors of a summand are
+    # permutations that no 1x1 or induced answer distinguishes from their
+    # inverses
+    d = build_root_datum("A", 3)
+    H = HeckeAlgebra(d)
+    om = H.omega
+    n = len(om)
+    assert om.structure() == "Z/4"
+    regular = [[[int(om.mult_index(k, j) == i) for j in range(n)]
+                for i in range(n)] for k in range(n)]
+    for value in (H.q(0), Laurent.of_int(-1)):
+        scalar = [[value if i == j else 0 for j in range(n)]
+                  for i in range(n)]
+        mod = FinModule(H, [scalar] * (d.rank + 1), regular)
+        mod.check_relations()
+        for lam in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
+            orbit = d.weyl_orbit(lam)
+            exact = mod.act(H.central_from_orbit(orbit)).at_v0()
+            for p in (5, 2**63 - 25):
+                assert _OrbitActor(mod, p).monomial is not None
+                fast = central_orbit_matrix_v0(mod, orbit, p)
+                assert np.array_equal(fast, exact % p), (value, lam, p)
 
 
 def test_non_monomial_module_takes_the_dense_route():
@@ -468,8 +530,8 @@ def test_orbit_sum_near_the_largest_prime(monkeypatch):
     R = reflection_module(d).star_twist()
     orbit = d.weyl_orbit((0, 0, 0, 1))
     exact = central_orbit_matrix_v0(R, orbit, p)
-    monkeypatch.setattr(_OrbitActor, "coefficient_of_term",
-                        lambda self, lam: np.full((5, 5), p - 1))
+    monkeypatch.setattr(_OrbitActor, "orbit_terms",
+                        lambda self, pts: np.full((len(pts), 5, 5), p - 1))
     assert (central_orbit_matrix_v0(R, orbit, p) == p - len(orbit)).all()
     monkeypatch.undo()
     H = HeckeAlgebra(d)

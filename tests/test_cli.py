@@ -2,6 +2,7 @@
 output, and the thread pool."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -15,6 +16,16 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def child_env():
+    """The environment for a child interpreter, with the directory that
+    holds the heckelab package under test first on its import path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def write_case(tmp_path, payload, name="case.json"):
@@ -253,7 +264,7 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "heckelab.cli", "classify",
          "--case", str(case)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Character1Dim"
 
@@ -263,7 +274,7 @@ def test_module_entry_point(tmp_path):
                                  "decoration": [1, 2]})
     proc = subprocess.run(
         [sys.executable, "-m", "heckelab", "classify", "--case", case],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Character1Dim"
 

@@ -21,6 +21,7 @@ from heckelab import (
     elements_up_to_length,
     translation_word,
 )
+from heckelab.extweyl import affine_simple
 from geom_oracle import alcove_length
 
 OMEGA_STRUCTURE = {
@@ -157,6 +158,32 @@ def test_omega_group_axioms():
                     ij_k = G.mult_index(G.mult_index(i, j), k)
                     i_jk = G.mult_index(i, G.mult_index(j, k))
                     assert ij_k == i_jk
+
+
+# the 33 types the README advertises
+README_TYPES = ([("A", r) for r in range(1, 9)]
+                + [("B", r) for r in range(2, 9)]
+                + [("C", r) for r in range(2, 9)]
+                + [("D", r) for r in range(3, 9)]
+                + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def test_length_zero_elements_permute_the_nodes():
+    """Every element of the length-zero group has length 0, by the
+    implementation and by the alcove oracle, and sends the simple affine
+    roots to simple affine roots by its node permutation; the group has
+    one element per coset of the coroot lattice."""
+    assert len(README_TYPES) == 33
+    for kind, rank in README_TYPES:
+        d = build_root_datum(kind, rank)
+        G = aut_group(d)
+        assert len(G) == abs(intlin.det(d.cartan))
+        simples = [affine_simple(d, i) for i in range(rank + 1)]
+        for omega, perm in zip(G.elements, G.perms):
+            assert omega.length() == 0 == alcove_length(omega), (kind, rank)
+            assert sorted(perm) == list(range(rank + 1))
+            assert [omega.act_affine_root(a) for a in simples] == [
+                simples[j] for j in perm], (kind, rank, perm)
 
 
 def test_omega_node_orbits():

@@ -1,10 +1,12 @@
-"""Exact integer helpers: the deterministic primality test."""
+"""Exact integer helpers: the deterministic primality test and the
+int64 bound of the stacked lattice reduction."""
 
 import math
 
 import pytest
 
-from heckelab.intlin import is_prime
+from heckelab.intlin import (in_row_lattice, is_prime,
+                             reduce_rows_mod_lattice, rows_in_lattice)
 
 
 def test_is_prime_matches_trial_division():
@@ -26,3 +28,15 @@ def test_is_prime_on_pseudoprimes_and_large_primes():
     # the least strong pseudoprime to all twelve bases is out of range
     with pytest.raises(ValueError):
         is_prime(318665857834031151167461)
+
+
+def test_stacked_reduction_refuses_stacks_that_could_wrap_int64():
+    # the A2 coroot basis ((1, -2), (0, 3)) grows a bound M + 1 by at
+    # most 4 per row: entries of 2^58 pass, 2^60 is refused
+    basis = ((1, -2), (0, 3))
+    ok = [[2**58, -(2**58)], [-(2**58), 1]]
+    assert rows_in_lattice(basis, ok).tolist() == [
+        in_row_lattice(basis, v) for v in ok]
+    for bad in ([[2**60, 0]], [[0, -(2**60)]], [[-(2**63), 0]]):
+        with pytest.raises(OverflowError):
+            reduce_rows_mod_lattice(basis, bad)

@@ -211,6 +211,39 @@ def test_dominant_decomposition_rule(d, level, data):
     assert all(0 <= s < a for s, a in zip(shift, intlin.lattice_rays(basis)))
     if level == "effective":
         assert H.dominant_decomposition(lam) == (plus, minus)
+    # a stack splits row by row as its points do one at a time
+    stack = [lam, tuple(-x for x in lam), (0,) * d.rank]
+    plus_s, minus_s = H.dominant_decomposition(np.array(stack), level)
+    for mu, a, b in zip(stack, plus_s.tolist(), minus_s.tolist()):
+        assert H.dominant_decomposition(mu, level) == (tuple(a), tuple(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_data(), st.data())
+def test_stacked_reduction_matches_per_point(d, data):
+    """Over the coroot and the effective basis, the stacked echelon
+    reduction equals reduce_mod_lattice and in_row_lattice row by row, on
+    random points (mostly off the lattice), on lattice points and on
+    lattice points moved by a unit vector; the length-zero indices read
+    off the stacked representatives are those of the per-point lookup."""
+    H = HeckeAlgebra(d)
+    vec = st.lists(st.integers(-9, 9), min_size=d.rank, max_size=d.rank)
+    for basis in (d.coroot_basis, H.effective_basis):
+        coords = data.draw(st.lists(vec, min_size=1, max_size=6))
+        on = [tuple(sum(c * row[j] for c, row in zip(cs, basis))
+                    for j in range(d.rank)) for cs in coords]
+        moved = [tuple(x + (j == k) for j, x in enumerate(v))
+                 for k, v in enumerate(on) if k < d.rank]
+        pts = data.draw(st.lists(vec, max_size=6)) + on + moved
+        red = intlin.reduce_rows_mod_lattice(basis, pts)
+        assert red.shape == (len(pts), d.rank)
+        assert [tuple(r) for r in red.tolist()] == [
+            intlin.reduce_mod_lattice(basis, v) for v in pts]
+        assert intlin.rows_in_lattice(basis, pts).tolist() == [
+            intlin.in_row_lattice(basis, v) for v in pts]
+    om = H.omega
+    assert om.translation_indices(on) == [
+        om.index_of(om.element_for_translation(v)) for v in on]
 
 
 @settings(max_examples=100, deadline=None)
