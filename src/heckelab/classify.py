@@ -18,9 +18,10 @@ of a central element at $v = 0$ is extracted without expanding the
 element: each orbit summand is a product of generator matrices with a
 known leading normalization, and only the coefficient of the normalizing
 power of $v$ is needed.  An orbit is taken as one stack of points, split
-and counted at once.  On a monomial module (diagonal $T_s$ and $T^*_s$,
-length-zero elements acting by signed permutations, every entry a unit
-$\\pm v^e$) the coefficients of the whole orbit are integer arrays read
+and counted at once by :meth:`HeckeAlgebra.bernstein_split`, the split
+that also builds central elements exactly.  On a monomial module
+(diagonal $T_s$ and $T^*_s$, length-zero elements acting by signed
+permutations, every entry a unit $\\pm v^e$) the coefficients of the whole orbit are integer arrays read
 off the per-class counts of the hyperplanes the two translations cross,
 with no word; every other module multiplies, per point, two exact
 polynomial matrices mod $p$, memoized products of the matrices of the
@@ -45,7 +46,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import intlin
 from .extweyl import translation_letter_counts, translation_word
 from .hecke import HeckeAlgebra
 from .laurent import LaurentMatrix
@@ -86,6 +86,12 @@ def _signed_exponent(algebra: HeckeAlgebra, char: Character,
     return total
 
 
+def _level(length_zero) -> str:
+    """The lattice a module or character sees, by its length-zero matrices
+    or signs ``length_zero``: the coroot lattice without them."""
+    return "coroot" if length_zero is None else "effective"
+
+
 def is_discrete_character(algebra, char: Character):
     """Strict negativity of the exponent on every dominant generator.
 
@@ -97,7 +103,7 @@ def is_discrete_character(algebra, char: Character):
     """
     alg = _as_algebra(algebra)
     assert char.mode == "generic"
-    level = "coroot" if char.omega_signs is None else "effective"
+    level = _level(char.omega_signs)
     rows = [{"generator": list(gen),
              "exponent": _signed_exponent(alg, char, counts)}
             for gen, counts in zip(alg.monoid_generators(level),
@@ -131,10 +137,11 @@ def _coefficient(a: LaurentMatrix, b: LaurentMatrix, e: int,
 
 
 def _monomial_entries(mats: LaurentMatrix):
-    """For a stack of monomial matrices, each row and each column holding
-    exactly one nonzero entry and that entry a single term $c v^e$: per
-    matrix, the lists (column, $c$, $e$) indexed by row.  ``None`` for
-    any other stack."""
+    """For a stack of K monomial matrices, each row and each column holding
+    exactly one nonzero entry and that entry a unit $\\pm v^e$: three
+    (K, n) int64 arrays indexed by matrix and row, of the entry's column,
+    its sign bit (1 for $-1$) and its exponent $e$.  ``None`` for any
+    other stack."""
     nz = mats.coeffs != 0
     terms = nz.sum(axis=-3)
     if (terms > 1).any() or (terms.sum(axis=-1) != 1).any() or (
@@ -144,8 +151,9 @@ def _monomial_entries(mats: LaurentMatrix):
     k, rows = np.indices(cols.shape)
     degs = nz[k, :, rows, cols].argmax(axis=-1)
     coefs = mats.coeffs[k, degs, rows, cols]
-    return [(c, a, [mats.lo + d for d in e]) for c, a, e in
-            zip(cols.tolist(), coefs.tolist(), degs.tolist())]
+    if (np.abs(coefs) != 1).any():
+        return None
+    return cols, (coefs < 0).astype(np.int64), mats.lo + degs
 
 
 class _OrbitActor:
@@ -153,12 +161,10 @@ class _OrbitActor:
     on a Laurent module, one orbit at a time as one stack.
 
     An orbit is one (N, rank) int64 stack of points.  One stacked split
-    (:meth:`HeckeAlgebra.dominant_decomposition`) gives every point its
-    dominant parts ``plus`` and ``minus``, one stacked hyperplane count
-    (:meth:`RootDatum.translation_class_counts`) the class letter counts
-    of $t_{plus}$ and $t_{-minus}$ and the exponent $\\delta$ of the
-    normalizing power of $v$, and the summands come out as one
-    (N, n, n) stack.
+    (:meth:`HeckeAlgebra.bernstein_split`) gives every point its dominant
+    parts ``plus`` and ``minus``, the class letter counts of $t_{plus}$
+    and $t_{-minus}$ and the exponent $\\delta$ of the normalizing power
+    of $v$, and the summands come out as one (N, n, n) stack.
 
     A module whose matrices of $T_s$ and $T^*_s$ are diagonal and whose
     length-zero matrices are monomial, every nonzero entry a unit
@@ -181,64 +187,34 @@ class _OrbitActor:
         self.module = module
         self.p = p
         self.n = module.dim
-        # a module without a length-zero action sees coroot translations
-        self.level = "coroot" if module.omega_mats is None else "effective"
+        self.level = _level(module.omega_mats)
         self.star = (module.smats - module.q_stack()
                      + LaurentMatrix.identity(self.n))  # T*_s = T_s - q_s + 1
         self._halves: tuple[dict, dict] = ({}, {})  # B, A by coweight
         self.monomial = self._monomial_form()
 
     def _monomial_form(self):
-        """``(T_s, T*_s, length-zero)`` monomial entries as int64 arrays of
-        (columns, sign bits, exponents), one row per node class for the
-        first two (diagonal) and per length-zero element for the last, or
-        ``None`` when the module is not of that shape.  The braid
-        relations make diagonal entries equal along odd bonds, and the
-        quadratic relations and the finite order of length-zero elements
-        make every monomial entry a unit $\\pm v^e$; a module where
-        entries differ within a class or are not units takes the dense
-        route."""
-        mod, diag = self.module, list(range(self.n))
+        """``(T_s, T*_s, length-zero)`` entries of :func:`_monomial_entries`,
+        one row per node class for the first two (diagonal) and per
+        length-zero element for the last, or ``None`` when the module is
+        not of that shape.  The braid relations make diagonal entries
+        equal along odd bonds; a module where they differ within a class
+        takes the dense route."""
+        mod, n = self.module, self.n
         if mod.omega_mats is None:
-            omega = [(diag, [1] * self.n, [0] * self.n)]
+            omega = (np.arange(n)[None], *np.zeros((2, 1, n), np.int64))
         else:
             omega = _monomial_entries(mod.omega_mats)
         t = _monomial_entries(mod.smats)
         star = _monomial_entries(self.star)
-        classes = mod.alg.datum.classes
+        datum = mod.alg.datum
+        first = [cls[0] for cls in datum.classes]
+        rep = [first[datum.class_of_node[s]] for s in range(datum.rank + 1)]
         if omega is None or t is None or star is None or any(
-                e[s] != e[cls[0]] or e[s][0] != diag
-                for e in (t, star) for cls in classes for s in cls):
+                (a != a[rep]).any() for e in (t, star) for a in e) or any(
+                (e[0] != np.arange(n)).any() for e in (t, star)):
             return None
-        t, star = ([e[cls[0]] for cls in classes] for e in (t, star))
-        if any(abs(c) != 1 for e in (t, star, omega) for _, coefs, _ in e
-               for c in coefs):
-            return None
-        return tuple((np.array([e[0] for e in entries], dtype=np.int64),
-                      np.array([[c < 0 for c in e[1]] for e in entries],
-                               dtype=np.int64),
-                      np.array([e[2] for e in entries], dtype=np.int64))
-                     for entries in (t, star, omega))
-
-    def _split(self, pts: np.ndarray):
-        """For an (N, rank) stack of orbit points: the dominant parts
-        ``plus`` and ``minus`` of the factors $T_{t_{plus}}$ and
-        $T_{t_{-minus}}$ of each summand, the hyperplane class counts of
-        $t_{plus}$ and $t_{-minus}$, and the exponents $\\delta$ of the
-        normalizing powers of $v$."""
-        alg = self.module.alg
-        datum = alg.datum
-        if self.level == "coroot" and not intlin.rows_in_lattice(
-                datum.coroot_basis, pts).all():
-            raise ValueError(
-                "orbit point outside the coroot lattice acts through "
-                "length-zero elements this module does not carry")
-        plus, minus = alg.dominant_decomposition(pts, self.level)
-        c_plus, c_neg, c_lam = datum.translation_class_counts(
-            np.stack((plus, -minus, pts)))
-        delta = (c_plus + c_neg - c_lam) @ np.array(datum.class_weights)
-        assert (delta >= 0).all()
-        return plus, minus, c_plus, c_neg, delta
+        return tuple(a[first] for a in t), tuple(a[first] for a in star), omega
 
     def orbit_terms(self, orbit) -> np.ndarray:
         """The (N, n, n) stack of matrix coefficients of the normalized
@@ -246,9 +222,8 @@ class _OrbitActor:
         coefficient of $v^{\\delta}$ in the product
         $T_{\\omega_1} \\prod T^*_{s} \\cdot T_{\\omega_2} \\prod T_{t}$
         following the dominant/antidominant split of ``lam``."""
-        pts = np.array(orbit, dtype=np.int64).reshape(
-            -1, self.module.alg.datum.rank)
-        plus, minus, c_plus, c_neg, delta = self._split(pts)
+        plus, minus, c_plus, c_neg, delta = self.module.alg.bernstein_split(
+            orbit, self.level)
         if self.monomial is not None:
             return self._monomial_terms(plus, minus, c_plus, c_neg, delta)
         terms = [self._dense_term(a, b, e) for a, b, e in
@@ -365,8 +340,7 @@ def is_supersingular(module: FinModule, exhaustive: bool = False):
     p = module.prime
     alg = module.alg
     datum = alg.datum
-    gens = alg.monoid_generators("coroot" if src.omega_mats is None
-                                 else "effective")
+    gens = alg.monoid_generators(_level(src.omega_mats))
     key = (datum.kind, datum.rank)
     sampled = False
     if not exhaustive and key in SAMPLED_ORBIT_NODE:

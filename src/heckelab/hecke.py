@@ -33,7 +33,9 @@ $E_\lambda$ is read off one split $\lambda = \lambda_+ - \lambda_-$ into
 dominant lattice points, by one rule for the coroot and the effective
 lattice: the componentwise positive and negative parts when $\lambda_+$
 lies in the lattice, else both shifted by the least $s \ge 0$ that makes
-$\lambda_+ + s$ a sum of the lattice's rays $a_i e_i$.
+$\lambda_+ + s$ a sum of the lattice's rays $a_i e_i$.  One stacked
+method, ``bernstein_split``, checks, splits and counts a whole orbit at
+once; central orbit sums and :mod:`heckelab.classify` both read it.
 
 Weights that are not constant on length-zero orbits shrink the algebra:
 only translations by the sublattice compatible with the weights give
@@ -64,7 +66,6 @@ class HeckeAlgebra:
         self.effective_basis = self.omega.lattice_basis()
         self._monoid_generators: dict[str, tuple[Vec, ...]] = {}
         self._letter_counts: dict[str, tuple[Vec, ...]] = {}
-        self._rays: dict[str, tuple[int, ...]] = {}
 
     # ---- scalars -------------------------------------------------------
 
@@ -137,24 +138,34 @@ class HeckeAlgebra:
     def monoid_generators(self, level: str) -> tuple[Vec, ...]:
         """Dominant monoid generators of the lattice at ``level``,
         computed once per level."""
-        gens = self._monoid_generators.get(level)
-        if gens is None:
-            basis = self._level_basis(level)
-            gens = dominant_monoid_generators(
-                self.datum, "coroot" if level == "coroot" else basis)
-            self._monoid_generators[level] = gens
-        return gens
+        if level not in self._monoid_generators:
+            self._monoid_generators[level] = dominant_monoid_generators(
+                self.datum, "coroot" if level == "coroot"
+                else self._level_basis(level))
+        return self._monoid_generators[level]
 
     def generator_letter_counts(self, level: str) -> tuple[Vec, ...]:
         """Per generator of :meth:`monoid_generators` at ``level``, the
         per-node letter counts of its translation word, computed once per
         level."""
-        counts = self._letter_counts.get(level)
-        if counts is None:
-            counts = tuple(translation_letter_counts(self.datum, gen)
-                           for gen in self.monoid_generators(level))
-            self._letter_counts[level] = counts
-        return counts
+        if level not in self._letter_counts:
+            self._letter_counts[level] = tuple(
+                translation_letter_counts(self.datum, gen)
+                for gen in self.monoid_generators(level))
+        return self._letter_counts[level]
+
+    def _stack(self, lam) -> np.ndarray:
+        """``lam``, a point or an (N, rank) stack, as an (N, rank) int64
+        stack; a point of another length raises ``ValueError``."""
+        rank = self.datum.rank
+        try:
+            pts = np.array(lam, dtype=np.int64)
+        except ValueError:
+            pts = None
+        if pts is None or pts.ndim not in (1, 2) or pts.shape[-1] != rank:
+            raise ValueError(f"every point of this rank-{rank} datum has "
+                             f"{rank} coordinates")
+        return pts.reshape(-1, rank)
 
     def dominant_decomposition(self, lam, level: str = "effective"):
         """A pair of dominant points of the lattice at ``level`` (see
@@ -173,34 +184,48 @@ class HeckeAlgebra:
         parts are then two (N, rank) int64 stacks.  A single point is a
         stack of one and gives a pair of tuples.
         """
-        pts = np.array(lam, dtype=np.int64)
-        single = pts.ndim == 1
-        pts = pts.reshape(-1, self.datum.rank)
+        pts = self._stack(lam)
         plus, minus = np.maximum(pts, 0), np.maximum(-pts, 0)
         basis = self._level_basis(level)
         off = ~intlin.rows_in_lattice(basis, plus)
         if off.any():
-            rays = self._rays.get(level)
-            if rays is None:
-                rays = self._rays[level] = intlin.lattice_rays(basis)
-            shift = -plus[off] % np.array(rays, dtype=np.int64)
+            shift = -plus[off] % np.array(intlin.lattice_rays(basis))
             plus[off] += shift
             minus[off] += shift
-        if single:
+        if np.ndim(lam) == 1:
             return tuple(plus[0].tolist()), tuple(minus[0].tolist())
         return plus, minus
 
-    def bernstein(self, lam: Sequence[int]) -> "HeckeElt":
-        """The Bernstein basis element E_lambda.
+    def bernstein_split(self, lam, level: str = "effective"):
+        """The split $E_\\lambda = v^{-\\delta} T^*_{t_+} T_{t_-}$ of
+        :meth:`bernstein` at a point or an (N, rank) stack ``lam`` of the
+        lattice at ``level``, else ``NotInLattice`` naming the first point
+        off it or off the datum's lattice: the (N, rank) stacks ``plus``
+        and ``minus`` of :meth:`dominant_decomposition`, the class counts
+        (:meth:`RootDatum.translation_class_counts`) of $t_+ = t_{plus}$
+        and $t_- = t_{-minus}$, and the exponents $\\delta \\ge 0$."""
+        datum = self.datum
+        pts = self._stack(lam)
+        for basis, name in ((datum.lattice_basis, datum.lattice_name),
+                            (self._level_basis(level), level)):
+            off = ~intlin.rows_in_lattice(basis, pts)
+            if off.any():
+                raise NotInLattice(f"{tuple(pts[off][0].tolist())} is not "
+                                   f"in the {name} lattice")
+        plus, minus = self.dominant_decomposition(pts, level)
+        c_plus, c_minus, c_lam = datum.translation_class_counts(
+            np.stack((plus, -minus, pts)))
+        delta = (c_plus + c_minus - c_lam) @ np.array(datum.class_weights)
+        assert (delta >= 0).all()
+        return plus, minus, c_plus, c_minus, delta
 
-        Normalized so that dominant lattice points give twisted basis
-        elements and antidominant ones give standard basis elements:
-        $E_\\lambda = v^{-\\delta} T^*_{t_+} T_{t_{-}}$ for the
-        decomposition $\\lambda = \\lambda_+ - \\lambda_-$ of
-        :meth:`dominant_decomposition`, with $t_\\pm$ the translations by
-        $\\pm\\lambda_\\pm$ and $\\delta$ the weighted length that the
-        product loses.
-        """
+    def bernstein(self, lam: Sequence[int]) -> "HeckeElt":
+        """The Bernstein basis element $E_\\lambda$, normalized so that
+        dominant lattice points give twisted basis elements and
+        antidominant ones standard basis elements: $v^{-\\delta} T^*_{t_+}
+        T_{t_-}$, with $\\delta$ the weighted length the product loses, for
+        the split $\\lambda = \\lambda_+ - \\lambda_-$ of
+        :meth:`bernstein_split`."""
         return self._bernstein_sum([lam])
 
     def central(self, lam: Sequence[int]) -> "HeckeElt":
@@ -219,33 +244,19 @@ class HeckeAlgebra:
                 f"orbit ({len(expected)} points expected)")
         return self._bernstein_sum(pts)
 
-    def _bernstein_sum(self, pts: Iterable[Sequence[int]]) -> "HeckeElt":
+    def _bernstein_sum(self, pts) -> "HeckeElt":
         """$\\sum_\\mu E_\\mu$ over distinct lattice points ``pts``.
 
         Points with the same dominant part $\\lambda_+$ share the left
         factor $T^*_{t_+}$, so the sum takes one product per $\\lambda_+$
         with the right factor $\\sum v^{-\\delta} T_{t_{-}}$ over its points.
         """
-        datum = self.datum
-        pts = [tuple(int(x) for x in mu) for mu in pts]
-        for mu in pts:
-            if not datum.in_lattice(mu):
-                raise NotInLattice(f"{mu} is not in the "
-                                   f"{datum.lattice_name} lattice")
-            if not self.in_effective_lattice(mu):
-                raise NotInLattice(f"translation by {mu} is not compatible "
-                                   f"with the node weights")
-        stack = np.array(pts, dtype=np.int64).reshape(-1, datum.rank)
-        plus_s, minus_s = self.dominant_decomposition(stack)
-        c_plus, c_minus, c_mu = datum.translation_class_counts(
-            np.stack((plus_s, minus_s, stack)))
-        deltas = (c_plus + c_minus - c_mu) @ np.array(datum.class_weights)
-        assert (deltas >= 0).all()
+        plus_s, minus_s, _, _, deltas = self.bernstein_split(pts)
         groups: dict[Vec, dict[ExtWeylElt, Laurent]] = {}
-        for plus, minus, delta in zip(map(tuple, plus_s.tolist()),
-                                      minus_s.tolist(), deltas.tolist()):
-            t_minus = ExtWeylElt.translation(datum, tuple(-x for x in minus))
-            self._check_supported(t_minus)
+        for plus, neg, delta in zip(map(tuple, plus_s.tolist()),
+                                    map(tuple, (-minus_s).tolist()),
+                                    deltas.tolist()):
+            t_minus = ExtWeylElt.translation(self.datum, neg)
             groups.setdefault(plus, {})[t_minus] = Laurent.v(-delta)
         out: dict[ExtWeylElt, Laurent] = {}
         for plus, right in groups.items():
@@ -416,12 +427,8 @@ class HeckeElt:
         return all(c.only_even_exponents() for c in self.terms.values())
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in self.support():
-            bits.append(f"({self.terms[w]})*T[{w!r}]")
-        return " + ".join(bits)
+        return " + ".join(f"({self.terms[w]})*T[{w!r}]"
+                          for w in self.support()) or "0"
 
 
 def _accumulate(out: dict[ExtWeylElt, Laurent], w: ExtWeylElt,

@@ -8,6 +8,7 @@ so cubic algorithms are plenty.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -86,11 +87,14 @@ def frac_inverse(m: IntMatrix) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
-def lattice_rays(echelon: IntMatrix) -> tuple[int, ...]:
+@functools.cache
+def lattice_rays(echelon: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """The least positive $a_i$ with $a_i e_i$ in the full-rank lattice
-    with echelon basis ``echelon``, for each coordinate $i$: $k e_i$ lies
-    in the lattice exactly when $k$ times row $i$ of the inverse basis is
-    integral."""
+    with echelon basis ``echelon``, a tuple of row tuples, for each
+    coordinate $i$: $k e_i$ lies in the lattice exactly when $k$ times row
+    $i$ of the inverse basis is integral.  Memoized per basis, so the
+    monoid generators and the Bernstein split of one lattice share one
+    inverse."""
     return tuple(math.lcm(*(x.denominator for x in row))
                  for row in frac_inverse(echelon))
 

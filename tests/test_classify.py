@@ -5,14 +5,18 @@ The exact mod-p routes for central matrices are cross-checked against
 the exact symbolic action, including on orbits that are not monoid
 generators, and the monomial route against the dense one."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckelab import (
     FinModule,
     HeckeAlgebra,
     Laurent,
     LaurentMatrix,
+    NotInLattice,
     build_root_datum,
     central_orbit_matrix_v0,
     character_extends,
@@ -26,6 +30,7 @@ from heckelab import (
     translation_exponent,
 )
 from heckelab.classify import _OrbitActor, _monomial_entries
+from heckelab.intlin import is_prime
 
 # label -> exponents on the dominant generators of the coroot lattice
 C2_EXPONENTS = {
@@ -212,32 +217,84 @@ def test_search_respects_prime():
     assert out.case == "Character1Dim"
 
 
+@functools.cache
+def _orbit_module(name):
+    """The algebra and module of an orbit check: the induced C2 module
+    ("C2") or the twisted D4 reflection module ("D4")."""
+    if name == "C2":
+        H = HeckeAlgebra(build_root_datum("C", 2))
+        bad = [c for c in enumerate_characters(H, "generic")
+               if not character_extends(H, c)[0]]
+        return H, induce_character(H, bad[0])
+    H = HeckeAlgebra(build_root_datum("D", 4))
+    return H, reflection_module(H).star_twist()
+
+
+@functools.cache
+def _exact_at_v0(name, lam):
+    """The matrix at v = 0 of the central sum over the Weyl orbit of
+    ``lam`` on :func:`_orbit_module` ``name``, by the exact route
+    (``FinModule.act`` on ``central_from_orbit``), computed once."""
+    H, mod = _orbit_module(name)
+    return mod.act(H.central_from_orbit(H.datum.weyl_orbit(lam))).at_v0()
+
+
 def test_truncated_route_matches_exact_action():
-    d = build_root_datum("C", 2)
-    H = HeckeAlgebra(d)
-    bad = [c for c in enumerate_characters(H, "generic")
-           if not character_extends(H, c)[0]]
-    m = induce_character(H, bad[0])
     # (1,1) and (2,2) are regular orbits, not monoid generators; 999983 is
     # the largest prime below 10^6, where a float64 route stopped
-    for lam in [(1, 0), (0, 2), (1, 1), (2, 2)]:
-        orbit = d.weyl_orbit(lam)
-        exact = m.act(H.central_from_orbit(orbit))
-        for p in (7, 999983):
-            fast = central_orbit_matrix_v0(m, orbit, p)
-            ex = exact.at_v0() % p
-            assert np.array_equal(fast, ex), (lam, p)
+    cases = [("C2", lam, (7, 999983))
+             for lam in [(1, 0), (0, 2), (1, 1), (2, 2)]]
+    cases += [("D4", lam, (5, 999983))
+              for lam in [(1, 0, 0, 0), (0, 1, 0, 0)]]
+    for name, lam, primes in cases:
+        H, mod = _orbit_module(name)
+        for p in primes:
+            fast = central_orbit_matrix_v0(mod, H.datum.weyl_orbit(lam), p)
+            assert np.array_equal(fast, _exact_at_v0(name, lam) % p), (
+                name, lam, p)
 
-    dd = build_root_datum("D", 4)
-    Hd = HeckeAlgebra(dd)
-    R = reflection_module(dd).star_twist()
-    for lam in [(1, 0, 0, 0), (0, 1, 0, 0)]:
-        orbit = dd.weyl_orbit(lam)
-        exact = R.act(Hd.central_from_orbit(orbit))
-        for p in (5, 999983):
-            fast = central_orbit_matrix_v0(R, orbit, p)
-            ex = exact.at_v0() % p
-            assert np.array_equal(fast, ex), (lam, p)
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([("C2", (1, 0)), ("C2", (0, 2)), ("C2", (1, 1)),
+                        ("D4", (1, 0, 0, 0)), ("D4", (0, 1, 0, 0))]),
+       st.integers(2, 2**31 - 1))
+def test_orbit_route_matches_exact_action_at_random_primes(case, n):
+    """Both consumers of the Bernstein split agree at any prime below
+    2^31: the orbit route (monomial on C2, dense on D4) and the exact
+    action of the central element, each orbit's exact matrix computed
+    once."""
+    p = n
+    while not is_prime(p):  # the largest prime at most n
+        p -= 1
+    name, lam = case
+    H, mod = _orbit_module(name)
+    fast = central_orbit_matrix_v0(mod, H.datum.weyl_orbit(lam), p)
+    assert np.array_equal(fast, _exact_at_v0(name, lam) % p)
+
+
+def test_points_of_the_wrong_length_are_refused():
+    # a 4-coordinate point on C2 is not two points, and not an IndexError
+    H, induced = _orbit_module("C2")
+    for call in [lambda: H.dominant_decomposition((1, -2, 3, 4)),
+                 lambda: H.dominant_decomposition([(1, 0), (1, 0, 0)]),
+                 lambda: H.bernstein((1, 0, 0, 1)),
+                 lambda: central_orbit_matrix_v0(induced, [(1, 0, 0, 1)],
+                                                 5)]:
+        with pytest.raises(ValueError, match="rank-2 datum has 2 "
+                                             "coordinates"):
+            call()
+
+
+def test_orbit_outside_the_coroot_lattice_is_refused():
+    # a module without a length-zero action sees coroot translations only
+    d = build_root_datum("C", 2)
+    H = HeckeAlgebra(d)
+    sp = next(c for c in enumerate_characters(H, "generic")
+              if c.is_special())
+    mod = sp.as_module(H)
+    assert mod.omega_mats is None and not d.in_coroot_lattice((0, 1))
+    with pytest.raises(NotInLattice, match="coroot lattice"):
+        central_orbit_matrix_v0(mod, d.weyl_orbit((0, 1)), 5)
 
 
 def test_monomial_route_matches_dense_route():
@@ -345,8 +402,14 @@ def test_non_monomial_module_takes_the_dense_route():
     assert _monomial_entries(conj.omega_mats) is None
     two_in_column = LaurentMatrix.from_rows([[[1, 0], [1, 0]]])
     assert _monomial_entries(two_in_column) is None
+    # a non-unit entry is refused; units give (column, sign bit, exponent)
     assert _monomial_entries(LaurentMatrix.from_rows(
-        [[[0, 3], [-1, 0]]])) == [([1, 0], [3, -1], [0, 0])]
+        [[[0, 3], [-1, 0]]])) is None
+    cols, neg, exp = _monomial_entries(LaurentMatrix.from_rows(
+        [[[0, Laurent.v(2)], [-1, 0]]]))
+    assert [a.tolist() for a in (cols, neg, exp)] == [[[1, 0]], [[0, 1]],
+                                                        [[2, 0]]]
+    assert all(a.dtype == np.int64 for a in (cols, neg, exp))
     for lam in [(1, 0), (0, 2), (1, 1)]:
         orbit = d.weyl_orbit(lam)
         exact = conj.act(H.central_from_orbit(orbit))

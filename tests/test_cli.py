@@ -1,15 +1,19 @@
 """Command line interface: exit codes, report shapes, byte-stable
-output, and the thread pool."""
+output, the thread pool, and fuzzed case files."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heckelab import cli
+from heckelab import build_root_datum, cli
 
 
 def run_cli(argv, capsys):
@@ -341,3 +345,133 @@ def test_classify_at_a_prime_near_two_to_the_61(tmp_path, capsys):
     r = json.loads(out)
     assert r["case"]["p"] == p
     assert r["certificate"]["supersingular_mod_p"]["nilpotent"] is True
+
+
+# ---- fuzzed case files ----------------------------------------------------
+
+#: Well-formed cases that answer quickly under every command, as
+#: (type, rank, decoration); each valid rank range below is the one
+#: ``cartan_matrix`` accepts.
+GOOD_CASES = [("A", 1, [1, 2]), ("A", 2, 1), ("B", 3, 1), ("C", 2, 1),
+              ("C", 2, [1, 2, 2]), ("C", 3, [2, 1, 1]), ("G", 2, 1)]
+VALID_RANKS = {"A": range(1, 9), "B": range(2, 9), "C": range(2, 9),
+               "D": range(3, 9), "E": range(6, 9), "F": (4,), "G": (2,)}
+COMMANDS = ["build", "characters", "classify"]
+
+
+def run_case_file(command, text):
+    """``heckelab <command> --case FILE`` in process on a case file holding
+    ``text``: the exit code and the parsed report.  An exception escaping
+    ``cli.main`` (a traceback) fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--case", path])
+    assert "Traceback" not in err.getvalue()
+    return code, json.loads(out.getvalue())
+
+
+#: Values that are no valid type, rank, weight, lattice or prime.
+_junk = st.one_of(st.none(), st.booleans(), st.floats(),
+                  st.lists(st.text(max_size=3), min_size=1, max_size=3),
+                  st.dictionaries(st.text(max_size=3), st.text(max_size=3),
+                                  max_size=2))
+
+
+@st.composite
+def malformed_cases(draw):
+    """The text of a case file that is invalid in one way: a good case
+    with one field replaced by a bad value, a field missing, an unknown
+    field added, a JSON value that is not an object, or not JSON."""
+    kind, rank, decoration = draw(st.sampled_from(GOOD_CASES))
+    case = {"type": kind, "rank": rank, "decoration": decoration}
+    n_classes = len(build_root_datum(kind, rank).classes)
+    bad_weight = st.one_of(st.integers(max_value=0),
+                           st.integers(min_value=10_001), _junk)
+    bad = {
+        "type": st.one_of(
+            st.text(max_size=3).filter(lambda t: t not in set("ABCDEFG")),
+            st.integers(), _junk),
+        "rank": st.one_of(
+            st.integers().filter(lambda r: r not in VALID_RANKS[kind]),
+            st.floats(), _junk),
+        "decoration": st.one_of(
+            bad_weight, st.lists(bad_weight, min_size=1, max_size=4),
+            st.lists(st.integers(1, 5), max_size=6).filter(
+                lambda w: len(w) != n_classes),
+            st.dictionaries(st.sampled_from(["0", "1", "2", "x", "-1"]),
+                            st.integers(1, 3), max_size=rank)),
+        "lattice": st.one_of(
+            st.text(max_size=8).filter(
+                lambda t: t not in ("coweight", "coroot")),
+            st.integers(), st.floats(),
+            st.lists(st.lists(st.integers(-3, 3), min_size=rank + 1,
+                              max_size=rank + 2), min_size=1, max_size=3),
+            st.integers(0, 3).map(lambda k: [[0] * rank] * k),
+            st.integers(3, 9).map(lambda k: [[k * (i == j)
+                                              for j in range(rank)]
+                                             for i in range(rank)]),
+            st.lists(st.lists(st.floats(), min_size=rank, max_size=rank),
+                     min_size=rank, max_size=rank)),
+        "mode": st.one_of(
+            st.text(max_size=8).filter(
+                lambda t: t not in ("generic", "modp")), st.integers()),
+        "p": st.one_of(st.integers(max_value=1),
+                       st.integers(2, 10**6).map(lambda n: n * n),
+                       st.integers(min_value=2**63), st.floats(),
+                       st.booleans(), st.text(max_size=3)),
+    }
+    how = draw(st.sampled_from(["field", "missing", "unknown", "not an "
+                                "object", "not JSON"]))
+    if how == "field":
+        key = draw(st.sampled_from(sorted(bad)))
+        case[key] = draw(bad[key])
+    elif how == "missing":
+        del case[draw(st.sampled_from(["type", "rank"]))]
+    elif how == "unknown":
+        key = draw(st.text(max_size=8).filter(
+            lambda k: k not in cli._CASE_KEYS))
+        case[key] = draw(st.one_of(st.integers(), _junk))
+    elif how == "not an object":
+        case = draw(st.one_of(st.lists(st.integers(), max_size=3),
+                              st.integers(), st.text(max_size=5),
+                              st.none(), st.floats()))
+    else:
+        return draw(st.text(max_size=10).filter(lambda t: not _is_json(t)))
+    return json.dumps(case)
+
+
+def _is_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(COMMANDS), malformed_cases())
+def test_malformed_case_files_exit_2(command, text):
+    """Every malformed case file is refused as invalid input: exit 2 and
+    an ``error`` object naming the exception, never a traceback."""
+    code, report = run_case_file(command, text)
+    assert code == 2, (command, text, report)
+    assert set(report) == {"error"}
+    assert set(report["error"]) == {"type", "message"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(COMMANDS), st.sampled_from(GOOD_CASES),
+       st.fixed_dictionaries({}, optional={
+           "lattice": st.just("coweight"),
+           "mode": st.sampled_from(["generic", "modp"]),
+           "p": st.sampled_from([2, 3, 5, 7, 999983, 2**31 - 1])}))
+def test_well_formed_case_files_exit_0(command, good, extra):
+    kind, rank, decoration = good
+    case = {"type": kind, "rank": rank, "decoration": decoration, **extra}
+    code, report = run_case_file(command, json.dumps(case))
+    assert code == 0, (command, case, report)
+    assert "error" not in report and report["command"] == command

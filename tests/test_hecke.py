@@ -3,6 +3,7 @@ involution, and the Bernstein presentation."""
 
 import random
 
+import numpy as np
 import pytest
 
 from heckelab import (
@@ -18,6 +19,7 @@ from heckelab import (
     effective_lattice,
     elements_up_to_length,
 )
+from heckelab import intlin
 from heckelab.hecke import HeckeElt
 
 DATA = [
@@ -209,6 +211,21 @@ def test_central_equals_sum_of_bernstein_elements():
                     shifted[d.label()] = shifted.get(d.label(), 0) + 1
             assert H.central(gen) == total, (d.label(), gen)
     assert shifted == {"A2": 4, "B3": 4}
+
+
+def test_lattice_rays_run_once_per_basis():
+    # the monoid generators and the Bernstein split of one lattice share
+    # one exact inverse; 4 points of the B3 orbit of (0, 1, 0) split with
+    # a shift at the coroot level, which reads the rays
+    intlin.lattice_rays.cache_clear()
+    H = HeckeAlgebra(build_root_datum("B", 3))
+    H.monoid_generators("coroot")
+    orbit = H.datum.weyl_orbit((0, 1, 0))
+    plus, minus, _, _, delta = H.bernstein_split(orbit, "coroot")
+    assert (plus != np.maximum(orbit, 0)).any(axis=1).sum() == 4
+    assert (plus - minus == orbit).all() and (delta >= 0).all()
+    info = intlin.lattice_rays.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_product_takes_one_step_per_trie_edge(monkeypatch):
