@@ -15,19 +15,21 @@ Lengths, descents and reduced words all come from this action; nothing in
 here ever enumerates the group itself except the explicit helper
 :func:`elements_up_to_length`.
 
-Right multiplication by a simple reflection is a rank-one update of the
-two matrices (:meth:`ExtWeylElt.mul_simple`, O(rank^2)), and a right
-descent is read off one column of the root matrix and the translation
-(O(rank)), as in Casselman, *Machine calculations in Weyl groups* (1994).
-Reduced words, words back to elements and :func:`elements_up_to_length`
-take these two steps only; the general product :meth:`ExtWeylElt.__mul__`
-is for two arbitrary elements.
+Right multiplication by a simple reflection and its descent test are one
+step (:meth:`ExtWeylElt.step`; Casselman, *Machine calculations in Weyl
+groups*, 1994): a rank-one update that reads and rewrites only the
+nonzero entries of the node's coroot and root, at most four in every
+supported type.  Reduced words, words back to elements and
+:func:`elements_up_to_length` take this step only; the general product
+:meth:`ExtWeylElt.__mul__` is for two arbitrary elements.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import intlin
 from .errors import DatumMismatch, NotInLattice
@@ -108,7 +110,7 @@ class ExtWeylElt:
                   omega: "ExtWeylElt | None" = None) -> "ExtWeylElt":
         out = omega if omega is not None else ExtWeylElt.identity(datum)
         for s in word:
-            out = out.mul_simple(s)
+            out = out.step(s)[0]
         return out
 
     # ---- group structure ------------------------------------------------
@@ -127,37 +129,24 @@ class ExtWeylElt:
                           intlin.mat_mul(self.rmat, other.rmat))
 
     def mul_simple(self, s: int) -> "ExtWeylElt":
-        """Right product with the reflection at node ``s``, as a rank-one
-        update.
+        """Right product with the reflection at node ``s``."""
+        return self.step(s)[0]
 
-        With ``root`` and ``cov`` as in :meth:`simple_reflection`, ``mat``
-        loses ``(mat cov) (x) root`` and ``rmat`` loses
-        ``(rmat root) (x) cov``; only node 0 moves the translation, by
-        ``mat theta_coroot``.  For ``s >= 1`` the root is a unit vector,
-        so only one column of ``mat`` changes.
-        """
+    def step(self, s: int) -> tuple["ExtWeylElt", bool]:
+        """Right product with the reflection at node ``s`` and whether
+        ``s`` is a right descent, as one rank-one update: with the sparse
+        ``cov`` and ``root`` of :attr:`RootDatum.node_supports`, ``mat``
+        loses ``u (x) root`` for ``u = mat cov``, ``rmat`` loses
+        ``a (x) cov`` for ``a = rmat root`` (read by :func:`_descends`),
+        and node 0 moves the translation by ``u``."""
         d = self.datum
         if not 0 <= s <= d.rank:
             raise ValueError(f"node label {s} out of range 0..{d.rank}")
-        mat, rmat, tr = self.mat, self.rmat, self.tr
-        cov = d.theta_coroot if s == 0 else d.cartan[s - 1]
-        u = [sum(map(mul, row, cov)) for row in mat]
-        if s == 0:
-            root = d.theta
-            tr = tuple(t + x for t, x in zip(tr, u))
-            mat = tuple(
-                tuple(m - x * r for m, r in zip(row, root)) if x else row
-                for row, x in zip(mat, u))
-            a = [sum(map(mul, row, root)) for row in rmat]
-        else:
-            c = s - 1
-            mat = tuple(row[:c] + (row[c] - x,) + row[c + 1:] if x else row
-                        for row, x in zip(mat, u))
-            a = [row[c] for row in rmat]
-        rmat = tuple(
-            tuple(r - x * k for r, k in zip(row, cov)) if x else row
-            for row, x in zip(rmat, a))
-        return ExtWeylElt(d, tr, mat, rmat)
+        cov, root = d.node_supports[s]
+        mat, u = _rank_one(self.mat, cov, root)
+        rmat, a = _rank_one(self.rmat, root, cov)
+        tr = tuple(map(add, self.tr, u)) if s == 0 else self.tr
+        return ExtWeylElt(d, tr, mat, rmat), _descends(s, a, self.tr)
 
     def inv(self) -> "ExtWeylElt":
         mat_inv = intlin.transpose(self.rmat)
@@ -208,40 +197,27 @@ class ExtWeylElt:
     def is_identity(self) -> bool:
         return self.is_translation() and not any(self.tr)
 
+    def _wall_counts(self) -> np.ndarray:
+        """Per positive root $\\beta$, $m = \\langle w\\beta, \\lambda
+        \\rangle + [w\\beta < 0]$: the inversions of gradient
+        $\\pm\\beta$ lie on $H_{\\beta,k}$, $k = 0..m-1$ or $m..-1$."""
+        img = np.array(self.rmat, dtype=np.int64) @ (
+            self.datum._hyperplane_classes[0])
+        return np.array(self.tr, dtype=np.int64) @ img + (img < 0).any(axis=0)
+
     def length(self) -> int:
         """Number of positive affine roots sent to negative ones."""
-        total = 0
-        lam = self.tr
-        for root, _ in self.datum.pos_roots:
-            wbeta = intlin.mat_vec(self.rmat, root)
-            c = sum(p * q for p, q in zip(wbeta, lam))
-            wneg = any(x < 0 for x in wbeta)
-            # gradient +root has walls at every k >= 0
-            total += max(0, c) + (1 if wneg and c >= 0 else 0)
-            # gradient -root has walls at every k >= 1
-            total += max(0, -c - 1) + (1 if not wneg and -c >= 1 else 0)
-        return total
+        return int(np.abs(self._wall_counts()).sum())
 
     def right_descent(self, s: int) -> bool:
-        """Whether multiplying by the reflection at node ``s`` drops length.
-
-        That is whether the image of the simple affine root at ``s`` is
-        negative.  For ``s >= 1`` its gradient is column ``s - 1`` of
-        ``rmat``, a root, and its constant is minus the pairing of that
-        column with the translation; node 0 sends ``(-theta, 1)`` to
-        ``(-g, 1 + <g, tr>)`` with ``g = rmat theta``.
-        """
-        rank = self.datum.rank
-        if 0 < s <= rank:
-            c = s - 1
-            col = [row[c] for row in self.rmat]
-            p = sum(map(mul, col, self.tr))
-            return p > 0 or (p == 0 and min(col) < 0)
-        if s != 0:
-            raise ValueError(f"node label {s} out of range 0..{rank}")
-        g = [sum(map(mul, row, self.datum.theta)) for row in self.rmat]
-        p = sum(map(mul, g, self.tr))
-        return p < -1 or (p == -1 and max(g) > 0)
+        """Whether multiplying by the reflection at node ``s`` drops length
+        (:func:`_descends`)."""
+        d = self.datum
+        if not 0 <= s <= d.rank:
+            raise ValueError(f"node label {s} out of range 0..{d.rank}")
+        a = ([row[s - 1] for row in self.rmat] if s else
+             [sum(map(mul, row, d.theta)) for row in self.rmat])
+        return _descends(s, a, self.tr)
 
     def descents(self) -> tuple[int, ...]:
         return tuple(s for s in range(self.datum.rank + 1)
@@ -259,14 +235,16 @@ class ExtWeylElt:
             if s is None:
                 break
             collected.append(s)
-            cur = cur.mul_simple(s)
+            cur = cur.step(s)[0]
         self._rw = (cur, tuple(reversed(collected)))
         return self._rw
 
     def weighted_length(self) -> int:
-        """Sum of node weights along a reduced word."""
-        _, word = self.reduced_word()
-        return sum(self.datum.weights[s] for s in word)
+        """Sum of node weights along a reduced word: the class weights
+        over the inversions (:meth:`RootDatum.hyperplane_class_counts`)."""
+        d = self.datum
+        return int(d.hyperplane_class_counts(self._wall_counts())
+                   @ d.class_weights)
 
     # ---- presentation -----------------------------------------------------
 
@@ -281,6 +259,34 @@ class ExtWeylElt:
     def to_json(self) -> dict:
         return {"translation": list(self.tr),
                 "matrix": [list(r) for r in self.mat]}
+
+
+def _descends(s: int, a: list[int], tr: Vec) -> bool:
+    """Whether an element with translation ``tr`` and finite part sending
+    the root of node ``s`` to ``a`` makes the simple affine root at ``s``
+    negative: its image is ``(a, -<a, tr>)``, ``(-a, 1 + <a, tr>)`` at 0."""
+    p = sum(map(mul, a, tr))
+    if s:
+        return p > 0 or (p == 0 and min(a) < 0)
+    return p < -1 or (p == -1 and max(a) > 0)
+
+
+def _rank_one(m: tuple[Vec, ...], v, w) -> tuple[tuple[Vec, ...], list[int]]:
+    """``m - (m v) (x) w`` and ``m v`` for sparse vectors ``v`` and ``w``
+    given as (index, entry) pairs."""
+    out, mv = [], []
+    for row in m:
+        x = 0
+        for k, c in v:
+            x += row[k] * c
+        if x:
+            row = list(row)
+            for k, c in w:
+                row[k] -= x * c
+            row = tuple(row)
+        out.append(row)
+        mv.append(x)
+    return tuple(out), mv
 
 
 def translation_word(datum: RootDatum, lam: Sequence[int]) -> tuple[int, ...]:
@@ -516,10 +522,9 @@ def elements_up_to_length(datum: RootDatum, max_len: int,
         nxt = set()
         for w in layer:
             for s in range(datum.rank + 1):
-                if not w.right_descent(s):
-                    ws = w.mul_simple(s)
-                    if ws not in seen:
-                        nxt.add(ws)
+                ws, descent = w.step(s)
+                if not descent and ws not in seen:
+                    nxt.add(ws)
         seen |= nxt
         layer = nxt
     out = list(seen)

@@ -15,12 +15,12 @@ partial product $h \, T_\omega T_{s_1} \cdots T_{s_k}$ of the left factor
 $h$ is computed once and
 shared by every term whose word starts with that prefix; a partial product
 is released after its last child.  The twisted symbols below take the same
-walk with twisted letters.  Each step $x \mapsto xs$ is a rank-one
-update of the group element and each descent test reads one column
-(:mod:`heckelab.extweyl`).  One product also keeps a memo of its steps,
-one dict per node mapping $x$ to $xs$ and whether $s$ is a descent of
-$x$, so that branches of the trie that meet the same $x$ share the step;
-the memo lives only for that product.  Scaling by $q_s$ is a shift of
+walk with twisted letters.  Each step gives $xs$ and whether $s$ is a
+descent of $x$ together, from one sparse rank-one update of the group
+element (:meth:`heckelab.extweyl.ExtWeylElt.step`).  One product also
+keeps a memo of its steps, one dict per node mapping $x$ to that pair,
+so that branches of the trie that meet the same $x$ share the step; the
+memo lives only for that product.  Scaling by $q_s$ is a shift of
 exponents.
 
 On top of the standard basis the module provides the twisted symbols
@@ -331,12 +331,12 @@ class HeckeElt:
 
     # ---- multiplication ---------------------------------------------------
 
-    def _mul_basis(self, s: int, step: dict,
+    def _mul_basis(self, s: int, memo: dict,
                    twisted: bool = False) -> "HeckeElt":
         """Right multiplication by T_s, or by $T^*_s = T_s - q_s + 1$ when
         ``twisted``, for an affine node label ``s``.
 
-        ``step`` is a memo for node ``s`` mapping x to xs and whether s is
+        ``memo`` maps x to ``x.step(s)``, the pair of xs and whether s is
         a right descent of x, shared by the letters of one product.
         $T_x T^*_s$ is $q_s T_{xs}$ when s is a descent of x and
         $T_{xs} - (q_s - 1) T_x$ when it is not.
@@ -345,9 +345,9 @@ class HeckeElt:
         d2 = 2 * alg.datum.weights[s]
         out: dict[ExtWeylElt, Laurent] = {}
         for x, c in self.terms.items():
-            hit = step.get(x)
+            hit = memo.get(x)
             if hit is None:
-                hit = step[x] = (x.mul_simple(s), x.right_descent(s))
+                hit = memo[x] = x.step(s)
             xs, descent = hit
             if descent:
                 cq = c.shift(d2)

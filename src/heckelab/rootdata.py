@@ -45,6 +45,9 @@ Vec = tuple[int, ...]
 # in about a second and 92 MB on a 2 vCPU box).
 MAX_WEIGHT = 10_000
 
+# Rows per chunk of the (points, positive roots) class-count arrays.
+CLASS_COUNT_ROWS = 1 << 14
+
 # Candidate points refused by dominant_monoid_generators above this bound.
 MAX_BOX = 2_000_000
 
@@ -259,8 +262,18 @@ class RootDatum:
         $\\langle \\alpha, Q^\\vee \\rangle$ lies in $2\\mathbb{Z}$ (the
         long roots of affine $C_n$, the root of affine $A_1$), and for
         that finite class otherwise."""
-        roots, even, odd = self._hyperplane_classes
-        m = np.asarray(lam, dtype=np.int64) @ roots
+        lam = np.asarray(lam, dtype=np.int64)
+        rows, n = lam.reshape(-1, lam.shape[-1]), CLASS_COUNT_ROWS
+        out = np.empty((len(rows), len(self.classes)), dtype=np.int64)
+        for i in range(0, len(rows), n):
+            out[i:i + n] = self.hyperplane_class_counts(
+                rows[i:i + n] @ self._hyperplane_classes[0])
+        return out.reshape(lam.shape[:-1] + out.shape[1:])
+
+    def hyperplane_class_counts(self, m) -> np.ndarray:
+        """Per class, the hyperplanes $H_{\\alpha,k}$, $k = 0..m-1$ or
+        $m..-1$, over the positive roots $\\alpha$ with stacked pairings m."""
+        _, even, odd = self._hyperplane_classes
         n_odd = (np.abs(m) + (m < 0)) // 2
         return (np.abs(m) - n_odd) @ even + n_odd @ odd
 
@@ -288,6 +301,16 @@ class RootDatum:
         one_hot = np.eye(len(self.classes), dtype=np.int64)
         return (np.array([r for r, _ in self.pos_roots], dtype=np.int64).T,
                 one_hot[even], one_hot[odd])
+
+    @functools.cached_property
+    def node_supports(self):
+        """Nonzero (index, entry) pairs of each affine node's coroot and
+        root (theta_coroot, theta at 0; cartan[s - 1], e_(s-1) at s)."""
+        def nonzero(v):
+            return tuple((k, x) for k, x in enumerate(v) if x)
+        return tuple((nonzero(cov), nonzero(root)) for cov, root in zip(
+            (self.theta_coroot,) + self.cartan,
+            (self.theta,) + intlin.identity(self.rank)))
 
     def dominant_rep(self, c: Sequence[int]) -> Vec:
         """The unique dominant coweight in the Weyl orbit of ``c``."""

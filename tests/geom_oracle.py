@@ -9,13 +9,17 @@ root, the count per direction is just the floor of the image pairing.
 
 The monoid oracle checks generating sets of dominant lattice points by
 brute force over coordinate boxes: irreducibility by subtracting pairs
-and generation by additive reachability.  ``box_monoid_generators`` is
-the box enumeration the library used before its parallelepiped route,
-kept as the reference that route is compared against.
+(or, in ``box_monoid_generators``, by counting the points each box point
+dominates) and generation by additive reachability.
+``box_monoid_generators`` is the box enumeration the library used before
+its parallelepiped route, kept as the reference that route is compared
+against.
 """
 
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from heckelab import HilbertBasisOverflow, intlin
 
@@ -133,18 +137,17 @@ def box_monoid_generators(datum, lattice="lattice", max_box=2_000_000):
             for x in range(f + 1):
                 yield rest + (x,)
 
-    # one stacked membership test for the whole box
+    # one stacked membership test for the whole box, in lexicographic
+    # order, which is the row-major order of the (f + 1)^rank grid
     box = list(boxes(rank))
-    member = intlin.rows_in_lattice(basis, box).tolist()
-    points = sorted(p for p, inside in zip(box, member) if any(p) and inside)
-    pset = set(points)
-    gens = []
-    for p in points:
-        reducible = any(
-            q != p and tuple(a - b for a, b in zip(p, q)) in pset
-            for q in points
-            if all(a >= b for a, b in zip(p, q))
-        )
-        if not reducible:
-            gens.append(p)
-    return tuple(gens)
+    member = intlin.rows_in_lattice(basis, box)
+    member[0] = False  # the origin
+    # a point splits as p = q + (p - q) exactly when it dominates another
+    # nonzero lattice point q (p - q then lies in the box and the lattice),
+    # so count the nonzero lattice points below each grid point, itself
+    # included, with one cumulative sum per axis
+    below = member.reshape((f + 1,) * rank).astype(np.int64)
+    for axis in range(rank):
+        below = below.cumsum(axis=axis)
+    irreducible = member & (below.reshape(-1) == 1)
+    return tuple(p for p, keep in zip(box, irreducible.tolist()) if keep)

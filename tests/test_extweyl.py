@@ -251,4 +251,23 @@ def test_rank_one_step_rejects_bad_nodes():
         with pytest.raises(ValueError):
             x.mul_simple(s)
         with pytest.raises(ValueError):
+            x.step(s)
+        with pytest.raises(ValueError):
             x.right_descent(s)
+
+
+@pytest.mark.parametrize("kind, rank, weights", [
+    ("A", 1, [1, 2]), ("A", 2, 1), ("C", 2, [1, 2, 3]), ("C", 3, [2, 1, 1]),
+    ("B", 3, 1), ("G", 2, 1)])
+def test_weighted_length_by_hyperplane_class(kind, rank, weights):
+    """The inversions counted by hyperplane class weigh as much as the
+    letters of a reduced word, and on translations as much as the
+    translation's class counts."""
+    d = build_root_datum(kind, rank, weights=weights)
+    for w in elements_up_to_length(d, 5, extended=True):
+        _, word = w.reduced_word()
+        assert w.weighted_length() == sum(d.weights[s] for s in word)
+    ones, zeros = (1,) * (rank - 1), (0,) * (rank - 1)
+    for lam in [(1,) + ones, (-2,) + ones, (3,) + zeros, zeros + (-3,)]:
+        t = ExtWeylElt.translation(d, lam)
+        assert t.weighted_length() == d.translation_weighted_length(lam)

@@ -254,6 +254,27 @@ def test_product_takes_one_step_per_trie_edge(monkeypatch):
     assert calls == list(z.reduced_word()[1])
 
 
+def test_product_makes_no_descent_tests(monkeypatch):
+    """Each step of a product reads its descent off the fused step, so
+    once the right factor's reduced words are known a product makes no
+    ``right_descent`` call."""
+    H = HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 3]))
+    x, y = (H.t(ExtWeylElt.from_word(H.datum, w))
+            for w in [(0, 1, 2, 1), (1, 2, 0, 1, 2)])
+    for w in y.terms:
+        w.reduced_word()
+    calls = []
+    real = ExtWeylElt.right_descent
+
+    def counted(self, s):
+        calls.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(ExtWeylElt, "right_descent", counted)
+    prod = (x + H.one()) * y
+    assert len(prod.terms) > 2 and calls == []
+
+
 def test_central_from_orbit_validates():
     H = HeckeAlgebra(build_root_datum("C", 2))
     orbit = H.datum.weyl_orbit((1, 1))

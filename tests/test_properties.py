@@ -63,8 +63,8 @@ def weighted_data(draw):
 def test_rank_one_step_matches_general_product(d, data):
     """Along a random word that uses node 0, after a length-zero prefix,
     each rank-one step equals the general product with the simple
-    reflection, and each fast descent test equals the sign of the image
-    of the simple affine root."""
+    reflection, and each fast descent test, alone or fused into the step,
+    equals the sign of the image of the simple affine root."""
     omegas = aut_group(d).elements
     x = omegas[data.draw(st.integers(0, len(omegas) - 1))]
     word = data.draw(st.lists(st.integers(0, d.rank), max_size=12))
@@ -74,10 +74,12 @@ def test_rank_one_step_matches_general_product(d, data):
             slow = not affine_root_is_positive(
                 x.act_affine_root(affine_simple(d, t)))
             assert x.right_descent(t) == slow
-        fast = x.mul_simple(s)
-        general = x * ExtWeylElt.simple_reflection(d, s)
-        assert (fast.tr, fast.mat, fast.rmat) == (
-            general.tr, general.mat, general.rmat)
+            xt, descent = x.step(t)
+            general = x * ExtWeylElt.simple_reflection(d, t)
+            assert (xt.tr, xt.mat, xt.rmat, descent) == (
+                general.tr, general.mat, general.rmat, slow)
+        fast, xs = x.mul_simple(s), x.step(s)[0]
+        assert (fast.tr, fast.mat, fast.rmat) == (xs.tr, xs.mat, xs.rmat)
         x = fast
 
 

@@ -239,6 +239,20 @@ def test_hilbert_box_overflow(monkeypatch):
         dominant_monoid_generators(build_root_datum("C", 2))
 
 
+def test_class_counts_in_chunks(monkeypatch):
+    """Class counts taken a few rows at a time equal the one-shot counts
+    on a stack that crosses a chunk boundary, in every shape."""
+    d = build_root_datum("C", 3, weights=[2, 1, 1])
+    rng = np.random.default_rng(5)
+    stack = rng.integers(-4, 5, size=(3, 7, 3))
+    one_shot = d.translation_class_counts(stack)
+    monkeypatch.setattr(rootdata, "CLASS_COUNT_ROWS", 4)
+    assert (d.translation_class_counts(stack) == one_shot).all()
+    assert (d.translation_class_counts(stack[0]) == one_shot[0]).all()
+    assert (d.translation_class_counts(stack[0, 0]) == one_shot[0, 0]).all()
+    assert d.translation_class_counts(stack[0, :0]).shape == (0, 3)
+
+
 def test_json_round_trip_shape():
     d = build_root_datum("C", 2, weights=[1, 2, 3])
     blob = d.to_json()
