@@ -13,21 +13,30 @@ characters over the sublattice compatible with the node weights.
 A finite dimensional module over the reduction at $v = 0$ in
 characteristic $p$ is *supersingular* when every central orbit sum acts
 nilpotently; it suffices to check the orbits of the dominant monoid
-generators since orbit sums multiply up to lower-order terms.  The matrix
-of a central element at $v = 0$ is extracted without expanding the
-element: each orbit summand is a product of generator matrices with a
-known leading normalization, and only the coefficient of the normalizing
-power of $v$ is needed.  An orbit is taken as one stack of points, split
-and counted at once by :meth:`HeckeAlgebra.bernstein_split`, the split
-that also builds central elements exactly.  On a monomial module
-(diagonal $T_s$ and $T^*_s$, length-zero elements acting by signed
-permutations, every entry a unit $\\pm v^e$) the coefficients of the whole orbit are integer arrays read
-off the per-class counts of the hyperplanes the two translations cross,
-with no word; every other module multiplies, per point, two exact
-polynomial matrices mod $p$, memoized products of the matrices of the
-monoid generators, which alone replay their translation words.  Both
-routes, and the nilpotency test, are exact for every prime $p < 2^{63}$,
-the bound of a mod-$p$ module's int64 tensors.
+generators since orbit sums multiply up to lower-order terms.  An orbit
+is taken as one stack of points, refused unless every simple reflection
+maps it onto itself, and the matrix of its sum at $v = 0$ comes from one
+of two routes, chosen from the module's own integer tensors.  On a
+monomial module (diagonal $T_s$ and $T^*_s$, length-zero elements acting
+by signed permutations, every entry a unit $\\pm v^e$) the coefficients
+of the whole orbit are integer arrays read off one stacked Bernstein
+split (:meth:`HeckeAlgebra.bernstein_split`): the per-class counts of the
+hyperplanes the two translations cross, with no word.  Every other module
+takes the dense route, a central character.  The orbit sums span the
+center (Bernstein; Lusztig, *Affine Hecke algebras and their graded
+version*, JAMS 1989), so on a module whose commutant is the scalars each
+acts as a scalar $c(v)$ (Schur).  The certificate, computed once per
+module, checks that commutant at one specialization of $v$ mod a prime,
+where rank can only drop, and finds an exact common eigenvector of the
+$E_g$ of the monoid generators $g$ with eigenvalues $\\pm v^{k_g}$, which
+fix a linear form $y$ and a sign character $\\epsilon$ of the lattice.
+Then $c(v) = \\sum_{\\lambda \\in \\mathcal{O}} \\epsilon(\\lambda)
+v^{L(\\mathcal{O}) + \\langle \\lambda, y \\rangle}$, with $L$ the weighted
+translation length: one product of the orbit's stack with $y$, and the
+matrix is the constant term of $c(v)$ times the identity.  A module
+without the certificate takes the exact action of the central element.
+Every route, and the nilpotency test, is exact for every prime
+$p < 2^{63}$, the bound of a mod-$p$ module's int64 tensors.
 
 The search routine walks the case analysis: a discrete non-special
 character that extends (one dimensional answer), discrete characters
@@ -42,13 +51,17 @@ supersingularity and recorded in one certificate shape.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import intlin
+from .errors import NotAFullOrbit
 from .extweyl import translation_letter_counts, translation_word
 from .hecke import HeckeAlgebra
-from .laurent import LaurentMatrix
+from .laurent import Laurent, LaurentMatrix
 from .modules import (Character, FinModule, character_extends,
                       enumerate_characters, induce_character,
                       reflection_module, stabilizer_and_twist, _as_algebra)
@@ -114,26 +127,17 @@ def is_discrete_character(algebra, char: Character):
 
 # ---- central action at v = 0 in characteristic p -------------------------
 
+#: The specialization of the certificate: $v$ = ``CERT_V`` in $F_q$ for
+#: ``CERT_Q``, the largest prime below $2^{25}$, so that a product of two
+#: $n \\times n$ matrices over $F_q$ stays in int64 for every $n < 8192$.
+CERT_Q = 33554393
+CERT_V = 12345
+
 
 def _mod_p(mats: LaurentMatrix, p: int) -> LaurentMatrix:
     """Coefficients reduced into ``[0, p)`` on int64, trimmed."""
     return LaurentMatrix(mats.lo, (mats.coeffs % p).astype(np.int64),
                          p - 1).trim()
-
-
-def _coefficient(a: LaurentMatrix, b: LaurentMatrix, e: int,
-                 p: int) -> np.ndarray:
-    """The coefficient of $v^e$ in ``a @ b`` mod ``p``: the sum of
-    $a_k b_{e-k}$ over the overlap of the two degree ranges, contracted as
-    one product of $[a_k \\cdots]$ by $[b_{e-k}; \\cdots]$ so that
-    :class:`LaurentMatrix` checks its int64 bound."""
-    k = np.arange(max(a.lo, e - b.lo - len(b.coeffs) + 1),
-                  min(a.lo + len(a.coeffs), e - b.lo + 1))
-    n = a.coeffs.shape[-1]
-    x = a.coeffs[k - a.lo].transpose(1, 0, 2).reshape(n, -1)
-    y = b.coeffs[e - b.lo - k].reshape(-1, n)
-    flat = LaurentMatrix(0, x[None], p - 1) @ LaurentMatrix(0, y[None], p - 1)
-    return (flat.coeffs[0] % p).astype(np.int64)
 
 
 def _monomial_entries(mats: LaurentMatrix):
@@ -156,31 +160,68 @@ def _monomial_entries(mats: LaurentMatrix):
     return cols, (coefs < 0).astype(np.int64), mats.lo + degs
 
 
+def _per_module(compute):
+    """``compute`` memoized per Laurent module, for as long as the module
+    lives."""
+    memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    @functools.wraps(compute)
+    def once(module: FinModule):
+        if module not in memo:
+            memo[module] = compute(module)
+        return memo[module]
+
+    return once
+
+
+def _star_mats(module: FinModule) -> LaurentMatrix:
+    """The matrices of $T^*_s = T_s - q_s + 1$, stacked over the nodes."""
+    return module.smats - module.q_stack() + LaurentMatrix.identity(
+        module.dim)
+
+
+@_per_module
+def _monomial_form(module: FinModule):
+    """``(T_s, T*_s, length-zero)`` entries of :func:`_monomial_entries`,
+    one row per node class for the first two (diagonal) and per
+    length-zero element for the last, or ``None`` when the module is not
+    of that shape.  The braid relations make diagonal entries equal along
+    odd bonds; a module where they differ within a class takes the dense
+    route."""
+    n = module.dim
+    if module.omega_mats is None:
+        omega = (np.arange(n)[None], *np.zeros((2, 1, n), np.int64))
+    else:
+        omega = _monomial_entries(module.omega_mats)
+    t = _monomial_entries(module.smats)
+    star = _monomial_entries(_star_mats(module))
+    datum = module.alg.datum
+    first = [cls[0] for cls in datum.classes]
+    rep = [first[datum.class_of_node[s]] for s in range(datum.rank + 1)]
+    if omega is None or t is None or star is None or any(
+            (a != a[rep]).any() for e in (t, star) for a in e) or any(
+            (e[0] != np.arange(n)).any() for e in (t, star)):
+        return None
+    return tuple(a[first] for a in t), tuple(a[first] for a in star), omega
+
+
 class _OrbitActor:
     """The normalized summands of central orbit sums at $v = 0$ mod ``p``
-    on a Laurent module, one orbit at a time as one stack.
-
-    An orbit is one (N, rank) int64 stack of points.  One stacked split
-    (:meth:`HeckeAlgebra.bernstein_split`) gives every point its dominant
-    parts ``plus`` and ``minus``, the class letter counts of $t_{plus}$
-    and $t_{-minus}$ and the exponent $\\delta$ of the normalizing power
-    of $v$, and the summands come out as one (N, n, n) stack.
+    on a monomial Laurent module, one orbit at a time as one stack.
 
     A module whose matrices of $T_s$ and $T^*_s$ are diagonal and whose
     length-zero matrices are monomial, every nonzero entry a unit
     $\\pm v^e$ (characters, their extensions, induced modules), takes the
-    *monomial route*: the summands are monomial matrices whose exponents
-    and signs are integer arrays over the stack, read off the class
-    counts and the length-zero indices of the two translations, with no
-    word.  Any other module takes the *dense route*: the summand at a
-    point is the product of the halves $A(\\mu) = \\rho(T^*_{t_\\mu})$ at
-    its dominant part and $B(\\nu) = \\rho(T_{t_{-\\nu}})$ at its
-    antidominant part, exact untruncated Laurent matrices mod ``p``.
-    Dominant translations are length-additive, so
-    $A(\\mu) = A(\\mu - g) A(g)$ for a monoid generator $g \\le \\mu$,
-    and likewise for $B$ (Lusztig, *Affine Hecke algebras and their graded
-    version*, JAMS 1989): only the generators replay their words, and
-    every half is memoized for the life of the actor, one orbit."""
+    *monomial route*.  An orbit is one (N, rank) int64 stack of points.
+    One stacked split (:meth:`HeckeAlgebra.bernstein_split`) gives every
+    point its dominant parts ``plus`` and ``minus``, the class letter
+    counts of $t_{plus}$ and $t_{-minus}$ and the exponent $\\delta$ of the
+    normalizing power of $v$.  The summands are then one (N, n, n) stack
+    of monomial matrices whose exponents and signs are integer arrays
+    over the stack, read off the class counts and the length-zero indices
+    of the two translations, with no word.  ``monomial`` is ``None`` on
+    any other module, which :func:`central_orbit_matrix_v0` sends to the
+    dense route."""
 
     def __init__(self, module: FinModule, p: int):
         assert not module.is_modular
@@ -188,58 +229,23 @@ class _OrbitActor:
         self.p = p
         self.n = module.dim
         self.level = _level(module.omega_mats)
-        self.star = (module.smats - module.q_stack()
-                     + LaurentMatrix.identity(self.n))  # T*_s = T_s - q_s + 1
-        self._halves: tuple[dict, dict] = ({}, {})  # B, A by coweight
-        self.monomial = self._monomial_form()
-
-    def _monomial_form(self):
-        """``(T_s, T*_s, length-zero)`` entries of :func:`_monomial_entries`,
-        one row per node class for the first two (diagonal) and per
-        length-zero element for the last, or ``None`` when the module is
-        not of that shape.  The braid relations make diagonal entries
-        equal along odd bonds; a module where they differ within a class
-        takes the dense route."""
-        mod, n = self.module, self.n
-        if mod.omega_mats is None:
-            omega = (np.arange(n)[None], *np.zeros((2, 1, n), np.int64))
-        else:
-            omega = _monomial_entries(mod.omega_mats)
-        t = _monomial_entries(mod.smats)
-        star = _monomial_entries(self.star)
-        datum = mod.alg.datum
-        first = [cls[0] for cls in datum.classes]
-        rep = [first[datum.class_of_node[s]] for s in range(datum.rank + 1)]
-        if omega is None or t is None or star is None or any(
-                (a != a[rep]).any() for e in (t, star) for a in e) or any(
-                (e[0] != np.arange(n)).any() for e in (t, star)):
-            return None
-        return tuple(a[first] for a in t), tuple(a[first] for a in star), omega
+        self.monomial = _monomial_form(module)
 
     def orbit_terms(self, orbit) -> np.ndarray:
         """The (N, n, n) stack of matrix coefficients of the normalized
         summands at the N points of ``orbit``: at each point ``lam``, the
         coefficient of $v^{\\delta}$ in the product
         $T_{\\omega_1} \\prod T^*_{s} \\cdot T_{\\omega_2} \\prod T_{t}$
-        following the dominant/antidominant split of ``lam``."""
-        plus, minus, c_plus, c_neg, delta = self.module.alg.bernstein_split(
-            orbit, self.level)
-        if self.monomial is not None:
-            return self._monomial_terms(plus, minus, c_plus, c_neg, delta)
-        terms = [self._dense_term(a, b, e) for a, b, e in
-                 zip(map(tuple, plus.tolist()), map(tuple, minus.tolist()),
-                     delta.tolist())]
-        return np.array(terms, dtype=np.int64).reshape(-1, self.n, self.n)
-
-    def _monomial_terms(self, plus, minus, c_plus, c_neg,
-                        delta) -> np.ndarray:
-        """:meth:`orbit_terms` on the monomial route.  At each point the
-        product $T_{\\omega_1} D_1 T_{\\omega_2} D_2$ sends row ``i`` to
-        column ``j`` of $T_{\\omega_1}$, then to column ``k`` of
+        following the dominant/antidominant split of ``lam``.  At each
+        point the product $T_{\\omega_1} D_1 T_{\\omega_2} D_2$ sends row
+        ``i`` to column ``j`` of $T_{\\omega_1}$, then to column ``k`` of
         $T_{\\omega_2}$; the diagonals $D_1$ of $T^*$ and $D_2$ of $T$ have
         exponents and sign counts linear in the class counts.  The entry
         is kept when its exponent is $\\delta$, with value $1$ or $p - 1$
         by the parity of its signs."""
+        assert self.monomial is not None
+        plus, minus, c_plus, c_neg, delta = self.module.alg.bernstein_split(
+            orbit, self.level)
         (_, t_neg, t_exp), (_, s_neg, s_exp), (o_cols, o_neg, o_exp) = (
             self.monomial)
         omega = self.module.alg.omega
@@ -257,52 +263,257 @@ class _OrbitActor:
         out[r, i, k[r, i]] = np.where(neg[r, i] % 2, self.p - 1, 1)
         return out
 
-    def _half(self, twisted: bool, mu) -> LaurentMatrix:
-        """$A(\\mu)$ when ``twisted``, else $B(\\mu)$, for a dominant
-        ``mu`` of the lattice whose monoid generators the module sees."""
-        half = self._halves[twisted].get(mu)
-        if half is not None:
-            return half
-        mod, p = self.module, self.p
-        gens = mod.alg.monoid_generators(self.level)
-        if not any(mu):
-            half = LaurentMatrix.identity(self.n)
-        elif mu in gens:
-            lam = mu if twisted else tuple(-x for x in mu)
-            mats = self.star if twisted else mod.smats
-            half = (LaurentMatrix.identity(self.n) if mod.omega_mats is None
-                    else _mod_p(mod.omega_mats[
-                        mod.alg.omega.translation_indices([lam])[0]], p))
-            for s in translation_word(mod.alg.datum, lam):
-                half = _mod_p(half @ mats[s], p)
-        else:
-            g = next(g for g in gens if all(a >= b for a, b in zip(mu, g)))
-            rest = tuple(a - b for a, b in zip(mu, g))
-            half = _mod_p(self._half(twisted, rest) @ self._half(twisted, g),
-                          p)
-        self._halves[twisted][mu] = half
-        return half
 
-    def _dense_term(self, plus, minus, delta: int) -> np.ndarray:
-        """One summand on the dense route: the coefficient of
-        $v^\\delta$ in $A(plus) B(minus)$, for tuples ``plus`` and
-        ``minus``."""
-        return _coefficient(self._half(True, plus), self._half(False, minus),
-                            delta, self.p)
+def _specialize(mats: LaurentMatrix) -> np.ndarray:
+    """The matrices of ``mats`` at $v$ = ``CERT_V`` over $F_q$, ``CERT_Q``,
+    as int64 entries in $[0, q)$."""
+    c = mats.coeffs
+    out = np.zeros(c.shape[:-3] + c.shape[-2:], dtype=np.int64)
+    for k in np.flatnonzero((c != 0).any(axis=(*range(c.ndim - 3), -2, -1))):
+        power = pow(CERT_V, mats.lo + int(k), CERT_Q)
+        out = (out + (c[..., k, :, :] % CERT_Q).astype(np.int64)
+               * power) % CERT_Q
+    return out
+
+
+def _commutant_is_scalar(module: FinModule) -> bool:
+    """Whether only the scalars commute with every $\\rho(T_s)$ and
+    length-zero matrix of ``module`` at the specialization: the map
+    $X \\mapsto (XA - AX)_A$ on $n \\times n$ matrices, one linear system
+    in $n^2$ unknowns, has rank $n^2 - 1$ over $F_q$.  A minor of a matrix
+    over $\\mathbb{Z}[v^{\\pm 1}]$ that is nonzero at the specialization is
+    nonzero, so the rank over $\\mathbb{Q}(v)$ is at least that: the
+    commutant over $\\mathbb{Q}(v)$ is the scalars too.  The equations of
+    one matrix at a time join an echelon form of those before, which stops
+    growing at $n^2 - 1$ rows, the most there can be."""
+    n = module.dim
+    eye = np.eye(n, dtype=np.int64)
+    rows = np.zeros((0, n * n), dtype=np.int64)
+    for mats in (module.smats, module.omega_mats):
+        for a in [] if mats is None else _specialize(mats):
+            # the coefficient of X[k, l] in (XA - AX)[i, j]
+            eqs = eye[:, None, :, None] * a.T[None, :, None, :] - (
+                a[:, None, :, None] * eye[None, :, None, :])
+            rows = intlin.echelon_mod(np.concatenate(
+                [rows, eqs.reshape(n * n, n * n) % CERT_Q]), CERT_Q)
+            if len(rows) == n * n - 1:
+                return True
+    return False
+
+
+def _eigen_column(a: np.ndarray, lo: int, hi: int):
+    """``(shift, j)`` naming one eigenvector of the exact matrix whose
+    specialization is ``a``: column ``j`` of it minus ``shift``, a pair
+    ``(eps, k)`` for $\\epsilon v^k I$, or the unit vector $e_j$ when
+    ``shift`` is ``None``; ``None`` when neither form is found.
+
+    With $a_{ij} \\neq 0$ off the diagonal, $R = a - \\mu I$ has rank one
+    exactly when $a_{ij} R = R e_j e_i^T R$, one test for all candidates
+    $\\mu = \\pm v^k$, $k$ in ``[lo, hi]``, at once; the columns of a rank
+    one $R$ span one eigenline.  A diagonal ``a`` names $e_j$ for a
+    diagonal entry that occurs once."""
+    n = len(a)
+    off = np.argwhere(a * (1 - np.eye(n, dtype=np.int64)) != 0)
+    if not len(off):
+        diag = np.diagonal(a)
+        once = np.flatnonzero((diag[:, None] == diag).sum(axis=1) == 1)
+        return (None, int(once[0])) if once.size else None
+    i, j = off[0]
+    powers = [pow(CERT_V, k, CERT_Q) for k in range(lo, hi + 1)]
+    mus = np.array(powers + [CERT_Q - x for x in powers], dtype=np.int64)
+    r = (a - mus[:, None, None] * np.eye(n, dtype=np.int64)) % CERT_Q
+    outer = r[:, :, j, None] * r[:, None, i, :] % CERT_Q
+    hit = np.flatnonzero((outer == r * a[i, j] % CERT_Q).all(axis=(1, 2)))
+    if not hit.size:
+        return None
+    c = int(hit[0])
+    return ((1 if c < len(powers) else -1), lo + c % len(powers)), int(j)
+
+
+def _eigenvalue(w: LaurentMatrix, u: LaurentMatrix):
+    """``(eps, k)`` with $w = \\epsilon v^k u$ exactly, for column vectors
+    ``w`` and ``u`` (shape (degree, n, 1)), else ``None``."""
+    i = np.flatnonzero((u.coeffs != 0).any(axis=0)[:, 0])[0]
+    ku = np.flatnonzero(u.coeffs[:, i, 0] != 0)[0]
+    kw = np.flatnonzero(w.coeffs[:, i, 0] != 0)
+    if not kw.size:
+        return None
+    a, b = int(w.coeffs[kw[0], i, 0]), int(u.coeffs[ku, i, 0])
+    if abs(a) != abs(b):
+        return None
+    eps, k = (1 if a == b else -1), int(w.lo + kw[0] - u.lo - ku)
+    if ((w - LaurentMatrix(u.lo + k, eps * u.coeffs)).coeffs != 0).any():
+        return None
+    return eps, k
+
+
+def _generator_weights(module: FinModule, gens):
+    """Per dominant monoid generator $g$ of ``gens``, ``(eps, k)`` with
+    $\\rho(E_g) u = \\epsilon v^k u$ for one exact $u \\neq 0$ over
+    $\\mathbb{Z}[v^{\\pm 1}]$, the same for all of them, else ``None``.
+
+    $E_g = T^*_{t_g}$ is the length-zero element of $t_g$ times the
+    $T^*_s$ along ``translation_word(g)``, applied exactly to column
+    vectors only, so each generator replays its word once.  $u$ is a
+    column of $\\rho(E_g) - \\mu$, or a unit vector, for the first
+    generator, shortest word first, whose specialization names one
+    (:func:`_eigen_column`); $\\mu = \\pm v^k$ with $k$ over the degrees
+    the product can reach.  Every generator is then checked exactly on
+    $u$."""
+    alg, n = module.alg, module.dim
+    star = _star_mats(module)
+    if module.omega_mats is None:
+        omega, index = LaurentMatrix.identity(n), [0] * len(gens)
+    else:
+        omega, index = (module.omega_mats,
+                        alg.omega.translation_indices(gens))
+    words = [translation_word(alg.datum, g) for g in gens]
+
+    def apply(i, u):
+        for s in reversed(words[i]):
+            u = (star[s] @ u).trim()
+        return (omega[index[i]] @ u).trim()
+
+    s_star, s_omega = _specialize(star), _specialize(omega)
+    spread = (star.coeffs.shape[-3] - 1, omega.coeffs.shape[-3] - 1)
+    for i in sorted(range(len(gens)), key=lambda i: len(words[i])):
+        a = s_omega[index[i]]
+        for s in words[i]:
+            a = a @ s_star[s] % CERT_Q
+        lo = omega.lo + len(words[i]) * star.lo
+        found = _eigen_column(
+            a, lo, lo + spread[1] + len(words[i]) * spread[0])
+        if found is not None:
+            shift, j = found
+            unit = np.zeros((1, n, 1), dtype=np.int64)
+            unit[0, j, 0] = 1
+            u = LaurentMatrix(0, unit)
+            if shift is not None:
+                u = (apply(i, u) - LaurentMatrix(shift[1],
+                                                 shift[0] * unit)).trim()
+            break
+    else:
+        return None
+    weights = [_eigenvalue(apply(i, u), u) for i in range(len(gens))]
+    return None if None in weights else weights
+
+
+class _CentralCharacter:
+    """The certified central character of a Laurent module, shared by all
+    of its orbits (:func:`_certificate`).
+
+    The module's commutant is the scalars, so every central element acts
+    as a scalar (Schur), and the central orbit sums $z_\\mathcal{O}$ span
+    the center (Bernstein; Lusztig, *Affine Hecke algebras and their
+    graded version*, JAMS 1989).  $\\theta_\\lambda = v^{-L(\\lambda)}
+    E_\\lambda$ is multiplicative, with $L$ the weighted translation length,
+    constant on a Weyl orbit; on the common eigenvector $u$ it acts as
+    $\\epsilon(\\lambda) v^{\\langle \\lambda, y \\rangle}$ for a sign
+    character $\\epsilon$ and a linear form $y$ of the lattice.  So
+    $z_\\mathcal{O}$ acts as
+    $c(v) = \\sum_{\\lambda \\in \\mathcal{O}} \\epsilon(\\lambda)
+    v^{L(\\mathcal{O}) + \\langle \\lambda, y \\rangle}$.
+
+    ``pairing`` is a (rank, 2) int64 matrix and ``det`` an int such that
+    ``pts @ pairing / det`` holds $\\langle \\lambda, y \\rangle$ and an
+    exponent of $-1$ giving $\\epsilon(\\lambda)$ for each lattice point
+    $\\lambda$."""
+
+    def __init__(self, datum, pairing: np.ndarray, det: int):
+        self.datum = datum
+        self.pairing = pairing
+        self.det = det
+
+    def scalar(self, pts: np.ndarray) -> Laurent:
+        """$c(v)$ on the Weyl orbit ``pts``, an (N, rank) int64 stack: one
+        (N, rank) product and two counts."""
+        vals = pts @ self.pairing
+        assert not (vals % self.det).any()
+        vals //= self.det
+        exps = vals[:, 0] + self.datum.translation_weighted_length(pts[0])
+        odd = vals[:, 1] % 2 == 1
+        lo = int(exps.min())
+        size = int(exps.max()) - lo + 1
+        counts = (np.bincount(exps[~odd] - lo, minlength=size)
+                  - np.bincount(exps[odd] - lo, minlength=size))
+        return Laurent({lo + k: c for k, c in enumerate(counts.tolist())})
+
+
+@_per_module
+def _certificate(module: FinModule) -> _CentralCharacter | None:
+    """The central character of ``module`` (:class:`_CentralCharacter`),
+    computed once per module, or ``None`` when its commutant is not
+    certified to be the scalars (:func:`_commutant_is_scalar`) or no
+    common eigenvector is found (:func:`_generator_weights`).  The
+    exponents $k_g$ of the generators give
+    $\\langle g, y \\rangle = k_g - L(g)$ and the signs give $\\epsilon$:
+    both are solved exactly in the coordinates of the lattice basis, over
+    $\\mathbb{Q}$ and over $F_2$, where $\\theta$ being multiplicative
+    makes them consistent."""
+    if not _commutant_is_scalar(module):
+        return None
+    alg, datum = module.alg, module.alg.datum
+    level = _level(module.omega_mats)
+    gens = alg.monoid_generators(level)
+    weights = _generator_weights(module, gens)
+    if weights is None:
+        return None
+    inv = intlin.frac_inverse(alg._level_basis(level))
+    det = intlin.det(alg._level_basis(level))
+    coords = [[int(sum(x * row[j] for x, row in zip(g, inv)))
+               for j in range(datum.rank)] for g in gens]
+    y = intlin.solve(coords, [k - datum.translation_weighted_length(g)
+                              for g, (_, k) in zip(gens, weights)])
+    signs = intlin.solve(coords, [int(eps < 0) for eps, _ in weights], 2)
+    assert y is not None and signs is not None
+    assert all(x.denominator == 1 for x in y)
+    adj = np.array([[int(x * det) for x in row] for row in inv],
+                   dtype=np.int64)
+    pairing = adj @ np.array([[int(a), b] for a, b in zip(y, signs)],
+                             dtype=np.int64)
+    return _CentralCharacter(datum, pairing, det)
 
 
 def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     """Matrix of the central orbit sum at $v = 0$ over $F_p$, acting on
-    the reduction of a Laurent module with a length-zero action: the sum
-    of the orbit's stack of summands (:meth:`_OrbitActor.orbit_terms`).
+    the reduction of a Laurent module with a length-zero action.
 
-    Each summand lies in $[0, p)$ with $p < 2^{63}$; its high and low 32
-    bits are summed separately, so neither sum wraps int64 below $2^{31}$
-    points, and the two meet mod ``p`` on Python ints."""
-    terms = _OrbitActor(module, p).orbit_terms(orbit)
-    high, low = np.divmod(terms, 1 << 32)
-    total = (high.sum(axis=0).astype(object) << 32) + low.sum(axis=0)
-    return (total % p).astype(np.int64)
+    ``orbit`` must be one full Weyl orbit of points of the lattice the
+    module sees: ``ValueError`` for points of the wrong length,
+    ``NotInLattice`` off the lattice and ``NotAFullOrbit`` when a simple
+    reflection does not map the stack onto itself
+    (:meth:`RootDatum.is_weyl_orbit`).  A monomial module sums the orbit's
+    stack of summands (:meth:`_OrbitActor.orbit_terms`); each lies in
+    $[0, p)$ with $p < 2^{63}$, and its high and low 32 bits are summed
+    separately, so neither sum wraps int64 below $2^{31}$ points.  Every
+    other module takes the dense route: with a certificate
+    (:func:`_certificate`) the sum acts as $c(v) I$ and the matrix is
+    $c_0 I$ mod ``p``, for $c_0$ the constant term of $c(v)$; without one
+    it is the $v^0$ coefficient of the exact action
+    (:meth:`FinModule.act` on :meth:`HeckeAlgebra.central_from_orbit`)."""
+    alg = module.alg
+    if not len(orbit):
+        raise NotAFullOrbit("empty orbit")
+    pts = alg._stack(orbit)
+    if not alg.datum.is_weyl_orbit(pts):
+        raise NotAFullOrbit(f"the {len(pts)} given points do not form one "
+                            "full Weyl orbit")
+    actor = _OrbitActor(module, p)
+    if actor.monomial is not None:  # its split checks the lattice
+        terms = actor.orbit_terms(pts)
+        high, low = np.divmod(terms, 1 << 32)
+        total = (high.sum(axis=0).astype(object) << 32) + low.sum(axis=0)
+        return (total % p).astype(np.int64)
+    alg.lattice_points(pts, actor.level)
+    cert = _certificate(module)
+    if cert is not None:
+        c0 = cert.scalar(pts).constant_term()
+        return np.eye(module.dim, dtype=np.int64) * (c0 % p)
+    exact = module.act(alg.central_from_orbit(pts))
+    k = -exact.lo
+    coeff = (exact.coeffs[k] if 0 <= k < len(exact.coeffs)
+             else np.zeros((module.dim,) * 2, dtype=np.int64))
+    return (coeff % p).astype(np.int64)
 
 
 def _nilpotency_degree(mat: np.ndarray, p: int) -> int | None:

@@ -167,6 +167,20 @@ class HeckeAlgebra:
                              f"{rank} coordinates")
         return pts.reshape(-1, rank)
 
+    def lattice_points(self, lam, level: str = "effective") -> np.ndarray:
+        """``lam``, a point or an (N, rank) stack, as an (N, rank) int64
+        stack of points of the lattice at ``level``, else ``NotInLattice``
+        naming the first point off it or off the datum's lattice."""
+        datum = self.datum
+        pts = self._stack(lam)
+        for basis, name in ((datum.lattice_basis, datum.lattice_name),
+                            (self._level_basis(level), level)):
+            off = ~intlin.rows_in_lattice(basis, pts)
+            if off.any():
+                raise NotInLattice(f"{tuple(pts[off][0].tolist())} is not "
+                                   f"in the {name} lattice")
+        return pts
+
     def dominant_decomposition(self, lam, level: str = "effective"):
         """A pair of dominant points of the lattice at ``level`` (see
         :meth:`monoid_generators`) with difference ``lam``, a point of
@@ -199,19 +213,13 @@ class HeckeAlgebra:
     def bernstein_split(self, lam, level: str = "effective"):
         """The split $E_\\lambda = v^{-\\delta} T^*_{t_+} T_{t_-}$ of
         :meth:`bernstein` at a point or an (N, rank) stack ``lam`` of the
-        lattice at ``level``, else ``NotInLattice`` naming the first point
-        off it or off the datum's lattice: the (N, rank) stacks ``plus``
+        lattice at ``level`` (else ``NotInLattice``, from
+        :meth:`lattice_points`): the (N, rank) stacks ``plus``
         and ``minus`` of :meth:`dominant_decomposition`, the class counts
         (:meth:`RootDatum.translation_class_counts`) of $t_+ = t_{plus}$
         and $t_- = t_{-minus}$, and the exponents $\\delta \\ge 0$."""
         datum = self.datum
-        pts = self._stack(lam)
-        for basis, name in ((datum.lattice_basis, datum.lattice_name),
-                            (self._level_basis(level), level)):
-            off = ~intlin.rows_in_lattice(basis, pts)
-            if off.any():
-                raise NotInLattice(f"{tuple(pts[off][0].tolist())} is not "
-                                   f"in the {name} lattice")
+        pts = self.lattice_points(lam, level)
         plus, minus = self.dominant_decomposition(pts, level)
         c_plus, c_minus, c_lam = datum.translation_class_counts(
             np.stack((plus, -minus, pts)))
@@ -233,15 +241,16 @@ class HeckeAlgebra:
         return self._bernstein_sum(self.datum.weyl_orbit(lam))
 
     def central_from_orbit(self, orbit: Iterable[Sequence[int]]) -> "HeckeElt":
-        """Same as :meth:`central` but validates the given orbit first."""
-        pts = [tuple(int(x) for x in mu) for mu in orbit]
+        """Same as :meth:`central` but validates the given orbit first:
+        ``NotAFullOrbit`` unless its points are one full Weyl orbit, each
+        once (:meth:`RootDatum.is_weyl_orbit`)."""
+        pts = list(orbit)
         if not pts:
             raise NotAFullOrbit("empty orbit")
-        expected = set(self.datum.weyl_orbit(pts[0]))
-        if set(pts) != expected or len(pts) != len(expected):
-            raise NotAFullOrbit(
-                f"the {len(pts)} given points do not form one full Weyl "
-                f"orbit ({len(expected)} points expected)")
+        pts = self._stack(pts)
+        if not self.datum.is_weyl_orbit(pts):
+            raise NotAFullOrbit(f"the {len(pts)} given points do not form "
+                                "one full Weyl orbit")
         return self._bernstein_sum(pts)
 
     def _bernstein_sum(self, pts) -> "HeckeElt":

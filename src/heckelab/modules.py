@@ -379,7 +379,8 @@ class FinModule:
     from in ``generic``.
     """
 
-    __slots__ = ("alg", "smats", "omega_mats", "prime", "generic", "name")
+    __slots__ = ("alg", "smats", "omega_mats", "prime", "generic", "name",
+                 "__weakref__")
 
     def __init__(self, alg: HeckeAlgebra, smats, omega_mats,
                  prime: int | None = None,

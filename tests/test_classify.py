@@ -3,7 +3,9 @@ search over the supported table of data.
 
 The exact mod-p routes for central matrices are cross-checked against
 the exact symbolic action, including on orbits that are not monoid
-generators, and the monomial route against the dense one."""
+generators: the monomial route against a per-point replay of translation
+words, and the central-character route of the dense modules against the
+exact action, with its full scalar, and against a committed table."""
 
 import functools
 
@@ -16,6 +18,7 @@ from heckelab import (
     HeckeAlgebra,
     Laurent,
     LaurentMatrix,
+    NotAFullOrbit,
     NotInLattice,
     build_root_datum,
     central_orbit_matrix_v0,
@@ -28,8 +31,9 @@ from heckelab import (
     key_result_search,
     reflection_module,
     translation_exponent,
+    translation_word,
 )
-from heckelab.classify import _OrbitActor, _monomial_entries
+from heckelab.classify import _OrbitActor, _certificate, _monomial_entries
 from heckelab.intlin import is_prime
 
 # label -> exponents on the dominant generators of the coroot lattice
@@ -149,6 +153,27 @@ def test_verdict_table():
         assert out.case == expected, (kind, rank, w, out.case)
 
 
+def test_every_readme_datum_answers():
+    # A1-A8, B2-B8, C2-C8, D3-D8, E6-E8, F4 and G2 with equal weights, in
+    # process; the acceptance table's verdict where it lists the datum
+    from test_acceptance import TABLE
+    expected = {(k, r): case for k, r, w, case, _ in TABLE
+                if w == 1 or len(set(w)) == 1}
+    data = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+            + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(3, 9)]
+            + [("E", r) for r in (6, 7, 8)] + [("F", 4), ("G", 2)])
+    assert len(data) == 33
+    for kind, rank in data:
+        out = key_result_search(HeckeAlgebra(build_root_datum(kind, rank)))
+        assert out.case in ("Character1Dim", "Induced2Dim", "ReflectionTwist",
+                            "ExcludedTypeA"), (kind, rank, out.case)
+        assert out.case == expected.get((kind, rank), out.case), (kind, rank)
+        if out.module is not None:
+            assert out.certificate["supersingular_mod_p"]["nilpotent"], (
+                kind, rank)
+    assert len(expected) == 16
+
+
 def test_search_requires_the_full_coweight_lattice():
     H = HeckeAlgebra(build_root_datum("A", 2, lattice="coroot"))
     with pytest.raises(ValueError):
@@ -220,7 +245,11 @@ def test_search_respects_prime():
 @functools.cache
 def _orbit_module(name):
     """The algebra and module of an orbit check: the induced C2 module
-    ("C2") or the twisted D4 reflection module ("D4")."""
+    ("C2"), the same conjugated by an upper unitriangular matrix ("C2
+    conjugated") or the twisted D4 reflection module ("D4")."""
+    if name == "C2 conjugated":
+        _, H, conj = _conjugated_c2_module()
+        return H, conj
     if name == "C2":
         H = HeckeAlgebra(build_root_datum("C", 2))
         bad = [c for c in enumerate_characters(H, "generic")
@@ -231,12 +260,17 @@ def _orbit_module(name):
 
 
 @functools.cache
-def _exact_at_v0(name, lam):
-    """The matrix at v = 0 of the central sum over the Weyl orbit of
-    ``lam`` on :func:`_orbit_module` ``name``, by the exact route
-    (``FinModule.act`` on ``central_from_orbit``), computed once."""
+def _exact_action(name, lam):
+    """The matrix of the central sum over the Weyl orbit of ``lam`` on
+    :func:`_orbit_module` ``name``, by the exact route (``FinModule.act``
+    on ``central_from_orbit``), computed once."""
     H, mod = _orbit_module(name)
-    return mod.act(H.central_from_orbit(H.datum.weyl_orbit(lam))).at_v0()
+    return mod.act(H.central_from_orbit(H.datum.weyl_orbit(lam)))
+
+
+def _exact_at_v0(name, lam):
+    """:func:`_exact_action` at v = 0."""
+    return _exact_action(name, lam).at_v0()
 
 
 def test_truncated_route_matches_exact_action():
@@ -259,10 +293,9 @@ def test_truncated_route_matches_exact_action():
                         ("D4", (1, 0, 0, 0)), ("D4", (0, 1, 0, 0))]),
        st.integers(2, 2**31 - 1))
 def test_orbit_route_matches_exact_action_at_random_primes(case, n):
-    """Both consumers of the Bernstein split agree at any prime below
-    2^31: the orbit route (monomial on C2, dense on D4) and the exact
-    action of the central element, each orbit's exact matrix computed
-    once."""
+    """The orbit route (monomial on C2, the central character on D4)
+    and the exact action of the central element agree at any prime below
+    2^31, each orbit's exact matrix computed once."""
     p = n
     while not is_prime(p):  # the largest prime at most n
         p -= 1
@@ -297,10 +330,39 @@ def test_orbit_outside_the_coroot_lattice_is_refused():
         central_orbit_matrix_v0(mod, d.weyl_orbit((0, 1)), 5)
 
 
+def _replayed_terms(mod, orbit):
+    """The per-point dense oracle: at each point of ``orbit``, the exact
+    coefficient of v^delta in rho(T*_{t+}) rho(T_{t-}) for the point's own
+    split, each half the length-zero matrix of its translation times the
+    generator matrices replayed letter by letter along its translation
+    word."""
+    H, n = mod.alg, mod.dim
+    level = "coroot" if mod.omega_mats is None else "effective"
+    plus, minus, _, _, delta = H.bernstein_split(orbit, level)
+    star = mod.smats - mod.q_stack() + LaurentMatrix.identity(n)
+
+    @functools.cache
+    def half(lam, twisted):
+        m = (LaurentMatrix.identity(n) if mod.omega_mats is None
+             else mod.omega_mats[H.omega.translation_indices([lam])[0]])
+        for s in translation_word(H.datum, lam):
+            m = m @ (star if twisted else mod.smats)[s]
+        return m
+
+    terms = []
+    for a, b, e in zip(map(tuple, plus.tolist()),
+                       map(tuple, (-minus).tolist()), delta.tolist()):
+        prod = half(a, True) @ half(b, False)
+        c = prod.coeffs.reshape(-1, n, n)
+        k = e - prod.lo
+        terms.append(c[k] if 0 <= k < len(c) else np.zeros((n, n), int))
+    return np.array(terms, dtype=object)
+
+
 def test_monomial_route_matches_dense_route():
     # every orbit summand of every generator orbit the certificates use:
-    # row by row, the monomial route's stack against the dense route
-    # called directly at each point, on that point's own split
+    # row by row, the monomial route's stack against the per-point dense
+    # oracle, each point replaying the words of its own split
     checked = 0
     for kind, rank, w in MONOMIAL_ROWS:
         H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
@@ -311,22 +373,44 @@ def test_monomial_route_matches_dense_route():
         src, d = out.module.generic, H.datum
         lattice = ("coroot" if src.omega_mats is None
                    else H.effective_basis)
-        wl = d.translation_weighted_length
         for gen in dominant_monoid_generators(d, lattice):
             orbit = d.weyl_orbit(gen)
+            replayed = _replayed_terms(src, orbit)
             for p in (5, 7, 999983):
                 actor = _OrbitActor(src, p)
                 assert actor.monomial is not None, (kind, rank, w)
                 stack = actor.orbit_terms(orbit)
                 assert stack.shape == (len(orbit), src.dim, src.dim)
-                for lam, term in zip(orbit, stack):
-                    plus, minus = H.dominant_decomposition(lam, actor.level)
-                    delta = wl(plus) + wl(minus) - wl(lam)
-                    assert np.array_equal(
-                        term, actor._dense_term(plus, minus, delta)), (
-                        kind, rank, w, lam, p)
+                assert np.array_equal(stack, replayed % p), (
+                    kind, rank, w, gen, p)
     # all but the four type-A rows with equal weights
     assert checked == len(MONOMIAL_ROWS) - 4
+
+
+def test_monomial_route_matches_the_central_character():
+    # characters and most induced answers also certify; their orbit sums
+    # on the monomial route are then c_0 times the identity
+    certified = 0
+    for kind, rank, w in MONOMIAL_ROWS:
+        H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
+        out = key_result_search(H)
+        if out.module is None or _certificate(out.module.generic) is None:
+            continue
+        certified += 1
+        src, d = out.module.generic, H.datum
+        level = "coroot" if src.omega_mats is None else "effective"
+        for gen in H.monoid_generators(level):
+            orbit = np.array(d.weyl_orbit(gen))
+            c0 = _certificate(src).scalar(orbit).constant_term()
+            for p in (5, 999983):
+                assert np.array_equal(
+                    central_orbit_matrix_v0(src, orbit, p),
+                    c0 % p * np.eye(src.dim, dtype=np.int64)), (
+                    kind, rank, w, gen, p)
+    # the induced answers on C3 and C5 [1, 2, 2] have a generator acting
+    # by an antidiagonal matrix with eigenvalues +-i v^k: no weight over
+    # Z[v^-1, v]
+    assert certified == len(MONOMIAL_ROWS) - 4 - 4
 
 
 def test_monomial_route_at_the_largest_prime():
@@ -386,17 +470,11 @@ def test_monomial_route_on_the_regular_length_zero_action():
 
 def test_non_monomial_module_takes_the_dense_route():
     # conjugating the induced module by an upper unitriangular matrix
-    # keeps the relations but fills in off-diagonal entries
-    d = build_root_datum("C", 2)
-    H = HeckeAlgebra(d)
-    bad = [c for c in enumerate_characters(H, "generic")
-           if not character_extends(H, c)[0]]
-    m = induce_character(H, bad[0])
-    u = LaurentMatrix.from_rows([[[1, 1], [0, 1]]])
-    u_inv = LaurentMatrix.from_rows([[[1, -1], [0, 1]]])
-    conj = FinModule(H, u @ m.smats @ u_inv, u @ m.omega_mats @ u_inv,
-                     name="conjugated induced module")
+    # keeps the relations but fills in off-diagonal entries; the module
+    # stays irreducible, so it takes the central-character route
+    d, H, conj = _conjugated_c2_module()
     conj.check_relations()
+    assert _certificate(conj) is not None
     # its length-zero matrix [[1, 0], [1, -1]] has single-term entries,
     # two in one row; [[1, 0], [1, 0]] has two in one column
     assert _monomial_entries(conj.omega_mats) is None
@@ -412,11 +490,11 @@ def test_non_monomial_module_takes_the_dense_route():
     assert all(a.dtype == np.int64 for a in (cols, neg, exp))
     for lam in [(1, 0), (0, 2), (1, 1)]:
         orbit = d.weyl_orbit(lam)
-        exact = conj.act(H.central_from_orbit(orbit))
+        exact = _exact_at_v0("C2 conjugated", lam)
         for p in (5, 7):
             assert _OrbitActor(conj, p).monomial is None
             fast = central_orbit_matrix_v0(conj, orbit, p)
-            assert np.array_equal(fast, exact.at_v0() % p), (lam, p)
+            assert np.array_equal(fast, exact % p), (lam, p)
 
 
 def test_special_character_route_matches_exact_action():
@@ -477,6 +555,7 @@ def test_supersingular_flag_shape():
     assert all(e["nilpotency_degree"] <= mod.dim for e in entries["orbits"])
 
 
+@functools.cache
 def _conjugated_c2_module():
     """The induced C2 module of the dense-route test, conjugated by an
     upper unitriangular matrix."""
@@ -492,29 +571,147 @@ def _conjugated_c2_module():
 
 
 def test_dense_route_matches_exact_action_beyond_int64_products():
-    # at p = 2^31 - 1 a product of two halves reduced mod p can exceed
-    # int64, so the halves multiply on Python ints
+    # at p = 2^31 - 1 the square of an entry reduced mod p exceeds
+    # int64 in an n = 5 product; the central character reduces one
+    # integer c_0 instead, and the exact action runs on Python ints
     p = 2**31 - 1
-    dd = build_root_datum("D", 4)
-    Hd = HeckeAlgebra(dd)
-    R = reflection_module(dd).star_twist()
+    Hd, R = _orbit_module("D4")
     assert (p - 1) ** 2 * R.dim > 2**63 - 1
-    d, H, conj = _conjugated_c2_module()
-    cases = [(dd, Hd, R, g) for g in Hd.monoid_generators("effective")]
-    cases += [(d, H, conj, lam) for lam in [(1, 0), (0, 2), (1, 1)]]
-    for datum, alg, mod, lam in cases:
+    H, conj = _orbit_module("C2 conjugated")
+    cases = [("D4", Hd, R, g) for g in Hd.monoid_generators("effective")]
+    cases += [("C2 conjugated", H, conj, lam)
+              for lam in [(1, 0), (0, 2), (1, 1)]]
+    for name, alg, mod, lam in cases:
         assert _OrbitActor(mod, p).monomial is None
-        orbit = datum.weyl_orbit(lam)
-        exact = mod.act(alg.central_from_orbit(orbit))
-        fast = central_orbit_matrix_v0(mod, orbit, p)
-        assert np.array_equal(fast, exact.at_v0() % p), (datum, lam)
+        assert _certificate(mod) is not None
+        fast = central_orbit_matrix_v0(mod, alg.datum.weyl_orbit(lam), p)
+        assert np.array_equal(fast, _exact_at_v0(name, lam) % p), (
+            name, lam)
+
+
+def test_central_character_matches_exact_action():
+    # the full scalar c(v), not only its constant term, on every
+    # generator orbit of the twisted D4 reflection module and on small
+    # orbits of the conjugated C2 module
+    cases = [("D4", g) for g in _orbit_module("D4")[0].monoid_generators(
+        "effective")]
+    cases += [("C2 conjugated", lam) for lam in [(1, 0), (0, 2), (1, 1)]]
+    for name, lam in cases:
+        H, mod = _orbit_module(name)
+        c = _certificate(mod).scalar(np.array(H.datum.weyl_orbit(lam)))
+        scalar = LaurentMatrix.from_rows(
+            [[[c if i == j else 0 for j in range(mod.dim)]
+              for i in range(mod.dim)]])[0]
+        assert not ((_exact_action(name, lam) - scalar).coeffs != 0).any(), (
+            name, lam, c)
+    # on D4 the constant term is 0 and the scalar is not
+    assert str(_certificate(_orbit_module("D4")[1]).scalar(np.array(
+        build_root_datum("D", 4).weyl_orbit((1, 0, 0, 0))))) == (
+        "v^2 + 2*v^4 + 2*v^6 + 2*v^8 + v^10")
+
+
+# Per datum, the generator orbits of the twisted reflection module that
+# is_supersingular walks (every one on D4-D6 and E6, the sampled one on
+# E7 and E8): generator, orbit size, c_0 and the lowest exponent of c(v).
+# These matched the orbit matrices of the per-point dense route this route
+# replaced, at p = 5, 7, 999983 and 2^31 - 1.
+C0_TABLE = {
+    ("D", 4): [((0, 0, 0, 1), 8, 0, 2), ((0, 0, 1, 0), 8, 0, 2),
+               ((0, 1, 0, 0), 24, 0, 4), ((1, 0, 0, 0), 8, 0, 2)],
+    ("D", 5): [((0, 0, 0, 0, 1), 16, 0, 3), ((0, 0, 0, 1, 0), 16, 0, 3),
+               ((0, 0, 1, 0, 0), 80, 0, 6), ((0, 1, 0, 0, 0), 40, 0, 4),
+               ((1, 0, 0, 0, 0), 10, 0, 2)],
+    ("D", 6): [((0, 0, 0, 0, 0, 1), 32, 0, 4), ((0, 0, 0, 0, 1, 0), 32, 0, 4),
+               ((0, 0, 0, 1, 0, 0), 240, 0, 8),
+               ((0, 0, 1, 0, 0, 0), 160, 0, 6),
+               ((0, 1, 0, 0, 0, 0), 60, 0, 4), ((1, 0, 0, 0, 0, 0), 12, 0, 2)],
+    ("E", 6): [((0, 0, 0, 0, 0, 1), 27, 0, 4), ((0, 0, 0, 0, 1, 0), 216, 0, 8),
+               ((0, 0, 0, 1, 0, 0), 720, 0, 12),
+               ((0, 0, 1, 0, 0, 0), 216, 0, 8), ((0, 1, 0, 0, 0, 0), 72, 0, 6),
+               ((1, 0, 0, 0, 0, 0), 27, 0, 4)],
+    ("E", 7): [((0, 0, 0, 0, 0, 0, 1), 56, 0, 6)],
+    ("E", 8): [((0, 0, 0, 0, 0, 0, 0, 1), 240, 0, 12)],
+}
+
+
+def test_central_character_table():
+    for (kind, rank), rows in C0_TABLE.items():
+        d = build_root_datum(kind, rank)
+        R = reflection_module(d).star_twist()
+        cert = _certificate(R)
+        assert cert is not None, (kind, rank)
+        fp = R.reduce_mod_p(5)
+        walked = [tuple(e["orbit"]) for e in is_supersingular(
+            fp, exhaustive=rank <= 6)[1]["orbits"]]
+        assert walked == [row[0] for row in rows], (kind, rank)
+        for gen, size, c0, low in rows:
+            orbit = np.array(d.weyl_orbit(gen))
+            c = cert.scalar(orbit)
+            assert (len(orbit), c.constant_term(), c.min_exp()) == (
+                size, c0, low), (kind, rank, gen)
+            for p in (5, 7, 999983, 2**31 - 1):
+                assert np.array_equal(
+                    central_orbit_matrix_v0(R, orbit, p),
+                    c0 % p * np.eye(R.dim, dtype=np.int64)), (gen, p)
+
+
+def test_certificate_refuses_a_reducible_module():
+    # a direct sum of two distinct characters, conjugated so that it is
+    # not monomial: its commutant holds every diagonal matrix, so it takes
+    # the exact route
+    d = build_root_datum("C", 2)
+    H = HeckeAlgebra(d)
+    chars = enumerate_characters(H, "generic")
+    a, b = chars[1].as_module(H), chars[2].as_module(H)
+    assert chars[1] != chars[2]
+    u = LaurentMatrix.from_rows([[[1, 1], [0, 1]]])[0]
+    u_inv = LaurentMatrix.from_rows([[[1, -1], [0, 1]]])[0]
+    diag = LaurentMatrix.from_rows(
+        [[[a.smats.entry(s, 0, 0), 0], [0, b.smats.entry(s, 0, 0)]]
+         for s in range(d.rank + 1)])
+    mod = FinModule(H, u @ diag @ u_inv, None, name="sum of two characters")
+    mod.check_relations()
+    assert _OrbitActor(mod, 5).monomial is None
+    assert _certificate(mod) is None
+    for lam in [(0, 2), (2, 0)]:
+        orbit = d.weyl_orbit(lam)
+        exact = mod.act(H.central_from_orbit(orbit))
+        for p in (5, 7):
+            fast = central_orbit_matrix_v0(mod, orbit, p)
+            assert np.array_equal(fast, exact.at_v0() % p), (lam, p)
+
+
+def test_reflection_modules_certify():
+    # the twisted reflection modules of D4-D8 and E6-E8, and the
+    # conjugated induced C2 module
+    for kind, rank in [("D", r) for r in range(4, 9)] + [
+            ("E", r) for r in (6, 7, 8)]:
+        R = reflection_module(build_root_datum(kind, rank)).star_twist()
+        assert _certificate(R) is not None, (kind, rank)
+    assert _certificate(_orbit_module("C2 conjugated")[1]) is not None
+
+
+def test_orbit_matrix_refuses_a_stack_that_is_not_one_orbit():
+    # the closed form sums a central character over the stack, so it
+    # would answer silently on any other stack; so would the monomial
+    # route on the induced C2 module
+    for name, lam, other in [("D4", (1, 0, 0, 0), (0, 1, 0, 0)),
+                             ("C2", (1, 0), (0, 2))]:
+        H, mod = _orbit_module(name)
+        orbit = list(H.datum.weyl_orbit(lam))
+        for bad in [orbit[:-1], orbit + orbit[:1],
+                    orbit + list(H.datum.weyl_orbit(other)), []]:
+            with pytest.raises(NotAFullOrbit):
+                central_orbit_matrix_v0(mod, bad, 5)
+        assert central_orbit_matrix_v0(mod, orbit[::-1], 5).shape == (
+            mod.dim, mod.dim)
 
 
 def test_dense_route_replays_words_of_generators_only(monkeypatch):
-    """Every half of an orbit is a product of memoized halves: the dense
-    route asks for the translation words of the monoid generators and
-    their negatives, each once per orbit, and for no other point."""
-    from heckelab import classify
+    """The central character of a module asks for the translation word of
+    each monoid generator once, and for no other point: an exhaustive D5
+    run, at two primes, replays each generator's word once."""
+    from heckelab import classify, extweyl
     calls = []
     real = classify.translation_word
 
@@ -523,17 +720,30 @@ def test_dense_route_replays_words_of_generators_only(monkeypatch):
         return real(datum, lam)
 
     monkeypatch.setattr(classify, "translation_word", counted)
+    monkeypatch.setattr(extweyl, "translation_word", counted)
     d = build_root_datum("D", 5)
     H = HeckeAlgebra(d)
     R = reflection_module(H).star_twist()
-    gens = set(H.monoid_generators("effective"))
-    allowed = gens | {tuple(-x for x in g) for g in gens}
-    for gen in sorted(gens):
-        calls.clear()
-        orbit = d.weyl_orbit(gen)
-        central_orbit_matrix_v0(R, orbit, 5)
-        assert calls and set(calls) <= allowed, gen
-        assert len(calls) == len(set(calls)), gen
+    for p in (5, 7):
+        flag, info = is_supersingular(R.reduce_mod_p(p), exhaustive=True)
+        assert flag and len(info["orbits"]) == 5
+    assert sorted(calls) == sorted(H.monoid_generators("effective"))
+
+
+def test_reflection_path_multiplies_no_hecke_elements(monkeypatch):
+    # the reflection answer certifies, so its orbits take no exact action
+    from heckelab import HeckeElt
+    calls = []
+    for name in ("__mul__", "_product"):
+        real = getattr(HeckeElt, name)
+        monkeypatch.setattr(HeckeElt, name, lambda self, *a, real=real, **k:
+                            calls.append(name) or real(self, *a, **k))
+    for rank in (4, 5, 6):
+        out = key_result_search(HeckeAlgebra(build_root_datum("D", rank)),
+                                exhaustive=True)
+        assert out.case == "ReflectionTwist"
+        assert out.certificate["supersingular_mod_p"]["nilpotent"]
+    assert calls == []
 
 
 def test_monomial_route_replays_no_word(monkeypatch):
@@ -586,17 +796,18 @@ def test_nilpotency_degree_beyond_int64_products():
 
 
 def test_orbit_sum_near_the_largest_prime(monkeypatch):
-    # 2^63 - 25 is the largest prime below 2^63: summands near p must
-    # not wrap int64 while they add up
+    # 2^63 - 25 is the largest prime below 2^63: monomial summands near p
+    # must not wrap int64 while they add up, and the central character of
+    # the D4 reflection module reduces mod p like the exact action
     p = 2**63 - 25
-    d = build_root_datum("D", 4)
-    R = reflection_module(d).star_twist()
-    orbit = d.weyl_orbit((0, 0, 0, 1))
-    exact = central_orbit_matrix_v0(R, orbit, p)
+    H, induced = _orbit_module("C2")
+    orbit = H.datum.weyl_orbit((1, 0))
     monkeypatch.setattr(_OrbitActor, "orbit_terms",
-                        lambda self, pts: np.full((len(pts), 5, 5), p - 1))
-    assert (central_orbit_matrix_v0(R, orbit, p) == p - len(orbit)).all()
+                        lambda self, pts: np.full((len(pts), 2, 2), p - 1))
+    assert (central_orbit_matrix_v0(induced, orbit, p)
+            == p - len(orbit)).all()
     monkeypatch.undo()
-    H = HeckeAlgebra(d)
-    assert np.array_equal(
-        exact, R.act(H.central_from_orbit(orbit)).at_v0() % p)
+    Hd, R = _orbit_module("D4")
+    lam = (0, 0, 0, 1)
+    exact = central_orbit_matrix_v0(R, Hd.datum.weyl_orbit(lam), p)
+    assert np.array_equal(exact, _exact_at_v0("D4", lam) % p)

@@ -1,12 +1,15 @@
-"""Exact integer helpers: the deterministic primality test and the
-int64 bound of the stacked lattice reduction."""
+"""Exact integer helpers: the deterministic primality test, the int64
+bound of the stacked lattice reduction and linear systems over Q and
+F_q."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from heckelab.intlin import (in_row_lattice, is_prime,
-                             reduce_rows_mod_lattice, rows_in_lattice)
+from heckelab.intlin import (echelon_mod, in_row_lattice, is_prime,
+                             reduce_rows_mod_lattice, rows_in_lattice, solve)
 
 
 def test_is_prime_matches_trial_division():
@@ -40,3 +43,34 @@ def test_stacked_reduction_refuses_stacks_that_could_wrap_int64():
     for bad in ([[2**60, 0]], [[0, -(2**60)]], [[-(2**63), 0]]):
         with pytest.raises(OverflowError):
             reduce_rows_mod_lattice(basis, bad)
+
+
+def test_solve_over_the_rationals_and_f2():
+    rows = [[1, 1], [1, -1], [2, 0]]
+    assert solve(rows, [3, 1, 4]) == [Fraction(2), Fraction(1)]
+    assert solve(rows, [3, 1, 5]) is None
+    assert solve([[2, 4]], [2]) == [Fraction(1), 0]  # free unknown is 0
+    # over F_2 the same rows have rank one: x0 + x1 = 1 is consistent,
+    # x0 + x1 = 1 and x0 + x1 = 0 together are not
+    assert solve(rows, [1, 1, 0], 2) == [1, 0]
+    assert solve(rows, [1, 0, 0], 2) is None
+    assert solve([[3, 1], [1, 2]], [1, 0], 7) == [6, 4]
+
+
+def test_echelon_mod_a_prime():
+    q = 33554393
+
+    def rank(a, q):
+        return len(echelon_mod(np.array(a, dtype=np.int64), q))
+
+    assert rank([[0, 1, 2], [0, 2, 4], [1, 0, 0], [1, 1, 2]], 7) == 2
+    assert rank(np.zeros((3, 3)), 7) == 0
+    assert rank(np.eye(4), q) == 4
+    # rank drops mod 7 only: 7 divides the determinant 14
+    assert rank([[3, 1], [1, 5]], q) == 2 and rank([[3, 1], [1, 5]], 7) == 1
+    # entries near q multiply past 2^50 without wrapping
+    assert rank([[q - 1, q - 2], [q - 2, q - 3]], q) == 2
+    assert rank([[q - 1, q - 1], [1, 1]], q) == 1
+    # the rows are in echelon form, each pivot 1
+    rows = echelon_mod(np.array([[0, 2, 4], [3, 1, 1], [3, 3, 5]]), 7)
+    assert rows.tolist() == [[1, 5, 5], [0, 1, 2]]

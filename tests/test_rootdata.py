@@ -156,6 +156,32 @@ def test_weyl_orbits():
         assert d.dominant_rep(x) == (1, 1)
 
 
+def test_orbit_closure_test():
+    # every orbit in any order passes; a missing, repeated or extra point,
+    # or a union of two orbits, fails; E8 at 1000 times a coweight packs
+    # past int64 and compares rows in lexicographic order instead
+    rng = np.random.default_rng(3)
+    cases = [("A", 1, (0,), (1,)), ("C", 2, (1, 1), (2, 0)),
+             ("G", 2, (1, 0), (0, 1)),
+             ("D", 4, (0, 1, 0, 0), (1, 0, 0, 0)),
+             ("E", 6, (1, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 1)),
+             ("E", 8, (0,) * 7 + (1000,), (1,) + (0,) * 7)]
+    for kind, rank, lam, mu in cases:
+        d = build_root_datum(kind, rank)
+        orbit = np.array(d.weyl_orbit(lam))
+        assert d.is_weyl_orbit(rng.permutation(orbit)), (kind, lam)
+        other = np.array(d.weyl_orbit(mu))
+        for bad in [orbit[1:], orbit[:-1], np.concatenate([orbit, orbit[:1]]),
+                    np.concatenate([orbit, other])]:
+            if len(bad):
+                assert not d.is_weyl_orbit(bad), (kind, lam, len(bad))
+    d = build_root_datum("C", 2)
+    # closed under reflections, but two dominant points: two orbits
+    assert not d.is_weyl_orbit([(0, 0), (1, 0), (-1, 1), (1, -1), (-1, 0)])
+    # one dominant point, but (0, 1) reflects outside the stack
+    assert not d.is_weyl_orbit([(0, 1), (2, -1)])
+
+
 def test_reflections_preserve_orbits():
     d = build_root_datum("G", 2)
     orb = set(d.weyl_orbit((1, 0)))
