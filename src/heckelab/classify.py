@@ -362,8 +362,9 @@ def _generator_weights(module: FinModule, gens):
     $u$."""
     alg, n = module.alg, module.dim
     star = _star_mats(module)
-    if module.omega_mats is None:
-        omega, index = LaurentMatrix.identity(n), [0] * len(gens)
+    if module.omega_mats is None:  # a stack of one identity matrix
+        omega = LaurentMatrix(0, np.eye(n, dtype=np.int64)[None, None], 1)
+        index = [0] * len(gens)
     else:
         omega, index = (module.omega_mats,
                         alg.omega.translation_indices(gens))
@@ -446,10 +447,12 @@ def _certificate(module: FinModule) -> _CentralCharacter | None:
     certified to be the scalars (:func:`_commutant_is_scalar`) or no
     common eigenvector is found (:func:`_generator_weights`).  The
     exponents $k_g$ of the generators give
-    $\\langle g, y \\rangle = k_g - L(g)$ and the signs give $\\epsilon$:
-    both are solved exactly in the coordinates of the lattice basis, over
-    $\\mathbb{Q}$ and over $F_2$, where $\\theta$ being multiplicative
-    makes them consistent."""
+    $\\langle g, y \\rangle = k_g - L(g)$ and the signs give $\\epsilon$,
+    both in the coordinates of the lattice basis: the generators span the
+    lattice, so each system has one solution over $F_q$ and over $F_2$,
+    and $\\theta$ being multiplicative makes both consistent.  $y$ is
+    integral, so its lift from $F_q$ to $(-q/2, q/2)$ is checked to solve
+    the system over the integers."""
     if not _commutant_is_scalar(module):
         return None
     alg, datum = module.alg, module.alg.datum
@@ -460,17 +463,19 @@ def _certificate(module: FinModule) -> _CentralCharacter | None:
         return None
     inv = intlin.frac_inverse(alg._level_basis(level))
     det = intlin.det(alg._level_basis(level))
-    coords = [[int(sum(x * row[j] for x, row in zip(g, inv)))
-               for j in range(datum.rank)] for g in gens]
-    y = intlin.solve(coords, [k - datum.translation_weighted_length(g)
-                              for g, (_, k) in zip(gens, weights)])
-    signs = intlin.solve(coords, [int(eps < 0) for eps, _ in weights], 2)
+    coords = np.array([[int(sum(x * row[j] for x, row in zip(g, inv)))
+                        for j in range(datum.rank)] for g in gens],
+                      dtype=np.int64)
+    rhs = np.array([k - datum.translation_weighted_length(g)
+                    for g, (_, k) in zip(gens, weights)], dtype=np.int64)
+    y = intlin.solve_mod(coords, rhs, CERT_Q)
+    signs = intlin.solve_mod(coords, [int(eps < 0) for eps, _ in weights], 2)
     assert y is not None and signs is not None
-    assert all(x.denominator == 1 for x in y)
+    y = np.where(y > CERT_Q // 2, y - CERT_Q, y)
+    assert (coords @ y == rhs).all()
     adj = np.array([[int(x * det) for x in row] for row in inv],
                    dtype=np.int64)
-    pairing = adj @ np.array([[int(a), b] for a, b in zip(y, signs)],
-                             dtype=np.int64)
+    pairing = adj @ np.stack([y, signs], axis=1)
     return _CentralCharacter(datum, pairing, det)
 
 
@@ -490,7 +495,11 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     (:func:`_certificate`) the sum acts as $c(v) I$ and the matrix is
     $c_0 I$ mod ``p``, for $c_0$ the constant term of $c(v)$; without one
     it is the $v^0$ coefficient of the exact action
-    (:meth:`FinModule.act` on :meth:`HeckeAlgebra.central_from_orbit`)."""
+    (:meth:`FinModule.act` on :meth:`HeckeAlgebra.central_from_orbit`).
+    That route multiplies Hecke elements whose supports grow exponentially
+    with the orbit's translations, so a module without the certificate
+    can take minutes on one generator orbit: on a C5 module of the induced
+    answer's shape, one orbit did not finish in 150 s."""
     alg = module.alg
     if not len(orbit):
         raise NotAFullOrbit("empty orbit")

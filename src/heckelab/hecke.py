@@ -170,15 +170,13 @@ class HeckeAlgebra:
     def lattice_points(self, lam, level: str = "effective") -> np.ndarray:
         """``lam``, a point or an (N, rank) stack, as an (N, rank) int64
         stack of points of the lattice at ``level``, else ``NotInLattice``
-        naming the first point off it or off the datum's lattice."""
-        datum = self.datum
+        naming the first point off it.  The coroot and effective lattices
+        lie in the datum's lattice, so no point off that one passes."""
         pts = self._stack(lam)
-        for basis, name in ((datum.lattice_basis, datum.lattice_name),
-                            (self._level_basis(level), level)):
-            off = ~intlin.rows_in_lattice(basis, pts)
-            if off.any():
-                raise NotInLattice(f"{tuple(pts[off][0].tolist())} is not "
-                                   f"in the {name} lattice")
+        off = ~intlin.rows_in_lattice(self._level_basis(level), pts)
+        if off.any():
+            raise NotInLattice(f"{tuple(pts[off][0].tolist())} is not in "
+                               f"the {level} lattice")
         return pts
 
     def dominant_decomposition(self, lam, level: str = "effective"):

@@ -87,45 +87,11 @@ def frac_inverse(m: IntMatrix) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
-def solve(rows: IntMatrix, rhs: Sequence[int],
-          q: int | None = None) -> list | None:
-    """One solution $x$ of ``rows`` $x$ = ``rhs`` by Gauss-Jordan
-    elimination, over the rationals (Fractions) or, given a prime ``q``,
-    over $F_q$ (ints in $[0, q)$); free unknowns are 0.  ``None`` when the
-    system has no solution."""
-    def reduce(x):
-        return x if q is None else x % q
-
-    width = len(rows[0])
-    a = [[Fraction(x) if q is None else int(x) % q for x in (*row, b)]
-         for row, b in zip(rows, rhs)]
-    pivots = []
-    for col in range(width):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[top], a[piv] = a[piv], a[top]
-        scale = 1 / a[top][col] if q is None else pow(a[top][col], -1, q)
-        a[top] = [reduce(x * scale) for x in a[top]]
-        for r in range(len(a)):
-            if r != top and a[r][col]:
-                f = a[r][col]
-                a[r] = [reduce(x - f * y) for x, y in zip(a[r], a[top])]
-        pivots.append(col)
-    if any(row[-1] for row in a[len(pivots):]):
-        return None
-    x = [0] * width
-    for row, col in zip(a, pivots):
-        x[col] = row[-1]
-    return x
-
-
 def echelon_mod(a: np.ndarray, q: int) -> np.ndarray:
-    """The nonzero rows of a row echelon form over $F_q$ of an int64
-    matrix with entries in $[0, q)$, for a prime $q < 2^{31}$ (so that a
-    product of two entries fits int64): one pivot column at a time over
-    the rows below.  Their number is the rank."""
+    """The nonzero rows of the reduced row echelon form over $F_q$ of an
+    int64 matrix with entries in $[0, q)$, for a prime $q < 2^{31}$ (so
+    that a product of two entries fits int64): one pivot column at a time,
+    cleared in every other row.  Their number is the rank."""
     a = a.copy()
     rank = 0
     for col in range(a.shape[1]):
@@ -136,10 +102,26 @@ def echelon_mod(a: np.ndarray, q: int) -> np.ndarray:
             continue
         a[[rank, nz[0]]] = a[[nz[0], rank]]
         a[rank] = a[rank] * pow(int(a[rank, col]), -1, q) % q
-        below = nz[1:]  # the row swapped down has 0 in this column
-        a[below] = (a[below] - a[below, col, None] * a[rank]) % q
+        others = np.flatnonzero(a[:, col])
+        others = others[others != rank]
+        a[others] = (a[others] - a[others, col, None] * a[rank]) % q
         rank += 1
     return a[:rank]
+
+
+def solve_mod(rows: IntMatrix, rhs: Sequence[int], q: int) -> np.ndarray | None:
+    """One solution $x$ in $[0, q)$ of ``rows`` $x$ = ``rhs`` over $F_q$
+    (:func:`echelon_mod` of the augmented matrix), free unknowns 0, or
+    ``None`` when the system has none."""
+    a = np.concatenate([np.asarray(rows, dtype=np.int64),
+                        np.asarray(rhs, dtype=np.int64)[:, None]], axis=1) % q
+    ech = echelon_mod(a, q)
+    pivots = (ech != 0).argmax(axis=1)
+    if (pivots == a.shape[1] - 1).any():
+        return None
+    x = np.zeros(a.shape[1] - 1, dtype=np.int64)
+    x[pivots] = ech[:, -1]
+    return x
 
 
 @functools.cache

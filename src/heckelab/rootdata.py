@@ -253,30 +253,27 @@ class RootDatum:
         twice, and every simple reflection maps it onto itself (a set that
         the reflections map onto itself is a union of orbits, each with
         one dominant point); each reflection maps the finite stack into
-        itself injectively, so onto itself when into it.
-
-        Rows compare as int64 keys, digits in a base past every coordinate
-        of the stack and of its images, so that the key of
-        $s_i \\lambda = \\lambda - \\lambda_i \\alpha_i^\\vee$ is the key of
-        $\\lambda$ minus $\\lambda_i$ times that of $\\alpha_i^\\vee$: one
-        product gives the keys of all images, looked up in one set of the
-        stack's keys.
-        Stacks whose keys would pass int64 compare rows as tuples."""
-        pts = np.asarray(pts, dtype=np.int64)
+        itself injectively, so onto itself when into it.  Rows compare as
+        their bytes, so one set of the stack's rows takes the images
+        $s_i \\lambda = \\lambda - \\lambda_i \\alpha_i^\\vee$ of each
+        reflection, one product each.  ``OverflowError`` when an image
+        could pass int64."""
+        pts = np.ascontiguousarray(pts, dtype=np.int64)
+        cartan = np.array(self.cartan, dtype=np.int64)
+        bound = (2**63 - 1) // (1 + int(np.abs(cartan).max()))
+        if ((pts > bound) | (pts < -bound)).any():
+            raise OverflowError("the reflections of a point with a "
+                                f"coordinate beyond {bound} may pass int64")
         if (pts >= 0).all(axis=1).sum() != 1:
             return False
-        cartan = np.array(self.cartan, dtype=np.int64)
-        top = int(np.abs(pts).max()) * (1 + int(np.abs(cartan).max()))
-        if (2 * top + 1) ** self.rank < 2**63:
-            digits = (2 * top + 1) ** np.arange(self.rank, dtype=np.int64)
-            keys = pts @ digits
-            images = keys - pts.T * (cartan @ digits)[:, None]
-            seen = set(keys.tolist())
-            return len(seen) == len(pts) and all(
-                seen.issuperset(row.tolist()) for row in images)
-        seen = set(map(tuple, pts.tolist()))
+        row = np.dtype((np.void, pts.itemsize * self.rank))
+
+        def keys(a):
+            return np.ascontiguousarray(a).view(row).ravel().tolist()
+
+        seen = set(keys(pts))
         return len(seen) == len(pts) and all(
-            seen.issuperset(map(tuple, (pts - pts[:, i, None] * c).tolist()))
+            seen.issuperset(keys(pts - pts[:, i, None] * c))
             for i, c in enumerate(cartan))
 
     def translation_class_counts(self, lam) -> np.ndarray:

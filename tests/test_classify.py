@@ -691,6 +691,36 @@ def test_reflection_modules_certify():
     assert _certificate(_orbit_module("C2 conjugated")[1]) is not None
 
 
+def test_module_without_length_zero_action_takes_the_central_character():
+    # the twisted A3 reflection module restricted to the non-extended
+    # algebra has no length-zero action, is not monomial and still has
+    # only scalars in its commutant: its certificate replays the words of
+    # the coroot generators with no length-zero factor, and matches the
+    # exact action on every generator orbit, c(v) in full and c_0 mod p
+    d = build_root_datum("A", 3)
+    H = HeckeAlgebra(d)
+    R = reflection_module(H).star_twist()
+    mod = FinModule(H, R.smats, None, name="restricted reflection module")
+    mod.check_relations()
+    assert _OrbitActor(mod, 5).monomial is None
+    cert = _certificate(mod)
+    assert cert is not None
+    for lam in H.monoid_generators("coroot"):
+        orbit = d.weyl_orbit(lam)
+        exact = mod.act(H.central_from_orbit(orbit))
+        c = cert.scalar(np.array(orbit))
+        scalar = LaurentMatrix.from_rows(
+            [[[c if i == j else 0 for j in range(mod.dim)]
+              for i in range(mod.dim)]])[0]
+        assert not ((exact - scalar).coeffs != 0).any(), (lam, c)
+        for p in (5, 7):
+            fast = central_orbit_matrix_v0(mod, orbit, p)
+            assert np.array_equal(fast, exact.at_v0() % p), (lam, p)
+    flag, entries = is_supersingular(mod.reduce_mod_p(5), exhaustive=True)
+    assert flag and len(entries["orbits"]) == len(
+        H.monoid_generators("coroot"))
+
+
 def test_orbit_matrix_refuses_a_stack_that_is_not_one_orbit():
     # the closed form sums a central character over the stack, so it
     # would answer silently on any other stack; so would the monomial

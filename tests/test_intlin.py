@@ -1,15 +1,14 @@
 """Exact integer helpers: the deterministic primality test, the int64
-bound of the stacked lattice reduction and linear systems over Q and
-F_q."""
+bound of the stacked lattice reduction and linear systems over F_q."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from heckelab.intlin import (echelon_mod, in_row_lattice, is_prime,
-                             reduce_rows_mod_lattice, rows_in_lattice, solve)
+                             reduce_rows_mod_lattice, rows_in_lattice,
+                             solve_mod)
 
 
 def test_is_prime_matches_trial_division():
@@ -45,16 +44,18 @@ def test_stacked_reduction_refuses_stacks_that_could_wrap_int64():
             reduce_rows_mod_lattice(basis, bad)
 
 
-def test_solve_over_the_rationals_and_f2():
+def test_solve_mod_a_prime():
     rows = [[1, 1], [1, -1], [2, 0]]
-    assert solve(rows, [3, 1, 4]) == [Fraction(2), Fraction(1)]
-    assert solve(rows, [3, 1, 5]) is None
-    assert solve([[2, 4]], [2]) == [Fraction(1), 0]  # free unknown is 0
+    assert solve_mod(rows, [3, 1, 4], 7).tolist() == [2, 1]
+    assert solve_mod(rows, [3, 1, 5], 7) is None
+    assert solve_mod([[2, 4]], [2], 7).tolist() == [1, 0]  # free unknown 0
     # over F_2 the same rows have rank one: x0 + x1 = 1 is consistent,
     # x0 + x1 = 1 and x0 + x1 = 0 together are not
-    assert solve(rows, [1, 1, 0], 2) == [1, 0]
-    assert solve(rows, [1, 0, 0], 2) is None
-    assert solve([[3, 1], [1, 2]], [1, 0], 7) == [6, 4]
+    assert solve_mod(rows, [1, 1, 0], 2).tolist() == [1, 0]
+    assert solve_mod(rows, [1, 0, 0], 2) is None
+    assert solve_mod([[3, 1], [1, 2]], [1, 0], 7).tolist() == [6, 4]
+    # negative entries reduce into [0, q)
+    assert solve_mod([[1, 0], [0, -1]], [-1, 2], 7).tolist() == [6, 5]
 
 
 def test_echelon_mod_a_prime():
@@ -71,6 +72,7 @@ def test_echelon_mod_a_prime():
     # entries near q multiply past 2^50 without wrapping
     assert rank([[q - 1, q - 2], [q - 2, q - 3]], q) == 2
     assert rank([[q - 1, q - 1], [1, 1]], q) == 1
-    # the rows are in echelon form, each pivot 1
+    # the rows are in reduced echelon form, each pivot 1 and alone in
+    # its column
     rows = echelon_mod(np.array([[0, 2, 4], [3, 1, 1], [3, 3, 5]]), 7)
-    assert rows.tolist() == [[1, 5, 5], [0, 1, 2]]
+    assert rows.tolist() == [[1, 0, 2], [0, 1, 2]]

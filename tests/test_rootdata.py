@@ -158,8 +158,7 @@ def test_weyl_orbits():
 
 def test_orbit_closure_test():
     # every orbit in any order passes; a missing, repeated or extra point,
-    # or a union of two orbits, fails; E8 at 1000 times a coweight packs
-    # past int64 and compares rows in lexicographic order instead
+    # or a union of two orbits, fails, also at 1000 times an E8 coweight
     rng = np.random.default_rng(3)
     cases = [("A", 1, (0,), (1,)), ("C", 2, (1, 1), (2, 0)),
              ("G", 2, (1, 0), (0, 1)),
@@ -180,6 +179,11 @@ def test_orbit_closure_test():
     assert not d.is_weyl_orbit([(0, 0), (1, 0), (-1, 1), (1, -1), (-1, 0)])
     # one dominant point, but (0, 1) reflects outside the stack
     assert not d.is_weyl_orbit([(0, 1), (2, -1)])
+    # on G2 the image of a coordinate past (2^63 - 1) // 4 may wrap int64
+    g2, bound = build_root_datum("G", 2), (2**63 - 1) // 4
+    assert g2.is_weyl_orbit(g2.weyl_orbit((0, bound // 2)))
+    with pytest.raises(OverflowError):
+        g2.is_weyl_orbit([(bound + 1, 0)])
 
 
 def test_reflections_preserve_orbits():
