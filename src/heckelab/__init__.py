@@ -12,7 +12,8 @@ from .errors import (HeckeLabError, InvalidRank, DecorationNotClassConstant,
                      WeightTooLarge, LatticeNotIntermediate, NotInLattice,
                      DatumMismatch, NotAFullOrbit, HilbertBasisOverflow,
                      CharacterExtends, NoIndexTwoStructure, NotSimplyLaced,
-                     NegativePowersPresent, RelationsFail, UnhandledCase)
+                     NegativePowersPresent, RelationsFail, UnhandledCase,
+                     SublatticeUnsupported)
 from .laurent import Laurent, LaurentMatrix, q_power
 from .rootdata import (RootDatum, build_root_datum, cartan_matrix,
                        dominant_monoid_generators, INFINITE_BOND)
@@ -35,7 +36,7 @@ __all__ = [
     "LatticeNotIntermediate", "NotInLattice", "DatumMismatch",
     "NotAFullOrbit", "HilbertBasisOverflow", "CharacterExtends",
     "NoIndexTwoStructure", "NotSimplyLaced", "NegativePowersPresent",
-    "RelationsFail", "UnhandledCase",
+    "RelationsFail", "UnhandledCase", "SublatticeUnsupported",
     "Laurent", "LaurentMatrix", "q_power",
     "RootDatum", "build_root_datum", "cartan_matrix",
     "dominant_monoid_generators", "INFINITE_BOND",

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intlin
-from .errors import NotAFullOrbit
+from .errors import NotAFullOrbit, SublatticeUnsupported
 from .extweyl import translation_letter_counts, translation_word
 from .hecke import HeckeAlgebra
 from .laurent import Laurent, LaurentMatrix
@@ -636,8 +636,9 @@ def key_result_search(datum, p: int = 5, exhaustive: bool = False) -> SearchOutc
     alg = _as_algebra(datum)
     d = alg.datum
     if d.lattice_index != 1:
-        raise ValueError("the search needs the full coweight lattice; "
-                         f"got a sublattice of index {d.lattice_index}")
+        raise SublatticeUnsupported(
+            "the search needs the full coweight lattice; "
+            f"got a sublattice of index {d.lattice_index}")
     # type A by its affine diagram, whatever the label (D3 is A3): rank one
     # with an infinite bond, or a cycle, every node with two neighbours
     m = d.coxeter_m

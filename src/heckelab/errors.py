@@ -27,6 +27,13 @@ class WeightTooLarge(HeckeLabError):
     matrices can afford (their size grows with the largest weight)."""
 
 
+class SublatticeUnsupported(HeckeLabError, ValueError):
+    """The classification search was asked about a datum whose lattice is
+    a proper sublattice of the coweight lattice; it handles the full
+    coweight lattice only.  Also a ``ValueError``, so callers that catch
+    ``ValueError`` still catch it."""
+
+
 class LatticeNotIntermediate(HeckeLabError):
     """An explicitly given lattice does not sit between the coroot lattice
     and the coweight lattice."""
@@ -69,7 +76,21 @@ class NegativePowersPresent(HeckeLabError):
 
 
 class RelationsFail(HeckeLabError):
-    """A proposed module's matrices do not satisfy the defining relations."""
+    """A proposed module's matrices do not satisfy the defining relations.
+
+    ``relation`` names the first failing relation.  A failure in a stack
+    of modules also names its first failing member: ``member`` is its
+    index over the family axes and ``values`` its node values (both
+    ``None`` for a single module)."""
+
+    def __init__(self, relation: str, member: tuple[int, ...] | None = None,
+                 values=None):
+        message = relation
+        if member is not None:
+            message += (f" in family member {member}"
+                        f" with node values {values}")
+        super().__init__(message)
+        self.relation, self.member, self.values = relation, member, values
 
 
 class UnhandledCase(HeckeLabError):

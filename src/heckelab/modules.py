@@ -259,36 +259,76 @@ class Character:
         return out
 
 
+# Degree slices that one relation check of a character family stacks,
+# summed over its members.  A generic member spans 2 max(w) + 1 slices and a
+# mod-p member one, so every family of small weights takes one check, while
+# at the weight bound (rootdata.MAX_WEIGHT) each member takes a check of its
+# own: the memory of a check grows with the slices it stacks.
+FAMILY_SLICES = 1 << 12
+
+
+def _check_family(alg: HeckeAlgebra, coeffs, degrees,
+                  prime: int | None = None) -> None:
+    """Check a family of one dimensional modules against the relations.
+
+    Member ``k`` sends $T_s$ to ``coeffs[k, s]`` $v^{d}$ with
+    $d$ = ``degrees[k, s]`` $\\ge 0$ (with a ``prime``, read mod it at
+    $v = 0$).  The members run through :meth:`FinModule.check_relations`
+    as stacks of at most ``FAMILY_SLICES`` degree slices (one member at
+    least), in order; a :class:`RelationsFail` names the first failing
+    member by its row ``k`` over the whole family."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    members, nodes = coeffs.shape
+    size = int(degrees.max(initial=0)) + 1
+    step = max(1, FAMILY_SLICES // size)
+    for start in range(0, members, step):
+        rows = slice(start, start + step)
+        part = coeffs[rows]
+        stack = np.zeros((nodes, len(part), size, 1, 1), dtype=np.int64)
+        stack[np.arange(nodes), np.arange(len(part))[:, None],
+              degrees[rows], 0, 0] = part
+        try:
+            FinModule(alg, LaurentMatrix(0, stack), None,
+                      prime=prime).check_relations()
+        except RelationsFail as exc:
+            raise RelationsFail(exc.relation, (start + exc.member[0],),
+                                exc.values) from None
+
+
 def enumerate_characters(datum, char_mode: str = "generic") -> tuple[Character, ...]:
     """All one dimensional characters, verified against the relations.
 
     ``generic`` runs over sign patterns on node classes ($2^m$ of them,
-    trivial first), each verified through its own module; ``modp`` runs
+    trivial first, $T_s \\mapsto q_s = v^{2 w_s}$ or $-1$); ``modp`` runs
     over per-node values in $\\{0, -1\\}$ ($2^{|S|}$, all of which satisfy
-    the relations since $q \\equiv 0$ makes the braid products collapse),
-    verified as one stack of 1x1 modules by a single relation check.
+    the relations since $q \\equiv 0$ makes the braid products collapse).
+    Either family is verified as a stack of 1x1 modules by
+    :func:`_check_family`, in one relation check while its members times
+    their degree slices ($2 \\max w + 1$ generic, one mod $p$) stay
+    within ``FAMILY_SLICES``; at the weight bound each generic member
+    takes a check of its own.
     """
     alg = _as_algebra(datum)
     d = alg.datum
-    if char_mode == "generic":
-        chars = []
-        for signs in itertools.product((1, -1), repeat=len(d.classes)):
-            ch = Character.generic(d, signs)
-            ch.as_module(alg)
-            chars.append(ch)
-        return tuple(chars)
-    if char_mode != "modp":
+    if char_mode not in ("generic", "modp"):
         raise ValueError(f"unknown character mode {char_mode!r}")
-    chars = tuple(Character.modp(d, values) for values in
-                  itertools.product((0, -1), repeat=d.rank + 1))
-    # the family stacks the characters between the node axis and the
-    # degree axis.  Products of values in {0, -1} lie in {0, 1, -1}, so
-    # the relations hold mod an odd prime exactly when they hold over Z,
-    # hence mod every prime: one check at p = 5 covers them all
-    values = np.array([ch.values for ch in chars], dtype=np.int64).T
-    family = FinModule(alg, LaurentMatrix(0, values[:, :, None, None, None], 1),
-                       None, prime=5, name=f"mod-p characters of {d.label()}")
-    family.check_relations()
+    generic = char_mode == "generic"
+    choices, count = (((1, -1), len(d.classes)) if generic
+                      else ((0, -1), d.rank + 1))
+    chars = tuple(Character(d, char_mode, values)
+                  for values in itertools.product(choices, repeat=count))
+    values = np.array([ch.values for ch in chars], dtype=np.int64)
+    if generic:
+        classes = [d.class_of_node[s] for s in range(d.rank + 1)]
+        plus = values[:, classes] == 1
+        degrees = plus * (2 * np.array(d.weights))
+        _check_family(alg, np.where(plus, 1, -1), degrees)
+    else:
+        # products of values in {0, -1} lie in {0, 1, -1}, so the relations
+        # hold mod an odd prime exactly when they hold over Z, hence mod
+        # every prime: one check at p = 5 covers them all
+        _check_family(alg, values, np.zeros_like(values), prime=5)
     return chars
 
 
@@ -452,16 +492,15 @@ class FinModule:
         member = int(np.argmax(bad.any(axis=0)))
         message, args = labels[int(np.argmax(bad[:, member]))]
         message = message.format(*args)
-        if family:
-            index = np.unravel_index(member, family)
-            mats = smats[(slice(None),) + index]
-            values = [[[str(mats.entry(s, i, j)) for j in range(self.dim)]
-                       for i in range(self.dim)] for s in range(len(mats))]
-            if self.dim == 1:
-                values = [m[0][0] for m in values]
-            message += (f" in family member {tuple(map(int, index))}"
-                        f" with node values {values}")
-        raise RelationsFail(message)
+        if not family:
+            raise RelationsFail(message)
+        index = tuple(map(int, np.unravel_index(member, family)))
+        mats = smats[(slice(None),) + index]
+        values = [[[str(mats.entry(s, i, j)) for j in range(self.dim)]
+                   for i in range(self.dim)] for s in range(len(mats))]
+        if self.dim == 1:
+            values = [m[0][0] for m in values]
+        raise RelationsFail(message, index, values)
 
     def mat_of_omega(self, omega_elt) -> LaurentMatrix:
         if omega_elt.is_identity():

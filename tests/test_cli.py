@@ -299,6 +299,42 @@ def test_node_weights_are_bounded(tmp_path, capsys):
         assert "10000" in error["message"]
 
 
+def test_weight_bound_peaks_under_150_mb(tmp_path):
+    """characters and classify at the weight bound, each in a fresh
+    interpreter that reports its own peak: a relation check stacks
+    character modules only while their degree slices fit one bound
+    (stacking all eight members peaks near 237 MB)."""
+    case = write_case(tmp_path, {"type": "C", "rank": 2,
+                                 "decoration": [1, 10**4, 10**4]})
+    script = ("import resource, sys\n"
+              "from heckelab import cli\n"
+              "code = cli.main([sys.argv[1], '--case', sys.argv[2]])\n"
+              "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "print(code, peak, file=sys.stderr)\n")
+    for command in ("characters", "classify"):
+        done = subprocess.run([sys.executable, "-c", script, command, case],
+                              env=child_env(), capture_output=True,
+                              text=True, timeout=300)
+        code, peak = map(int, done.stderr.split()[-2:])
+        # ru_maxrss counts kilobytes on Linux and bytes on macOS
+        mb = peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+        assert code == 0 and mb < 150, (command, mb)
+
+
+def test_classify_on_a_sublattice_is_a_typed_error(tmp_path, capsys):
+    from heckelab import HeckeLabError, SublatticeUnsupported
+    case = write_case(tmp_path, {"type": "C", "rank": 2,
+                                 "lattice": [[1, 0], [0, 2]]})
+    code, out = run_cli(["classify", "--case", case], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "SublatticeUnsupported",
+        "message": "the search needs the full coweight lattice; "
+                   "got a sublattice of index 2"}
+    assert issubclass(SublatticeUnsupported, HeckeLabError)
+    assert issubclass(SublatticeUnsupported, ValueError)
+
+
 def test_classify_d4_at_a_prime_beyond_a_million(tmp_path, capsys):
     case = write_case(tmp_path, {"type": "D", "rank": 4})
     code, out = run_cli(["classify", "--case", case, "--p", "1000003"],

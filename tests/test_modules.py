@@ -267,6 +267,29 @@ def test_modp_characters_take_one_relation_check(monkeypatch):
             itertools.product((0, -1), repeat=rank + 1))
 
 
+def test_generic_characters_take_one_relation_check(monkeypatch):
+    from heckelab import modules
+    calls = []
+    check = modules.FinModule.check_relations
+    monkeypatch.setattr(modules.FinModule, "check_relations",
+                        lambda self: calls.append(self) or check(self))
+    for kind, rank, w in [("E", 8, 1), ("D", 7, 1), ("F", 4, 1),
+                          ("G", 2, 1), ("C", 2, [1, 2, 2])]:
+        d = build_root_datum(kind, rank, weights=w)
+        calls.clear()
+        chars = enumerate_characters(HeckeAlgebra(d), "generic")
+        assert len(calls) == 1, d.label()
+        assert [ch.values for ch in chars] == list(
+            itertools.product((1, -1), repeat=len(d.classes)))
+    # C2 [1, 2, 2]: eight members of 2 * 2 + 1 degree slices each
+    H = HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 2]))
+    for k in (1, 3, 5, 8):
+        monkeypatch.setattr(modules, "FAMILY_SLICES", 5 * k)
+        calls.clear()
+        assert enumerate_characters(H, "generic") == chars
+        assert len(calls) == -(-8 // k)
+
+
 def test_bad_module_matrices_rejected():
     from heckelab.modules import FinModule
     H = HeckeAlgebra(build_root_datum("A", 2))

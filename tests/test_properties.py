@@ -1,6 +1,8 @@
 """Property tests: randomly drawn inputs checked against the slow
 reference routes of the test oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from heckelab import (ExtWeylElt, FinModule, HeckeAlgebra, Laurent,
                       LaurentMatrix, RelationsFail, aut_group,
                       build_root_datum, cartan_matrix,
                       dominant_monoid_generators)
-from heckelab import intlin
+from heckelab import intlin, modules
 from heckelab.extweyl import (affine_root_is_positive, affine_simple,
                               translation_word)
 from heckelab.hecke import HeckeElt
@@ -280,3 +282,47 @@ def test_family_check_matches_member_checks(d, data):
     index = tuple(int(i) for i in np.unravel_index(first[0], shape))
     assert str(caught.value).startswith(
         f"{first[1]} in family member {index} with node values ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_data(), st.data())
+def test_laurent_family_check_matches_member_checks(d, data):
+    """A family of 1x1 Laurent modules with node values in
+    {q_s, -1, 1, -q_s}, some of them characters, fails its chunked
+    relation checks exactly when some member fails its own, and names
+    that member's index over the whole family and its first failing
+    relation."""
+    H = HeckeAlgebra(d)
+    n, m = d.rank + 1, len(d.classes)
+    # a value is (coefficient, whether it carries q_s = v^(2 w_s))
+    sign = {1: (1, True), -1: (-1, False)}
+    character = st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m
+                         ).map(lambda signs: [sign[signs[d.class_of_node[s]]]
+                                              for s in range(n)])
+    free = st.lists(st.sampled_from([(1, True), (-1, False), (1, False),
+                                     (-1, True)]), min_size=n, max_size=n)
+    members = data.draw(st.lists(st.one_of(character, free), min_size=1,
+                                 max_size=8))
+    coeffs = [[c for c, _ in member] for member in members]
+    degrees = [[2 * d.weights[s] * q for s, (_, q) in enumerate(member)]
+               for member in members]
+    first = None
+    for k, (cs, ds) in enumerate(zip(coeffs, degrees)):
+        values = [Laurent({e: c}) for c, e in zip(cs, ds)]
+        try:
+            FinModule(H, [[[x]] for x in values], None).check_relations()
+        except RelationsFail as exc:
+            first = k, str(exc), [str(x) for x in values]
+            break
+    # at most seven degree slices a member, as the weights are at most 3
+    slices = data.draw(st.sampled_from([1, 7, 15, modules.FAMILY_SLICES]))
+    with mock.patch.object(modules, "FAMILY_SLICES", slices):
+        if first is None:
+            modules._check_family(H, coeffs, degrees)
+            return
+        with pytest.raises(RelationsFail) as caught:
+            modules._check_family(H, coeffs, degrees)
+    k, relation, values = first
+    assert (caught.value.member, caught.value.relation) == ((k,), relation)
+    assert str(caught.value) == (f"{relation} in family member ({k},)"
+                                 f" with node values {values}")
