@@ -1,27 +1,42 @@
 r"""The extended affine Weyl group acting on coweights and affine roots.
 
 An element is an affine-linear map $x \mapsto \lambda + w(x)$ on the
-coweight space, stored as the translation vector $\lambda$ together with
-the matrix of $w$ in fundamental-coweight coordinates and the matrix of
-$w$ in simple-root coordinates.  The two matrices are transpose-inverses
-of each other, which makes group inversion a pair of transposes.
+coweight space: the translation vector $\lambda$, the matrix of $w$ in
+fundamental-coweight coordinates and the matrix of $w$ in simple-root
+coordinates, transpose-inverses of each other.
 
 Affine roots are pairs ``(beta, k)`` standing for the affine function
 $x \mapsto \langle \beta, x \rangle + k$; the pair is positive when
 $k > 0$, or $k = 0$ and $\beta$ is a positive root.  The group acts by
 $(\lambda, w)\cdot(\beta, k) = (w\beta,\; k - \langle w\beta, \lambda\rangle)$.
 
-Lengths, descents and reduced words all come from this action; nothing in
-here ever enumerates the group itself except the explicit helper
-:func:`elements_up_to_length`.
+An element is identified by its *alcove vector* $q = D\, w^{-1}(x_0)$,
+one tuple of integers (Iwahori and Matsumoto, Publ. IHES 25 (1965);
+Humphreys, *Reflection Groups and Coxeter Groups*, ch. 4).  The point
+$x_0 = v_0 / D$ of the base alcove (:attr:`RootDatum.alcove_point`) takes
+pairwise distinct values on the simple affine roots, so no length-zero
+element fixes it, and the affine Weyl group acts simply transitively on
+alcoves: $q$ determines the element.  Everything the Hecke algebra asks
+of an element is read off $q$:
 
-Right multiplication by a simple reflection and its descent test are one
-step (:meth:`ExtWeylElt.step`; Casselman, *Machine calculations in Weyl
-groups*, 1994): a rank-one update that reads and rewrites only the
-nonzero entries of the node's coroot and root, at most four in every
-supported type.  Reduced words, words back to elements and
-:func:`elements_up_to_length` take this step only; the general product
-:meth:`ExtWeylElt.__mul__` is for two arbitrary elements.
+* the step $x \mapsto xs$ is the affine reflection of $q$ at node $s$, a
+  sparse update of at most four entries, and $s$ is a right descent of
+  $x$ when the simple affine root at $s$ is negative at $q / D$;
+* a reduced word walks $q$ back into the base alcove, where the vector
+  reached names the length-zero part (:attr:`RootDatum.length_zero`,
+  filled by :meth:`OmegaGroup.build`);
+* the length counts the hyperplanes between $x_0$ and $q / D$: per
+  positive root $\beta$, $|\lfloor \langle \beta, q \rangle / D \rfloor|$;
+* equality and hashing compare $q$.
+
+The matrices are built only when read: the constructors that hold them
+(:meth:`ExtWeylElt.identity`, :meth:`ExtWeylElt.translation`,
+:meth:`ExtWeylElt.simple_reflection`, :meth:`ExtWeylElt.inv` and
+products of two elements that both have them) keep them, and an element
+made by steps replays its reduced word from its length-zero part with
+one sparse rank-one update per letter.  A product $xy$ reads only the
+affine map of $y$, so multiplying by a length-zero element never builds
+the matrices of $x$.
 """
 
 from __future__ import annotations
@@ -36,6 +51,7 @@ from .errors import DatumMismatch, NotInLattice
 from .rootdata import RootDatum, Vec
 
 AffineRoot = tuple[Vec, int]
+Affine = tuple[Vec, tuple[Vec, ...], tuple[Vec, ...]]
 
 
 def affine_simple(datum: RootDatum, i: int) -> AffineRoot:
@@ -53,25 +69,30 @@ def affine_root_is_positive(a: AffineRoot) -> bool:
 
 
 class ExtWeylElt:
-    """An element of the extended affine Weyl group of a root datum."""
+    """An element of the extended affine Weyl group of a root datum,
+    identified by its alcove vector ``q``; ``_aff`` is the affine map
+    ``(tr, mat, rmat)`` once known."""
 
-    __slots__ = ("datum", "tr", "mat", "rmat", "_rw", "_hash")
+    __slots__ = ("datum", "q", "_aff", "_rw")
 
-    def __init__(self, datum: RootDatum, tr: Vec,
-                 mat: tuple[Vec, ...], rmat: tuple[Vec, ...]):
+    def __init__(self, datum: RootDatum, q: Vec, aff: Affine | None = None):
         self.datum = datum
-        self.tr = tr
-        self.mat = mat
-        self.rmat = rmat
+        self.q = q
+        self._aff = aff
         self._rw: tuple[ExtWeylElt, tuple[int, ...]] | None = None
-        self._hash: int | None = None
+
+    @staticmethod
+    def _of_affine(datum: RootDatum, aff: Affine) -> "ExtWeylElt":
+        """The element with the affine map ``aff``."""
+        v0, den = datum.alcove_point
+        return ExtWeylElt(datum, _pull_back(v0, aff, den), aff)
 
     # ---- constructors -------------------------------------------------
 
     @staticmethod
     def identity(datum: RootDatum) -> "ExtWeylElt":
         eye = intlin.identity(datum.rank)
-        return ExtWeylElt(datum, (0,) * datum.rank, eye, eye)
+        return ExtWeylElt._of_affine(datum, ((0,) * datum.rank, eye, eye))
 
     @staticmethod
     def translation(datum: RootDatum, c: Sequence[int]) -> "ExtWeylElt":
@@ -80,7 +101,7 @@ class ExtWeylElt:
             raise NotInLattice(f"{c} is not in the {datum.lattice_name} "
                                f"lattice of {datum.label()}")
         eye = intlin.identity(datum.rank)
-        return ExtWeylElt(datum, c, eye, eye)
+        return ExtWeylElt._of_affine(datum, (c, eye, eye))
 
     @staticmethod
     def simple_reflection(datum: RootDatum, s: int) -> "ExtWeylElt":
@@ -101,7 +122,7 @@ class ExtWeylElt:
             tuple(int(j == k) - cov[j] * root[k] for k in range(rank))
             for j in range(rank)
         )
-        elt = ExtWeylElt(datum, tr, mat, intlin.transpose(mat))
+        elt = ExtWeylElt._of_affine(datum, (tr, mat, intlin.transpose(mat)))
         cache[s] = elt
         return elt
 
@@ -113,6 +134,34 @@ class ExtWeylElt:
             out = out.step(s)[0]
         return out
 
+    # ---- the affine map, built when read ----------------------------------
+
+    def _affine(self) -> Affine:
+        if self._aff is None:
+            self._aff = self._materialize()
+        return self._aff
+
+    def _materialize(self) -> Affine:
+        """``(tr, mat, rmat)`` of an element made by steps: its reduced
+        word replayed from its length-zero part."""
+        omega, word = self.reduced_word()
+        return _replay(self.datum, omega._affine(), word)
+
+    @property
+    def tr(self) -> Vec:
+        """The translation vector, in fundamental-coweight coordinates."""
+        return self._affine()[0]
+
+    @property
+    def mat(self) -> tuple[Vec, ...]:
+        """The finite part in fundamental-coweight coordinates."""
+        return self._affine()[1]
+
+    @property
+    def rmat(self) -> tuple[Vec, ...]:
+        """The finite part in simple-root coordinates."""
+        return self._affine()[2]
+
     # ---- group structure ------------------------------------------------
 
     def _check(self, other: "ExtWeylElt") -> None:
@@ -121,12 +170,28 @@ class ExtWeylElt:
             raise DatumMismatch("elements come from different root data")
 
     def __mul__(self, other: "ExtWeylElt") -> "ExtWeylElt":
+        """The product: $q_{xy} = D\\, y^{-1}(q_x / D)$, the alcove vector
+        of ``self`` pulled back by the affine map of ``other``
+        (:func:`_pull_back`), or ``self`` stepped along the reduced word of
+        ``other`` when its matrices are not built; an identity factor
+        gives the other factor back.  The product keeps matrices when
+        both factors have them."""
         self._check(other)
-        tr = tuple(a + b for a, b in
-                   zip(self.tr, intlin.mat_vec(self.mat, other.tr)))
-        return ExtWeylElt(self.datum, tr,
-                          intlin.mat_mul(self.mat, other.mat),
-                          intlin.mat_mul(self.rmat, other.rmat))
+        v0 = self.datum.alcove_point[0]
+        if self.q == v0:
+            return other
+        if other.q == v0:
+            return self
+        if other._aff is None:
+            omega, word = other.reduced_word()
+            return ExtWeylElt.from_word(self.datum, word, self * omega)
+        q = _pull_back(self.q, other._aff, self.datum.alcove_point[1])
+        aff = None
+        if self._aff is not None:
+            (tr0, mat0, rmat0), (tr, mat, rmat) = self._aff, other._aff
+            aff = (tuple(map(add, tr0, intlin.mat_vec(mat0, tr))),
+                   intlin.mat_mul(mat0, mat), intlin.mat_mul(rmat0, rmat))
+        return ExtWeylElt(self.datum, q, aff)
 
     def mul_simple(self, s: int) -> "ExtWeylElt":
         """Right product with the reflection at node ``s``."""
@@ -134,24 +199,32 @@ class ExtWeylElt:
 
     def step(self, s: int) -> tuple["ExtWeylElt", bool]:
         """Right product with the reflection at node ``s`` and whether
-        ``s`` is a right descent, as one rank-one update: with the sparse
-        ``cov`` and ``root`` of :attr:`RootDatum.node_supports`, ``mat``
-        loses ``u (x) root`` for ``u = mat cov``, ``rmat`` loses
-        ``a (x) cov`` for ``a = rmat root`` (read by :func:`_descends`),
-        and node 0 moves the translation by ``u``."""
+        ``s`` is a right descent: the alcove vector reflected at node
+        ``s``, ``q - q_s cov`` or ``q - (<theta, q> - D) cov`` at node 0,
+        with ``cov`` the sparse coroot of :attr:`RootDatum.node_supports`;
+        ``s`` descends when that coefficient is negative at ``s`` or
+        positive at 0."""
         d = self.datum
         if not 0 <= s <= d.rank:
             raise ValueError(f"node label {s} out of range 0..{d.rank}")
-        cov, root = d.node_supports[s]
-        mat, u = _rank_one(self.mat, cov, root)
-        rmat, a = _rank_one(self.rmat, root, cov)
-        tr = tuple(map(add, self.tr, u)) if s == 0 else self.tr
-        return ExtWeylElt(d, tr, mat, rmat), _descends(s, a, self.tr)
+        q = self.q
+        if s:
+            x = q[s - 1]
+            descent = x < 0
+        else:
+            x = sum(map(mul, q, d.theta)) - d.alcove_point[1]
+            descent = x > 0
+        out = list(q)
+        for k, c in d.node_supports[s][0]:
+            out[k] -= x * c
+        return ExtWeylElt(d, tuple(out)), descent
 
     def inv(self) -> "ExtWeylElt":
-        mat_inv = intlin.transpose(self.rmat)
-        tr = tuple(-x for x in intlin.mat_vec(mat_inv, self.tr))
-        return ExtWeylElt(self.datum, tr, mat_inv, intlin.transpose(self.mat))
+        tr, mat, rmat = self._affine()
+        mat_inv = intlin.transpose(rmat)
+        return ExtWeylElt._of_affine(self.datum, (
+            tuple(-x for x in intlin.mat_vec(mat_inv, tr)), mat_inv,
+            intlin.transpose(mat)))
 
     def __pow__(self, n: int) -> "ExtWeylElt":
         base = self if n >= 0 else self.inv()
@@ -167,12 +240,10 @@ class ExtWeylElt:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtWeylElt):
             return NotImplemented
-        return self.tr == other.tr and self.mat == other.mat
+        return self.q == other.q
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.tr, self.mat))
-        return self._hash
+        return hash(self.q)
 
     # ---- actions --------------------------------------------------------
 
@@ -192,58 +263,60 @@ class ExtWeylElt:
     # ---- length and words -------------------------------------------------
 
     def is_translation(self) -> bool:
-        return self.mat == intlin.identity(self.datum.rank)
+        """Whether the finite part is the identity: $q - v_0$ lies in
+        $D \\mathbb{Z}^\\ell$ (then $w^{-1}(x_0) - x_0$ is a coweight
+        $-\\lambda$, and $t_\\lambda w^{-1}$ fixes $x_0$)."""
+        v0, den = self.datum.alcove_point
+        return all((a - b) % den == 0 for a, b in zip(self.q, v0))
 
     def is_identity(self) -> bool:
-        return self.is_translation() and not any(self.tr)
+        return self.q == self.datum.alcove_point[0]
 
-    def _wall_counts(self) -> np.ndarray:
-        """Per positive root $\\beta$, $m = \\langle w\\beta, \\lambda
-        \\rangle + [w\\beta < 0]$: the inversions of gradient
-        $\\pm\\beta$ lie on $H_{\\beta,k}$, $k = 0..m-1$ or $m..-1$."""
-        img = np.array(self.rmat, dtype=np.int64) @ (
-            self.datum._hyperplane_classes[0])
-        return np.array(self.tr, dtype=np.int64) @ img + (img < 0).any(axis=0)
+    def _floors(self) -> np.ndarray:
+        """Per positive root $\\beta$, $M = \\lfloor \\langle \\beta, q
+        \\rangle / D \\rfloor$: the inversions of gradient $\\pm\\beta$ lie
+        on $H_{\\beta,k}$, $k = 1..M$ or $M+1..0$."""
+        d = self.datum
+        return (np.array(self.q, dtype=np.int64) @ d._hyperplane_classes[0]
+                ) // d.alcove_point[1]
 
     def length(self) -> int:
         """Number of positive affine roots sent to negative ones."""
-        return int(np.abs(self._wall_counts()).sum())
+        return int(np.abs(self._floors()).sum())
 
     def right_descent(self, s: int) -> bool:
-        """Whether multiplying by the reflection at node ``s`` drops length
-        (:func:`_descends`)."""
+        """Whether multiplying by the reflection at node ``s`` drops
+        length: the simple affine root at ``s`` is negative at $q / D$."""
         d = self.datum
         if not 0 <= s <= d.rank:
             raise ValueError(f"node label {s} out of range 0..{d.rank}")
-        a = ([row[s - 1] for row in self.rmat] if s else
-             [sum(map(mul, row, d.theta)) for row in self.rmat])
-        return _descends(s, a, self.tr)
+        if s:
+            return self.q[s - 1] < 0
+        return sum(map(mul, self.q, d.theta)) > d.alcove_point[1]
 
     def descents(self) -> tuple[int, ...]:
         return tuple(s for s in range(self.datum.rank + 1)
                      if self.right_descent(s))
 
     def reduced_word(self) -> tuple["ExtWeylElt", tuple[int, ...]]:
-        """Split as (length-zero part, reduced word): self = omega * word."""
-        if self._rw is not None:
-            return self._rw
-        cur = self
-        collected: list[int] = []
-        while True:
-            s = next((i for i in range(self.datum.rank + 1)
-                      if cur.right_descent(i)), None)
-            if s is None:
-                break
-            collected.append(s)
-            cur = cur.step(s)[0]
-        self._rw = (cur, tuple(reversed(collected)))
+        """Split as (length-zero part, reduced word): self = omega * word.
+        The alcove vector walks back into the base alcove (:func:`_walk`),
+        and the vector it reaches names the length-zero part."""
+        if self._rw is None:
+            d = self.datum
+            q, walk = _walk(d, self.q)
+            if not d.length_zero:
+                OmegaGroup.build(d)
+            self._rw = (d.length_zero[q], tuple(reversed(walk)))
         return self._rw
 
     def weighted_length(self) -> int:
         """Sum of node weights along a reduced word: the class weights
-        over the inversions (:meth:`RootDatum.hyperplane_class_counts`)."""
+        over the inversions (:meth:`RootDatum.hyperplane_class_counts`,
+        whose hyperplanes $k = 0..m-1$ or $m..-1$ at $m = -M$ are those of
+        :meth:`_floors` negated, with the same parities)."""
         d = self.datum
-        return int(d.hyperplane_class_counts(self._wall_counts())
+        return int(d.hyperplane_class_counts(-self._floors())
                    @ d.class_weights)
 
     # ---- presentation -----------------------------------------------------
@@ -261,14 +334,51 @@ class ExtWeylElt:
                 "matrix": [list(r) for r in self.mat]}
 
 
-def _descends(s: int, a: list[int], tr: Vec) -> bool:
-    """Whether an element with translation ``tr`` and finite part sending
-    the root of node ``s`` to ``a`` makes the simple affine root at ``s``
-    negative: its image is ``(a, -<a, tr>)``, ``(-a, 1 + <a, tr>)`` at 0."""
-    p = sum(map(mul, a, tr))
-    if s:
-        return p > 0 or (p == 0 and min(a) < 0)
-    return p < -1 or (p == -1 and max(a) > 0)
+def _walk(datum: RootDatum, q: Vec) -> tuple[Vec, list[int]]:
+    """The alcove vector reached from ``q`` by stepping at the first
+    descent (node 0 first) until none is left, and the nodes stepped at,
+    in order: x times those reflections is the length-zero part."""
+    theta, den = datum.theta, datum.alcove_point[1]
+    supports = datum.node_supports
+    q = list(q)
+    walk: list[int] = []
+    while True:
+        x = sum(map(mul, q, theta)) - den
+        if x > 0:
+            s = 0
+        else:
+            for s, x in enumerate(q, 1):
+                if x < 0:
+                    break
+            else:
+                break
+        for k, c in supports[s][0]:
+            q[k] -= x * c
+        walk.append(s)
+    return tuple(q), walk
+
+
+def _pull_back(q: Vec, aff: Affine, den: int) -> Vec:
+    """$D\\, y^{-1}(q / D)$ for the element y with the affine map ``aff``:
+    ``rmat`` transposed (the inverse of ``mat``) times ``q - D tr``."""
+    tr, _, rmat = aff
+    z = [a - den * b for a, b in zip(q, tr)]
+    return tuple(sum(map(mul, col, z)) for col in zip(*rmat))
+
+
+def _replay(datum: RootDatum, aff: Affine, word: Iterable[int]) -> Affine:
+    """The affine map of ``aff`` times the reflections of ``word``, one
+    rank-one update per letter: ``mat`` loses ``u (x) root`` for
+    ``u = mat cov``, ``rmat`` loses ``(rmat root) (x) cov``, and node 0
+    moves the translation by ``u``."""
+    tr, mat, rmat = aff
+    for s in word:
+        cov, root = datum.node_supports[s]
+        mat, u = _rank_one(mat, cov, root)
+        rmat, _ = _rank_one(rmat, root, cov)
+        if s == 0:
+            tr = tuple(map(add, tr, u))
+    return tr, mat, rmat
 
 
 def _rank_one(m: tuple[Vec, ...], v, w) -> tuple[tuple[Vec, ...], list[int]]:
@@ -290,47 +400,15 @@ def _rank_one(m: tuple[Vec, ...], v, w) -> tuple[tuple[Vec, ...], list[int]]:
 
 
 def translation_word(datum: RootDatum, lam: Sequence[int]) -> tuple[int, ...]:
-    """A reduced word for the translation by ``lam`` (letters only).
-
-    Walks the images of the simple affine roots instead of multiplying
-    matrices, so it is much faster than ``reduced_word`` on long
-    translations.  The missing length-zero part is recoverable from the
-    coset of ``lam`` modulo the coroot lattice.
+    """A reduced word for the translation by ``lam`` (letters only): the
+    walk of its alcove vector $v_0 - D\\lambda$ back into the base alcove
+    (:func:`_walk`), read backwards, the word
+    :meth:`ExtWeylElt.reduced_word` gives.  The missing length-zero part
+    is recoverable from the coset of ``lam`` modulo the coroot lattice.
     """
-    rank = datum.rank
-    a = datum.affine_cartan
-    lam = tuple(int(x) for x in lam)
-    imgs: list[list] = []
-    for i in range(rank + 1):
-        beta, k = affine_simple(datum, i)
-        imgs.append([list(beta), k - sum(p * q for p, q in zip(beta, lam))])
-    expected = sum(abs(sum(r * c for r, c in zip(root, lam)))
-                   for root, _ in datum.pos_roots)
-    collected: list[int] = []
-    while True:
-        j = None
-        for i in range(rank + 1):
-            beta, k = imgs[i]
-            if k < 0 or (k == 0 and any(x < 0 for x in beta)):
-                j = i
-                break
-        if j is None:
-            break
-        collected.append(j)
-        bj, kj = imgs[j]
-        row = a[j]
-        for t in range(rank + 1):
-            if t == j:
-                continue
-            coef = row[t]
-            if coef:
-                bt, kt = imgs[t]
-                for x in range(rank):
-                    bt[x] -= coef * bj[x]
-                imgs[t][1] = kt - coef * kj
-        imgs[j] = [[-x for x in bj], -kj]
-    assert len(collected) == expected
-    return tuple(reversed(collected))
+    v0, den = datum.alcove_point
+    _, walk = _walk(datum, tuple(a - den * int(b) for a, b in zip(v0, lam)))
+    return tuple(reversed(walk))
 
 
 def translation_letter_counts(datum: RootDatum,
@@ -361,9 +439,20 @@ class OmegaGroup:
 
     @staticmethod
     def build(datum: RootDatum) -> "OmegaGroup":
+        """The group, one element per coset of the coroot lattice: the
+        length-zero part of the translation by the coset's representative,
+        which :func:`_walk` reaches and :func:`_replay` gives matrices.
+        Each is entered in :attr:`RootDatum.length_zero` under its alcove
+        vector, once per datum."""
+        table = datum.length_zero
         items = []
         for rep in datum.lattice_cosets():
-            omega, _ = ExtWeylElt.translation(datum, rep).reduced_word()
+            t = ExtWeylElt.translation(datum, rep)
+            q, walk = _walk(datum, t.q)
+            omega = table.get(q)
+            if omega is None:
+                omega = table[q] = ExtWeylElt(
+                    datum, q, _replay(datum, t._aff, walk))
             perm = _node_permutation(datum, omega)
             items.append((perm, omega, rep))
         items.sort(key=lambda t: t[0])
@@ -395,6 +484,9 @@ class OmegaGroup:
 
     def __iter__(self):
         return iter(self.elements)
+
+    def __contains__(self, elt: ExtWeylElt) -> bool:
+        return elt in self._index
 
     def index_of(self, elt: ExtWeylElt) -> int:
         return self._index[elt]

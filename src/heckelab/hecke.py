@@ -16,8 +16,11 @@ $h$ is computed once and
 shared by every term whose word starts with that prefix; a partial product
 is released after its last child.  The twisted symbols below take the same
 walk with twisted letters.  Each step gives $xs$ and whether $s$ is a
-descent of $x$ together, from one sparse rank-one update of the group
-element (:meth:`heckelab.extweyl.ExtWeylElt.step`).  One product also
+descent of $x$ together, from one sparse reflection of the group
+element's alcove vector (:meth:`heckelab.extweyl.ExtWeylElt.step`); the
+terms of a product are keyed by alcove vectors, and neither the steps,
+the reduced words of the right factor nor the support check of a basis
+element build a matrix.  One product also
 keeps a memo of its steps, one dict per node mapping $x$ to that pair,
 so that branches of the trie that meet the same $x$ share the step; the
 memo lives only for that product.  Scaling by $q_s$ is a shift of
@@ -85,11 +88,14 @@ class HeckeAlgebra:
         return HeckeElt(self, {ExtWeylElt.identity(self.datum): Laurent.one()})
 
     def _check_supported(self, w: ExtWeylElt) -> None:
+        """Refuse an element of another datum, or one whose length-zero
+        part (read off its reduced word, so no matrix is built) is not in
+        the decorated group; the effective lattice is that group's
+        preimage."""
         if w.datum is not self.datum:
             raise DatumMismatch(
                 "group element belongs to a different root datum")
-        # the effective lattice is the preimage of the decorated group
-        if not self.in_effective_lattice(w.tr):
+        if w.reduced_word()[0] not in self.omega:
             raise NotInLattice(
                 "length-zero part of the index is not compatible with the "
                 "node weights, so this basis element does not exist")

@@ -416,11 +416,12 @@ class FinModule:
     With a ``prime`` below $2^{63}$ the module lives over $F_p$ at
     $v = 0$: its int64 tensors are the degree-0 slices of the given
     matrices taken mod ``p``, and a reduction remembers the module it came
-    from in ``generic``.
+    from in ``generic``.  ``checked`` is true once :meth:`check_relations`
+    has passed (or, on a reduction, once it passed on ``generic``).
     """
 
     __slots__ = ("alg", "smats", "omega_mats", "prime", "generic", "name",
-                 "__weakref__")
+                 "checked", "__weakref__")
 
     def __init__(self, alg: HeckeAlgebra, smats, omega_mats,
                  prime: int | None = None,
@@ -432,6 +433,7 @@ class FinModule:
         self.prime = prime
         self.generic = generic
         self.name = name
+        self.checked = False
         if omega_mats is not None and len(omega_mats) != len(alg.omega):
             raise ValueError("need one matrix per length-zero element")
         self.omega_mats = (None if omega_mats is None else self._reduce(
@@ -488,6 +490,7 @@ class FinModule:
         diff = self._reduce(prod[0::2] - prod[1::2])
         bad = diff.coeffs.any(axis=(-3, -2, -1)).reshape(len(labels), -1)
         if not bad.any():
+            self.checked = True
             return
         member = int(np.argmax(bad.any(axis=0)))
         message, args = labels[int(np.argmax(bad[:, member]))]
@@ -521,9 +524,9 @@ class FinModule:
         assert self.prime is None
         n = self.dim
         acc = LaurentMatrix(0, np.zeros((1, n, n), dtype=np.int64))
-        for w in elt.support():
+        for w, coeff in elt.terms.items():
             omega, word = w.reduced_word()
-            c = LaurentMatrix.from_rows([[[elt.coeff(w)]]])[0]
+            c = LaurentMatrix.from_rows([[[coeff]]])[0]
             scalar = LaurentMatrix(c.lo, c.coeffs * np.eye(n, dtype=np.int64))
             acc = acc + scalar @ self.mat_of_omega(omega) @ self.act_word(word)
         return acc
@@ -547,10 +550,16 @@ class FinModule:
 
         Raises ``ValueError`` unless ``p`` is prime and
         :class:`NegativePowersPresent` if any entry has a pole at $v = 0$.
-        The result keeps a reference to this module."""
+        The result keeps a reference to this module.  Evaluation at
+        $v = 0$ followed by reduction mod $p$ is a ring map, so the
+        relations of a module whose own check passed hold in the
+        reduction; only the reduction of an unchecked module is checked."""
         mod = FinModule(self.alg, self.smats, self.omega_mats, prime=p,
                         generic=self, name=f"{self.name} mod {p}")
-        mod.check_relations()
+        if self.checked:
+            mod.checked = True
+        else:
+            mod.check_relations()
         return mod
 
     def diagonal_character_values(self) -> tuple[tuple[int, ...], ...] | None:

@@ -177,6 +177,8 @@ class RootDatum:
         # node -> its simple reflection, filled by
         # ExtWeylElt.simple_reflection
         self.simple_reflections: dict = {}
+        # alcove vector -> length-zero element, filled by OmegaGroup.build
+        self.length_zero: dict = {}
 
     # ---- basic frame -------------------------------------------------
 
@@ -340,6 +342,15 @@ class RootDatum:
         return tuple((nonzero(cov), nonzero(root)) for cov, root in zip(
             (self.theta_coroot,) + self.cartan,
             (self.theta,) + intlin.identity(self.rank)))
+
+    @functools.cached_property
+    def alcove_point(self) -> tuple[Vec, int]:
+        """``(v0, D)`` with $x_0 = v_0 / D$ a point of the base alcove
+        where the simple affine roots take the pairwise distinct values
+        $c_i / D$, $c_i = i + 1$: $v_0 = (c_1, \\dots, c_\\ell)$ and
+        $D = c_0 + \\langle \\theta, v_0 \\rangle$."""
+        v0 = tuple(range(2, self.rank + 2))
+        return v0, 1 + self.pairing(self.theta, v0)
 
     def dominant_rep(self, c: Sequence[int]) -> Vec:
         """The unique dominant coweight in the Weyl orbit of ``c``."""

@@ -35,8 +35,10 @@ OMEGA_STRUCTURE = {
 
 
 def test_lengths_against_alcove_oracle():
-    for kind, rank in [("A", 1), ("A", 2), ("C", 2)]:
-        d = build_root_datum(kind, rank)
+    for kind, rank, weights in [("A", 1, 1), ("A", 2, 1), ("C", 2, 1),
+                                ("B", 3, 1), ("G", 2, 1),
+                                ("C", 2, [1, 2, 3]), ("D", 4, 1)]:
+        d = build_root_datum(kind, rank, weights=weights)
         for w in elements_up_to_length(d, 4, extended=True):
             assert w.length() == alcove_length(w)
 
@@ -226,8 +228,8 @@ def test_from_word_rejects_bad_letters():
 
 
 def test_reduced_word_makes_no_matrix_products(monkeypatch):
-    """Reduced words and words back to elements take rank-one steps
-    only: a long A8 translation makes no general matrix product."""
+    """Reduced words walk the alcove vector and words back to elements
+    step it: a long A8 translation makes no general matrix product."""
     d = build_root_datum("A", 8)
     t = ExtWeylElt.translation(d, (3, -2, 1, 0, 4, -1, 2, 0))
     calls = []

@@ -275,6 +275,26 @@ def test_product_makes_no_descent_tests(monkeypatch):
     assert len(prod.terms) > 2 and calls == []
 
 
+def test_products_build_no_matrix(monkeypatch):
+    """Hecke products read every group element off its alcove vector: on
+    B3 a central orbit sum and a product of two length-6 elements, each
+    with a length-zero part that is not the identity, build no element's
+    matrices and make no matrix product."""
+    H = HeckeAlgebra(build_root_datum("B", 3))
+    x, y = [w for w in elements_up_to_length(H.datum, 6, extended=True)
+            if w.length() == 6 and not w.reduced_word()[0].is_identity()][:2]
+    built, products = [], []
+    materialize, mat_mul = ExtWeylElt._materialize, intlin.mat_mul
+    monkeypatch.setattr(ExtWeylElt, "_materialize",
+                        lambda self: built.append(self) or materialize(self))
+    monkeypatch.setattr(intlin, "mat_mul",
+                        lambda a, b: products.append(1) or mat_mul(a, b))
+    z = H.central((0, 0, 1))
+    prod = H.t(x) * H.t(y)
+    assert len(z.terms) > 1 and len(prod.terms) > 1
+    assert built == [] and products == []
+
+
 def test_central_from_orbit_validates():
     H = HeckeAlgebra(build_root_datum("C", 2))
     orbit = H.datum.weyl_orbit((1, 1))

@@ -290,6 +290,28 @@ def test_generic_characters_take_one_relation_check(monkeypatch):
         assert len(calls) == -(-8 // k)
 
 
+def test_reduction_checks_only_unchecked_modules(monkeypatch):
+    """Evaluation at v = 0 followed by reduction mod p is a ring map, so
+    classify on C2 [1, 2, 2] checks the character family and the answer
+    module but not the answer's reduction mod p; an unchecked Laurent
+    module that breaks the relations still fails in ``reduce_mod_p``."""
+    from heckelab import key_result_search, modules
+    calls = []
+    check = modules.FinModule.check_relations
+    monkeypatch.setattr(modules.FinModule, "check_relations",
+                        lambda self: calls.append(self) or check(self))
+    out = key_result_search(
+        HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 2])))
+    assert [m.prime for m in calls] == [None, None]
+    assert out.module.prime == 5 and out.module.checked
+    H = HeckeAlgebra(build_root_datum("A", 2))
+    two = ((Laurent.of_int(2),),)
+    bad = modules.FinModule(H, (two, two, two), None)
+    with pytest.raises(RelationsFail):
+        bad.reduce_mod_p(5)
+    assert not bad.checked and calls[-1].prime == 5
+
+
 def test_bad_module_matrices_rejected():
     from heckelab.modules import FinModule
     H = HeckeAlgebra(build_root_datum("A", 2))

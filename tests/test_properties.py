@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from heckelab import (ExtWeylElt, FinModule, HeckeAlgebra, Laurent,
                       LaurentMatrix, RelationsFail, aut_group,
                       build_root_datum, cartan_matrix,
-                      dominant_monoid_generators)
+                      dominant_monoid_generators, elements_up_to_length)
 from heckelab import intlin, modules
 from heckelab.extweyl import (affine_root_is_positive, affine_simple,
                               translation_word)
 from heckelab.hecke import HeckeElt
-from geom_oracle import box_monoid_generators, check_monoid_generators
+from geom_oracle import (alcove_length, box_monoid_generators,
+                         check_monoid_generators)
 
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -60,18 +61,64 @@ def weighted_data(draw):
     return build_root_datum(kind, rank, weights=weights, lattice=lattice)
 
 
+def general_ball(d, max_len):
+    """Every element of length at most ``max_len`` of the extended group,
+    by general products of elements that carry their matrices: the
+    breadth-first ball of the affine Weyl group, keyed by the affine map
+    and not by the alcove vector, times each length-zero element."""
+    simples = [ExtWeylElt.simple_reflection(d, s) for s in range(d.rank + 1)]
+    e = ExtWeylElt.identity(d)
+    layer = ball = {(e.tr, e.mat): e}
+    for _ in range(max_len):
+        layer = {key: wg for w in layer.values() for g in simples
+                 for wg in [w * g] for key in [(wg.tr, wg.mat)]
+                 if key not in ball}
+        ball = {**ball, **layer}
+    return [om * w for om in aut_group(d).elements for w in ball.values()]
+
+
+def check_alcove_vectors(d, max_len):
+    """On the ball of :func:`general_ball`: the alcove vector is
+    injective and :func:`elements_up_to_length` finds the same elements;
+    an element made by steps along its reduced word builds the general
+    product's matrices; descents are the signs of the images of the
+    simple affine roots; the length is the alcove oracle's."""
+    ball = general_ball(d, max_len)
+    assert len({(w.tr, w.mat) for w in ball}) == len(ball)
+    assert len({w.q for w in ball}) == len(ball)
+    assert {w.q for w in ball} == {
+        w.q for w in elements_up_to_length(d, max_len, extended=True)}
+    for w in ball:
+        omega, word = w.reduced_word()
+        lazy = ExtWeylElt.from_word(d, word, omega)
+        assert (lazy.q, lazy.tr, lazy.mat, lazy.rmat) == (
+            w.q, w.tr, w.mat, w.rmat)
+        assert w.length() == len(word) == alcove_length(w)
+        for t in range(d.rank + 1):
+            slow = not affine_root_is_positive(
+                w.act_affine_root(affine_simple(d, t)))
+            assert w.right_descent(t) == w.step(t)[1] == slow
+
+
 @settings(max_examples=150, deadline=None)
 @given(weighted_data(), st.data())
 def test_rank_one_step_matches_general_product(d, data):
     """Along a random word that uses node 0, after a length-zero prefix,
-    each rank-one step equals the general product with the simple
-    reflection, and each fast descent test, alone or fused into the step,
-    equals the sign of the image of the simple affine root."""
+    each step equals the general product with the simple reflection, and
+    each fast descent test, alone or fused into the step, equals the sign
+    of the image of the simple affine root.  The matrices that the
+    stepped element builds from its reduced word equal those of a chain
+    of general products, and its length is the alcove oracle's.  The
+    alcove vector is injective on the extended ball of length 2."""
     omegas = aut_group(d).elements
     x = omegas[data.draw(st.integers(0, len(omegas) - 1))]
+    chain = x
     word = data.draw(st.lists(st.integers(0, d.rank), max_size=12))
     word.insert(data.draw(st.integers(0, len(word))), 0)
     for s in word:
+        assert (x.q, x.tr, x.mat, x.rmat) == (
+            chain.q, chain.tr, chain.mat, chain.rmat)
+        assert x.length() == alcove_length(x)
         for t in range(d.rank + 1):
             slow = not affine_root_is_positive(
                 x.act_affine_root(affine_simple(d, t)))
@@ -83,6 +130,16 @@ def test_rank_one_step_matches_general_product(d, data):
         fast, xs = x.mul_simple(s), x.step(s)[0]
         assert (fast.tr, fast.mat, fast.rmat) == (xs.tr, xs.mat, xs.rmat)
         x = fast
+        chain = chain * ExtWeylElt.simple_reflection(d, s)
+    check_alcove_vectors(d, 2)
+
+
+@pytest.mark.parametrize("kind, rank, max_len", [
+    ("A", 3, 5), ("D", 5, 4), ("D", 4, 5)])
+def test_alcove_vectors_on_extended_elements(kind, rank, max_len):
+    """:func:`check_alcove_vectors` where the length-zero group is Z/4
+    (A3, D5) and Z/2 x Z/2 (D4)."""
+    check_alcove_vectors(build_root_datum(kind, rank), max_len)
 
 
 TYPES_TO_RANK_6 = SMALL_TYPES + [("A", 5), ("A", 6), ("B", 5), ("B", 6),
