@@ -35,9 +35,9 @@ import time
 
 from . import __version__
 from .errors import HeckeLabError, RelationsFail, UnhandledCase
-from .rootdata import INFINITE_BOND, _is_int, build_root_datum
+from .rootdata import INFINITE_BOND, build_root_datum
 from .hecke import HeckeAlgebra
-from .intlin import is_prime
+from .intlin import is_int, is_prime
 from .modules import character_extends, enumerate_characters
 from .classify import (CASE_EXCLUDED_A, CASE_ONE_DIM, CASE_REFLECTION,
                        CASE_TWO_DIM, CASE_UNHANDLED, is_discrete_character,
@@ -66,7 +66,7 @@ def parse_case(obj: dict) -> dict:
     rank = obj["rank"]
     if not isinstance(kind, str) or kind not in "ABCDEFG" or len(kind) != 1:
         raise ValueError(f"'type' must be one of A..G, got {kind!r}")
-    if not _is_int(rank):
+    if not is_int(rank):
         raise ValueError(f"'rank' must be an integer, got {rank!r}")
     decoration = obj.get("decoration", 1)
     if isinstance(decoration, dict):
@@ -78,13 +78,13 @@ def parse_case(obj: dict) -> dict:
     else:
         weights = (decoration if isinstance(decoration, (list, tuple))
                    else [decoration])
-    if not all(_is_int(w) for w in weights):
+    if not all(is_int(w) for w in weights):
         raise ValueError(f"decoration weights must be integers, "
                          f"got {decoration!r}")
     lattice = obj.get("lattice", "coweight")
     if isinstance(lattice, list):
         if not all(isinstance(row, (list, tuple))
-                   and all(_is_int(x) for x in row)
+                   and all(is_int(x) for x in row)
                    for row in lattice):
             raise ValueError("'lattice' must be 'coweight', 'coroot' or a "
                              f"list of integer vectors, got {lattice!r}")
@@ -95,7 +95,7 @@ def parse_case(obj: dict) -> dict:
     if mode not in ("generic", "modp"):
         raise ValueError(f"'mode' must be 'generic' or 'modp', got {mode!r}")
     p = obj.get("p", DEFAULT_PRIME)
-    if not (_is_int(p) and p < 2**63 and is_prime(p)):
+    if not (is_int(p) and p < 2**63 and is_prime(p)):
         raise ValueError(f"'p' must be a prime below 2^63, got {p!r}")
     return {"type": kind, "rank": rank, "decoration": decoration,
             "lattice": lattice, "mode": mode, "p": p}

@@ -21,7 +21,9 @@ of an element is read off $q$:
 
 * the step $x \mapsto xs$ is the affine reflection of $q$ at node $s$, a
   sparse update of at most four entries, and $s$ is a right descent of
-  $x$ when the simple affine root at $s$ is negative at $q / D$;
+  $x$ when the simple affine root at $s$ is negative at $q / D$
+  (:func:`step_vector`, which both :meth:`ExtWeylElt.step` and the
+  letters of a Hecke product call);
 * a reduced word walks $q$ back into the base alcove, where the vector
   reached names the length-zero part (:attr:`RootDatum.length_zero`,
   filled by :meth:`OmegaGroup.build`);
@@ -199,25 +201,13 @@ class ExtWeylElt:
 
     def step(self, s: int) -> tuple["ExtWeylElt", bool]:
         """Right product with the reflection at node ``s`` and whether
-        ``s`` is a right descent: the alcove vector reflected at node
-        ``s``, ``q - q_s cov`` or ``q - (<theta, q> - D) cov`` at node 0,
-        with ``cov`` the sparse coroot of :attr:`RootDatum.node_supports`;
-        ``s`` descends when that coefficient is negative at ``s`` or
-        positive at 0."""
+        ``s`` is a right descent: the alcove vector reflected by
+        :func:`step_vector`."""
         d = self.datum
         if not 0 <= s <= d.rank:
             raise ValueError(f"node label {s} out of range 0..{d.rank}")
-        q = self.q
-        if s:
-            x = q[s - 1]
-            descent = x < 0
-        else:
-            x = sum(map(mul, q, d.theta)) - d.alcove_point[1]
-            descent = x > 0
-        out = list(q)
-        for k, c in d.node_supports[s][0]:
-            out[k] -= x * c
-        return ExtWeylElt(d, tuple(out)), descent
+        q, descent = step_vector(d, self.q, s)
+        return ExtWeylElt(d, q), descent
 
     def inv(self) -> "ExtWeylElt":
         tr, mat, rmat = self._affine()
@@ -332,6 +322,27 @@ class ExtWeylElt:
     def to_json(self) -> dict:
         return {"translation": list(self.tr),
                 "matrix": [list(r) for r in self.mat]}
+
+
+def step_vector(datum: RootDatum, q: Vec, s: int) -> tuple[Vec, bool]:
+    """For the element x with alcove vector ``q`` and a node ``s`` in
+    0..rank, the alcove vector of xs and whether ``s`` is a right descent
+    of x.  The vector of xs is ``q`` reflected at node ``s``: ``q - q_s
+    cov``, or ``q - (<theta, q> - D) cov`` at node 0, with ``cov`` the
+    sparse coroot of :attr:`RootDatum.node_supports`; ``s`` descends when
+    that coefficient is negative at ``s`` or positive at 0.
+    :meth:`ExtWeylElt.step` and the letters of a Hecke product both step
+    here."""
+    if s:
+        x = q[s - 1]
+        descent = x < 0
+    else:
+        x = sum(map(mul, q, datum.theta)) - datum.alcove_point[1]
+        descent = x > 0
+    out = list(q)
+    for k, c in datum.node_supports[s][0]:
+        out[k] -= x * c
+    return tuple(out), descent
 
 
 def _walk(datum: RootDatum, q: Vec) -> tuple[Vec, list[int]]:

@@ -15,16 +15,22 @@ partial product $h \, T_\omega T_{s_1} \cdots T_{s_k}$ of the left factor
 $h$ is computed once and
 shared by every term whose word starts with that prefix; a partial product
 is released after its last child.  The twisted symbols below take the same
-walk with twisted letters.  Each step gives $xs$ and whether $s$ is a
-descent of $x$ together, from one sparse reflection of the group
-element's alcove vector (:meth:`heckelab.extweyl.ExtWeylElt.step`); the
-terms of a product are keyed by alcove vectors, and neither the steps,
-the reduced words of the right factor nor the support check of a basis
-element build a matrix.  One product also
-keeps a memo of its steps, one dict per node mapping $x$ to that pair,
-so that branches of the trie that meet the same $x$ share the step; the
-memo lives only for that product.  Scaling by $q_s$ is a shift of
-exponents.
+walk with twisted letters.  The partial products, their sum and the
+step memos of one product are dicts keyed by the alcove vector of each
+group element, a tuple of ints, and an
+:class:`~heckelab.extweyl.ExtWeylElt` is built only for each term of
+the result.  Each step gives the alcove vector of $xs$ and whether $s$
+is a descent of $x$ together, from one sparse reflection
+(:func:`heckelab.extweyl.step_vector`, the step
+:meth:`~heckelab.extweyl.ExtWeylElt.step` also takes), and neither the
+steps, the reduced words of the right factor nor the support check of a
+basis element build a matrix.  One product keeps a memo of its steps,
+one dict per node mapping the alcove vector of $x$ to that pair, so
+that branches of the trie that meet the same $x$ share the step; the
+memo lives only for that product.  The length-zero part $T_\omega$ at
+the root of the trie is the one factor taken by products of group
+elements (:meth:`~heckelab.extweyl.ExtWeylElt.__mul__` on the left
+factor's terms).  Scaling by $q_s$ is a shift of exponents.
 
 On top of the standard basis the module provides the twisted symbols
 $T^*_w$ (products of $T^*_s = T_s - q_s + 1$ along a reduced word), the
@@ -54,7 +60,8 @@ import numpy as np
 
 from . import intlin
 from .errors import DatumMismatch, NotAFullOrbit, NotInLattice
-from .extweyl import ExtWeylElt, aut_group, translation_letter_counts
+from .extweyl import (ExtWeylElt, aut_group, step_vector,
+                      translation_letter_counts)
 from .laurent import Laurent, q_power
 from .rootdata import RootDatum, Vec, dominant_monoid_generators
 
@@ -271,12 +278,11 @@ class HeckeAlgebra:
                                     deltas.tolist()):
             t_minus = ExtWeylElt.translation(self.datum, neg)
             groups.setdefault(plus, {})[t_minus] = Laurent.v(-delta)
-        out: dict[ExtWeylElt, Laurent] = {}
+        out: dict[Vec, Laurent] = {}
         for plus, right in groups.items():
             left = self.star_t(ExtWeylElt.translation(self.datum, plus))
-            for x, a in left._product(right).terms.items():
-                _accumulate(out, x, a)
-        return HeckeElt._of(self, out)
+            _fold(out, left._product_vectors(right))
+        return HeckeElt._of_vectors(self, out)
 
     def __repr__(self) -> str:
         return f"HeckeAlgebra({self.datum!r})"
@@ -299,11 +305,26 @@ class HeckeElt:
         out.terms = terms
         return out
 
+    @staticmethod
+    def _of_vectors(alg: HeckeAlgebra,
+                    terms: dict[Vec, Laurent]) -> "HeckeElt":
+        """The element of ``alg`` with the nonzero terms of ``terms``,
+        keyed by alcove vectors: one group element of ``alg``'s datum per
+        term."""
+        datum = alg.datum
+        return HeckeElt._of(alg, {ExtWeylElt(datum, q): c
+                                  for q, c in terms.items() if c})
+
     # ---- linear structure -----------------------------------------------
 
+    def _same_algebra(self, other: "HeckeElt") -> bool:
+        """Whether ``other`` lies in the same algebra: the same object, or
+        one of a datum with the same :meth:`RootDatum.to_json`."""
+        return self.alg is other.alg or (
+            self.alg.datum.to_json() == other.alg.datum.to_json())
+
     def _check(self, other: "HeckeElt") -> None:
-        if self.alg is not other.alg and (
-                self.alg.datum.to_json() != other.alg.datum.to_json()):
+        if not self._same_algebra(other):
             raise DatumMismatch("elements of different Hecke algebras")
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
@@ -321,14 +342,20 @@ class HeckeElt:
         return self + (-other)
 
     def scale(self, c: Laurent | int) -> "HeckeElt":
-        if isinstance(c, int):
-            c = Laurent.of_int(c)
+        """``c`` times this element, for a Laurent polynomial or an
+        integer that is not a bool (numpy integers count); anything else
+        raises ``TypeError``."""
+        if not isinstance(c, Laurent):
+            if not intlin.is_int(c):
+                raise TypeError("a Hecke element scales only by Laurent "
+                                f"polynomials and integers, not {c!r}")
+            c = Laurent.of_int(int(c))
         return HeckeElt(self.alg, {w: x * c for w, x in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HeckeElt):
             return NotImplemented
-        return self.terms == other.terms
+        return self._same_algebra(other) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset((w, c) for w, c in self.terms.items()))
@@ -343,35 +370,6 @@ class HeckeElt:
         return sorted(self.terms, key=lambda w: (w.length(), w.tr, w.mat))
 
     # ---- multiplication ---------------------------------------------------
-
-    def _mul_basis(self, s: int, memo: dict,
-                   twisted: bool = False) -> "HeckeElt":
-        """Right multiplication by T_s, or by $T^*_s = T_s - q_s + 1$ when
-        ``twisted``, for an affine node label ``s``.
-
-        ``memo`` maps x to ``x.step(s)``, the pair of xs and whether s is
-        a right descent of x, shared by the letters of one product.
-        $T_x T^*_s$ is $q_s T_{xs}$ when s is a descent of x and
-        $T_{xs} - (q_s - 1) T_x$ when it is not.
-        """
-        alg = self.alg
-        d2 = 2 * alg.datum.weights[s]
-        out: dict[ExtWeylElt, Laurent] = {}
-        for x, c in self.terms.items():
-            hit = memo.get(x)
-            if hit is None:
-                hit = memo[x] = x.step(s)
-            xs, descent = hit
-            if descent:
-                cq = c.shift(d2)
-                _accumulate(out, xs, cq)
-                if not twisted:
-                    _accumulate(out, x, cq - c)
-            else:
-                _accumulate(out, xs, c)
-                if twisted:
-                    _accumulate(out, x, c - c.shift(d2))
-        return HeckeElt._of(alg, out)
 
     def _mul_omega(self, omega: ExtWeylElt) -> "HeckeElt":
         return HeckeElt(self.alg,
@@ -391,8 +389,20 @@ class HeckeElt:
         [coefficient of the term that ends there or None, children by
         letter].  The walk keeps a stack of (parent's partial product,
         letter, child), so each partial product is computed once and
-        released once its last child has been taken.
+        released once its last child has been taken.  The partial
+        products, their sum and the step memos, one per node, are keyed by
+        alcove vectors, and each letter steps a vector by
+        :func:`heckelab.extweyl.step_vector` on a memo miss
+        (:func:`_mul_letter`), the step :meth:`ExtWeylElt.step` takes;
+        group elements are built only for the terms of the result.
         """
+        return HeckeElt._of_vectors(
+            self.alg, self._product_vectors(right, twisted))
+
+    def _product_vectors(self, right: Mapping[ExtWeylElt, Laurent],
+                         twisted: bool = False) -> dict[Vec, Laurent]:
+        """:meth:`_product` as a dict from alcove vectors to coefficients,
+        where sums that cancelled are left as zeros."""
         roots: dict[ExtWeylElt, list] = {}
         for y, cy in right.items():
             omega, word = y.reduced_word()
@@ -405,26 +415,20 @@ class HeckeElt:
                 if node is None:
                     node = kids[s] = [None, {}]
             node[0] = cy
-        steps: list[dict] = [{} for _ in range(self.alg.datum.rank + 1)]
-        total: dict[ExtWeylElt, Laurent] | None = None
+        datum = self.alg.datum
+        steps: list[dict] = [{} for _ in range(datum.rank + 1)]
+        total: dict[Vec, Laurent] = {}
         for omega, root in roots.items():
             part = self if omega.is_identity() else self._mul_omega(omega)
-            stack = [(part, None, root)]
+            stack = [({x.q: c for x, c in part.terms.items()}, None, root)]
             while stack:
                 part, s, (cy, kids) = stack.pop()
                 if s is not None:
-                    part = part._mul_basis(s, steps[s], twisted)
+                    part = _mul_letter(datum, part, s, steps[s], twisted)
                 if cy is not None:
-                    # the first term ending is copied; Z[v, v^-1] has no
-                    # zero divisors, so c * cy is never zero
-                    if total is None:
-                        total = (dict(part.terms) if cy == 1 else
-                                 {w: c * cy for w, c in part.terms.items()})
-                    else:
-                        for w, c in part.terms.items():
-                            _accumulate(total, w, c * cy)
+                    _fold(total, part, cy)
                 stack.extend((part, t, kid) for t, kid in kids.items())
-        return HeckeElt._of(self.alg, total or {})
+        return total
 
     # ---- inspection ---------------------------------------------------------
 
@@ -444,12 +448,59 @@ class HeckeElt:
                           for w in self.support()) or "0"
 
 
-def _accumulate(out: dict[ExtWeylElt, Laurent], w: ExtWeylElt,
-                c: Laurent) -> None:
-    """Add ``c`` to the coefficient of ``w`` in ``out``, dropping zeros."""
-    cur = out.get(w)
-    tot = c if cur is None else cur + c
-    if tot.is_zero():
-        out.pop(w, None)
-    else:
-        out[w] = tot
+def _mul_letter(datum: RootDatum, part: dict[Vec, Laurent], s: int,
+                memo: dict, twisted: bool) -> dict[Vec, Laurent]:
+    """Right multiplication of the terms ``part``, keyed by alcove
+    vectors, by T_s, or by $T^*_s = T_s - q_s + 1$ when ``twisted``, for
+    an affine node label ``s``.
+
+    ``memo`` maps the alcove vector of x to that of xs and whether s is a
+    right descent of x (:func:`heckelab.extweyl.step_vector`), shared by
+    the letters s of one product.  $T_x T_s$ is $q_s T_{xs} + (q_s - 1)
+    T_x$ when s is a descent of x and $T_{xs}$ when it is not;
+    $T_x T^*_s$ is $q_s T_{xs}$ when s is a descent of x and
+    $T_{xs} - (q_s - 1) T_x$ when it is not.
+    """
+    d2 = 2 * datum.weights[s]
+    out: dict[Vec, Laurent] = {}
+    get = out.get
+    merged = False
+    for x, c in part.items():
+        hit = memo.get(x)
+        if hit is None:
+            hit = memo[x] = step_vector(datum, x, s)
+        xs, descent = hit
+        if descent:
+            a = c.shift(d2)
+            extra = None if twisted else a - c
+        else:
+            a = c
+            extra = c - c.shift(d2) if twisted else None
+        # x -> xs is a bijection, so a key is met twice only as the xs of
+        # one term and the x of another
+        cur = get(xs)
+        if cur is not None:
+            a, merged = cur + a, True
+        out[xs] = a
+        if extra is not None:
+            cur = get(x)
+            if cur is not None:
+                extra, merged = cur + extra, True
+            out[x] = extra
+    if merged:
+        return {q: c for q, c in out.items() if not c.is_zero()}
+    return out
+
+
+def _fold(total: dict[Vec, Laurent], part: dict[Vec, Laurent],
+          scalar: Laurent | None = None) -> None:
+    """Add the terms ``part``, times ``scalar`` unless that is None or 1,
+    into ``total``; sums that cancel are left as zeros."""
+    if scalar == 1:
+        scalar = None
+    get = total.get
+    for q, c in part.items():
+        if scalar is not None:
+            c = c * scalar
+        cur = get(q)
+        total[q] = c if cur is None else cur + c

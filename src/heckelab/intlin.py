@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 IntMatrix = Sequence[Sequence[int]]
+
+
+def is_int(x) -> bool:
+    """An integer that is not a bool (numpy integers count)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:

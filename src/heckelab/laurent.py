@@ -24,6 +24,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import NegativePowersPresent
+from .intlin import is_int
 
 __all__ = ["Laurent", "LaurentMatrix", "q_power"]
 
@@ -124,23 +125,29 @@ class Laurent:
         return r
 
     def __mul__(self, other: "Laurent | int") -> "Laurent":
-        if isinstance(other, int):
-            if other == 0:
-                return Laurent()
+        """The product with a Laurent polynomial or with an integer that
+        is not a bool (numpy integers count); anything else raises
+        ``TypeError``."""
+        if isinstance(other, Laurent):
+            out: dict[int, int] = {}
+            for e1, a1 in self.c.items():
+                for e2, a2 in other.c.items():
+                    e = e1 + e2
+                    s = out.get(e, 0) + a1 * a2
+                    if s:
+                        out[e] = s
+                    else:
+                        out.pop(e, None)
             r = Laurent()
-            r.c = {e: a * other for e, a in self.c.items()}
+            r.c = out
             return r
-        out: dict[int, int] = {}
-        for e1, a1 in self.c.items():
-            for e2, a2 in other.c.items():
-                e = e1 + e2
-                s = out.get(e, 0) + a1 * a2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+        if not is_int(other):
+            raise TypeError("a Laurent polynomial multiplies only Laurent "
+                            f"polynomials and integers, not {other!r}")
+        other = int(other)
         r = Laurent()
-        r.c = out
+        if other:
+            r.c = {e: a * other for e, a in self.c.items()}
         return r
 
     __rmul__ = __mul__

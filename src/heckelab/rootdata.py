@@ -466,23 +466,18 @@ class RootDatum:
         }
 
 
-def _is_int(x) -> bool:
-    """An integer that is not a bool (numpy integers count)."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 def _normalize_weights(datum_classes: tuple[tuple[int, ...], ...],
                        rank: int, weights) -> Vec:
     """Resolve the weight argument to a per-affine-node tuple."""
     n = rank + 1
     if isinstance(weights, (numbers.Number, str, bytes)):
-        if not _is_int(weights):
+        if not intlin.is_int(weights):
             raise DecorationNotClassConstant(
                 f"weights must be integers, got {weights!r}")
         weights = (weights,) * len(datum_classes)
     if isinstance(weights, Mapping):
         per_node = dict(weights)
-        if (not all(_is_int(k) for k in per_node)
+        if (not all(intlin.is_int(k) for k in per_node)
                 or sorted(per_node) != list(range(n))):
             raise DecorationNotClassConstant(
                 f"per-node weights must cover nodes 0..{rank}")
@@ -497,7 +492,7 @@ def _normalize_weights(datum_classes: tuple[tuple[int, ...], ...],
         for val, cls in zip(vals, datum_classes):
             for s in cls:
                 out[s] = val
-    if not all(_is_int(x) for x in out):
+    if not all(intlin.is_int(x) for x in out):
         raise DecorationNotClassConstant(
             f"weights must be integers, got {out!r}")
     out = [int(x) for x in out]
@@ -538,7 +533,7 @@ def build_root_datum(kind: str, rank: int, weights=1,
     >>> d.weights
     (1, 2, 1)
     """
-    if not _is_int(rank):
+    if not intlin.is_int(rank):
         raise InvalidRank(f"rank must be an integer, got {rank!r}")
     kind, rank = kind.upper(), int(rank)
     base = _bare_datum(kind, rank)
@@ -550,7 +545,7 @@ def build_root_datum(kind: str, rank: int, weights=1,
         name, basis = "coroot", intlin.echelon_basis(base.cartan, rank)
     else:
         rows = [tuple(row) for row in lattice]
-        if not all(_is_int(x) for r in rows for x in r):
+        if not all(intlin.is_int(x) for r in rows for x in r):
             raise LatticeNotIntermediate(
                 f"lattice generators must have integer entries, got {rows!r}")
         rows = [tuple(int(x) for x in r) for r in rows]

@@ -19,8 +19,7 @@ from heckelab import (
     effective_lattice,
     elements_up_to_length,
 )
-from heckelab import intlin
-from heckelab.hecke import HeckeElt
+from heckelab import hecke, intlin
 
 DATA = [
     ("A", 1, 1), ("A", 1, [1, 2]), ("A", 2, 1),
@@ -229,29 +228,46 @@ def test_lattice_rays_run_once_per_basis():
 
 
 def test_product_takes_one_step_per_trie_edge(monkeypatch):
+    """Each edge of the right factor's prefix trie steps every term of its
+    partial product once: the calls of ``step_vector`` from a product are
+    the pairs (letter, alcove vector of a term the letter multiplies)."""
     H = HeckeAlgebra(build_root_datum("A", 3))
     d = H.datum
-    calls = []
-    mul_basis = HeckeElt._mul_basis
-
-    def counted(self, s, step, twisted=False):
-        calls.append(s)
-        return mul_basis(self, s, step, twisted)
-
-    monkeypatch.setattr(HeckeElt, "_mul_basis", counted)
     x = H.t_word((0, 1))
     y21, y23 = (ExtWeylElt.from_word(d, w) for w in [(2, 1), (2, 3)])
-    assert [y.reduced_word()[1] for y in (y21, y23)] == [(2, 1), (2, 3)]
-    prod = x * (H.t(y21) + H.t(y23))
-    assert sorted(calls) == [1, 2, 3]  # the prefix 2 is taken once
-    assert prod == x * H.t(y21) + x * H.t(y23)
     z = ExtWeylElt.from_word(d, (1, 2, 3, 0))
+    assert [y.reduced_word()[1] for y in (y21, y23)] == [(2, 1), (2, 3)]
+    word = z.reduced_word()[1]
+
+    def expected(product):
+        # the steps of letter i are taken on the terms of the partial
+        # product before it, computed before any step is counted
+        prefixes = [ExtWeylElt.from_word(d, word[:i])
+                    for i in range(len(word))]
+        return sorted((s, u.q) for s, w in zip(word, prefixes)
+                      for u in product(w).terms)
+
+    plain = expected(lambda w: x * H.t(w))
+    star = expected(H.star_t)
+    split = x * H.t(y21) + x * H.t(y23)
+    calls = []
+    step_vector = hecke.step_vector
+
+    def counted(datum, q, s):
+        calls.append((s, q))
+        return step_vector(datum, q, s)
+
+    monkeypatch.setattr(hecke, "step_vector", counted)
+    prod = x * (H.t(y21) + H.t(y23))
+    # the prefix 2 is taken once
+    assert sorted(s for s, _ in calls) == [1, 2, 3]
+    assert prod == split
     calls.clear()
     x * H.t(z)
-    assert calls == list(z.reduced_word()[1])
+    assert len(plain) > len(word) and sorted(calls) == plain
     calls.clear()
     H.star_t(z)
-    assert calls == list(z.reduced_word()[1])
+    assert sorted(calls) == star
 
 
 def test_product_makes_no_descent_tests(monkeypatch):
@@ -336,6 +352,42 @@ def test_cross_algebra_guards():
         H.t(ExtWeylElt.simple_reflection(other.datum, 1))
     with pytest.raises(DatumMismatch):
         H.one() + other.one()
+
+
+def test_equality_respects_the_algebra():
+    """Elements of algebras that ``*`` refuses to mix are unequal, even
+    with equal alcove vectors; an algebra of a datum built twice compares
+    equal."""
+    a2, g2 = (HeckeAlgebra(build_root_datum(k, 2)) for k in "AG")
+    assert a2.one().terms == g2.one().terms and a2.one() != g2.one()
+    plain, weighted = (HeckeAlgebra(build_root_datum("C", 2, weights=w))
+                       for w in ([1, 1, 1], [1, 2, 3]))
+    s1, s1_weighted = plain.t_word((1,)), weighted.t_word((1,))
+    assert s1.terms == s1_weighted.terms and s1 != s1_weighted
+    for x, y in [(a2.one(), g2.one()), (s1, s1_weighted)]:
+        with pytest.raises(DatumMismatch):
+            x * y
+    again = HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 3]))
+    assert again is not weighted and again.datum is not weighted.datum
+    assert again.t_word((1,)) == s1_weighted
+    assert hash(again.t_word((1,))) == hash(s1_weighted)
+    assert again.t_word((1,)) * s1_weighted == s1_weighted * s1_weighted
+
+
+def test_scale_takes_integers_and_laurent_polynomials():
+    H = HeckeAlgebra(build_root_datum("A", 2))
+    x = H.t_word((1, 2)) + H.one()
+    for n in (2, np.int64(2), np.uint8(2)):
+        assert x.scale(n) == x + x
+        assert all(type(a) is int for c in x.scale(n).terms.values()
+                   for a in c.c.values())
+    assert x.scale(Laurent.v(2)).coeff(ExtWeylElt.identity(H.datum)) == (
+        Laurent.v(2))
+    assert x.scale(0).is_zero() and x.scale(np.int64(0)).is_zero()
+    for bad in (True, False, 2.0, np.float64(2), "2", None):
+        for elt in (x, H.zero()):
+            with pytest.raises(TypeError):
+                elt.scale(bad)
 
 
 def test_element_accessors():

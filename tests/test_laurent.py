@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heckelab import Laurent, LaurentMatrix, NegativePowersPresent, q_power
@@ -39,6 +40,23 @@ def test_random_arithmetic_against_integer_evaluation():
         assert (a + b).evaluate(pt) == av + bv
         assert (a * b).evaluate(pt) == av * bv
         assert (a - b).evaluate(pt) == av - bv
+
+
+def test_integer_scalars():
+    """Every integer that is not a bool multiplies, numpy integers
+    included, with Python int coefficients; anything else raises
+    ``TypeError``."""
+    x = Laurent({-1: 2, 3: -1})
+    for n in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        assert x * n == Laurent({-1: 6, 3: -3}) == n * x
+        assert all(type(a) is int for a in (x * n).c.values())
+    assert Laurent.one() * np.int64(3) == Laurent.of_int(3)
+    assert (x * 0).is_zero() and (x * np.int64(0)).is_zero()
+    for bad in (True, False, 2.0, np.float64(2), Fraction(2), "2", None):
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
 
 
 def test_subtraction_in_one_pass():

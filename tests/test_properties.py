@@ -192,17 +192,38 @@ def test_translation_class_counts_match_word(point):
         sum(1 for s in word if s in cls) for cls in d.classes]
 
 
+def times_letter(H, terms, s, twisted):
+    """``terms``, a dict from group elements to coefficients, times T_s,
+    or times $T^*_s = T_s - q_s + 1$ when ``twisted``, one term at a time
+    (Iwahori and Matsumoto 1965): $T_x T_s = T_{xs}$ when s raises the
+    length of x, else $q_s T_{xs} + (q_s - 1) T_x$."""
+    q1 = H.q(s) - Laurent.one()
+    out = H.zero()
+    for x, c in terms.items():
+        xs, descent = x.step(s)
+        if descent:
+            part = H.t(xs).scale(H.q(s)) + H.t(x).scale(q1)
+        else:
+            part = H.t(xs)
+        if twisted:
+            part = part - H.t(x).scale(q1)
+        out = out + part.scale(c)
+    return out.terms
+
+
 def letter_by_letter(x, y, twisted=False):
     """``x`` times ``y`` (times the twisted symbols of ``y``'s support when
     ``twisted``), one right-hand term at a time: the length-zero part, then
-    each letter of the reduced word on the whole partial product."""
-    total = x.alg.zero()
+    each letter of the reduced word on the whole partial product, by the
+    rule of :func:`times_letter`."""
+    H = x.alg
+    total = H.zero()
     for w, c in y.terms.items():
         omega, word = w.reduced_word()
-        part = x._mul_omega(omega)
+        part = {u * omega: a for u, a in x.terms.items()}
         for s in word:
-            part = part._mul_basis(s, {}, twisted)
-        total = total + part.scale(c)
+            part = times_letter(H, part, s, twisted)
+        total = total + HeckeElt(H, part).scale(c)
     return total
 
 
@@ -244,6 +265,56 @@ def test_trie_product_matches_letter_by_letter(d, data):
         sign = -1 if w.length() % 2 else 1
         expected = expected + H.star_t(w).scale(c * sign)
     assert H.sign_star(y) == expected
+
+
+def check_terms_are_group_elements(H, x, y, central=False):
+    """Every term of ``x * y``, of the twisted product, of ``sign_star``,
+    of ``star_t`` and, when ``central``, of the central orbit sum of the
+    effective monoid generator with the smallest orbit is an
+    ``ExtWeylElt`` of ``H``'s datum itself with a nonzero coefficient."""
+    elts = [x * y, x._product(y.terms, twisted=True), H.sign_star(y)]
+    elts += [H.star_t(w) for w in y.terms]
+    if central:
+        gen = min(H.monoid_generators("effective"),
+                  key=lambda g: (len(H.datum.weyl_orbit(g)),
+                                 sum(map(abs, g))))
+        elts.append(H.central(gen))
+    for elt in elts:
+        for w, c in elt.terms.items():
+            assert type(w) is ExtWeylElt and w.datum is H.datum
+            assert type(c) is Laurent and not c.is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_data(), st.data())
+def test_products_return_group_elements_of_the_datum(d, data):
+    """Products keyed by alcove vectors hand back group elements of the
+    algebra's datum, with the left factor also taken times the largest
+    length-zero part of the decorated group; central orbit sums are
+    checked on rank at most 2, where they stay small."""
+    H = HeckeAlgebra(d)
+    x = data.draw(hecke_elements(H))
+    y = data.draw(hecke_elements(H))
+    check_terms_are_group_elements(H, x, y, central=d.rank <= 2)
+    check_terms_are_group_elements(H, x * H.t(H.omega.elements[-1]), y)
+
+
+@pytest.mark.parametrize("kind, rank", [("A", 3), ("C", 2), ("D", 4)])
+def test_products_with_length_zero_parts_return_group_elements(kind, rank):
+    """Both factors with nontrivial length-zero parts, and a right factor
+    of the same datum built a second time."""
+    d = build_root_datum(kind, rank)
+    H, again = HeckeAlgebra(d), HeckeAlgebra(build_root_datum(kind, rank))
+    omegas = H.omega.elements
+    assert len(omegas) > 1
+    x = H.t(ExtWeylElt.from_word(d, (0, 1, 2), omegas[1]))
+    y = H.t(ExtWeylElt.from_word(d, (2, 1, 0, 2), omegas[-1])) + H.one()
+    check_terms_are_group_elements(H, x, y, central=True)
+    y_again = HeckeElt(again, {ExtWeylElt.from_word(
+        again.datum, (2, 1, 0, 2), again.omega.elements[-1]): Laurent.v()})
+    for left in (x, H.one()):
+        prod = left * y_again
+        assert not prod.is_zero() and all(w.datum is d for w in prod.terms)
 
 
 @settings(max_examples=150, deadline=None)
