@@ -6,7 +6,9 @@ points: for a generator $\\mu$ take any reduced word of the translation
 by $\\mu$ and add $+d(s)$ for every letter whose generator acts by
 $q^{d(s)}$ and $-d(s)$ for every letter acting by $-1$.  The count does
 not depend on the chosen reduced word because the letter classes of a
-reduced word are determined by the element.  Characters of the
+reduced word are determined by the element, and it is read off the
+per-class counts of the hyperplanes the translation crosses, with no
+word.  Characters of the
 non-extended algebra are tested over the coroot lattice, extended
 characters over the sublattice compatible with the node weights.
 
@@ -15,28 +17,25 @@ characteristic $p$ is *supersingular* when every central orbit sum acts
 nilpotently; it suffices to check the orbits of the dominant monoid
 generators since orbit sums multiply up to lower-order terms.  An orbit
 is taken as one stack of points, refused unless every simple reflection
-maps it onto itself, and the matrix of its sum at $v = 0$ comes from one
-of two routes, chosen from the module's own integer tensors.  On a
-monomial module (diagonal $T_s$ and $T^*_s$, length-zero elements acting
-by signed permutations, every entry a unit $\\pm v^e$) the coefficients
-of the whole orbit are integer arrays read off one stacked Bernstein
-split (:meth:`HeckeAlgebra.bernstein_split`): the per-class counts of the
-hyperplanes the two translations cross, with no word.  Every other module
-takes the dense route, a central character.  The orbit sums span the
-center (Bernstein; Lusztig, *Affine Hecke algebras and their graded
-version*, JAMS 1989), so on a module whose commutant is the scalars each
-acts as a scalar $c(v)$ (Schur).  The certificate, computed once per
-module, checks that commutant at one specialization of $v$ mod a prime,
+maps it onto itself.  The orbit sums span the center (Bernstein;
+Lusztig, *Affine Hecke algebras and their graded version*, JAMS 1989),
+so on a module whose commutant is the scalars each acts as a scalar
+$c(v)$ (Schur).  The certificate, computed once per module, checks that
+commutant at one specialization of $v$ mod a prime $q \\equiv 1 \\pmod 4$,
 where rank can only drop, and finds an exact common eigenvector of the
-$E_g$ of the monoid generators $g$ with eigenvalues $\\pm v^{k_g}$, which
-fix a linear form $y$ and a sign character $\\epsilon$ of the lattice.
-Then $c(v) = \\sum_{\\lambda \\in \\mathcal{O}} \\epsilon(\\lambda)
-v^{L(\\mathcal{O}) + \\langle \\lambda, y \\rangle}$, with $L$ the weighted
-translation length: one product of the orbit's stack with $y$, and the
-matrix is the constant term of $c(v)$ times the identity.  A module
-without the certificate takes the exact action of the central element.
-Every route, and the nilpotency test, is exact for every prime
-$p < 2^{63}$, the bound of a mod-$p$ module's int64 tensors.
+$E_g$ of the monoid generators $g$ with eigenvalues $i^{t_g} v^{k_g}$,
+which fix a linear form $y$ and a character $a$ of the lattice into
+$\\mathbb{Z}/4$.  A $1 \\times 1$ module reads its eigenvalues off its own
+values and the per-class letter counts of the generators' translation
+words, with no word; a larger one multiplies each generator's word in
+chunks and steps one exact vector through them.  Then $c(v) = \\sum_{\\lambda \\in \\mathcal{O}}
+i^{a(\\lambda)} v^{L(\\mathcal{O}) + \\langle \\lambda, y \\rangle}$, with
+$L$ the weighted translation length: one product of the orbit's lattice
+coordinates with $(y, a)$, and the matrix is the constant term of $c(v)$
+times the identity.  A module without the certificate takes the exact
+action of the central element.  Both, and the nilpotency test, are exact
+for every prime $p < 2^{63}$, the bound of a mod-$p$ module's int64
+tensors.
 
 The search routine walks the case analysis: a discrete non-special
 character that extends (one dimensional answer), discrete characters
@@ -59,7 +58,7 @@ import numpy as np
 
 from . import intlin
 from .errors import NotAFullOrbit, SublatticeUnsupported
-from .extweyl import translation_letter_counts, translation_word
+from .extweyl import translation_word
 from .hecke import HeckeAlgebra
 from .laurent import Laurent, LaurentMatrix
 from .modules import (Character, FinModule, character_extends,
@@ -84,19 +83,19 @@ SAMPLED_ORBIT_NODE = {("E", 7): 7, ("E", 8): 8}
 def translation_exponent(algebra: HeckeAlgebra, char: Character,
                          lam) -> int:
     """The signed weighted letter count of the translation by ``lam``."""
-    return _signed_exponent(
-        algebra, char, translation_letter_counts(algebra.datum, lam))
+    return int(_signed_exponents(algebra, char, [lam])[0])
 
 
-def _signed_exponent(algebra: HeckeAlgebra, char: Character,
-                     counts) -> int:
-    """Sum over nodes of letter count times weight, signed by ``char``."""
-    total = 0
-    for s, n in enumerate(counts):
-        if n:
-            d = n * algebra.datum.weights[s]
-            total += d if char.sign_on_node(s) == 1 else -d
-    return total
+def _signed_exponents(algebra: HeckeAlgebra, char: Character, pts):
+    """Per point of ``pts``, the letter count of each node class in a
+    reduced word of its translation
+    (:meth:`RootDatum.translation_class_counts`) times the class weight,
+    signed by ``char`` on the class, summed over the classes."""
+    datum = algebra.datum
+    signed = [char.sign_on_class(k) * d
+              for k, d in enumerate(datum.class_weights)]
+    return datum.translation_class_counts(np.array(pts, dtype=np.int64)) @ (
+        np.array(signed, dtype=np.int64))
 
 
 def _level(length_zero) -> str:
@@ -117,10 +116,9 @@ def is_discrete_character(algebra, char: Character):
     alg = _as_algebra(algebra)
     assert char.mode == "generic"
     level = _level(char.omega_signs)
-    rows = [{"generator": list(gen),
-             "exponent": _signed_exponent(alg, char, counts)}
-            for gen, counts in zip(alg.monoid_generators(level),
-                                   alg.generator_letter_counts(level))]
+    gens = alg.monoid_generators(level)
+    rows = [{"generator": list(gen), "exponent": k} for gen, k in zip(
+        gens, _signed_exponents(alg, char, gens).tolist())]
     return (all(row["exponent"] < 0 for row in rows),
             {"level": level, "rows": rows})
 
@@ -130,34 +128,12 @@ def is_discrete_character(algebra, char: Character):
 #: The specialization of the certificate: $v$ = ``CERT_V`` in $F_q$ for
 #: ``CERT_Q``, the largest prime below $2^{25}$, so that a product of two
 #: $n \\times n$ matrices over $F_q$ stays in int64 for every $n < 8192$.
+#: As $q \\equiv 1 \\pmod 4$, $F_q$ holds ``CERT_I``, a square root of
+#: $-1$, so every candidate eigenvalue $i^t v^k$ has a value there.
 CERT_Q = 33554393
 CERT_V = 12345
-
-
-def _mod_p(mats: LaurentMatrix, p: int) -> LaurentMatrix:
-    """Coefficients reduced into ``[0, p)`` on int64, trimmed."""
-    return LaurentMatrix(mats.lo, (mats.coeffs % p).astype(np.int64),
-                         p - 1).trim()
-
-
-def _monomial_entries(mats: LaurentMatrix):
-    """For a stack of K monomial matrices, each row and each column holding
-    exactly one nonzero entry and that entry a unit $\\pm v^e$: three
-    (K, n) int64 arrays indexed by matrix and row, of the entry's column,
-    its sign bit (1 for $-1$) and its exponent $e$.  ``None`` for any
-    other stack."""
-    nz = mats.coeffs != 0
-    terms = nz.sum(axis=-3)
-    if (terms > 1).any() or (terms.sum(axis=-1) != 1).any() or (
-            terms.sum(axis=-2) != 1).any():
-        return None
-    cols = terms.argmax(axis=-1)
-    k, rows = np.indices(cols.shape)
-    degs = nz[k, :, rows, cols].argmax(axis=-1)
-    coefs = mats.coeffs[k, degs, rows, cols]
-    if (np.abs(coefs) != 1).any():
-        return None
-    return cols, (coefs < 0).astype(np.int64), mats.lo + degs
+CERT_I = 75304
+assert CERT_Q % 4 == 1 and CERT_I * CERT_I % CERT_Q == CERT_Q - 1
 
 
 def _per_module(compute):
@@ -180,100 +156,14 @@ def _star_mats(module: FinModule) -> LaurentMatrix:
         module.dim)
 
 
-@_per_module
-def _monomial_form(module: FinModule):
-    """``(T_s, T*_s, length-zero)`` entries of :func:`_monomial_entries`,
-    one row per node class for the first two (diagonal) and per
-    length-zero element for the last, or ``None`` when the module is not
-    of that shape.  The braid relations make diagonal entries equal along
-    odd bonds; a module where they differ within a class takes the dense
-    route."""
-    n = module.dim
-    if module.omega_mats is None:
-        omega = (np.arange(n)[None], *np.zeros((2, 1, n), np.int64))
-    else:
-        omega = _monomial_entries(module.omega_mats)
-    t = _monomial_entries(module.smats)
-    star = _monomial_entries(_star_mats(module))
-    datum = module.alg.datum
-    first = [cls[0] for cls in datum.classes]
-    rep = [first[datum.class_of_node[s]] for s in range(datum.rank + 1)]
-    if omega is None or t is None or star is None or any(
-            (a != a[rep]).any() for e in (t, star) for a in e) or any(
-            (e[0] != np.arange(n)).any() for e in (t, star)):
-        return None
-    return tuple(a[first] for a in t), tuple(a[first] for a in star), omega
-
-
-class _OrbitActor:
-    """The normalized summands of central orbit sums at $v = 0$ mod ``p``
-    on a monomial Laurent module, one orbit at a time as one stack.
-
-    A module whose matrices of $T_s$ and $T^*_s$ are diagonal and whose
-    length-zero matrices are monomial, every nonzero entry a unit
-    $\\pm v^e$ (characters, their extensions, induced modules), takes the
-    *monomial route*.  An orbit is one (N, rank) int64 stack of points.
-    One stacked split (:meth:`HeckeAlgebra.bernstein_split`) gives every
-    point its dominant parts ``plus`` and ``minus``, the class letter
-    counts of $t_{plus}$ and $t_{-minus}$ and the exponent $\\delta$ of the
-    normalizing power of $v$.  The summands are then one (N, n, n) stack
-    of monomial matrices whose exponents and signs are integer arrays
-    over the stack, read off the class counts and the length-zero indices
-    of the two translations, with no word.  ``monomial`` is ``None`` on
-    any other module, which :func:`central_orbit_matrix_v0` sends to the
-    dense route."""
-
-    def __init__(self, module: FinModule, p: int):
-        assert not module.is_modular
-        self.module = module
-        self.p = p
-        self.n = module.dim
-        self.level = _level(module.omega_mats)
-        self.monomial = _monomial_form(module)
-
-    def orbit_terms(self, orbit) -> np.ndarray:
-        """The (N, n, n) stack of matrix coefficients of the normalized
-        summands at the N points of ``orbit``: at each point ``lam``, the
-        coefficient of $v^{\\delta}$ in the product
-        $T_{\\omega_1} \\prod T^*_{s} \\cdot T_{\\omega_2} \\prod T_{t}$
-        following the dominant/antidominant split of ``lam``.  At each
-        point the product $T_{\\omega_1} D_1 T_{\\omega_2} D_2$ sends row
-        ``i`` to column ``j`` of $T_{\\omega_1}$, then to column ``k`` of
-        $T_{\\omega_2}$; the diagonals $D_1$ of $T^*$ and $D_2$ of $T$ have
-        exponents and sign counts linear in the class counts.  The entry
-        is kept when its exponent is $\\delta$, with value $1$ or $p - 1$
-        by the parity of its signs."""
-        assert self.monomial is not None
-        plus, minus, c_plus, c_neg, delta = self.module.alg.bernstein_split(
-            orbit, self.level)
-        (_, t_neg, t_exp), (_, s_neg, s_exp), (o_cols, o_neg, o_exp) = (
-            self.monomial)
-        omega = self.module.alg.omega
-        g1 = omega.translation_indices(plus)
-        g2 = omega.translation_indices(-minus)
-        rows = np.arange(len(delta))[:, None]
-        j = o_cols[g1]
-        k = o_cols[g2][rows, j]
-        exp = (o_exp[g1] + (c_plus @ s_exp)[rows, j]
-               + o_exp[g2][rows, j] + (c_neg @ t_exp)[rows, k])
-        neg = (o_neg[g1] + (c_plus @ s_neg)[rows, j]
-               + o_neg[g2][rows, j] + (c_neg @ t_neg)[rows, k])
-        r, i = np.nonzero(exp == delta[:, None])
-        out = np.zeros((len(delta), self.n, self.n), dtype=np.int64)
-        out[r, i, k[r, i]] = np.where(neg[r, i] % 2, self.p - 1, 1)
-        return out
-
-
 def _specialize(mats: LaurentMatrix) -> np.ndarray:
     """The matrices of ``mats`` at $v$ = ``CERT_V`` over $F_q$, ``CERT_Q``,
     as int64 entries in $[0, q)$."""
     c = mats.coeffs
-    out = np.zeros(c.shape[:-3] + c.shape[-2:], dtype=np.int64)
-    for k in np.flatnonzero((c != 0).any(axis=(*range(c.ndim - 3), -2, -1))):
-        power = pow(CERT_V, mats.lo + int(k), CERT_Q)
-        out = (out + (c[..., k, :, :] % CERT_Q).astype(np.int64)
-               * power) % CERT_Q
-    return out
+    powers = np.array([pow(CERT_V, int(mats.lo) + k, CERT_Q)
+                       for k in range(c.shape[-3])], dtype=np.int64)
+    terms = (c % CERT_Q).astype(np.int64) * powers[:, None, None] % CERT_Q
+    return terms.sum(axis=-3) % CERT_Q
 
 
 def _commutant_is_scalar(module: FinModule) -> bool:
@@ -283,35 +173,31 @@ def _commutant_is_scalar(module: FinModule) -> bool:
     in $n^2$ unknowns, has rank $n^2 - 1$ over $F_q$.  A minor of a matrix
     over $\\mathbb{Z}[v^{\\pm 1}]$ that is nonzero at the specialization is
     nonzero, so the rank over $\\mathbb{Q}(v)$ is at least that: the
-    commutant over $\\mathbb{Q}(v)$ is the scalars too.  The equations of
-    one matrix at a time join an echelon form of those before, which stops
-    growing at $n^2 - 1$ rows, the most there can be."""
+    commutant over $\\mathbb{Q}(v)$ is the scalars too."""
     n = module.dim
+    if n == 1:
+        return True
+    a = np.concatenate([_specialize(mats) for mats in (
+        module.smats, module.omega_mats) if mats is not None])
     eye = np.eye(n, dtype=np.int64)
-    rows = np.zeros((0, n * n), dtype=np.int64)
-    for mats in (module.smats, module.omega_mats):
-        for a in [] if mats is None else _specialize(mats):
-            # the coefficient of X[k, l] in (XA - AX)[i, j]
-            eqs = eye[:, None, :, None] * a.T[None, :, None, :] - (
-                a[:, None, :, None] * eye[None, :, None, :])
-            rows = intlin.echelon_mod(np.concatenate(
-                [rows, eqs.reshape(n * n, n * n) % CERT_Q]), CERT_Q)
-            if len(rows) == n * n - 1:
-                return True
-    return False
+    # the coefficient of X[k, l] in (XA - AX)[i, j], per matrix A
+    eqs = np.einsum("ik,alj->aijkl", eye, a) - np.einsum("aik,lj->aijkl",
+                                                         a, eye)
+    rows = intlin.echelon_mod(eqs.reshape(-1, n * n) % CERT_Q, CERT_Q)
+    return len(rows) == n * n - 1
 
 
 def _eigen_column(a: np.ndarray, lo: int, hi: int):
     """``(shift, j)`` naming one eigenvector of the exact matrix whose
     specialization is ``a``: column ``j`` of it minus ``shift``, a pair
-    ``(eps, k)`` for $\\epsilon v^k I$, or the unit vector $e_j$ when
-    ``shift`` is ``None``; ``None`` when neither form is found.
+    ``(t, k)`` for $i^t v^k I$, or the unit vector $e_j$ when ``shift`` is
+    ``None``; ``None`` when neither form is found.
 
     With $a_{ij} \\neq 0$ off the diagonal, $R = a - \\mu I$ has rank one
     exactly when $a_{ij} R = R e_j e_i^T R$, one test for all candidates
-    $\\mu = \\pm v^k$, $k$ in ``[lo, hi]``, at once; the columns of a rank
-    one $R$ span one eigenline.  A diagonal ``a`` names $e_j$ for a
-    diagonal entry that occurs once."""
+    $\\mu = i^t v^k$, $t = 0..3$ and $k$ in ``[lo, hi]``, at once; the
+    columns of a rank one $R$ span one eigenline.  A diagonal ``a`` names
+    $e_j$ for a diagonal entry that occurs once."""
     n = len(a)
     off = np.argwhere(a * (1 - np.eye(n, dtype=np.int64)) != 0)
     if not len(off):
@@ -319,84 +205,165 @@ def _eigen_column(a: np.ndarray, lo: int, hi: int):
         once = np.flatnonzero((diag[:, None] == diag).sum(axis=1) == 1)
         return (None, int(once[0])) if once.size else None
     i, j = off[0]
-    powers = [pow(CERT_V, k, CERT_Q) for k in range(lo, hi + 1)]
-    mus = np.array(powers + [CERT_Q - x for x in powers], dtype=np.int64)
+    powers = np.array([pow(CERT_V, k, CERT_Q) for k in range(lo, hi + 1)],
+                      dtype=np.int64)
+    turns = np.array([pow(CERT_I, t, CERT_Q) for t in range(4)],
+                     dtype=np.int64)
+    mus = (turns[:, None] * powers % CERT_Q).ravel()
     r = (a - mus[:, None, None] * np.eye(n, dtype=np.int64)) % CERT_Q
     outer = r[:, :, j, None] * r[:, None, i, :] % CERT_Q
     hit = np.flatnonzero((outer == r * a[i, j] % CERT_Q).all(axis=(1, 2)))
     if not hit.size:
         return None
-    c = int(hit[0])
-    return ((1 if c < len(powers) else -1), lo + c % len(powers)), int(j)
+    t, k = divmod(int(hit[0]), len(powers))
+    return (t, lo + k), int(j)
 
 
-def _eigenvalue(w: LaurentMatrix, u: LaurentMatrix):
-    """``(eps, k)`` with $w = \\epsilon v^k u$ exactly, for column vectors
-    ``w`` and ``u`` (shape (degree, n, 1)), else ``None``."""
-    i = np.flatnonzero((u.coeffs != 0).any(axis=0)[:, 0])[0]
-    ku = np.flatnonzero(u.coeffs[:, i, 0] != 0)[0]
-    kw = np.flatnonzero(w.coeffs[:, i, 0] != 0)
-    if not kw.size:
-        return None
-    a, b = int(w.coeffs[kw[0], i, 0]), int(u.coeffs[ku, i, 0])
-    if abs(a) != abs(b):
-        return None
-    eps, k = (1 if a == b else -1), int(w.lo + kw[0] - u.lo - ku)
-    if ((w - LaurentMatrix(u.lo + k, eps * u.coeffs)).coeffs != 0).any():
-        return None
-    return eps, k
+def _turn(u: LaurentMatrix, t: int) -> LaurentMatrix:
+    """$i^t u$ for ``u`` over $\\mathbb{Z}[i][v^{\\pm 1}]$, held as the
+    stack (re, im) of its real and imaginary parts."""
+    c = u.coeffs
+    for _ in range(t % 4):
+        c = np.stack([-c[1], c[0]])
+    return LaurentMatrix(u.lo, c)
 
 
-def _generator_weights(module: FinModule, gens):
-    """Per dominant monoid generator $g$ of ``gens``, ``(eps, k)`` with
-    $\\rho(E_g) u = \\epsilon v^k u$ for one exact $u \\neq 0$ over
-    $\\mathbb{Z}[v^{\\pm 1}]$, the same for all of them, else ``None``.
+def _eigenvalues(ws, u: LaurentMatrix):
+    """Per column vector $w$ of ``ws``, ``(t, k)`` with $w = i^t v^k u$
+    exactly, else ``None``, for vectors over $\\mathbb{Z}[i][v^{\\pm 1}]$
+    held as stacks (re, im) of shape (2, degree, n, 1), $u \\neq 0$.
+    Multiplying by $i^t$ keeps the degrees where a vector is nonzero, so
+    once both are trimmed $k$ is the gap between their lowest degrees and
+    the coefficients of $w$ are those of $i^t u$."""
+    u = u.trim()
+    turns = [_turn(u, t).coeffs for t in range(4)]
+    out = []
+    for w in ws:
+        w = w.trim()
+        t = next((t for t, c in enumerate(turns)
+                  if c.shape == w.coeffs.shape and (c == w.coeffs).all()),
+                 None)
+        out.append(None if t is None else (t, int(w.lo - u.lo)))
+    return out
 
-    $E_g = T^*_{t_g}$ is the length-zero element of $t_g$ times the
-    $T^*_s$ along ``translation_word(g)``, applied exactly to column
-    vectors only, so each generator replays its word once.  $u$ is a
-    column of $\\rho(E_g) - \\mu$, or a unit vector, for the first
-    generator, shortest word first, whose specialization names one
-    (:func:`_eigen_column`); $\\mu = \\pm v^k$ with $k$ over the degrees
-    the product can reach.  Every generator is then checked exactly on
-    $u$."""
+
+#: Neighbouring chunks of a word are multiplied into one while the chunks
+#: span at most this many degrees.  Longer chunks cost more as matrix
+#: products than they save as steps on vectors: the certificate of E8's
+#: reflection module took 1.6 s with no bound and 36 ms with this one.
+CHUNK_DEGREES = 16
+
+
+def _word_chunks(module: FinModule, gens):
+    """``(table, chunks)``: the exact matrices of
+    $E_g = T^*_{t_g}$ for the dominant monoid generators $g$ of ``gens``,
+    each the product of the matrices ``table[c]`` for $c$ in ``chunks[g]``.
+
+    $E_g$ is the length-zero element of $t_g$ times the $T^*_s$ along
+    ``translation_word(g)``.  Starting from those letters, neighbouring
+    chunks of every word are multiplied in pairs, each distinct pair once
+    in one stacked product per level (a word of odd length takes the
+    identity last), while the table spans at most ``CHUNK_DEGREES``
+    degrees: short words end as one matrix each, long ones as chunks that
+    vectors step through."""
     alg, n = module.alg, module.dim
+    one = LaurentMatrix.identity(n)[None]
     star = _star_mats(module)
-    if module.omega_mats is None:  # a stack of one identity matrix
-        omega = LaurentMatrix(0, np.eye(n, dtype=np.int64)[None, None], 1)
-        index = [0] * len(gens)
+    if module.omega_mats is None:
+        omega, index = one, [0] * len(gens)
     else:
         omega, index = (module.omega_mats,
                         alg.omega.translation_indices(gens))
-    words = [translation_word(alg.datum, g) for g in gens]
+    table = LaurentMatrix.concat([omega, star, one])
+    chunks = [[i] + [len(omega) + s for s in translation_word(alg.datum, g)]
+              for i, g in zip(index, gens)]
+    while (max(map(len, chunks)) > 1
+           and table.coeffs.shape[-3] <= CHUNK_DEGREES):
+        chunks = [c + [len(table) - 1] * (len(c) % 2) for c in chunks]
+        pairs = sorted({p for c in chunks for p in zip(c[0::2], c[1::2])})
+        left, right = (list(x) for x in zip(*pairs))
+        table = LaurentMatrix.concat([(table[left] @ table[right]).trim(),
+                                      one])
+        number = {p: k for k, p in enumerate(pairs)}
+        chunks = [[number[p] for p in zip(c[0::2], c[1::2])] for c in chunks]
+    return table, chunks
 
-    def apply(i, u):
-        for s in reversed(words[i]):
-            u = (star[s] @ u).trim()
-        return (omega[index[i]] @ u).trim()
 
-    s_star, s_omega = _specialize(star), _specialize(omega)
-    spread = (star.coeffs.shape[-3] - 1, omega.coeffs.shape[-3] - 1)
-    for i in sorted(range(len(gens)), key=lambda i: len(words[i])):
-        a = s_omega[index[i]]
-        for s in words[i]:
-            a = a @ s_star[s] % CERT_Q
-        lo = omega.lo + len(words[i]) * star.lo
-        found = _eigen_column(
-            a, lo, lo + spread[1] + len(words[i]) * spread[0])
+def _replayed_weights(module: FinModule, gens):
+    """Per dominant monoid generator $g$ of ``gens``, ``(t, k)`` with
+    $\\rho(E_g) u = i^t v^k u$ for one exact $u \\neq 0$ over
+    $\\mathbb{Z}[i][v^{\\pm 1}]$, the same for all of them, else ``None``.
+
+    $\\rho(E_g)$ is applied exactly to column vectors only, a chunk of its
+    word at a time (:func:`_word_chunks`).  $u$ is a column of
+    $\\rho(E_g) - \\mu$, or a unit vector, for the first generator whose
+    specialization names one (:func:`_eigen_column`); $\\mu = i^t v^k$ with
+    $k$ over the degrees the product can reach.  Every generator is then
+    checked exactly on $u$ (:func:`_eigenvalues`)."""
+    table, chunks = _word_chunks(module, gens)
+    spec, spread = _specialize(table), table.coeffs.shape[-3] - 1
+
+    def apply(g, u):
+        for c in reversed(chunks[g]):
+            u = (table[c] @ u).trim()
+        return u
+
+    for g, word in enumerate(chunks):
+        a = spec[word[0]]
+        for c in word[1:]:
+            a = a @ spec[c] % CERT_Q
+        lo = len(word) * int(table.lo)
+        found = _eigen_column(a, lo, lo + len(word) * spread)
         if found is not None:
-            shift, j = found
-            unit = np.zeros((1, n, 1), dtype=np.int64)
-            unit[0, j, 0] = 1
-            u = LaurentMatrix(0, unit)
-            if shift is not None:
-                u = (apply(i, u) - LaurentMatrix(shift[1],
-                                                 shift[0] * unit)).trim()
             break
     else:
         return None
-    weights = [_eigenvalue(apply(i, u), u) for i in range(len(gens))]
+    shift, j = found
+    unit = np.zeros((2, 1, module.dim, 1), dtype=np.int64)
+    unit[0, 0, j, 0] = 1
+    u = LaurentMatrix(0, unit)
+    if shift is not None:
+        t, k = shift
+        u = apply(g, u) - _turn(LaurentMatrix(k, unit), t)
+    weights = _eigenvalues([apply(g, u) for g in range(len(gens))], u)
     return None if None in weights else weights
+
+
+def _units(mats: LaurentMatrix):
+    """For a stack of $1 \\times 1$ matrices, each a unit $\\pm v^e$: the
+    arrays of $t$ with $\\pm 1 = i^t$ and of $e$; else ``None``."""
+    c = mats.coeffs[..., 0, 0]
+    deg = (c != 0).argmax(axis=-1)
+    unit = c[np.arange(len(c)), deg]
+    if ((c != 0).sum(axis=-1) != 1).any() or (np.abs(unit) != 1).any():
+        return None
+    return 2 * (unit < 0), mats.lo + deg
+
+
+def _class_count_weights(module: FinModule, gens, counts):
+    """The weights of :func:`_replayed_weights` on a $1 \\times 1$ module,
+    with no word: $\\rho(E_g)$ is the value of the length-zero element of
+    $t_g$ times the value of $T^*_s$ on each node class to the power of
+    that class's letter count in $g$'s translation word, ``counts``
+    (:meth:`RootDatum.translation_class_counts` of ``gens``).  ``None``
+    on a larger module, or unless every value is a unit $\\pm v^e$ and the
+    values of $T^*_s$ are constant on each node class."""
+    alg, datum = module.alg, module.alg.datum
+    if module.dim != 1:
+        return None
+    star = _units(_star_mats(module))
+    first = [cls[0] for cls in datum.classes]
+    rep = [first[datum.class_of_node[s]] for s in range(datum.rank + 1)]
+    if star is None or any((x != x[rep]).any() for x in star):
+        return None
+    turns, ks = (counts @ x[first] for x in star)
+    if module.omega_mats is not None:
+        omega = _units(module.omega_mats)
+        if omega is None:
+            return None
+        index = alg.omega.translation_indices(gens)
+        turns, ks = turns + omega[0][index], ks + omega[1][index]
+    return list(zip((turns % 4).tolist(), ks.tolist()))
 
 
 class _CentralCharacter:
@@ -409,35 +376,36 @@ class _CentralCharacter:
     graded version*, JAMS 1989).  $\\theta_\\lambda = v^{-L(\\lambda)}
     E_\\lambda$ is multiplicative, with $L$ the weighted translation length,
     constant on a Weyl orbit; on the common eigenvector $u$ it acts as
-    $\\epsilon(\\lambda) v^{\\langle \\lambda, y \\rangle}$ for a sign
-    character $\\epsilon$ and a linear form $y$ of the lattice.  So
+    $i^{a(\\lambda)} v^{\\langle \\lambda, y \\rangle}$ for a character
+    $a$ of the lattice into $\\mathbb{Z}/4$ and a linear form $y$.  So
     $z_\\mathcal{O}$ acts as
-    $c(v) = \\sum_{\\lambda \\in \\mathcal{O}} \\epsilon(\\lambda)
+    $c(v) = \\sum_{\\lambda \\in \\mathcal{O}} i^{a(\\lambda)}
     v^{L(\\mathcal{O}) + \\langle \\lambda, y \\rangle}$.
 
-    ``pairing`` is a (rank, 2) int64 matrix and ``det`` an int such that
-    ``pts @ pairing / det`` holds $\\langle \\lambda, y \\rangle$ and an
-    exponent of $-1$ giving $\\epsilon(\\lambda)$ for each lattice point
-    $\\lambda$."""
+    ``pairing`` is a (rank, 2) int64 matrix: the coordinates of a point
+    $\\lambda$ of the lattice at ``level`` of ``alg`` times ``pairing``
+    hold $\\langle \\lambda, y \\rangle$ and $a(\\lambda)$."""
 
-    def __init__(self, datum, pairing: np.ndarray, det: int):
-        self.datum = datum
+    def __init__(self, alg: HeckeAlgebra, level: str, pairing: np.ndarray):
+        self.alg = alg
+        self.level = level
         self.pairing = pairing
-        self.det = det
 
     def scalar(self, pts: np.ndarray) -> Laurent:
-        """$c(v)$ on the Weyl orbit ``pts``, an (N, rank) int64 stack: one
-        (N, rank) product and two counts."""
-        vals = pts @ self.pairing
-        assert not (vals % self.det).any()
-        vals //= self.det
-        exps = vals[:, 0] + self.datum.translation_weighted_length(pts[0])
-        odd = vals[:, 1] % 2 == 1
+        """$c(v)$ on the Weyl orbit ``pts``, an (N, rank) int64 stack: its
+        lattice coordinates (``NotInLattice`` off the lattice) times
+        ``pairing`` and a count of the exponents per $a \\bmod 4$.  The
+        imaginary part, $a \\equiv 1$ minus $a \\equiv 3$, is zero."""
+        vals = self.alg.lattice_coordinates(pts, self.level) @ self.pairing
+        exps = vals[:, 0] + self.alg.datum.translation_weighted_length(
+            pts[0])
         lo = int(exps.min())
         size = int(exps.max()) - lo + 1
-        counts = (np.bincount(exps[~odd] - lo, minlength=size)
-                  - np.bincount(exps[odd] - lo, minlength=size))
-        return Laurent({lo + k: c for k, c in enumerate(counts.tolist())})
+        counts = [np.bincount(exps[vals[:, 1] % 4 == t] - lo, minlength=size)
+                  for t in range(4)]
+        assert (counts[1] == counts[3]).all()
+        real = counts[0] - counts[2]
+        return Laurent({lo + k: c for k, c in enumerate(real.tolist())})
 
 
 @_per_module
@@ -445,38 +413,38 @@ def _certificate(module: FinModule) -> _CentralCharacter | None:
     """The central character of ``module`` (:class:`_CentralCharacter`),
     computed once per module, or ``None`` when its commutant is not
     certified to be the scalars (:func:`_commutant_is_scalar`) or no
-    common eigenvector is found (:func:`_generator_weights`).  The
-    exponents $k_g$ of the generators give
-    $\\langle g, y \\rangle = k_g - L(g)$ and the signs give $\\epsilon$,
-    both in the coordinates of the lattice basis: the generators span the
+    common eigenvector is found (:func:`_class_count_weights` on a
+    $1 \\times 1$ module where it applies, :func:`_replayed_weights`
+    otherwise).  The weights $i^{t_g} v^{k_g}$ of the generators give
+    $\\langle g, y \\rangle = k_g - L(g)$ and $a(g) \\equiv t_g \\pmod 4$,
+    both linear in the coordinates of $g$ in the lattice basis
+    (:meth:`HeckeAlgebra.lattice_coordinates`).  The generators span the
     lattice, so each system has one solution over $F_q$ and over $F_2$,
-    and $\\theta$ being multiplicative makes both consistent.  $y$ is
-    integral, so its lift from $F_q$ to $(-q/2, q/2)$ is checked to solve
-    the system over the integers."""
+    and $\\theta$ being multiplicative makes them consistent.  The lift of
+    $y$ from $F_q$ to $(-q/2, q/2)$ is checked over the integers; $a$ is
+    lifted 2-adically from two solutions over $F_2$ and checked mod 4."""
     if not _commutant_is_scalar(module):
         return None
     alg, datum = module.alg, module.alg.datum
     level = _level(module.omega_mats)
     gens = alg.monoid_generators(level)
-    weights = _generator_weights(module, gens)
+    counts = datum.translation_class_counts(np.array(gens, dtype=np.int64))
+    weights = (_class_count_weights(module, gens, counts)
+               or _replayed_weights(module, gens))
     if weights is None:
         return None
-    inv = intlin.frac_inverse(alg._level_basis(level))
-    det = intlin.det(alg._level_basis(level))
-    coords = np.array([[int(sum(x * row[j] for x, row in zip(g, inv)))
-                        for j in range(datum.rank)] for g in gens],
-                      dtype=np.int64)
-    rhs = np.array([k - datum.translation_weighted_length(g)
-                    for g, (_, k) in zip(gens, weights)], dtype=np.int64)
+    turns, ks = np.array(weights, dtype=np.int64).T
+    coords = alg.lattice_coordinates(gens, level)
+    rhs = ks - counts @ np.array(datum.class_weights, dtype=np.int64)
     y = intlin.solve_mod(coords, rhs, CERT_Q)
-    signs = intlin.solve_mod(coords, [int(eps < 0) for eps, _ in weights], 2)
-    assert y is not None and signs is not None
+    low = intlin.solve_mod(coords, turns, 2)
+    assert y is not None and low is not None
+    high = intlin.solve_mod(coords, (turns - coords @ low) // 2, 2)
+    assert high is not None
     y = np.where(y > CERT_Q // 2, y - CERT_Q, y)
-    assert (coords @ y == rhs).all()
-    adj = np.array([[int(x * det) for x in row] for row in inv],
-                   dtype=np.int64)
-    pairing = adj @ np.stack([y, signs], axis=1)
-    return _CentralCharacter(datum, pairing, det)
+    a = low + 2 * high
+    assert (coords @ y == rhs).all() and not ((coords @ a - turns) % 4).any()
+    return _CentralCharacter(alg, level, np.stack([y, a], axis=1))
 
 
 def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
@@ -487,19 +455,15 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     module sees: ``ValueError`` for points of the wrong length,
     ``NotInLattice`` off the lattice and ``NotAFullOrbit`` when a simple
     reflection does not map the stack onto itself
-    (:meth:`RootDatum.is_weyl_orbit`).  A monomial module sums the orbit's
-    stack of summands (:meth:`_OrbitActor.orbit_terms`); each lies in
-    $[0, p)$ with $p < 2^{63}$, and its high and low 32 bits are summed
-    separately, so neither sum wraps int64 below $2^{31}$ points.  Every
-    other module takes the dense route: with a certificate
+    (:meth:`RootDatum.is_weyl_orbit`).  With a certificate
     (:func:`_certificate`) the sum acts as $c(v) I$ and the matrix is
-    $c_0 I$ mod ``p``, for $c_0$ the constant term of $c(v)$; without one
-    it is the $v^0$ coefficient of the exact action
-    (:meth:`FinModule.act` on :meth:`HeckeAlgebra.central_from_orbit`).
-    That route multiplies Hecke elements whose supports grow exponentially
-    with the orbit's translations, so a module without the certificate
-    can take minutes on one generator orbit: on a C5 module of the induced
-    answer's shape, one orbit did not finish in 150 s."""
+    $c_0 I$ mod ``p``, for $c_0$ the constant term of $c(v)$: exact for
+    every prime $p < 2^{63}$.  A module without one takes the $v^0$
+    coefficient of the exact action (:meth:`FinModule.act` on
+    :meth:`HeckeAlgebra.central_from_orbit`).  That route multiplies
+    Hecke elements whose supports grow exponentially with the orbit's
+    translations: on C5 it did not finish one generator orbit in 150 s."""
+    assert not module.is_modular
     alg = module.alg
     if not len(orbit):
         raise NotAFullOrbit("empty orbit")
@@ -507,17 +471,11 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     if not alg.datum.is_weyl_orbit(pts):
         raise NotAFullOrbit(f"the {len(pts)} given points do not form one "
                             "full Weyl orbit")
-    actor = _OrbitActor(module, p)
-    if actor.monomial is not None:  # its split checks the lattice
-        terms = actor.orbit_terms(pts)
-        high, low = np.divmod(terms, 1 << 32)
-        total = (high.sum(axis=0).astype(object) << 32) + low.sum(axis=0)
-        return (total % p).astype(np.int64)
-    alg.lattice_points(pts, actor.level)
     cert = _certificate(module)
     if cert is not None:
         c0 = cert.scalar(pts).constant_term()
         return np.eye(module.dim, dtype=np.int64) * (c0 % p)
+    alg.lattice_points(pts, _level(module.omega_mats))
     exact = module.act(alg.central_from_orbit(pts))
     k = -exact.lo
     coeff = (exact.coeffs[k] if 0 <= k < len(exact.coeffs)
@@ -531,7 +489,8 @@ def _nilpotency_degree(mat: np.ndarray, p: int) -> int | None:
     n = mat.shape[0]
     m, cur = LaurentMatrix(0, mat[None], p - 1), LaurentMatrix.identity(n)
     for k in range(1, n + 1):
-        cur = _mod_p(cur @ m, p)
+        cur = cur @ m
+        cur = LaurentMatrix(cur.lo, (cur.coeffs % p).astype(np.int64), p - 1)
         if not cur.coeffs.any():
             return k
     return None

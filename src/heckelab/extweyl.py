@@ -422,15 +422,6 @@ def translation_word(datum: RootDatum, lam: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(walk))
 
 
-def translation_letter_counts(datum: RootDatum,
-                              lam: Sequence[int]) -> tuple[int, ...]:
-    """How often each affine node occurs in ``translation_word(datum, lam)``."""
-    counts = [0] * (datum.rank + 1)
-    for s in translation_word(datum, lam):
-        counts[s] += 1
-    return tuple(counts)
-
-
 class OmegaGroup:
     """The finite abelian group of length-zero elements.
 

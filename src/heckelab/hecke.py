@@ -43,8 +43,8 @@ dominant lattice points, by one rule for the coroot and the effective
 lattice: the componentwise positive and negative parts when $\lambda_+$
 lies in the lattice, else both shifted by the least $s \ge 0$ that makes
 $\lambda_+ + s$ a sum of the lattice's rays $a_i e_i$.  One stacked
-method, ``bernstein_split``, checks, splits and counts a whole orbit at
-once; central orbit sums and :mod:`heckelab.classify` both read it.
+method, ``bernstein_split``, checks and splits a whole orbit at once,
+with the exponent of $v$ that normalizes each point's product.
 
 Weights that are not constant on length-zero orbits shrink the algebra:
 only translations by the sublattice compatible with the weights give
@@ -60,8 +60,7 @@ import numpy as np
 
 from . import intlin
 from .errors import DatumMismatch, NotAFullOrbit, NotInLattice
-from .extweyl import (ExtWeylElt, aut_group, step_vector,
-                      translation_letter_counts)
+from .extweyl import ExtWeylElt, aut_group, step_vector
 from .laurent import Laurent, q_power
 from .rootdata import RootDatum, Vec, dominant_monoid_generators
 
@@ -75,7 +74,6 @@ class HeckeAlgebra:
         self.omega = self.omega_full.decorated()
         self.effective_basis = self.omega.lattice_basis()
         self._monoid_generators: dict[str, tuple[Vec, ...]] = {}
-        self._letter_counts: dict[str, tuple[Vec, ...]] = {}
 
     # ---- scalars -------------------------------------------------------
 
@@ -157,16 +155,6 @@ class HeckeAlgebra:
                 else self._level_basis(level))
         return self._monoid_generators[level]
 
-    def generator_letter_counts(self, level: str) -> tuple[Vec, ...]:
-        """Per generator of :meth:`monoid_generators` at ``level``, the
-        per-node letter counts of its translation word, computed once per
-        level."""
-        if level not in self._letter_counts:
-            self._letter_counts[level] = tuple(
-                translation_letter_counts(self.datum, gen)
-                for gen in self.monoid_generators(level))
-        return self._letter_counts[level]
-
     def _stack(self, lam) -> np.ndarray:
         """``lam``, a point or an (N, rank) stack, as an (N, rank) int64
         stack; a point of another length raises ``ValueError``."""
@@ -186,11 +174,23 @@ class HeckeAlgebra:
         naming the first point off it.  The coroot and effective lattices
         lie in the datum's lattice, so no point off that one passes."""
         pts = self._stack(lam)
-        off = ~intlin.rows_in_lattice(self._level_basis(level), pts)
+        self.lattice_coordinates(pts, level)
+        return pts
+
+    def lattice_coordinates(self, lam, level: str = "effective"
+                            ) -> np.ndarray:
+        """The coordinates of ``lam``, a point or an (N, rank) stack of
+        points of the lattice at ``level``, in its echelon basis, as an
+        (N, rank) int64 stack (:func:`intlin.lattice_coordinates`), else
+        ``NotInLattice`` naming the first point off it."""
+        pts = self._stack(lam)
+        coords, rem = intlin.lattice_coordinates(self._level_basis(level),
+                                                 pts)
+        off = rem.any(axis=1)
         if off.any():
             raise NotInLattice(f"{tuple(pts[off][0].tolist())} is not in "
                                f"the {level} lattice")
-        return pts
+        return coords
 
     def dominant_decomposition(self, lam, level: str = "effective"):
         """A pair of dominant points of the lattice at ``level`` (see
@@ -226,9 +226,10 @@ class HeckeAlgebra:
         :meth:`bernstein` at a point or an (N, rank) stack ``lam`` of the
         lattice at ``level`` (else ``NotInLattice``, from
         :meth:`lattice_points`): the (N, rank) stacks ``plus``
-        and ``minus`` of :meth:`dominant_decomposition`, the class counts
-        (:meth:`RootDatum.translation_class_counts`) of $t_+ = t_{plus}$
-        and $t_- = t_{-minus}$, and the exponents $\\delta \\ge 0$."""
+        and ``minus`` of :meth:`dominant_decomposition` and the exponents
+        $\\delta \\ge 0$, read off the class counts
+        (:meth:`RootDatum.translation_class_counts`) of $t_+ = t_{plus}$,
+        $t_- = t_{-minus}$ and $t_\\lambda$."""
         datum = self.datum
         pts = self.lattice_points(lam, level)
         plus, minus = self.dominant_decomposition(pts, level)
@@ -236,7 +237,7 @@ class HeckeAlgebra:
             np.stack((plus, -minus, pts)))
         delta = (c_plus + c_minus - c_lam) @ np.array(datum.class_weights)
         assert (delta >= 0).all()
-        return plus, minus, c_plus, c_minus, delta
+        return plus, minus, delta
 
     def bernstein(self, lam: Sequence[int]) -> "HeckeElt":
         """The Bernstein basis element $E_\\lambda$, normalized so that
@@ -271,7 +272,7 @@ class HeckeAlgebra:
         factor $T^*_{t_+}$, so the sum takes one product per $\\lambda_+$
         with the right factor $\\sum v^{-\\delta} T_{t_{-}}$ over its points.
         """
-        plus_s, minus_s, _, _, deltas = self.bernstein_split(pts)
+        plus_s, minus_s, deltas = self.bernstein_split(pts)
         groups: dict[Vec, dict[ExtWeylElt, Laurent]] = {}
         for plus, neg, delta in zip(map(tuple, plus_s.tolist()),
                                     map(tuple, (-minus_s).tolist()),
@@ -328,9 +329,15 @@ class HeckeElt:
             raise DatumMismatch("elements of different Hecke algebras")
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
+        """The sum; terms of an equal algebra built apart are rebuilt on
+        this datum from their alcove vectors, as in a product."""
         self._check(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
+        terms = other.terms
+        if other.alg is not self.alg:
+            datum = self.alg.datum
+            terms = {ExtWeylElt(datum, w.q): c for w, c in terms.items()}
+        for w, c in terms.items():
             s = out.get(w)
             out[w] = c if s is None else s + c
         return HeckeElt(self.alg, out)

@@ -116,17 +116,31 @@ def echelon_mod(a: np.ndarray, q: int) -> np.ndarray:
 
 
 def solve_mod(rows: IntMatrix, rhs: Sequence[int], q: int) -> np.ndarray | None:
-    """One solution $x$ in $[0, q)$ of ``rows`` $x$ = ``rhs`` over $F_q$
-    (:func:`echelon_mod` of the augmented matrix), free unknowns 0, or
-    ``None`` when the system has none."""
-    a = np.concatenate([np.asarray(rows, dtype=np.int64),
-                        np.asarray(rhs, dtype=np.int64)[:, None]], axis=1) % q
-    ech = echelon_mod(a, q)
-    pivots = (ech != 0).argmax(axis=1)
-    if (pivots == a.shape[1] - 1).any():
+    """One solution $x$ in $[0, q)$ of ``rows`` $x$ = ``rhs`` over $F_q$,
+    free unknowns 0, or ``None`` when the system has none: Gauss-Jordan
+    elimination of the augmented matrix on Python ints, which beats
+    :func:`echelon_mod` at the few unknowns of a lattice basis."""
+    width = np.shape(rows)[1]
+    a = [[x % q for x in row] + [b % q] for row, b in zip(
+        np.asarray(rows).tolist(), np.asarray(rhs).tolist())]
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], -1, q)
+        a[r] = [x * inv % q for x in a[r]]
+        for i, row in enumerate(a):
+            if i != r and row[col]:
+                f = row[col]
+                a[i] = [(x - f * y) % q for x, y in zip(row, a[r])]
+        pivots.append(col)
+    if any(row[-1] for row in a[len(pivots):]):
         return None
-    x = np.zeros(a.shape[1] - 1, dtype=np.int64)
-    x[pivots] = ech[:, -1]
+    x = np.zeros(width, dtype=np.int64)
+    x[pivots] = [row[-1] for row in a[:len(pivots)]]
     return x
 
 
@@ -241,17 +255,27 @@ def reduce_rows_mod_lattice(echelon: Sequence[Sequence[int]],
     largest basis entry, so a stack that could leave int64 is refused
     with ``OverflowError``.
     """
+    return lattice_coordinates(echelon, rows)[1]
+
+
+def lattice_coordinates(echelon: Sequence[Sequence[int]], rows):
+    """The coordinates in the basis ``echelon`` of every row of an
+    (N, width) integer stack, by back-substitution, and the remainders of
+    :func:`reduce_rows_mod_lattice`, two int64 stacks: the coordinates are
+    the multiples of the basis rows that the reduction subtracts, and they
+    mean something exactly on the rows whose remainder is zero."""
     rem = np.array(rows, dtype=np.int64)
     top = max(int(rem.max(initial=0)), -int(rem.min(initial=0)))
     grow = 1 + max((abs(x) for row in echelon for x in row), default=0)
     if (top + 1) * grow ** len(echelon) >= 2**63:
         raise OverflowError("stack entries too large for an int64 "
                             "lattice reduction")
-    for row in echelon:
+    coords = np.empty((len(rem), len(echelon)), dtype=np.int64)
+    for r, row in enumerate(echelon):
         col = next(j for j, x in enumerate(row) if x)
-        rem -= (rem[:, col] // row[col])[:, None] * np.asarray(
-            row, dtype=np.int64)
-    return rem
+        coords[:, r] = rem[:, col] // row[col]
+        rem -= coords[:, r, None] * np.asarray(row, dtype=np.int64)
+    return coords, rem
 
 
 def rows_in_lattice(echelon: Sequence[Sequence[int]], rows) -> np.ndarray:

@@ -37,11 +37,20 @@ class Laurent:
     __slots__ = ("c",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
+        """The polynomial with coefficient ``coeffs[e]`` at $v^e$.  Every
+        exponent and coefficient must be an integer that is not a bool
+        (numpy integers count); anything else raises ``TypeError`` rather
+        than being truncated."""
         self.c: dict[int, int] = {}
         if coeffs:
             for e, a in coeffs.items():
+                if type(e) is not int or type(a) is not int:
+                    if not (is_int(e) and is_int(a)):
+                        raise TypeError("Laurent exponents and coefficients "
+                                        f"are integers, not {e!r}: {a!r}")
+                    e, a = int(e), int(a)
                 if a:
-                    self.c[int(e)] = int(a)
+                    self.c[e] = a
 
     # ---- constructors ------------------------------------------------
 
@@ -235,7 +244,11 @@ class Laurent:
 
     @staticmethod
     def from_json(data: Mapping[str, int]) -> "Laurent":
-        return Laurent({int(e): int(a) for e, a in data.items()})
+        """The inverse of :meth:`to_json`: each key the decimal string of
+        an integer exponent (``ValueError`` otherwise) and each value an
+        integer (``TypeError`` otherwise)."""
+        return Laurent({int(e) if isinstance(e, str) else e: a
+                        for e, a in data.items()})
 
 
 def q_power(d: int) -> Laurent:

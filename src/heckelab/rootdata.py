@@ -319,19 +319,22 @@ class RootDatum:
         """Positive roots as columns and the int64 one-hot (root, class)
         tables of their even and odd hyperplanes for
         :meth:`translation_class_counts`."""
-        even, odd = [], []
-        for root, _ in self.pos_roots:
-            beta = root  # descend to a simple root of the same Weyl orbit
-            while sum(beta) > 1:
-                i = next(i for i, cov in enumerate(self.cartan)
-                         if self.pairing(beta, cov) > 0)
-                beta = reflect_root(self.cartan, i + 1, beta)
-            even.append(self.class_of_node[beta.index(1) + 1])
-            two = all(self.pairing(root, cov) % 2 == 0 for cov in self.cartan)
-            odd.append(self.class_of_node[0] if two else even[-1])
+        roots = np.array([r for r, _ in self.pos_roots], dtype=np.int64)
+        cartan = np.array(self.cartan, dtype=np.int64)
+        # descend every root to a simple root of its Weyl orbit at once: a
+        # root of height > 1 pairs positively with some simple coroot, and
+        # the first such reflection lowers its height
+        beta = roots.copy()
+        while (high := np.flatnonzero(beta.sum(axis=1) > 1)).size:
+            pairs = beta[high] @ cartan.T
+            i = (pairs > 0).argmax(axis=1)
+            beta[high, i] -= pairs[np.arange(len(high)), i]
+        node = [self.class_of_node[s] for s in range(self.rank + 1)]
+        even = np.array(node[1:])[beta.argmax(axis=1)]
+        two = ~((roots @ cartan.T) % 2).any(axis=1)
+        odd = np.where(two, node[0], even)
         one_hot = np.eye(len(self.classes), dtype=np.int64)
-        return (np.array([r for r, _ in self.pos_roots], dtype=np.int64).T,
-                one_hot[even], one_hot[odd])
+        return roots.T, one_hot[even], one_hot[odd]
 
     @functools.cached_property
     def node_supports(self):

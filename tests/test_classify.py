@@ -1,11 +1,12 @@
 """Discreteness exponents, supersingularity, and the classification
 search over the supported table of data.
 
-The exact mod-p routes for central matrices are cross-checked against
-the exact symbolic action, including on orbits that are not monoid
-generators: the monomial route against a per-point replay of translation
-words, and the central-character route of the dense modules against the
-exact action, with its full scalar, and against a committed table."""
+The central character that gives the matrices of central orbit sums is
+cross-checked against the exact symbolic action, with its full scalar,
+including on orbits that are not monoid generators: against the action
+of the central element built in the Hecke algebra, against the same
+action summed point by point along translation words, and against a
+committed table."""
 
 import functools
 
@@ -33,7 +34,8 @@ from heckelab import (
     translation_exponent,
     translation_word,
 )
-from heckelab.classify import _OrbitActor, _certificate, _monomial_entries
+from heckelab.classify import (_certificate, _class_count_weights,
+                               _replayed_weights)
 from heckelab.intlin import is_prime
 
 # label -> exponents on the dominant generators of the coroot lattice
@@ -76,8 +78,9 @@ VERDICTS = [
     ("B", 3, [1, 2], "UnhandledCase"),
 ]
 
-# the acceptance rows outside types D and E: answered by characters,
-# extended characters or induced modules (all monomial), or excluded
+# the acceptance rows outside types D and E, the classify workload's table:
+# answered by characters, extended characters or induced modules (all
+# monomial: every row and column holds one unit +-v^e), or excluded
 C_PATTERNS = [[1, 1, 1], [2, 1, 1], [1, 2, 2], [2, 3, 3]]
 MONOMIAL_ROWS = ([("A", 1, [1, 1]), ("A", 1, [1, 2]), ("A", 2, 1),
                   ("A", 3, 1), ("A", 4, 1), ("B", 3, 1)]
@@ -330,15 +333,15 @@ def test_orbit_outside_the_coroot_lattice_is_refused():
         central_orbit_matrix_v0(mod, d.weyl_orbit((0, 1)), 5)
 
 
-def _replayed_terms(mod, orbit):
-    """The per-point dense oracle: at each point of ``orbit``, the exact
-    coefficient of v^delta in rho(T*_{t+}) rho(T_{t-}) for the point's own
-    split, each half the length-zero matrix of its translation times the
-    generator matrices replayed letter by letter along its translation
+def _replayed_action(mod, orbit):
+    """The exact action of the central sum over ``orbit`` on ``mod``, point
+    by point: the sum of v^-delta rho(T*_{t+}) rho(T_{t-}) over the points'
+    own splits, each half the length-zero matrix of its translation times
+    the generator matrices replayed letter by letter along its translation
     word."""
     H, n = mod.alg, mod.dim
     level = "coroot" if mod.omega_mats is None else "effective"
-    plus, minus, _, _, delta = H.bernstein_split(orbit, level)
+    plus, minus, delta = H.bernstein_split(orbit, level)
     star = mod.smats - mod.q_stack() + LaurentMatrix.identity(n)
 
     @functools.cache
@@ -346,78 +349,162 @@ def _replayed_terms(mod, orbit):
         m = (LaurentMatrix.identity(n) if mod.omega_mats is None
              else mod.omega_mats[H.omega.translation_indices([lam])[0]])
         for s in translation_word(H.datum, lam):
-            m = m @ (star if twisted else mod.smats)[s]
+            m = (m @ (star if twisted else mod.smats)[s]).trim()
         return m
 
-    terms = []
+    total = LaurentMatrix(0, np.zeros((1, n, n), dtype=np.int64))
     for a, b, e in zip(map(tuple, plus.tolist()),
                        map(tuple, (-minus).tolist()), delta.tolist()):
         prod = half(a, True) @ half(b, False)
-        c = prod.coeffs.reshape(-1, n, n)
-        k = e - prod.lo
-        terms.append(c[k] if 0 <= k < len(c) else np.zeros((n, n), int))
-    return np.array(terms, dtype=object)
+        total = total + LaurentMatrix(prod.lo - e, prod.coeffs)
+    return total
 
 
-def test_monomial_route_matches_dense_route():
-    # every orbit summand of every generator orbit the certificates use:
-    # row by row, the monomial route's stack against the per-point dense
-    # oracle, each point replaying the words of its own split
-    checked = 0
-    for kind, rank, w in MONOMIAL_ROWS:
+def _v0(mats):
+    """The v^0 coefficient of one Laurent matrix, poles or not."""
+    k = -mats.lo
+    c = mats.coeffs
+    return c[k] if 0 <= k < len(c) else np.zeros(c.shape[1:], dtype=int)
+
+
+def _scalar_matrix(c, n):
+    """``c`` times the n x n identity, as one Laurent matrix."""
+    return LaurentMatrix.from_rows(
+        [[[c if i == j else 0 for j in range(n)] for i in range(n)]])[0]
+
+
+def _same(a, b):
+    """Equality of two Laurent matrices, coefficient by coefficient."""
+    return not ((a - b).coeffs != 0).any()
+
+
+def _answers(rows):
+    """``(algebra, Laurent module)`` of every answer with a module among
+    ``rows`` of (kind, rank, weights)."""
+    out = []
+    for kind, rank, w in rows:
         H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
-        out = key_result_search(H)
-        if out.module is None:
-            continue
-        checked += 1
-        src, d = out.module.generic, H.datum
-        lattice = ("coroot" if src.omega_mats is None
-                   else H.effective_basis)
-        for gen in dominant_monoid_generators(d, lattice):
-            orbit = d.weyl_orbit(gen)
-            replayed = _replayed_terms(src, orbit)
-            for p in (5, 7, 999983):
-                actor = _OrbitActor(src, p)
-                assert actor.monomial is not None, (kind, rank, w)
-                stack = actor.orbit_terms(orbit)
-                assert stack.shape == (len(orbit), src.dim, src.dim)
-                assert np.array_equal(stack, replayed % p), (
-                    kind, rank, w, gen, p)
-    # all but the four type-A rows with equal weights
-    assert checked == len(MONOMIAL_ROWS) - 4
+        found = key_result_search(H)
+        if found.module is not None:
+            out.append((H, found.module.generic))
+    return out
 
 
-def test_monomial_route_matches_the_central_character():
-    # characters and most induced answers also certify; their orbit sums
-    # on the monomial route are then c_0 times the identity
-    certified = 0
-    for kind, rank, w in MONOMIAL_ROWS:
-        H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
-        out = key_result_search(H)
-        if out.module is None or _certificate(out.module.generic) is None:
-            continue
-        certified += 1
-        src, d = out.module.generic, H.datum
+def test_orbit_matrix_matches_replayed_summands():
+    # every generator orbit of every answer of the classify table: c(v)
+    # against the exact action summed point by point, each point replaying
+    # the words of its own split, and the orbit matrix against its v^0
+    # coefficient
+    answers = _answers(MONOMIAL_ROWS)
+    for H, src in answers:
         level = "coroot" if src.omega_mats is None else "effective"
         for gen in H.monoid_generators(level):
-            orbit = np.array(d.weyl_orbit(gen))
-            c0 = _certificate(src).scalar(orbit).constant_term()
-            for p in (5, 999983):
-                assert np.array_equal(
-                    central_orbit_matrix_v0(src, orbit, p),
-                    c0 % p * np.eye(src.dim, dtype=np.int64)), (
-                    kind, rank, w, gen, p)
-    # the induced answers on C3 and C5 [1, 2, 2] have a generator acting
-    # by an antidiagonal matrix with eigenvalues +-i v^k: no weight over
-    # Z[v^-1, v]
-    assert certified == len(MONOMIAL_ROWS) - 4 - 4
+            orbit = H.datum.weyl_orbit(gen)
+            exact = _replayed_action(src, orbit)
+            c = _certificate(src).scalar(np.array(orbit))
+            assert _same(exact, _scalar_matrix(c, src.dim)), (H, gen)
+            for p in (5, 7, 2**31 - 1):
+                assert np.array_equal(central_orbit_matrix_v0(src, orbit, p),
+                                      _v0(exact) % p), (H, gen, p)
+    # all but the four type-A rows with equal weights
+    assert len(answers) == len(MONOMIAL_ROWS) - 4
 
 
-def test_monomial_route_at_the_largest_prime():
+def test_every_answer_certifies():
+    # every answer of the classify table has a central character, the
+    # induced answers whose generators have eigenvalues +-i v^k included
+    certified, odd = 0, []
+    for row in MONOMIAL_ROWS:
+        for _, src in _answers([row]):
+            cert = _certificate(src)
+            assert cert is not None, row
+            certified += 1
+            if (cert.pairing[:, 1] % 2).any():
+                odd.append(row)
+    assert certified == len(MONOMIAL_ROWS) - 4
+    assert odd == [("C", 3, [1, 1, 1]), ("C", 3, [1, 2, 2]),
+                   ("C", 3, [2, 3, 3]), ("C", 5, [1, 2, 2])]
+
+
+def test_central_character_with_imaginary_weights_matches_exact_action():
+    # C3 [1, 1, 1] and [1, 2, 2] answer with induced modules whose
+    # generators act with eigenvalues +-i v^k: c(v) against the action of
+    # the central element built in the Hecke algebra, coefficient by
+    # coefficient, on every generator orbit
+    for w in ([1, 1, 1], [1, 2, 2]):
+        (H, src), = _answers([("C", 3, w)])
+        cert = _certificate(src)
+        assert (cert.pairing[:, 1] % 2).any()
+        for gen in H.monoid_generators("effective"):
+            orbit = H.datum.weyl_orbit(gen)
+            exact = src.act(H.central_from_orbit(orbit))
+            c = cert.scalar(np.array(orbit))
+            assert _same(exact, _scalar_matrix(c, src.dim)), (w, gen, c)
+
+
+def test_constant_term_matches_exact_action_on_small_orbits():
+    # the smallest generator orbit of every answer of the acceptance
+    # table: c_0 mod p against the exact action, built in the Hecke
+    # algebra up to rank 3 and summed point by point above, where that
+    # product takes seconds an orbit (0.6 s on C4's 8 points, over 4 s on
+    # C5 and F4); E8 is left out, its smallest orbit has 240 points
+    from test_acceptance import TABLE
+    answers = _answers([(k, r, w) for k, r, w, _, _ in TABLE
+                        if (k, r) != ("E", 8)])
+    assert len(answers) == 24
+    for H, src in answers:
+        d = H.datum
+        level = "coroot" if src.omega_mats is None else "effective"
+        gen = min(H.monoid_generators(level),
+                  key=lambda g: (len(d.weyl_orbit(g)),
+                                 d.translation_weighted_length(g)))
+        orbit = d.weyl_orbit(gen)
+        exact = (src.act(H.central_from_orbit(orbit)) if d.rank <= 3
+                 else _replayed_action(src, orbit))
+        c0 = _certificate(src).scalar(np.array(orbit)).constant_term()
+        for p in (5, 7, 2**31 - 1):
+            assert np.array_equal(
+                central_orbit_matrix_v0(src, orbit, p),
+                c0 % p * np.eye(src.dim, dtype=np.int64)), (H, gen, p)
+            assert np.array_equal(_v0(exact) % p,
+                                  c0 % p * np.eye(src.dim, dtype=np.int64))
+
+
+def test_one_dim_weights_read_off_class_counts():
+    # on every generic character of every datum of the acceptance table
+    # and on each of its extensions: the weights read off the class counts
+    # equal the replayed ones, and k_g - L(g) is minus the discreteness
+    # exponent of g (E_g acts by 1 on a node acting by q_s and by -q_s on
+    # one acting by -1)
+    from test_acceptance import TABLE
+    checked = 0
+    for kind, rank, w, _, _ in TABLE:
+        H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
+        d = H.datum
+        for ch in enumerate_characters(H, "generic"):
+            for c in (ch, *character_extends(H, ch)[1]):
+                mod = c.as_module(H)
+                level = "coroot" if c.omega_signs is None else "effective"
+                gens = H.monoid_generators(level)
+                counts = d.translation_class_counts(np.array(gens))
+                weights = _class_count_weights(mod, gens, counts)
+                assert weights == _replayed_weights(mod, gens), (d, c)
+                table = is_discrete_character(H, c)[1]
+                assert [row["generator"] for row in table["rows"]] == [
+                    list(g) for g in gens]
+                assert [k - d.translation_weighted_length(g)
+                        for g, (_, k) in zip(gens, weights)] == [
+                    -row["exponent"] for row in table["rows"]], (d, c)
+                assert {t for t, _ in weights} <= {0, 2}
+                checked += 1
+    assert checked > 100
+
+
+def test_monomial_modules_at_the_largest_prime():
     # at 2^63 - 25, the largest prime below 2^63, on a character over the
     # coroot lattice (B3's special character, whose (0, 1, 0) orbit splits
     # with a shift) and on the induced C2 answer over the effective
-    # lattice, whose summands reach p - 1
+    # lattice
     p = 2**63 - 25
     d3 = build_root_datum("B", 3)
     H3 = HeckeAlgebra(d3)
@@ -429,24 +516,20 @@ def test_monomial_route_at_the_largest_prime():
     assert induced.dim == 2 and induced.omega_mats is not None
     cases = [(d3, H3, sp.as_module(H3), [(0, 1, 0), (2, 0, 0)]),
              (d2, H2, induced, list(H2.monoid_generators("effective")))]
-    top = 0
     for d, H, mod, lams in cases:
-        actor = _OrbitActor(mod, p)
-        assert actor.monomial is not None
         for lam in lams:
             orbit = d.weyl_orbit(lam)
-            top = max(top, int(actor.orbit_terms(orbit).max()))
             fast = central_orbit_matrix_v0(mod, orbit, p)
             exact = mod.act(H.central_from_orbit(orbit)).at_v0() % p
             assert np.array_equal(fast, exact), (d, lam)
-    assert top == p - 1
 
 
-def test_monomial_route_on_the_regular_length_zero_action():
+def test_regular_length_zero_action_takes_the_exact_route():
     # scalar T_s on A3 with the regular representation of its Z/4 of
     # length-zero elements: the two length-zero factors of a summand are
     # permutations that no 1x1 or induced answer distinguishes from their
-    # inverses
+    # inverses; the length-zero matrices commute with every matrix of the
+    # module, so it has no certificate and takes the exact action
     d = build_root_datum("A", 3)
     H = HeckeAlgebra(d)
     om = H.omega
@@ -459,11 +542,11 @@ def test_monomial_route_on_the_regular_length_zero_action():
                   for i in range(n)]
         mod = FinModule(H, [scalar] * (d.rank + 1), regular)
         mod.check_relations()
+        assert _certificate(mod) is None
         for lam in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
             orbit = d.weyl_orbit(lam)
             exact = mod.act(H.central_from_orbit(orbit)).at_v0()
             for p in (5, 2**63 - 25):
-                assert _OrbitActor(mod, p).monomial is not None
                 fast = central_orbit_matrix_v0(mod, orbit, p)
                 assert np.array_equal(fast, exact % p), (value, lam, p)
 
@@ -475,24 +558,10 @@ def test_non_monomial_module_takes_the_dense_route():
     d, H, conj = _conjugated_c2_module()
     conj.check_relations()
     assert _certificate(conj) is not None
-    # its length-zero matrix [[1, 0], [1, -1]] has single-term entries,
-    # two in one row; [[1, 0], [1, 0]] has two in one column
-    assert _monomial_entries(conj.omega_mats) is None
-    two_in_column = LaurentMatrix.from_rows([[[1, 0], [1, 0]]])
-    assert _monomial_entries(two_in_column) is None
-    # a non-unit entry is refused; units give (column, sign bit, exponent)
-    assert _monomial_entries(LaurentMatrix.from_rows(
-        [[[0, 3], [-1, 0]]])) is None
-    cols, neg, exp = _monomial_entries(LaurentMatrix.from_rows(
-        [[[0, Laurent.v(2)], [-1, 0]]]))
-    assert [a.tolist() for a in (cols, neg, exp)] == [[[1, 0]], [[0, 1]],
-                                                        [[2, 0]]]
-    assert all(a.dtype == np.int64 for a in (cols, neg, exp))
     for lam in [(1, 0), (0, 2), (1, 1)]:
         orbit = d.weyl_orbit(lam)
         exact = _exact_at_v0("C2 conjugated", lam)
         for p in (5, 7):
-            assert _OrbitActor(conj, p).monomial is None
             fast = central_orbit_matrix_v0(conj, orbit, p)
             assert np.array_equal(fast, exact % p), (lam, p)
 
@@ -515,7 +584,6 @@ def test_special_character_route_matches_exact_action():
             orbit = d.weyl_orbit(lam)
             exact = mod.act(H.central_from_orbit(orbit))
             for p in (5, 7, 999983):
-                assert _OrbitActor(mod, p).monomial is not None
                 fast = central_orbit_matrix_v0(mod, orbit, p)
                 assert np.array_equal(fast, exact.at_v0() % p), (
                     kind, lam, p)
@@ -582,7 +650,6 @@ def test_dense_route_matches_exact_action_beyond_int64_products():
     cases += [("C2 conjugated", H, conj, lam)
               for lam in [(1, 0), (0, 2), (1, 1)]]
     for name, alg, mod, lam in cases:
-        assert _OrbitActor(mod, p).monomial is None
         assert _certificate(mod) is not None
         fast = central_orbit_matrix_v0(mod, alg.datum.weyl_orbit(lam), p)
         assert np.array_equal(fast, _exact_at_v0(name, lam) % p), (
@@ -656,9 +723,9 @@ def test_central_character_table():
 
 
 def test_certificate_refuses_a_reducible_module():
-    # a direct sum of two distinct characters, conjugated so that it is
-    # not monomial: its commutant holds every diagonal matrix, so it takes
-    # the exact route
+    # a direct sum of two distinct characters, conjugated by an upper
+    # unitriangular matrix: its commutant holds a copy of every diagonal
+    # matrix, so it takes the exact route
     d = build_root_datum("C", 2)
     H = HeckeAlgebra(d)
     chars = enumerate_characters(H, "generic")
@@ -671,7 +738,6 @@ def test_certificate_refuses_a_reducible_module():
          for s in range(d.rank + 1)])
     mod = FinModule(H, u @ diag @ u_inv, None, name="sum of two characters")
     mod.check_relations()
-    assert _OrbitActor(mod, 5).monomial is None
     assert _certificate(mod) is None
     for lam in [(0, 2), (2, 0)]:
         orbit = d.weyl_orbit(lam)
@@ -693,8 +759,8 @@ def test_reflection_modules_certify():
 
 def test_module_without_length_zero_action_takes_the_central_character():
     # the twisted A3 reflection module restricted to the non-extended
-    # algebra has no length-zero action, is not monomial and still has
-    # only scalars in its commutant: its certificate replays the words of
+    # algebra has no length-zero action and still has only scalars in its
+    # commutant: its certificate replays the words of
     # the coroot generators with no length-zero factor, and matches the
     # exact action on every generator orbit, c(v) in full and c_0 mod p
     d = build_root_datum("A", 3)
@@ -702,7 +768,6 @@ def test_module_without_length_zero_action_takes_the_central_character():
     R = reflection_module(H).star_twist()
     mod = FinModule(H, R.smats, None, name="restricted reflection module")
     mod.check_relations()
-    assert _OrbitActor(mod, 5).monomial is None
     cert = _certificate(mod)
     assert cert is not None
     for lam in H.monoid_generators("coroot"):
@@ -723,8 +788,8 @@ def test_module_without_length_zero_action_takes_the_central_character():
 
 def test_orbit_matrix_refuses_a_stack_that_is_not_one_orbit():
     # the closed form sums a central character over the stack, so it
-    # would answer silently on any other stack; so would the monomial
-    # route on the induced C2 module
+    # would answer silently on any other stack, on the reflection module
+    # as on the induced C2 module
     for name, lam, other in [("D4", (1, 0, 0, 0), (0, 1, 0, 0)),
                              ("C2", (1, 0), (0, 2))]:
         H, mod = _orbit_module(name)
@@ -761,7 +826,10 @@ def test_dense_route_replays_words_of_generators_only(monkeypatch):
 
 
 def test_reflection_path_multiplies_no_hecke_elements(monkeypatch):
-    # the reflection answer certifies, so its orbits take no exact action
+    # every answer certifies, so no orbit takes the exact action: the
+    # reflection answers on D4-D6, exhaustive, and every answer of the
+    # classify table (the exact action did not finish one orbit of
+    # C5 [1, 2, 2] in 150 s)
     from heckelab import HeckeElt
     calls = []
     for name in ("__mul__", "_product"):
@@ -773,42 +841,62 @@ def test_reflection_path_multiplies_no_hecke_elements(monkeypatch):
                                 exhaustive=True)
         assert out.case == "ReflectionTwist"
         assert out.certificate["supersingular_mod_p"]["nilpotent"]
+    answered = 0
+    for kind, rank, w in MONOMIAL_ROWS:
+        out = key_result_search(
+            HeckeAlgebra(build_root_datum(kind, rank, weights=w)))
+        if out.module is not None:
+            assert out.certificate["supersingular_mod_p"]["nilpotent"]
+            answered += 1
+    assert answered == len(MONOMIAL_ROWS) - 4
     assert calls == []
 
 
-def test_monomial_route_replays_no_word(monkeypatch):
-    """A summand on the monomial route reads hyperplane class counts and
-    asks for no translation word."""
+def test_one_dim_certificate_replays_no_word(monkeypatch):
+    """The certificate of a 1x1 answer reads hyperplane class counts and
+    asks for no translation word; that of the induced C3 answer replays
+    the word of each monoid generator once."""
     from heckelab import classify, extweyl
-
-    def refused(datum, lam):
-        raise AssertionError(f"translation word of {lam} requested")
-
-    modules = []
+    modules = {}
     for kind, rank, w, case in [("C", 3, [1, 1, 1], "Induced2Dim"),
                                 ("F", 4, 1, "Character1Dim")]:
         H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
         out = key_result_search(H)
         assert out.case == case
-        modules.append((H, out.module))
-    monkeypatch.setattr(classify, "translation_word", refused)
-    monkeypatch.setattr(extweyl, "translation_word", refused)
-    for H, fp in modules:
-        src = fp.generic
-        assert _OrbitActor(src, fp.prime).monomial is not None
+        src = out.module.generic  # a copy, whose certificate is not cached
+        modules[kind] = (H, FinModule(H, src.smats, src.omega_mats))
+    calls = []
+
+    def counted(datum, lam):
+        calls.append(tuple(lam))
+        if datum.kind == "F":
+            raise AssertionError(f"translation word of {lam} requested")
+        return translation_word(datum, lam)
+
+    monkeypatch.setattr(classify, "translation_word", counted)
+    monkeypatch.setattr(extweyl, "translation_word", counted)
+    for kind, (H, src) in modules.items():
+        assert _certificate(src) is not None
         for gen in H.monoid_generators("effective"):
-            mat = central_orbit_matrix_v0(src, H.datum.weyl_orbit(gen),
-                                          fp.prime)
+            mat = central_orbit_matrix_v0(src, H.datum.weyl_orbit(gen), 5)
             assert mat.shape == (src.dim, src.dim)
+    assert sorted(calls) == sorted(modules["C"][0].monoid_generators(
+        "effective"))
 
 
 def test_diagonal_entries_differing_within_a_class_take_the_dense_route():
     # the affine A2 nodes form one class; the braid relations would force
-    # equal diagonal entries on them
+    # equal diagonal entries on them, so a 1x1 module with different ones
+    # does not read its weights off the class counts but replays words
     H = HeckeAlgebra(build_root_datum("A", 2))
+    gens = H.monoid_generators("coroot")
+    counts = H.datum.translation_class_counts(np.array(gens))
     q, minus = ((H.q(0),),), ((-1,),)
-    assert _OrbitActor(FinModule(H, (q, q, q), None), 5).monomial
-    assert _OrbitActor(FinModule(H, (q, q, minus), None), 5).monomial is None
+    even = FinModule(H, (q, q, q), None)
+    assert _class_count_weights(even, gens, counts) == _replayed_weights(
+        even, gens)
+    uneven = FinModule(H, (q, q, minus), None)
+    assert _class_count_weights(uneven, gens, counts) is None
 
 
 def test_nilpotency_degree_beyond_int64_products():
@@ -825,18 +913,15 @@ def test_nilpotency_degree_beyond_int64_products():
     assert _nilpotency_degree(mat + np.eye(5, dtype=np.int64), p) is None
 
 
-def test_orbit_sum_near_the_largest_prime(monkeypatch):
-    # 2^63 - 25 is the largest prime below 2^63: monomial summands near p
-    # must not wrap int64 while they add up, and the central character of
-    # the D4 reflection module reduces mod p like the exact action
+def test_orbit_sum_near_the_largest_prime():
+    # 2^63 - 25 is the largest prime below 2^63: the central characters of
+    # the induced C2 answer and of the D4 reflection module reduce mod p
+    # like the exact action
     p = 2**63 - 25
     H, induced = _orbit_module("C2")
-    orbit = H.datum.weyl_orbit((1, 0))
-    monkeypatch.setattr(_OrbitActor, "orbit_terms",
-                        lambda self, pts: np.full((len(pts), 2, 2), p - 1))
-    assert (central_orbit_matrix_v0(induced, orbit, p)
-            == p - len(orbit)).all()
-    monkeypatch.undo()
+    for lam in [(1, 0), (0, 2), (1, 1)]:
+        fast = central_orbit_matrix_v0(induced, H.datum.weyl_orbit(lam), p)
+        assert np.array_equal(fast, _exact_at_v0("C2", lam) % p), lam
     Hd, R = _orbit_module("D4")
     lam = (0, 0, 0, 1)
     exact = central_orbit_matrix_v0(R, Hd.datum.weyl_orbit(lam), p)

@@ -220,7 +220,7 @@ def test_lattice_rays_run_once_per_basis():
     H = HeckeAlgebra(build_root_datum("B", 3))
     H.monoid_generators("coroot")
     orbit = H.datum.weyl_orbit((0, 1, 0))
-    plus, minus, _, _, delta = H.bernstein_split(orbit, "coroot")
+    plus, minus, delta = H.bernstein_split(orbit, "coroot")
     assert (plus != np.maximum(orbit, 0)).any(axis=1).sum() == 4
     assert (plus - minus == orbit).all() and (delta >= 0).all()
     info = intlin.lattice_rays.cache_info()
@@ -372,6 +372,21 @@ def test_equality_respects_the_algebra():
     assert again.t_word((1,)) == s1_weighted
     assert hash(again.t_word((1,))) == hash(s1_weighted)
     assert again.t_word((1,)) * s1_weighted == s1_weighted * s1_weighted
+
+
+def test_sums_keep_the_left_algebra():
+    # a sum or difference with an element of an equal algebra built apart
+    # holds group elements of the left operand's datum only
+    H1, H2 = (HeckeAlgebra(build_root_datum("C", 2)) for _ in range(2))
+    assert H1.datum is not H2.datum
+    s1 = H2.t_word((1,))
+    for x in (H1.one() + s1, H1.one() - s1, H1.t_word((1,)) + s1):
+        assert x.alg is H1
+        assert all(w.datum is H1.datum for w in x.terms)
+    assert H1.one() + s1 == H1.one() + H1.t_word((1,))
+    assert (H1.t_word((1,)) - s1).is_zero()
+    assert (H1.one() + s1) * H1.t_word((2,)) == (
+        H1.t_word((2,)) + H1.t_word((1, 2)))
 
 
 def test_scale_takes_integers_and_laurent_polynomials():

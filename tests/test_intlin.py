@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from heckelab.intlin import (echelon_mod, in_row_lattice, is_prime,
-                             reduce_rows_mod_lattice, rows_in_lattice,
-                             solve_mod)
+                             lattice_coordinates, reduce_rows_mod_lattice,
+                             rows_in_lattice, solve_mod)
 
 
 def test_is_prime_matches_trial_division():
@@ -42,6 +42,22 @@ def test_stacked_reduction_refuses_stacks_that_could_wrap_int64():
     for bad in ([[2**60, 0]], [[0, -(2**60)]], [[-(2**63), 0]]):
         with pytest.raises(OverflowError):
             reduce_rows_mod_lattice(basis, bad)
+
+
+def test_lattice_coordinates_by_back_substitution():
+    # the A2 coroot basis ((1, -2), (0, 3)): coordinates times the basis
+    # give the points back, one row per point; a point off the lattice is
+    # refused
+    basis = ((1, -2), (0, 3))
+    pts = np.array([[1, 1], [-1, 2], [0, 0], [3, -6], [2, -1]])
+    coords, rem = lattice_coordinates(basis, pts)
+    assert coords.dtype == np.int64 and coords.shape == (5, 2)
+    assert not rem.any() and (coords @ np.array(basis) == pts).all()
+    assert coords.tolist() == [[1, 1], [-1, 0], [0, 0], [3, 0], [2, 1]]
+    mixed = [[1, 0], [1, 1], [0, 1]]
+    assert lattice_coordinates(basis, mixed)[1].any(axis=1).tolist() == [
+        not in_row_lattice(basis, v) for v in mixed] == [True, False, True]
+    assert lattice_coordinates(basis, np.zeros((0, 2)))[0].shape == (0, 2)
 
 
 def test_solve_mod_a_prime():

@@ -117,6 +117,31 @@ def test_json_round_trip():
     assert Laurent.from_json(Laurent.zero().to_json()) == Laurent.zero()
 
 
+def test_bad_input_is_refused_not_coerced():
+    # a float, a bool or a string was once truncated or read as an int
+    for bad in ({0: 2.5}, {1.7: 3}, {0: True}, {True: 1}, {0: "2"},
+                {"1": 1}, {0: np.float64(2)}, {None: 1}):
+        with pytest.raises(TypeError):
+            Laurent(bad)
+    for call in (lambda: Laurent.v(2.9), lambda: Laurent.of_int(True),
+                 lambda: Laurent.monomial(1, 0.5), lambda: q_power(1.5)):
+        with pytest.raises(TypeError):
+            call()
+    # numpy integers stay valid and are stored as Python ints
+    x = Laurent({np.int64(2): np.int32(3), 0: np.uint8(0)})
+    assert x == 3 * Laurent.v(2) and x.c == {2: 3}
+    assert all(type(k) is int and type(a) is int for k, a in x.c.items())
+    # from_json reads decimal exponents and integer values only
+    for bad in ({"0": 2.5}, {"0": True}, {"0": "2"}):
+        with pytest.raises(TypeError):
+            Laurent.from_json(bad)
+    for bad in ({"1.7": 3}, {"v": 1}):
+        with pytest.raises(ValueError):
+            Laurent.from_json(bad)
+    assert Laurent.from_json({"-2": 1, "3": -4}) == (
+        Laurent.v(-2) - 4 * Laurent.v(3))
+
+
 def _lmul(a, b):
     """Entry-by-entry product of matrices of ``Laurent``, the reference."""
     return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Laurent.zero())
