@@ -48,6 +48,9 @@ EXIT_MISMATCH = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
+# errors that mean the analysis itself failed, not the input
+_INTERNAL_ERRORS = (RelationsFail, UnhandledCase, MemoryError)
+
 DEFAULT_PRIME = 5
 
 _CASE_KEYS = {"type", "rank", "decoration", "lattice", "mode", "p"}
@@ -272,13 +275,11 @@ def run_verify(entries: list[dict], exhaustive: bool = False) -> tuple[dict, int
         row = {"index": idx}
         try:
             result = run_classify(case, exhaustive=exhaustive)
-        except (RelationsFail, UnhandledCase, MemoryError) as exc:
-            row.update({"case": case, "pass": False, "internal": True,
-                        "failures": [f"{type(exc).__name__}: {exc}"]})
-            return row
-        except (HeckeLabError, ValueError) as exc:
+        except _INTERNAL_ERRORS + (HeckeLabError, ValueError) as exc:
             row.update({"case": case, "pass": False,
                         "failures": [f"{type(exc).__name__}: {exc}"]})
+            if isinstance(exc, _INTERNAL_ERRORS):
+                row["internal"] = True
             return row
         fails = _check_expectations(result, expect)
         if result["verdict"] == CASE_UNHANDLED:
@@ -440,18 +441,13 @@ def main(argv=None) -> int:
                     else EXIT_OK)
         _emit(_wrap(args.command, payload, args, case, started), args)
         return code
-    except (RelationsFail, UnhandledCase, MemoryError) as exc:
+    except _INTERNAL_ERRORS + (HeckeLabError, ValueError, KeyError,
+                               TypeError, OSError) as exc:
+        # json.JSONDecodeError is a ValueError
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
               args)
-        return EXIT_INTERNAL
-    except (HeckeLabError, ValueError, KeyError, TypeError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
-              args)
-        return EXIT_BAD_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
-              args)
-        return EXIT_BAD_INPUT
+        return (EXIT_INTERNAL if isinstance(exc, _INTERNAL_ERRORS)
+                else EXIT_BAD_INPUT)
 
 
 if __name__ == "__main__":

@@ -25,16 +25,23 @@ of an element is read off $q$:
   (:func:`step_vector`, which both :meth:`ExtWeylElt.step` and the
   letters of a Hecke product call);
 * a reduced word walks $q$ back into the base alcove, where the vector
-  reached names the length-zero part (:attr:`RootDatum.length_zero`,
-  filled by :meth:`OmegaGroup.build`);
+  reached names the length-zero part (:func:`aut_group`);
 * the length counts the hyperplanes between $x_0$ and $q / D$: per
   positive root $\beta$, $|\lfloor \langle \beta, q \rangle / D \rfloor|$;
 * equality and hashing compare $q$.
 
+The length-zero group $\Omega \cong X / Q^\vee$ is read off alcove
+vectors, once per datum (:func:`aut_group`): the translation by a coset
+representative $\lambda$ walks $v_0 - D\lambda$ to a vector $q$ where the
+simple affine root at node $i$ is $(\pi(i) + 1) / D$, for $\pi$ the
+permutation of the walls.  $\pi$ gives the affine map, and $\Omega$ is
+abelian and acts faithfully on the nodes, so its law is that of $\pi$.
+
 The matrices are built only when read: the constructors that hold them
 (:meth:`ExtWeylElt.identity`, :meth:`ExtWeylElt.translation`,
-:meth:`ExtWeylElt.simple_reflection`, :meth:`ExtWeylElt.inv` and
-products of two elements that both have them) keep them, and an element
+:meth:`ExtWeylElt.simple_reflection`, :meth:`ExtWeylElt.inv`, the
+elements of the length-zero group and products of two elements that
+both have them) keep them, and an element
 made by steps replays its reduced word from its length-zero part with
 one sparse rank-one update per letter.  A product $xy$ reads only the
 affine map of $y$, so multiplying by a length-zero element never builds
@@ -94,16 +101,18 @@ class ExtWeylElt:
     @staticmethod
     def identity(datum: RootDatum) -> "ExtWeylElt":
         eye = intlin.identity(datum.rank)
-        return ExtWeylElt._of_affine(datum, ((0,) * datum.rank, eye, eye))
+        return ExtWeylElt(datum, datum.alcove_point[0],
+                          ((0,) * datum.rank, eye, eye))
 
     @staticmethod
     def translation(datum: RootDatum, c: Sequence[int]) -> "ExtWeylElt":
+        """The translation by ``c``, with alcove vector $v_0 - D c$."""
         c = tuple(int(x) for x in c)
         if not datum.in_lattice(c):
             raise NotInLattice(f"{c} is not in the {datum.lattice_name} "
                                f"lattice of {datum.label()}")
         eye = intlin.identity(datum.rank)
-        return ExtWeylElt._of_affine(datum, (c, eye, eye))
+        return ExtWeylElt(datum, _translation_vector(datum, c), (c, eye, eye))
 
     @staticmethod
     def simple_reflection(datum: RootDatum, s: int) -> "ExtWeylElt":
@@ -295,9 +304,9 @@ class ExtWeylElt:
         if self._rw is None:
             d = self.datum
             q, walk = _walk(d, self.q)
-            if not d.length_zero:
-                OmegaGroup.build(d)
-            self._rw = (d.length_zero[q], tuple(reversed(walk)))
+            group = aut_group(d)
+            self._rw = (group.elements[group._index[q]],
+                        tuple(reversed(walk)))
         return self._rw
 
     def weighted_length(self) -> int:
@@ -417,51 +426,57 @@ def translation_word(datum: RootDatum, lam: Sequence[int]) -> tuple[int, ...]:
     :meth:`ExtWeylElt.reduced_word` gives.  The missing length-zero part
     is recoverable from the coset of ``lam`` modulo the coroot lattice.
     """
-    v0, den = datum.alcove_point
-    _, walk = _walk(datum, tuple(a - den * int(b) for a, b in zip(v0, lam)))
+    _, walk = _walk(datum, _translation_vector(datum, lam))
     return tuple(reversed(walk))
+
+
+def _translation_vector(datum: RootDatum, lam: Sequence[int]) -> Vec:
+    """The alcove vector $v_0 - D\\lambda$ of the translation by ``lam``."""
+    v0, den = datum.alcove_point
+    return tuple(a - den * int(b) for a, b in zip(v0, lam))
 
 
 class OmegaGroup:
     """The finite abelian group of length-zero elements.
 
     ``elements[k]`` is the group element and ``perms[k]`` the permutation
-    it induces on affine node labels; index 0 is the identity.
+    it induces on affine node labels; index 0 is the identity.  The group
+    acts faithfully on the nodes, so products and inverses are read off
+    the permutations.
     """
 
     def __init__(self, datum: RootDatum, elements: tuple[ExtWeylElt, ...],
                  perms: tuple[tuple[int, ...], ...],
-                 by_coset: dict[Vec, int] | None = None):
+                 by_coset: dict[Vec, int]):
         self.datum = datum
         self.elements = elements
         self.perms = perms
-        self._index = {e: i for i, e in enumerate(elements)}
-        self._by_coset = by_coset or {}
-        self._products: dict[tuple[int, int], int] = {}
+        self._index = {e.q: i for i, e in enumerate(elements)}
+        self._by_perm = {p: i for i, p in enumerate(perms)}
+        self._by_coset = by_coset
 
     @staticmethod
     def build(datum: RootDatum) -> "OmegaGroup":
         """The group, one element per coset of the coroot lattice: the
-        length-zero part of the translation by the coset's representative,
-        which :func:`_walk` reaches and :func:`_replay` gives matrices.
-        Each is entered in :attr:`RootDatum.length_zero` under its alcove
-        vector, once per datum."""
-        table = datum.length_zero
+        length-zero part of the translation by the coset's representative
+        (refused unless it lies in the lattice), named by the alcove
+        vector that :func:`_walk` reaches, whose entries give the wall
+        permutation (see the module docstring)."""
+        den, n = datum.alcove_point[1], datum.rank + 1
         items = []
         for rep in datum.lattice_cosets():
-            t = ExtWeylElt.translation(datum, rep)
-            q, walk = _walk(datum, t.q)
-            omega = table.get(q)
-            if omega is None:
-                omega = table[q] = ExtWeylElt(
-                    datum, q, _replay(datum, t._aff, walk))
-            perm = _node_permutation(datum, omega)
-            items.append((perm, omega, rep))
-        items.sort(key=lambda t: t[0])
+            q, _ = _walk(datum, ExtWeylElt.translation(datum, rep).q)
+            perm = ((den - 1 - sum(map(mul, q, datum.theta)),)
+                    + tuple(x - 1 for x in q))
+            assert sorted(perm) == list(range(n)), (
+                "length-zero element must permute the walls")
+            items.append((perm, q, rep))
+        items.sort()
         perms = tuple(t[0] for t in items)
-        elements = tuple(t[1] for t in items)
+        elements = tuple(ExtWeylElt(datum, q, _wall_affine(datum, perm, q))
+                         for perm, q, _ in items)
         by_coset = {rep: i for i, (_, _, rep) in enumerate(items)}
-        assert perms[0] == tuple(range(datum.rank + 1))
+        assert perms[0] == tuple(range(n))
         assert len(set(perms)) == len(perms)
         return OmegaGroup(datum, elements, perms, by_coset)
 
@@ -488,52 +503,37 @@ class OmegaGroup:
         return iter(self.elements)
 
     def __contains__(self, elt: ExtWeylElt) -> bool:
-        return elt in self._index
+        return elt.q in self._index
 
     def index_of(self, elt: ExtWeylElt) -> int:
-        return self._index[elt]
+        return self._index[elt.q]
 
     def structure(self) -> str:
-        """Isomorphism type, e.g. ``"1"``, ``"Z/4"``, ``"Z/2 x Z/2"``."""
-        n = len(self.elements)
-        if n == 1:
-            return "1"
-        orders = sorted(_perm_order(p) for p in self.perms)
-        exponent = orders[-1]
+        """Isomorphism type, ``"1"``, ``"Z/n"`` or ``"Z/2 x Z/2"``: a
+        subgroup of the coweight lattice modulo the coroot lattice, which
+        is cyclic for an irreducible datum except for $D_n$, $n$ even."""
+        n, exponent = len(self.perms), max(map(_perm_order, self.perms))
         if exponent == n:
-            return f"Z/{n}"
-        if (n, exponent) == (4, 2):
-            return "Z/2 x Z/2"
-        if (n, exponent) == (8, 2):
-            return "Z/2 x Z/2 x Z/2"
-        if (n, exponent) == (8, 4):
-            return "Z/4 x Z/2"
-        if (n, exponent) == (9, 3):
-            return "Z/3 x Z/3"
-        raise AssertionError(f"unrecognized abelian group of order {n}")
-
-    def preserves_weights(self, perm: tuple[int, ...]) -> bool:
-        w = self.datum.weights
-        return all(w[perm[i]] == w[i] for i in range(len(perm)))
+            return "1" if n == 1 else f"Z/{n}"
+        assert (n, exponent) == (4, 2), f"unrecognized group of order {n}"
+        return "Z/2 x Z/2"
 
     def decorated(self) -> "OmegaGroup":
         """The subgroup whose node permutations preserve the weights."""
-        keep = [(p, e) for p, e in zip(self.perms, self.elements)
-                if self.preserves_weights(p)]
-        elements = tuple(e for _, e in keep)
-        kept = set(elements)
-        sub = OmegaGroup(self.datum, elements, tuple(p for p, _ in keep))
-        sub._by_coset = {c: elements.index(self.elements[i])
-                         for c, i in self._by_coset.items()
-                         if self.elements[i] in kept}
-        return sub
+        w = self.datum.weights
+        keep = [i for i, p in enumerate(self.perms)
+                if all(w[j] == x for j, x in zip(p, w))]
+        new = {i: k for k, i in enumerate(keep)}
+        return OmegaGroup(
+            self.datum, tuple(self.elements[i] for i in keep),
+            tuple(self.perms[i] for i in keep),
+            {c: new[i] for c, i in self._by_coset.items() if i in new})
 
     def mult_index(self, i: int, j: int) -> int:
-        """Index of ``elements[i] * elements[j]``, computed once per pair."""
-        if (i, j) not in self._products:
-            product = self.elements[i] * self.elements[j]
-            self._products[i, j] = self._index[product]
-        return self._products[i, j]
+        """Index of ``elements[i] * elements[j]``, the element permuting
+        the nodes by ``perms[i]`` after ``perms[j]``."""
+        first, then = self.perms[j], self.perms[i]
+        return self._by_perm[tuple(then[k] for k in first)]
 
     def lattice_basis(self) -> tuple[Vec, ...]:
         """Echelon basis of the lattice of translations whose length-zero
@@ -544,36 +544,30 @@ class OmegaGroup:
         return intlin.echelon_basis(rows, self.datum.rank)
 
     def inverse_index(self, i: int) -> int:
-        return self._index[self.elements[i].inv()]
+        return self._by_perm[_perm_inverse(self.perms[i])]
 
     def node_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the group on affine node labels, sorted."""
-        n = self.datum.rank + 1
-        seen: set[int] = set()
-        orbits = []
-        for i in range(n):
-            if i in seen:
-                continue
-            orbit = {perm[i] for perm in self.perms} | {i}
-            while True:
-                grown = {perm[j] for perm in self.perms for j in orbit}
-                if grown <= orbit:
-                    break
-                orbit |= grown
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
-        return tuple(orbits)
+        """Orbits of the group on affine node labels, sorted: the images
+        of each node."""
+        return tuple(sorted({tuple(sorted({perm[i] for perm in self.perms}))
+                             for i in range(self.datum.rank + 1)}))
 
 
-def _node_permutation(datum: RootDatum, omega: ExtWeylElt) -> tuple[int, ...]:
-    simples = [affine_simple(datum, i) for i in range(datum.rank + 1)]
-    lookup = {a: i for i, a in enumerate(simples)}
-    perm = []
-    for i in range(datum.rank + 1):
-        image = omega.act_affine_root(simples[i])
-        assert image in lookup, "length-zero element must permute the walls"
-        perm.append(lookup[image])
-    return tuple(perm)
+def _wall_affine(datum: RootDatum, perm: tuple[int, ...], q: Vec) -> Affine:
+    """The affine map of the length-zero element with alcove vector ``q``
+    and wall permutation ``perm``: ``rmat`` sends $e_i$ to the gradient of
+    node ``perm[i]`` ($-\\theta$ at node 0), ``mat`` has the gradients of
+    the inverse permutation as rows, and ``tr`` takes $q / D$ to $x_0$."""
+    grads = (tuple(-x for x in datum.theta),) + intlin.identity(datum.rank)
+    mat = tuple(grads[i] for i in _perm_inverse(perm)[1:])
+    rmat = intlin.transpose([grads[i] for i in perm[1:]])
+    v0, den = datum.alcove_point
+    tr = tuple((a - b) // den for a, b in zip(v0, intlin.mat_vec(mat, q)))
+    return tr, mat, rmat
+
+
+def _perm_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def _perm_order(perm: tuple[int, ...]) -> int:
@@ -587,13 +581,16 @@ def _perm_order(perm: tuple[int, ...]) -> int:
 
 
 def aut_group(datum: RootDatum) -> OmegaGroup:
-    """The group of length-zero elements (lattice modulo coroot lattice)."""
-    return OmegaGroup.build(datum)
+    """The group of length-zero elements (lattice modulo coroot lattice),
+    built once per datum and kept in :attr:`RootDatum.length_zero_group`."""
+    if datum.length_zero_group is None:
+        datum.length_zero_group = OmegaGroup.build(datum)
+    return datum.length_zero_group
 
 
 def decorated_aut_group(datum: RootDatum) -> OmegaGroup:
     """Length-zero elements compatible with the node weights."""
-    return OmegaGroup.build(datum).decorated()
+    return aut_group(datum).decorated()
 
 
 def effective_lattice(datum: RootDatum) -> tuple[Vec, ...]:

@@ -536,13 +536,19 @@ class FinModule:
 
         Each generator matrix $M_s$ becomes $-M_s + (q_s - 1)\\,I$;
         length-zero matrices are unchanged.  Applying it twice gives back
-        the original matrices.
+        the original matrices.  The involution is an algebra automorphism
+        fixing the length-zero elements, so the twist of a module whose
+        own check passed satisfies the relations; only the twist of an
+        unchecked module is checked.
         """
         assert self.prime is None
         smats = self.q_stack() - LaurentMatrix.identity(self.dim) - self.smats
         mod = FinModule(self.alg, smats, self.omega_mats,
                         name=f"twist of {self.name}")
-        mod.check_relations()
+        if self.checked:
+            mod.checked = True
+        else:
+            mod.check_relations()
         return mod
 
     def reduce_mod_p(self, p: int) -> "FinModule":

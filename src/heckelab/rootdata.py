@@ -177,8 +177,8 @@ class RootDatum:
         # node -> its simple reflection, filled by
         # ExtWeylElt.simple_reflection
         self.simple_reflections: dict = {}
-        # alcove vector -> length-zero element, filled by OmegaGroup.build
-        self.length_zero: dict = {}
+        # the group of length-zero elements, built by extweyl.aut_group
+        self.length_zero_group = None
 
     # ---- basic frame -------------------------------------------------
 

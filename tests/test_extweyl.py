@@ -13,6 +13,8 @@ import pytest
 
 from heckelab import (
     ExtWeylElt,
+    HeckeAlgebra,
+    extweyl,
     intlin,
     aut_group,
     build_root_datum,
@@ -186,6 +188,106 @@ def test_length_zero_elements_permute_the_nodes():
             assert sorted(perm) == list(range(rank + 1))
             assert [omega.act_affine_root(a) for a in simples] == [
                 simples[j] for j in perm], (kind, rank, perm)
+
+
+def _omega_oracle(d):
+    """The length-zero group derived the long way: per coroot coset, the
+    walk of the translation's alcove vector replayed through matrices,
+    and the node permutation read off the images of the simple affine
+    roots.  Returns (perm, alcove vector, affine map, coset) sorted by
+    perm."""
+    simples = [affine_simple(d, i) for i in range(d.rank + 1)]
+    items = []
+    for rep in d.lattice_cosets():
+        t = ExtWeylElt.translation(d, rep)
+        q, walk = extweyl._walk(d, t.q)
+        omega = ExtWeylElt(d, q, extweyl._replay(d, t._affine(), walk))
+        perm = tuple(simples.index(omega.act_affine_root(a))
+                     for a in simples)
+        items.append((perm, q, omega._affine(), rep))
+    return sorted(items)
+
+
+def _matches_oracle(G, oracle):
+    assert G.perms == tuple(t[0] for t in oracle)
+    assert [e.q for e in G.elements] == [t[1] for t in oracle]
+    assert [e._affine() for e in G.elements] == [t[2] for t in oracle]
+    assert G._by_coset == {t[3]: i for i, t in enumerate(oracle)}
+
+
+def test_length_zero_group_matches_replayed_oracle():
+    """The permutations and affine maps read off the alcove vectors equal
+    those of the word replay, on the 33 README types over the coweight
+    and the coroot lattice, on an intermediate lattice and on the
+    decorated subgroups."""
+    data = [build_root_datum(kind, rank, lattice=lattice)
+            for kind, rank in README_TYPES
+            for lattice in ("coweight", "coroot")]
+    # between the coroot lattice and the coweight lattice of A3
+    middle = build_root_datum("A", 3, lattice=list(
+        build_root_datum("A", 3).cartan) + [(0, 1, 0)])
+    assert len(aut_group(middle)) == 2
+    data += [middle, build_root_datum("C", 3, weights=[1, 2, 3]),
+             build_root_datum("C", 2, weights=[1, 2, 2]),
+             build_root_datum("A", 1, weights=[1, 2])]
+    for d in data:
+        oracle = _omega_oracle(d)
+        _matches_oracle(aut_group(d), oracle)
+        _matches_oracle(decorated_aut_group(d), [
+            t for t in oracle
+            if all(d.weights[j] == w for j, w in zip(t[0], d.weights))])
+
+
+def test_group_law_read_off_permutations():
+    """``mult_index`` and ``inverse_index`` agree with products and
+    inverses of the group elements, on the full and decorated groups."""
+    data = [build_root_datum(kind, rank) for kind, rank in README_TYPES]
+    data.append(build_root_datum("C", 3, weights=[1, 2, 2]))
+    for d in data:
+        for G in (aut_group(d), decorated_aut_group(d)):
+            els = G.elements
+            for i, x in enumerate(els):
+                assert els[G.inverse_index(i)] == x.inv()
+                for j, y in enumerate(els):
+                    assert els[G.mult_index(i, j)] == x * y, (d.label(), i, j)
+
+
+def test_length_zero_group_multiplies_no_elements(monkeypatch):
+    """The group is built, multiplied and inverted from alcove vectors
+    and permutations alone: no word replay, affine-root action, element
+    product or matrix product."""
+    def refuse(*args):
+        raise AssertionError("called while building the group")
+
+    monkeypatch.setattr(extweyl, "_replay", refuse)
+    monkeypatch.setattr(intlin, "mat_mul", refuse)
+    monkeypatch.setattr(ExtWeylElt, "act_affine_root", refuse)
+    monkeypatch.setattr(ExtWeylElt, "__mul__", refuse)
+    monkeypatch.setattr(ExtWeylElt, "inv", refuse)
+    for kind, rank in [("A", 5), ("D", 4), ("D", 6), ("E", 6), ("C", 3)]:
+        G = extweyl.OmegaGroup.build(build_root_datum(kind, rank))
+        for i in range(len(G)):
+            G.inverse_index(i)
+            for j in range(len(G)):
+                G.mult_index(i, j)
+
+
+def test_length_zero_group_built_once_per_datum(monkeypatch):
+    """Reduced words, the algebra, the decorated group and the effective
+    lattice of one datum share one build of the group."""
+    builds = []
+    real = extweyl.OmegaGroup.build
+    monkeypatch.setattr(extweyl.OmegaGroup, "build",
+                        staticmethod(lambda d: builds.append(d) or real(d)))
+    d = build_root_datum("C", 2, weights=[1, 2, 2])
+    omega, _ = ExtWeylElt.translation(d, (0, 1)).reduced_word()
+    H = HeckeAlgebra(d)
+    assert H.omega_full is aut_group(d) and omega in H.omega
+    assert decorated_aut_group(d).perms == H.omega.perms
+    assert effective_lattice(d) == H.effective_basis
+    assert builds == [d]
+    HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 2]))
+    assert len(builds) == 2
 
 
 def test_omega_node_orbits():

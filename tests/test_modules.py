@@ -312,6 +312,28 @@ def test_reduction_checks_only_unchecked_modules(monkeypatch):
     assert not bad.checked and calls[-1].prime == 5
 
 
+def test_star_twist_checks_only_unchecked_modules(monkeypatch):
+    """The sign involution is an algebra automorphism fixing the decorated
+    length-zero elements, so the twist of the checked D4 reflection
+    module is not checked again; the twist of an unchecked Laurent module
+    that breaks the relations still fails in ``star_twist``."""
+    from heckelab import modules
+    calls = []
+    check = modules.FinModule.check_relations
+    monkeypatch.setattr(modules.FinModule, "check_relations",
+                        lambda self: calls.append(self) or check(self))
+    refl = reflection_module(HeckeAlgebra(build_root_datum("D", 4)))
+    assert calls == [refl] and refl.checked
+    twist = refl.star_twist()
+    assert calls == [refl] and twist.checked
+    H = HeckeAlgebra(build_root_datum("A", 2))
+    two = ((Laurent.of_int(2),),)
+    bad = modules.FinModule(H, (two, two, two), None, name="bad")
+    with pytest.raises(RelationsFail):
+        bad.star_twist()
+    assert not bad.checked and calls[-1].name == "twist of bad"
+
+
 def test_bad_module_matrices_rejected():
     from heckelab.modules import FinModule
     H = HeckeAlgebra(build_root_datum("A", 2))
