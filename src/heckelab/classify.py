@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intlin
-from .errors import NotAFullOrbit, SublatticeUnsupported
+from .errors import SublatticeUnsupported
 from .extweyl import translation_word
 from .hecke import HeckeAlgebra
 from .laurent import Laurent, LaurentMatrix
@@ -452,25 +452,18 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     the reduction of a Laurent module with a length-zero action.
 
     ``orbit`` must be one full Weyl orbit of points of the lattice the
-    module sees: ``ValueError`` for points of the wrong length,
-    ``NotInLattice`` off the lattice and ``NotAFullOrbit`` when a simple
-    reflection does not map the stack onto itself
-    (:meth:`RootDatum.is_weyl_orbit`).  With a certificate
-    (:func:`_certificate`) the sum acts as $c(v) I$ and the matrix is
-    $c_0 I$ mod ``p``, for $c_0$ the constant term of $c(v)$: exact for
-    every prime $p < 2^{63}$.  A module without one takes the $v^0$
-    coefficient of the exact action (:meth:`FinModule.act` on
-    :meth:`HeckeAlgebra.central_from_orbit`).  That route multiplies
+    module sees: ``NotInLattice`` off the lattice, else ``ValueError``,
+    ``TypeError`` or ``NotAFullOrbit`` from :meth:`RootDatum.orbit_stack`.
+    With a certificate (:func:`_certificate`) the sum acts as $c(v) I$ and
+    the matrix is $c_0 I$ mod ``p``, for $c_0$ the constant term of
+    $c(v)$: exact for every prime $p < 2^{63}$.  A module without one
+    takes the $v^0$ coefficient of the exact action (:meth:`FinModule.act`
+    on :meth:`HeckeAlgebra.central_from_orbit`).  That route multiplies
     Hecke elements whose supports grow exponentially with the orbit's
     translations: on C5 it did not finish one generator orbit in 150 s."""
     assert not module.is_modular
     alg = module.alg
-    if not len(orbit):
-        raise NotAFullOrbit("empty orbit")
-    pts = alg._stack(orbit)
-    if not alg.datum.is_weyl_orbit(pts):
-        raise NotAFullOrbit(f"the {len(pts)} given points do not form one "
-                            "full Weyl orbit")
+    pts = alg.datum.orbit_stack(orbit)
     cert = _certificate(module)
     if cert is not None:
         c0 = cert.scalar(pts).constant_term()

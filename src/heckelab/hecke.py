@@ -59,7 +59,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import intlin
-from .errors import DatumMismatch, NotAFullOrbit, NotInLattice
+from .errors import DatumMismatch, NotInLattice
 from .extweyl import ExtWeylElt, aut_group, step_vector
 from .laurent import Laurent, q_power
 from .rootdata import RootDatum, Vec, dominant_monoid_generators
@@ -155,25 +155,12 @@ class HeckeAlgebra:
                 else self._level_basis(level))
         return self._monoid_generators[level]
 
-    def _stack(self, lam) -> np.ndarray:
-        """``lam``, a point or an (N, rank) stack, as an (N, rank) int64
-        stack; a point of another length raises ``ValueError``."""
-        rank = self.datum.rank
-        try:
-            pts = np.array(lam, dtype=np.int64)
-        except ValueError:
-            pts = None
-        if pts is None or pts.ndim not in (1, 2) or pts.shape[-1] != rank:
-            raise ValueError(f"every point of this rank-{rank} datum has "
-                             f"{rank} coordinates")
-        return pts.reshape(-1, rank)
-
     def lattice_points(self, lam, level: str = "effective") -> np.ndarray:
         """``lam``, a point or an (N, rank) stack, as an (N, rank) int64
         stack of points of the lattice at ``level``, else ``NotInLattice``
         naming the first point off it.  The coroot and effective lattices
         lie in the datum's lattice, so no point off that one passes."""
-        pts = self._stack(lam)
+        pts = self.datum.point_stack(lam)
         self.lattice_coordinates(pts, level)
         return pts
 
@@ -183,7 +170,7 @@ class HeckeAlgebra:
         points of the lattice at ``level``, in its echelon basis, as an
         (N, rank) int64 stack (:func:`intlin.lattice_coordinates`), else
         ``NotInLattice`` naming the first point off it."""
-        pts = self._stack(lam)
+        pts = self.datum.point_stack(lam)
         coords, rem = intlin.lattice_coordinates(self._level_basis(level),
                                                  pts)
         off = rem.any(axis=1)
@@ -209,7 +196,7 @@ class HeckeAlgebra:
         parts are then two (N, rank) int64 stacks.  A single point is a
         stack of one and gives a pair of tuples.
         """
-        pts = self._stack(lam)
+        pts = self.datum.point_stack(lam)
         plus, minus = np.maximum(pts, 0), np.maximum(-pts, 0)
         basis = self._level_basis(level)
         off = ~intlin.rows_in_lattice(basis, plus)
@@ -252,18 +239,11 @@ class HeckeAlgebra:
         """The orbit sum z over the finite Weyl orbit of ``lam``."""
         return self._bernstein_sum(self.datum.weyl_orbit(lam))
 
-    def central_from_orbit(self, orbit: Iterable[Sequence[int]]) -> "HeckeElt":
+    def central_from_orbit(self, orbit) -> "HeckeElt":
         """Same as :meth:`central` but validates the given orbit first:
         ``NotAFullOrbit`` unless its points are one full Weyl orbit, each
-        once (:meth:`RootDatum.is_weyl_orbit`)."""
-        pts = list(orbit)
-        if not pts:
-            raise NotAFullOrbit("empty orbit")
-        pts = self._stack(pts)
-        if not self.datum.is_weyl_orbit(pts):
-            raise NotAFullOrbit(f"the {len(pts)} given points do not form "
-                                "one full Weyl orbit")
-        return self._bernstein_sum(pts)
+        once (:meth:`RootDatum.orbit_stack`)."""
+        return self._bernstein_sum(self.datum.orbit_stack(orbit))
 
     def _bernstein_sum(self, pts) -> "HeckeElt":
         """$\\sum_\\mu E_\\mu$ over distinct lattice points ``pts``.

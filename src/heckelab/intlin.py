@@ -21,7 +21,8 @@ IntMatrix = Sequence[Sequence[int]]
 
 def is_int(x) -> bool:
     """An integer that is not a bool (numpy integers count)."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    return type(x) is int or (isinstance(x, numbers.Integral)
+                               and not isinstance(x, bool))
 
 
 def mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:

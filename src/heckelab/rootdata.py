@@ -34,6 +34,7 @@ from .errors import (
     HilbertBasisOverflow,
     InvalidRank,
     LatticeNotIntermediate,
+    NotAFullOrbit,
     WeightTooLarge,
 )
 
@@ -233,21 +234,55 @@ class RootDatum:
     def reflect(self, s: int, c: Sequence[int]) -> Vec:
         return reflect_coweight(self.cartan, s, c)
 
-    def weyl_orbit(self, c: Sequence[int]) -> tuple[Vec, ...]:
-        """The full (finite) Weyl orbit of a coweight, sorted."""
-        start = tuple(c)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in range(1, self.rank + 1):
-                    y = self.reflect(s, x)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen))
+    def point_stack(self, lam) -> np.ndarray:
+        """``lam``, a point or an (N, rank) stack, as an (N, rank) int64
+        stack: ``ValueError`` for a point of another length, ``TypeError``
+        for a coordinate that is not an integer (floats, bools) and
+        ``OverflowError`` past int64."""
+        rank = self.rank
+        try:
+            pts = np.asarray(lam, dtype=np.int64)
+        except ValueError:
+            pts = None
+        if pts is None or pts.ndim not in (1, 2) or pts.shape[-1] != rank:
+            raise ValueError(f"every point of this rank-{rank} datum has "
+                             f"{rank} coordinates")
+        if isinstance(lam, np.ndarray) and lam.dtype != object:
+            ints = lam.dtype.kind != "b" and np.can_cast(lam.dtype, np.int64)
+        else:
+            ints = all(map(intlin.is_int, np.asarray(lam, dtype=object).flat))
+        if not ints:
+            raise TypeError(f"{lam!r} has coordinates that are not int64 "
+                            "integers")
+        return pts.reshape(-1, rank)
+
+    def weyl_orbit(self, c: Sequence[int]) -> np.ndarray:
+        """The finite Weyl orbit of the point ``c`` as a sorted (N, rank)
+        int64 stack, by reverse search from its dominant point (Avis and
+        Fukuda, Discrete Appl. Math. 65 (1996)): the parent of $\\mu$ is
+        $s_i \\mu$ for its first negative coordinate $\\mu_i$, so each point
+        is made once, with no set.  ``OverflowError`` past int64."""
+        (start,) = self.point_stack(c).tolist()
+        out = [self.dominant_rep(start)]
+        for nu in out:
+            for i, (ni, row) in enumerate(zip(nu, self.cartan)):
+                if ni > 0:
+                    mu = tuple([x - ni * a for x, a in zip(nu, row)])
+                    if not i or min(mu[:i]) >= 0:
+                        out.append(mu)
+        return np.array(sorted(out), dtype=np.int64)
+
+    def orbit_stack(self, orbit) -> np.ndarray:
+        """``orbit`` as an (N, rank) int64 stack (:meth:`point_stack`),
+        else ``NotAFullOrbit`` unless it lists one full Weyl orbit, each
+        point once (:meth:`is_weyl_orbit`)."""
+        if not len(orbit):
+            raise NotAFullOrbit("empty orbit")
+        pts = self.point_stack(orbit)
+        if not self.is_weyl_orbit(pts):
+            raise NotAFullOrbit(f"the {len(pts)} given points do not form "
+                                "one full Weyl orbit")
+        return pts
 
     def is_weyl_orbit(self, pts) -> bool:
         """Whether the (N, rank) int64 stack ``pts`` lists one full Weyl
@@ -260,7 +295,7 @@ class RootDatum:
         $s_i \\lambda = \\lambda - \\lambda_i \\alpha_i^\\vee$ of each
         reflection, one product each.  ``OverflowError`` when an image
         could pass int64."""
-        pts = np.ascontiguousarray(pts, dtype=np.int64)
+        pts = self.point_stack(pts)
         cartan = np.array(self.cartan, dtype=np.int64)
         bound = (2**63 - 1) // (1 + int(np.abs(cartan).max()))
         if ((pts > bound) | (pts < -bound)).any():

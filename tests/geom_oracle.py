@@ -14,6 +14,10 @@ dominates) and generation by additive reachability.
 ``box_monoid_generators`` is the box enumeration the library used before
 its parallelepiped route, kept as the reference that route is compared
 against.
+
+The orbit oracle ``search_weyl_orbit`` is the breadth-first search over
+every simple reflection, with a set of seen points, that
+``RootDatum.weyl_orbit`` used before its reverse-search walk.
 """
 
 from fractions import Fraction
@@ -42,6 +46,24 @@ def alcove_length(elt) -> int:
         assert pairing.denominator != 1, "image pairing landed on a wall"
         total += abs(pairing.__floor__())
     return total
+
+
+def search_weyl_orbit(datum, c):
+    """The Weyl orbit of ``c`` as sorted tuples: every simple reflection
+    of every point found, kept when not seen before."""
+    start = tuple(c)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in range(1, datum.rank + 1):
+                y = datum.reflect(s, x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(seen))
 
 
 def dominant_box_points(datum, bound, lattice="lattice"):

@@ -314,6 +314,7 @@ def test_points_of_the_wrong_length_are_refused():
     for call in [lambda: H.dominant_decomposition((1, -2, 3, 4)),
                  lambda: H.dominant_decomposition([(1, 0), (1, 0, 0)]),
                  lambda: H.bernstein((1, 0, 0, 1)),
+                 lambda: H.datum.weyl_orbit((1, 0, 0)),
                  lambda: central_orbit_matrix_v0(induced, [(1, 0, 0, 1)],
                                                  5)]:
         with pytest.raises(ValueError, match="rank-2 datum has 2 "

@@ -18,8 +18,13 @@ from heckelab import (
     dominant_monoid_generators,
     rootdata,
 )
-from geom_oracle import box_monoid_generators, check_monoid_generators
+from geom_oracle import (
+    box_monoid_generators,
+    check_monoid_generators,
+    search_weyl_orbit,
+)
 from test_acceptance import TABLE
+from test_extweyl import README_TYPES
 
 # cartan[i][j] = pairing of the j-th simple root with the i-th simple coroot
 CARTAN_TABLE = {
@@ -149,11 +154,32 @@ def test_weyl_orbits():
     assert len(build_root_datum("C", 2).weyl_orbit((1, 1))) == 8
     assert len(build_root_datum("G", 2).weyl_orbit((1, 1))) == 12
     d = build_root_datum("C", 2)
-    orb = d.weyl_orbit((1, 1))
+    orb = list(map(tuple, d.weyl_orbit((1, 1)).tolist()))
     doms = [x for x in orb if d.is_dominant(x)]
     assert doms == [(1, 1)]
     for x in orb:
         assert d.dominant_rep(x) == (1, 1)
+
+
+def test_walk_matches_search_oracle():
+    # the reverse-search walk lists the rows of the breadth-first search in
+    # its order, from the dominant point and from a random Weyl image, on
+    # every fundamental-coweight orbit of at most 20k points (E8's nodes
+    # 3-6 have 60,480 to 483,840), and each passes the closure test
+    rng = random.Random(5)
+    for kind, rank in README_TYPES:
+        d = build_root_datum(kind, rank)
+        for k in range(rank):
+            if (kind, rank) == ("E", 8) and 2 <= k <= 5:
+                continue
+            lam = tuple(int(i == k) for i in range(rank))
+            oracle = [list(x) for x in search_weyl_orbit(d, lam)]
+            assert len(oracle) <= 20_000, (kind, rank, lam)
+            for start in (lam, rng.choice(oracle)):
+                orbit = d.weyl_orbit(start)
+                assert orbit.dtype == np.int64, (kind, rank, start)
+                assert orbit.tolist() == oracle, (kind, rank, start)
+                assert d.is_weyl_orbit(orbit), (kind, rank, start)
 
 
 def test_orbit_closure_test():
@@ -184,11 +210,14 @@ def test_orbit_closure_test():
     assert g2.is_weyl_orbit(g2.weyl_orbit((0, bound // 2)))
     with pytest.raises(OverflowError):
         g2.is_weyl_orbit([(bound + 1, 0)])
+    # the walk runs in Python ints and refuses (-2^62, 2^63) at the end
+    with pytest.raises(OverflowError):
+        g2.weyl_orbit((0, 2**62))
 
 
 def test_reflections_preserve_orbits():
     d = build_root_datum("G", 2)
-    orb = set(d.weyl_orbit((1, 0)))
+    orb = set(map(tuple, d.weyl_orbit((1, 0)).tolist()))
     for x in orb:
         for s in (1, 2):
             assert tuple(d.reflect(s, x)) in orb
