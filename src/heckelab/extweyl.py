@@ -237,9 +237,12 @@ class ExtWeylElt:
         return out
 
     def __eq__(self, other: object) -> bool:
+        """Equal alcove vectors on data that :meth:`_check` accepts."""
         if not isinstance(other, ExtWeylElt):
             return NotImplemented
-        return self.q == other.q
+        return self.q == other.q and (
+            self.datum is other.datum
+            or self.datum.to_json() == other.datum.to_json())
 
     def __hash__(self) -> int:
         return hash(self.q)

@@ -10,27 +10,17 @@ relations, with $q_s = v^{2 d(s)}$ for the weight $d(s)$ of node $s$:
 Products reduce to these via reduced words of the right factor:  $T_x T_s$
 is $T_{xs}$ when the length goes up and $q_s T_{xs} + (q_s - 1) T_x$ when
 it goes down.  One product walks the prefix trie of the pairs (length-zero
-part, reduced word) of the right factor's terms depth first, so each
-partial product $h \, T_\omega T_{s_1} \cdots T_{s_k}$ of the left factor
-$h$ is computed once and
-shared by every term whose word starts with that prefix; a partial product
-is released after its last child.  The twisted symbols below take the same
-walk with twisted letters.  The partial products, their sum and the
-step memos of one product are dicts keyed by the alcove vector of each
-group element, a tuple of ints, and an
-:class:`~heckelab.extweyl.ExtWeylElt` is built only for each term of
-the result.  Each step gives the alcove vector of $xs$ and whether $s$
-is a descent of $x$ together, from one sparse reflection
-(:func:`heckelab.extweyl.step_vector`, the step
-:meth:`~heckelab.extweyl.ExtWeylElt.step` also takes), and neither the
-steps, the reduced words of the right factor nor the support check of a
-basis element build a matrix.  One product keeps a memo of its steps,
-one dict per node mapping the alcove vector of $x$ to that pair, so
-that branches of the trie that meet the same $x$ share the step; the
-memo lives only for that product.  The length-zero part $T_\omega$ at
-the root of the trie is the one factor taken by products of group
-elements (:meth:`~heckelab.extweyl.ExtWeylElt.__mul__` on the left
-factor's terms).  Scaling by $q_s$ is a shift of exponents.
+part, reduced word) of the right factor's terms depth first (:func:`_walk`),
+so each partial product $h \, T_\omega T_{s_1} \cdots T_{s_k}$ of the left
+factor $h$ is computed once; the twisted symbols take the same walk with
+twisted letters.  Terms are keyed by alcove vectors and stepped by one
+sparse reflection (:func:`heckelab.extweyl.step_vector`), so no product
+builds a matrix, and an :class:`~heckelab.extweyl.ExtWeylElt` is built only
+for each term of the result.  Each coefficient is one Python int, its value
+at $v = 2^b$ (Kronecker substitution; Kronecker 1882, Harvey 2009), for one
+slot width $b$ per product that a bound on L1 norms proves wide enough:
+scaling by $q_s$ is a left shift, sums are integer sums, and the result is
+unpacked once into :class:`Laurent` coefficients.
 
 On top of the standard basis the module provides the twisted symbols
 $T^*_w$ (products of $T^*_s = T_s - q_s + 1$ along a reduced word), the
@@ -251,19 +241,37 @@ class HeckeAlgebra:
         Points with the same dominant part $\\lambda_+$ share the left
         factor $T^*_{t_+}$, so the sum takes one product per $\\lambda_+$
         with the right factor $\\sum v^{-\\delta} T_{t_{-}}$ over its points.
+        One slot width (see :meth:`_product`) serves the whole sum, and each
+        $T^*_{t_+}$, of L1 norm at most $3^{\\ell(t_+)}$, enters its product
+        packed: $\\sum_{\\lambda_+} 3^{\\ell(t_+)} \\sum 3^{\\ell(t_-)}$ bounds
+        every coefficient.
         """
+        datum = self.datum
         plus_s, minus_s, deltas = self.bernstein_split(pts)
-        groups: dict[Vec, dict[ExtWeylElt, Laurent]] = {}
+        groups: dict[Vec, list] = {}
         for plus, neg, delta in zip(map(tuple, plus_s.tolist()),
                                     map(tuple, (-minus_s).tolist()),
                                     deltas.tolist()):
-            t_minus = ExtWeylElt.translation(self.datum, neg)
-            groups.setdefault(plus, {})[t_minus] = Laurent.v(-delta)
-        out: dict[Vec, Laurent] = {}
+            t_minus = ExtWeylElt.translation(datum, neg)
+            groups.setdefault(plus, []).append((t_minus.reduced_word(), delta))
+        stars = {}
+        for plus in groups:
+            t_plus = ExtWeylElt.translation(datum, plus)
+            self._check_supported(t_plus)
+            stars[plus] = t_plus.reduced_word()
+        b = sum(3 ** len(stars[plus][1])
+                * sum(3 ** len(word) for (_, word), _ in right)
+                for plus, right in groups.items()).bit_length() + 1
+        lo = -int(deltas.max())
+        total: dict[Vec, int] = {}
         for plus, right in groups.items():
-            left = self.star_t(ExtWeylElt.translation(self.datum, plus))
-            _fold(out, left._product_vectors(right))
-        return HeckeElt._of_vectors(self, out)
+            star = _walk(datum, {ExtWeylElt.identity(datum): 1},
+                         [(stars[plus], 1)], True, b, {})
+            _walk(datum, {ExtWeylElt(datum, q): c
+                          for q, c in star.items() if c},
+                  [(rw, 1 << b * (-delta - lo)) for rw, delta in right],
+                  False, b, total)
+        return HeckeElt._unpacked(self, total, b, lo)
 
     def __repr__(self) -> str:
         return f"HeckeAlgebra({self.datum!r})"
@@ -287,13 +295,14 @@ class HeckeElt:
         return out
 
     @staticmethod
-    def _of_vectors(alg: HeckeAlgebra,
-                    terms: dict[Vec, Laurent]) -> "HeckeElt":
+    def _unpacked(alg: HeckeAlgebra, terms: dict[Vec, int], b: int,
+                  lo: int) -> "HeckeElt":
         """The element of ``alg`` with the nonzero terms of ``terms``,
-        keyed by alcove vectors: one group element of ``alg``'s datum per
-        term."""
-        datum = alg.datum
-        return HeckeElt._of(alg, {ExtWeylElt(datum, q): c
+        keyed by alcove vectors, with coefficients packed with slot width
+        ``b`` from $v^{lo}$ up (:meth:`Laurent.pack`): one group element
+        of ``alg``'s datum per term."""
+        datum, unpack = alg.datum, Laurent.unpack
+        return HeckeElt._of(alg, {ExtWeylElt(datum, q): unpack(c, b, lo)
                                   for q, c in terms.items() if c})
 
     # ---- linear structure -----------------------------------------------
@@ -358,10 +367,6 @@ class HeckeElt:
 
     # ---- multiplication ---------------------------------------------------
 
-    def _mul_omega(self, omega: ExtWeylElt) -> "HeckeElt":
-        return HeckeElt(self.alg,
-                        {x * omega: c for x, c in self.terms.items()})
-
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
         return self._product(other.terms)
@@ -369,53 +374,28 @@ class HeckeElt:
     def _product(self, right: Mapping[ExtWeylElt, Laurent],
                  twisted: bool = False) -> "HeckeElt":
         """``self`` times $\\sum_y c_y T_y$, or $\\sum_y c_y T^*_y$ when
-        ``twisted``, for ``right`` mapping y to $c_y$.
+        ``twisted``, for ``right`` mapping y to $c_y$ (:func:`_walk`).
 
-        The pairs (length-zero part, reduced word) of the y form a prefix
-        trie, one root per length-zero part; a node is a pair
-        [coefficient of the term that ends there or None, children by
-        letter].  The walk keeps a stack of (parent's partial product,
-        letter, child), so each partial product is computed once and
-        released once its last child has been taken.  The partial
-        products, their sum and the step memos, one per node, are keyed by
-        alcove vectors, and each letter steps a vector by
-        :func:`heckelab.extweyl.step_vector` on a memo miss
-        (:func:`_mul_letter`), the step :meth:`ExtWeylElt.step` takes;
-        group elements are built only for the terms of the result.
+        Each coefficient is packed into one int (:meth:`Laurent.pack`) at
+        the least exponents of the factors, since exponents only rise
+        along the walk.  Packing is a ring map, so only the coefficients
+        of the result must fit the slot width $b$.  A letter at most
+        triples the L1 norm of the coefficients ($(q_s - 1) c$ adds at
+        most $2 |c|$), so every coefficient of the result is at most
+        $|h|_1 \\sum_y 3^{\\ell(y)} |c_y|_1$, and $2^{b-1}$ above that
+        bound proves the width $b$ with no test at run time.
         """
-        return HeckeElt._of_vectors(
-            self.alg, self._product_vectors(right, twisted))
-
-    def _product_vectors(self, right: Mapping[ExtWeylElt, Laurent],
-                         twisted: bool = False) -> dict[Vec, Laurent]:
-        """:meth:`_product` as a dict from alcove vectors to coefficients,
-        where sums that cancelled are left as zeros."""
-        roots: dict[ExtWeylElt, list] = {}
-        for y, cy in right.items():
-            omega, word = y.reduced_word()
-            node = roots.get(omega)
-            if node is None:
-                node = roots[omega] = [None, {}]
-            for s in word:
-                kids = node[1]
-                node = kids.get(s)
-                if node is None:
-                    node = kids[s] = [None, {}]
-            node[0] = cy
-        datum = self.alg.datum
-        steps: list[dict] = [{} for _ in range(datum.rank + 1)]
-        total: dict[Vec, Laurent] = {}
-        for omega, root in roots.items():
-            part = self if omega.is_identity() else self._mul_omega(omega)
-            stack = [({x.q: c for x, c in part.terms.items()}, None, root)]
-            while stack:
-                part, s, (cy, kids) = stack.pop()
-                if s is not None:
-                    part = _mul_letter(datum, part, s, steps[s], twisted)
-                if cy is not None:
-                    _fold(total, part, cy)
-                stack.extend((part, t, kid) for t, kid in kids.items())
-        return total
+        words = [(y.reduced_word(), c) for y, c in right.items()]
+        bound = sum(map(Laurent.norm1, self.terms.values())) * sum(
+            3 ** len(word) * c.norm1() for (_, word), c in words)
+        b = bound.bit_length() + 1
+        lo = self.min_exponent()
+        lo_right = min(map(Laurent.min_exp, right.values()), default=0)
+        total = _walk(self.alg.datum,
+                      {x: c.pack(b, lo) for x, c in self.terms.items()},
+                      [(rw, c.pack(b, lo_right)) for rw, c in words],
+                      twisted, b, {})
+        return HeckeElt._unpacked(self.alg, total, b, lo + lo_right)
 
     # ---- inspection ---------------------------------------------------------
 
@@ -435,11 +415,61 @@ class HeckeElt:
                           for w in self.support()) or "0"
 
 
-def _mul_letter(datum: RootDatum, part: dict[Vec, Laurent], s: int,
-                memo: dict, twisted: bool) -> dict[Vec, Laurent]:
+def _walk(datum: RootDatum, left: Mapping[ExtWeylElt, int],
+          right: Iterable[tuple[tuple[ExtWeylElt, tuple[int, ...]], int]],
+          twisted: bool, b: int, total: dict[Vec, int]) -> dict[Vec, int]:
+    """Add $h \\sum_y c_y T_y$, or $h \\sum_y c_y T^*_y$ when ``twisted``,
+    into ``total`` and return it, for $h$ the terms ``left`` and ``right``
+    the pairs (``y.reduced_word()``, $c_y$), all coefficients packed with
+    slot width ``b``.
+
+    The reduced words form a prefix trie, one root per length-zero part
+    $\\omega$, which starts from the terms $x \\omega$
+    (:meth:`ExtWeylElt.__mul__`); a node is [coefficient of the term that
+    ends there or None, children by letter].  The walk keeps a stack of
+    (parent's partial product, letter, child), so each partial product is
+    computed once and released after its last child.  Partial products,
+    their sum and the step memos, one per node, are keyed by alcove
+    vectors (:func:`_mul_letter`).  Sums that cancelled are left in
+    ``total`` as zeros.
+    """
+    roots: dict[ExtWeylElt, list] = {}
+    for (omega, word), cy in right:
+        node = roots.get(omega)
+        if node is None:
+            node = roots[omega] = [None, {}]
+        for s in word:
+            kids = node[1]
+            node = kids.get(s)
+            if node is None:
+                node = kids[s] = [None, {}]
+        node[0] = cy
+    steps: list[dict] = [{} for _ in range(datum.rank + 1)]
+    for omega, root in roots.items():
+        if omega.is_identity():
+            part = {x.q: c for x, c in left.items()}
+        else:
+            part = {(x * omega).q: c for x, c in left.items()}
+        stack = [(part, None, root)]
+        while stack:
+            part, s, (cy, kids) = stack.pop()
+            if s is not None:
+                part = _mul_letter(datum, part, s, steps[s], twisted,
+                                   2 * datum.weights[s] * b)
+            if cy is not None:
+                get = total.get
+                for q, c in part.items():
+                    total[q] = get(q, 0) + c * cy
+            stack.extend((part, t, kid) for t, kid in kids.items())
+    return total
+
+
+def _mul_letter(datum: RootDatum, part: dict[Vec, int], s: int,
+                memo: dict, twisted: bool, shift: int) -> dict[Vec, int]:
     """Right multiplication of the terms ``part``, keyed by alcove
-    vectors, by T_s, or by $T^*_s = T_s - q_s + 1$ when ``twisted``, for
-    an affine node label ``s``.
+    vectors with packed coefficients, by T_s, or by $T^*_s = T_s - q_s +
+    1$ when ``twisted``, for an affine node label ``s``; multiplying a
+    packed coefficient by $q_s$ is ``<< shift``.
 
     ``memo`` maps the alcove vector of x to that of xs and whether s is a
     right descent of x (:func:`heckelab.extweyl.step_vector`), shared by
@@ -448,8 +478,7 @@ def _mul_letter(datum: RootDatum, part: dict[Vec, Laurent], s: int,
     $T_x T^*_s$ is $q_s T_{xs}$ when s is a descent of x and
     $T_{xs} - (q_s - 1) T_x$ when it is not.
     """
-    d2 = 2 * datum.weights[s]
-    out: dict[Vec, Laurent] = {}
+    out: dict[Vec, int] = {}
     get = out.get
     merged = False
     for x, c in part.items():
@@ -458,11 +487,11 @@ def _mul_letter(datum: RootDatum, part: dict[Vec, Laurent], s: int,
             hit = memo[x] = step_vector(datum, x, s)
         xs, descent = hit
         if descent:
-            a = c.shift(d2)
+            a = c << shift
             extra = None if twisted else a - c
         else:
             a = c
-            extra = c - c.shift(d2) if twisted else None
+            extra = c - (c << shift) if twisted else None
         # x -> xs is a bijection, so a key is met twice only as the xs of
         # one term and the x of another
         cur = get(xs)
@@ -475,19 +504,5 @@ def _mul_letter(datum: RootDatum, part: dict[Vec, Laurent], s: int,
                 extra, merged = cur + extra, True
             out[x] = extra
     if merged:
-        return {q: c for q, c in out.items() if not c.is_zero()}
+        return {q: c for q, c in out.items() if c}
     return out
-
-
-def _fold(total: dict[Vec, Laurent], part: dict[Vec, Laurent],
-          scalar: Laurent | None = None) -> None:
-    """Add the terms ``part``, times ``scalar`` unless that is None or 1,
-    into ``total``; sums that cancel are left as zeros."""
-    if scalar == 1:
-        scalar = None
-    get = total.get
-    for q, c in part.items():
-        if scalar is not None:
-            c = c * scalar
-        cur = get(q)
-        total[q] = c if cur is None else cur + c

@@ -191,10 +191,41 @@ class Laurent:
         return NotImplemented
 
     def __hash__(self) -> int:
+        """A constant hashes as its integer, as ``==`` compares them."""
+        if self.c.keys() <= {0}:
+            return hash(self.c.get(0, 0))
         return hash(frozenset(self.c.items()))
 
     def __bool__(self) -> bool:
         return bool(self.c)
+
+    def norm1(self) -> int:
+        """The sum of the absolute values of the coefficients."""
+        return sum(map(abs, self.c.values()))
+
+    def pack(self, b: int, lo: int) -> int:
+        """The value at $v = 2^b$ of $v^{-lo}$ times this polynomial, for
+        ``lo`` at most its least exponent (Kronecker substitution): a ring
+        map, under which $v^k$ acts as ``<< k * b``."""
+        return sum(a << b * (e - lo) for e, a in self.c.items())
+
+    @staticmethod
+    def unpack(p: int, b: int, lo: int) -> "Laurent":
+        """The inverse of :meth:`pack` on coefficients below $2^{b-1}$ in
+        absolute value: the balanced base-$2^b$ digits of ``p``."""
+        if b < 2:
+            raise ValueError(f"slot width {b} holds no nonzero coefficient")
+        r = Laurent()
+        out = r.c
+        mask, half = (1 << b) - 1, 1 << (b - 1)
+        while p:
+            p += half
+            a = (p & mask) - half
+            if a:
+                out[lo] = a
+            p >>= b
+            lo += 1
+        return r
 
     # ---- specialization ------------------------------------------------
 

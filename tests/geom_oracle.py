@@ -18,6 +18,10 @@ against.
 The orbit oracle ``search_weyl_orbit`` is the breadth-first search over
 every simple reflection, with a set of seen points, that
 ``RootDatum.weyl_orbit`` used before its reverse-search walk.
+
+The product oracle ``letter_by_letter`` multiplies Hecke elements one
+right-hand term and one letter at a time, on ``Laurent`` coefficients,
+with no prefix sharing and no packed coefficients.
 """
 
 from fractions import Fraction
@@ -25,7 +29,8 @@ from typing import Iterable
 
 import numpy as np
 
-from heckelab import HilbertBasisOverflow, intlin
+from heckelab import HilbertBasisOverflow, Laurent, intlin
+from heckelab.hecke import HeckeElt
 
 
 def base_point(datum):
@@ -173,3 +178,38 @@ def box_monoid_generators(datum, lattice="lattice", max_box=2_000_000):
         below = below.cumsum(axis=axis)
     irreducible = member & (below.reshape(-1) == 1)
     return tuple(p for p, keep in zip(box, irreducible.tolist()) if keep)
+
+
+def times_letter(H, terms, s, twisted):
+    """``terms``, a dict from group elements to coefficients, times T_s,
+    or times $T^*_s = T_s - q_s + 1$ when ``twisted``, one term at a time
+    (Iwahori and Matsumoto 1965): $T_x T_s = T_{xs}$ when s raises the
+    length of x, else $q_s T_{xs} + (q_s - 1) T_x$."""
+    q1 = H.q(s) - Laurent.one()
+    out = H.zero()
+    for x, c in terms.items():
+        xs, descent = x.step(s)
+        if descent:
+            part = H.t(xs).scale(H.q(s)) + H.t(x).scale(q1)
+        else:
+            part = H.t(xs)
+        if twisted:
+            part = part - H.t(x).scale(q1)
+        out = out + part.scale(c)
+    return out.terms
+
+
+def letter_by_letter(x, y, twisted=False):
+    """``x`` times ``y`` (times the twisted symbols of ``y``'s support when
+    ``twisted``), one right-hand term at a time: the length-zero part, then
+    each letter of the reduced word on the whole partial product, by the
+    rule of :func:`times_letter`."""
+    H = x.alg
+    total = H.zero()
+    for w, c in y.terms.items():
+        omega, word = w.reduced_word()
+        part = {u * omega: a for u, a in x.terms.items()}
+        for s in word:
+            part = times_letter(H, part, s, twisted)
+        total = total + HeckeElt(H, part).scale(c)
+    return total

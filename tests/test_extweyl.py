@@ -290,6 +290,21 @@ def test_length_zero_group_built_once_per_datum(monkeypatch):
     assert len(builds) == 2
 
 
+def test_equality_respects_the_datum():
+    """Elements are equal only on the same datum or one with the same
+    ``to_json``: the identities of C2 and G2 share the alcove vector
+    (2, 3) but differ, and a set holds both."""
+    c2, g2 = build_root_datum("C", 2), build_root_datum("G", 2)
+    e_c, e_g = ExtWeylElt.identity(c2), ExtWeylElt.identity(g2)
+    assert e_c.q == e_g.q == (2, 3)
+    assert e_c != e_g and len({e_c, e_g}) == 2
+    weighted = build_root_datum("C", 2, weights=[1, 2, 3])
+    assert ExtWeylElt.identity(weighted) != e_c
+    again = ExtWeylElt.identity(build_root_datum("C", 2))
+    assert again.datum is not c2
+    assert again == e_c and len({again, e_c}) == 1
+
+
 def test_omega_node_orbits():
     assert aut_group(build_root_datum("C", 2)).node_orbits() == ((0, 2), (1,))
     assert aut_group(build_root_datum("D", 4)).node_orbits() == ((0, 1, 3, 4), (2,))

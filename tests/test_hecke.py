@@ -20,6 +20,7 @@ from heckelab import (
     elements_up_to_length,
 )
 from heckelab import hecke, intlin
+from geom_oracle import letter_by_letter
 
 DATA = [
     ("A", 1, 1), ("A", 1, [1, 2]), ("A", 2, 1),
@@ -311,6 +312,64 @@ def test_products_build_no_matrix(monkeypatch):
     assert built == [] and products == []
 
 
+def test_products_make_no_laurent_sums(monkeypatch):
+    """Products add, subtract and shift packed integer coefficients, not
+    ``Laurent`` polynomials: on B3, with ``Laurent.__add__``, ``__sub__``
+    and ``shift`` refused, a central orbit sum equals the sum of its
+    Bernstein elements and a product of two length-6 elements equals the
+    letter-by-letter product, both computed before the refusal."""
+    H = HeckeAlgebra(build_root_datum("B", 3))
+    x, y = [H.t(w) for w in elements_up_to_length(H.datum, 6, extended=True)
+            if w.length() == 6 and not w.reduced_word()[0].is_identity()][:2]
+    gen = (0, 0, 1)
+    z_expected = H.zero()
+    for mu in H.datum.weyl_orbit(gen).tolist():
+        z_expected = z_expected + H.bernstein(mu)
+    prod_expected = letter_by_letter(x, y)
+
+    def refuse(*args):
+        raise AssertionError("Laurent arithmetic in a Hecke product")
+
+    for name in ("__add__", "__sub__", "shift"):
+        monkeypatch.setattr(Laurent, name, refuse)
+    z, prod = H.central(gen), x * y
+    monkeypatch.undo()
+    assert len(z.terms) > 1 and len(prod.terms) > 1
+    assert z == z_expected and prod == prod_expected
+
+
+def test_packed_products_past_64_bits():
+    """Products whose coefficients pass 64 bits, reach $2^{63}$ exactly,
+    or cancel to zero, against the letter-by-letter product and the
+    quadratic relation $(T_s - q_s)(T_s + 1) = 0$."""
+    H = HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 3]))
+    d = H.datum
+    # a product of monomials on length-zero parts meets the L1 bound, so
+    # its coefficient fills the slot: 2^63 needs 64 bits and a sign bit
+    omega = H.omega.elements[-1]
+    for a, c in [(2**31, 2**32), (-(2**31), 2**32), (2**40, -(2**40))]:
+        top = H.t(omega).scale(Laurent.v(-5) * a) * H.t(omega).scale(c)
+        assert top == H.t(omega * omega).scale(Laurent.v(-5) * (a * c))
+    x = H.t_word((0, 1, 2)).scale(Laurent({-3: 2**70, 4: -(2**50)}))
+    y = H.t_word((2, 1)).scale(Laurent({5: 2**60 + 1})) + H.one()
+    prod = x * y
+    assert prod == letter_by_letter(x, y)
+    assert max(abs(a).bit_length() for c in prod.terms.values()
+               for a in c.c.values()) > 64
+    for s in range(d.rank + 1):
+        ts = H.t_word((s,))
+        qs = H.q(s)
+        top = ts.scale(2**31) * ts.scale(2**32)
+        assert top == (ts.scale(qs - Laurent.one())
+                       + H.one().scale(qs)).scale(2**63)
+        assert top.coeff(ExtWeylElt.identity(d)) == qs * 2**63
+        big = Laurent({-7: 2**70, 2: -3})
+        left = (ts - H.one().scale(qs)).scale(big)
+        right = (ts + H.one()).scale(big)
+        assert (left * right).is_zero()
+        assert (right * left).is_zero()
+
+
 def test_central_from_orbit_validates():
     H = HeckeAlgebra(build_root_datum("C", 2))
     orbit = H.datum.weyl_orbit((1, 1))
@@ -369,12 +428,15 @@ def test_equality_respects_the_algebra():
     """Elements of algebras that ``*`` refuses to mix are unequal, even
     with equal alcove vectors; an algebra of a datum built twice compares
     equal."""
+    def vectors(x):
+        return {w.q: c for w, c in x.terms.items()}
+
     a2, g2 = (HeckeAlgebra(build_root_datum(k, 2)) for k in "AG")
-    assert a2.one().terms == g2.one().terms and a2.one() != g2.one()
+    assert vectors(a2.one()) == vectors(g2.one()) and a2.one() != g2.one()
     plain, weighted = (HeckeAlgebra(build_root_datum("C", 2, weights=w))
                        for w in ([1, 1, 1], [1, 2, 3]))
     s1, s1_weighted = plain.t_word((1,)), weighted.t_word((1,))
-    assert s1.terms == s1_weighted.terms and s1 != s1_weighted
+    assert vectors(s1) == vectors(s1_weighted) and s1 != s1_weighted
     for x, y in [(a2.one(), g2.one()), (s1, s1_weighted)]:
         with pytest.raises(DatumMismatch):
             x * y

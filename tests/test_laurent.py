@@ -111,6 +111,43 @@ def test_coefficient_reduction():
     assert x.mod_coeffs(5) == 4 * Laurent.v(2)
 
 
+def test_constants_hash_as_their_integers():
+    """A constant polynomial equals its integer and hashes as it, zero as
+    0, so a set or a dict does not tell them apart."""
+    assert len({Laurent.one(), 1}) == 1
+    for n in (0, 1, -1, 7, 2**70):
+        assert Laurent.of_int(n) == n and hash(Laurent.of_int(n)) == hash(n)
+    assert hash(Laurent.zero()) == 0
+    assert {Laurent.of_int(3): "three"}[3] == "three"
+    assert hash(Laurent.v()) == hash(Laurent.v())
+
+
+def test_packing_is_a_ring_map():
+    """Packing at $v = 2^b$ (Kronecker substitution) unpacks to the same
+    polynomial and takes sums, products and shifts to integer sums,
+    products and left shifts, while every coefficient stays below
+    $2^{b-1}$ in absolute value."""
+    rng = random.Random(5)
+    for _ in range(200):
+        a, c = (Laurent({rng.randint(-9, 9): rng.randint(-2**40, 2**40)
+                         for _ in range(rng.randint(0, 5))})
+                for _ in range(2))
+        b = (a.norm1() * c.norm1() + a.norm1() + c.norm1() + 1
+             ).bit_length() + 1
+        lo_a, lo_c = a.min_exp() - 1, c.min_exp()
+        pa, pc = a.pack(b, lo_a), c.pack(b, lo_c)
+        assert Laurent.unpack(pa, b, lo_a) == a
+        assert Laurent.unpack(pa * pc, b, lo_a + lo_c) == a * c
+        assert Laurent.unpack(pa << 3 * b, b, lo_a) == a.shift(3)
+        lo = min(lo_a, lo_c)
+        assert Laurent.unpack(a.pack(b, lo) - c.pack(b, lo), b, lo) == a - c
+    assert Laurent.unpack(0, 8, -4).is_zero()
+    with pytest.raises(ValueError):
+        Laurent.unpack(1, 1, 0)
+    assert Laurent.unpack(Laurent({0: -127, 1: 127}).pack(8, 0), 8, 0) == (
+        Laurent({0: -127, 1: 127}))
+
+
 def test_json_round_trip():
     x = Laurent.v(-2) + Laurent.of_int(5) - 3 * Laurent.v(4)
     assert Laurent.from_json(x.to_json()) == x

@@ -16,7 +16,7 @@ from heckelab.extweyl import (affine_root_is_positive, affine_simple,
                               translation_word)
 from heckelab.hecke import HeckeElt
 from geom_oracle import (alcove_length, box_monoid_generators,
-                         check_monoid_generators)
+                         check_monoid_generators, letter_by_letter)
 
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -192,47 +192,13 @@ def test_translation_class_counts_match_word(point):
         sum(1 for s in word if s in cls) for cls in d.classes]
 
 
-def times_letter(H, terms, s, twisted):
-    """``terms``, a dict from group elements to coefficients, times T_s,
-    or times $T^*_s = T_s - q_s + 1$ when ``twisted``, one term at a time
-    (Iwahori and Matsumoto 1965): $T_x T_s = T_{xs}$ when s raises the
-    length of x, else $q_s T_{xs} + (q_s - 1) T_x$."""
-    q1 = H.q(s) - Laurent.one()
-    out = H.zero()
-    for x, c in terms.items():
-        xs, descent = x.step(s)
-        if descent:
-            part = H.t(xs).scale(H.q(s)) + H.t(x).scale(q1)
-        else:
-            part = H.t(xs)
-        if twisted:
-            part = part - H.t(x).scale(q1)
-        out = out + part.scale(c)
-    return out.terms
-
-
-def letter_by_letter(x, y, twisted=False):
-    """``x`` times ``y`` (times the twisted symbols of ``y``'s support when
-    ``twisted``), one right-hand term at a time: the length-zero part, then
-    each letter of the reduced word on the whole partial product, by the
-    rule of :func:`times_letter`."""
-    H = x.alg
-    total = H.zero()
-    for w, c in y.terms.items():
-        omega, word = w.reduced_word()
-        part = {u * omega: a for u, a in x.terms.items()}
-        for s in word:
-            part = times_letter(H, part, s, twisted)
-        total = total + HeckeElt(H, part).scale(c)
-    return total
-
-
 @st.composite
-def hecke_elements(draw, H, max_terms=4):
+def hecke_elements(draw, H, max_terms=4, coeff=3, exp=3):
     """A sum of up to ``max_terms`` basis elements with random Laurent
-    coefficients.  Each index is a random supported length-zero part times
-    a word that starts with a prefix shared by the element's terms, so the
-    reduced words of the support often share prefixes."""
+    coefficients, integers in -``coeff``..``coeff`` at exponents in
+    -``exp``..``exp``.  Each index is a random supported length-zero part
+    times a word that starts with a prefix shared by the element's terms,
+    so the reduced words of the support often share prefixes."""
     d = H.datum
     omegas = H.omega.elements
     prefix = draw(st.lists(st.integers(0, d.rank), max_size=3))
@@ -241,8 +207,9 @@ def hecke_elements(draw, H, max_terms=4):
         omega = omegas[draw(st.integers(0, len(omegas) - 1))]
         tail = draw(st.lists(st.integers(0, d.rank), max_size=3))
         w = ExtWeylElt.from_word(d, prefix + tail, omega)
-        coeffs = draw(st.dictionaries(st.integers(-3, 3),
-                                      st.integers(-3, 3), max_size=3))
+        coeffs = draw(st.dictionaries(st.integers(-exp, exp),
+                                      st.integers(-coeff, coeff),
+                                      max_size=3))
         terms[w] = Laurent(coeffs) + terms.get(w, Laurent.zero())
     return HeckeElt(H, terms)
 
@@ -265,6 +232,20 @@ def test_trie_product_matches_letter_by_letter(d, data):
         sign = -1 if w.length() % 2 else 1
         expected = expected + H.star_t(w).scale(c * sign)
     assert H.sign_star(y) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_data(), st.data())
+def test_packed_products_are_exact_at_the_slot_bound(d, data):
+    """With coefficients up to $2^{80}$ in absolute value at exponents in
+    -40..40, so that packed slots are wide and results pass 64 bits, the
+    plain and the twisted product equal the letter-by-letter product."""
+    H = HeckeAlgebra(d)
+    x = data.draw(hecke_elements(H, coeff=2**80, exp=40))
+    y = data.draw(hecke_elements(H, coeff=2**80, exp=40))
+    assert x * y == letter_by_letter(x, y)
+    assert x._product(y.terms, twisted=True) == letter_by_letter(
+        x, y, twisted=True)
 
 
 def check_terms_are_group_elements(H, x, y, central=False):
