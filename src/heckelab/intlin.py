@@ -45,11 +45,13 @@ _MR_LIMIT = 318665857834031151167461
 
 
 def is_prime(p) -> bool:
-    """Primality of an int by Miller-Rabin over the first twelve prime
-    bases, deterministic below $3.18 \\cdot 10^{23}$; beyond that bound
-    it raises ``ValueError``."""
-    if not (isinstance(p, int) and p >= 2):
+    """Primality of an integer that is not a bool (numpy integers count)
+    by Miller-Rabin over the first twelve prime bases, deterministic
+    below $3.18 \\cdot 10^{23}$; beyond that bound it raises
+    ``ValueError``."""
+    if not (is_int(p) and p >= 2):
         return False
+    p = int(p)
     if p >= _MR_LIMIT:
         raise ValueError(f"{p} is past the exact Miller-Rabin bound")
     if p in _MR_BASES or any(p % a == 0 for a in _MR_BASES):

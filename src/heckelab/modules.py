@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (CharacterExtends, DatumMismatch, NoIndexTwoStructure,
                      NotSimplyLaced, RelationsFail)
-from .intlin import is_prime
+from .intlin import is_int, is_prime
 from .laurent import Laurent, LaurentMatrix, q_power
 from .rootdata import RootDatum
 from .hecke import HeckeAlgebra, HeckeElt
@@ -426,9 +426,10 @@ class FinModule:
     def __init__(self, alg: HeckeAlgebra, smats, omega_mats,
                  prime: int | None = None,
                  generic: "FinModule | None" = None, name: str = ""):
-        if prime is not None and not (isinstance(prime, int)
-                                      and prime < 2**63 and is_prime(prime)):
-            raise ValueError(f"{prime} is not a prime below 2^63")
+        if prime is not None:
+            if not (is_int(prime) and int(prime) < 2**63 and is_prime(prime)):
+                raise ValueError(f"{prime} is not a prime below 2^63")
+            prime = int(prime)
         self.alg = alg
         self.prime = prime
         self.generic = generic

@@ -22,8 +22,11 @@ $k$ corresponds to finite node $k + 1$ throughout.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
+import types
+from operator import mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -136,44 +139,172 @@ def reflect_root(cartan: Sequence[Vec], s: int, n: Sequence[int]) -> Vec:
     return tuple(out)
 
 
-def _bond_from_product(n: int) -> int:
-    return {0: 2, 1: 3, 2: 4, 3: 6}.get(n, INFINITE_BOND)
+@functools.cache
+def _type_frame(kind: str, rank: int) -> Mapping:
+    """The frame of the type (kind, rank): every attribute of a
+    :class:`RootDatum` that depends on the type alone, by name, in one
+    read-only mapping built once per type and shared by its data.
+    ``_coweight_cosets`` lists the canonical representatives of the
+    coweight lattice modulo the coroot lattice, sorted: the echelon
+    coroot basis is square and triangular with positive pivots $p_i$, so
+    they are the points of $\\prod_i [0, p_i)$."""
+    cartan = cartan_matrix(kind, rank)
+    pos_roots = _close_roots(cartan)
+    assert len(pos_roots) == _POS_ROOT_COUNT[kind](rank)
+    # the highest root is the unique positive root of greatest height
+    theta, theta_coroot = max(pos_roots, key=lambda rc: sum(rc[0]))
+    coroot_basis = intlin.echelon_basis(cartan, rank)
+    a = _affine_cartan(cartan, theta, theta_coroot)
+    # the bond m(i, j) read off the product a_ij a_ji of Cartan entries
+    coxeter_m = tuple(tuple(
+        1 if i == j else {0: 2, 1: 3, 2: 4, 3: 6}.get(x * y, INFINITE_BOND)
+        for j, (x, y) in enumerate(zip(row, col)))
+        for i, (row, col) in enumerate(zip(a, zip(*a))))
+    classes = _conjugacy_classes(coxeter_m)
+
+    def nonzero(v):
+        return tuple((k, x) for k, x in enumerate(v) if x)
+
+    v0 = tuple(range(2, rank + 2))
+    return types.MappingProxyType(dict(
+        kind=kind, rank=rank, cartan=cartan, pos_roots=pos_roots,
+        theta=theta, theta_coroot=theta_coroot, coroot_basis=coroot_basis,
+        affine_cartan=a, coxeter_m=coxeter_m, classes=classes,
+        class_of_node=types.MappingProxyType(
+            {s: k for k, cls in enumerate(classes) for s in cls}),
+        _hyperplane_classes=_hyperplane_tables(cartan, pos_roots, classes),
+        # nonzero (index, entry) pairs of each affine node's coroot and
+        # root (theta_coroot, theta at 0; cartan[s - 1], e_(s-1) at s)
+        node_supports=tuple((nonzero(cov), nonzero(root)) for cov, root in zip(
+            (theta_coroot,) + cartan, (theta,) + intlin.identity(rank))),
+        # (v0, D) with x_0 = v0 / D a point of the base alcove where the
+        # simple affine roots take the pairwise distinct values c_i / D,
+        # c_i = i + 1: v0 = (c_1, ..., c_l) and D = c_0 + <theta, v0>
+        alcove_point=(v0, 1 + sum(map(mul, theta, v0))),
+        _coweight_cosets=tuple(itertools.product(
+            *(range(row[i]) for i, row in enumerate(coroot_basis))))))
+
+
+def _close_roots(cartan: tuple[Vec, ...]) -> tuple[tuple[Vec, Vec], ...]:
+    """All positive roots as (root coords, coroot coweight coords).
+
+    Closes the simple roots under simple reflections, skipping images
+    with a negative coordinate: every positive root is reached from a
+    simple root through positive roots of rising height."""
+    rank = len(cartan)
+    frontier = list(zip(intlin.identity(rank), cartan))
+    seen = dict(frontier)
+    while frontier:
+        nxt = []
+        for root, cov in frontier:
+            for s in range(1, rank + 1):
+                r2 = reflect_root(cartan, s, root)
+                if r2 not in seen and min(r2) >= 0:
+                    c2 = reflect_coweight(cartan, s, cov)
+                    seen[r2] = c2
+                    nxt.append((r2, c2))
+        frontier = nxt
+    return tuple(sorted(seen.items()))
+
+
+def _affine_cartan(cartan: tuple[Vec, ...], theta: Vec,
+                   theta_coroot: Vec) -> tuple[Vec, ...]:
+    """Pairings <a_j, a_i-coroot> for affine node labels i, j: node 0
+    has the root part -theta and the coroot -theta_coroot."""
+    covs = (tuple(-x for x in theta_coroot),) + cartan
+    grads = (tuple(-x for x in theta),) + intlin.identity(len(cartan))
+    return tuple(tuple(2 if i == j else sum(map(mul, grad, cov))
+                       for j, grad in enumerate(grads))
+                 for i, cov in enumerate(covs))
+
+
+def _conjugacy_classes(coxeter_m: tuple[Vec, ...]
+                       ) -> tuple[tuple[int, ...], ...]:
+    """Conjugacy classes of affine simple reflections.
+
+    Two simple reflections are conjugate exactly when the diagram
+    connects them by a path of odd bonds.  Classes come back sorted by
+    decreasing size, then classes without node 0 first, then by the
+    smallest node label.
+    """
+    n = len(coxeter_m)
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = coxeter_m[i][j]
+            if m > 0 and m % 2 == 1:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    classes = [tuple(sorted(g)) for g in groups.values()]
+    classes.sort(key=lambda cls: (-len(cls), int(0 in cls), cls[0]))
+    return tuple(classes)
+
+
+def _hyperplane_tables(cartan: tuple[Vec, ...], pos_roots, classes):
+    """Positive roots as columns and the read-only int64 one-hot (root,
+    class) tables of their even and odd hyperplanes for
+    :meth:`RootDatum.translation_class_counts`."""
+    roots = np.array([r for r, _ in pos_roots], dtype=np.int64)
+    cartan = np.array(cartan, dtype=np.int64)
+    # descend every root to a simple root of its Weyl orbit at once: a
+    # root of height > 1 pairs positively with some simple coroot, and
+    # the first such reflection lowers its height
+    beta = roots.copy()
+    while (high := np.flatnonzero(beta.sum(axis=1) > 1)).size:
+        pairs = beta[high] @ cartan.T
+        i = (pairs > 0).argmax(axis=1)
+        beta[high, i] -= pairs[np.arange(len(high)), i]
+    node = np.empty(len(cartan) + 1, dtype=np.int64)
+    for k, cls in enumerate(classes):
+        node[list(cls)] = k
+    even = node[1:][beta.argmax(axis=1)]
+    two = ~((roots @ cartan.T) % 2).any(axis=1)
+    odd = np.where(two, node[0], even)
+    one_hot = np.eye(len(classes), dtype=np.int64)
+    tables = roots.T, one_hot[even], one_hot[odd]
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 class RootDatum:
     """An irreducible affine root datum with node weights and a lattice.
 
     Instances are built by :func:`build_root_datum` and treated as
-    immutable.  ``weights[i]`` is the weight of affine node ``i``; weights
-    are constant on conjugacy classes of simple affine reflections by
-    construction.
+    immutable.  What a datum holds comes in three layers:
+
+    * per type (kind, rank), its *frame*: ``cartan``, ``pos_roots``,
+      ``theta``, ``theta_coroot``, ``coroot_basis``, ``affine_cartan``,
+      ``coxeter_m``, ``classes``, ``class_of_node``, ``node_supports``,
+      ``alcove_point`` and the hyperplane tables of
+      :meth:`translation_class_counts`.  The frame is built once per type
+      and process and shared read-only, by identity, by every datum of
+      the type (its numpy tables are not writeable);
+    * per lattice: ``lattice_name``, ``lattice_basis``, ``lattice_index``
+      and :meth:`lattice_cosets`;
+    * per datum: ``weights`` (``weights[i]`` is the weight of affine node
+      ``i``, constant on conjugacy classes of simple affine reflections
+      by construction), ``class_weights`` and the caches of elements
+      bound to the datum, ``simple_reflections`` and
+      ``length_zero_group``.
     """
 
-    def __init__(self, kind: str, rank: int, cartan: tuple[Vec, ...],
-                 weights: Vec, lattice_name: str,
+    def __init__(self, kind: str, rank: int, weights: Vec, lattice_name: str,
                  lattice_basis: tuple[Vec, ...]):
-        self.kind = kind
-        self.rank = rank
-        self.cartan = cartan
+        vars(self).update(_type_frame(kind, rank))
         self.weights = weights
         self.lattice_name = lattice_name
         self.lattice_basis = lattice_basis
-
-        self.pos_roots = self._close_roots()
-        assert len(self.pos_roots) == _POS_ROOT_COUNT[kind](rank)
-        self.theta, self.theta_coroot = self._highest_root()
-        self.coroot_basis = intlin.echelon_basis(cartan, rank)
-        self.affine_cartan = a = self._affine_cartan()
-        self.coxeter_m = tuple(
-            tuple(1 if i == j else _bond_from_product(a[i][j] * a[j][i])
-                  for j in range(rank + 1)) for i in range(rank + 1))
-        self.classes = self._conjugacy_classes()
-        self.class_of_node = {
-            s: k for k, cls in enumerate(self.classes) for s in cls
-        }
-        self.class_weights = tuple(
-            self.weights[cls[0]] for cls in self.classes
-        )
+        self.class_weights = tuple(weights[cls[0]] for cls in self.classes)
         self.lattice_index = abs(intlin.det(lattice_basis))
         # node -> its simple reflection, filled by
         # ExtWeylElt.simple_reflection
@@ -212,22 +343,11 @@ class RootDatum:
         return intlin.reduce_mod_lattice(self.coroot_basis, c)
 
     def lattice_cosets(self) -> tuple[Vec, ...]:
-        """Canonical representatives of lattice / coroot-lattice cosets."""
-        seen = {self.coset_mod_coroots((0,) * self.rank)}
-        frontier = list(seen)
-        gens = [g for g in self.lattice_basis]
-        gens += [tuple(-x for x in g) for g in self.lattice_basis]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for g in gens:
-                    d = self.coset_mod_coroots(
-                        tuple(a + b for a, b in zip(c, g)))
-                    if d not in seen:
-                        seen.add(d)
-                        nxt.append(d)
-            frontier = nxt
-        return tuple(sorted(seen))
+        """Canonical representatives of lattice / coroot-lattice cosets,
+        sorted: the coweight cosets of the frame that lie in the lattice
+        (the lattice holds the coroots, so a coset lies in it or misses
+        it whole)."""
+        return tuple(c for c in self._coweight_cosets if self.in_lattice(c))
 
     # ---- Weyl group on coweights ---------------------------------------
 
@@ -349,47 +469,6 @@ class RootDatum:
         weights."""
         return int(self.translation_class_counts(lam) @ self.class_weights)
 
-    @functools.cached_property
-    def _hyperplane_classes(self):
-        """Positive roots as columns and the int64 one-hot (root, class)
-        tables of their even and odd hyperplanes for
-        :meth:`translation_class_counts`."""
-        roots = np.array([r for r, _ in self.pos_roots], dtype=np.int64)
-        cartan = np.array(self.cartan, dtype=np.int64)
-        # descend every root to a simple root of its Weyl orbit at once: a
-        # root of height > 1 pairs positively with some simple coroot, and
-        # the first such reflection lowers its height
-        beta = roots.copy()
-        while (high := np.flatnonzero(beta.sum(axis=1) > 1)).size:
-            pairs = beta[high] @ cartan.T
-            i = (pairs > 0).argmax(axis=1)
-            beta[high, i] -= pairs[np.arange(len(high)), i]
-        node = [self.class_of_node[s] for s in range(self.rank + 1)]
-        even = np.array(node[1:])[beta.argmax(axis=1)]
-        two = ~((roots @ cartan.T) % 2).any(axis=1)
-        odd = np.where(two, node[0], even)
-        one_hot = np.eye(len(self.classes), dtype=np.int64)
-        return roots.T, one_hot[even], one_hot[odd]
-
-    @functools.cached_property
-    def node_supports(self):
-        """Nonzero (index, entry) pairs of each affine node's coroot and
-        root (theta_coroot, theta at 0; cartan[s - 1], e_(s-1) at s)."""
-        def nonzero(v):
-            return tuple((k, x) for k, x in enumerate(v) if x)
-        return tuple((nonzero(cov), nonzero(root)) for cov, root in zip(
-            (self.theta_coroot,) + self.cartan,
-            (self.theta,) + intlin.identity(self.rank)))
-
-    @functools.cached_property
-    def alcove_point(self) -> tuple[Vec, int]:
-        """``(v0, D)`` with $x_0 = v_0 / D$ a point of the base alcove
-        where the simple affine roots take the pairwise distinct values
-        $c_i / D$, $c_i = i + 1$: $v_0 = (c_1, \\dots, c_\\ell)$ and
-        $D = c_0 + \\langle \\theta, v_0 \\rangle$."""
-        v0 = tuple(range(2, self.rank + 2))
-        return v0, 1 + self.pairing(self.theta, v0)
-
     def dominant_rep(self, c: Sequence[int]) -> Vec:
         """The unique dominant coweight in the Weyl orbit of ``c``."""
         cur = tuple(c)
@@ -399,90 +478,6 @@ class RootDatum:
             if s is None:
                 return cur
             cur = self.reflect(s, cur)
-
-    # ---- derivation helpers --------------------------------------------
-
-    def _close_roots(self) -> tuple[tuple[Vec, Vec], ...]:
-        """All positive roots as (root coords, coroot coweight coords).
-
-        Closes the simple roots under simple reflections, skipping images
-        with a negative coordinate: every positive root is reached from a
-        simple root through positive roots of rising height."""
-        rank, cartan = self.rank, self.cartan
-        seen: dict[Vec, Vec] = {}
-        frontier: list[tuple[Vec, Vec]] = []
-        for s in range(1, rank + 1):
-            r = tuple(int(j == s - 1) for j in range(rank))
-            seen[r] = cartan[s - 1]
-            frontier.append((r, cartan[s - 1]))
-        while frontier:
-            nxt = []
-            for root, cov in frontier:
-                for s in range(1, rank + 1):
-                    r2 = reflect_root(cartan, s, root)
-                    if r2 not in seen and min(r2) >= 0:
-                        c2 = reflect_coweight(cartan, s, cov)
-                        seen[r2] = c2
-                        nxt.append((r2, c2))
-            frontier = nxt
-        return tuple(sorted(seen.items()))
-
-    def _highest_root(self) -> tuple[Vec, Vec]:
-        best = None
-        for root, cov in self.pos_roots:
-            if all(self.pairing(root, self.cartan[i]) >= 0
-                   for i in range(self.rank)):
-                if best is None or sum(root) > sum(best[0]):
-                    best = (root, cov)
-        assert best is not None
-        return best
-
-    def _affine_gradient(self, i: int) -> Vec:
-        """Root part of the affine simple root at node ``i``."""
-        if i == 0:
-            return tuple(-x for x in self.theta)
-        return self.simple_root(i)
-
-    def _affine_cartan(self) -> tuple[Vec, ...]:
-        """Pairings <a_j, a_i-coroot> for affine node labels i, j."""
-        n = self.rank + 1
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            cov = (tuple(-x for x in self.theta_coroot) if i == 0
-                   else self.simple_coroot(i))
-            for j in range(n):
-                grad = self._affine_gradient(j)
-                out[i][j] = 2 if i == j else self.pairing(grad, cov)
-        return tuple(tuple(r) for r in out)
-
-    def _conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Conjugacy classes of affine simple reflections.
-
-        Two simple reflections are conjugate exactly when the diagram
-        connects them by a path of odd bonds.  Classes come back sorted by
-        decreasing size, then classes without node 0 first, then by the
-        smallest node label.
-        """
-        n = self.rank + 1
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = self.coxeter_m[i][j]
-                if m > 0 and m % 2 == 1:
-                    parent[find(i)] = find(j)
-        groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        classes = [tuple(sorted(g)) for g in groups.values()]
-        classes.sort(key=lambda cls: (-len(cls), int(0 in cls), cls[0]))
-        return tuple(classes)
 
     # ---- presentation ---------------------------------------------------
 
@@ -547,14 +542,6 @@ def _normalize_weights(datum_classes: tuple[tuple[int, ...], ...],
     return tuple(out)
 
 
-@functools.cache
-def _bare_datum(kind: str, rank: int) -> RootDatum:
-    """Weight-1, full-lattice datum used to derive classes once per type."""
-    cartan = cartan_matrix(kind, rank)
-    return RootDatum(kind, rank, cartan, (1,) * (rank + 1), "coweight",
-                     intlin.identity(rank))
-
-
 def build_root_datum(kind: str, rank: int, weights=1,
                      lattice="coweight") -> RootDatum:
     """Construct a validated root datum.
@@ -574,13 +561,13 @@ def build_root_datum(kind: str, rank: int, weights=1,
     if not intlin.is_int(rank):
         raise InvalidRank(f"rank must be an integer, got {rank!r}")
     kind, rank = kind.upper(), int(rank)
-    base = _bare_datum(kind, rank)
-    w = _normalize_weights(base.classes, rank, weights)
+    frame = _type_frame(kind, rank)
+    w = _normalize_weights(frame["classes"], rank, weights)
 
     if lattice == "coweight":
         name, basis = "coweight", intlin.identity(rank)
     elif lattice == "coroot":
-        name, basis = "coroot", intlin.echelon_basis(base.cartan, rank)
+        name, basis = "coroot", frame["coroot_basis"]
     else:
         rows = [tuple(row) for row in lattice]
         if not all(intlin.is_int(x) for r in rows for x in r):
@@ -593,12 +580,12 @@ def build_root_datum(kind: str, rank: int, weights=1,
         basis = intlin.echelon_basis(rows, rank)
         if len(basis) != rank:
             raise LatticeNotIntermediate("lattice does not have full rank")
-        for row in base.cartan:
+        for row in frame["cartan"]:
             if not intlin.in_row_lattice(basis, row):
                 raise LatticeNotIntermediate(
                     "lattice does not contain the coroot lattice")
         name = "custom"
-    return RootDatum(kind, rank, base.cartan, w, name, basis)
+    return RootDatum(kind, rank, w, name, basis)
 
 
 def dominant_monoid_generators(datum: RootDatum,

@@ -19,6 +19,11 @@ The orbit oracle ``search_weyl_orbit`` is the breadth-first search over
 every simple reflection, with a set of seen points, that
 ``RootDatum.weyl_orbit`` used before its reverse-search walk.
 
+The coset oracle ``search_lattice_cosets`` is the breadth-first closure
+of the zero coset under the lattice generators and their negatives, with
+a set of seen representatives, that ``RootDatum.lattice_cosets`` used
+before it filtered the coweight cosets of the type's frame.
+
 The product oracle ``letter_by_letter`` multiplies Hecke elements one
 right-hand term and one letter at a time, on ``Laurent`` coefficients,
 with no prefix sharing and no packed coefficients.
@@ -67,6 +72,27 @@ def search_weyl_orbit(datum, c):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def search_lattice_cosets(datum):
+    """Canonical representatives of lattice / coroot-lattice cosets,
+    sorted: the closure of the zero coset under adding the lattice
+    generators and their negatives, reduced mod the coroot lattice."""
+    seen = {datum.coset_mod_coroots((0,) * datum.rank)}
+    frontier = list(seen)
+    gens = list(datum.lattice_basis)
+    gens += [tuple(-x for x in g) for g in datum.lattice_basis]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for g in gens:
+                d = datum.coset_mod_coroots(
+                    tuple(a + b for a, b in zip(c, g)))
+                if d not in seen:
+                    seen.add(d)
+                    nxt.append(d)
         frontier = nxt
     return tuple(sorted(seen))
 

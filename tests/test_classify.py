@@ -177,6 +177,17 @@ def test_every_readme_datum_answers():
     assert len(expected) == 16
 
 
+def test_search_takes_a_numpy_prime():
+    """A numpy integer prime is taken as the int it holds: the module
+    stores a Python int and the answer is that of the plain int."""
+    d = build_root_datum("C", 2, weights=[1, 2, 2])
+    out = key_result_search(d, p=np.int64(5))
+    assert type(out.module.prime) is int and out.module.prime == 5
+    assert out.certificate == key_result_search(d, p=5).certificate
+    with pytest.raises(ValueError):
+        key_result_search(d, p=np.int64(9))
+
+
 def test_search_requires_the_full_coweight_lattice():
     H = HeckeAlgebra(build_root_datum("A", 2, lattice="coroot"))
     with pytest.raises(ValueError):

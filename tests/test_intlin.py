@@ -32,6 +32,12 @@ def test_is_prime_on_pseudoprimes_and_large_primes():
         is_prime(318665857834031151167461)
 
 
+def test_is_prime_takes_numpy_integers():
+    assert is_prime(np.int64(7)) and is_prime(np.uint64(2**64 - 59))
+    assert not is_prime(np.int64(9)) and not is_prime(np.bool_(True))
+    assert is_prime(np.int32(2**31 - 1))
+
+
 def test_stacked_reduction_refuses_stacks_that_could_wrap_int64():
     # the A2 coroot basis ((1, -2), (0, 3)) grows a bound M + 1 by at
     # most 4 per row: entries of 2^58 pass, 2^60 is refused

@@ -16,7 +16,8 @@ from heckelab.extweyl import (affine_root_is_positive, affine_simple,
                               translation_word)
 from heckelab.hecke import HeckeElt
 from geom_oracle import (alcove_length, box_monoid_generators,
-                         check_monoid_generators, letter_by_letter)
+                         check_monoid_generators, letter_by_letter,
+                         search_lattice_cosets)
 
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -42,6 +43,12 @@ def test_parallelepiped_on_random_lattices(d):
     gens = dominant_monoid_generators(d)
     assert gens == box_monoid_generators(d)
     assert check_monoid_generators(d, gens, bound=3) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(intermediate_lattices())
+def test_lattice_cosets_match_search_oracle_on_random_lattices(d):
+    assert d.lattice_cosets() == search_lattice_cosets(d)
 
 
 @st.composite

@@ -2,12 +2,14 @@
 and the dominant monoid generators checked against a brute-force
 box enumeration (see geom_oracle)."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
 
 from heckelab import (
+    ExtWeylElt,
     DecorationNotClassConstant,
     HeckeAlgebra,
     HilbertBasisOverflow,
@@ -21,6 +23,7 @@ from heckelab import (
 from geom_oracle import (
     box_monoid_generators,
     check_monoid_generators,
+    search_lattice_cosets,
     search_weyl_orbit,
 )
 from test_acceptance import TABLE
@@ -146,6 +149,78 @@ def test_coset_separates_coroot_classes():
             diff = tuple(a - b for a, b in zip(lam, mu))
             same = d.coset_mod_coroots(lam) == d.coset_mod_coroots(mu)
             assert same == d.in_coroot_lattice(diff)
+
+
+def test_lattice_cosets_match_search_oracle():
+    """The coweight cosets of the frame kept by the lattice test are the
+    breadth-first closure of the zero coset, on the 33 README types over
+    the coweight and the coroot lattice."""
+    for kind, rank in README_TYPES:
+        for lattice in ("coweight", "coroot"):
+            d = build_root_datum(kind, rank, lattice=lattice)
+            assert d.lattice_cosets() == search_lattice_cosets(d), (
+                kind, rank, lattice)
+            assert len(d.lattice_cosets()) * d.lattice_index == len(
+                d._coweight_cosets)
+
+
+# the frame fields, shared by every datum of a type
+FRAME_FIELDS = ("kind", "rank", "cartan", "pos_roots", "theta",
+                "theta_coroot", "coroot_basis", "affine_cartan", "coxeter_m",
+                "classes", "class_of_node", "_hyperplane_classes",
+                "node_supports", "alcove_point", "_coweight_cosets")
+
+
+def test_data_of_one_type_share_the_frame():
+    """Two data of one type with different weights and lattices hold the
+    frame's objects by identity, and nothing bound to the datum."""
+    d = build_root_datum("C", 3, weights=[1, 2, 3])
+    e = build_root_datum("C", 3, weights=2, lattice="coroot")
+    assert d.weights != e.weights and d.lattice_basis != e.lattice_basis
+    for name in FRAME_FIELDS:
+        assert getattr(d, name) is getattr(e, name), name
+    assert d.simple_reflections is not e.simple_reflections
+    ExtWeylElt.simple_reflection(d, 0)
+    assert 0 in d.simple_reflections and not e.simple_reflections
+    HeckeAlgebra(d)
+    assert d.length_zero_group is not None and e.length_zero_group is None
+    HeckeAlgebra(e)
+    assert e.length_zero_group is not d.length_zero_group
+
+
+def test_frame_is_read_only():
+    """Writing to a shared hyperplane table, to the node classes or to
+    the frame itself raises."""
+    d = build_root_datum("B", 3)
+    for table in d._hyperplane_classes:
+        with pytest.raises(ValueError):
+            table[0, 0] = 7
+    with pytest.raises(TypeError):
+        d.class_of_node[0] = 1
+    frame = rootdata._type_frame("B", 3)
+    with pytest.raises(TypeError):
+        frame["cartan"] = ()
+
+
+def test_frame_built_once_per_type(monkeypatch):
+    """Data, algebras and answers of one type share one build of its
+    frame, and one datum build makes one RootDatum."""
+    frames, data = [], []
+    build = rootdata._type_frame.__wrapped__
+    monkeypatch.setattr(rootdata, "_type_frame", functools.cache(
+        lambda kind, rank: frames.append((kind, rank)) or build(kind, rank)))
+    init = rootdata.RootDatum.__init__
+    monkeypatch.setattr(rootdata.RootDatum, "__init__",
+                        lambda self, *a: data.append(a) or init(self, *a))
+    for weights, lattice in [(1, "coweight"), ([1, 2, 2], "coweight"),
+                             (2, "coroot"), (1, [(1, 0), (0, 2)])]:
+        d = build_root_datum("C", 2, weights=weights, lattice=lattice)
+        H = HeckeAlgebra(d)
+        H.central((1, 0))
+        dominant_monoid_generators(d)
+    build_root_datum("G", 2)
+    assert frames == [("C", 2), ("G", 2)]
+    assert len(data) == 5
 
 
 def test_weyl_orbits():
