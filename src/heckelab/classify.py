@@ -460,7 +460,7 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     takes the $v^0$ coefficient of the exact action (:meth:`FinModule.act`
     on :meth:`HeckeAlgebra.central_from_orbit`).  That route multiplies
     Hecke elements whose supports grow exponentially with the orbit's
-    translations: on C5 it did not finish one generator orbit in 150 s."""
+    translations: an 80-point C5 orbit sum (143,701 terms) takes 1 min."""
     assert not module.is_modular
     alg = module.alg
     pts = alg.datum.orbit_stack(orbit)

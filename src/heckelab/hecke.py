@@ -27,14 +27,18 @@ $T^*_w$ (products of $T^*_s = T_s - q_s + 1$ along a reduced word), the
 algebra automorphism sending $T_w$ to $(-1)^{\ell(w)} T^*_w$, Bernstein
 elements $E_\lambda$ for lattice points $\lambda$, and central orbit sums
 $z_\mathcal{O} = \sum_{\lambda \in \mathcal{O}} E_\lambda$ (Lusztig 1989),
-taken as one product per dominant part of the orbit's points.
+taken as one twisted walk per dominant part of the orbit's points.
 $E_\lambda$ is read off one split $\lambda = \lambda_+ - \lambda_-$ into
 dominant lattice points, by one rule for the coroot and the effective
 lattice: the componentwise positive and negative parts when $\lambda_+$
 lies in the lattice, else both shifted by the least $s \ge 0$ that makes
 $\lambda_+ + s$ a sum of the lattice's rays $a_i e_i$.  One stacked
 method, ``bernstein_split``, checks and splits a whole orbit at once,
-with the exponent of $v$ that normalizes each point's product.
+with the exponent $\delta$ of $E_\lambda = v^{-\delta} T^*_{t_+} T_{t_-}$.
+Its factors are Bernstein elements, which commute, so a sum walks each
+point's $T_{t_-}$ through the twisted letters of $t_+$, never expanding
+$T^*_{t_+}$, at the slot width of the L1 bound $\sum_{\lambda_+}
+n(\lambda_+) 3^{\ell(t_+)}$ over $n(\lambda_+)$ points per $\lambda_+$.
 
 Weights that are not constant on length-zero orbits shrink the algebra:
 only translations by the sublattice compatible with the weights give
@@ -199,9 +203,10 @@ class HeckeAlgebra:
         return plus, minus
 
     def bernstein_split(self, lam, level: str = "effective"):
-        """The split $E_\\lambda = v^{-\\delta} T^*_{t_+} T_{t_-}$ of
-        :meth:`bernstein` at a point or an (N, rank) stack ``lam`` of the
-        lattice at ``level`` (else ``NotInLattice``, from
+        """The split $E_\\lambda = v^{-\\delta} T^*_{t_+} T_{t_-} =
+        v^{-\\delta} T_{t_-} T^*_{t_+}$ of :meth:`bernstein` at a point or
+        an (N, rank) stack ``lam`` of the lattice at ``level`` (else
+        ``NotInLattice``, from
         :meth:`lattice_points`): the (N, rank) stacks ``plus``
         and ``minus`` of :meth:`dominant_decomposition` and the exponents
         $\\delta \\ge 0$, read off the class counts
@@ -222,7 +227,8 @@ class HeckeAlgebra:
         antidominant ones standard basis elements: $v^{-\\delta} T^*_{t_+}
         T_{t_-}$, with $\\delta$ the weighted length the product loses, for
         the split $\\lambda = \\lambda_+ - \\lambda_-$ of
-        :meth:`bernstein_split`."""
+        :meth:`bernstein_split`, taken as the product $v^{-\\delta} T_{t_-}
+        T^*_{t_+}$ of commuting factors (:meth:`_bernstein_sum`)."""
         return self._bernstein_sum([lam])
 
     def central(self, lam: Sequence[int]) -> "HeckeElt":
@@ -236,41 +242,32 @@ class HeckeAlgebra:
         return self._bernstein_sum(self.datum.orbit_stack(orbit))
 
     def _bernstein_sum(self, pts) -> "HeckeElt":
-        """$\\sum_\\mu E_\\mu$ over distinct lattice points ``pts``.
-
-        Points with the same dominant part $\\lambda_+$ share the left
-        factor $T^*_{t_+}$, so the sum takes one product per $\\lambda_+$
-        with the right factor $\\sum v^{-\\delta} T_{t_{-}}$ over its points.
-        One slot width (see :meth:`_product`) serves the whole sum, and each
-        $T^*_{t_+}$, of L1 norm at most $3^{\\ell(t_+)}$, enters its product
-        packed: $\\sum_{\\lambda_+} 3^{\\ell(t_+)} \\sum 3^{\\ell(t_-)}$ bounds
-        every coefficient.
-        """
+        """$\\sum_\\mu E_\\mu$ over distinct lattice points ``pts``, each
+        as $v^{-\\delta} T_{t_-} T^*_{t_+}$: $T^*_{t_+} = \\theta_{\\lambda_+}$
+        and $T_{t_-} = \\theta_{-\\lambda_-}$ commute (Lusztig 1989).  Points
+        with the same $\\lambda_+$ take one twisted walk (:func:`_walk`) from
+        their $T_{t_-}$, one term each, built from its alcove vector; a
+        letter splits a term only where it is not a right descent.  A letter
+        at most triples the L1 norm, so the slot width (:meth:`_product`) of
+        $\\sum_{\\lambda_+} n(\\lambda_+) 3^{\\ell(t_+)}$ serves the sum."""
         datum = self.datum
+        v0, den = datum.alcove_point
         plus_s, minus_s, deltas = self.bernstein_split(pts)
         groups: dict[Vec, list] = {}
-        for plus, neg, delta in zip(map(tuple, plus_s.tolist()),
-                                    map(tuple, (-minus_s).tolist()),
-                                    deltas.tolist()):
-            t_minus = ExtWeylElt.translation(datum, neg)
-            groups.setdefault(plus, []).append((t_minus.reduced_word(), delta))
-        stars = {}
-        for plus in groups:
-            t_plus = ExtWeylElt.translation(datum, plus)
-            self._check_supported(t_plus)
-            stars[plus] = t_plus.reduced_word()
-        b = sum(3 ** len(stars[plus][1])
-                * sum(3 ** len(word) for (_, word), _ in right)
-                for plus, right in groups.items()).bit_length() + 1
+        for plus, q, delta in zip(map(tuple, plus_s.tolist()),
+                                  map(tuple, (den * minus_s + v0).tolist()),
+                                  deltas.tolist()):
+            groups.setdefault(plus, []).append((q, delta))
+        stars = {plus: ExtWeylElt.translation(datum, plus).reduced_word()
+                 for plus in groups}
+        b = sum(len(left) * 3 ** len(stars[plus][1])
+                for plus, left in groups.items()).bit_length() + 1
         lo = -int(deltas.max())
         total: dict[Vec, int] = {}
-        for plus, right in groups.items():
-            star = _walk(datum, {ExtWeylElt.identity(datum): 1},
-                         [(stars[plus], 1)], True, b, {})
-            _walk(datum, {ExtWeylElt(datum, q): c
-                          for q, c in star.items() if c},
-                  [(rw, 1 << b * (-delta - lo)) for rw, delta in right],
-                  False, b, total)
+        for plus, left in groups.items():
+            _walk(datum, {ExtWeylElt(datum, q): 1 << b * (-delta - lo)
+                          for q, delta in left},
+                  [(stars[plus], 1)], True, b, total)
         return HeckeElt._unpacked(self, total, b, lo)
 
     def __repr__(self) -> str:

@@ -212,17 +212,20 @@ class Laurent:
     @staticmethod
     def unpack(p: int, b: int, lo: int) -> "Laurent":
         """The inverse of :meth:`pack` on coefficients below $2^{b-1}$ in
-        absolute value: the balanced base-$2^b$ digits of ``p``."""
+        absolute value: the balanced base-$2^b$ digits of ``p``, a run of
+        zero digits skipped in one shift by the trailing zero bits."""
         if b < 2:
             raise ValueError(f"slot width {b} holds no nonzero coefficient")
         r = Laurent()
         out = r.c
         mask, half = (1 << b) - 1, 1 << (b - 1)
         while p:
+            if not p & mask:
+                zeros = ((p & -p).bit_length() - 1) // b
+                p >>= zeros * b
+                lo += zeros
             p += half
-            a = (p & mask) - half
-            if a:
-                out[lo] = a
+            out[lo] = (p & mask) - half
             p >>= b
             lo += 1
         return r

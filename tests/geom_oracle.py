@@ -27,6 +27,14 @@ before it filtered the coweight cosets of the type's frame.
 The product oracle ``letter_by_letter`` multiplies Hecke elements one
 right-hand term and one letter at a time, on ``Laurent`` coefficients,
 with no prefix sharing and no packed coefficients.
+
+The Bernstein oracle ``bernstein_star_first`` takes each Bernstein
+element in the order ``HeckeAlgebra`` used before it walked from
+$T_{t_-}$: the expanded $T^*_{t_+}$ times $T_{t_-}$, through
+``HeckeElt.__mul__``.
+
+The unpacking oracle ``digit_unpack`` is the loop over every balanced
+digit that ``Laurent.unpack`` used before it skipped runs of zero digits.
 """
 
 from fractions import Fraction
@@ -34,7 +42,7 @@ from typing import Iterable
 
 import numpy as np
 
-from heckelab import HilbertBasisOverflow, Laurent, intlin
+from heckelab import ExtWeylElt, HilbertBasisOverflow, Laurent, intlin
 from heckelab.hecke import HeckeElt
 
 
@@ -239,3 +247,34 @@ def letter_by_letter(x, y, twisted=False):
             part = times_letter(H, part, s, twisted)
         total = total + HeckeElt(H, part).scale(c)
     return total
+
+
+def bernstein_star_first(H, pts):
+    """The sum of the Bernstein elements $v^{-\\delta} T^*_{t_+} T_{t_-}$
+    at the distinct lattice points ``pts``, for the split of
+    ``H.bernstein_split``: each twisted factor expanded by ``H.star_t``
+    and multiplied by $T_{t_-}$ on the right, one point at a time."""
+    d = H.datum
+    plus_s, minus_s, deltas = H.bernstein_split(pts)
+    total = H.zero()
+    for plus, minus, delta in zip(plus_s.tolist(), minus_s.tolist(),
+                                  deltas.tolist()):
+        star = H.star_t(ExtWeylElt.translation(d, plus))
+        t_minus = H.t(ExtWeylElt.translation(d, [-x for x in minus]))
+        total = total + (star * t_minus).scale(Laurent.v(-delta))
+    return total
+
+
+def digit_unpack(p, b, lo):
+    """The balanced base-$2^b$ digits of ``p`` as a ``Laurent`` from
+    $v^{lo}$ up, one digit at a time, zero digits included."""
+    out = {}
+    mask, half = (1 << b) - 1, 1 << (b - 1)
+    while p:
+        p += half
+        a = (p & mask) - half
+        if a:
+            out[lo] = a
+        p >>= b
+        lo += 1
+    return Laurent(out)

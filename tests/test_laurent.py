@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from heckelab import Laurent, LaurentMatrix, NegativePowersPresent, q_power
+from geom_oracle import digit_unpack
 
 
 def test_ring_identities():
@@ -146,6 +147,25 @@ def test_packing_is_a_ring_map():
         Laurent.unpack(1, 1, 0)
     assert Laurent.unpack(Laurent({0: -127, 1: 127}).pack(8, 0), 8, 0) == (
         Laurent({0: -127, 1: 127}))
+
+
+def test_unpack_matches_digit_loop():
+    """Unpacking that skips runs of zero digits gives the digits of the
+    loop over every digit, on random ints of either sign up to 4000 bits,
+    on sparse ones whose few digits lie far apart, and on ints with
+    trailing zero bits at and around multiples of the slot width."""
+    rng = random.Random(27)
+    for _ in range(600):
+        b = rng.randint(2, 80)
+        lo = rng.randint(-50, 50)
+        dense = rng.getrandbits(rng.randint(1, 4000))
+        sparse = sum(rng.randint(-(1 << b - 1), (1 << b - 1) - 1)
+                     << b * rng.randint(0, 60) for _ in range(3))
+        edge = (2 * rng.getrandbits(b) + 1) << max(
+            b * rng.randint(0, 40) + rng.randint(-1, 1), 0)
+        for p in (dense, -dense, sparse, -sparse, edge, -edge,
+                  1 << 4000, -(1 << 4000)):
+            assert Laurent.unpack(p, b, lo) == digit_unpack(p, b, lo)
 
 
 def test_json_round_trip():

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heckelab import (ExtWeylElt, FinModule, HeckeAlgebra, Laurent,
                       LaurentMatrix, RelationsFail, aut_group,
@@ -15,9 +15,9 @@ from heckelab import intlin, modules
 from heckelab.extweyl import (affine_root_is_positive, affine_simple,
                               translation_word)
 from heckelab.hecke import HeckeElt
-from geom_oracle import (alcove_length, box_monoid_generators,
-                         check_monoid_generators, letter_by_letter,
-                         search_lattice_cosets)
+from geom_oracle import (alcove_length, bernstein_star_first,
+                         box_monoid_generators, check_monoid_generators,
+                         letter_by_letter, search_lattice_cosets)
 
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -52,11 +52,12 @@ def test_lattice_cosets_match_search_oracle_on_random_lattices(d):
 
 
 @st.composite
-def weighted_data(draw):
-    """A datum of rank at most 4 of any type, with random weights on its
-    node classes (weighted affine A1 and C among them) and the coweight,
-    the coroot or an intermediate lattice."""
-    kind, rank = draw(st.sampled_from(SMALL_TYPES))
+def weighted_data(draw, max_rank=4):
+    """A datum of rank at most ``max_rank`` (at most 4) of any type, with
+    random weights on its node classes (weighted affine A1 and C among
+    them) and the coweight, the coroot or an intermediate lattice."""
+    kind, rank = draw(st.sampled_from(
+        [(k, r) for k, r in SMALL_TYPES if r <= max_rank]))
     classes = build_root_datum(kind, rank).classes
     weights = draw(st.lists(st.integers(1, 3), min_size=len(classes),
                             max_size=len(classes)))
@@ -303,6 +304,32 @@ def test_products_with_length_zero_parts_return_group_elements(kind, rank):
     for left in (x, H.one()):
         prod = left * y_again
         assert not prod.is_zero() and all(w.datum is d for w in prod.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_data(max_rank=3), st.data())
+def test_bernstein_sums_match_star_first_order(d, data):
+    """On random weights and lattices, the sum of the Bernstein elements
+    at one to three distinct random points of the effective lattice,
+    walked from $T_{t_-}$ with one slot width for the whole sum, equals
+    the sum of the products $T^*_{t_+} T_{t_-}$ with $T^*_{t_+}$ expanded,
+    and so does each element alone.  Points are combinations of the
+    effective basis with coordinates in -2..2; on rank 3 only those whose
+    positive part has L1 norm at most 3 are kept, as in the box of
+    ``test_bernstein_elements_match_star_first_order``, since the
+    expanded factors of the others take seconds each."""
+    H = HeckeAlgebra(d)
+    basis = H.effective_basis
+    coords = data.draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * len(basis)),
+        min_size=1, max_size=3, unique=True))
+    pts = [lam for cs in coords
+           for lam in [tuple(sum(c * row[j] for c, row in zip(cs, basis))
+                             for j in range(d.rank))]
+           if d.rank < 3 or sum(max(x, 0) for x in lam) <= 3]
+    assume(pts)
+    assert H._bernstein_sum(pts) == bernstein_star_first(H, pts)
+    assert H.bernstein(pts[0]) == bernstein_star_first(H, pts[:1])
 
 
 @settings(max_examples=150, deadline=None)
