@@ -32,6 +32,7 @@ import hashlib
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import HeckeLabError, RelationsFail, UnhandledCase
@@ -121,7 +122,69 @@ def _echo_case(case: dict, alg: HeckeAlgebra) -> dict:
 
 
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``obj`` as report text: exactly the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, written in one
+    pass, since the C encoder of the standard library is not used once
+    ``indent`` is set.  Strings are written by
+    ``json.encoder.encode_basestring_ascii``, ints by ``int.__repr__``,
+    ``True``, ``False`` and ``None`` as literals and any other scalar by
+    ``json.dumps``.  A dict key that is not a ``str`` raises
+    ``TypeError``, where ``json.dumps`` would write it as a string.
+
+    >>> print(_canonical({"b": [1, "x"], "a": {}}), end="")
+    {
+      "a": {},
+      "b": [
+        1,
+        "x"
+      ]
+    }
+    """
+    out: list[str] = []
+    _write(obj, "", "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+# the writer of each scalar type that is not left to json.dumps
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
+
+
+def _write(obj, head: str, pad: str, out: list[str]) -> None:
+    """Append ``obj`` to ``out`` after ``head``, its separator and indent,
+    with ``pad`` the line break and indent of the line it starts on.  A
+    scalar is one chunk, head and text together."""
+    text = _SCALARS.get(type(obj))
+    if text is not None:
+        out.append(head + text(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append(head + "{}")
+            return
+        inner = pad + "  "
+        head += "{" + inner
+        # keys of mixed types fail to sort, with TypeError too
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {key!r}")
+            _write(obj[key], head + encode_basestring_ascii(key) + ": ",
+                   inner, out)
+            head = "," + inner
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append(head + "[]")
+            return
+        inner = pad + "  "
+        head += "[" + inner
+        for item in obj:
+            _write(item, head, inner, out)
+            head = "," + inner
+        out.append(pad + "]")
+    else:
+        out.append(head + json.dumps(obj))
 
 
 def _input_hash(obj) -> str:

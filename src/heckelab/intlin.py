@@ -1,7 +1,7 @@
-"""Exact linear algebra over the integers and rationals at tiny sizes.
+"""Exact linear algebra over the integers at tiny sizes.
 
-Everything here operates on lists of ints or Fractions, or on int64
-stacks of points, and never touches floating point.  Matrices are lists
+Everything here operates on lists of Python ints, or on int64 stacks of
+points, and never touches floating point or rationals.  Matrices are lists
 of rows.  Sizes are bounded by the rank of the root system (at most 8),
 so cubic algorithms are plenty.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -75,27 +74,6 @@ def transpose(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*m))
 
 
-def frac_inverse(m: IntMatrix) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination over the rationals."""
-    n = len(m)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 def echelon_mod(a: np.ndarray, q: int) -> np.ndarray:
     """The nonzero rows of the reduced row echelon form over $F_q$ of an
     int64 matrix with entries in $[0, q)$, for a prime $q < 2^{31}$ (so
@@ -152,35 +130,50 @@ def lattice_rays(echelon: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """The least positive $a_i$ with $a_i e_i$ in the full-rank lattice
     with echelon basis ``echelon``, a tuple of row tuples, for each
     coordinate $i$: $k e_i$ lies in the lattice exactly when $k$ times row
-    $i$ of the inverse basis is integral.  Memoized per basis, so the
-    monoid generators and the Bernstein split of one lattice share one
-    inverse."""
-    return tuple(math.lcm(*(x.denominator for x in row))
-                 for row in frac_inverse(echelon))
+    $i$ of the inverse basis is integral.  The basis is upper triangular
+    with positive pivots $u_{mm}$, so that row is found by
+    back-substitution on integers: $c$ holds it times the least $k$ found
+    so far, starting from $c_i = 1$; at column $m > i$ the sum
+    $s = \\sum_{i \\le j < m} c_j u_{jm}$ gives $c_m = -s / u_{mm}$ once
+    every $c$ is scaled by $u_{mm} / \\gcd(s, u_{mm})$, and
+    $a_i = c_i u_{ii}$.  Memoized per basis, so the monoid generators and
+    the Bernstein split of one lattice share one computation."""
+    n = len(echelon)
+    rays = []
+    for i in range(n):
+        c = [1]
+        for m in range(i + 1, n):
+            s = sum(cj * echelon[j][m] for j, cj in enumerate(c, i))
+            pivot = echelon[m][m]
+            scale = pivot // math.gcd(s, pivot)
+            c = [cj * scale for cj in c]
+            c.append(-s * scale // pivot)
+        rays.append(c[0] * echelon[i][i])
+    return tuple(rays)
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free-enough rational elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    prod = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+    """Exact determinant by Bareiss fraction-free elimination on Python
+    ints (Bareiss, *Sylvester's identity and multistep integer-preserving
+    Gaussian elimination*, Math. Comp. 22 (1968)): every division by the
+    previous pivot is exact."""
+    a = [[int(x) for x in row] for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        prod *= a[col][col]
-        inv_p = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv_p
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    value = sign * prod
-    assert value.denominator == 1
-    return int(value)
+        top, pk = a[k], a[k][k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pk - f * top[j]) // prev
+        prev = pk
+    return sign * a[-1][-1] if n else 1
 
 
 def echelon_basis(rows: IntMatrix, width: int) -> tuple[tuple[int, ...], ...]:

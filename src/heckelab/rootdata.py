@@ -381,15 +381,32 @@ class RootDatum:
         int64 stack, by reverse search from its dominant point (Avis and
         Fukuda, Discrete Appl. Math. 65 (1996)): the parent of $\\mu$ is
         $s_i \\mu$ for its first negative coordinate $\\mu_i$, so each point
-        is made once, with no set.  ``OverflowError`` past int64."""
+        is made once, with no set.  ``OverflowError`` past int64.
+
+        The children of $\\nu$, whose first negative coordinate is $f$
+        ($f$ = rank when $\\nu$ is dominant), are pruned before any image
+        is built: $s_i$ raises every coordinate but the $i$-th, so each
+        $s_i \\nu$ with $i < f$ and $\\nu_i > 0$ is a child, and past $f$
+        only the nodes $i$ with ``cartan[i][f]`` nonzero can clear the
+        coordinate $f$.  A child's first negative coordinate is the node
+        it was made by, so the walk, depth first, keeps it beside the
+        point on its stack."""
         (start,) = self.point_stack(c).tolist()
-        out = [self.dominant_rep(start)]
-        for nu in out:
-            for i, (ni, row) in enumerate(zip(nu, self.cartan)):
+        cartan, rank = self.cartan, self.rank
+        # the nodes that can make a child of a point whose first negative
+        # coordinate is f
+        nodes = [[*range(f), *(i for i in range(f + 1, rank) if cartan[i][f])]
+                 for f in range(rank)] + [range(rank)]
+        out, stack = [], [(self.dominant_rep(start), rank)]
+        while stack:
+            nu, f = stack.pop()
+            out.append(nu)
+            for i in nodes[f]:
+                ni = nu[i]
                 if ni > 0:
-                    mu = tuple([x - ni * a for x, a in zip(nu, row)])
-                    if not i or min(mu[:i]) >= 0:
-                        out.append(mu)
+                    mu = tuple([x - ni * a for x, a in zip(nu, cartan[i])])
+                    if i < f or min(mu[:i]) >= 0:
+                        stack.append((mu, i))
         return np.array(sorted(out), dtype=np.int64)
 
     def orbit_stack(self, orbit) -> np.ndarray:

@@ -35,8 +35,15 @@ $T_{t_-}$: the expanded $T^*_{t_+}$ times $T_{t_-}$, through
 
 The unpacking oracle ``digit_unpack`` is the loop over every balanced
 digit that ``Laurent.unpack`` used before it skipped runs of zero digits.
+
+The rational oracles ``frac_inverse`` and ``frac_det`` are the
+Gauss-Jordan inverse and the elimination determinant over ``Fraction``
+that ``intlin`` used before it found lattice rays by integer
+back-substitution and determinants by Bareiss elimination;
+``frac_lattice_rays`` reads the rays off the inverse basis.
 """
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -278,3 +285,55 @@ def digit_unpack(p, b, lo):
         p >>= b
         lo += 1
     return Laurent(out)
+
+
+def frac_inverse(m):
+    """Exact inverse by Gauss-Jordan elimination over the rationals."""
+    n = len(m)
+    a = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        scale = a[col][col]
+        a[col] = [x / scale for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def frac_lattice_rays(echelon):
+    """The least positive $a_i$ with $a_i e_i$ in the full-rank lattice
+    with basis ``echelon``: the least common denominator of row $i$ of
+    the inverse basis."""
+    return tuple(math.lcm(*(x.denominator for x in row))
+                 for row in frac_inverse(echelon))
+
+
+def frac_det(m) -> int:
+    """Exact determinant by elimination over the rationals."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    sign = 1
+    prod = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        prod *= a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    value = sign * prod
+    assert value.denominator == 1
+    return int(value)

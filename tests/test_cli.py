@@ -222,6 +222,32 @@ def test_output_is_byte_stable(tmp_path, capsys):
     assert first == second
 
 
+# report values: str-keyed dicts, lists and tuples over the JSON scalars,
+# with non-ASCII, control and lone-surrogate characters, ints past 64
+# bits and finite floats
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+            | st.floats(allow_nan=False, allow_infinity=False) | _TEXT)
+_VALUES = st.recursive(_SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4)), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_canonical_writes_the_bytes_of_json_dumps(obj):
+    assert cli._canonical(obj) == json.dumps(
+        obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_refuses_keys_that_are_not_str():
+    for obj in ({1: 2}, {"a": [{(1, 2): 3}]}, {"a": 0, 1: 0},
+                {None: 0}, {True: 0}):
+        with pytest.raises(TypeError):
+            cli._canonical(obj)
+
+
 def test_json_file_duplicates_stdout(tmp_path, capsys):
     case = write_case(tmp_path, {"type": "G", "rank": 2})
     target = tmp_path / "report.json"

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from heckelab.cli import main
+from heckelab.cli import _canonical, main
 from test_acceptance import TABLE
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -50,6 +50,16 @@ def test_golden_reports(tmp_path):
             mismatched.append(name)
     assert not mismatched, mismatched
 
+
+
+def test_canonical_reemits_every_golden():
+    # each committed report, parsed and written again, gives its bytes
+    names = sorted(os.listdir(GOLDEN))
+    assert len(names) == len(list(_runs()))
+    for name in names:
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            want = fh.read()
+        assert _canonical(json.loads(want)) == want, name
 
 if __name__ == "__main__":
     import tempfile

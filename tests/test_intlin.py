@@ -1,14 +1,21 @@
 """Exact integer helpers: the deterministic primality test, the int64
-bound of the stacked lattice reduction and linear systems over F_q."""
+bound of the stacked lattice reduction, linear systems over F_q, and the
+lattice rays and determinants against the rational oracles."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heckelab.intlin import (echelon_mod, in_row_lattice, is_prime,
-                             lattice_coordinates, reduce_rows_mod_lattice,
-                             rows_in_lattice, solve_mod)
+from heckelab import HeckeAlgebra, build_root_datum
+from heckelab.intlin import (det, echelon_mod, in_row_lattice, is_prime,
+                             lattice_coordinates, lattice_rays,
+                             reduce_rows_mod_lattice, rows_in_lattice,
+                             solve_mod)
+from geom_oracle import frac_det, frac_lattice_rays
+from test_acceptance import TABLE
+from test_extweyl import README_TYPES
 
 
 def test_is_prime_matches_trial_division():
@@ -98,3 +105,69 @@ def test_echelon_mod_a_prime():
     # its column
     rows = echelon_mod(np.array([[0, 2, 4], [3, 1, 1], [3, 3, 5]]), 7)
     assert rows.tolist() == [[1, 0, 2], [0, 1, 2]]
+
+
+def _readme_bases():
+    """Every square echelon basis of the README data: the lattice, coroot
+    and effective bases over the coweight and coroot lattices, with unit
+    weights and with the weights of the acceptance table."""
+    data = [build_root_datum(kind, rank, lattice=lattice)
+            for kind, rank in README_TYPES
+            for lattice in ("coweight", "coroot")]
+    data += [build_root_datum(kind, rank, weights=w)
+             for kind, rank, w, _, _ in TABLE]
+    bases = set()
+    for d in data:
+        bases |= {d.lattice_basis, d.coroot_basis,
+                  tuple(HeckeAlgebra(d).effective_basis)}
+    return sorted(bases)
+
+
+def test_lattice_rays_and_det_match_rational_oracle_on_readme_bases():
+    bases = _readme_bases()
+    assert len(bases) > 60
+    for basis in bases:
+        n = len(basis)
+        assert all(len(row) == n and row[i] > 0 and not any(row[:i])
+                   for i, row in enumerate(basis)), basis
+        assert lattice_rays(basis) == frac_lattice_rays(basis), basis
+        assert det(basis) == frac_det(basis) == math.prod(
+            row[i] for i, row in enumerate(basis)), basis
+    for kind, rank in README_TYPES:
+        cartan = build_root_datum(kind, rank).cartan
+        assert det(cartan) == frac_det(cartan), (kind, rank)
+
+
+@st.composite
+def triangular_bases(draw):
+    """A square upper-triangular integer basis with positive pivots."""
+    n = draw(st.integers(1, 8))
+    return tuple(tuple(
+        0 if j < i else draw(st.integers(1, 12) if j == i
+                             else st.integers(-30, 30))
+        for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(triangular_bases())
+def test_lattice_rays_match_rational_oracle_on_triangular_bases(basis):
+    rays = lattice_rays(basis)
+    assert rays == frac_lattice_rays(basis)
+    # the pivot of row i divides a_i, and a_i e_i lies in the lattice
+    for i, a in enumerate(rays):
+        assert a % basis[i][i] == 0
+        ray = [a * int(j == i) for j in range(len(basis))]
+        assert in_row_lattice(basis, ray)
+    assert det(basis) == frac_det(basis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_det_matches_rational_oracle(m):
+    assert det(m) == frac_det(m)
+    if len(m) > 1:
+        # a repeated row makes it singular; a row swap flips its sign
+        assert det([m[0]] + m[1:-1] + [m[0]]) == 0
+        assert det([m[-1]] + m[1:-1] + [m[0]]) == -det(m)
