@@ -364,12 +364,42 @@ class LaurentMatrix:
         col = self.coeffs[index[:-2] + (slice(None),) + index[-2:]]
         return Laurent({self.lo + k: a for k, a in enumerate(col.tolist())})
 
+    def _live(self) -> np.ndarray:
+        """The degree slices that are nonzero in some stacked matrix."""
+        c = self.coeffs
+        return np.flatnonzero(c.any(axis=(*range(c.ndim - 3), -2, -1)))
+
     def trim(self) -> "LaurentMatrix":
         """Drop degree slices that are zero in every stacked matrix."""
-        c = self.coeffs
-        live = np.flatnonzero(c.any(axis=(*range(c.ndim - 3), -2, -1)))
+        live = self._live()
         a, b = (live[0], live[-1] + 1) if live.size else (0, 1)
-        return LaurentMatrix(self.lo + a, c[..., a:b, :, :], self._mag)
+        return LaurentMatrix(self.lo + a, self.coeffs[..., a:b, :, :],
+                             self._mag)
+
+    def packed_along(self, words: np.ndarray) -> np.ndarray:
+        """Every entry packed into one integer (:meth:`Laurent.pack`) from
+        the least live degree of the stack, at a slot width that keeps
+        exact the products of the stacked matrices along each row of
+        ``words`` (see :meth:`FinModule.check_relations` for the bound):
+        int64 while the products fit, Python ints beyond."""
+        c, live, top = self.coeffs, self._live(), self.magnitude()
+        n, width = c.shape[-1], words.shape[1]
+        # entries of a product of k entrywise L1 norm matrices are at most
+        # n^(k-1) times the k-th power of the largest norm, len(live) * top
+        dtype = (object if (n * len(live) * top) ** width > _INT64_MAX
+                 else np.int64)
+        norms = sum(abs(c[..., k, :, :]).astype(dtype) for k in live)
+        prod = norms[words[:, 0]]
+        for column in words.T[1:]:
+            prod = prod @ norms[column]
+            top = max(top, int(prod.max()))
+        b = top.bit_length() + 1
+        dtype = (np.int64 if b * (width * (live[-1] - live[0]) + 1) < 63
+                 else object)
+        out = np.zeros(c.shape[:-3] + c.shape[-2:], dtype=dtype)
+        for k in live:
+            out += c[..., k, :, :].astype(dtype) << b * int(k - live[0])
+        return out
 
     def _on_degrees(self, lo: int, size: int) -> np.ndarray:
         c = self.coeffs

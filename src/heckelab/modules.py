@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (CharacterExtends, DatumMismatch, NoIndexTwoStructure,
                      NotSimplyLaced, RelationsFail)
 from .intlin import is_int, is_prime
-from .laurent import Laurent, LaurentMatrix, q_power
+from .laurent import _INT64_MAX, Laurent, LaurentMatrix, q_power
 from .rootdata import RootDatum
 from .hecke import HeckeAlgebra, HeckeElt
 
@@ -58,35 +58,42 @@ def _stack(mats, what: str) -> LaurentMatrix:
     return LaurentMatrix.from_rows(mats)
 
 
-@functools.lru_cache(maxsize=4)
-def _relations(alg: HeckeAlgebra, with_omega: bool):
-    """The defining relations in reporting order, built once per algebra
-    (on small modules building them costs more than checking them): the
-    (message, arguments) of each, and an array holding its two words as
+@functools.cache
+def _relations(coxeter_m: tuple[tuple[int, ...], ...],
+               perms: tuple[tuple[int, ...], ...] | None):
+    """The defining relations in reporting order, built once per Coxeter
+    matrix and length-zero node permutations (``None`` without the
+    length-zero group), which is all they depend on and of which the
+    supported types have finitely many; on small modules building them
+    costs more than checking them.  Returns the (message,
+    arguments) of each, and an array holding its two words as
     consecutive rows.  A word lists indices into the factor bank of
     :meth:`FinModule.check_relations`: ``s`` for $T_s$, ``r + s`` for
     $T_s - q_s$, ``2r + s`` for $T_s + 1$, ``3r`` for 1, ``3r + 1`` for
     0 and ``3r + 2 + i`` for the ``i``-th length-zero element."""
-    d, r = alg.datum, alg.datum.rank + 1
+    r = len(coxeter_m)
     one, om = 3 * r, 3 * r + 2
     # T_s^2 = (q_s - 1) T_s + q_s is (T_s - q_s)(T_s + 1) = 0
     rels = [("quadratic relation fails at node {}", (s,),
              [r + s, 2 * r + s], [one + 1]) for s in range(r)]
     for s, t in itertools.combinations(range(r), 2):
-        m = d.coxeter_m[s][t]
+        m = coxeter_m[s][t]
         if m >= 2:
             rels.append(("braid relation of order {} fails at nodes {}, {}",
                          (m, s, t), [(s, t)[i % 2] for i in range(m)],
                          [(t, s)[i % 2] for i in range(m)]))
-    if with_omega:
-        group, k = alg.omega, len(alg.omega.elements)
+    if perms is not None:
+        # the group acts faithfully on the nodes: the product of elements
+        # i and j is the one permuting them by perms[i] after perms[j]
+        k, by_perm = len(perms), {p: i for i, p in enumerate(perms)}
         rels.append(("identity length-zero element not identity", (),
                      [om], [one]))
         rels += [("length-zero multiplication fails at ({}, {})", (i, j),
-                  [om + i, om + j], [om + group.mult_index(i, j)])
+                  [om + i, om + j],
+                  [om + by_perm[tuple(perms[i][x] for x in perms[j])]])
                  for i in range(k) for j in range(k)]
         rels += [("conjugation by length-zero element {} fails at node {}",
-                  (i, s), [om + i, s], [group.perms[i][s], om + i])
+                  (i, s), [om + i, s], [perms[i][s], om + i])
                  for i in range(k) for s in range(r)]
     width = max(len(w) for rel in rels for w in rel[2:])
     words = np.array([w + [one] * (width - len(w))
@@ -470,13 +477,36 @@ class FinModule:
         :class:`RelationsFail` naming the first violation.
 
         Each relation is a pair of words in a bank of factor matrices, so
-        all of them run as one batch: one product per letter of the
-        longest word.  On a stack of modules (family axes in ``smats``)
-        the identity, zero and $q_s$ entries of the bank broadcast over
-        the family, so the whole stack is checked by the same products;
-        a failure names the first failing member in row-major order, its
-        index and node values, and its first failing relation."""
-        omats, smats = self.omega_mats, self.smats
+        all of them run as one batch: one product of stacked integer
+        matrices per letter of the longest word, shorter words padded
+        with the identity.  On a stack of modules (family axes in
+        ``smats``) the identity, zero and $q_s$ entries of the bank
+        broadcast over the family, so the whole stack is checked by the
+        same products; a failure names the first failing member in
+        row-major order, its index and node values, and its first
+        failing relation.
+
+        Over $F_p$ each factor is one integer matrix and every product
+        is reduced mod $p$.  Over the Laurent ring each entry $f$ is
+        packed into the integer $v^{-l} f$ at $v = 2^b$, $l$ the least
+        live degree of the bank (Kronecker substitution, a ring map;
+        :meth:`LaurentMatrix.packed_along`); every word has ``width``
+        letters, so both sides of a relation carry the shift
+        $v^{-l \\cdot width}$.  The slot width $b$ is proved, not tested:
+        the entrywise L1 norms of the bank (the sums of the absolute
+        values of the coefficients), multiplied as nonnegative matrices
+        along each prefix of each word, bound every coefficient of every
+        partial product, as the norm of a product of polynomials is at
+        most the product of their norms.  With $M$ the largest of these
+        bounds and of the bank's coefficients, $b$ =
+        ``M.bit_length() + 1`` keeps every coefficient below $2^{b-1}$ in
+        absolute value, where balanced base-$2^b$ digits are unique, so
+        two sides agree exactly when their packed values do.  The
+        partial sums of each product obey the same bound and stay below
+        $2^{b \\cdot slots}$, $slots = width (S - 1) + 1$ for a bank of
+        degree span $S$: they run on int64 while $b \\cdot slots < 63$
+        and on Python ints otherwise."""
+        omats, smats, p = self.omega_mats, self.smats, self.prime
         family = smats.coeffs.shape[1:-3]
         one = LaurentMatrix.identity(self.dim)
         # bank: T_s, T_s - q_s, T_s + 1, 1, 0, length-zero matrices
@@ -484,12 +514,22 @@ class FinModule:
             [smats, smats - self.q_stack(), smats + one, one[None],
              LaurentMatrix(0, np.zeros_like(one.coeffs[None]), 0)]
             + ([] if omats is None else [omats]))
-        labels, words = _relations(self.alg, omats is not None)
-        prod = bank[words[:, 0]]
-        for c in range(1, words.shape[1]):
-            prod = self._reduce(prod @ bank[words[:, c]])
-        diff = self._reduce(prod[0::2] - prod[1::2])
-        bad = diff.coeffs.any(axis=(-3, -2, -1)).reshape(len(labels), -1)
+        labels, words = _relations(
+            self.alg.datum.coxeter_m,
+            None if omats is None else self.alg.omega.perms)
+        if p is None:
+            factors = bank.packed_along(words)
+        else:
+            factors = bank.coeffs[..., 0, :, :] % p
+            if (p - 1) ** 2 * self.dim > _INT64_MAX:
+                factors = factors.astype(object)
+        prod = factors[words[:, 0]]
+        for column in words.T[1:]:
+            prod = prod @ factors[column]
+            if p is not None:
+                prod %= p
+        bad = (prod[0::2] != prod[1::2]).any(axis=(-2, -1))
+        bad = bad.reshape(len(labels), -1)
         if not bad.any():
             self.checked = True
             return

@@ -41,6 +41,12 @@ Gauss-Jordan inverse and the elimination determinant over ``Fraction``
 that ``intlin`` used before it found lattice rays by integer
 back-substitution and determinants by Bareiss elimination;
 ``frac_lattice_rays`` reads the rays off the inverse basis.
+
+The relation oracle ``laurent_check_relations`` is the word product that
+``FinModule.check_relations`` ran before it packed the factor bank into
+integers: the same bank and words, multiplied as ``LaurentMatrix``
+stacks, one product per letter column, each reduced mod $p$ on a mod-$p$
+module, and the two sides of each relation subtracted degree by degree.
 """
 
 import math
@@ -49,8 +55,10 @@ from typing import Iterable
 
 import numpy as np
 
-from heckelab import ExtWeylElt, HilbertBasisOverflow, Laurent, intlin
+from heckelab import (ExtWeylElt, HilbertBasisOverflow, Laurent,
+                      LaurentMatrix, RelationsFail, intlin)
 from heckelab.hecke import HeckeElt
+from heckelab.modules import _relations
 
 
 def base_point(datum):
@@ -337,3 +345,38 @@ def frac_det(m) -> int:
     value = sign * prod
     assert value.denominator == 1
     return int(value)
+
+
+def laurent_check_relations(mod) -> None:
+    """``mod.check_relations()`` on ``LaurentMatrix`` word products:
+    raises the same :class:`RelationsFail` (message, member and node
+    values) on the same modules, without setting ``mod.checked``."""
+    omats, smats = mod.omega_mats, mod.smats
+    family = smats.coeffs.shape[1:-3]
+    one = LaurentMatrix.identity(mod.dim)
+    bank = LaurentMatrix.concat(
+        [smats, smats - mod.q_stack(), smats + one, one[None],
+         LaurentMatrix(0, np.zeros_like(one.coeffs[None]), 0)]
+        + ([] if omats is None else [omats]))
+    labels, words = _relations(
+        mod.alg.datum.coxeter_m,
+        None if omats is None else mod.alg.omega.perms)
+    prod = bank[words[:, 0]]
+    for c in range(1, words.shape[1]):
+        prod = mod._reduce(prod @ bank[words[:, c]])
+    diff = mod._reduce(prod[0::2] - prod[1::2])
+    bad = diff.coeffs.any(axis=(-3, -2, -1)).reshape(len(labels), -1)
+    if not bad.any():
+        return
+    member = int(np.argmax(bad.any(axis=0)))
+    message, args = labels[int(np.argmax(bad[:, member]))]
+    message = message.format(*args)
+    if not family:
+        raise RelationsFail(message)
+    index = tuple(map(int, np.unravel_index(member, family)))
+    mats = smats[(slice(None),) + index]
+    values = [[[str(mats.entry(s, i, j)) for j in range(mod.dim)]
+               for i in range(mod.dim)] for s in range(len(mats))]
+    if mod.dim == 1:
+        values = [m[0][0] for m in values]
+    raise RelationsFail(message, index, values)

@@ -3,11 +3,13 @@ reflection representation with its specialization at v=0."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from heckelab import (
     Character,
     Laurent,
+    LaurentMatrix,
     CharacterExtends,
     HeckeAlgebra,
     NotSimplyLaced,
@@ -19,6 +21,7 @@ from heckelab import (
     induce_character,
     reflection_module,
 )
+from geom_oracle import laurent_check_relations
 
 CATALOG = [
     ("A", 1, 1), ("A", 1, [1, 2]),
@@ -373,3 +376,182 @@ def test_reduce_mod_p_refuses_primes_beyond_int64():
     d = build_root_datum("D", 4)
     with pytest.raises(ValueError, match="below 2"):
         reflection_module(d).reduce_mod_p(2**64 - 59)
+
+
+def verdict(check, mod):
+    """The message, relation, member and node values of the
+    :class:`RelationsFail` that ``check(mod)`` raises, ``None`` if none."""
+    try:
+        check(mod)
+    except RelationsFail as exc:
+        return str(exc), exc.relation, exc.member, exc.values
+    return None
+
+
+@pytest.fixture
+def oracle_checks(monkeypatch):
+    """Make every ``FinModule.check_relations`` call also run the
+    ``LaurentMatrix`` word product of the oracle on the same module and
+    assert the same verdict; collects the verdicts."""
+    from heckelab.modules import FinModule
+    packed, seen = FinModule.check_relations, []
+
+    def check(mod):
+        got = verdict(packed, mod)
+        assert got == verdict(laurent_check_relations, mod), mod
+        seen.append(got)
+        if got is not None:
+            raise RelationsFail(*got[1:])
+
+    monkeypatch.setattr(FinModule, "check_relations", check)
+    return seen
+
+
+def test_packed_check_matches_laurent_oracle_on_readme_characters(
+        oracle_checks):
+    """Every generic and mod-p character family of the README types and
+    the acceptance table passes as it does on the oracle, and the same
+    families with two free members appended (T_s -> q_s at node 0 only,
+    and T_s -> 1 everywhere; T_s -> 1 mod 5) fail as they do there."""
+    from heckelab import modules
+    from test_acceptance import TABLE
+    from test_extweyl import README_TYPES
+    data = ([build_root_datum(kind, rank) for kind, rank in README_TYPES]
+            + [build_root_datum(kind, rank, weights=w)
+               for kind, rank, w, _, _ in TABLE])
+    for d in data:
+        H, n = HeckeAlgebra(d), d.rank + 1
+        two = 2 * np.array(d.weights)
+        signs = np.array([[ch.sign_on_node(s) for s in range(n)]
+                          for ch in enumerate_characters(H, "generic")])
+        coeffs = np.vstack([signs, [1] + [-1] * (n - 1), [1] * n])
+        degrees = np.vstack([(signs == 1) * two, [two[0]] + [0] * (n - 1),
+                             [0] * n])
+        with pytest.raises(RelationsFail):
+            modules._check_family(H, coeffs, degrees)
+        values = np.array([ch.values
+                           for ch in enumerate_characters(H, "modp")])
+        values = np.vstack([values, [1] * n])
+        with pytest.raises(RelationsFail):
+            modules._check_family(H, values, 0 * values, prime=5)
+    assert None in oracle_checks
+    assert len({v[1] for v in oracle_checks if v}) > 1
+
+
+def test_packed_check_matches_laurent_oracle_on_answer_modules(
+        oracle_checks):
+    """Every extended character and induced module of the acceptance
+    table and the reflection modules of D4-D8 and E6-E8 with their star
+    twists, unchecked, over the Laurent ring and mod 5, pass as on the
+    oracle; a copy of each with v added to one entry of one generator
+    fails there with the same relation."""
+    from heckelab import NoIndexTwoStructure
+    from heckelab.modules import FinModule
+    from test_acceptance import TABLE
+    data = [(kind, rank, w) for kind, rank, w, _, _ in TABLE]
+    data += [("D", 6, 1), ("D", 7, 1), ("D", 8, 1)]
+    for kind, rank, w in data:
+        H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
+        answers = []
+        for ch in enumerate_characters(H, "generic"):
+            extends, exts = character_extends(H, ch)
+            answers += [ext.as_module(H) for ext in exts]
+            if not extends:
+                try:
+                    answers.append(induce_character(H, ch))
+                except NoIndexTwoStructure:
+                    pass
+        if kind in "DE":
+            refl = reflection_module(H)
+            answers += [refl, refl.star_twist()]
+        for mod in answers:
+            FinModule(H, mod.smats, mod.omega_mats).check_relations()
+            FinModule(H, mod.smats, mod.omega_mats,
+                      prime=5).check_relations()
+            v = np.zeros((len(mod.smats), 1, mod.dim, mod.dim), np.int64)
+            v[-1, 0, 0, -1] = 1
+            bad = FinModule(H, mod.smats + LaurentMatrix(1, v),
+                            mod.omega_mats)
+            with pytest.raises(RelationsFail):
+                bad.check_relations()
+    assert None in oracle_checks
+    assert len({v[1] for v in oracle_checks if v}) > 1
+
+
+def upper_triangular_a1(x0, x1):
+    """A 2 x 2 module datum of affine A1, weights 1: $T_s$ sends a row
+    vector by ``((q, x_s), (0, -1))`` and the swap of the length-zero
+    group by ``((1, 1), (0, -1))``.  Every such $T_s$ meets the quadratic
+    relation, the swap squares to 1, and conjugation by it exchanges
+    $T_0$ and $T_1$ exactly when $x_0 + x_1 = q + 1$."""
+    H = HeckeAlgebra(build_root_datum("A", 1))
+    q, one, zero = H.q(0), Laurent.one(), Laurent.zero()
+    smats = [((q, x), (zero, -one)) for x in (x0, x1)]
+    omats = [((one, zero), (zero, one)), ((one, one), (zero, -one))]
+    return H, smats, omats
+
+
+def test_packed_check_is_exact_where_the_l1_bound_is_met():
+    """With $x_0 = -5$ the side $W T_0$ of the conjugation relation at
+    node 0 has (0, 1) entry $x_0 - 1 = -6$, which meets its L1 bound
+    $|x_0| + 1 = 6$, the largest bound of the module, so the slot width
+    is 4 bits.  With $x_1 = v^2 + v - 2$ the other side $T_1 W$ has
+    entry $q - x_1 = 2 - v$: the two differ but agree at $v = 2^3$, so
+    a slot width one bit narrower would pass the module."""
+    from heckelab.modules import FinModule
+    x0 = Laurent.of_int(-5)
+    assert Laurent({0: -6}).pack(3, 0) == Laurent({0: 2, 1: -1}).pack(3, 0)
+    assert Laurent({0: -6}).pack(4, 0) != Laurent({0: 2, 1: -1}).pack(4, 0)
+    H, smats, omats = upper_triangular_a1(x0, Laurent({2: 1, 0: 6}))
+    FinModule(H, smats, omats).check_relations()
+    H, smats, omats = upper_triangular_a1(x0, Laurent({2: 1, 1: 1, 0: -2}))
+    for check in (laurent_check_relations, FinModule.check_relations):
+        with pytest.raises(RelationsFail) as caught:
+            check(FinModule(H, smats, omats))
+        assert str(caught.value) == (
+            "conjugation by length-zero element 1 fails at node 0")
+
+
+def test_packed_check_on_python_ints(monkeypatch):
+    """$T_s \\mapsto ((q, x), (0, -1))$ at every node of affine A2, with
+    the length-zero group acting trivially, satisfies the relations for
+    any $x$ (the braid relation asks $(q^2 + q + 1)(x_s - x_t) = 0$).
+    Conjugated by diag(2^40, 1) its products leave int64 and the check
+    runs on Python ints; the copy with 1 added to $x$ at node 1 fails."""
+    from heckelab.modules import FinModule
+    packed, dtypes = LaurentMatrix.packed_along, []
+
+    def spy(self, words):
+        out = packed(self, words)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(LaurentMatrix, "packed_along", spy)
+    H = HeckeAlgebra(build_root_datum("A", 2))
+    q, one, zero = H.q(0), Laurent.one(), Laurent.zero()
+    x = Laurent({0: 2**40, 1: -(2**40)})
+    ident = ((one, zero), (zero, one))
+    smats = [((q, x), (zero, -one))] * 3
+    FinModule(H, smats, [ident] * 3).check_relations()
+    smats[1] = ((q, x + one), (zero, -one))
+    bad = FinModule(H, smats, [ident] * 3)
+    with pytest.raises(RelationsFail, match="braid relation of order 3 "
+                                            "fails at nodes 0, 1"):
+        bad.check_relations()
+    assert dtypes == [object, object]
+    with pytest.raises(RelationsFail, match="braid relation of order 3"):
+        laurent_check_relations(bad)
+
+
+def test_relation_words_are_built_once_per_shape():
+    """The relation words depend only on the Coxeter matrix and the
+    length-zero node permutations, so algebras built afresh from one
+    datum (as every CLI op builds one) share them."""
+    from heckelab import modules
+    modules._relations.cache_clear()
+    for _ in range(3):
+        H = HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 2]))
+        trivial = enumerate_characters(H, "generic")[0]
+        character_extends(H, trivial)[1][0].as_module(H)
+    info = modules._relations.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from heckelab import (ExtWeylElt, FinModule, HeckeAlgebra, Laurent,
-                      LaurentMatrix, RelationsFail, aut_group,
-                      build_root_datum, cartan_matrix,
+                      LaurentMatrix, NegativePowersPresent, RelationsFail,
+                      aut_group, build_root_datum, cartan_matrix,
                       dominant_monoid_generators, elements_up_to_length)
 from heckelab import intlin, modules
 from heckelab.extweyl import (affine_root_is_positive, affine_simple,
@@ -17,7 +17,9 @@ from heckelab.extweyl import (affine_root_is_positive, affine_simple,
 from heckelab.hecke import HeckeElt
 from geom_oracle import (alcove_length, bernstein_star_first,
                          box_monoid_generators, check_monoid_generators,
-                         letter_by_letter, search_lattice_cosets)
+                         laurent_check_relations, letter_by_letter,
+                         search_lattice_cosets)
+from test_modules import verdict
 
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -427,15 +429,9 @@ def test_family_check_matches_member_checks(d, data):
         f"{first[1]} in family member {index} with node values ")
 
 
-@settings(max_examples=100, deadline=None)
-@given(weighted_data(), st.data())
-def test_laurent_family_check_matches_member_checks(d, data):
-    """A family of 1x1 Laurent modules with node values in
-    {q_s, -1, 1, -q_s}, some of them characters, fails its chunked
-    relation checks exactly when some member fails its own, and names
-    that member's index over the whole family and its first failing
-    relation."""
-    H = HeckeAlgebra(d)
+def draw_laurent_family(d, data):
+    """The node coefficients and degrees of up to eight 1x1 modules with
+    node values in {q_s, -1, 1, -q_s}: characters and free members."""
     n, m = d.rank + 1, len(d.classes)
     # a value is (coefficient, whether it carries q_s = v^(2 w_s))
     sign = {1: (1, True), -1: (-1, False)}
@@ -449,6 +445,19 @@ def test_laurent_family_check_matches_member_checks(d, data):
     coeffs = [[c for c, _ in member] for member in members]
     degrees = [[2 * d.weights[s] * q for s, (_, q) in enumerate(member)]
                for member in members]
+    return coeffs, degrees
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_data(), st.data())
+def test_laurent_family_check_matches_member_checks(d, data):
+    """A family of 1x1 Laurent modules with node values in
+    {q_s, -1, 1, -q_s}, some of them characters, fails its chunked
+    relation checks exactly when some member fails its own, and names
+    that member's index over the whole family and its first failing
+    relation."""
+    H = HeckeAlgebra(d)
+    coeffs, degrees = draw_laurent_family(d, data)
     first = None
     for k, (cs, ds) in enumerate(zip(coeffs, degrees)):
         values = [Laurent({e: c}) for c, e in zip(cs, ds)]
@@ -469,3 +478,60 @@ def test_laurent_family_check_matches_member_checks(d, data):
     assert (caught.value.member, caught.value.relation) == ((k,), relation)
     assert str(caught.value) == (f"{relation} in family member ({k},)"
                                  f" with node values {values}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_data(), st.data())
+def test_packed_family_check_matches_laurent_oracle(d, data):
+    """A stack of the 1x1 modules of ``draw_laurent_family``, over the
+    Laurent ring or read mod 5 at v = 0, gets the same verdict, first
+    failing member, relation and node values from the packed check as
+    from the ``LaurentMatrix`` word product of the oracle."""
+    H = HeckeAlgebra(d)
+    coeffs, degrees = map(np.array, draw_laurent_family(d, data))
+    members, nodes = coeffs.shape
+    stack = np.zeros((nodes, members, degrees.max() + 1, 1, 1), np.int64)
+    stack[np.arange(nodes), np.arange(members)[:, None], degrees, 0, 0] = (
+        coeffs)
+    prime = data.draw(st.sampled_from([None, 5]))
+    mod = FinModule(H, LaurentMatrix(0, stack), None, prime=prime)
+    assert (verdict(FinModule.check_relations, mod)
+            == verdict(laurent_check_relations, mod))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_data(max_rank=3), st.data())
+def test_packed_check_matches_laurent_oracle_on_bumped_modules(d, data):
+    """An extended character or induced module with a random monomial
+    $c v^e$ added to one entry of one generator or length-zero matrix,
+    over the Laurent ring or (without poles) mod 5, gets the same verdict
+    and failing relation from the packed check as from the oracle."""
+    H = HeckeAlgebra(d)
+    ch = data.draw(st.sampled_from(modules.enumerate_characters(H, "generic")))
+    extends, exts = modules.character_extends(H, ch)
+    if extends:
+        mod = data.draw(st.sampled_from(exts)).as_module(H)
+    else:
+        try:
+            mod = modules.induce_character(H, ch)
+        except modules.NoIndexTwoStructure:
+            mod = ch.as_module(H)
+    mats = [mod.smats] + ([] if mod.omega_mats is None else [mod.omega_mats])
+    which = data.draw(st.integers(0, len(mats) - 1))
+    bump = np.zeros((len(mats[which]), 1, mod.dim, mod.dim), np.int64)
+    bump[data.draw(st.integers(0, len(bump) - 1)), 0,
+         data.draw(st.integers(0, mod.dim - 1)),
+         data.draw(st.integers(0, mod.dim - 1))] = data.draw(
+             st.integers(-3, 3))
+    mats[which] = mats[which] + LaurentMatrix(data.draw(st.integers(-2, 4)),
+                                              bump)
+    smats, omats = mats[0], (mats[1] if len(mats) > 1 else None)
+    bumped = FinModule(H, smats, omats)
+    assert (verdict(FinModule.check_relations, bumped)
+            == verdict(laurent_check_relations, bumped))
+    try:
+        reduced = FinModule(H, smats, omats, prime=5)
+    except NegativePowersPresent:
+        return
+    assert (verdict(FinModule.check_relations, reduced)
+            == verdict(laurent_check_relations, reduced))
