@@ -60,7 +60,7 @@ from . import intlin
 from .errors import SublatticeUnsupported
 from .extweyl import translation_word
 from .hecke import HeckeAlgebra
-from .laurent import Laurent, LaurentMatrix
+from .laurent import Laurent, LaurentMatrix, mod_p
 from .modules import (Character, FinModule, character_extends,
                       enumerate_characters, induce_character,
                       reflection_module, stabilizer_and_twist, _as_algebra)
@@ -394,18 +394,18 @@ class _CentralCharacter:
     def scalar(self, pts: np.ndarray) -> Laurent:
         """$c(v)$ on the Weyl orbit ``pts``, an (N, rank) int64 stack: its
         lattice coordinates (``NotInLattice`` off the lattice) times
-        ``pairing`` and a count of the exponents per $a \\bmod 4$.  The
-        imaginary part, $a \\equiv 1$ minus $a \\equiv 3$, is zero."""
+        ``pairing`` and a count of the exponents per $a \\bmod 4$, over
+        the exponents that occur only (at a large weight they spread over
+        millions of degrees).  The imaginary part, $a \\equiv 1$ minus
+        $a \\equiv 3$, is zero."""
         vals = self.alg.lattice_coordinates(pts, self.level) @ self.pairing
-        exps = vals[:, 0] + self.alg.datum.translation_weighted_length(
-            pts[0])
-        lo = int(exps.min())
-        size = int(exps.max()) - lo + 1
-        counts = [np.bincount(exps[vals[:, 1] % 4 == t] - lo, minlength=size)
+        exps, at = np.unique(vals[:, 0], return_inverse=True)
+        counts = [np.bincount(at[vals[:, 1] % 4 == t], minlength=len(exps))
                   for t in range(4)]
         assert (counts[1] == counts[3]).all()
+        shift = self.alg.datum.translation_weighted_length(pts[0])
         real = counts[0] - counts[2]
-        return Laurent({lo + k: c for k, c in enumerate(real.tolist())})
+        return Laurent(dict(zip((exps + shift).tolist(), real.tolist())))
 
 
 @_per_module
@@ -478,14 +478,12 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
 
 def _nilpotency_degree(mat: np.ndarray, p: int) -> int | None:
     """Least $k$ with $M^k = 0$ mod $p$, or ``None`` when $M^n \\neq 0$;
-    the powers multiply through :class:`LaurentMatrix`'s checked bound."""
-    n = mat.shape[0]
-    m, cur = LaurentMatrix(0, mat[None], p - 1), LaurentMatrix.identity(n)
-    for k in range(1, n + 1):
-        cur = cur @ m
-        cur = LaurentMatrix(cur.lo, (cur.coeffs % p).astype(np.int64), p - 1)
-        if not cur.coeffs.any():
+    the powers are taken on :func:`mod_p`'s exact dtype."""
+    m = cur = mod_p(mat, p)
+    for k in range(1, mat.shape[0] + 1):
+        if not cur.any():
             return k
+        cur = cur @ m % p
     return None
 
 

@@ -152,30 +152,6 @@ def lattice_rays(echelon: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(rays)
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination on Python
-    ints (Bareiss, *Sylvester's identity and multistep integer-preserving
-    Gaussian elimination*, Math. Comp. 22 (1968)): every division by the
-    previous pivot is exact."""
-    a = [[int(x) for x in row] for row in m]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        top, pk = a[k], a[k][k]
-        for row in a[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pk - f * top[j]) // prev
-        prev = pk
-    return sign * a[-1][-1] if n else 1
-
-
 def echelon_basis(rows: IntMatrix, width: int) -> tuple[tuple[int, ...], ...]:
     """Echelon-form basis of the integer row lattice spanned by ``rows``.
 

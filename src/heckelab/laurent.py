@@ -18,7 +18,6 @@ Laurent polynomials are :class:`LaurentMatrix` tensors indexed by exponent.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import NegativePowersPresent
 from .intlin import is_int
 
-__all__ = ["Laurent", "LaurentMatrix", "q_power"]
+__all__ = ["Laurent", "LaurentMatrix", "mod_p", "q_power"]
 
 _INT64_MAX = 2**63 - 1
 
@@ -299,23 +298,20 @@ class LaurentMatrix:
     them.  Arithmetic is exact: an operation runs on int64 when a bound on
     the magnitude of its result stays below $2^{63}$, and on Python ints
     (``object`` arrays) otherwise, so values never wrap; numpy computes on
-    Python ints anyway once an operand holds them.  ``mag``, when given,
-    bounds the absolute values of the coefficients.
+    Python ints anyway once an operand holds them.  The bound is read from
+    the coefficients (:meth:`magnitude`) each time it is needed.
     """
 
-    __slots__ = ("lo", "coeffs", "_mag")
+    __slots__ = ("lo", "coeffs")
 
-    def __init__(self, lo: int, coeffs: np.ndarray, mag: int | None = None):
+    def __init__(self, lo: int, coeffs: np.ndarray):
         self.lo = lo
         self.coeffs = coeffs
-        self._mag = mag
 
     def magnitude(self) -> int:
-        """A bound on the absolute values of the coefficients."""
-        if self._mag is None:
-            c = self.coeffs
-            self._mag = int(np.abs(c).max()) if c.size else 0
-        return self._mag
+        """The largest absolute value of a coefficient (0 when empty)."""
+        c = self.coeffs
+        return int(np.abs(c).max()) if c.size else 0
 
     @staticmethod
     def from_rows(mats) -> "LaurentMatrix":
@@ -350,14 +346,14 @@ class LaurentMatrix:
 
     @staticmethod
     def identity(n: int) -> "LaurentMatrix":
-        return LaurentMatrix(0, np.eye(n, dtype=np.int64)[None], 1)
+        return LaurentMatrix(0, np.eye(n, dtype=np.int64)[None])
 
     def __len__(self) -> int:
         """The number of stacked matrices."""
         return len(self.coeffs)
 
     def __getitem__(self, index) -> "LaurentMatrix":
-        return LaurentMatrix(self.lo, self.coeffs[index], self.magnitude())
+        return LaurentMatrix(self.lo, self.coeffs[index])
 
     def entry(self, *index: int) -> Laurent:
         """The polynomial at ``index``: stack indices, then row and column."""
@@ -373,8 +369,7 @@ class LaurentMatrix:
         """Drop degree slices that are zero in every stacked matrix."""
         live = self._live()
         a, b = (live[0], live[-1] + 1) if live.size else (0, 1)
-        return LaurentMatrix(self.lo + a, self.coeffs[..., a:b, :, :],
-                             self._mag)
+        return LaurentMatrix(self.lo + a, self.coeffs[..., a:b, :, :])
 
     def packed_along(self, words: np.ndarray) -> np.ndarray:
         """Every entry packed into one integer (:meth:`Laurent.pack`) from
@@ -419,7 +414,7 @@ class LaurentMatrix:
         return LaurentMatrix(lo, a + b)
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return self + LaurentMatrix(other.lo, -other.coeffs, other._mag)
+        return self + LaurentMatrix(other.lo, -other.coeffs)
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """Matrix product, stacked matrices pairing up as in ``np.matmul``."""
@@ -428,8 +423,6 @@ class LaurentMatrix:
         bound = self.magnitude() * other.magnitude() * a.shape[-1]
         if bound * min(da, db) > _INT64_MAX:
             a, b = a.astype(object), b.astype(object)
-        if min(da, db) == 1:
-            return LaurentMatrix(self.lo + other.lo, a @ b)
         out = np.zeros(np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
                        + (da + db - 1, a.shape[-2], b.shape[-1]),
                        dtype=np.result_type(a, b))
@@ -459,4 +452,13 @@ class LaurentMatrix:
 
     def reduce(self, p: int) -> "LaurentMatrix":
         """The values at v = 0 read mod ``p``, as a one-slice tensor."""
-        return LaurentMatrix(0, self.at_v0()[..., None, :, :] % p, p - 1)
+        return LaurentMatrix(0, self.at_v0()[..., None, :, :] % p)
+
+
+def mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """The integer matrices ``a`` read mod ``p`` into $[0, p)$, on the
+    dtype that keeps a product of two of them exact: int64 while
+    $(p - 1)^2 n < 2^{63}$ for $n \\times n$ matrices, Python ints
+    (``object``) beyond.  Reduce each product mod ``p`` again."""
+    big = (p - 1) ** 2 * a.shape[-1] > _INT64_MAX
+    return (a % p).astype(object if big else np.int64)

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (CharacterExtends, DatumMismatch, NoIndexTwoStructure,
                      NotSimplyLaced, RelationsFail)
 from .intlin import is_int, is_prime
-from .laurent import _INT64_MAX, Laurent, LaurentMatrix, q_power
+from .laurent import Laurent, LaurentMatrix, mod_p, q_power
 from .rootdata import RootDatum
 from .hecke import HeckeAlgebra, HeckeElt
 
@@ -470,7 +470,7 @@ class FinModule:
         c[range(len(w)), [2 * d for d in w]] = np.eye(n, dtype=np.int64)
         ones = (1,) * (self.smats.coeffs.ndim - 4)
         c = c.reshape(c.shape[:1] + ones + c.shape[1:])
-        return self._reduce(LaurentMatrix(0, c, 1))
+        return self._reduce(LaurentMatrix(0, c))
 
     def check_relations(self) -> None:
         """Verify quadratic, braid and length-zero relations; raise
@@ -512,7 +512,7 @@ class FinModule:
         # bank: T_s, T_s - q_s, T_s + 1, 1, 0, length-zero matrices
         bank = LaurentMatrix.concat(
             [smats, smats - self.q_stack(), smats + one, one[None],
-             LaurentMatrix(0, np.zeros_like(one.coeffs[None]), 0)]
+             LaurentMatrix(0, np.zeros_like(one.coeffs[None]))]
             + ([] if omats is None else [omats]))
         labels, words = _relations(
             self.alg.datum.coxeter_m,
@@ -520,9 +520,7 @@ class FinModule:
         if p is None:
             factors = bank.packed_along(words)
         else:
-            factors = bank.coeffs[..., 0, :, :] % p
-            if (p - 1) ** 2 * self.dim > _INT64_MAX:
-                factors = factors.astype(object)
+            factors = mod_p(bank.coeffs[..., 0, :, :], p)
         prod = factors[words[:, 0]]
         for column in words.T[1:]:
             prod = prod @ factors[column]

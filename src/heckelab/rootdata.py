@@ -305,7 +305,9 @@ class RootDatum:
         self.lattice_name = lattice_name
         self.lattice_basis = lattice_basis
         self.class_weights = tuple(weights[cls[0]] for cls in self.classes)
-        self.lattice_index = abs(intlin.det(lattice_basis))
+        # the basis is square and upper triangular with positive pivots
+        self.lattice_index = math.prod(
+            row[i] for i, row in enumerate(lattice_basis))
         # node -> its simple reflection, filled by
         # ExtWeylElt.simple_reflection
         self.simple_reflections: dict = {}

@@ -47,6 +47,11 @@ The relation oracle ``laurent_check_relations`` is the word product that
 integers: the same bank and words, multiplied as ``LaurentMatrix``
 stacks, one product per letter column, each reduced mod $p$ on a mod-$p$
 module, and the two sides of each relation subtracted degree by degree.
+
+The central character oracle ``dense_central_scalar`` is the $c(v)$ of
+``_CentralCharacter.scalar`` as it was counted before it bincounted only
+the exponents that occur: one dense bincount per $a \\bmod 4$ over every
+exponent from the least to the greatest.
 """
 
 import math
@@ -200,7 +205,7 @@ def box_monoid_generators(datum, lattice="lattice", max_box=2_000_000):
         basis = intlin.echelon_basis([tuple(r) for r in lattice], rank)
         if len(basis) != rank:
             raise ValueError("explicit lattice basis must have full rank")
-    f = abs(intlin.det(basis))
+    f = abs(frac_det(basis))
     if (f + 1) ** rank > max_box:
         raise HilbertBasisOverflow(
             f"{(f + 1) ** rank} box points exceed max_box={max_box}")
@@ -356,7 +361,7 @@ def laurent_check_relations(mod) -> None:
     one = LaurentMatrix.identity(mod.dim)
     bank = LaurentMatrix.concat(
         [smats, smats - mod.q_stack(), smats + one, one[None],
-         LaurentMatrix(0, np.zeros_like(one.coeffs[None]), 0)]
+         LaurentMatrix(0, np.zeros_like(one.coeffs[None]))]
         + ([] if omats is None else [omats]))
     labels, words = _relations(
         mod.alg.datum.coxeter_m,
@@ -380,3 +385,16 @@ def laurent_check_relations(mod) -> None:
     if mod.dim == 1:
         values = [m[0][0] for m in values]
     raise RelationsFail(message, index, values)
+
+
+def dense_central_scalar(cert, pts) -> Laurent:
+    """$c(v)$ of the central character ``cert`` on the Weyl orbit
+    ``pts``, counted densely over the exponent range."""
+    vals = cert.alg.lattice_coordinates(pts, cert.level) @ cert.pairing
+    exps = vals[:, 0] + cert.alg.datum.translation_weighted_length(pts[0])
+    lo = int(exps.min())
+    size = int(exps.max()) - lo + 1
+    counts = [np.bincount(exps[vals[:, 1] % 4 == t] - lo, minlength=size)
+              for t in range(4)]
+    real = counts[0] - counts[2]
+    return Laurent({lo + k: c for k, c in enumerate(real.tolist())})

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -345,6 +346,39 @@ def test_weight_bound_peaks_under_150_mb(tmp_path):
         # ru_maxrss counts kilobytes on Linux and bytes on macOS
         mb = peak / 2**20 if sys.platform == "darwin" else peak / 2**10
         assert code == 0 and mb < 150, (command, mb)
+
+
+def test_b8_at_the_weight_bound_classifies_under_100_mb(tmp_path):
+    """classify on B8 [10^4, 1] in a fresh interpreter that reports its
+    own peak: c(v) is counted over the exponents that occur, not densely
+    over a range of millions (the dense count peaked near 180 MB); and
+    c(v) on every generator orbit of the answer against the dense count."""
+    from geom_oracle import dense_central_scalar
+    from heckelab.classify import _certificate, key_result_search
+    case = write_case(tmp_path, {"type": "B", "rank": 8,
+                                 "decoration": [10**4, 1]})
+    script = ("import resource, sys\n"
+              "from heckelab import cli\n"
+              "code = cli.main(['classify', '--case', sys.argv[1]])\n"
+              "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "print(code, peak, file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", script, case],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=300)
+    code, peak = map(int, done.stderr.split()[-2:])
+    # ru_maxrss counts kilobytes on Linux and bytes on macOS
+    mb = peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+    assert code == 0 and mb < 100, mb
+
+    src = key_result_search(build_root_datum(
+        "B", 8, weights=[10**4, 1])).module.generic
+    cert = _certificate(src)
+    level = "coroot" if src.omega_mats is None else "effective"
+    gens = src.alg.monoid_generators(level)
+    assert cert is not None and len(gens) > 1
+    for gen in gens:
+        pts = np.array(src.alg.datum.weyl_orbit(gen), dtype=np.int64)
+        assert cert.scalar(pts) == dense_central_scalar(cert, pts), gen
 
 
 def test_classify_on_a_sublattice_is_a_typed_error(tmp_path, capsys):

@@ -210,24 +210,60 @@ def _entries(m: LaurentMatrix, k: int):
     return [[m.entry(k, i, j) for j in range(c)] for i in range(n)]
 
 
+def _largest(m: LaurentMatrix) -> int:
+    """The largest absolute coefficient of any entry of ``m``."""
+    *lead, n, c = m.coeffs.shape[:-3] + m.coeffs.shape[-2:]
+    return max((abs(x) for k in np.ndindex(*lead) for i in range(n)
+                for j in range(c) for _, x in m.entry(*k, i, j).items()),
+               default=0)
+
+
 def test_laurent_matrix_against_entrywise_laurent():
     rng = random.Random(11)
 
-    def rand_mat(n):
-        return [[Laurent({rng.randint(-2, 3): rng.randint(-3, 3)
+    def rand_mat(n, exps=range(-2, 4)):
+        return [[Laurent({rng.choice(exps): rng.randint(-3, 3)
                           for _ in range(2)}) for _ in range(n)]
                 for _ in range(n)]
 
     a = [rand_mat(3) for _ in range(4)]
     b = [rand_mat(3) for _ in range(4)]
     ta, tb = LaurentMatrix.from_rows(a), LaurentMatrix.from_rows(b)
-    prod, total = ta @ tb, ta - tb
+    assert ta.lo < 0 and tb.lo < 0
+    prod, total, both = ta @ tb, ta - tb, ta + tb
     for k in range(4):
         assert _entries(ta, k) == a[k]
         assert _entries(prod, k) == _lmul(a[k], b[k])
         assert _entries(total, k) == [[x - y for x, y in zip(ra, rb)]
                                       for ra, rb in zip(a[k], b[k])]
     assert not (ta @ LaurentMatrix.identity(3) - ta).coeffs.any()
+    # one-slice factors on either side: a monomial v^-1 times a constant
+    # matrix, and an all-zero slice; and factors with zero interior slices
+    ones = [[[Laurent.monomial(-1, rng.randint(-3, 3)) for _ in range(3)]
+             for _ in range(3)] for _ in range(4)]
+    zero = [[[Laurent.zero()] * 3] * 3] * 4
+    gaps = [rand_mat(3, (-3, 2)) for _ in range(4)]
+    tx = [LaurentMatrix.from_rows(x) for x in (ones, zero, gaps)]
+    assert [t.coeffs.shape[-3] for t in tx] == [1, 1, 6]
+    assert not tx[2].coeffs[:, 1:-1].any()
+    for x, t in zip((ones, zero, gaps), tx):
+        for left, tl, right, tr in ((x, t, a, ta), (a, ta, x, t),
+                                    (x, t, x, t)):
+            got = tl @ tr
+            for k in range(4):
+                assert _entries(got, k) == _lmul(left[k], right[k])
+            assert got.magnitude() == _largest(got)
+    # a single matrix times a stack, and a stack times a single matrix:
+    # the leading axes broadcast
+    left, right = ta[2] @ tb, ta @ tb[1]
+    for k in range(4):
+        assert _entries(left, k) == _lmul(a[2], b[k])
+        assert _entries(right, k) == _lmul(a[k], b[1])
+    # magnitude() is the largest coefficient after every operation
+    for m in (ta, tb, prod, total, both, left, right, ta[1], prod[3],
+              total[1:3], prod.trim(), (ta - ta).trim(),
+              LaurentMatrix.identity(3)):
+        assert m.magnitude() == _largest(m)
     poly = LaurentMatrix.from_rows(
         [[[Laurent.v(1) + Laurent.of_int(4), Laurent.v(2)]]])
     assert poly.at_v0().tolist() == [[[4, 0]]]

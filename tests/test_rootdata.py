@@ -23,6 +23,7 @@ from heckelab import (
 from geom_oracle import (
     box_monoid_generators,
     check_monoid_generators,
+    frac_det,
     search_lattice_cosets,
     search_weyl_orbit,
 )
@@ -137,6 +138,21 @@ def test_lattices():
 
     with pytest.raises(LatticeNotIntermediate):
         build_root_datum("A", 2, lattice=[(3, 0), (0, 1)])
+
+
+def test_lattice_index_is_the_determinant_of_the_basis():
+    """The product of the echelon pivots against the rational determinant,
+    on the coroot lattice of every README type and on the intermediate
+    D4 lattice of index 2 spanned by the coroots and the first
+    fundamental coweight."""
+    data = [build_root_datum(kind, rank, lattice="coroot")
+            for kind, rank in README_TYPES]
+    data.append(build_root_datum(
+        "D", 4, lattice=list(cartan_matrix("D", 4)) + [(1, 0, 0, 0)]))
+    for d in data:
+        assert d.lattice_index == frac_det(d.lattice_basis) > 0, d
+    assert data[-1].lattice_index == 2
+    assert [d.lattice_index for d in data if d.kind == "E"] == [3, 2, 1]
 
 
 def test_coset_separates_coroot_classes():
