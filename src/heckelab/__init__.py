@@ -12,7 +12,7 @@ from .errors import (HeckeLabError, InvalidRank, DecorationNotClassConstant,
                      WeightTooLarge, LatticeNotIntermediate, NotInLattice,
                      DatumMismatch, NotAFullOrbit, HilbertBasisOverflow,
                      CharacterExtends, NoIndexTwoStructure, NotSimplyLaced,
-                     NegativePowersPresent, RelationsFail, UnhandledCase,
+                     NegativePowersPresent, RelationsFail,
                      SublatticeUnsupported)
 from .laurent import Laurent, LaurentMatrix, q_power
 from .rootdata import (RootDatum, build_root_datum, cartan_matrix,
@@ -23,7 +23,7 @@ from .extweyl import (ExtWeylElt, OmegaGroup, translation_word, aut_group,
 from .hecke import HeckeAlgebra, HeckeElt
 from .modules import (Character, FinModule, enumerate_characters,
                       character_extends, induce_character, reflection_module,
-                      star_twist, reduce_mod_p, decompose_at_v0)
+                      decompose_at_v0)
 from .classify import (SearchOutcome, is_discrete_character, is_supersingular,
                        key_result_search, translation_exponent,
                        central_orbit_matrix_v0)
@@ -36,7 +36,7 @@ __all__ = [
     "LatticeNotIntermediate", "NotInLattice", "DatumMismatch",
     "NotAFullOrbit", "HilbertBasisOverflow", "CharacterExtends",
     "NoIndexTwoStructure", "NotSimplyLaced", "NegativePowersPresent",
-    "RelationsFail", "UnhandledCase", "SublatticeUnsupported",
+    "RelationsFail", "SublatticeUnsupported",
     "Laurent", "LaurentMatrix", "q_power",
     "RootDatum", "build_root_datum", "cartan_matrix",
     "dominant_monoid_generators", "INFINITE_BOND",
@@ -45,8 +45,7 @@ __all__ = [
     "affine_simple",
     "HeckeAlgebra", "HeckeElt",
     "Character", "FinModule", "enumerate_characters", "character_extends",
-    "induce_character", "reflection_module", "star_twist", "reduce_mod_p",
-    "decompose_at_v0",
+    "induce_character", "reflection_module", "decompose_at_v0",
     "SearchOutcome", "is_discrete_character", "is_supersingular",
     "key_result_search", "translation_exponent", "central_orbit_matrix_v0",
     "__version__",

@@ -468,7 +468,7 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     if cert is not None:
         c0 = cert.scalar(pts).constant_term()
         return np.eye(module.dim, dtype=np.int64) * (c0 % p)
-    alg.lattice_points(pts, _level(module.omega_mats))
+    alg.lattice_coordinates(pts, _level(module.omega_mats))
     exact = module.act(alg.central_from_orbit(pts))
     k = -exact.lo
     coeff = (exact.coeffs[k] if 0 <= k < len(exact.coeffs)

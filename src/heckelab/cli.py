@@ -13,8 +13,9 @@ has a default (decoration 1, coweight lattice, generic mode, p = 5).
 
 A *suite file* holds ``{"cases": [...]}`` where each entry is either a
 bare case object or ``{"case": {...}, "expect": {...}}``; expectations
-may pin ``verdict``, ``r``, ``dimension`` and ``supersingular``.  The
-``verify`` command runs its built-in suite when no file is given.
+may pin ``verdict``, ``r``, ``dimension`` and ``supersingular``, and no
+other field.  The ``verify`` command runs its built-in suite when no
+file is given.
 
 Reports are JSON with sorted keys and no volatile fields, so repeated
 runs produce byte-identical output; opt into wall-clock data with
@@ -35,7 +36,7 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .errors import HeckeLabError, RelationsFail, UnhandledCase
+from .errors import HeckeLabError, RelationsFail
 from .rootdata import INFINITE_BOND, build_root_datum
 from .hecke import HeckeAlgebra
 from .intlin import is_int, is_prime
@@ -50,11 +51,13 @@ EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
 # errors that mean the analysis itself failed, not the input
-_INTERNAL_ERRORS = (RelationsFail, UnhandledCase, MemoryError)
+_INTERNAL_ERRORS = (RelationsFail, MemoryError)
 
 DEFAULT_PRIME = 5
 
 _CASE_KEYS = {"type", "rank", "decoration", "lattice", "mode", "p"}
+
+_EXPECT_KEYS = {"verdict", "r", "dimension", "supersingular"}
 
 
 def parse_case(obj: dict) -> dict:
@@ -392,8 +395,14 @@ def _load_suite(path: str | None) -> list[dict]:
         entries = []
         for item in raw:
             if isinstance(item, dict) and "case" in item:
-                entries.append({"case": item["case"],
-                                "expect": item.get("expect", {})})
+                expect = item.get("expect", {})
+                if not isinstance(expect, dict):
+                    raise ValueError("an expectation must be a JSON object")
+                unknown = set(expect) - _EXPECT_KEYS
+                if unknown:
+                    raise ValueError(
+                        f"unknown expectation fields: {sorted(unknown)}")
+                entries.append({"case": item["case"], "expect": expect})
             else:
                 entries.append({"case": item, "expect": {}})
     for entry in entries:
@@ -507,8 +516,12 @@ def main(argv=None) -> int:
     except _INTERNAL_ERRORS + (HeckeLabError, ValueError, KeyError,
                                TypeError, OSError) as exc:
         # json.JSONDecodeError is a ValueError
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
-              args)
+        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        try:
+            _emit(error, args)
+        except OSError:
+            # the --json file cannot be written: the report goes to stdout
+            sys.stdout.write(_canonical(error))
         return (EXIT_INTERNAL if isinstance(exc, _INTERNAL_ERRORS)
                 else EXIT_BAD_INPUT)
 

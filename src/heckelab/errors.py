@@ -91,7 +91,3 @@ class RelationsFail(HeckeLabError):
                         f" with node values {values}")
         super().__init__(message)
         self.relation, self.member, self.values = relation, member, values
-
-
-class UnhandledCase(HeckeLabError):
-    """The classification search ran out of applicable constructions."""

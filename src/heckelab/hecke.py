@@ -149,21 +149,14 @@ class HeckeAlgebra:
                 else self._level_basis(level))
         return self._monoid_generators[level]
 
-    def lattice_points(self, lam, level: str = "effective") -> np.ndarray:
-        """``lam``, a point or an (N, rank) stack, as an (N, rank) int64
-        stack of points of the lattice at ``level``, else ``NotInLattice``
-        naming the first point off it.  The coroot and effective lattices
-        lie in the datum's lattice, so no point off that one passes."""
-        pts = self.datum.point_stack(lam)
-        self.lattice_coordinates(pts, level)
-        return pts
-
     def lattice_coordinates(self, lam, level: str = "effective"
                             ) -> np.ndarray:
         """The coordinates of ``lam``, a point or an (N, rank) stack of
         points of the lattice at ``level``, in its echelon basis, as an
         (N, rank) int64 stack (:func:`intlin.lattice_coordinates`), else
-        ``NotInLattice`` naming the first point off it."""
+        ``NotInLattice`` naming the first point off it.  The coroot and
+        effective lattices lie in the datum's lattice, so no point off that
+        one passes."""
         pts = self.datum.point_stack(lam)
         coords, rem = intlin.lattice_coordinates(self._level_basis(level),
                                                  pts)
@@ -186,14 +179,15 @@ class HeckeAlgebra:
         on the split (Lusztig 1989).
 
         ``lam`` may be an (N, rank) stack of points, split at once with
-        one stacked lattice test (:func:`intlin.rows_in_lattice`); the
-        parts are then two (N, rank) int64 stacks.  A single point is a
+        one stacked lattice test (the remainders of
+        :func:`intlin.lattice_coordinates`); the parts are then two
+        (N, rank) int64 stacks.  A single point is a
         stack of one and gives a pair of tuples.
         """
         pts = self.datum.point_stack(lam)
         plus, minus = np.maximum(pts, 0), np.maximum(-pts, 0)
         basis = self._level_basis(level)
-        off = ~intlin.rows_in_lattice(basis, plus)
+        off = intlin.lattice_coordinates(basis, plus)[1].any(axis=1)
         if off.any():
             shift = -plus[off] % np.array(intlin.lattice_rays(basis))
             plus[off] += shift
@@ -206,14 +200,15 @@ class HeckeAlgebra:
         """The split $E_\\lambda = v^{-\\delta} T^*_{t_+} T_{t_-} =
         v^{-\\delta} T_{t_-} T^*_{t_+}$ of :meth:`bernstein` at a point or
         an (N, rank) stack ``lam`` of the lattice at ``level`` (else
-        ``NotInLattice``, from
-        :meth:`lattice_points`): the (N, rank) stacks ``plus``
+        ``NotInLattice``, from :meth:`lattice_coordinates`): the
+        (N, rank) stacks ``plus``
         and ``minus`` of :meth:`dominant_decomposition` and the exponents
         $\\delta \\ge 0$, read off the class counts
         (:meth:`RootDatum.translation_class_counts`) of $t_+ = t_{plus}$,
         $t_- = t_{-minus}$ and $t_\\lambda$."""
         datum = self.datum
-        pts = self.lattice_points(lam, level)
+        pts = datum.point_stack(lam)
+        self.lattice_coordinates(pts, level)
         plus, minus = self.dominant_decomposition(pts, level)
         c_plus, c_minus, c_lam = datum.translation_class_counts(
             np.stack((plus, -minus, pts)))
@@ -306,9 +301,8 @@ class HeckeElt:
 
     def _same_algebra(self, other: "HeckeElt") -> bool:
         """Whether ``other`` lies in the same algebra: the same object, or
-        one of a datum with the same :meth:`RootDatum.to_json`."""
-        return self.alg is other.alg or (
-            self.alg.datum.to_json() == other.alg.datum.to_json())
+        one of an equal datum."""
+        return self.alg is other.alg or self.alg.datum == other.alg.datum
 
     def _check(self, other: "HeckeElt") -> None:
         if not self._same_algebra(other):

@@ -214,28 +214,20 @@ def reduce_mod_lattice(
     return tuple(rem)
 
 
-def reduce_rows_mod_lattice(echelon: Sequence[Sequence[int]],
-                            rows) -> np.ndarray:
-    """:func:`reduce_mod_lattice` on every row of an (N, width) integer
-    stack at once: the same reduction, one basis row at a time over all
-    rows, in int64.
-
-    A row reduces to zero exactly when it lies in the lattice, for any
-    echelon basis (:func:`in_row_lattice`); with a square basis the rows
-    are the canonical coset representatives.  Each basis row multiplies
-    the bound $M + 1$ on the entries by at most $1 + B$, for $B$ the
-    largest basis entry, so a stack that could leave int64 is refused
-    with ``OverflowError``.
-    """
-    return lattice_coordinates(echelon, rows)[1]
-
-
 def lattice_coordinates(echelon: Sequence[Sequence[int]], rows):
     """The coordinates in the basis ``echelon`` of every row of an
-    (N, width) integer stack, by back-substitution, and the remainders of
-    :func:`reduce_rows_mod_lattice`, two int64 stacks: the coordinates are
-    the multiples of the basis rows that the reduction subtracts, and they
-    mean something exactly on the rows whose remainder is zero."""
+    (N, width) integer stack, by back-substitution, and the remainders,
+    two int64 stacks: :func:`reduce_mod_lattice` on every row at once,
+    one basis row at a time over all rows, where the coordinates are the
+    multiples of the basis rows that the reduction subtracts.
+
+    A row's remainder is zero exactly when it lies in the lattice, for
+    any echelon basis (:func:`in_row_lattice`), and its coordinates mean
+    something exactly then; with a square basis the remainders are the
+    canonical coset representatives.  Each basis row multiplies the bound
+    $M + 1$ on the entries by at most $1 + B$, for $B$ the largest basis
+    entry, so a stack that could leave int64 is refused with
+    ``OverflowError``."""
     rem = np.array(rows, dtype=np.int64)
     top = max(int(rem.max(initial=0)), -int(rem.min(initial=0)))
     grow = 1 + max((abs(x) for row in echelon for x in row), default=0)
@@ -248,9 +240,3 @@ def lattice_coordinates(echelon: Sequence[Sequence[int]], rows):
         coords[:, r] = rem[:, col] // row[col]
         rem -= coords[:, r, None] * np.asarray(row, dtype=np.int64)
     return coords, rem
-
-
-def rows_in_lattice(echelon: Sequence[Sequence[int]], rows) -> np.ndarray:
-    """:func:`in_row_lattice` on every row of an (N, width) integer stack:
-    a boolean array of length N."""
-    return ~reduce_rows_mod_lattice(echelon, rows).any(axis=1)

@@ -228,7 +228,7 @@ class Character:
         Generic characters give a module over the Laurent ring (``p`` must
         stay ``None``); mod-$p$ characters need the prime."""
         alg = _as_algebra(algebra)
-        if alg.datum.to_json() != self.datum.to_json():
+        if alg.datum != self.datum:
             raise DatumMismatch("character and algebra built from different data")
         if self.mode == "generic" and p is not None:
             raise ValueError("generic characters reduce via reduce_mod_p")
@@ -250,7 +250,7 @@ class Character:
             return NotImplemented
         return (self.mode == other.mode and self.values == other.values
                 and self.omega_signs == other.omega_signs
-                and self.datum.to_json() == other.datum.to_json())
+                and self.datum == other.datum)
 
     def __hash__(self):
         return hash((self.mode, self.values, self.omega_signs))
@@ -607,36 +607,10 @@ class FinModule:
             mod.check_relations()
         return mod
 
-    def diagonal_character_values(self) -> tuple[tuple[int, ...], ...] | None:
-        """For an fp module with diagonal generator matrices, the value
-        tuples per basis index (one per node); ``None`` if not diagonal."""
-        assert self.prime is not None
-        mats = self.smats.coeffs[:, 0]
-        if (mats * (1 - np.eye(self.dim, dtype=np.int64))).any():
-            return None
-        diag = np.diagonal(mats, axis1=1, axis2=2).T.tolist()
-        return tuple(map(tuple, diag))
-
     def __repr__(self):
         ring = "Z[v, 1/v]" if self.prime is None else f"F_{self.prime}"
         label = self.name or "module"
         return f"FinModule({label}, dim {self.dim} over {ring})"
-
-    def to_json(self) -> dict:
-        n = self.dim
-
-        def enc(mats: LaurentMatrix):
-            if self.prime is not None:
-                return mats.coeffs[:, 0].tolist()
-            return [[[str(mats.entry(k, i, j)) for j in range(n)]
-                     for i in range(n)] for k in range(len(mats))]
-
-        ring = "laurent" if self.prime is None else f"fp({self.prime})"
-        out = {"dim": n, "name": self.name, "ring": ring,
-               "generators": enc(self.smats)}
-        if self.omega_mats is not None:
-            out["length_zero"] = enc(self.omega_mats)
-        return out
 
 
 def reflection_module(datum) -> FinModule:
@@ -678,17 +652,6 @@ def reflection_module(datum) -> FinModule:
                     name=f"reflection module {d.label()}")
     mod.check_relations()
     return mod
-
-
-def star_twist(module: FinModule) -> FinModule:
-    """Twist a module by the sign involution (see
-    :meth:`FinModule.star_twist`)."""
-    return module.star_twist()
-
-
-def reduce_mod_p(module: FinModule, p: int) -> FinModule:
-    """Reduce a module with polynomial entries at $v = 0$ into $F_p$."""
-    return module.reduce_mod_p(p)
 
 
 def decompose_at_v0(module: FinModule) -> tuple[Character, ...]:

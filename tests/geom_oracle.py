@@ -221,7 +221,7 @@ def box_monoid_generators(datum, lattice="lattice", max_box=2_000_000):
     # one stacked membership test for the whole box, in lexicographic
     # order, which is the row-major order of the (f + 1)^rank grid
     box = list(boxes(rank))
-    member = intlin.rows_in_lattice(basis, box)
+    member = ~intlin.lattice_coordinates(basis, box)[1].any(axis=1)
     member[0] = False  # the origin
     # a point splits as p = q + (p - q) exactly when it dominates another
     # nonzero lattice point q (p - q then lies in the box and the lattice),

@@ -193,6 +193,28 @@ def test_verify_suite_pass_and_mismatch(tmp_path, capsys):
     assert len(failing) == 1 and failing[0]["failures"]
 
 
+def test_verify_refuses_expectations_it_cannot_check(tmp_path, capsys):
+    """An expectation that is not an object, or that pins a field verify
+    does not check, is bad input naming the field, not a pass."""
+    for expect, named in [({"verdit": "Induced2Dim"}, "'verdit'"),
+                          ("Induced2Dim", "object")]:
+        suite = {"cases": [{"case": {"type": "G", "rank": 2},
+                            "expect": expect}]}
+        f = write_case(tmp_path, suite, "suite.json")
+        code, out = run_cli(["verify", "--suite", f], capsys)
+        assert code == 2, expect
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError" and named in error["message"]
+
+
+def test_verify_runs_the_built_in_suite(capsys):
+    code, out = run_cli(["verify"], capsys)
+    assert code == 0
+    r = json.loads(out)
+    assert r["summary"] == {"failed": 0, "passed": 29, "total": 29}
+    assert r["warnings"] == []
+
+
 def test_verify_empty_suite_warns(tmp_path, capsys):
     f = write_case(tmp_path, {"cases": []}, "empty.json")
     code, out = run_cli(["verify", "--suite", f], capsys)
@@ -256,6 +278,24 @@ def test_json_file_duplicates_stdout(tmp_path, capsys):
                          "--json", str(target)], capsys)
     assert code == 0
     assert target.read_text() == out
+
+
+def test_json_file_that_cannot_be_written_is_bad_input(tmp_path, capsys):
+    """A ``--json`` path in a missing directory gives one JSON error
+    report on stdout and exit 2, on good input and on bad; a writable path
+    gets the error report too."""
+    target = tmp_path / "missing_dir" / "report.json"
+    for payload in ({"type": "G", "rank": 2}, {"type": "Q", "rank": 2}):
+        case = write_case(tmp_path, payload)
+        code, out = run_cli(["classify", "--case", case,
+                             "--json", str(target)], capsys)
+        assert code == 2, payload
+        assert "error" in json.loads(out)
+    assert not target.parent.exists()
+    written = tmp_path / "report.json"
+    code, out = run_cli(["classify", "--case", case,
+                         "--json", str(written)], capsys)
+    assert code == 2 and written.read_text() == out
 
 
 def test_seed_and_timing_flags(tmp_path, capsys):

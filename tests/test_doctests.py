@@ -1,6 +1,6 @@
 """The examples in the package docstrings run as tests: every module of
 ``heckelab`` goes through ``doctest.testmod``, and a failing example fails
-its module's test."""
+its module's test.  Every name the package exports resolves."""
 
 import doctest
 import importlib
@@ -29,3 +29,11 @@ def test_examples_exist():
                      for test in finder.find(importlib.import_module(name))
                      if test.examples]
     assert len(with_examples) >= 4, with_examples
+
+
+def test_every_exported_name_resolves():
+    """``from heckelab import *`` binds every name of ``heckelab.__all__``
+    (it raises ``AttributeError`` on a name the package lacks)."""
+    namespace: dict = {}
+    exec("from heckelab import *", namespace)
+    assert [n for n in heckelab.__all__ if n not in namespace] == []

@@ -444,7 +444,7 @@ def test_coordinates_that_are_not_integers_are_refused():
     # numpy would truncate 1.5 to 1 and count True as 1
     H = HeckeAlgebra(build_root_datum("C", 2))
     for call in [lambda: H.central((1.5, 0)), lambda: H.bernstein((0.5, 0)),
-                 lambda: H.lattice_points([1.7, 0]),
+                 lambda: H.lattice_coordinates([1.7, 0]),
                  lambda: H.datum.weyl_orbit((True, 0)),
                  lambda: H.datum.is_weyl_orbit(np.array([[1.0, 0.0]]))]:
         with pytest.raises(TypeError):

@@ -137,9 +137,7 @@ def test_rank_one_step_matches_general_product(d, data):
             general = x * ExtWeylElt.simple_reflection(d, t)
             assert (xt.tr, xt.mat, xt.rmat, descent) == (
                 general.tr, general.mat, general.rmat, slow)
-        fast, xs = x.mul_simple(s), x.step(s)[0]
-        assert (fast.tr, fast.mat, fast.rmat) == (xs.tr, xs.mat, xs.rmat)
-        x = fast
+        x = x.step(s)[0]
         chain = chain * ExtWeylElt.simple_reflection(d, s)
     check_alcove_vectors(d, 2)
 
@@ -384,11 +382,11 @@ def test_stacked_reduction_matches_per_point(d, data):
         moved = [tuple(x + (j == k) for j, x in enumerate(v))
                  for k, v in enumerate(on) if k < d.rank]
         pts = data.draw(st.lists(vec, max_size=6)) + on + moved
-        red = intlin.reduce_rows_mod_lattice(basis, pts)
+        red = intlin.lattice_coordinates(basis, pts)[1]
         assert red.shape == (len(pts), d.rank)
         assert [tuple(r) for r in red.tolist()] == [
             intlin.reduce_mod_lattice(basis, v) for v in pts]
-        assert intlin.rows_in_lattice(basis, pts).tolist() == [
+        assert (~red.any(axis=1)).tolist() == [
             intlin.in_row_lattice(basis, v) for v in pts]
     om = H.omega
     assert om.translation_indices(on) == [

@@ -39,12 +39,15 @@ CARTAN_TABLE = {
     ("F", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2)),
 }
 
-POS_ROOT_COUNTS = {
-    ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10,
-    ("B", 3): 9, ("C", 2): 4, ("C", 3): 9, ("C", 4): 16, ("C", 5): 25,
-    ("D", 4): 12, ("D", 5): 20,
-    ("E", 6): 36, ("E", 7): 63, ("E", 8): 120,
-    ("F", 4): 24, ("G", 2): 6,
+# the number of positive roots of each type, by rank
+POS_ROOT_COUNT = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
+    "F": lambda n: 24,
+    "G": lambda n: 6,
 }
 
 HIGHEST_ROOTS = {
@@ -63,9 +66,11 @@ def test_cartan_tables():
 
 
 def test_positive_root_counts():
-    for (kind, rank), n in POS_ROOT_COUNTS.items():
+    """The closure of the simple roots finds every positive root, on all
+    33 README types."""
+    for kind, rank in README_TYPES:
         d = build_root_datum(kind, rank)
-        assert len(d.pos_roots) == n, (kind, rank)
+        assert len(d.pos_roots) == POS_ROOT_COUNT[kind](rank), (kind, rank)
         roots = [b for b, _ in d.pos_roots]
         for i in range(rank):
             assert d.simple_root(i + 1) in roots
@@ -401,6 +406,29 @@ def test_class_counts_in_chunks(monkeypatch):
     assert (d.translation_class_counts(stack[0]) == one_shot[0]).all()
     assert (d.translation_class_counts(stack[0, 0]) == one_shot[0, 0]).all()
     assert d.translation_class_counts(stack[0, :0]).shape == (0, 3)
+
+
+def test_datum_equality_is_that_of_to_json():
+    """Two data are equal exactly when their ``to_json`` values are, and
+    equal data hash equally: data built apart from one input are equal,
+    while a custom basis differs from the named lattice it spans."""
+    data = [build_root_datum("C", 2), build_root_datum("C", 2),
+            build_root_datum("C", 2, lattice=[(1, 0), (0, 1)]),
+            build_root_datum("C", 2, lattice=[(0, 1), (1, 0)]),
+            build_root_datum("C", 2, lattice="coroot"),
+            build_root_datum("C", 2, lattice=[(1, 0), (0, 2)]),
+            build_root_datum("C", 2, weights=[1, 2, 2]),
+            build_root_datum("C", 3), build_root_datum("B", 2),
+            build_root_datum("G", 2)]
+    for a in data:
+        for b in data:
+            assert (a == b) == (a.to_json() == b.to_json()), (a, b)
+            assert (a != b) == (a.to_json() != b.to_json()), (a, b)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert data[0] == data[1] and data[0] is not data[1]
+    assert data[2] == data[3] and data[2] != data[0]
+    assert data[4] != data[5] and data[0] != data[0].to_json()
 
 
 def test_json_round_trip_shape():
