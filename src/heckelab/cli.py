@@ -12,10 +12,10 @@ explicit list of basis vectors.  Every field except ``type`` and ``rank``
 has a default (decoration 1, coweight lattice, generic mode, p = 5).
 
 A *suite file* holds ``{"cases": [...]}`` where each entry is either a
-bare case object or ``{"case": {...}, "expect": {...}}``; expectations
-may pin ``verdict``, ``r``, ``dimension`` and ``supersingular``, and no
-other field.  The ``verify`` command runs its built-in suite when no
-file is given.
+bare case object or ``{"case": {...}, "expect": {...}}`` with no other
+key; expectations may pin ``verdict``, ``r``, ``dimension`` and
+``supersingular``, and no other field.  The ``verify`` command runs its
+built-in suite when no file is given.
 
 Reports are JSON with sorted keys and no volatile fields, so repeated
 runs produce byte-identical output; opt into wall-clock data with
@@ -395,6 +395,10 @@ def _load_suite(path: str | None) -> list[dict]:
         entries = []
         for item in raw:
             if isinstance(item, dict) and "case" in item:
+                extra = set(item) - {"case", "expect"}
+                if extra:
+                    raise ValueError(
+                        f"unknown suite entry fields: {sorted(extra)}")
                 expect = item.get("expect", {})
                 if not isinstance(expect, dict):
                     raise ValueError("an expectation must be a JSON object")

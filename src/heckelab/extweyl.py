@@ -39,13 +39,12 @@ abelian and acts faithfully on the nodes, so its law is that of $\pi$.
 
 The matrices are built only when read: the constructors that hold them
 (:meth:`ExtWeylElt.identity`, :meth:`ExtWeylElt.translation`,
-:meth:`ExtWeylElt.simple_reflection`, :meth:`ExtWeylElt.inv`, the
-elements of the length-zero group and products of two elements that
-both have them) keep them, and an element
-made by steps replays its reduced word from its length-zero part with
-one sparse rank-one update per letter.  A product $xy$ reads only the
-affine map of $y$, so multiplying by a length-zero element never builds
-the matrices of $x$.
+:meth:`ExtWeylElt.inv`, the elements of the length-zero group and
+products of two elements that both have them) keep them, and an element
+made by steps, a simple reflection among them, replays its reduced word
+from its length-zero part with one sparse rank-one update per letter.
+A product $xy$ reads only the affine map of $y$, so multiplying by a
+length-zero element never builds the matrices of $x$.
 """
 
 from __future__ import annotations
@@ -90,12 +89,6 @@ class ExtWeylElt:
         self._aff = aff
         self._rw: tuple[ExtWeylElt, tuple[int, ...]] | None = None
 
-    @staticmethod
-    def _of_affine(datum: RootDatum, aff: Affine) -> "ExtWeylElt":
-        """The element with the affine map ``aff``."""
-        v0, den = datum.alcove_point
-        return ExtWeylElt(datum, _pull_back(v0, aff, den), aff)
-
     # ---- constructors -------------------------------------------------
 
     @staticmethod
@@ -106,8 +99,11 @@ class ExtWeylElt:
 
     @staticmethod
     def translation(datum: RootDatum, c: Sequence[int]) -> "ExtWeylElt":
-        """The translation by ``c``, with alcove vector $v_0 - D c$."""
-        c = tuple(int(x) for x in c)
+        """The translation by ``c``, with alcove vector $v_0 - D c$: a
+        point that :meth:`RootDatum.point_stack` accepts, in the
+        lattice."""
+        (c,) = datum.point_stack(c).tolist()
+        c = tuple(c)
         if not datum.in_lattice(c):
             raise NotInLattice(f"{c} is not in the {datum.lattice_name} "
                                f"lattice of {datum.label()}")
@@ -116,26 +112,9 @@ class ExtWeylElt:
 
     @staticmethod
     def simple_reflection(datum: RootDatum, s: int) -> "ExtWeylElt":
-        """The reflection at affine node ``s`` in 0..rank."""
-        rank = datum.rank
-        if not 0 <= s <= rank:
-            raise ValueError(f"node label {s} out of range 0..{rank}")
-        cache = datum.simple_reflections
-        if s in cache:
-            return cache[s]
-        if s == 0:
-            root, cov = datum.theta, datum.theta_coroot
-            tr = cov
-        else:
-            root, cov = datum.simple_root(s), datum.simple_coroot(s)
-            tr = (0,) * rank
-        mat = tuple(
-            tuple(int(j == k) - cov[j] * root[k] for k in range(rank))
-            for j in range(rank)
-        )
-        elt = ExtWeylElt._of_affine(datum, (tr, mat, intlin.transpose(mat)))
-        cache[s] = elt
-        return elt
+        """The reflection at affine node ``s`` in 0..rank: the identity
+        stepped at ``s``."""
+        return ExtWeylElt.identity(datum).step(s)[0]
 
     @staticmethod
     def from_word(datum: RootDatum, word: Iterable[int],
@@ -218,9 +197,10 @@ class ExtWeylElt:
     def inv(self) -> "ExtWeylElt":
         tr, mat, rmat = self._affine()
         mat_inv = intlin.transpose(rmat)
-        return ExtWeylElt._of_affine(self.datum, (
-            tuple(-x for x in intlin.mat_vec(mat_inv, tr)), mat_inv,
-            intlin.transpose(mat)))
+        aff = (tuple(-x for x in intlin.mat_vec(mat_inv, tr)), mat_inv,
+               intlin.transpose(mat))
+        v0, den = self.datum.alcove_point
+        return ExtWeylElt(self.datum, _pull_back(v0, aff, den), aff)
 
     def __pow__(self, n: int) -> "ExtWeylElt":
         base = self if n >= 0 else self.inv()
@@ -284,17 +264,8 @@ class ExtWeylElt:
 
     def right_descent(self, s: int) -> bool:
         """Whether multiplying by the reflection at node ``s`` drops
-        length: the simple affine root at ``s`` is negative at $q / D$."""
-        d = self.datum
-        if not 0 <= s <= d.rank:
-            raise ValueError(f"node label {s} out of range 0..{d.rank}")
-        if s:
-            return self.q[s - 1] < 0
-        return sum(map(mul, self.q, d.theta)) > d.alcove_point[1]
-
-    def descents(self) -> tuple[int, ...]:
-        return tuple(s for s in range(self.datum.rank + 1)
-                     if self.right_descent(s))
+        length (:meth:`step`)."""
+        return self.step(s)[1]
 
     def reduced_word(self) -> tuple["ExtWeylElt", tuple[int, ...]]:
         """Split as (length-zero part, reduced word): self = omega * word.
@@ -420,7 +391,9 @@ def translation_word(datum: RootDatum, lam: Sequence[int]) -> tuple[int, ...]:
     (:func:`_walk`), read backwards, the word
     :meth:`ExtWeylElt.reduced_word` gives.  The missing length-zero part
     is recoverable from the coset of ``lam`` modulo the coroot lattice.
+    ``lam`` is a point that :meth:`RootDatum.point_stack` accepts.
     """
+    (lam,) = datum.point_stack(lam).tolist()
     _, walk = _walk(datum, _translation_vector(datum, lam))
     return tuple(reversed(walk))
 
@@ -428,7 +401,7 @@ def translation_word(datum: RootDatum, lam: Sequence[int]) -> tuple[int, ...]:
 def _translation_vector(datum: RootDatum, lam: Sequence[int]) -> Vec:
     """The alcove vector $v_0 - D\\lambda$ of the translation by ``lam``."""
     v0, den = datum.alcove_point
-    return tuple(a - den * int(b) for a, b in zip(v0, lam))
+    return tuple(a - den * b for a, b in zip(v0, lam))
 
 
 class OmegaGroup:
@@ -474,14 +447,6 @@ class OmegaGroup:
         assert perms[0] == tuple(range(n))
         assert len(set(perms)) == len(perms)
         return OmegaGroup(datum, elements, perms, by_coset)
-
-    def element_for_translation(self, lam: Sequence[int]) -> ExtWeylElt:
-        """The length-zero part of the translation by ``lam``."""
-        key = self.datum.coset_mod_coroots(lam)
-        if key not in self._by_coset:
-            raise KeyError(f"coset of {tuple(lam)} has no length-zero "
-                           f"element in this group")
-        return self.elements[self._by_coset[key]]
 
     def translation_indices(self, pts) -> list[int]:
         """Indices in :attr:`elements` of the length-zero parts of the

@@ -283,9 +283,8 @@ class RootDatum:
       and :meth:`lattice_cosets`;
     * per datum: ``weights`` (``weights[i]`` is the weight of affine node
       ``i``, constant on conjugacy classes of simple affine reflections
-      by construction), ``class_weights`` and the caches of elements
-      bound to the datum, ``simple_reflections`` and
-      ``length_zero_group``.
+      by construction), ``class_weights`` and the cache of elements
+      bound to the datum, ``length_zero_group``.
     """
 
     def __init__(self, kind: str, rank: int, weights: Vec, lattice_name: str,
@@ -298,9 +297,6 @@ class RootDatum:
         # the basis is square and upper triangular with positive pivots
         self.lattice_index = math.prod(
             row[i] for i, row in enumerate(lattice_basis))
-        # node -> its simple reflection, filled by
-        # ExtWeylElt.simple_reflection
-        self.simple_reflections: dict = {}
         # the group of length-zero elements, built by extweyl.aut_group
         self.length_zero_group = None
 
@@ -308,19 +304,6 @@ class RootDatum:
 
     def simple_root(self, s: int) -> Vec:
         return tuple(int(j == s - 1) for j in range(self.rank))
-
-    def simple_coroot(self, s: int) -> Vec:
-        return self.cartan[s - 1]
-
-    @staticmethod
-    def pairing(root: Sequence[int], coweight: Sequence[int]) -> int:
-        return sum(n * c for n, c in zip(root, coweight))
-
-    def weight(self, node: int) -> int:
-        return self.weights[node]
-
-    def is_dominant(self, c: Sequence[int]) -> bool:
-        return all(x >= 0 for x in c)
 
     # ---- lattice -----------------------------------------------------
 
@@ -330,10 +313,6 @@ class RootDatum:
     def in_coroot_lattice(self, c: Sequence[int]) -> bool:
         return intlin.in_row_lattice(self.coroot_basis, c)
 
-    def coset_mod_coroots(self, c: Sequence[int]) -> Vec:
-        """Canonical representative of ``c`` modulo the coroot lattice."""
-        return intlin.reduce_mod_lattice(self.coroot_basis, c)
-
     def lattice_cosets(self) -> tuple[Vec, ...]:
         """Canonical representatives of lattice / coroot-lattice cosets,
         sorted: the coweight cosets of the frame that lie in the lattice
@@ -342,9 +321,6 @@ class RootDatum:
         return tuple(c for c in self._coweight_cosets if self.in_lattice(c))
 
     # ---- Weyl group on coweights ---------------------------------------
-
-    def reflect(self, s: int, c: Sequence[int]) -> Vec:
-        return reflect_coweight(self.cartan, s, c)
 
     def point_stack(self, lam) -> np.ndarray:
         """``lam``, a point or an (N, rank) stack, as an (N, rank) int64
@@ -486,7 +462,7 @@ class RootDatum:
                       if cur[i - 1] < 0), None)
             if s is None:
                 return cur
-            cur = self.reflect(s, cur)
+            cur = reflect_coweight(self.cartan, s, cur)
 
     # ---- presentation ---------------------------------------------------
 

@@ -64,6 +64,7 @@ from heckelab import (ExtWeylElt, HilbertBasisOverflow, Laurent,
                       LaurentMatrix, RelationsFail, intlin)
 from heckelab.hecke import HeckeElt
 from heckelab.modules import _relations
+from heckelab.rootdata import reflect_coweight
 
 
 def base_point(datum):
@@ -96,7 +97,7 @@ def search_weyl_orbit(datum, c):
         nxt = []
         for x in frontier:
             for s in range(1, datum.rank + 1):
-                y = datum.reflect(s, x)
+                y = reflect_coweight(datum.cartan, s, x)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -108,7 +109,7 @@ def search_lattice_cosets(datum):
     """Canonical representatives of lattice / coroot-lattice cosets,
     sorted: the closure of the zero coset under adding the lattice
     generators and their negatives, reduced mod the coroot lattice."""
-    seen = {datum.coset_mod_coroots((0,) * datum.rank)}
+    seen = {(0,) * datum.rank}
     frontier = list(seen)
     gens = list(datum.lattice_basis)
     gens += [tuple(-x for x in g) for g in datum.lattice_basis]
@@ -116,8 +117,8 @@ def search_lattice_cosets(datum):
         nxt = []
         for c in frontier:
             for g in gens:
-                d = datum.coset_mod_coroots(
-                    tuple(a + b for a, b in zip(c, g)))
+                d = intlin.reduce_mod_lattice(
+                    datum.coroot_basis, tuple(a + b for a, b in zip(c, g)))
                 if d not in seen:
                     seen.add(d)
                     nxt.append(d)

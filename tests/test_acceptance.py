@@ -119,13 +119,13 @@ def test_criterion_2_extension_obstruction_families():
     for d, ch in failures:
         if d.kind == "A" and d.rank == 1:
             # both node weights equal, signs differ across the swap
-            assert d.weight(0) == d.weight(1)
+            assert d.weights[0] == d.weights[1]
             assert ch.sign_on_node(0) != ch.sign_on_node(1)
             seen_a1 = True
         else:
             # type C with the two end classes equally weighted
             assert d.kind == "C"
-            assert d.weight(0) == d.weight(d.rank)
+            assert d.weights[0] == d.weights[d.rank]
             assert ch.sign_on_node(0) != ch.sign_on_node(d.rank)
             seen_c = True
     assert seen_a1 and seen_c

@@ -1,10 +1,13 @@
 """The examples in the package docstrings run as tests: every module of
 ``heckelab`` goes through ``doctest.testmod``, and a failing example fails
-its module's test.  Every name the package exports resolves."""
+its module's test.  Every name the package exports resolves, and so
+does every function whose traced metrics the benchmark predicts."""
 
 import doctest
 import importlib
+import json
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +40,24 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from heckelab import *", namespace)
     assert [n for n in heckelab.__all__ if n not in namespace] == []
+
+
+def test_predicted_metrics_name_callables():
+    """Every metric in the ``predictions`` of ``perfbench/workloads.json``
+    but ``trace.*`` names a callable: ``<module>.<qualname>.<suffix>``
+    resolves to ``heckelab.<module>`` followed by the qualname.  A hooked
+    function that is deleted or renamed fails here, in seconds, and not
+    only in a traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+    names = [name for row in json.loads(path.read_text())["predictions"]
+             for name in row["metrics"] if not name.startswith("trace.")]
+    unresolved = []
+    for name in names:
+        module, *qualname, _ = name.split(".")
+        obj = importlib.import_module(f"heckelab.{module}")
+        for part in qualname:
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            unresolved.append(name)
+    assert names
+    assert unresolved == []

@@ -67,12 +67,18 @@ def test_element_counts_and_distinctness():
 
 
 def test_descents_match_length_drop():
+    """The step and its descent against a general product: each
+    reflection's matrices are read first, so that ``w * r`` pulls back
+    through them and does not step."""
     d = build_root_datum("C", 2)
+    simples = [ExtWeylElt.simple_reflection(d, s) for s in range(3)]
+    for r in simples:
+        r.tr
     for w in elements_up_to_length(d, 4, extended=True):
-        for s in range(3):
-            ws = w * ExtWeylElt.simple_reflection(d, s)
-            assert w.right_descent(s) == (ws.length() < w.length())
-        assert set(w.descents()) == {s for s in range(3) if w.right_descent(s)}
+        for s, r in enumerate(simples):
+            ws, descent = w.step(s)
+            assert ws == w * r
+            assert w.right_descent(s) == descent == (ws.length() < w.length())
 
 
 def test_group_operations():
@@ -88,6 +94,10 @@ def test_group_operations():
         assert (x * y).act_coweight(lam) == x.act_coweight(y.act_coweight(lam))
 
 
+def pairing(root, coweight):
+    return sum(n * c for n, c in zip(root, coweight))
+
+
 def test_action_preserves_pairing():
     d = build_root_datum("C", 2)
     rng = random.Random(5)
@@ -97,12 +107,11 @@ def test_action_preserves_pairing():
         w = rng.choice(pool)
         beta = rng.choice(roots)
         lam = tuple(rng.randint(-3, 3) for _ in range(2))
-        lhs = d.pairing(w.act_root(beta), w.act_coweight(lam))
         # translations shift the pairing by a constant, so compare
         # against the linear part only
         mu = w.act_coweight((0, 0))
         shifted = tuple(a - b for a, b in zip(w.act_coweight(lam), mu))
-        assert d.pairing(w.act_root(beta), shifted) == d.pairing(beta, lam)
+        assert pairing(w.act_root(beta), shifted) == pairing(beta, lam)
 
 
 def test_translations():
@@ -127,7 +136,7 @@ def test_translation_word_matches_matrix_route():
             t = ExtWeylElt.translation(d, lam)
             word = translation_word(d, lam)
             assert len(word) == t.length()
-            omega = G.element_for_translation(lam)
+            omega = G.elements[G.translation_indices([lam])[0]]
             assert ExtWeylElt.from_word(d, word, omega=omega) == t
             # reduced words are not unique, but the multiset of node
             # classes crossed is
@@ -136,12 +145,11 @@ def test_translation_word_matches_matrix_route():
             assert Counter(map(key, word)) == Counter(map(key, ref))
 
 
-def test_element_for_translation_detects_coset():
-    d = build_root_datum("C", 2)
-    G = aut_group(d)
-    assert G.element_for_translation((1, 0)).is_identity()
-    assert G.element_for_translation((0, 2)).is_identity()
-    assert not G.element_for_translation((0, 1)).is_identity()
+def test_translation_indices_detect_coset():
+    """Index 0 is the identity: on C2 the coroots (1, 0) and (0, 2) give
+    it, and the coweight (0, 1) does not."""
+    G = aut_group(build_root_datum("C", 2))
+    assert G.translation_indices([(1, 0), (0, 2), (0, 1)]) == [0, 0, 1]
 
 
 def test_omega_structure_table():
@@ -170,6 +178,29 @@ README_TYPES = ([("A", r) for r in range(1, 9)]
                 + [("C", r) for r in range(2, 9)]
                 + [("D", r) for r in range(3, 9)]
                 + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def test_simple_reflection_matrices_match_closed_form():
+    """On every node of the 33 README types, the matrices replayed for the
+    reflection stepped from the identity are the closed form: translation
+    ``theta_coroot`` at node 0 and 0 elsewhere, ``mat[j][k] = delta_jk -
+    cov[j] root[k]`` for the node's coroot and root, and ``rmat`` its
+    transpose; the alcove vector is the base point pulled back by them."""
+    for kind, rank in README_TYPES:
+        d = build_root_datum(kind, rank)
+        v0, den = d.alcove_point
+        for s in range(rank + 1):
+            if s == 0:
+                root, cov, tr = d.theta, d.theta_coroot, d.theta_coroot
+            else:
+                root, cov, tr = d.simple_root(s), d.cartan[s - 1], (0,) * rank
+            mat = tuple(tuple(int(j == k) - cov[j] * root[k]
+                              for k in range(rank)) for j in range(rank))
+            r = ExtWeylElt.simple_reflection(d, s)
+            assert r == ExtWeylElt.identity(d).step(s)[0]
+            assert (r.tr, r.mat, r.rmat) == (tr, mat, intlin.transpose(mat)), (
+                kind, rank, s)
+            assert r.q == extweyl._pull_back(v0, (tr, mat, r.rmat), den)
 
 
 def test_length_zero_elements_permute_the_nodes():
@@ -335,7 +366,7 @@ def test_weighted_length():
     assert ExtWeylElt.simple_reflection(d, 2).weighted_length() == 2
     t = ExtWeylElt.translation(d, (1, 0))
     _, letters = t.reduced_word()
-    assert t.weighted_length() == sum(d.weight(s) for s in letters)
+    assert t.weighted_length() == sum(d.weights[s] for s in letters)
 
 
 def test_from_word_rejects_bad_letters():
@@ -371,6 +402,8 @@ def test_rank_one_step_rejects_bad_nodes():
             x.step(s)
         with pytest.raises(ValueError):
             x.right_descent(s)
+        with pytest.raises(ValueError):
+            ExtWeylElt.simple_reflection(d, s)
 
 
 @pytest.mark.parametrize("kind, rank, weights", [

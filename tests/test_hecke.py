@@ -19,6 +19,7 @@ from heckelab import (
     dominant_monoid_generators,
     effective_lattice,
     elements_up_to_length,
+    translation_word,
 )
 from heckelab import hecke, intlin
 from geom_oracle import bernstein_star_first, letter_by_letter
@@ -443,12 +444,26 @@ def test_central_from_orbit_validates():
 def test_coordinates_that_are_not_integers_are_refused():
     # numpy would truncate 1.5 to 1 and count True as 1
     H = HeckeAlgebra(build_root_datum("C", 2))
+    d = H.datum
     for call in [lambda: H.central((1.5, 0)), lambda: H.bernstein((0.5, 0)),
                  lambda: H.lattice_coordinates([1.7, 0]),
-                 lambda: H.datum.weyl_orbit((True, 0)),
-                 lambda: H.datum.is_weyl_orbit(np.array([[1.0, 0.0]]))]:
+                 lambda: d.weyl_orbit((True, 0)),
+                 lambda: d.is_weyl_orbit(np.array([[1.0, 0.0]])),
+                 lambda: ExtWeylElt.translation(d, (1.7, 0)),
+                 lambda: ExtWeylElt.translation(d, (True, 0)),
+                 lambda: translation_word(d, (1.7, 0)),
+                 lambda: translation_word(d, (True, 0))]:
         with pytest.raises(TypeError):
             call()
+
+
+def test_translations_refuse_points_of_another_length():
+    d = build_root_datum("C", 2)
+    for lam in [(1,), (1, 0, 0)]:
+        with pytest.raises(ValueError):
+            ExtWeylElt.translation(d, lam)
+        with pytest.raises(ValueError):
+            translation_word(d, lam)
 
 
 def test_lattice_guards():

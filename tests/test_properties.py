@@ -71,12 +71,21 @@ def weighted_data(draw, max_rank=4):
     return build_root_datum(kind, rank, weights=weights, lattice=lattice)
 
 
+def reflections_with_matrices(d):
+    """The simple reflections with their matrices read, so that a product
+    by one pulls back through its affine map and does not step."""
+    simples = [ExtWeylElt.simple_reflection(d, s) for s in range(d.rank + 1)]
+    for g in simples:
+        g.tr
+    return simples
+
+
 def general_ball(d, max_len):
     """Every element of length at most ``max_len`` of the extended group,
     by general products of elements that carry their matrices: the
     breadth-first ball of the affine Weyl group, keyed by the affine map
     and not by the alcove vector, times each length-zero element."""
-    simples = [ExtWeylElt.simple_reflection(d, s) for s in range(d.rank + 1)]
+    simples = reflections_with_matrices(d)
     e = ExtWeylElt.identity(d)
     layer = ball = {(e.tr, e.mat): e}
     for _ in range(max_len):
@@ -115,14 +124,15 @@ def check_alcove_vectors(d, max_len):
 def test_rank_one_step_matches_general_product(d, data):
     """Along a random word that uses node 0, after a length-zero prefix,
     each step equals the general product with the simple reflection, and
-    each fast descent test, alone or fused into the step, equals the sign
-    of the image of the simple affine root.  The matrices that the
-    stepped element builds from its reduced word equal those of a chain
-    of general products, and its length is the alcove oracle's.  The
-    alcove vector is injective on the extended ball of length 2."""
+    its descent, alone or with the step, equals the sign of the image of
+    the simple affine root.  The matrices that the stepped element builds
+    from its reduced word equal those of a chain of general products, and
+    its length is the alcove oracle's.  The alcove vector is injective on
+    the extended ball of length 2."""
     omegas = aut_group(d).elements
     x = omegas[data.draw(st.integers(0, len(omegas) - 1))]
     chain = x
+    simples = reflections_with_matrices(d)
     word = data.draw(st.lists(st.integers(0, d.rank), max_size=12))
     word.insert(data.draw(st.integers(0, len(word))), 0)
     for s in word:
@@ -134,11 +144,11 @@ def test_rank_one_step_matches_general_product(d, data):
                 x.act_affine_root(affine_simple(d, t)))
             assert x.right_descent(t) == slow
             xt, descent = x.step(t)
-            general = x * ExtWeylElt.simple_reflection(d, t)
+            general = x * simples[t]
             assert (xt.tr, xt.mat, xt.rmat, descent) == (
                 general.tr, general.mat, general.rmat, slow)
         x = x.step(s)[0]
-        chain = chain * ExtWeylElt.simple_reflection(d, s)
+        chain = chain * simples[s]
     check_alcove_vectors(d, 2)
 
 
@@ -350,7 +360,7 @@ def test_dominant_decomposition_rule(d, level, data):
     plus, minus = H.dominant_decomposition(lam, level)
     assert tuple(a - b for a, b in zip(plus, minus)) == lam
     for part in (plus, minus):
-        assert d.is_dominant(part)
+        assert min(part) >= 0
         assert intlin.in_row_lattice(basis, part)
     parts = (tuple(max(x, 0) for x in lam), tuple(max(-x, 0) for x in lam))
     shift = tuple(a - b for a, b in zip(plus, parts[0]))
@@ -372,7 +382,8 @@ def test_stacked_reduction_matches_per_point(d, data):
     reduction equals reduce_mod_lattice and in_row_lattice row by row, on
     random points (mostly off the lattice), on lattice points and on
     lattice points moved by a unit vector; the length-zero indices read
-    off the stacked representatives are those of the per-point lookup."""
+    off the stacked representatives are those of the length-zero parts
+    of the translations' reduced words."""
     H = HeckeAlgebra(d)
     vec = st.lists(st.integers(-9, 9), min_size=d.rank, max_size=d.rank)
     for basis in (d.coroot_basis, H.effective_basis):
@@ -390,7 +401,8 @@ def test_stacked_reduction_matches_per_point(d, data):
             intlin.in_row_lattice(basis, v) for v in pts]
     om = H.omega
     assert om.translation_indices(on) == [
-        om.index_of(om.element_for_translation(v)) for v in on]
+        om.index_of(ExtWeylElt.translation(d, v).reduced_word()[0])
+        for v in on]
 
 
 @settings(max_examples=100, deadline=None)
