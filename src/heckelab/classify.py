@@ -22,7 +22,8 @@ Lusztig, *Affine Hecke algebras and their graded version*, JAMS 1989),
 so on a module whose commutant is the scalars each acts as a scalar
 $c(v)$ (Schur).  The certificate, computed once per module, checks that
 commutant at one specialization of $v$ mod a prime $q \\equiv 1 \\pmod 4$,
-where rank can only drop, and finds an exact common eigenvector of the
+where rank can only drop, through one cyclic element of the algebra the
+module's matrices generate, and finds an exact common eigenvector of the
 $E_g$ of the monoid generators $g$ with eigenvalues $i^{t_g} v^{k_g}$,
 which fix a linear form $y$ and a character $a$ of the lattice into
 $\\mathbb{Z}/4$.  A $1 \\times 1$ module reads its eigenvalues off its own
@@ -30,9 +31,10 @@ values and the per-class letter counts of the generators' translation
 words, with no word; a larger one multiplies each generator's word in
 chunks and steps one exact vector through them.  Then $c(v) = \\sum_{\\lambda \\in \\mathcal{O}}
 i^{a(\\lambda)} v^{L(\\mathcal{O}) + \\langle \\lambda, y \\rangle}$, with
-$L$ the weighted translation length: one product of the orbit's lattice
-coordinates with $(y, a)$, and the matrix is the constant term of $c(v)$
-times the identity.  A module without the certificate takes the exact
+$L$ the weighted translation length, and the matrix is its constant term
+$c_0$ times the identity: $(y, a)$ is kept as an integer form over the
+datum's coordinates, so $c_0$ is read off one integer product of the
+orbit's points with it.  A module without the certificate takes the exact
 action of the central element.  Both, and the nilpotency test, are exact
 for every prime $p < 2^{63}$, the bound of a mod-$p$ module's int64
 tensors.
@@ -57,10 +59,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intlin
-from .errors import SublatticeUnsupported
+from .errors import NotInLattice, SublatticeUnsupported
 from .extweyl import translation_word
 from .hecke import HeckeAlgebra
-from .laurent import Laurent, LaurentMatrix, mod_p
+from .laurent import LaurentMatrix, mod_p
 from .modules import (Character, FinModule, character_extends,
                       enumerate_characters, induce_character,
                       reflection_module, stabilizer_and_twist, _as_algebra)
@@ -167,24 +169,39 @@ def _specialize(mats: LaurentMatrix) -> np.ndarray:
 
 
 def _commutant_is_scalar(module: FinModule) -> bool:
-    """Whether only the scalars commute with every $\\rho(T_s)$ and
-    length-zero matrix of ``module`` at the specialization: the map
-    $X \\mapsto (XA - AX)_A$ on $n \\times n$ matrices, one linear system
-    in $n^2$ unknowns, has rank $n^2 - 1$ over $F_q$.  A minor of a matrix
-    over $\\mathbb{Z}[v^{\\pm 1}]$ that is nonzero at the specialization is
-    nonzero, so the rank over $\\mathbb{Q}(v)$ is at least that: the
-    commutant over $\\mathbb{Q}(v)$ is the scalars too."""
+    """Whether only the scalars are certified to commute with every
+    $\\rho(T_s)$ and length-zero matrix $A_j$ of ``module``, by one
+    cyclic element.  The $A_j$ are taken at the specialization, and
+    $B = \\sum_j V^{j+1} A_j$ over $F_q$ for $V$ = ``CERT_V``.  When the
+    Krylov matrix $[w, Bw, \\ldots, B^{n-1} w]$ of $w = (V^i)_i$ has rank
+    $n$, $B$ is cyclic, so whatever commutes with $B$ lies in $F_q[B]$,
+    spanned by the $B^k$ (Horn and Johnson, *Matrix Analysis*,
+    Thm 3.2.4.2).  The commutant is then the null space of
+    $c \\mapsto (\\sum_k c_k (B^k A_j - A_j B^k))_j$, one linear system in
+    $n$ unknowns that holds $c = e_0$: the scalars exactly when its rank
+    is $n - 1$.  A minor of a matrix over
+    $\\mathbb{Z}[v^{\\pm 1}]$ that is nonzero at the specialization is
+    nonzero, so over $\\mathbb{Q}(v)$ the same $B$ is cyclic and the rank
+    is at least that: the commutant over $\\mathbb{Q}(v)$ is the scalars
+    too.  A singular Krylov matrix certifies nothing: ``False``."""
     n = module.dim
     if n == 1:
         return True
     a = np.concatenate([_specialize(mats) for mats in (
         module.smats, module.omega_mats) if mats is not None])
-    eye = np.eye(n, dtype=np.int64)
-    # the coefficient of X[k, l] in (XA - AX)[i, j], per matrix A
-    eqs = np.einsum("ik,alj->aijkl", eye, a) - np.einsum("aik,lj->aijkl",
-                                                         a, eye)
-    rows = intlin.echelon_mod(eqs.reshape(-1, n * n) % CERT_Q, CERT_Q)
-    return len(rows) == n * n - 1
+    scale = np.array([pow(CERT_V, j + 1, CERT_Q) for j in range(len(a))],
+                     dtype=np.int64)
+    powers = [np.eye(n, dtype=np.int64),
+              (scale[:, None, None] * a % CERT_Q).sum(axis=0) % CERT_Q]
+    while len(powers) < n:
+        powers.append(powers[-1] @ powers[1] % CERT_Q)
+    powers = np.stack(powers)
+    w = np.array([pow(CERT_V, i, CERT_Q) for i in range(n)], dtype=np.int64)
+    if len(intlin.echelon_mod(powers @ w % CERT_Q, CERT_Q)) < n:
+        return False
+    # column k: the entries of B^k A_j - A_j B^k over every j
+    eqs = (powers[:, None] @ a - a @ powers[:, None]) % CERT_Q
+    return len(intlin.echelon_mod(eqs.reshape(n, -1).T, CERT_Q)) == n - 1
 
 
 def _eigen_column(a: np.ndarray, lo: int, hi: int):
@@ -383,39 +400,69 @@ class _CentralCharacter:
     v^{L(\\mathcal{O}) + \\langle \\lambda, y \\rangle}$.
 
     ``pairing`` is a (rank, 2) int64 matrix: the coordinates of a point
-    $\\lambda$ of the lattice at ``level`` of ``alg`` times ``pairing``
-    hold $\\langle \\lambda, y \\rangle$ and $a(\\lambda)$."""
+    $\\lambda$ of the lattice at ``level`` of ``alg`` in its echelon basis
+    $B$ times ``pairing`` hold $\\langle \\lambda, y \\rangle$ and
+    $a(\\lambda)$.  It is kept as ``form``, an integer form over the
+    datum's coordinates: $\\lambda$ times ``form``, a (rank, rank + 2)
+    int64 matrix, is ``det`` times $\\lambda$'s coordinates, then
+    $\\langle \\lambda, y \\rangle$ and $a(\\lambda)$ each times
+    ``det``.  Here ``det`` is the product of $B$'s pivots and
+    ``form`` is $C$ [I | ``pairing``] for $C = \\det B \\cdot B^{-1}$,
+    read as :func:`intlin.lattice_coordinates` of $\\det B \\cdot I$."""
 
     def __init__(self, alg: HeckeAlgebra, level: str, pairing: np.ndarray):
         self.alg = alg
         self.level = level
-        self.pairing = pairing
+        basis = alg._level_basis(level)
+        rank = len(basis)
+        self.det = int(np.prod([row[i] for i, row in enumerate(basis)]))
+        inverse, _ = intlin.lattice_coordinates(
+            basis, self.det * np.eye(rank, dtype=np.int64))
+        self.form = inverse @ np.concatenate(
+            [np.eye(rank, dtype=np.int64), pairing], axis=1)
+        # the largest entry of a stack whose product with form stays in
+        # int64 and which lattice_coordinates would reduce
+        widest = int(np.abs(self.form).sum(axis=0).max())
+        self.reach = min(intlin.lattice_reach(basis), (2**63 - 1) // widest)
 
-    def scalar(self, pts: np.ndarray) -> Laurent:
-        """$c(v)$ on the Weyl orbit ``pts``, an (N, rank) int64 stack: its
-        lattice coordinates (``NotInLattice`` off the lattice) times
-        ``pairing`` and a count of the exponents per $a \\bmod 4$, over
-        the exponents that occur only (at a large weight they spread over
-        millions of degrees).  The imaginary part, $a \\equiv 1$ minus
-        $a \\equiv 3$, is zero."""
-        vals = self.alg.lattice_coordinates(pts, self.level) @ self.pairing
-        exps, at = np.unique(vals[:, 0], return_inverse=True)
-        counts = [np.bincount(at[vals[:, 1] % 4 == t], minlength=len(exps))
-                  for t in range(4)]
-        assert (counts[1] == counts[3]).all()
+    def constant_term(self, pts: np.ndarray) -> int:
+        """$c_0$, the constant term of $c(v)$ on the Weyl orbit ``pts``,
+        an (N, rank) int64 stack, from one int64 product ``pts @ form``:
+        a point is in the lattice exactly when its first rank entries are
+        multiples of ``det`` (else ``NotInLattice``), and $c_0$ counts
+        the points where $L + \\langle \\lambda, y \\rangle = 0$ with
+        $a \\equiv 0$ minus those with $a \\equiv 2 \\pmod 4$.  Those
+        with $a \\equiv 1$ and $a \\equiv 3$, the imaginary part, must be
+        as many (else ``ArithmeticError``).  ``OverflowError`` when an
+        entry of ``pts`` passes ``reach``."""
+        top = max(int(pts.max(initial=0)), -int(pts.min(initial=0)))
+        if top > self.reach:
+            raise OverflowError("stack entries too large for an int64 "
+                                "lattice reduction")
+        rank = pts.shape[1]
+        prod = pts @ self.form
+        off = (prod[:, :rank] % self.det).any(axis=1)
+        if off.any():
+            raise NotInLattice(f"{tuple(pts[off][0].tolist())} is not in "
+                               f"the {self.level} lattice")
+        exps, a = (prod[:, rank:] // self.det).T
         shift = self.alg.datum.translation_weighted_length(pts[0])
-        real = counts[0] - counts[2]
-        return Laurent(dict(zip((exps + shift).tolist(), real.tolist())))
+        counts = np.bincount(a[exps == -shift] % 4, minlength=4)
+        if counts[1] != counts[3]:
+            raise ArithmeticError("the constant term of a central "
+                                  "character has an imaginary part")
+        return int(counts[0] - counts[2])
 
 
 @_per_module
 def _certificate(module: FinModule) -> _CentralCharacter | None:
     """The central character of ``module`` (:class:`_CentralCharacter`),
     computed once per module, or ``None`` when its commutant is not
-    certified to be the scalars (:func:`_commutant_is_scalar`) or no
+    certified to be the scalars (:func:`_commutant_is_scalar`), no
     common eigenvector is found (:func:`_class_count_weights` on a
     $1 \\times 1$ module where it applies, :func:`_replayed_weights`
-    otherwise).  The weights $i^{t_g} v^{k_g}$ of the generators give
+    otherwise) or a solve or lift below fails.  The weights
+    $i^{t_g} v^{k_g}$ of the generators give
     $\\langle g, y \\rangle = k_g - L(g)$ and $a(g) \\equiv t_g \\pmod 4$,
     both linear in the coordinates of $g$ in the lattice basis
     (:meth:`HeckeAlgebra.lattice_coordinates`).  The generators span the
@@ -438,12 +485,15 @@ def _certificate(module: FinModule) -> _CentralCharacter | None:
     rhs = ks - counts @ np.array(datum.class_weights, dtype=np.int64)
     y = intlin.solve_mod(coords, rhs, CERT_Q)
     low = intlin.solve_mod(coords, turns, 2)
-    assert y is not None and low is not None
+    if y is None or low is None:
+        return None
     high = intlin.solve_mod(coords, (turns - coords @ low) // 2, 2)
-    assert high is not None
+    if high is None:
+        return None
     y = np.where(y > CERT_Q // 2, y - CERT_Q, y)
     a = low + 2 * high
-    assert (coords @ y == rhs).all() and not ((coords @ a - turns) % 4).any()
+    if (coords @ y != rhs).any() or ((coords @ a - turns) % 4).any():
+        return None
     return _CentralCharacter(alg, level, np.stack([y, a], axis=1))
 
 
@@ -456,9 +506,11 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     ``TypeError`` or ``NotAFullOrbit`` from :meth:`RootDatum.orbit_stack`.
     With a certificate (:func:`_certificate`) the sum acts as $c(v) I$ and
     the matrix is $c_0 I$ mod ``p``, for $c_0$ the constant term of
-    $c(v)$: exact for every prime $p < 2^{63}$.  A module without one
-    takes the $v^0$ coefficient of the exact action (:meth:`FinModule.act`
-    on :meth:`HeckeAlgebra.central_from_orbit`).  That route multiplies
+    $c(v)$ read off one integer product
+    (:meth:`_CentralCharacter.constant_term`): exact for every prime
+    $p < 2^{63}$.  A module without one takes the $v^0$ coefficient of
+    the exact action (:meth:`FinModule.act` on
+    :meth:`HeckeAlgebra.central_from_orbit`).  That route multiplies
     Hecke elements whose supports grow exponentially with the orbit's
     translations: an 80-point C5 orbit sum (143,701 terms) takes 1 min."""
     assert not module.is_modular
@@ -466,7 +518,7 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     pts = alg.datum.orbit_stack(orbit)
     cert = _certificate(module)
     if cert is not None:
-        c0 = cert.scalar(pts).constant_term()
+        c0 = cert.constant_term(pts)
         return np.eye(module.dim, dtype=np.int64) * (c0 % p)
     alg.lattice_coordinates(pts, _level(module.omega_mats))
     exact = module.act(alg.central_from_orbit(pts))

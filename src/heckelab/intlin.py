@@ -214,6 +214,16 @@ def reduce_mod_lattice(
     return tuple(rem)
 
 
+def lattice_reach(echelon: Sequence[Sequence[int]]) -> int:
+    """The largest magnitude $M$ of the entries of a stack that
+    :func:`lattice_coordinates` reduces on the basis ``echelon`` in int64:
+    each basis row multiplies the bound $M + 1$ on the entries by at most
+    $1 + B$, for $B$ the largest basis entry, so the reduction stays in
+    int64 while $(M + 1)(1 + B)^{rank} < 2^{63}$."""
+    grow = 1 + max((abs(x) for row in echelon for x in row), default=0)
+    return -(-2**63 // grow ** len(echelon)) - 2
+
+
 def lattice_coordinates(echelon: Sequence[Sequence[int]], rows):
     """The coordinates in the basis ``echelon`` of every row of an
     (N, width) integer stack, by back-substitution, and the remainders,
@@ -224,14 +234,12 @@ def lattice_coordinates(echelon: Sequence[Sequence[int]], rows):
     A row's remainder is zero exactly when it lies in the lattice, for
     any echelon basis (:func:`in_row_lattice`), and its coordinates mean
     something exactly then; with a square basis the remainders are the
-    canonical coset representatives.  Each basis row multiplies the bound
-    $M + 1$ on the entries by at most $1 + B$, for $B$ the largest basis
-    entry, so a stack that could leave int64 is refused with
+    canonical coset representatives.  A stack with an entry past
+    :func:`lattice_reach`, which could leave int64, is refused with
     ``OverflowError``."""
     rem = np.array(rows, dtype=np.int64)
     top = max(int(rem.max(initial=0)), -int(rem.min(initial=0)))
-    grow = 1 + max((abs(x) for row in echelon for x in row), default=0)
-    if (top + 1) * grow ** len(echelon) >= 2**63:
+    if top > lattice_reach(echelon):
         raise OverflowError("stack entries too large for an int64 "
                             "lattice reduction")
     coords = np.empty((len(rem), len(echelon)), dtype=np.int64)

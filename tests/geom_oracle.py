@@ -48,10 +48,19 @@ integers: the same bank and words, multiplied as ``LaurentMatrix``
 stacks, one product per letter column, each reduced mod $p$ on a mod-$p$
 module, and the two sides of each relation subtracted degree by degree.
 
-The central character oracle ``dense_central_scalar`` is the $c(v)$ of
-``_CentralCharacter.scalar`` as it was counted before it bincounted only
-the exponents that occur: one dense bincount per $a \\bmod 4$ over every
-exponent from the least to the greatest.
+The central character oracle ``dense_central_scalar`` holds the only
+full $c(v)$ of a certified module: the sum over the orbit of
+$i^{a(\\lambda)} v^{L + \\langle \\lambda, y \\rangle}$, with the pairing
+on lattice coordinates (``lattice_pairing``, read back off the
+certificate's form over the datum's coordinates) applied to coordinates
+found by back-substitution, and counted densely, one bincount per
+$a \\bmod 4$ over every exponent from the least to the greatest.
+
+The commutant oracle ``commutant_dimension`` is the linear system in
+$n^2$ unknowns that ``_commutant_is_scalar`` solved before it tested one
+cyclic element: the map $X \\mapsto (XA - AX)_A$ on $n \\times n$
+matrices, over every $T_s$ and length-zero matrix $A$ at the
+certificate's specialization.
 """
 
 import math
@@ -388,14 +397,45 @@ def laurent_check_relations(mod) -> None:
     raise RelationsFail(message, index, values)
 
 
+def commutant_dimension(module) -> int:
+    """The dimension over $F_q$ of the matrices that commute with every
+    $\\rho(T_s)$ and length-zero matrix of ``module`` at $v$ =
+    ``CERT_V``, $q$ = ``CERT_Q``: $n^2$ minus the rank of
+    $X \\mapsto (XA - AX)_A$, one linear system in $n^2$ unknowns."""
+    from heckelab.classify import CERT_Q, _specialize
+    n = module.dim
+    a = np.concatenate([_specialize(mats) for mats in (
+        module.smats, module.omega_mats) if mats is not None])
+    eye = np.eye(n, dtype=np.int64)
+    # the coefficient of X[k, l] in (XA - AX)[i, j], per matrix A
+    eqs = np.einsum("ik,alj->aijkl", eye, a) - np.einsum("aik,lj->aijkl",
+                                                         a, eye)
+    rows = intlin.echelon_mod(eqs.reshape(-1, n * n) % CERT_Q, CERT_Q)
+    return n * n - len(rows)
+
+
+def lattice_pairing(cert) -> np.ndarray:
+    """The (rank, 2) matrix that takes the coordinates of a point of the
+    lattice of the central character ``cert`` in its echelon basis $B$ to
+    $(\\langle \\lambda, y \\rangle, a(\\lambda))$: $B$ times the last two
+    columns of ``cert.form``, over ``cert.det``."""
+    basis = np.array(cert.alg._level_basis(cert.level), dtype=np.int64)
+    scaled = basis @ cert.form[:, -2:]
+    assert not (scaled % cert.det).any()
+    return scaled // cert.det
+
+
 def dense_central_scalar(cert, pts) -> Laurent:
     """$c(v)$ of the central character ``cert`` on the Weyl orbit
-    ``pts``, counted densely over the exponent range."""
-    vals = cert.alg.lattice_coordinates(pts, cert.level) @ cert.pairing
+    ``pts``, from lattice coordinates by back-substitution, counted
+    densely over the exponent range."""
+    vals = cert.alg.lattice_coordinates(pts, cert.level) @ lattice_pairing(
+        cert)
     exps = vals[:, 0] + cert.alg.datum.translation_weighted_length(pts[0])
     lo = int(exps.min())
     size = int(exps.max()) - lo + 1
     counts = [np.bincount(exps[vals[:, 1] % 4 == t] - lo, minlength=size)
               for t in range(4)]
+    assert (counts[1] == counts[3]).all()
     real = counts[0] - counts[2]
     return Laurent({lo + k: c for k, c in enumerate(real.tolist())})

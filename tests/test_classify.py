@@ -2,13 +2,16 @@
 search over the supported table of data.
 
 The central character that gives the matrices of central orbit sums is
-cross-checked against the exact symbolic action, with its full scalar,
-including on orbits that are not monoid generators: against the action
-of the central element built in the Hecke algebra, against the same
-action summed point by point along translation words, and against a
-committed table."""
+cross-checked against the exact symbolic action, with its full scalar
+from the dense oracle, including on orbits that are not monoid
+generators: against the action of the central element built in the
+Hecke algebra, against the same action summed point by point along
+translation words, and against a committed table.  Its commutant test
+and its constant terms are checked against the oracles of
+``geom_oracle``."""
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,9 +37,12 @@ from heckelab import (
     translation_exponent,
     translation_word,
 )
-from heckelab.classify import (_certificate, _class_count_weights,
+from heckelab.classify import (CERT_Q, _CentralCharacter, _certificate,
+                               _class_count_weights, _commutant_is_scalar,
                                _replayed_weights)
 from heckelab.intlin import is_prime
+from geom_oracle import (commutant_dimension, dense_central_scalar,
+                         lattice_pairing)
 
 # label -> exponents on the dominant generators of the coroot lattice
 C2_EXPONENTS = {
@@ -156,18 +162,25 @@ def test_verdict_table():
         assert out.case == expected, (kind, rank, w, out.case)
 
 
-def test_every_readme_datum_answers():
-    # A1-A8, B2-B8, C2-C8, D3-D8, E6-E8, F4 and G2 with equal weights, in
-    # process; the acceptance table's verdict where it lists the datum
-    from test_acceptance import TABLE
-    expected = {(k, r): case for k, r, w, case, _ in TABLE
-                if w == 1 or len(set(w)) == 1}
+@functools.cache
+def _readme_outcomes():
+    """``(kind, rank, outcome)`` of the search on A1-A8, B2-B8, C2-C8,
+    D3-D8, E6-E8, F4 and G2 with equal weights, each searched once."""
     data = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
             + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(3, 9)]
             + [("E", r) for r in (6, 7, 8)] + [("F", 4), ("G", 2)])
-    assert len(data) == 33
-    for kind, rank in data:
-        out = key_result_search(HeckeAlgebra(build_root_datum(kind, rank)))
+    return [(kind, rank, key_result_search(HeckeAlgebra(build_root_datum(
+        kind, rank)))) for kind, rank in data]
+
+
+def test_every_readme_datum_answers():
+    # every datum of the README range with equal weights, in process; the
+    # acceptance table's verdict where it lists the datum
+    from test_acceptance import TABLE
+    expected = {(k, r): case for k, r, w, case, _ in TABLE
+                if w == 1 or len(set(w)) == 1}
+    assert len(_readme_outcomes()) == 33
+    for kind, rank, out in _readme_outcomes():
         assert out.case in ("Character1Dim", "Induced2Dim", "ReflectionTwist",
                             "ExcludedTypeA"), (kind, rank, out.case)
         assert out.case == expected.get((kind, rank), out.case), (kind, rank)
@@ -413,7 +426,7 @@ def test_orbit_matrix_matches_replayed_summands():
         for gen in H.monoid_generators(level):
             orbit = H.datum.weyl_orbit(gen)
             exact = _replayed_action(src, orbit)
-            c = _certificate(src).scalar(np.array(orbit))
+            c = dense_central_scalar(_certificate(src), np.array(orbit))
             assert _same(exact, _scalar_matrix(c, src.dim)), (H, gen)
             for p in (5, 7, 2**31 - 1):
                 assert np.array_equal(central_orbit_matrix_v0(src, orbit, p),
@@ -431,7 +444,7 @@ def test_every_answer_certifies():
             cert = _certificate(src)
             assert cert is not None, row
             certified += 1
-            if (cert.pairing[:, 1] % 2).any():
+            if (lattice_pairing(cert)[:, 1] % 2).any():
                 odd.append(row)
     assert certified == len(MONOMIAL_ROWS) - 4
     assert odd == [("C", 3, [1, 1, 1]), ("C", 3, [1, 2, 2]),
@@ -446,11 +459,11 @@ def test_central_character_with_imaginary_weights_matches_exact_action():
     for w in ([1, 1, 1], [1, 2, 2]):
         (H, src), = _answers([("C", 3, w)])
         cert = _certificate(src)
-        assert (cert.pairing[:, 1] % 2).any()
+        assert (lattice_pairing(cert)[:, 1] % 2).any()
         for gen in H.monoid_generators("effective"):
             orbit = H.datum.weyl_orbit(gen)
             exact = src.act(H.central_from_orbit(orbit))
-            c = cert.scalar(np.array(orbit))
+            c = dense_central_scalar(cert, np.array(orbit))
             assert _same(exact, _scalar_matrix(c, src.dim)), (w, gen, c)
 
 
@@ -476,7 +489,7 @@ def test_constant_term_matches_exact_action_on_small_orbits():
         orbit = d.weyl_orbit(gen)
         exact = (_replayed_action(src, orbit) if d.kind == "E"
                  else src.act(H.central_from_orbit(orbit)))
-        c0 = _certificate(src).scalar(np.array(orbit)).constant_term()
+        c0 = _certificate(src).constant_term(np.array(orbit))
         for p in (5, 7, 2**31 - 1):
             assert np.array_equal(
                 central_orbit_matrix_v0(src, orbit, p),
@@ -672,23 +685,25 @@ def test_dense_route_matches_exact_action_beyond_int64_products():
 
 
 def test_central_character_matches_exact_action():
-    # the full scalar c(v), not only its constant term, on every
-    # generator orbit of the twisted D4 reflection module and on small
-    # orbits of the conjugated C2 module
+    # the full scalar c(v) of the dense oracle, not only its constant
+    # term, on every generator orbit of the twisted D4 reflection module
+    # and on small orbits of the conjugated C2 module
     cases = [("D4", g) for g in _orbit_module("D4")[0].monoid_generators(
         "effective")]
     cases += [("C2 conjugated", lam) for lam in [(1, 0), (0, 2), (1, 1)]]
     for name, lam in cases:
         H, mod = _orbit_module(name)
-        c = _certificate(mod).scalar(np.array(H.datum.weyl_orbit(lam)))
+        c = dense_central_scalar(_certificate(mod),
+                                 np.array(H.datum.weyl_orbit(lam)))
         scalar = LaurentMatrix.from_rows(
             [[[c if i == j else 0 for j in range(mod.dim)]
               for i in range(mod.dim)]])[0]
         assert not ((_exact_action(name, lam) - scalar).coeffs != 0).any(), (
             name, lam, c)
     # on D4 the constant term is 0 and the scalar is not
-    assert str(_certificate(_orbit_module("D4")[1]).scalar(np.array(
-        build_root_datum("D", 4).weyl_orbit((1, 0, 0, 0))))) == (
+    H, R = _orbit_module("D4")
+    orbit = np.array(H.datum.weyl_orbit((1, 0, 0, 0)))
+    assert str(dense_central_scalar(_certificate(R), orbit)) == (
         "v^2 + 2*v^4 + 2*v^6 + 2*v^8 + v^10")
 
 
@@ -728,9 +743,9 @@ def test_central_character_table():
         assert walked == [row[0] for row in rows], (kind, rank)
         for gen, size, c0, low in rows:
             orbit = np.array(d.weyl_orbit(gen))
-            c = cert.scalar(orbit)
-            assert (len(orbit), c.constant_term(), c.min_exp()) == (
-                size, c0, low), (kind, rank, gen)
+            c = dense_central_scalar(cert, orbit)
+            assert (len(orbit), cert.constant_term(orbit), c.constant_term(),
+                    c.min_exp()) == (size, c0, c0, low), (kind, rank, gen)
             for p in (5, 7, 999983, 2**31 - 1):
                 assert np.array_equal(
                     central_orbit_matrix_v0(R, orbit, p),
@@ -744,14 +759,8 @@ def test_certificate_refuses_a_reducible_module():
     d = build_root_datum("C", 2)
     H = HeckeAlgebra(d)
     chars = enumerate_characters(H, "generic")
-    a, b = chars[1].as_module(H), chars[2].as_module(H)
     assert chars[1] != chars[2]
-    u = LaurentMatrix.from_rows([[[1, 1], [0, 1]]])[0]
-    u_inv = LaurentMatrix.from_rows([[[1, -1], [0, 1]]])[0]
-    diag = LaurentMatrix.from_rows(
-        [[[a.smats.entry(s, 0, 0), 0], [0, b.smats.entry(s, 0, 0)]]
-         for s in range(d.rank + 1)])
-    mod = FinModule(H, u @ diag @ u_inv, None, name="sum of two characters")
+    mod = _direct_sum(H, [c.as_module(H) for c in chars[1:3]])
     mod.check_relations()
     assert _certificate(mod) is None
     for lam in [(0, 2), (2, 0)]:
@@ -772,6 +781,146 @@ def test_reflection_modules_certify():
     assert _certificate(_orbit_module("C2 conjugated")[1]) is not None
 
 
+def _direct_sum(H, mods):
+    """The direct sum of the 1x1 modules ``mods`` over ``H``, conjugated by
+    an upper unitriangular matrix."""
+    u = LaurentMatrix.from_rows([[[1, 1], [0, 1]]])[0]
+    u_inv = LaurentMatrix.from_rows([[[1, -1], [0, 1]]])[0]
+    diag = LaurentMatrix.from_rows(
+        [[[mods[0].smats.entry(s, 0, 0), 0], [0, mods[1].smats.entry(s, 0, 0)]]
+         for s in range(H.datum.rank + 1)])
+    return FinModule(H, u @ diag @ u_inv, None, name="sum of two characters")
+
+
+def test_cyclic_commutant_test_agrees_with_the_dense_system():
+    # the one-cyclic-element test against the commutant dimension from the
+    # linear system in n^2 unknowns: on every answer of the README data
+    # (the twisted reflection modules of D4-D8 and E6-E8 among them) and
+    # on the conjugated induced C2 module it certifies; on the sum of two
+    # distinct characters and on the sum of a character with itself,
+    # whose B is a scalar, it refuses
+    answers = [out for _, _, out in _readme_outcomes()
+               if out.module is not None]
+    assert len(answers) == 24
+    assert sum(out.case == "ReflectionTwist" for out in answers) == 8
+    certified = [out.module.generic for out in answers]
+    certified.append(_orbit_module("C2 conjugated")[1])
+    H = HeckeAlgebra(build_root_datum("C", 2))
+    chars = [c.as_module(H) for c in enumerate_characters(H, "generic")]
+    refused = [_direct_sum(H, chars[1:3]), _direct_sum(H, [chars[1]] * 2)]
+    for mod in certified + refused:
+        mod.check_relations()
+        dim = commutant_dimension(mod)
+        assert _commutant_is_scalar(mod) == (dim == 1), (mod, dim)
+    assert all(map(_commutant_is_scalar, certified))
+    assert [commutant_dimension(m) for m in refused] == [2, 4]
+    assert not any(map(_commutant_is_scalar, refused))
+
+
+def _orbit_size(datum, lam):
+    """The size of the Weyl orbit of the dominant point ``lam``, with no
+    walk: the product of $(ht \\alpha + 1) / ht \\alpha$ over the positive
+    roots $\\alpha$ with $\\langle \\alpha, \\lambda \\rangle \\neq 0$
+    (Kostant, Amer. J. Math. 81, 1959)."""
+    size = Fraction(1)
+    for root, _ in datum.pos_roots:
+        if np.dot(root, lam):
+            size *= Fraction(sum(root) + 1, sum(root))
+    return int(size)
+
+
+def test_constant_term_matches_the_dense_oracle():
+    # c_0 from one integer product against the constant term of the
+    # dense c(v) on every generator orbit with at most 20,000 points (all
+    # but four E8 orbits) of every answer of the README data, where c_0
+    # is 0, and of each generic character and its extensions up to rank
+    # 4, where the trivial and special ones have c_0 != 0; on the answers
+    # the orbit matrix against c_0 at 5, 7 and the largest prime below
+    # 2^62
+    big = 2**62 - 57
+    assert is_prime(big)
+    walked, nonzero = 0, 0
+    for kind, rank, out in _readme_outcomes():
+        H = HeckeAlgebra(build_root_datum(kind, rank))
+        answer = None if out.module is None else out.module.generic
+        modules = [c.as_module(H) for ch in enumerate_characters(H, "generic")
+                   for c in (ch, *character_extends(H, ch)[1])
+                   if rank <= 4] + [answer] * (answer is not None)
+        orbits = {}  # the walked orbits of the datum, each walked once
+        for src in modules:
+            cert = _certificate(src)
+            assert cert is not None, (kind, rank, src)
+            level = "coroot" if src.omega_mats is None else "effective"
+            for gen in src.alg.monoid_generators(level):
+                if gen not in orbits:
+                    size = _orbit_size(H.datum, gen)
+                    orbits[gen] = (H.datum.weyl_orbit(gen) if size <= 20_000
+                                   else None)
+                    assert orbits[gen] is None or len(orbits[gen]) == size
+                orbit = orbits[gen]
+                if orbit is None:
+                    continue
+                c0 = dense_central_scalar(cert, orbit).constant_term()
+                assert cert.constant_term(orbit) == c0, (kind, rank, gen)
+                walked, nonzero = walked + 1, nonzero + (c0 != 0)
+                if src is not answer:
+                    continue
+                for p in (5, 7, big):
+                    assert np.array_equal(
+                        central_orbit_matrix_v0(src, orbit, p),
+                        c0 % p * np.eye(src.dim, dtype=np.int64))
+    assert walked > 500 and nonzero > 200, (walked, nonzero)
+
+
+def test_constant_term_refuses_what_it_cannot_count():
+    # off the lattice (the message of the back-substitution route), past
+    # int64, and a constant term with an imaginary part
+    H = HeckeAlgebra(build_root_datum("C", 2))
+    sp = next(c for c in enumerate_characters(H, "generic")
+              if c.is_special())
+    mod = sp.as_module(H)
+    cert = _certificate(mod)
+    with pytest.raises(NotInLattice, match=r"\(0, 1\) is not in the "
+                                           "coroot lattice"):
+        cert.constant_term(np.array([(2, 0), (0, 1)]))
+    with pytest.raises(OverflowError):
+        cert.constant_term(np.array([(2**61, 0)]))
+    orbit = H.datum.weyl_orbit((2**60, 0))
+    with pytest.raises(OverflowError):
+        central_orbit_matrix_v0(mod, orbit, 5)
+    # on A1 the coroot orbit {2, -2}: <2, y> = -L puts one point at v^0,
+    # where a = 1
+    H = HeckeAlgebra(build_root_datum("A", 1))
+    length = H.datum.translation_weighted_length((2,))
+    odd = _CentralCharacter(H, "coroot", np.array([[-length, 1]]))
+    with pytest.raises(ArithmeticError, match="imaginary"):
+        odd.constant_term(np.array(H.datum.weyl_orbit((2,))))
+
+
+def test_a_lift_that_fails_its_check_refuses_the_certificate(monkeypatch):
+    # the integer lift of y off by one: the check is an if test, so even
+    # under python -O the certificate is refused and the orbit matrices
+    # take the exact action
+    from heckelab import classify
+    real = classify.intlin.solve_mod
+
+    def off_by_one(rows, rhs, q):
+        x = real(rows, rhs, q)
+        return x if q != CERT_Q else (x + 1) % q
+
+    monkeypatch.setattr(classify.intlin, "solve_mod", off_by_one)
+    H, induced = _orbit_module("C2")
+    # a copy, whose certificate is not cached
+    mod = FinModule(H, induced.smats, induced.omega_mats)
+    assert _certificate(mod) is None
+    for lam in [(1, 0), (0, 2), (1, 1)]:
+        orbit = H.datum.weyl_orbit(lam)
+        for p in (5, 7):
+            fast = central_orbit_matrix_v0(mod, orbit, p)
+            assert np.array_equal(fast, _exact_at_v0("C2", lam) % p), (
+                lam, p)
+
+
 def test_module_without_length_zero_action_takes_the_central_character():
     # the twisted A3 reflection module restricted to the non-extended
     # algebra has no length-zero action and still has only scalars in its
@@ -788,7 +937,7 @@ def test_module_without_length_zero_action_takes_the_central_character():
     for lam in H.monoid_generators("coroot"):
         orbit = d.weyl_orbit(lam)
         exact = mod.act(H.central_from_orbit(orbit))
-        c = cert.scalar(np.array(orbit))
+        c = dense_central_scalar(cert, np.array(orbit))
         scalar = LaurentMatrix.from_rows(
             [[[c if i == j else 0 for j in range(mod.dim)]
               for i in range(mod.dim)]])[0]
