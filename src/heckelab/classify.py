@@ -65,7 +65,8 @@ from .hecke import HeckeAlgebra
 from .laurent import LaurentMatrix, mod_p
 from .modules import (Character, FinModule, character_extends,
                       enumerate_characters, induce_character,
-                      reflection_module, stabilizer_and_twist, _as_algebra)
+                      reflection_module, stabilizer_and_twist, _as_algebra,
+                      _generic_algebra)
 from .rootdata import INFINITE_BOND
 
 CASE_ONE_DIM = "Character1Dim"
@@ -85,19 +86,18 @@ SAMPLED_ORBIT_NODE = {("E", 7): 7, ("E", 8): 8}
 def translation_exponent(algebra: HeckeAlgebra, char: Character,
                          lam) -> int:
     """The signed weighted letter count of the translation by ``lam``."""
-    return int(_signed_exponents(algebra, char, [lam])[0])
-
-
-def _signed_exponents(algebra: HeckeAlgebra, char: Character, pts):
-    """Per point of ``pts``, the letter count of each node class in a
-    reduced word of its translation
-    (:meth:`RootDatum.translation_class_counts`) times the class weight,
-    signed by ``char`` on the class, summed over the classes."""
     datum = algebra.datum
+    counts = datum.translation_class_counts(np.array([lam], dtype=np.int64))
+    return int(_signed_exponents(datum, char, counts)[0])
+
+
+def _signed_exponents(datum, char: Character, counts) -> np.ndarray:
+    """Per row of ``counts``, the letter counts of each node class
+    (:meth:`RootDatum.translation_class_counts`), times the class weight
+    signed by ``char`` on the class, summed over the classes."""
     signed = [char.sign_on_class(k) * d
               for k, d in enumerate(datum.class_weights)]
-    return datum.translation_class_counts(np.array(pts, dtype=np.int64)) @ (
-        np.array(signed, dtype=np.int64))
+    return counts @ np.array(signed, dtype=np.int64)
 
 
 def _level(length_zero) -> str:
@@ -113,14 +113,19 @@ def is_discrete_character(algebra, char: Character):
     character of the non-extended algebra, the effective lattice for one
     with length-zero signs.  Returns ``(flag, table)`` where the table
     lists each generator with its exponent; the flag is true exactly when
-    all exponents are negative.
+    all exponents are negative.  The exponents are read off the class
+    counts the algebra keeps beside the generators
+    (:meth:`HeckeAlgebra.generator_class_counts`).  ``char`` must be a
+    generic character of the algebra's datum: ``ValueError`` for a mod-p
+    one, ``DatumMismatch`` for one of another datum.
     """
-    alg = _as_algebra(algebra)
-    assert char.mode == "generic"
+    alg = _generic_algebra(algebra, char)
     level = _level(char.omega_signs)
     gens = alg.monoid_generators(level)
-    rows = [{"generator": list(gen), "exponent": k} for gen, k in zip(
-        gens, _signed_exponents(alg, char, gens).tolist())]
+    exps = _signed_exponents(alg.datum, char,
+                             alg.generator_class_counts(level))
+    rows = [{"generator": list(gen), "exponent": k}
+            for gen, k in zip(gens, exps.tolist())]
     return (all(row["exponent"] < 0 for row in rows),
             {"level": level, "rows": rows})
 
@@ -135,7 +140,6 @@ def is_discrete_character(algebra, char: Character):
 CERT_Q = 33554393
 CERT_V = 12345
 CERT_I = 75304
-assert CERT_Q % 4 == 1 and CERT_I * CERT_I % CERT_Q == CERT_Q - 1
 
 
 def _per_module(compute):
@@ -475,7 +479,7 @@ def _certificate(module: FinModule) -> _CentralCharacter | None:
     alg, datum = module.alg, module.alg.datum
     level = _level(module.omega_mats)
     gens = alg.monoid_generators(level)
-    counts = datum.translation_class_counts(np.array(gens, dtype=np.int64))
+    counts = alg.generator_class_counts(level)
     weights = (_class_count_weights(module, gens, counts)
                or _replayed_weights(module, gens))
     if weights is None:
@@ -499,7 +503,8 @@ def _certificate(module: FinModule) -> _CentralCharacter | None:
 
 def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     """Matrix of the central orbit sum at $v = 0$ over $F_p$, acting on
-    the reduction of a Laurent module with a length-zero action.
+    the reduction of a Laurent module with a length-zero action
+    (``ValueError`` on a module mod p).
 
     ``orbit`` must be one full Weyl orbit of points of the lattice the
     module sees: ``NotInLattice`` off the lattice, else ``ValueError``,
@@ -513,7 +518,9 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     :meth:`HeckeAlgebra.central_from_orbit`).  That route multiplies
     Hecke elements whose supports grow exponentially with the orbit's
     translations: an 80-point C5 orbit sum (143,701 terms) takes 1 min."""
-    assert not module.is_modular
+    if module.is_modular:
+        raise ValueError("the central action is read off a Laurent module, "
+                         "not its reduction mod p")
     alg = module.alg
     pts = alg.datum.orbit_stack(orbit)
     cert = _certificate(module)
@@ -542,9 +549,10 @@ def _nilpotency_degree(mat: np.ndarray, p: int) -> int | None:
 def is_supersingular(module: FinModule, exhaustive: bool = False):
     """Nilpotency of every tested central orbit sum at $v = 0$.
 
-    ``module`` must be a mod-$p$ reduction remembering its Laurent source,
-    from which the matrices of central elements are extracted.  Orbits run
-    over the dominant monoid generators of the lattice the module sees:
+    ``module`` must be a mod-$p$ reduction (else ``ValueError``)
+    remembering its Laurent source, from which the matrices of central
+    elements are extracted.  Orbits run over the dominant monoid
+    generators of the lattice the module sees:
     the weight-compatible sublattice when length-zero elements act, the
     coroot lattice otherwise.  For the two largest exceptional types a
     single documented generator orbit is sampled unless ``exhaustive`` is
@@ -554,7 +562,8 @@ def is_supersingular(module: FinModule, exhaustive: bool = False):
     the generator, the orbit size and the nilpotency degree (``None``
     when the matrix is not nilpotent).
     """
-    assert module.is_modular, "reduce the module mod p first"
+    if not module.is_modular:
+        raise ValueError("reduce the module mod p first")
     src = module.generic
     if src is None:
         raise ValueError("module reduction lost its Laurent source; "

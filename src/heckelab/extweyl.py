@@ -31,7 +31,8 @@ of an element is read off $q$:
 * equality and hashing compare $q$.
 
 The length-zero group $\Omega \cong X / Q^\vee$ is read off alcove
-vectors, once per datum (:func:`aut_group`): the translation by a coset
+vectors, once per type and lattice, since the node weights do not enter
+it, and bound to each datum (:func:`aut_group`): the translation by a coset
 representative $\lambda$ walks $v_0 - D\lambda$ to a vector $q$ where the
 simple affine root at node $i$ is $(\pi(i) + 1) / D$, for $\pi$ the
 permutation of the walls.  $\pi$ gives the affine map, and $\Omega$ is
@@ -49,8 +50,11 @@ length-zero element never builds the matrices of $x$.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import types
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -415,7 +419,7 @@ class OmegaGroup:
 
     def __init__(self, datum: RootDatum, elements: tuple[ExtWeylElt, ...],
                  perms: tuple[tuple[int, ...], ...],
-                 by_coset: dict[Vec, int]):
+                 by_coset: Mapping[Vec, int]):
         self.datum = datum
         self.elements = elements
         self.perms = perms
@@ -425,27 +429,13 @@ class OmegaGroup:
 
     @staticmethod
     def build(datum: RootDatum) -> "OmegaGroup":
-        """The group, one element per coset of the coroot lattice: the
-        length-zero part of the translation by the coset's representative
-        (refused unless it lies in the lattice), named by the alcove
-        vector that :func:`_walk` reaches, whose entries give the wall
-        permutation (see the module docstring)."""
-        den, n = datum.alcove_point[1], datum.rank + 1
-        items = []
-        for rep in datum.lattice_cosets():
-            q, _ = _walk(datum, ExtWeylElt.translation(datum, rep).q)
-            perm = ((den - 1 - sum(map(mul, q, datum.theta)),)
-                    + tuple(x - 1 for x in q))
-            assert sorted(perm) == list(range(n)), (
-                "length-zero element must permute the walls")
-            items.append((perm, q, rep))
-        items.sort()
-        perms = tuple(t[0] for t in items)
-        elements = tuple(ExtWeylElt(datum, q, _wall_affine(datum, perm, q))
-                         for perm, q, _ in items)
-        by_coset = {rep: i for i, (_, _, rep) in enumerate(items)}
-        assert perms[0] == tuple(range(n))
-        assert len(set(perms)) == len(perms)
+        """The group of ``datum``: the weight-free parts of its type and
+        lattice (:func:`_omega_frame`), built once per (kind, rank,
+        lattice basis) and process, with each element bound to
+        ``datum``."""
+        perms, qs, affs, by_coset = _omega_frame(datum)
+        elements = tuple(ExtWeylElt(datum, q, aff)
+                         for q, aff in zip(qs, affs))
         return OmegaGroup(datum, elements, perms, by_coset)
 
     def translation_indices(self, pts) -> list[int]:
@@ -495,6 +485,18 @@ class OmegaGroup:
         first, then = self.perms[j], self.perms[i]
         return self._by_perm[tuple(then[k] for k in first)]
 
+    @functools.cached_property
+    def sign_characters(self) -> tuple[tuple[int, ...], ...]:
+        """The homomorphisms from the group to $\\{\\pm 1\\}$, each as the
+        signs of :attr:`elements`, the trivial one first; derived on the
+        first read and kept with the group."""
+        n = len(self.perms)
+        pairs = [(i, j, self.mult_index(i, j))
+                 for i in range(n) for j in range(n)]
+        return tuple(signs for signs in (
+            (1,) + rest for rest in itertools.product((1, -1), repeat=n - 1))
+            if all(signs[k] == signs[i] * signs[j] for i, j, k in pairs))
+
     def lattice_basis(self) -> tuple[Vec, ...]:
         """Echelon basis of the lattice of translations whose length-zero
         parts lie in this group, from the coroots and the representative
@@ -511,6 +513,46 @@ class OmegaGroup:
         of each node."""
         return tuple(sorted({tuple(sorted({perm[i] for perm in self.perms}))
                              for i in range(self.datum.rank + 1)}))
+
+
+#: The weight-free parts of the length-zero group, by (kind, rank,
+#: lattice basis): filled by :func:`_omega_frame`, read-only once filled.
+_OMEGA_FRAMES: dict[tuple, tuple] = {}
+
+
+def _omega_frame(datum: RootDatum):
+    """``(perms, qs, affs, by_coset)`` for the length-zero group of
+    ``datum``'s type and lattice, which the node weights do not enter:
+    one element per coset of the coroot lattice, the length-zero part of
+    the translation by the coset's representative (refused unless it
+    lies in the lattice), named by the alcove vector ``q`` that
+    :func:`_walk` reaches, whose entries give the wall permutation (see
+    the module docstring) and with it the affine map
+    (:func:`_wall_affine`); sorted by permutation, the identity first,
+    and ``by_coset`` the index of each coset's representative.  Walked
+    once per (kind, rank, lattice basis) and process, then shared."""
+    key = (datum.kind, datum.rank, datum.lattice_basis)
+    if key in _OMEGA_FRAMES:
+        return _OMEGA_FRAMES[key]
+    den, n = datum.alcove_point[1], datum.rank + 1
+    items = []
+    for rep in datum.lattice_cosets():
+        q, _ = _walk(datum, ExtWeylElt.translation(datum, rep).q)
+        perm = ((den - 1 - sum(map(mul, q, datum.theta)),)
+                + tuple(x - 1 for x in q))
+        assert sorted(perm) == list(range(n)), (
+            "length-zero element must permute the walls")
+        items.append((perm, q, rep))
+    items.sort()
+    perms = tuple(t[0] for t in items)
+    assert perms[0] == tuple(range(n))
+    assert len(set(perms)) == len(perms)
+    frame = (perms, tuple(t[1] for t in items),
+             tuple(_wall_affine(datum, perm, q) for perm, q, _ in items),
+             types.MappingProxyType(
+                 {rep: i for i, (_, _, rep) in enumerate(items)}))
+    _OMEGA_FRAMES[key] = frame
+    return frame
 
 
 def _wall_affine(datum: RootDatum, perm: tuple[int, ...], q: Vec) -> Affine:
@@ -541,8 +583,11 @@ def _perm_order(perm: tuple[int, ...]) -> int:
 
 
 def aut_group(datum: RootDatum) -> OmegaGroup:
-    """The group of length-zero elements (lattice modulo coroot lattice),
-    built once per datum and kept in :attr:`RootDatum.length_zero_group`."""
+    """The group of length-zero elements (lattice modulo coroot lattice)
+    of ``datum``, kept in :attr:`RootDatum.length_zero_group`: its
+    weight-free parts are built once per type and lattice
+    (:meth:`OmegaGroup.build`), and only their binding to the datum once
+    per datum."""
     if datum.length_zero_group is None:
         datum.length_zero_group = OmegaGroup.build(datum)
     return datum.length_zero_group

@@ -67,7 +67,7 @@ class HeckeAlgebra:
         self.omega_full = aut_group(datum)
         self.omega = self.omega_full.decorated()
         self.effective_basis = self.omega.lattice_basis()
-        self._monoid_generators: dict[str, tuple[Vec, ...]] = {}
+        self._generators: dict[str, tuple[tuple[Vec, ...], np.ndarray]] = {}
 
     # ---- scalars -------------------------------------------------------
 
@@ -143,11 +143,26 @@ class HeckeAlgebra:
     def monoid_generators(self, level: str) -> tuple[Vec, ...]:
         """Dominant monoid generators of the lattice at ``level``,
         computed once per level."""
-        if level not in self._monoid_generators:
-            self._monoid_generators[level] = dominant_monoid_generators(
+        return self._level_generators(level)[0]
+
+    def generator_class_counts(self, level: str) -> np.ndarray:
+        """The letters of each node class in a reduced word of the
+        translation by each of :meth:`monoid_generators` at ``level``
+        (:meth:`RootDatum.translation_class_counts`), a read-only
+        (generators, classes) int64 array kept beside the generators."""
+        return self._level_generators(level)[1]
+
+    def _level_generators(self, level: str):
+        """``(generators, class counts)`` at ``level``, computed once."""
+        if level not in self._generators:
+            gens = dominant_monoid_generators(
                 self.datum, "coroot" if level == "coroot"
                 else self._level_basis(level))
-        return self._monoid_generators[level]
+            counts = self.datum.translation_class_counts(
+                np.array(gens, dtype=np.int64))
+            counts.flags.writeable = False
+            self._generators[level] = (gens, counts)
+        return self._generators[level]
 
     def lattice_coordinates(self, lam, level: str = "effective"
                             ) -> np.ndarray:

@@ -334,10 +334,15 @@ class LaurentMatrix:
     @staticmethod
     def concat(parts) -> "LaurentMatrix":
         """One stack of all the matrices of the stacks ``parts``, in order,
-        along their first axis; the axes after it broadcast."""
+        along their first axis; the axes after it broadcast, a part with
+        fewer of them taking the missing ones, of length one, right after
+        its first axis."""
         lo = min(part.lo for part in parts)
         size = max(part.lo + part.coeffs.shape[-3] for part in parts) - lo
         arrays = [part._on_degrees(lo, size) for part in parts]
+        ndim = max(a.ndim for a in arrays)
+        arrays = [a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
+                  for a in arrays]
         shapes = {a.shape[1:] for a in arrays}
         if len(shapes) > 1:
             inner = np.broadcast_shapes(*shapes)

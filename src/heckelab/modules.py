@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (CharacterExtends, DatumMismatch, NoIndexTwoStructure,
                      NotSimplyLaced, RelationsFail)
 from .intlin import is_int, is_prime
-from .laurent import Laurent, LaurentMatrix, mod_p, q_power
+from .laurent import _INT64_MAX, Laurent, LaurentMatrix, mod_p, q_power
 from .rootdata import RootDatum
 from .hecke import HeckeAlgebra, HeckeElt
 
@@ -46,6 +46,22 @@ def _as_algebra(datum) -> HeckeAlgebra:
     if isinstance(datum, RootDatum):
         return HeckeAlgebra(datum)
     raise TypeError(f"expected a root datum or Hecke algebra, got {type(datum)!r}")
+
+
+def _check_datum(alg: HeckeAlgebra, char: "Character") -> None:
+    if alg.datum != char.datum:
+        raise DatumMismatch("character and algebra built from different data")
+
+
+def _generic_algebra(algebra, char: "Character") -> HeckeAlgebra:
+    """The algebra of ``algebra`` (a datum or an algebra) for a generic
+    character ``char`` of its datum: ``ValueError`` for a mod-$p$
+    character, ``DatumMismatch`` for one of another datum."""
+    alg = _as_algebra(algebra)
+    if char.mode != "generic":
+        raise ValueError(f"expected a generic character, got {char!r}")
+    _check_datum(alg, char)
+    return alg
 
 
 def _stack(mats, what: str) -> LaurentMatrix:
@@ -228,8 +244,7 @@ class Character:
         Generic characters give a module over the Laurent ring (``p`` must
         stay ``None``); mod-$p$ characters need the prime."""
         alg = _as_algebra(algebra)
-        if alg.datum != self.datum:
-            raise DatumMismatch("character and algebra built from different data")
+        _check_datum(alg, self)
         if self.mode == "generic" and p is not None:
             raise ValueError("generic characters reduce via reduce_mod_p")
         if self.mode == "modp" and p is None:
@@ -344,32 +359,28 @@ def character_extends(algebra, char: Character):
 
     Returns ``(flag, extensions)`` where ``extensions`` lists one
     extended character per group homomorphism from the weight-preserving
-    length-zero group to $\\{\\pm 1\\}$, the all-plus extension first.
-    The character extends exactly when its values are constant on the
-    node orbits of that group.
+    length-zero group to $\\{\\pm 1\\}$ (the group's
+    :attr:`~heckelab.extweyl.OmegaGroup.sign_characters`), the all-plus
+    extension first.  The character extends exactly when its values are
+    constant on the node orbits of that group.  ``char`` must be a
+    generic character of the algebra's datum: ``ValueError`` for a mod-p
+    one, ``DatumMismatch`` for one of another datum.
     """
-    alg = _as_algebra(algebra)
-    assert char.mode == "generic"
-    omega = alg.omega
+    omega = _generic_algebra(algebra, char).omega
     for orbit in omega.node_orbits():
         vals = {char.sign_on_node(s) for s in orbit}
         if len(vals) > 1:
             return False, ()
-    n = len(omega.elements)
-    exts = []
-    for rest in itertools.product((1, -1), repeat=n - 1):
-        signs = (1,) + rest
-        if all(signs[omega.mult_index(i, j)] == signs[i] * signs[j]
-               for i in range(n) for j in range(n)):
-            exts.append(char.with_omega_signs(signs))
-    return True, tuple(exts)
+    return True, tuple(map(char.with_omega_signs, omega.sign_characters))
 
 
 def stabilizer_and_twist(algebra, char: Character):
     """The indices of the weight-preserving length-zero elements that fix
-    a generic character, and its twist by the first element outside them
-    (by the identity when there is none)."""
-    perms = _as_algebra(algebra).omega.perms
+    a generic character of the algebra's datum, and its twist by the
+    first element outside them (by the identity when there is none):
+    ``ValueError`` for a mod-p character, ``DatumMismatch`` for one of
+    another datum."""
+    perms = _generic_algebra(algebra, char).omega.perms
     stab = [i for i, perm in enumerate(perms)
             if char.compose_with_node_permutation(perm) == char]
     u = min(set(range(len(perms))) - set(stab), default=0)
@@ -383,9 +394,11 @@ def induce_character(algebra, char: Character) -> "FinModule":
     length-zero group to have index two; the two diagonal entries are the
     character and its twist by a fixed coset representative, and every
     length-zero element outside the stabilizer acts by the swap matrix.
+    ``char`` must be a generic character of the algebra's datum:
+    ``ValueError`` for a mod-p one, ``DatumMismatch`` for one of another
+    datum.
     """
-    alg = _as_algebra(algebra)
-    assert char.mode == "generic"
+    alg = _generic_algebra(algebra, char)
     extends, _ = character_extends(alg, char)
     if extends:
         raise CharacterExtends(f"{char.label()} extends; induction would "
@@ -480,8 +493,8 @@ class FinModule:
         all of them run as one batch: one product of stacked integer
         matrices per letter of the longest word, shorter words padded
         with the identity.  On a stack of modules (family axes in
-        ``smats``) the identity, zero and $q_s$ entries of the bank
-        broadcast over the family, so the whole stack is checked by the
+        ``smats``) the identity, zero, $q_s$ and length-zero entries of
+        the bank (:meth:`_bank`) broadcast over the family, so the whole stack is checked by the
         same products; a failure names the first failing member in
         row-major order, its index and node values, and its first
         failing relation.
@@ -508,12 +521,7 @@ class FinModule:
         and on Python ints otherwise."""
         omats, smats, p = self.omega_mats, self.smats, self.prime
         family = smats.coeffs.shape[1:-3]
-        one = LaurentMatrix.identity(self.dim)
-        # bank: T_s, T_s - q_s, T_s + 1, 1, 0, length-zero matrices
-        bank = LaurentMatrix.concat(
-            [smats, smats - self.q_stack(), smats + one, one[None],
-             LaurentMatrix(0, np.zeros_like(one.coeffs[None]))]
-            + ([] if omats is None else [omats]))
+        bank = self._bank()
         labels, words = _relations(
             self.alg.datum.coxeter_m,
             None if omats is None else self.alg.omega.perms)
@@ -543,6 +551,46 @@ class FinModule:
         if self.dim == 1:
             values = [m[0][0] for m in values]
         raise RelationsFail(message, index, values)
+
+    def _bank(self) -> LaurentMatrix:
+        """The factor bank of :meth:`check_relations`, in the order of
+        :func:`_relations`: $T_s$, $T_s - q_s$ and $T_s + 1$ per node, 1,
+        0 and the length-zero matrices, filled into one preallocated
+        array.  Its family axes are those of ``smats``, over which every
+        other factor broadcasts, and its degree axis runs from the least
+        to the greatest degree of any factor ($q_s$ is zero mod $p$).
+        It holds Python ints where a factor does or where $T_s \\pm 1$
+        could leave int64 (the largest magnitude of ``smats`` plus one
+        past $2^{63} - 1$), else int64."""
+        smats, omats, n = self.smats, self.omega_mats, self.dim
+        r = len(smats)
+        parts = [smats] + ([] if omats is None else [omats])
+        weights = self.alg.datum.weights
+        top = 1 if self.prime is not None else 2 * max(weights) + 1
+        lo = min(0, *(m.lo for m in parts))
+        hi = max(top, *(m.lo + m.coeffs.shape[-3] for m in parts))
+        big = (smats.magnitude() + 1 > _INT64_MAX
+               or any(m.coeffs.dtype == object for m in parts))
+        family = smats.coeffs.shape[1:-3]
+        bank = np.zeros((3 * r + 2 + (0 if omats is None else len(omats)),)
+                        + family + (hi - lo, n, n),
+                        dtype=object if big else np.int64)
+
+        def degrees(m: LaurentMatrix) -> slice:
+            return slice(m.lo - lo, m.lo - lo + m.coeffs.shape[-3])
+
+        for start in (0, r, 2 * r):
+            bank[start:start + r, ..., degrees(smats), :, :] = smats.coeffs
+        eye = np.eye(n, dtype=np.int64)
+        if self.prime is None:
+            for s, w in enumerate(weights):
+                bank[r + s, ..., 2 * w - lo, :, :] -= eye
+        bank[2 * r:3 * r + 1, ..., -lo, :, :] += eye
+        if omats is not None:
+            c = omats.coeffs
+            bank[3 * r + 2:, ..., degrees(omats), :, :] = c.reshape(
+                c.shape[:1] + (1,) * len(family) + c.shape[1:])
+        return LaurentMatrix(lo, bank)
 
     def mat_of_omega(self, omega_elt) -> LaurentMatrix:
         if omega_elt.is_identity():

@@ -280,11 +280,16 @@ class RootDatum:
       and process and shared read-only, by identity, by every datum of
       the type (its numpy tables are not writeable);
     * per lattice: ``lattice_name``, ``lattice_basis``, ``lattice_index``
-      and :meth:`lattice_cosets`;
+      and :meth:`lattice_cosets`.  The weight-free parts of the
+      length-zero group (wall permutations, alcove vectors, affine maps
+      and coset map) are built once per (kind, rank, lattice basis) and
+      process by :meth:`heckelab.extweyl.OmegaGroup.build` and shared by
+      every datum of that type and lattice;
     * per datum: ``weights`` (``weights[i]`` is the weight of affine node
       ``i``, constant on conjugacy classes of simple affine reflections
-      by construction), ``class_weights`` and the cache of elements
-      bound to the datum, ``length_zero_group``.
+      by construction), ``class_weights`` and ``length_zero_group``, the
+      binding of those parts to the datum: elements of this datum
+      alone.
     """
 
     def __init__(self, kind: str, rank: int, weights: Vec, lattice_name: str,
@@ -297,7 +302,7 @@ class RootDatum:
         # the basis is square and upper triangular with positive pivots
         self.lattice_index = math.prod(
             row[i] for i, row in enumerate(lattice_basis))
-        # the group of length-zero elements, built by extweyl.aut_group
+        # the group of length-zero elements, bound by extweyl.aut_group
         self.length_zero_group = None
 
     # ---- basic frame -------------------------------------------------

@@ -44,9 +44,17 @@ back-substitution and determinants by Bareiss elimination;
 
 The relation oracle ``laurent_check_relations`` is the word product that
 ``FinModule.check_relations`` ran before it packed the factor bank into
-integers: the same bank and words, multiplied as ``LaurentMatrix``
-stacks, one product per letter column, each reduced mod $p$ on a mod-$p$
-module, and the two sides of each relation subtracted degree by degree.
+integers: the same words, multiplied as ``LaurentMatrix`` stacks, one
+product per letter column, each reduced mod $p$ on a mod-$p$ module, and
+the two sides of each relation subtracted degree by degree.  Its bank,
+``laurent_bank``, is the one ``FinModule.check_relations`` assembled
+from ``LaurentMatrix`` sums and a ``concat`` before it filled one
+preallocated array.
+
+The length-zero oracle ``omega_build`` is ``OmegaGroup.build`` as it ran
+before the weight-free parts were kept per type and lattice: the alcove
+walk of every coset representative, once per datum, with the elements
+bound to that datum.
 
 The central character oracle ``dense_central_scalar`` holds the only
 full $c(v)$ of a certified module: the sum over the orbit of
@@ -65,12 +73,14 @@ certificate's specialization.
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 import numpy as np
 
 from heckelab import (ExtWeylElt, HilbertBasisOverflow, Laurent,
-                      LaurentMatrix, RelationsFail, intlin)
+                      LaurentMatrix, OmegaGroup, RelationsFail, extweyl,
+                      intlin)
 from heckelab.hecke import HeckeElt
 from heckelab.modules import _relations
 from heckelab.rootdata import reflect_coweight
@@ -362,17 +372,25 @@ def frac_det(m) -> int:
     return int(value)
 
 
+def laurent_bank(mod) -> LaurentMatrix:
+    """The factor bank of ``mod.check_relations()`` from ``LaurentMatrix``
+    sums and one ``concat``: $T_s$, $T_s - q_s$, $T_s + 1$, 1, 0 and the
+    length-zero matrices."""
+    omats, smats = mod.omega_mats, mod.smats
+    one = LaurentMatrix.identity(mod.dim)
+    return LaurentMatrix.concat(
+        [smats, smats - mod.q_stack(), smats + one, one[None],
+         LaurentMatrix(0, np.zeros_like(one.coeffs[None]))]
+        + ([] if omats is None else [omats]))
+
+
 def laurent_check_relations(mod) -> None:
     """``mod.check_relations()`` on ``LaurentMatrix`` word products:
     raises the same :class:`RelationsFail` (message, member and node
     values) on the same modules, without setting ``mod.checked``."""
     omats, smats = mod.omega_mats, mod.smats
     family = smats.coeffs.shape[1:-3]
-    one = LaurentMatrix.identity(mod.dim)
-    bank = LaurentMatrix.concat(
-        [smats, smats - mod.q_stack(), smats + one, one[None],
-         LaurentMatrix(0, np.zeros_like(one.coeffs[None]))]
-        + ([] if omats is None else [omats]))
+    bank = laurent_bank(mod)
     labels, words = _relations(
         mod.alg.datum.coxeter_m,
         None if omats is None else mod.alg.omega.perms)
@@ -439,3 +457,26 @@ def dense_central_scalar(cert, pts) -> Laurent:
     assert (counts[1] == counts[3]).all()
     real = counts[0] - counts[2]
     return Laurent({lo + k: c for k, c in enumerate(real.tolist())})
+
+
+def omega_build(datum) -> OmegaGroup:
+    """The length-zero group of ``datum``, walked for this datum alone:
+    per coroot coset, the length-zero part of the translation by its
+    representative, named by the alcove vector the walk reaches, whose
+    entries give the wall permutation; sorted by permutation."""
+    den, n = datum.alcove_point[1], datum.rank + 1
+    items = []
+    for rep in datum.lattice_cosets():
+        q, _ = extweyl._walk(datum, ExtWeylElt.translation(datum, rep).q)
+        perm = ((den - 1 - sum(map(mul, q, datum.theta)),)
+                + tuple(x - 1 for x in q))
+        assert sorted(perm) == list(range(n))
+        items.append((perm, q, rep))
+    items.sort()
+    perms = tuple(t[0] for t in items)
+    elements = tuple(ExtWeylElt(datum, q, extweyl._wall_affine(datum, perm, q))
+                     for perm, q, _ in items)
+    by_coset = {rep: i for i, (_, _, rep) in enumerate(items)}
+    assert perms[0] == tuple(range(n))
+    assert len(set(perms)) == len(perms)
+    return OmegaGroup(datum, elements, perms, by_coset)

@@ -11,6 +11,8 @@ and its constant terms are checked against the oracles of
 ``geom_oracle``."""
 
 import functools
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +39,8 @@ from heckelab import (
     translation_exponent,
     translation_word,
 )
-from heckelab.classify import (CERT_Q, _CentralCharacter, _certificate,
+from heckelab.classify import (CERT_I, CERT_Q, _CentralCharacter,
+                               _certificate,
                                _class_count_weights, _commutant_is_scalar,
                                _replayed_weights)
 from heckelab.intlin import is_prime
@@ -261,6 +264,79 @@ def test_monoid_generators_computed_once_per_level(monkeypatch):
         H.datum, "coroot")
     with pytest.raises(ValueError):
         H.monoid_generators("lattice")
+
+
+def test_certificate_field_holds_a_square_root_of_minus_one():
+    """$F_q$ for ``CERT_Q`` holds ``CERT_I``, a square root of $-1$, and a
+    product of two $n \\times n$ matrices over it stays in int64 for
+    every $n < 8192$."""
+    assert is_prime(CERT_Q) and CERT_Q % 4 == 1
+    assert CERT_I * CERT_I % CERT_Q == CERT_Q - 1
+    assert (CERT_Q - 1) ** 2 * 8191 < 2**63
+
+
+#: Each argument check of the search's building blocks, run on its wrong
+#: argument: one line per call, "refused" for a ValueError.
+REFUSALS = """
+import sys
+from heckelab import (Character, build_root_datum, central_orbit_matrix_v0,
+                      character_extends, induce_character,
+                      is_discrete_character, is_supersingular,
+                      key_result_search)
+
+d = build_root_datum("C", 2)
+answer = key_result_search(d).module
+modp = Character.modp(d, (0, -1, 0))
+calls = [lambda: central_orbit_matrix_v0(answer, d.weyl_orbit((1, 0)), 5),
+         lambda: is_supersingular(answer.generic),
+         lambda: is_discrete_character(d, modp),
+         lambda: character_extends(d, modp),
+         lambda: induce_character(d, modp)]
+for call in calls:
+    try:
+        call()
+        print("answered")
+    except ValueError:
+        print("refused")
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_argument_checks_survive_assertions_stripped():
+    """A mod-p module for the central action, a Laurent module for the
+    supersingularity test and a mod-p character for discreteness,
+    extension and induction are refused with ``ValueError`` under
+    ``python -O`` too, which strips ``assert``."""
+    from test_cli import child_env
+    done = subprocess.run([sys.executable, "-O", "-c", REFUSALS],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["refused"] * 5 + ["optimize 1", ""]
+
+
+def test_discreteness_reads_the_class_counts_kept_per_level(monkeypatch):
+    """The exponent tables of every character of C3 [1, 2, 2] and of
+    their extensions read the class counts the algebra keeps beside the
+    generators of each level: one count of the hyperplanes per level,
+    read-only and equal to a fresh count."""
+    from heckelab.rootdata import RootDatum
+    H = HeckeAlgebra(build_root_datum("C", 3, weights=[1, 2, 2]))
+    real, calls = RootDatum.translation_class_counts, []
+    monkeypatch.setattr(RootDatum, "translation_class_counts",
+                        lambda d, lam: calls.append(len(lam)) or real(d, lam))
+    tables = 0
+    for ch in enumerate_characters(H, "generic"):
+        for c in (ch,) + character_extends(H, ch)[1]:
+            is_discrete_character(H, c)
+            tables += 1
+    assert tables > 8 and len(calls) == 2
+    for level in ("coroot", "effective"):
+        counts = H.generator_class_counts(level)
+        assert counts is H.generator_class_counts(level)
+        assert not counts.flags.writeable
+        assert (counts == real(H.datum, np.array(
+            H.monoid_generators(level)))).all()
 
 
 def test_search_respects_prime():

@@ -24,7 +24,7 @@ from heckelab import (
     translation_word,
 )
 from heckelab.extweyl import affine_simple
-from geom_oracle import alcove_length, frac_det
+from geom_oracle import alcove_length, frac_det, omega_build
 
 OMEGA_STRUCTURE = {
     ("A", 1): "Z/2", ("A", 2): "Z/3", ("A", 3): "Z/4", ("A", 4): "Z/5",
@@ -172,6 +172,25 @@ def test_omega_group_axioms():
                     assert ij_k == i_jk
 
 
+def test_sign_characters_are_the_homomorphisms_to_signs():
+    """Every group of the README types and every decorated group of C2
+    and C3 keeps its homomorphisms to $\\{\\pm 1\\}$: as many as the
+    elements of order at most two, each multiplicative, the trivial one
+    first, derived once."""
+    data = [build_root_datum(kind, rank) for kind, rank in README_TYPES]
+    data += [build_root_datum("C", r, weights=w) for r in (2, 3)
+             for w in ([1, 2, 2], [1, 2, 3])]
+    for d in data:
+        for G in (aut_group(d), decorated_aut_group(d)):
+            signs, n = G.sign_characters, len(G)
+            assert signs is G.sign_characters and signs[0] == (1,) * n
+            assert len(set(signs)) == len(signs) == sum(
+                G.mult_index(i, i) == 0 for i in range(n))
+            for s in signs:
+                assert all(s[G.mult_index(i, j)] == s[i] * s[j]
+                           for i in range(n) for j in range(n))
+
+
 # the 33 types the README advertises
 README_TYPES = ([("A", r) for r in range(1, 9)]
                 + [("B", r) for r in range(2, 9)]
@@ -269,6 +288,35 @@ def test_length_zero_group_matches_replayed_oracle():
             if all(d.weights[j] == w for j, w in zip(t[0], d.weights))])
 
 
+def test_length_zero_group_matches_the_per_datum_build():
+    """The group bound from the parts kept per type and lattice equals
+    the walk made for the datum alone (``omega_build``), element by
+    element with its affine map, and so does its decorated subgroup: on
+    the 33 README types over the coweight and the coroot lattice and on
+    D4 over a lattice of index 2, each at two weightings, built one after
+    the other.  Every element is bound to its own datum."""
+    d4 = build_root_datum("D", 4)
+    lattices = [(kind, rank, lattice) for kind, rank in README_TYPES
+                for lattice in ("coweight", "coroot")]
+    lattices.append(("D", 4, list(d4.cartan) + [(1, 0, 0, 0)]))
+    seen = 0
+    for kind, rank, lattice in lattices:
+        classes = len(build_root_datum(kind, rank).classes)
+        for weights in (1, list(range(2, classes + 2))):
+            d = build_root_datum(kind, rank, weights=weights, lattice=lattice)
+            G, oracle = aut_group(d), omega_build(d)
+            for got, want in ((G, oracle), (G.decorated(), oracle.decorated())):
+                assert got.perms == want.perms, (kind, rank, lattice, weights)
+                assert [e.q for e in got] == [e.q for e in want]
+                assert [e._affine() for e in got] == [
+                    e._affine() for e in want]
+                assert dict(got._by_coset) == want._by_coset
+                assert all(e.datum is d for e in got)
+            seen += 1
+    assert seen == 2 * 67
+    assert build_root_datum("D", 4, lattice=lattices[-1][2]).lattice_index == 2
+
+
 def test_group_law_read_off_permutations():
     """``mult_index`` and ``inverse_index`` agree with products and
     inverses of the group elements, on the full and decorated groups."""
@@ -319,6 +367,27 @@ def test_length_zero_group_built_once_per_datum(monkeypatch):
     assert builds == [d]
     HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 2]))
     assert len(builds) == 2
+
+
+def test_length_zero_group_walked_once_per_type_and_lattice(monkeypatch):
+    """Data of one type and lattice share the walked parts of the group
+    whatever their weights: only the first datum walks the coset
+    representatives, and each datum gets elements of its own.  Another
+    lattice of the type walks again."""
+    monkeypatch.setattr(extweyl, "_OMEGA_FRAMES", {})
+    walks = []
+    real = extweyl._walk
+    monkeypatch.setattr(extweyl, "_walk",
+                        lambda d, q: walks.append(q) or real(d, q))
+    plain = aut_group(build_root_datum("C", 3))
+    assert len(walks) == len(plain) == 2
+    d = build_root_datum("C", 3, weights=[1, 2, 3])
+    weighted = aut_group(d)
+    assert len(walks) == 2 and weighted.perms is plain.perms
+    assert all(e.datum is d for e in weighted)
+    assert not set(weighted.elements) & set(plain.elements)
+    assert len(aut_group(build_root_datum("C", 3, lattice="coroot"))) == 1
+    assert len(walks) == 3
 
 
 def test_equality_respects_the_datum():

@@ -41,14 +41,32 @@ def _report(command: str, case: dict, workdir: str) -> str:
     return buf.getvalue()
 
 
-def test_golden_reports(tmp_path):
+def _mismatched(runs, workdir: str) -> list[str]:
+    """The names of the ``runs`` whose report differs from its golden."""
     mismatched = []
-    for name, command, case in _runs():
+    for name, command, case in runs:
         with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
             want = fh.read()
-        if _report(command, case, str(tmp_path)) != want:
+        if _report(command, case, workdir) != want:
             mismatched.append(name)
+    return mismatched
+
+
+def test_golden_reports(tmp_path):
+    mismatched = _mismatched(_runs(), str(tmp_path))
     assert not mismatched, mismatched
+
+
+def test_golden_reports_in_reverse_order(tmp_path, monkeypatch):
+    """The reports made again in reverse order, in one process and with
+    the length-zero parts kept per type and lattice walked afresh, match
+    byte for byte: no cache kept per type, lattice or algebra carries one
+    datum's weights into the report of another."""
+    from heckelab import extweyl
+    monkeypatch.setattr(extweyl, "_OMEGA_FRAMES", {})
+    mismatched = _mismatched(reversed(list(_runs())), str(tmp_path))
+    assert not mismatched, mismatched
+    assert extweyl._OMEGA_FRAMES
 
 
 

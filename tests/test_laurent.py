@@ -288,3 +288,19 @@ def test_laurent_matrix_product_beyond_int64():
     huge = [[Laurent({0: 3**41, 1: 1})]]
     assert _entries(LaurentMatrix.from_rows([huge]) @ LaurentMatrix.from_rows(
         [huge]), 0) == _lmul(huge, huge)
+
+
+def test_concat_broadcasts_a_stack_over_family_axes():
+    """A stack of k matrices joins a stack with family axes as k matrices
+    repeated over every family member, for k equal to the family's
+    length too, where aligning the axes from the right would pair
+    matrix i with member i."""
+    for members in (2, 3):
+        stack = LaurentMatrix(0, np.arange(8).reshape(2, 1, 2, 2))
+        family = LaurentMatrix(-1, np.ones((3, members, 2, 2, 2), np.int64))
+        both = LaurentMatrix.concat([family, stack])
+        assert both.lo == -1 and both.coeffs.shape == (5, members, 2, 2, 2)
+        for i in range(2):
+            for m in range(members):
+                assert (both.coeffs[3 + i, m, 1] == stack.coeffs[i, 0]).all()
+                assert not both.coeffs[3 + i, m, 0].any()

@@ -11,6 +11,7 @@ from heckelab import (
     Laurent,
     LaurentMatrix,
     CharacterExtends,
+    DatumMismatch,
     HeckeAlgebra,
     NotSimplyLaced,
     RelationsFail,
@@ -19,9 +20,11 @@ from heckelab import (
     decompose_at_v0,
     enumerate_characters,
     induce_character,
+    is_discrete_character,
     reflection_module,
 )
-from geom_oracle import laurent_check_relations
+from heckelab.modules import stabilizer_and_twist
+from geom_oracle import laurent_bank, laurent_check_relations
 
 CATALOG = [
     ("A", 1, 1), ("A", 1, [1, 2]),
@@ -239,6 +242,31 @@ def test_character_helpers():
     mod.check_relations()
     blob = ch.to_json()
     assert blob["mode"] == "generic"
+
+
+def test_characters_of_another_datum_are_refused():
+    """A character is read only by the algebra of its own datum: a C2
+    character on the B3 algebra and a C3 [1, 1, 1] character on C3
+    [2, 1, 1] raise ``DatumMismatch`` in every reader, as in
+    ``as_module``; an algebra of the character's datum built apart reads
+    it."""
+    c2 = build_root_datum("C", 2)
+    c3 = build_root_datum("C", 3)
+    cases = [(HeckeAlgebra(build_root_datum("B", 3)),
+              enumerate_characters(c2)[1]),
+             (HeckeAlgebra(build_root_datum("C", 3, weights=[2, 1, 1])),
+              enumerate_characters(c3)[1])]
+    readers = [is_discrete_character, character_extends, stabilizer_and_twist,
+               induce_character, lambda H, ch: ch.as_module(H)]
+    for H, ch in cases:
+        for read in readers:
+            with pytest.raises(DatumMismatch):
+                read(H, ch)
+    ch = enumerate_characters(c3)[1]
+    again = HeckeAlgebra(build_root_datum("C", 3))
+    assert again.datum is not ch.datum
+    assert is_discrete_character(again, ch) == is_discrete_character(c3, ch)
+    assert stabilizer_and_twist(again, ch) == stabilizer_and_twist(c3, ch)
 
 
 def test_modp_character_values():
@@ -472,6 +500,55 @@ def test_packed_check_matches_laurent_oracle_on_answer_modules(
                 bad.check_relations()
     assert None in oracle_checks
     assert len({v[1] for v in oracle_checks if v}) > 1
+
+
+def _same_bank(mod):
+    bank, oracle = mod._bank(), laurent_bank(mod)
+    assert bank.lo == oracle.lo, mod
+    assert bank.coeffs.dtype == oracle.coeffs.dtype, mod
+    assert bank.coeffs.shape == oracle.coeffs.shape, mod
+    assert (bank.coeffs == oracle.coeffs).all(), mod
+
+
+def test_bank_matches_the_laurent_matrix_oracle():
+    """The factor bank filled into one array equals the one built from
+    ``LaurentMatrix`` sums and a ``concat``, in degree origin, shape,
+    dtype and entries: on every answer of the README data and its
+    reduction mod 5, on the reflection modules of D4-D8, on a family of
+    characters, on a family of extended characters whose length-zero
+    matrices broadcast over the family axes, and on either side of the
+    int64 bound of $T_s \\pm 1$."""
+    from heckelab.modules import FinModule
+    from test_classify import _readme_outcomes
+    mods = []
+    for _, _, out in _readme_outcomes():
+        if out.module is not None:
+            mods += [out.module.generic, out.module]
+    assert len(mods) == 48
+    mods += [reflection_module(build_root_datum("D", r)) for r in range(4, 9)]
+    H = HeckeAlgebra(build_root_datum("C", 3, weights=[1, 2, 2]))
+    chars = enumerate_characters(H, "generic")
+    # (node, member, degree, 1, 1): every character at once, then the
+    # characters that extend with their trivial extension
+    family = LaurentMatrix.from_rows([[[ch.node_value(s)]] for ch in chars
+                                      for s in range(4)])
+    stack = family.coeffs.reshape(len(chars), 4, -1, 1, 1).swapaxes(0, 1)
+    mods.append(FinModule(H, LaurentMatrix(family.lo, stack), None))
+    ext = [k for k, ch in enumerate(chars) if character_extends(H, ch)[0]]
+    assert 1 < len(ext) < len(chars)
+    ones = np.ones((len(H.omega), 1, 1, 1), dtype=np.int64)
+    mods.append(FinModule(H, LaurentMatrix(family.lo, stack[:, ext, None]),
+                          LaurentMatrix(0, ones)))
+    top = np.full((4, 1, 1, 1), 2**63 - 2, dtype=np.int64)
+    mods += [FinModule(H, LaurentMatrix(0, top), None),
+             FinModule(H, LaurentMatrix(0, top + 1), None)]
+    for mod in mods:
+        _same_bank(mod)
+    assert mods[-2]._bank().coeffs.dtype == np.int64
+    assert mods[-1]._bank().coeffs.dtype == object
+    assert mods[-3]._bank().coeffs.shape[1:3] == (len(ext), 1)
+    mods[-3].check_relations()
+    mods[-4].check_relations()
 
 
 def upper_triangular_a1(x0, x1):
