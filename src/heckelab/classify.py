@@ -85,8 +85,11 @@ SAMPLED_ORBIT_NODE = {("E", 7): 7, ("E", 8): 8}
 
 def translation_exponent(algebra: HeckeAlgebra, char: Character,
                          lam) -> int:
-    """The signed weighted letter count of the translation by ``lam``."""
-    datum = algebra.datum
+    """The signed weighted letter count of the translation by ``lam``.
+    ``char`` must be a generic character of the algebra's datum:
+    ``ValueError`` for a mod-p one, ``DatumMismatch`` for one of another
+    datum."""
+    datum = _generic_algebra(algebra, char).datum
     counts = datum.translation_class_counts(np.array([lam], dtype=np.int64))
     return int(_signed_exponents(datum, char, counts)[0])
 

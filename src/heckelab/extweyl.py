@@ -501,9 +501,9 @@ class OmegaGroup:
         """Echelon basis of the lattice of translations whose length-zero
         parts lie in this group, from the coroots and the representative
         of each coroot coset those parts index, in ``lattice_cosets``
-        order."""
-        rows = list(self.datum.cartan) + sorted(self._by_coset)
-        return intlin.echelon_basis(rows, self.datum.rank)
+        order (:func:`_coset_lattice`)."""
+        return _coset_lattice(self.datum.cartan,
+                              tuple(sorted(self._by_coset)))
 
     def inverse_index(self, i: int) -> int:
         return self._by_perm[_perm_inverse(self.perms[i])]
@@ -515,6 +515,16 @@ class OmegaGroup:
                              for i in range(self.datum.rank + 1)}))
 
 
+@functools.cache
+def _coset_lattice(cartan: tuple[Vec, ...],
+                   reps: tuple[Vec, ...]) -> tuple[Vec, ...]:
+    """Echelon basis of the lattice spanned by the simple coroots (the
+    rows of ``cartan``) and the coset representatives ``reps``, built
+    once per pair and process: the weights enter only through the choice
+    of ``reps``."""
+    return intlin.echelon_basis(cartan + reps, len(cartan))
+
+
 #: The weight-free parts of the length-zero group, by (kind, rank,
 #: lattice basis): filled by :func:`_omega_frame`, read-only once filled.
 _OMEGA_FRAMES: dict[tuple, tuple] = {}
@@ -523,9 +533,10 @@ _OMEGA_FRAMES: dict[tuple, tuple] = {}
 def _omega_frame(datum: RootDatum):
     """``(perms, qs, affs, by_coset)`` for the length-zero group of
     ``datum``'s type and lattice, which the node weights do not enter:
-    one element per coset of the coroot lattice, the length-zero part of
-    the translation by the coset's representative (refused unless it
-    lies in the lattice), named by the alcove vector ``q`` that
+    one element per coset of the coroot lattice in the lattice, the
+    length-zero part of the translation by the coset's representative
+    (:meth:`RootDatum.lattice_cosets`, which keeps only the
+    representatives in the lattice), named by the alcove vector ``q`` that
     :func:`_walk` reaches, whose entries give the wall permutation (see
     the module docstring) and with it the affine map
     (:func:`_wall_affine`); sorted by permutation, the identity first,
@@ -537,7 +548,7 @@ def _omega_frame(datum: RootDatum):
     den, n = datum.alcove_point[1], datum.rank + 1
     items = []
     for rep in datum.lattice_cosets():
-        q, _ = _walk(datum, ExtWeylElt.translation(datum, rep).q)
+        q, _ = _walk(datum, _translation_vector(datum, rep))
         perm = ((den - 1 - sum(map(mul, q, datum.theta)),)
                 + tuple(x - 1 for x in q))
         assert sorted(perm) == list(range(n)), (

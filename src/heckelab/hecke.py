@@ -59,6 +59,11 @@ from .laurent import Laurent, q_power
 from .rootdata import RootDatum, Vec, dominant_monoid_generators
 
 
+#: (generators, class counts) per (kind, rank, level basis), shared by
+#: every algebra with that basis (HeckeAlgebra._level_generators).
+_LEVEL_GENERATORS: dict[tuple, tuple[tuple[Vec, ...], np.ndarray]] = {}
+
+
 class HeckeAlgebra:
     """Context object tying a root datum to its Hecke algebra."""
 
@@ -67,7 +72,6 @@ class HeckeAlgebra:
         self.omega_full = aut_group(datum)
         self.omega = self.omega_full.decorated()
         self.effective_basis = self.omega.lattice_basis()
-        self._generators: dict[str, tuple[tuple[Vec, ...], np.ndarray]] = {}
 
     # ---- scalars -------------------------------------------------------
 
@@ -141,28 +145,34 @@ class HeckeAlgebra:
         raise ValueError(f"unknown level {level!r}")
 
     def monoid_generators(self, level: str) -> tuple[Vec, ...]:
-        """Dominant monoid generators of the lattice at ``level``,
-        computed once per level."""
+        """Dominant monoid generators of the lattice at ``level``, built
+        once per (kind, rank, level basis) and process and shared by every
+        algebra with that basis."""
         return self._level_generators(level)[0]
 
     def generator_class_counts(self, level: str) -> np.ndarray:
         """The letters of each node class in a reduced word of the
         translation by each of :meth:`monoid_generators` at ``level``
         (:meth:`RootDatum.translation_class_counts`), a read-only
-        (generators, classes) int64 array kept beside the generators."""
+        (generators, classes) int64 array built and shared with the
+        generators."""
         return self._level_generators(level)[1]
 
     def _level_generators(self, level: str):
-        """``(generators, class counts)`` at ``level``, computed once."""
-        if level not in self._generators:
+        """``(generators, class counts)`` at ``level``.  The node weights
+        enter neither, but they choose the effective lattice, so both are
+        built once per (kind, rank, level basis) and process, then shared
+        read-only."""
+        datum, basis = self.datum, self._level_basis(level)
+        key = (datum.kind, datum.rank, basis)
+        if key not in _LEVEL_GENERATORS:
             gens = dominant_monoid_generators(
-                self.datum, "coroot" if level == "coroot"
-                else self._level_basis(level))
-            counts = self.datum.translation_class_counts(
+                datum, "coroot" if level == "coroot" else basis)
+            counts = datum.translation_class_counts(
                 np.array(gens, dtype=np.int64))
             counts.flags.writeable = False
-            self._generators[level] = (gens, counts)
-        return self._generators[level]
+            _LEVEL_GENERATORS[key] = (gens, counts)
+        return _LEVEL_GENERATORS[key]
 
     def lattice_coordinates(self, lam, level: str = "effective"
                             ) -> np.ndarray:

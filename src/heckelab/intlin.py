@@ -66,7 +66,9 @@ def is_prime(p) -> bool:
     return True
 
 
+@functools.cache
 def identity(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n identity matrix, built once per n (it is immutable)."""
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 

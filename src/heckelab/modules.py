@@ -58,8 +58,7 @@ def _generic_algebra(algebra, char: "Character") -> HeckeAlgebra:
     character ``char`` of its datum: ``ValueError`` for a mod-$p$
     character, ``DatumMismatch`` for one of another datum."""
     alg = _as_algebra(algebra)
-    if char.mode != "generic":
-        raise ValueError(f"expected a generic character, got {char!r}")
+    char._require_generic()
     _check_datum(alg, char)
     return alg
 
@@ -163,12 +162,16 @@ class Character:
     def modp(datum: RootDatum, values: Sequence[int]) -> "Character":
         return Character(datum, "modp", tuple(values))
 
+    def _require_generic(self) -> None:
+        if self.mode != "generic":
+            raise ValueError(f"expected a generic character, got {self!r}")
+
     def sign_on_class(self, k: int) -> int:
-        assert self.mode == "generic"
+        self._require_generic()
         return self.values[k]
 
     def sign_on_node(self, s: int) -> int:
-        assert self.mode == "generic"
+        self._require_generic()
         return self.values[self.datum.class_of_node[s]]
 
     def node_value(self, s: int):
@@ -197,13 +200,13 @@ class Character:
         return self.omega_signs is None or all(v == 1 for v in self.omega_signs)
 
     def with_omega_signs(self, signs: Sequence[int]) -> "Character":
-        assert self.mode == "generic"
+        self._require_generic()
         return Character(self.datum, "generic", self.values, tuple(signs))
 
     def compose_with_node_permutation(self, perm: Sequence[int]) -> "Character":
         """The character $T_s \\mapsto \\chi(T_{\\pi(s)})$ for a diagram
         permutation $\\pi$; only defined when $\\pi$ maps classes to classes."""
-        assert self.mode == "generic"
+        self._require_generic()
         cls_of = self.datum.class_of_node
         new = [None] * len(self.values)
         for s in range(self.datum.rank + 1):
@@ -233,7 +236,7 @@ class Character:
     def reduce(self) -> "Character":
         """The mod-$p$ character obtained by evaluating at $v = 0$;
         $q_s \\mapsto 0$ and $-1$ stays put.  Independent of $p$."""
-        assert self.mode == "generic"
+        self._require_generic()
         vals = tuple(0 if self.sign_on_node(s) == 1 else -1
                      for s in range(self.datum.rank + 1))
         return Character(self.datum, "modp", vals)
@@ -471,6 +474,10 @@ class FinModule:
     def is_modular(self) -> bool:
         return self.prime is not None
 
+    def _require_laurent(self) -> None:
+        if self.prime is not None:
+            raise ValueError(f"expected a module over Z[v, 1/v], got {self!r}")
+
     def _reduce(self, mats: LaurentMatrix) -> LaurentMatrix:
         return mats if self.prime is None else mats.reduce(self.prime)
 
@@ -607,8 +614,13 @@ class FinModule:
         return out
 
     def act(self, elt: HeckeElt) -> LaurentMatrix:
-        """Matrix of a general algebra element (Laurent ring only)."""
-        assert self.prime is None
+        """Matrix of a general algebra element (Laurent ring only): a
+        ``ValueError`` on a mod-$p$ module, ``DatumMismatch`` for an
+        element of another datum."""
+        self._require_laurent()
+        if elt.alg.datum != self.alg.datum:
+            raise DatumMismatch("element and module built from different "
+                                "data")
         n = self.dim
         acc = LaurentMatrix(0, np.zeros((1, n, n), dtype=np.int64))
         for w, coeff in elt.terms.items():
@@ -626,9 +638,10 @@ class FinModule:
         the original matrices.  The involution is an algebra automorphism
         fixing the length-zero elements, so the twist of a module whose
         own check passed satisfies the relations; only the twist of an
-        unchecked module is checked.
+        unchecked module is checked.  A mod-$p$ module raises
+        ``ValueError``.
         """
-        assert self.prime is None
+        self._require_laurent()
         smats = self.q_stack() - LaurentMatrix.identity(self.dim) - self.smats
         mod = FinModule(self.alg, smats, self.omega_mats,
                         name=f"twist of {self.name}")
@@ -709,9 +722,9 @@ def decompose_at_v0(module: FinModule) -> tuple[Character, ...]:
     generator matrix diagonal with entries in $\\{0, -1\\}$; the result
     lists one character per basis index and does not depend on any prime.
     Length-zero matrices are ignored, the split is one of modules over
-    the non-extended algebra.
+    the non-extended algebra.  A mod-$p$ module raises ``ValueError``.
     """
-    assert module.prime is None
+    module._require_laurent()
     v0 = module.smats.at_v0()
     diag = np.diagonal(v0, axis1=1, axis2=2)
     for s, (mat, values) in enumerate(zip(v0, diag.tolist())):

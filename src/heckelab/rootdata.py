@@ -121,14 +121,6 @@ def reflect_coweight(cartan: Sequence[Vec], s: int, c: Sequence[int]) -> Vec:
     ci = c[i]
     return tuple(c[j] - ci * cartan[i][j] for j in range(len(c)))
 
-def reflect_root(cartan: Sequence[Vec], s: int, n: Sequence[int]) -> Vec:
-    """Same reflection in simple-root coordinates."""
-    i = s - 1
-    pair = sum(cartan[i][j] * n[j] for j in range(len(n)))
-    out = list(n)
-    out[i] -= pair
-    return tuple(out)
-
 
 @functools.cache
 def _type_frame(kind: str, rank: int) -> Mapping:
@@ -140,7 +132,7 @@ def _type_frame(kind: str, rank: int) -> Mapping:
     coroot basis is square and triangular with positive pivots $p_i$, so
     they are the points of $\\prod_i [0, p_i)$."""
     cartan = cartan_matrix(kind, rank)
-    pos_roots = _close_roots(cartan)
+    pos_roots, origins = _close_roots(cartan)
     # the highest root is the unique positive root of greatest height
     theta, theta_coroot = max(pos_roots, key=lambda rc: sum(rc[0]))
     coroot_basis = intlin.echelon_basis(cartan, rank)
@@ -162,7 +154,8 @@ def _type_frame(kind: str, rank: int) -> Mapping:
         affine_cartan=a, coxeter_m=coxeter_m, classes=classes,
         class_of_node=types.MappingProxyType(
             {s: k for k, cls in enumerate(classes) for s in cls}),
-        _hyperplane_classes=_hyperplane_tables(cartan, pos_roots, classes),
+        _hyperplane_classes=_hyperplane_tables(cartan, pos_roots, origins,
+                                               classes),
         # nonzero (index, entry) pairs of each affine node's coroot and
         # root (theta_coroot, theta at 0; cartan[s - 1], e_(s-1) at s)
         node_supports=tuple((nonzero(cov), nonzero(root)) for cov, root in zip(
@@ -175,37 +168,51 @@ def _type_frame(kind: str, rank: int) -> Mapping:
             *(range(row[i]) for i, row in enumerate(coroot_basis))))))
 
 
-def _close_roots(cartan: tuple[Vec, ...]) -> tuple[tuple[Vec, Vec], ...]:
-    """All positive roots as (root coords, coroot coweight coords).
+def _close_roots(cartan: tuple[Vec, ...]
+                 ) -> tuple[tuple[tuple[Vec, Vec], ...], tuple[int, ...]]:
+    """All positive roots as (root coords, coroot coweight coords), sorted,
+    and beside them the coordinate index of the simple root each was
+    reached from, so a simple root of its Weyl orbit.
 
-    Closes the simple roots under simple reflections, skipping images
-    with a negative coordinate: every positive root is reached from a
-    simple root through positive roots of rising height."""
-    rank = len(cartan)
-    frontier = list(zip(intlin.identity(rank), cartan))
-    seen = dict(frontier)
+    Closes the simple roots under the simple reflections that raise them,
+    which reach every positive root (Bourbaki, *Lie* VI, section 1.5).
+    Each root carries its pairings $p_j = \\langle \\beta,
+    \\alpha_j^\\vee \\rangle$ with the simple coroots: $s_i$ raises
+    $\\beta$ exactly when $p_i < 0$, to $\\beta - p_i \\alpha_i$, whose
+    pairings are $p - p_i c_i$ for $c_i$ those of $\\alpha_i$, column $i$
+    of the Cartan matrix, so only those images are built."""
+    cols = tuple(zip(*cartan))
+    frontier = [(root, cov, pairs, i) for i, (root, cov, pairs) in enumerate(
+        zip(intlin.identity(len(cartan)), cartan, cols))]
+    seen = {root: (cov, i) for root, cov, _, i in frontier}
     while frontier:
         nxt = []
-        for root, cov in frontier:
-            for s in range(1, rank + 1):
-                r2 = reflect_root(cartan, s, root)
-                if r2 not in seen and min(r2) >= 0:
-                    c2 = reflect_coweight(cartan, s, cov)
-                    seen[r2] = c2
-                    nxt.append((r2, c2))
+        for root, cov, pairs, origin in frontier:
+            for i, p in enumerate(pairs):
+                if p < 0:
+                    r2 = root[:i] + (root[i] - p,) + root[i + 1:]
+                    if r2 not in seen:
+                        ci = cov[i]
+                        c2 = tuple([x - ci * a
+                                    for x, a in zip(cov, cartan[i])])
+                        seen[r2] = c2, origin
+                        nxt.append((r2, c2, tuple(
+                            [x - p * a for x, a in zip(pairs, cols[i])]),
+                            origin))
         frontier = nxt
-    return tuple(sorted(seen.items()))
+    closed = sorted(seen.items())
+    return (tuple((root, cov) for root, (cov, _) in closed),
+            tuple(origin for _, (_, origin) in closed))
 
 
 def _affine_cartan(cartan: tuple[Vec, ...], theta: Vec,
                    theta_coroot: Vec) -> tuple[Vec, ...]:
     """Pairings <a_j, a_i-coroot> for affine node labels i, j: node 0
-    has the root part -theta and the coroot -theta_coroot."""
-    covs = (tuple(-x for x in theta_coroot),) + cartan
-    grads = (tuple(-x for x in theta),) + intlin.identity(len(cartan))
-    return tuple(tuple(2 if i == j else sum(map(mul, grad, cov))
-                       for j, grad in enumerate(grads))
-                 for i, cov in enumerate(covs))
+    has the root part -theta and the coroot -theta_coroot, so row 0 is
+    -theta_coroot, column 0 the pairings of -theta and the rest is
+    ``cartan``."""
+    return (((2,) + tuple(-x for x in theta_coroot),)
+            + tuple((-sum(map(mul, row, theta)),) + row for row in cartan))
 
 
 def _conjugacy_classes(coxeter_m: tuple[Vec, ...]
@@ -239,25 +246,19 @@ def _conjugacy_classes(coxeter_m: tuple[Vec, ...]
     return tuple(classes)
 
 
-def _hyperplane_tables(cartan: tuple[Vec, ...], pos_roots, classes):
+def _hyperplane_tables(cartan: tuple[Vec, ...], pos_roots, origins,
+                       classes):
     """Positive roots as columns and the read-only int64 one-hot (root,
     class) tables of their even and odd hyperplanes for
-    :meth:`RootDatum.translation_class_counts`."""
+    :meth:`RootDatum.translation_class_counts`.  The even class of a root
+    is the class of the simple root :func:`_close_roots` reached it from
+    (``origins``, coordinate indices), a simple root of its Weyl orbit."""
     roots = np.array([r for r, _ in pos_roots], dtype=np.int64)
-    cartan = np.array(cartan, dtype=np.int64)
-    # descend every root to a simple root of its Weyl orbit at once: a
-    # root of height > 1 pairs positively with some simple coroot, and
-    # the first such reflection lowers its height
-    beta = roots.copy()
-    while (high := np.flatnonzero(beta.sum(axis=1) > 1)).size:
-        pairs = beta[high] @ cartan.T
-        i = (pairs > 0).argmax(axis=1)
-        beta[high, i] -= pairs[np.arange(len(high)), i]
     node = np.empty(len(cartan) + 1, dtype=np.int64)
     for k, cls in enumerate(classes):
         node[list(cls)] = k
-    even = node[1:][beta.argmax(axis=1)]
-    two = ~((roots @ cartan.T) % 2).any(axis=1)
+    even = node[1:][list(origins)]
+    two = ~((roots @ np.array(cartan, dtype=np.int64).T) % 2).any(axis=1)
     odd = np.where(two, node[0], even)
     one_hot = np.eye(len(classes), dtype=np.int64)
     tables = roots.T, one_hot[even], one_hot[odd]
@@ -276,15 +277,20 @@ class RootDatum:
       ``theta``, ``theta_coroot``, ``coroot_basis``, ``affine_cartan``,
       ``coxeter_m``, ``classes``, ``class_of_node``, ``node_supports``,
       ``alcove_point`` and the hyperplane tables of
-      :meth:`translation_class_counts`.  The frame is built once per type
-      and process and shared read-only, by identity, by every datum of
-      the type (its numpy tables are not writeable);
+      :meth:`translation_class_counts`, each root's class read off the
+      simple root the root closure reached it from.  The frame is built
+      once per type and process and shared read-only, by identity, by
+      every datum of the type (its numpy tables are not writeable);
     * per lattice: ``lattice_name``, ``lattice_basis``, ``lattice_index``
       and :meth:`lattice_cosets`.  The weight-free parts of the
       length-zero group (wall permutations, alcove vectors, affine maps
       and coset map) are built once per (kind, rank, lattice basis) and
       process by :meth:`heckelab.extweyl.OmegaGroup.build` and shared by
-      every datum of that type and lattice;
+      every datum of that type and lattice.  The dominant monoid
+      generators of a level and their class counts are built once per
+      (kind, rank, level basis) and process by
+      :meth:`heckelab.hecke.HeckeAlgebra.monoid_generators` and shared by
+      every algebra whose level has that basis;
     * per datum: ``weights`` (``weights[i]`` is the weight of affine node
       ``i``, constant on conjugacy classes of simple affine reflections
       by construction), ``class_weights`` and ``length_zero_group``, the

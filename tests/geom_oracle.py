@@ -19,6 +19,14 @@ The orbit oracle ``search_weyl_orbit`` is the breadth-first search over
 every simple reflection, with a set of seen points, that
 ``RootDatum.weyl_orbit`` used before its reverse-search walk.
 
+The root oracle ``reflect_closure`` is the closure that
+``rootdata._close_roots`` ran before it recorded each root's simple
+root: every simple reflection of every root found (``reflect_root``,
+one pairing per node), kept when positive and not seen before.  Its
+class oracle ``descent_hyperplane_tables`` is the
+``rootdata._hyperplane_tables`` of that time, which walked every root
+down to a simple root by height descent.
+
 The coset oracle ``search_lattice_cosets`` is the breadth-first closure
 of the zero coset under the lattice generators and their negatives, with
 a set of seen representatives, that ``RootDatum.lattice_cosets`` used
@@ -122,6 +130,58 @@ def search_weyl_orbit(datum, c):
                     nxt.append(y)
         frontier = nxt
     return tuple(sorted(seen))
+
+
+def reflect_root(cartan, s, n):
+    """The simple reflection at finite node ``s`` (label 1..rank) in
+    simple-root coordinates."""
+    i = s - 1
+    out = list(n)
+    out[i] -= sum(cartan[i][j] * n[j] for j in range(len(n)))
+    return tuple(out)
+
+
+def reflect_closure(cartan):
+    """All positive roots as sorted (root coords, coroot coweight coords)
+    pairs: the simple roots closed under every simple reflection, images
+    with a negative coordinate skipped."""
+    rank = len(cartan)
+    frontier = list(zip(intlin.identity(rank), cartan))
+    seen = dict(frontier)
+    while frontier:
+        nxt = []
+        for root, cov in frontier:
+            for s in range(1, rank + 1):
+                r2 = reflect_root(cartan, s, root)
+                if r2 not in seen and min(r2) >= 0:
+                    c2 = reflect_coweight(cartan, s, cov)
+                    seen[r2] = c2
+                    nxt.append((r2, c2))
+        frontier = nxt
+    return tuple(sorted(seen.items()))
+
+
+def descent_hyperplane_tables(cartan, pos_roots, classes):
+    """The positive roots as columns and the one-hot (root, class) tables
+    of their even and odd hyperplanes, each root walked down to a simple
+    root of its Weyl orbit: a root of height > 1 pairs positively with
+    some simple coroot, and the first such reflection lowers its
+    height."""
+    roots = np.array([r for r, _ in pos_roots], dtype=np.int64)
+    cartan = np.array(cartan, dtype=np.int64)
+    beta = roots.copy()
+    while (high := np.flatnonzero(beta.sum(axis=1) > 1)).size:
+        pairs = beta[high] @ cartan.T
+        i = (pairs > 0).argmax(axis=1)
+        beta[high, i] -= pairs[np.arange(len(high)), i]
+    node = np.empty(len(cartan) + 1, dtype=np.int64)
+    for k, cls in enumerate(classes):
+        node[list(cls)] = k
+    even = node[1:][beta.argmax(axis=1)]
+    two = ~((roots @ cartan.T) % 2).any(axis=1)
+    odd = np.where(two, node[0], even)
+    one_hot = np.eye(len(classes), dtype=np.int64)
+    return roots.T, one_hot[even], one_hot[odd]
 
 
 def search_lattice_cosets(datum):

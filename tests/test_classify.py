@@ -246,8 +246,9 @@ def test_reflection_outcome_details():
 def test_monoid_generators_computed_once_per_level(monkeypatch):
     """The search asks for coroot generators once per character and for
     effective ones in discreteness and supersingularity; the algebra
-    computes each level once."""
+    computes each level once (the shared generators emptied first)."""
     from heckelab import hecke
+    monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
     seen = []
     real = hecke.dominant_monoid_generators
 
@@ -276,51 +277,76 @@ def test_certificate_field_holds_a_square_root_of_minus_one():
 
 
 #: Each argument check of the search's building blocks, run on its wrong
-#: argument: one line per call, "refused" for a ValueError.
+#: argument: one line per call, "refused" for a ValueError and "mismatch"
+#: for a DatumMismatch.
 REFUSALS = """
 import sys
-from heckelab import (Character, build_root_datum, central_orbit_matrix_v0,
-                      character_extends, induce_character,
+from heckelab import (Character, DatumMismatch, HeckeAlgebra,
+                      build_root_datum, central_orbit_matrix_v0,
+                      character_extends, decompose_at_v0, induce_character,
                       is_discrete_character, is_supersingular,
-                      key_result_search)
+                      key_result_search, translation_exponent)
 
 d = build_root_datum("C", 2)
+b3 = HeckeAlgebra(build_root_datum("B", 3))
 answer = key_result_search(d).module
 modp = Character.modp(d, (0, -1, 0))
+generic = Character.generic(d, (1, 1, 1))
 calls = [lambda: central_orbit_matrix_v0(answer, d.weyl_orbit((1, 0)), 5),
          lambda: is_supersingular(answer.generic),
          lambda: is_discrete_character(d, modp),
          lambda: character_extends(d, modp),
-         lambda: induce_character(d, modp)]
+         lambda: induce_character(d, modp),
+         lambda: translation_exponent(b3, generic, (1, 0, 0)),
+         lambda: translation_exponent(HeckeAlgebra(d), modp, (1, 0)),
+         lambda: modp.sign_on_class(0),
+         lambda: modp.sign_on_node(0),
+         lambda: modp.with_omega_signs((1, 1)),
+         lambda: modp.compose_with_node_permutation((2, 1, 0)),
+         lambda: modp.reduce(),
+         lambda: answer.star_twist(),
+         lambda: answer.act(answer.alg.one()),
+         lambda: answer.generic.act(b3.one()),
+         lambda: decompose_at_v0(answer)]
 for call in calls:
     try:
         call()
         print("answered")
     except ValueError:
         print("refused")
+    except DatumMismatch:
+        print("mismatch")
 print("optimize", sys.flags.optimize)
 """
 
 
 def test_argument_checks_survive_assertions_stripped():
-    """A mod-p module for the central action, a Laurent module for the
-    supersingularity test and a mod-p character for discreteness,
-    extension and induction are refused with ``ValueError`` under
-    ``python -O`` too, which strips ``assert``."""
+    """Under ``python -O`` too, which strips ``assert``, the building
+    blocks refuse a mod-$p$ argument where they need a generic or Laurent
+    one (the central action, discreteness, extension, induction, the
+    translation exponent, the sign reads of a character, the star twist,
+    the exact action and the split at $v = 0$) and a Laurent module for
+    the supersingularity test with ``ValueError``, and a character or an
+    element of another datum with ``DatumMismatch``."""
     from test_cli import child_env
     done = subprocess.run([sys.executable, "-O", "-c", REFUSALS],
                           env=child_env(), capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n") == ["refused"] * 5 + ["optimize 1", ""]
+    assert done.stdout.split("\n") == (
+        ["refused"] * 5 + ["mismatch"] + ["refused"] * 8 + ["mismatch"]
+        + ["refused", "optimize 1", ""])
 
 
 def test_discreteness_reads_the_class_counts_kept_per_level(monkeypatch):
     """The exponent tables of every character of C3 [1, 2, 2] and of
     their extensions read the class counts the algebra keeps beside the
     generators of each level: one count of the hyperplanes per level,
-    read-only and equal to a fresh count."""
+    read-only and equal to a fresh count (the shared generators emptied
+    first)."""
+    from heckelab import hecke
     from heckelab.rootdata import RootDatum
+    monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
     H = HeckeAlgebra(build_root_datum("C", 3, weights=[1, 2, 2]))
     real, calls = RootDatum.translation_class_counts, []
     monkeypatch.setattr(RootDatum, "translation_class_counts",

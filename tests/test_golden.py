@@ -59,14 +59,16 @@ def test_golden_reports(tmp_path):
 
 def test_golden_reports_in_reverse_order(tmp_path, monkeypatch):
     """The reports made again in reverse order, in one process and with
-    the length-zero parts kept per type and lattice walked afresh, match
-    byte for byte: no cache kept per type, lattice or algebra carries one
-    datum's weights into the report of another."""
-    from heckelab import extweyl
+    the length-zero parts kept per type and lattice and the monoid
+    generators kept per type and level basis built afresh, match byte for
+    byte: no cache kept per type, lattice or algebra carries one datum's
+    weights into the report of another."""
+    from heckelab import extweyl, hecke
     monkeypatch.setattr(extweyl, "_OMEGA_FRAMES", {})
+    monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
     mismatched = _mismatched(reversed(list(_runs())), str(tmp_path))
     assert not mismatched, mismatched
-    assert extweyl._OMEGA_FRAMES
+    assert extweyl._OMEGA_FRAMES and hecke._LEVEL_GENERATORS
 
 
 

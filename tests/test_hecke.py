@@ -274,10 +274,11 @@ def test_large_orbit_sums_are_central(kind, rank, gen):
         assert z * to == to * z
 
 
-def test_lattice_rays_run_once_per_basis():
+def test_lattice_rays_run_once_per_basis(monkeypatch):
     # the monoid generators and the Bernstein split of one lattice share
     # one exact inverse; 4 points of the B3 orbit of (0, 1, 0) split with
     # a shift at the coroot level, which reads the rays
+    monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
     intlin.lattice_rays.cache_clear()
     H = HeckeAlgebra(build_root_datum("B", 3))
     H.monoid_generators("coroot")
@@ -287,6 +288,62 @@ def test_lattice_rays_run_once_per_basis():
     assert (plus - minus == orbit).all() and (delta >= 0).all()
     info = intlin.lattice_rays.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_monoid_generators_kept_per_type_and_basis(monkeypatch):
+    """Weightings of one type whose effective lattices differ each read
+    generators and class counts of their own lattice, equal to a fresh
+    computation, whatever the order of the levels asked: on every README
+    type at weight 1 and with the class weights 1, 2, ..., which breaks
+    some length-zero symmetries, over the coweight and the coroot
+    lattice.  The shared entries are one per (kind, rank, level basis)."""
+    from test_extweyl import README_TYPES
+    monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
+    algs = []
+    for kind, rank in README_TYPES:
+        d = build_root_datum(kind, rank)
+        ranked = range(1, len(d.classes) + 1)
+        algs += [HeckeAlgebra(build_root_datum(kind, rank, weights=w,
+                                               lattice=lattice))
+                 for w in (1, ranked) for lattice in ("coweight", "coroot")]
+    keys = set()
+    for level in ("effective", "coroot", "effective"):
+        for H in algs:
+            d, basis = H.datum, H._level_basis(level)
+            gens = H.monoid_generators(level)
+            assert gens == dominant_monoid_generators(d, basis), (d, level)
+            counts = H.generator_class_counts(level)
+            assert not counts.flags.writeable
+            assert (counts == d.translation_class_counts(
+                np.array(gens))).all(), (d, level)
+            keys.add((d.kind, d.rank, basis))
+    assert len(hecke._LEVEL_GENERATORS) == len(keys)
+    c2 = [H for H in algs if H.datum.label() == "C2"]
+    assert len({H.effective_basis for H in c2}) == 2
+
+
+def test_algebras_of_one_basis_share_one_computation(monkeypatch):
+    """Two algebras of C2 whose weights differ but keep the same effective
+    lattice build its generators and class counts once and hold the same
+    objects; an algebra whose weights break the length-zero symmetry has
+    the coroot lattice as its effective one and builds it apart."""
+    monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
+    seen = []
+    real = hecke.dominant_monoid_generators
+    monkeypatch.setattr(hecke, "dominant_monoid_generators",
+                        lambda d, lattice: seen.append(d) or real(d, lattice))
+    H = HeckeAlgebra(build_root_datum("C", 2))
+    K = HeckeAlgebra(build_root_datum("C", 2, weights=[2, 1, 1]))
+    assert H.effective_basis == K.effective_basis
+    gens = H.monoid_generators("effective")
+    assert K.monoid_generators("effective") is gens
+    assert (K.generator_class_counts("effective")
+            is H.generator_class_counts("effective"))
+    assert seen == [H.datum]
+    L = HeckeAlgebra(build_root_datum("C", 2, weights=[1, 1, 2]))
+    assert L.monoid_generators("effective") == ((0, 2), (1, 0)) != gens
+    assert gens == ((0, 1), (1, 0))
+    assert seen == [H.datum, L.datum]
 
 
 def test_product_takes_one_step_per_trie_edge(monkeypatch):
