@@ -510,8 +510,11 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     (``ValueError`` on a module mod p).
 
     ``orbit`` must be one full Weyl orbit of points of the lattice the
-    module sees: ``NotInLattice`` off the lattice, else ``ValueError``,
-    ``TypeError`` or ``NotAFullOrbit`` from :meth:`RootDatum.orbit_stack`.
+    module sees, in any order: ``NotInLattice`` off the lattice, else
+    ``ValueError``, ``TypeError`` or ``NotAFullOrbit`` from
+    :meth:`RootDatum.orbit_stack`, which compares it with the orbit kept
+    for its dominant point (a lookup and one comparison for an orbit
+    :meth:`RootDatum.weyl_orbit` made).
     With a certificate (:func:`_certificate`) the sum acts as $c(v) I$ and
     the matrix is $c_0 I$ mod ``p``, for $c_0$ the constant term of
     $c(v)$ read off one integer product

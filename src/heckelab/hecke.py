@@ -258,7 +258,8 @@ class HeckeAlgebra:
     def central_from_orbit(self, orbit) -> "HeckeElt":
         """Same as :meth:`central` but validates the given orbit first:
         ``NotAFullOrbit`` unless its points are one full Weyl orbit, each
-        once (:meth:`RootDatum.orbit_stack`)."""
+        once, in any order, checked against the orbit kept for its
+        dominant point (:meth:`RootDatum.orbit_stack`)."""
         return self._bernstein_sum(self.datum.orbit_stack(orbit))
 
     def _bernstein_sum(self, pts) -> "HeckeElt":

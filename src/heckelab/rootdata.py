@@ -56,6 +56,10 @@ CLASS_COUNT_ROWS = 1 << 14
 # Candidate points refused by dominant_monoid_generators above this bound.
 MAX_BOX = 2_000_000
 
+# Every Weyl orbit walked in the process, by (kind, rank, dominant point):
+# a sorted, read-only (N, rank) int64 stack (RootDatum.weyl_orbit).
+_WEYL_ORBITS: dict[tuple, np.ndarray] = {}
+
 # Coxeter bond m(s,t) stored as an int; this sentinel means an infinite bond
 # (it occurs only in the affine diagram of rank one).
 INFINITE_BOND = -1
@@ -280,7 +284,9 @@ class RootDatum:
       :meth:`translation_class_counts`, each root's class read off the
       simple root the root closure reached it from.  The frame is built
       once per type and process and shared read-only, by identity, by
-      every datum of the type (its numpy tables are not writeable);
+      every datum of the type (its numpy tables are not writeable).  So
+      is each Weyl orbit (:meth:`weyl_orbit`), walked once per (kind,
+      rank, dominant point) and process;
     * per lattice: ``lattice_name``, ``lattice_basis``, ``lattice_index``
       and :meth:`lattice_cosets`.  The weight-free parts of the
       length-zero group (wall permutations, alcove vectors, affine maps
@@ -362,6 +368,10 @@ class RootDatum:
         $s_i \\mu$ for its first negative coordinate $\\mu_i$, so each point
         is made once, with no set.  ``OverflowError`` past int64.
 
+        The orbit depends on the type alone, so each is walked once per
+        (kind, rank, dominant point) and process and kept in a table: the
+        stack returned is that shared one, not writeable.
+
         The children of $\\nu$, whose first negative coordinate is $f$
         ($f$ = rank when $\\nu$ is dominant), are pruned before any image
         is built: $s_i$ raises every coordinate but the $i$-th, so each
@@ -371,12 +381,21 @@ class RootDatum:
         it was made by, so the walk, depth first, keeps it beside the
         point on its stack."""
         (start,) = self.point_stack(c).tolist()
+        return self._dominant_orbit(self.dominant_rep(start))
+
+    def _dominant_orbit(self, dom: Vec) -> np.ndarray:
+        """The kept orbit of the dominant point ``dom``, walked and kept
+        on its first request (:meth:`weyl_orbit`)."""
+        key = (self.kind, self.rank, dom)
+        orbit = _WEYL_ORBITS.get(key)
+        if orbit is not None:
+            return orbit
         cartan, rank = self.cartan, self.rank
         # the nodes that can make a child of a point whose first negative
         # coordinate is f
         nodes = [[*range(f), *(i for i in range(f + 1, rank) if cartan[i][f])]
                  for f in range(rank)] + [range(rank)]
-        out, stack = [], [(self.dominant_rep(start), rank)]
+        out, stack = [], [(dom, rank)]
         while stack:
             nu, f = stack.pop()
             out.append(nu)
@@ -386,12 +405,35 @@ class RootDatum:
                     mu = tuple([x - ni * a for x, a in zip(nu, cartan[i])])
                     if i < f or min(mu[:i]) >= 0:
                         stack.append((mu, i))
-        return np.array(sorted(out), dtype=np.int64)
+        orbit = np.array(sorted(out), dtype=np.int64)
+        orbit.flags.writeable = False
+        _WEYL_ORBITS[key] = orbit
+        return orbit
+
+    def orbit_size(self, lam: Sequence[int]) -> int:
+        """$|W \\lambda|$ with no walk: the product of $(\\mathrm{ht}\\,
+        \\alpha + 1) / \\mathrm{ht}\\, \\alpha$ over the positive roots
+        $\\alpha$ with $\\langle \\alpha, \\lambda \\rangle \\neq 0$, read at
+        the dominant point of the orbit (Kostant, Amer. J. Math. 81
+        (1959)): $|W|$ over the order of the parabolic stabilizer, each
+        the product over its own positive roots.
+
+        >>> build_root_datum("E", 8).orbit_size((1,) * 8)
+        696729600
+        """
+        (start,) = self.point_stack(lam).tolist()
+        dom = self.dominant_rep(start)
+        num = den = 1
+        for root, _ in self.pos_roots:
+            if sum(map(mul, root, dom)):
+                height = sum(root)
+                num, den = num * (height + 1), den * height
+        return num // den
 
     def orbit_stack(self, orbit) -> np.ndarray:
         """``orbit`` as an (N, rank) int64 stack (:meth:`point_stack`),
         else ``NotAFullOrbit`` unless it lists one full Weyl orbit, each
-        point once (:meth:`is_weyl_orbit`)."""
+        point once, in any order (:meth:`is_weyl_orbit`)."""
         if not len(orbit):
             raise NotAFullOrbit("empty orbit")
         pts = self.point_stack(orbit)
@@ -402,32 +444,31 @@ class RootDatum:
 
     def is_weyl_orbit(self, pts) -> bool:
         """Whether the (N, rank) int64 stack ``pts`` lists one full Weyl
-        orbit, each point once: it holds one dominant point and no point
-        twice, and every simple reflection maps it onto itself (a set that
-        the reflections map onto itself is a union of orbits, each with
-        one dominant point); each reflection maps the finite stack into
-        itself injectively, so onto itself when into it.  Rows compare as
-        their bytes, so one set of the stack's rows takes the images
-        $s_i \\lambda = \\lambda - \\lambda_i \\alpha_i^\\vee$ of each
-        reflection, one product each.  ``OverflowError`` when an image
-        could pass int64."""
+        orbit, each point once, in any order: it holds exactly one
+        dominant point $d$, and its rows, sorted when they are not
+        already, equal the kept orbit of $d$ (:meth:`weyl_orbit`).  When
+        that orbit is not kept yet, a stack of another size than
+        :meth:`orbit_size` is refused before any walk, so a check never
+        walks more points than the stack holds.  ``OverflowError`` for a
+        coordinate whose reflections could pass int64."""
         pts = self.point_stack(pts)
-        cartan = np.array(self.cartan, dtype=np.int64)
-        bound = (2**63 - 1) // (1 + int(np.abs(cartan).max()))
-        if ((pts > bound) | (pts < -bound)).any():
+        bound = (2**63 - 1) // (1 + max(map(abs, itertools.chain(
+            *self.cartan))))
+        if len(pts) and (pts.max() > bound or pts.min() < -bound):
             raise OverflowError("the reflections of a point with a "
                                 f"coordinate beyond {bound} may pass int64")
-        if (pts >= 0).all(axis=1).sum() != 1:
+        (at,) = np.nonzero((pts >= 0).all(axis=1))
+        if len(at) != 1:
             return False
-        row = np.dtype((np.void, pts.itemsize * self.rank))
-
-        def keys(a):
-            return np.ascontiguousarray(a).view(row).ravel().tolist()
-
-        seen = set(keys(pts))
-        return len(seen) == len(pts) and all(
-            seen.issuperset(keys(pts - pts[:, i, None] * c))
-            for i, c in enumerate(cartan))
+        dom = tuple(pts[at[0]].tolist())
+        orbit = _WEYL_ORBITS.get((self.kind, self.rank, dom))
+        if orbit is None:
+            if len(pts) != self.orbit_size(dom):
+                return False
+            orbit = self._dominant_orbit(dom)
+        return len(pts) == len(orbit) and bool(
+            (pts == orbit).all()
+            or (pts[np.lexsort(pts.T[::-1])] == orbit).all())
 
     def translation_class_counts(self, lam) -> np.ndarray:
         """Letters of each class of :attr:`classes` in a reduced word of

@@ -17,7 +17,11 @@ against.
 
 The orbit oracle ``search_weyl_orbit`` is the breadth-first search over
 every simple reflection, with a set of seen points, that
-``RootDatum.weyl_orbit`` used before its reverse-search walk.
+``RootDatum.weyl_orbit`` used before its reverse-search walk.  Its
+closure oracle ``closure_is_weyl_orbit`` is the test that
+``RootDatum.is_weyl_orbit`` ran before it compared a stack with the
+kept orbit of its dominant point: one dominant point, no point twice,
+and every simple reflection mapping the set of rows into itself.
 
 The root oracle ``reflect_closure`` is the closure that
 ``rootdata._close_roots`` ran before it recorded each root's simple
@@ -130,6 +134,21 @@ def search_weyl_orbit(datum, c):
                     nxt.append(y)
         frontier = nxt
     return tuple(sorted(seen))
+
+
+def closure_is_weyl_orbit(datum, pts) -> bool:
+    """Whether the stack ``pts`` lists one full Weyl orbit, each point
+    once: it holds one dominant point and no point twice, and every
+    simple reflection maps its set of rows into itself (a finite set that
+    the reflections map into itself is a union of orbits, each with one
+    dominant point)."""
+    pts = datum.point_stack(pts)
+    if (pts >= 0).all(axis=1).sum() != 1:
+        return False
+    seen = set(map(tuple, pts.tolist()))
+    return len(seen) == len(pts) and all(
+        reflect_coweight(datum.cartan, s, x) in seen
+        for x in seen for s in range(1, datum.rank + 1))
 
 
 def reflect_root(cartan, s, n):

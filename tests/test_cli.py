@@ -439,6 +439,27 @@ def test_b8_at_the_weight_bound_classifies_under_100_mb(tmp_path):
             cert, pts).constant_term(), gen
 
 
+def test_e8_exhaustive_classifies_under_200_mb(tmp_path):
+    """classify --exhaustive on E8 in a fresh interpreter that reports its
+    own peak: the eight generator orbits, 881,760 points, are each walked
+    once and checked against that walk (the closure check of every
+    orbit, one set of row keys each, peaked near 262 MB); every orbit is
+    nilpotent and has the size read off the root heights."""
+    case = write_case(tmp_path, {"type": "E", "rank": 8})
+    out = tmp_path / "report.json"
+    code, mb = peak_run(["classify", "--case", case, "--exhaustive",
+                         "--json", str(out)])
+    assert code == 0 and mb < 200, (code, mb)
+    orbits = json.loads(out.read_text())["certificate"][
+        "supersingular_mod_p"]["per_orbit"]
+    d = build_root_datum("E", 8)
+    assert len(orbits) == 8
+    assert all(e["nilpotent"] for e in orbits)
+    assert [e["orbit_size"] for e in orbits] == [
+        d.orbit_size(e["orbit"]) for e in orbits]
+    assert sum(e["orbit_size"] for e in orbits) == 881_760
+
+
 def test_classify_on_a_sublattice_is_a_typed_error(tmp_path, capsys):
     from heckelab import HeckeLabError, SublatticeUnsupported
     case = write_case(tmp_path, {"type": "C", "rank": 2,

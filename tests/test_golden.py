@@ -59,16 +59,19 @@ def test_golden_reports(tmp_path):
 
 def test_golden_reports_in_reverse_order(tmp_path, monkeypatch):
     """The reports made again in reverse order, in one process and with
-    the length-zero parts kept per type and lattice and the monoid
-    generators kept per type and level basis built afresh, match byte for
-    byte: no cache kept per type, lattice or algebra carries one datum's
-    weights into the report of another."""
-    from heckelab import extweyl, hecke
+    the length-zero parts kept per type and lattice, the monoid
+    generators kept per type and level basis and the Weyl orbits kept per
+    type built afresh, match byte for byte: no cache kept per type,
+    lattice or algebra carries one datum's weights into the report of
+    another."""
+    from heckelab import extweyl, hecke, rootdata
     monkeypatch.setattr(extweyl, "_OMEGA_FRAMES", {})
     monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
+    monkeypatch.setattr(rootdata, "_WEYL_ORBITS", {})
     mismatched = _mismatched(reversed(list(_runs())), str(tmp_path))
     assert not mismatched, mismatched
-    assert extweyl._OMEGA_FRAMES and hecke._LEVEL_GENERATORS
+    assert (extweyl._OMEGA_FRAMES and hecke._LEVEL_GENERATORS
+            and rootdata._WEYL_ORBITS)
 
 
 

@@ -4,9 +4,12 @@ box enumeration (see geom_oracle)."""
 
 import functools
 import random
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckelab import (
     DecorationNotClassConstant,
@@ -14,6 +17,8 @@ from heckelab import (
     HilbertBasisOverflow,
     InvalidRank,
     LatticeNotIntermediate,
+    NotAFullOrbit,
+    RootDatum,
     build_root_datum,
     cartan_matrix,
     dominant_monoid_generators,
@@ -23,6 +28,7 @@ from heckelab import (
 from geom_oracle import (
     box_monoid_generators,
     check_monoid_generators,
+    closure_is_weyl_orbit,
     descent_hyperplane_tables,
     frac_det,
     reflect_closure,
@@ -30,6 +36,7 @@ from geom_oracle import (
     search_weyl_orbit,
 )
 from test_acceptance import TABLE
+from test_classify import _orbit_size
 from test_extweyl import README_TYPES
 
 # cartan[i][j] = pairing of the j-th simple root with the i-th simple coroot
@@ -275,7 +282,7 @@ def test_walk_matches_search_oracle():
     # the reverse-search walk lists the rows of the breadth-first search in
     # its order, from the dominant point and from a random Weyl image, on
     # every fundamental-coweight orbit of at most 20k points (E8's nodes
-    # 3-6 have 60,480 to 483,840), and each passes the closure test
+    # 3-6 have 60,480 to 483,840), and each passes the orbit check
     rng = random.Random(5)
     for kind, rank in README_TYPES:
         d = build_root_datum(kind, rank)
@@ -323,6 +330,169 @@ def test_orbit_closure_test():
     # the walk runs in Python ints and refuses (-2^62, 2^63) at the end
     with pytest.raises(OverflowError):
         g2.weyl_orbit((0, 2**62))
+
+
+def test_orbit_sizes_match_walks_on_monoid_generators(monkeypatch):
+    # on every monoid generator of the coweight and the coroot lattice of
+    # the README types: orbit_size against the Fraction product and, on
+    # the orbits of at most 20k points, against the walk (nine E8 and E7
+    # orbits are larger); walked into a table of this test alone
+    monkeypatch.setattr(rootdata, "_WEYL_ORBITS", {})
+    walked = skipped = 0
+    for kind, rank in README_TYPES:
+        d = build_root_datum(kind, rank)
+        gens = set(dominant_monoid_generators(d)) | set(
+            dominant_monoid_generators(d, "coroot"))
+        for gen in gens:
+            size = d.orbit_size(gen)
+            assert size == _orbit_size(d, gen), (kind, rank, gen)
+            if size > 20_000:
+                skipped += 1
+                continue
+            assert len(d.weyl_orbit(gen)) == size, (kind, rank, gen)
+            walked += 1
+    assert (walked, skipped) == (546, 9)
+
+
+@st.composite
+def small_dominant_points(draw, types=README_TYPES, limit=3000):
+    """A README datum and a dominant point with at most two nonzero
+    coordinates, each 1 to 3, whose orbit has at most ``limit`` points:
+    nodes are dropped from the end of the support until it has."""
+    kind, rank = draw(st.sampled_from(types))
+    d = build_root_datum(kind, rank)
+    support = draw(st.lists(st.integers(0, rank - 1), max_size=2,
+                            unique=True))
+    values = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
+    while True:
+        lam = tuple(values[support.index(i)] if i in support else 0
+                    for i in range(rank))
+        if d.orbit_size(lam) <= limit:
+            return d, lam
+        support.pop()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_dominant_points(), st.data())
+def test_orbit_size_on_random_dominant_points(drawn, data):
+    # against the Fraction product and the walk, also read at a random
+    # point of the orbit
+    d, lam = drawn
+    with mock.patch.object(rootdata, "_WEYL_ORBITS", {}):
+        orbit = d.weyl_orbit(lam)
+    size = d.orbit_size(lam)
+    assert size == _orbit_size(d, lam) == len(orbit)
+    point = orbit[data.draw(st.integers(0, len(orbit) - 1))]
+    assert d.orbit_size(point) == size
+
+
+def test_regular_e8_stack_is_refused_without_a_walk(monkeypatch):
+    # three points of the orbit of (1, ..., 1), all 696,729,600 elements
+    # of W: refused on its size, with no walk and nothing kept
+    def no_walk(self, dom):
+        raise AssertionError(f"walked the orbit of {dom}")
+
+    monkeypatch.setattr(rootdata, "_WEYL_ORBITS", {})
+    monkeypatch.setattr(RootDatum, "_dominant_orbit", no_walk)
+    d = build_root_datum("E", 8)
+    top = (1,) * 8
+    stack = [top] + [rootdata.reflect_coweight(d.cartan, s, top)
+                     for s in (1, 2)]
+    start = time.perf_counter()
+    assert d.orbit_size(top) == 696_729_600
+    assert not d.is_weyl_orbit(stack)
+    with pytest.raises(NotAFullOrbit):
+        d.orbit_stack(stack)
+    assert time.perf_counter() - start < 0.1
+    assert rootdata._WEYL_ORBITS == {}
+
+
+PERTURBATIONS = ("same", "drop", "duplicate", "replace", "join", "negate",
+                 "no dominant", "two dominant")
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_dominant_points(limit=2000), st.sampled_from(PERTURBATIONS),
+       st.booleans(), st.booleans(), st.data())
+def test_orbit_check_matches_closure_oracle(drawn, how, shuffle, cold, data):
+    # a kept orbit, perturbed and maybe shuffled, against the closure
+    # oracle, with the orbit kept (warm) or the table empty (cold): a
+    # cold check keeps the orbit of the stack's dominant point, and only
+    # when the stack has its size
+    d, lam = drawn
+    _, mu = data.draw(small_dominant_points(types=[(d.kind, d.rank)],
+                                            limit=2000))
+    orbit = np.array(d.weyl_orbit(lam))
+    n, rank = orbit.shape
+    i = data.draw(st.integers(0, n - 1))
+    dominant = (orbit >= 0).all(axis=1)
+    if how == "same":
+        stack = orbit
+    elif how == "drop":
+        stack = np.delete(orbit, i, axis=0)
+    elif how == "duplicate":
+        stack = np.concatenate([orbit, orbit[i:i + 1]])
+    elif how == "replace":
+        stack = orbit.copy()
+        stack[i] = data.draw(st.lists(st.integers(-3, 3), min_size=rank,
+                                      max_size=rank))
+    elif how == "join":
+        stack = np.concatenate([orbit, d.weyl_orbit(mu)])
+    elif how == "negate":
+        stack = orbit.copy()
+        stack[i, data.draw(st.integers(0, rank - 1))] *= -1
+    elif how == "no dominant":
+        stack = orbit[~dominant]
+    else:
+        stack = np.concatenate([orbit, [mu]])
+    if shuffle:
+        stack = np.random.default_rng(n).permutation(stack)
+    want = closure_is_weyl_orbit(d, stack)
+    if how == "same":
+        assert want
+    table = {} if cold else rootdata._WEYL_ORBITS
+    with mock.patch.object(rootdata, "_WEYL_ORBITS", table):
+        assert d.is_weyl_orbit(stack) == want, (d, lam, how, shuffle, cold)
+    if cold:
+        doms = stack[(stack >= 0).all(axis=1)].tolist()
+        assert set(table) <= {(d.kind, d.rank, tuple(dom)) for dom in doms}
+        assert not table or len(doms) == 1 and len(stack) == d.orbit_size(
+            doms[0])
+
+
+def test_orbits_kept_per_type(monkeypatch):
+    # types of one rank walk the same points into one table: each kept
+    # orbit equals a fresh walk (the search oracle), and data of one type
+    # with other weights or another lattice get the same stack
+    monkeypatch.setattr(rootdata, "_WEYL_ORBITS", {})
+    groups = [[("B", 3), ("C", 3)], [("B", 4), ("C", 4), ("F", 4)],
+              [("G", 2), ("B", 2), ("C", 2), ("A", 2)]]
+    for group in groups:
+        rank = group[0][1]
+        points = [tuple(int(i == k) for i in range(rank))
+                  for k in range(rank)] + [(1,) * rank]
+        for kind, _ in group:
+            d = build_root_datum(kind, rank)
+            other = build_root_datum(kind, rank, weights=(2,) * len(
+                d.classes), lattice="coroot")
+            for lam in points:
+                orbit = d.weyl_orbit(lam)
+                assert orbit.tolist() == [
+                    list(x) for x in search_weyl_orbit(d, lam)], (kind, lam)
+                assert other.weyl_orbit(lam) is orbit, (kind, lam)
+                assert d.is_weyl_orbit(orbit[::-1]), (kind, lam)
+    assert len(rootdata._WEYL_ORBITS) == sum(
+        len(group) * (group[0][1] + 1) for group in groups)
+
+
+def test_kept_orbits_are_read_only():
+    d = build_root_datum("C", 2)
+    orbit = d.weyl_orbit((1, 1))
+    assert not orbit.flags.writeable
+    with pytest.raises(ValueError):
+        orbit[0, 0] = 5
+    assert d.weyl_orbit((-1, 3)) is orbit
+    assert orbit.tolist() == [list(x) for x in search_weyl_orbit(d, (1, 1))]
 
 
 def test_reflections_preserve_orbits():
