@@ -19,8 +19,9 @@ builds a matrix, and an :class:`~heckelab.extweyl.ExtWeylElt` is built only
 for each term of the result.  Each coefficient is one Python int, its value
 at $v = 2^b$ (Kronecker substitution; Kronecker 1882, Harvey 2009), for one
 slot width $b$ per product that a bound on L1 norms proves wide enough:
-scaling by $q_s$ is a left shift, sums are integer sums, and the result is
-unpacked once into :class:`Laurent` coefficients.
+scaling by $q_s$ is a left shift, sums are integer sums, and each distinct
+coefficient of the result is unpacked once into one :class:`Laurent` that
+its terms share.
 
 On top of the standard basis the module provides the twisted symbols
 $T^*_w$ (products of $T^*_s = T_s - q_s + 1$ along a reduced word), the
@@ -296,7 +297,11 @@ class HeckeAlgebra:
 
 
 class HeckeElt:
-    """A finite combination of standard basis symbols with Laurent scalars."""
+    """A finite combination of standard basis symbols with Laurent scalars.
+
+    The coefficients are immutable :class:`Laurent` objects, which terms
+    and elements may share: a product hands one object to every term
+    with the same coefficient."""
 
     __slots__ = ("alg", "terms")
 
@@ -318,10 +323,17 @@ class HeckeElt:
         """The element of ``alg`` with the nonzero terms of ``terms``,
         keyed by alcove vectors, with coefficients packed with slot width
         ``b`` from $v^{lo}$ up (:meth:`Laurent.pack`): one group element
-        of ``alg``'s datum per term."""
-        datum, unpack = alg.datum, Laurent.unpack
-        return HeckeElt._of(alg, {ExtWeylElt(datum, q): unpack(c, b, lo)
-                                  for q, c in terms.items() if c})
+        of ``alg``'s datum per term, and one :class:`Laurent`, decoded
+        once, per distinct packed value, shared by every term that
+        carries it."""
+        datum, coeffs, out = alg.datum, {}, {}
+        for q, c in terms.items():
+            if c:
+                x = coeffs.get(c)
+                if x is None:
+                    x = coeffs[c] = Laurent.unpack(c, b, lo)
+                out[ExtWeylElt(datum, q)] = x
+        return HeckeElt._of(alg, out)
 
     # ---- linear structure -----------------------------------------------
 
@@ -400,18 +412,37 @@ class HeckeElt:
         triples the L1 norm of the coefficients ($(q_s - 1) c$ adds at
         most $2 |c|$), so every coefficient of the result is at most
         $|h|_1 \\sum_y 3^{\\ell(y)} |c_y|_1$, and $2^{b-1}$ above that
-        bound proves the width $b$ with no test at run time.
+        bound proves the width $b$ with no test at run time.  Terms of a
+        product share one :class:`Laurent` per distinct coefficient
+        (:meth:`_unpacked`), so the least exponent, the L1 norm and the
+        packed int are taken once per distinct coefficient object of each
+        factor.
         """
-        words = [(y.reduced_word(), c) for y, c in right.items()]
-        bound = sum(map(Laurent.norm1, self.terms.values())) * sum(
-            3 ** len(word) * c.norm1() for (_, word), c in words)
-        b = bound.bit_length() + 1
-        lo = self.min_exponent()
-        lo_right = min(map(Laurent.min_exp, right.values()), default=0)
+        terms = self.terms
+        lefts, norms, norm = {}, {}, 0
+        for c in terms.values():
+            k = id(c)
+            if k not in lefts:
+                lefts[k] = c
+                norms[k] = c.norm1()
+            norm += norms[k]
+        rights, words, norm_right = {}, [], 0
+        for y, c in right.items():
+            k = id(c)
+            if k not in rights:
+                rights[k] = c
+                norms[k] = c.norm1()
+            word = y.reduced_word()
+            words.append((word, k))
+            norm_right += 3 ** len(word[1]) * norms[k]
+        b = (norm * norm_right).bit_length() + 1
+        lo = min(map(Laurent.min_exp, lefts.values()), default=0)
+        lo_right = min(map(Laurent.min_exp, rights.values()), default=0)
+        lefts = {k: c.pack(b, lo) for k, c in lefts.items()}
+        rights = {k: c.pack(b, lo_right) for k, c in rights.items()}
         total = _walk(self.alg.datum,
-                      {x: c.pack(b, lo) for x, c in self.terms.items()},
-                      [(rw, c.pack(b, lo_right)) for rw, c in words],
-                      twisted, b, {})
+                      {x: lefts[id(c)] for x, c in terms.items()},
+                      [(rw, rights[k]) for rw, k in words], twisted, b, {})
         return HeckeElt._unpacked(self.alg, total, b, lo + lo_right)
 
     # ---- inspection ---------------------------------------------------------

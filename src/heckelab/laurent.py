@@ -31,7 +31,11 @@ _INT64_MAX = 2**63 - 1
 
 
 class Laurent:
-    """An element of Z[v, v^-1], stored sparsely by exponent."""
+    """An element of Z[v, v^-1], stored sparsely by exponent.
+
+    Immutable: every operation builds a new polynomial and nothing writes
+    ``.c`` once it is made, so one object may be shared among the terms
+    of an element and among elements."""
 
     __slots__ = ("c",)
 

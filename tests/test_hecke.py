@@ -389,6 +389,92 @@ def test_product_takes_one_step_per_trie_edge(monkeypatch):
     assert sorted(calls) == star
 
 
+def coefficient_objects(elt):
+    return {id(c) for c in elt.terms.values()}
+
+
+def test_products_code_each_distinct_coefficient_once(monkeypatch):
+    """On C2 with weights [1, 2, 3], a product of two Bernstein elements
+    and a central orbit sum, whose terms repeat coefficients, decode once
+    per distinct nonzero packed value and share that ``Laurent`` among
+    the terms carrying it; the product encodes once per distinct
+    coefficient object of each factor."""
+    H = HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 3]))
+    x, y = H.bernstein((1, 0)), H.central((0, 2))
+    decoded, encoded = [], []
+    unpack, pack = Laurent.unpack, Laurent.pack
+
+    def counted_unpack(p, b, lo):
+        decoded.append((p, b, lo))
+        return unpack(p, b, lo)
+
+    def counted_pack(self, b, lo):
+        encoded.append(id(self))
+        return pack(self, b, lo)
+
+    def check_decoded(out):
+        values = set(out.terms.values())
+        assert len(values) < len(out.terms)
+        assert len(decoded) == len(set(decoded)) == len(values)
+        assert len(coefficient_objects(out)) == len(values)
+        decoded.clear()
+
+    monkeypatch.setattr(Laurent, "unpack", staticmethod(counted_unpack))
+    monkeypatch.setattr(Laurent, "pack", counted_pack)
+    check_decoded(x * y)
+    assert len(coefficient_objects(x)) < len(x.terms)
+    assert sorted(encoded) == sorted(coefficient_objects(x)
+                                     | coefficient_objects(y))
+    check_decoded(H.central((0, 2)))
+
+
+@pytest.mark.parametrize("kind, rank, w, lam, mu, gen", [
+    ("C", 2, [1, 2, 3], (1, 0), (1, -2), (1, 0)),
+    ("B", 3, 1, (1, -2, 1), (0, 0, 1), (1, 0, 0)),
+    ("B", 3, 1, (1, 0, 0), (0, 1, -1), (1, 0, 0)),
+])
+def test_products_of_repeated_coefficients_match_oracles(kind, rank, w, lam,
+                                                         mu, gen):
+    """Bernstein elements and an orbit sum, whose terms repeat a few
+    coefficients, multiply in both orders as the letter-by-letter product
+    does, and the orbit sum equals the sum of its Bernstein elements in
+    the order $T^*_{t_+} T_{t_-}$."""
+    H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
+    e, f, z = H.bernstein(lam), H.bernstein(mu), H.central(gen)
+    assert z == bernstein_star_first(H, H.datum.weyl_orbit(gen))
+    for elt in (e, z):
+        assert len(set(elt.terms.values())) < len(elt.terms)
+    for a, b in [(e, f), (f, e), (z, e), (e, z)]:
+        assert a * b == letter_by_letter(a, b)
+
+
+def test_operations_leave_operand_coefficients_unchanged():
+    """Products, sums, scaling, the sign automorphism, twisted symbols
+    and Bernstein elements build new coefficients: every ``Laurent`` of
+    their operands, and of earlier results that share coefficients among
+    their terms, keeps its object and its exponent map."""
+    H = HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 3]))
+    e, z = H.bernstein((1, 0)), H.central((0, 2))
+    x = H.t_word((0, 1, 2)).scale(Laurent({-1: 2, 3: -1})) + H.one()
+    elts = [e, z, x, e * z]
+
+    def snapshot():
+        return [[(w, id(c), dict(c.c)) for w, c in elt.terms.items()]
+                for elt in elts]
+
+    before = snapshot()
+    for a in elts:
+        for b in elts:
+            a * b, a + b
+        a.scale(Laurent({0: 3, 2: -1}))
+        a.scale(-2)
+        H.sign_star(a)
+        for w in a.terms:
+            H.star_t(w)
+    H.bernstein((1, 0))
+    assert snapshot() == before
+
+
 def test_product_makes_no_descent_tests(monkeypatch):
     """Each step of a product reads its descent off the fused step, so
     once the right factor's reduced words are known a product makes no

@@ -266,6 +266,44 @@ def test_packed_products_are_exact_at_the_slot_bound(d, data):
         x, y, twisted=True)
 
 
+@st.composite
+def shared_coefficient_elements(draw, H):
+    """A sum from :func:`hecke_elements` whose terms take their
+    coefficients from its first two: each term holds one of them itself
+    or a distinct ``Laurent`` equal to it, so terms share one object and
+    hold equal values in distinct objects."""
+    x = draw(hecke_elements(H))
+    pool = list(x.terms.values())[:2]
+    terms = {}
+    for w in x.terms:
+        c = draw(st.sampled_from(pool))
+        terms[w] = c if draw(st.booleans()) else Laurent(c.c)
+    return HeckeElt(H, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_data(), st.data())
+def test_products_of_shared_coefficients_match_letter_by_letter(d, data):
+    """Factors whose terms share coefficient objects or hold equal ones,
+    and their products, which share coefficients again, multiply as the
+    letter-by-letter product does, plain and twisted.  Sums that cancel
+    take part too: $x T^*_s T_s = q_s x$, whose walk cancels every other
+    term, and factors that are zero."""
+    H = HeckeAlgebra(d)
+    x = data.draw(shared_coefficient_elements(H))
+    y = data.draw(shared_coefficient_elements(H))
+    s = data.draw(st.integers(0, d.rank))
+    ts = H.t_word([s])
+    for left, right in [(x, y), (x * y, y), (y, x * y)]:
+        assert left * right == letter_by_letter(left, right)
+        assert left._product(right.terms, twisted=True) == letter_by_letter(
+            left, right, twisted=True)
+    star = x._product(ts.terms, twisted=True)
+    assert star * ts == letter_by_letter(star, ts) == x.scale(H.q(s))
+    zero = x - x
+    assert zero.is_zero() and (zero * y).is_zero() and (y * zero).is_zero()
+
+
 def check_terms_are_group_elements(H, x, y, central=False):
     """Every term of ``x * y``, of the twisted product, of ``sign_star``,
     of ``star_t`` and, when ``central``, of the central orbit sum of the
