@@ -13,7 +13,7 @@ from .errors import (HeckeLabError, InvalidRank, DecorationNotClassConstant,
                      DatumMismatch, NotAFullOrbit, HilbertBasisOverflow,
                      CharacterExtends, NoIndexTwoStructure, NotSimplyLaced,
                      NegativePowersPresent, RelationsFail,
-                     SublatticeUnsupported)
+                     SublatticeUnsupported, UncertifiedModule)
 from .laurent import Laurent, LaurentMatrix, q_power
 from .rootdata import (RootDatum, build_root_datum, cartan_matrix,
                        dominant_monoid_generators, INFINITE_BOND)
@@ -36,7 +36,7 @@ __all__ = [
     "LatticeNotIntermediate", "NotInLattice", "DatumMismatch",
     "NotAFullOrbit", "HilbertBasisOverflow", "CharacterExtends",
     "NoIndexTwoStructure", "NotSimplyLaced", "NegativePowersPresent",
-    "RelationsFail", "SublatticeUnsupported",
+    "RelationsFail", "SublatticeUnsupported", "UncertifiedModule",
     "Laurent", "LaurentMatrix", "q_power",
     "RootDatum", "build_root_datum", "cartan_matrix",
     "dominant_monoid_generators", "INFINITE_BOND",

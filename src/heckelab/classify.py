@@ -34,10 +34,13 @@ i^{a(\\lambda)} v^{L(\\mathcal{O}) + \\langle \\lambda, y \\rangle}$, with
 $L$ the weighted translation length, and the matrix is its constant term
 $c_0$ times the identity: $(y, a)$ is kept as an integer form over the
 datum's coordinates, so $c_0$ is read off one integer product of the
-orbit's points with it.  A module without the certificate takes the exact
-action of the central element.  Both, and the nilpotency test, are exact
-for every prime $p < 2^{63}$, the bound of a mod-$p$ module's int64
-tensors.
+orbit's points with it, exact for every prime $p < 2^{63}$, the bound of
+a mod-$p$ module's int64 tensors.  The orbit sum is nilpotent exactly
+when $c_0 \\equiv 0 \\pmod p$.  A module without the certificate is
+refused (``UncertifiedModule``, naming the step that failed): the exact
+action of a central element (:meth:`FinModule.act` on
+:meth:`HeckeAlgebra.central_from_orbit`) has no bound and runs only when
+a caller asks for it.
 
 The search routine walks the case analysis: a discrete non-special
 character that extends (one dimensional answer), discrete characters
@@ -52,17 +55,16 @@ supersingularity and recorded in one certificate shape.
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import intlin
-from .errors import NotInLattice, SublatticeUnsupported
+from .errors import NotInLattice, SublatticeUnsupported, UncertifiedModule
 from .extweyl import translation_word
 from .hecke import HeckeAlgebra
-from .laurent import LaurentMatrix, mod_p
+from .laurent import LaurentMatrix
 from .modules import (Character, FinModule, character_extends,
                       enumerate_characters, induce_character,
                       reflection_module, stabilizer_and_twist, _as_algebra,
@@ -143,20 +145,6 @@ def is_discrete_character(algebra, char: Character):
 CERT_Q = 33554393
 CERT_V = 12345
 CERT_I = 75304
-
-
-def _per_module(compute):
-    """``compute`` memoized per Laurent module, for as long as the module
-    lives."""
-    memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-    @functools.wraps(compute)
-    def once(module: FinModule):
-        if module not in memo:
-            memo[module] = compute(module)
-        return memo[module]
-
-    return once
 
 
 def _star_mats(module: FinModule) -> LaurentMatrix:
@@ -461,15 +449,18 @@ class _CentralCharacter:
         return int(counts[0] - counts[2])
 
 
-@_per_module
-def _certificate(module: FinModule) -> _CentralCharacter | None:
+#: The certificate of each Laurent module, kept while the module lives.
+_CERTIFICATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _certificate(module: FinModule) -> _CentralCharacter:
     """The central character of ``module`` (:class:`_CentralCharacter`),
-    computed once per module, or ``None`` when its commutant is not
-    certified to be the scalars (:func:`_commutant_is_scalar`), no
-    common eigenvector is found (:func:`_class_count_weights` on a
-    $1 \\times 1$ module where it applies, :func:`_replayed_weights`
-    otherwise) or a solve or lift below fails.  The weights
-    $i^{t_g} v^{k_g}$ of the generators give
+    computed once per module.  ``UncertifiedModule`` names the step that
+    refused: the commutant not certified to be the scalars
+    (:func:`_commutant_is_scalar`), no common eigenvector
+    (:func:`_class_count_weights` on a $1 \\times 1$ module where it
+    applies, :func:`_replayed_weights` otherwise), or a failed solve or
+    lift check below.  The weights $i^{t_g} v^{k_g}$ of the generators give
     $\\langle g, y \\rangle = k_g - L(g)$ and $a(g) \\equiv t_g \\pmod 4$,
     both linear in the coordinates of $g$ in the lattice basis
     (:meth:`HeckeAlgebra.lattice_coordinates`).  The generators span the
@@ -477,8 +468,12 @@ def _certificate(module: FinModule) -> _CentralCharacter | None:
     and $\\theta$ being multiplicative makes them consistent.  The lift of
     $y$ from $F_q$ to $(-q/2, q/2)$ is checked over the integers; $a$ is
     lifted 2-adically from two solutions over $F_2$ and checked mod 4."""
+    cert = _CERTIFICATES.get(module)
+    if cert is not None:
+        return cert
     if not _commutant_is_scalar(module):
-        return None
+        raise UncertifiedModule(f"{module!r}: commutant not certified "
+                                "scalar")
     alg, datum = module.alg, module.alg.datum
     level = _level(module.omega_mats)
     gens = alg.monoid_generators(level)
@@ -486,22 +481,22 @@ def _certificate(module: FinModule) -> _CentralCharacter | None:
     weights = (_class_count_weights(module, gens, counts)
                or _replayed_weights(module, gens))
     if weights is None:
-        return None
+        raise UncertifiedModule(f"{module!r}: no common eigenvector")
     turns, ks = np.array(weights, dtype=np.int64).T
     coords = alg.lattice_coordinates(gens, level)
     rhs = ks - counts @ np.array(datum.class_weights, dtype=np.int64)
     y = intlin.solve_mod(coords, rhs, CERT_Q)
     low = intlin.solve_mod(coords, turns, 2)
-    if y is None or low is None:
-        return None
-    high = intlin.solve_mod(coords, (turns - coords @ low) // 2, 2)
-    if high is None:
-        return None
-    y = np.where(y > CERT_Q // 2, y - CERT_Q, y)
-    a = low + 2 * high
-    if (coords @ y != rhs).any() or ((coords @ a - turns) % 4).any():
-        return None
-    return _CentralCharacter(alg, level, np.stack([y, a], axis=1))
+    high = (None if low is None
+            else intlin.solve_mod(coords, (turns - coords @ low) // 2, 2))
+    if y is not None and high is not None:
+        y = np.where(y > CERT_Q // 2, y - CERT_Q, y)
+        a = low + 2 * high
+        if (coords @ y == rhs).all() and not ((coords @ a - turns) % 4).any():
+            cert = _CentralCharacter(alg, level, np.stack([y, a], axis=1))
+            _CERTIFICATES[module] = cert
+            return cert
+    raise UncertifiedModule(f"{module!r}: solve or lift check failed")
 
 
 def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
@@ -515,41 +510,20 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     :meth:`RootDatum.orbit_stack`, which compares it with the orbit kept
     for its dominant point (a lookup and one comparison for an orbit
     :meth:`RootDatum.weyl_orbit` made).
-    With a certificate (:func:`_certificate`) the sum acts as $c(v) I$ and
-    the matrix is $c_0 I$ mod ``p``, for $c_0$ the constant term of
-    $c(v)$ read off one integer product
+    The module's certificate (:func:`_certificate`) shows that the sum
+    acts as $c(v) I$, so the matrix is $c_0 I$ mod ``p``, for $c_0$ the
+    constant term of $c(v)$ read off one integer product
     (:meth:`_CentralCharacter.constant_term`): exact for every prime
-    $p < 2^{63}$.  A module without one takes the $v^0$ coefficient of
-    the exact action (:meth:`FinModule.act` on
-    :meth:`HeckeAlgebra.central_from_orbit`).  That route multiplies
-    Hecke elements whose supports grow exponentially with the orbit's
-    translations: an 80-point C5 orbit sum (143,701 terms) takes 1 min."""
+    $p < 2^{63}$.  A module without a certificate is refused with
+    ``UncertifiedModule``; the exact action (:meth:`FinModule.act` on
+    :meth:`HeckeAlgebra.central_from_orbit`), whose Hecke products grow
+    exponentially with the orbit's translations, is never taken here."""
     if module.is_modular:
         raise ValueError("the central action is read off a Laurent module, "
                          "not its reduction mod p")
-    alg = module.alg
-    pts = alg.datum.orbit_stack(orbit)
-    cert = _certificate(module)
-    if cert is not None:
-        c0 = cert.constant_term(pts)
-        return np.eye(module.dim, dtype=np.int64) * (c0 % p)
-    alg.lattice_coordinates(pts, _level(module.omega_mats))
-    exact = module.act(alg.central_from_orbit(pts))
-    k = -exact.lo
-    coeff = (exact.coeffs[k] if 0 <= k < len(exact.coeffs)
-             else np.zeros((module.dim,) * 2, dtype=np.int64))
-    return (coeff % p).astype(np.int64)
-
-
-def _nilpotency_degree(mat: np.ndarray, p: int) -> int | None:
-    """Least $k$ with $M^k = 0$ mod $p$, or ``None`` when $M^n \\neq 0$;
-    the powers are taken on :func:`mod_p`'s exact dtype."""
-    m = cur = mod_p(mat, p)
-    for k in range(1, mat.shape[0] + 1):
-        if not cur.any():
-            return k
-        cur = cur @ m % p
-    return None
+    pts = module.alg.datum.orbit_stack(orbit)
+    c0 = _certificate(module).constant_term(pts)
+    return np.eye(module.dim, dtype=np.int64) * (c0 % p)
 
 
 def is_supersingular(module: FinModule, exhaustive: bool = False):
@@ -565,8 +539,10 @@ def is_supersingular(module: FinModule, exhaustive: bool = False):
     set.
 
     Returns ``(flag, entries)`` with one entry per tested orbit recording
-    the generator, the orbit size and the nilpotency degree (``None``
-    when the matrix is not nilpotent).
+    the generator, the orbit size and the nilpotency degree: the orbit
+    matrix is $c_0 I$ (:func:`central_orbit_matrix_v0`), so the degree is
+    1 when $c_0 \\equiv 0 \\pmod p$ and ``None`` otherwise.
+    ``UncertifiedModule`` when the Laurent source has no certificate.
     """
     if not module.is_modular:
         raise ValueError("reduce the module mod p first")
@@ -592,8 +568,7 @@ def is_supersingular(module: FinModule, exhaustive: bool = False):
     entries = []
     for gen in gens:
         orbit = datum.weyl_orbit(gen)
-        mat = central_orbit_matrix_v0(src, orbit, p)
-        deg = _nilpotency_degree(mat, p)
+        deg = None if central_orbit_matrix_v0(src, orbit, p).any() else 1
         entries.append({"orbit": list(gen), "orbit_size": len(orbit),
                         "nilpotency_degree": deg,
                         "nilpotent": deg is not None})

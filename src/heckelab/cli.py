@@ -7,8 +7,10 @@ Each command consumes a *case file*, a JSON object selecting one datum::
 
 ``decoration`` takes an integer (all nodes equal), a list with one weight
 per node class in canonical class order, or a mapping from affine node
-labels to weights.  ``lattice`` is ``"coweight"``, ``"coroot"`` or an
-explicit list of basis vectors.  Every field except ``type`` and ``rank``
+labels, each written once in canonical decimal ("0", "1", ...), to
+weights; a JSON object that names a key twice is invalid input.
+``lattice`` is ``"coweight"``, ``"coroot"`` or an explicit list of basis
+vectors.  Every field except ``type`` and ``rank``
 has a default (decoration 1, coweight lattice, generic mode, p = 5).
 
 A *suite file* holds ``{"cases": [...]}`` where each entry is either a
@@ -21,8 +23,9 @@ Reports are JSON with sorted keys and no volatile fields, so repeated
 runs produce byte-identical output; opt into wall-clock data with
 ``--timing``.  Exit codes: 0 success (an ``ExcludedTypeA`` verdict is a
 successful classification), 1 verification mismatch, 2 invalid input,
-3 broken internal invariant (failed relations, or no case of the
-analysis applying) or memory exhausted.
+3 broken internal invariant (failed relations, an uncertified central
+character, which is refused rather than handed to the unbounded exact
+action, or no case of the analysis applying) or memory exhausted.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .errors import HeckeLabError, RelationsFail
+from .errors import HeckeLabError, RelationsFail, UncertifiedModule
 from .rootdata import INFINITE_BOND, build_root_datum
 from .hecke import HeckeAlgebra
 from .intlin import is_int, is_prime
@@ -51,7 +55,7 @@ EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
 # errors that mean the analysis itself failed, not the input
-_INTERNAL_ERRORS = (RelationsFail, MemoryError)
+_INTERNAL_ERRORS = (RelationsFail, UncertifiedModule, MemoryError)
 
 DEFAULT_PRIME = 5
 
@@ -77,10 +81,13 @@ def parse_case(obj: dict) -> dict:
         raise ValueError(f"'rank' must be an integer, got {rank!r}")
     decoration = obj.get("decoration", 1)
     if isinstance(decoration, dict):
-        try:
-            decoration = {int(k): v for k, v in decoration.items()}
-        except (TypeError, ValueError):
-            raise ValueError("decoration mapping keys must be node labels")
+        nodes = {int(k) if isinstance(k, str)
+                 and re.fullmatch("0|[1-9][0-9]*", k) else k: w
+                 for k, w in decoration.items()}
+        if len(nodes) < len(decoration) or not all(map(is_int, nodes)):
+            raise ValueError("decoration mapping keys must name each node "
+                             f"once, in decimal; got {decoration!r}")
+        decoration = nodes
         weights = list(decoration.values())
     else:
         weights = (decoration if isinstance(decoration, (list, tuple))
@@ -376,9 +383,18 @@ def run_verify(entries: list[dict], exhaustive: bool = False) -> tuple[dict, int
 # ---- wiring ----------------------------------------------------------------
 
 
+def _unique_keys(pairs):
+    """The object of ``pairs``, refused when two of them share a key
+    (``json.load`` would keep the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("a JSON object names a key twice")
+    return obj
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def _load_suite(path: str | None) -> list[dict]:

@@ -75,6 +75,13 @@ class NegativePowersPresent(HeckeLabError):
     still contains negative powers of v."""
 
 
+class UncertifiedModule(HeckeLabError):
+    """A module's central character could not be certified, so its
+    central orbit sums have no bounded route; the message names the step
+    that refused: the commutant, the common eigenvector, or a solve or
+    lift check."""
+
+
 class RelationsFail(HeckeLabError):
     """A proposed module's matrices do not satisfy the defining relations.
 

@@ -11,6 +11,7 @@ and its constant terms are checked against the oracles of
 ``geom_oracle``."""
 
 import functools
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ from heckelab import (
     LaurentMatrix,
     NotAFullOrbit,
     NotInLattice,
+    UncertifiedModule,
     build_root_datum,
     central_orbit_matrix_v0,
     character_extends,
@@ -654,12 +656,13 @@ def test_monomial_modules_at_the_largest_prime():
             assert np.array_equal(fast, exact), (d, lam)
 
 
-def test_regular_length_zero_action_takes_the_exact_route():
+def test_regular_length_zero_action_is_refused():
     # scalar T_s on A3 with the regular representation of its Z/4 of
-    # length-zero elements: the two length-zero factors of a summand are
-    # permutations that no 1x1 or induced answer distinguishes from their
-    # inverses; the length-zero matrices commute with every matrix of the
-    # module, so it has no certificate and takes the exact action
+    # length-zero elements: the length-zero matrices commute with every
+    # matrix of the module, so it has no certificate and its orbit
+    # matrices are refused.  The exact action, asked for explicitly, shows
+    # why no c_0 I could answer: each orbit sum acts at v = 0 as a signed
+    # permutation that is not a scalar
     d = build_root_datum("A", 3)
     H = HeckeAlgebra(d)
     om = H.omega
@@ -672,13 +675,19 @@ def test_regular_length_zero_action_takes_the_exact_route():
                   for i in range(n)]
         mod = FinModule(H, [scalar] * (d.rank + 1), regular)
         mod.check_relations()
-        assert _certificate(mod) is None
+        with pytest.raises(UncertifiedModule,
+                           match="commutant not certified scalar"):
+            _certificate(mod)
         for lam in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
             orbit = d.weyl_orbit(lam)
             exact = mod.act(H.central_from_orbit(orbit)).at_v0()
+            assert (np.abs(exact).sum(axis=0) == 1).all(), (value, lam)
+            assert np.diagonal(exact).tolist() == [0] * n, (value, lam)
             for p in (5, 2**63 - 25):
-                fast = central_orbit_matrix_v0(mod, orbit, p)
-                assert np.array_equal(fast, exact % p), (value, lam, p)
+                with pytest.raises(UncertifiedModule, match="commutant"):
+                    central_orbit_matrix_v0(mod, orbit, p)
+        with pytest.raises(UncertifiedModule, match="commutant"):
+            is_supersingular(mod.reduce_mod_p(5))
 
 
 def test_non_monomial_module_takes_the_dense_route():
@@ -857,20 +866,28 @@ def test_central_character_table():
 def test_certificate_refuses_a_reducible_module():
     # a direct sum of two distinct characters, conjugated by an upper
     # unitriangular matrix: its commutant holds a copy of every diagonal
-    # matrix, so it takes the exact route
+    # matrix, so it is refused.  The exact action, asked for explicitly,
+    # matches the certified central characters of the two summands, which
+    # agree on these orbits
     d = build_root_datum("C", 2)
     H = HeckeAlgebra(d)
     chars = enumerate_characters(H, "generic")
     assert chars[1] != chars[2]
-    mod = _direct_sum(H, [c.as_module(H) for c in chars[1:3]])
+    summands = [c.as_module(H) for c in chars[1:3]]
+    mod = _direct_sum(H, summands)
     mod.check_relations()
-    assert _certificate(mod) is None
+    with pytest.raises(UncertifiedModule,
+                       match="commutant not certified scalar"):
+        _certificate(mod)
     for lam in [(0, 2), (2, 0)]:
         orbit = d.weyl_orbit(lam)
         exact = mod.act(H.central_from_orbit(orbit))
+        for summand in summands:
+            c = dense_central_scalar(_certificate(summand), np.array(orbit))
+            assert _same(exact, _scalar_matrix(c, 2)), (lam, summand)
         for p in (5, 7):
-            fast = central_orbit_matrix_v0(mod, orbit, p)
-            assert np.array_equal(fast, exact.at_v0() % p), (lam, p)
+            with pytest.raises(UncertifiedModule, match="commutant"):
+                central_orbit_matrix_v0(mod, orbit, p)
 
 
 def test_reflection_modules_certify():
@@ -1001,8 +1018,9 @@ def test_constant_term_refuses_what_it_cannot_count():
 
 def test_a_lift_that_fails_its_check_refuses_the_certificate(monkeypatch):
     # the integer lift of y off by one: the check is an if test, so even
-    # under python -O the certificate is refused and the orbit matrices
-    # take the exact action
+    # under python -O the certificate is refused, and so are the orbit
+    # matrices.  A refusal is not kept: once the solve is restored the same
+    # module certifies and its orbit matrices match the exact action
     from heckelab import classify
     real = classify.intlin.solve_mod
 
@@ -1014,13 +1032,31 @@ def test_a_lift_that_fails_its_check_refuses_the_certificate(monkeypatch):
     H, induced = _orbit_module("C2")
     # a copy, whose certificate is not cached
     mod = FinModule(H, induced.smats, induced.omega_mats)
-    assert _certificate(mod) is None
-    for lam in [(1, 0), (0, 2), (1, 1)]:
+    with pytest.raises(UncertifiedModule,
+                       match="solve or lift check failed"):
+        _certificate(mod)
+    lams = [(1, 0), (0, 2), (1, 1)]
+    for lam in lams:
+        with pytest.raises(UncertifiedModule, match="solve or lift"):
+            central_orbit_matrix_v0(mod, H.datum.weyl_orbit(lam), 5)
+    monkeypatch.undo()
+    for lam in lams:
         orbit = H.datum.weyl_orbit(lam)
         for p in (5, 7):
             fast = central_orbit_matrix_v0(mod, orbit, p)
             assert np.array_equal(fast, _exact_at_v0("C2", lam) % p), (
                 lam, p)
+
+
+def test_a_module_without_a_common_eigenvector_is_refused(monkeypatch):
+    # no eigenvector named by the specialized products: the induced C2
+    # answer (2x2, so its weights are replayed) is refused at that step
+    from heckelab import classify
+    monkeypatch.setattr(classify, "_eigen_column", lambda a, lo, hi: None)
+    H, induced = _orbit_module("C2")
+    mod = FinModule(H, induced.smats, induced.omega_mats)
+    with pytest.raises(UncertifiedModule, match="no common eigenvector"):
+        central_orbit_matrix_v0(mod, H.datum.weyl_orbit((1, 0)), 5)
 
 
 def test_module_without_length_zero_action_takes_the_central_character():
@@ -1165,20 +1201,6 @@ def test_diagonal_entries_differing_within_a_class_take_the_dense_route():
     assert _class_count_weights(uneven, gens, counts) is None
 
 
-def test_nilpotency_degree_beyond_int64_products():
-    # M = -a b^T with a . b = 0 has M^2 = 0; its entries p - 1 make an
-    # entry of M @ M sum three products near 2^62, past int64
-    from heckelab.classify import _nilpotency_degree
-    p = 2**31 - 1
-    a, b = np.ones(5, dtype=np.int64), np.array([1, 1, 1, -3, 0])
-    mat = -np.outer(a, b) % p
-    assert 3 * (p - 1) ** 2 > 2**63 - 1
-    assert _nilpotency_degree(mat, p) == 2
-    assert _nilpotency_degree(np.eye(5, k=1, dtype=np.int64) * (p - 1),
-                              p) == 5
-    assert _nilpotency_degree(mat + np.eye(5, dtype=np.int64), p) is None
-
-
 def test_orbit_sum_near_the_largest_prime():
     # 2^63 - 25 is the largest prime below 2^63: the central characters of
     # the induced C2 answer and of the D4 reflection module reduce mod p
@@ -1192,3 +1214,29 @@ def test_orbit_sum_near_the_largest_prime():
     lam = (0, 0, 0, 1)
     exact = central_orbit_matrix_v0(R, Hd.datum.weyl_orbit(lam), p)
     assert np.array_equal(exact, _exact_at_v0("D4", lam) % p)
+
+
+def _search_summary(kind, rank, weights):
+    """Verdict, dimension, r, largest nilpotency degree and sorted orbit
+    sizes of the search on one datum."""
+    out = key_result_search(HeckeAlgebra(build_root_datum(kind, rank,
+                                                          weights=weights)))
+    ss = out.certificate.get("supersingular_mod_p", {})
+    return (out.case, out.dimension, out.r, ss.get("nilpotency_degree"),
+            sorted(e["orbit_size"] for e in ss.get("per_orbit", [])))
+
+
+def test_end_swap_of_type_c_keeps_the_answer():
+    # the automorphism of the affine C_n diagram that swaps its two end
+    # nodes carries a weighting to an isomorphic datum.  The classes come
+    # in the order (middle nodes, node n, node 0), so on C2-C5 with
+    # weights in {1, 2, 3} swapping the last two class weights keeps the
+    # search's summary (0.3 s on a 2-vCPU box)
+    verdicts = set()
+    for rank in (2, 3, 4, 5):
+        seen = {w: _search_summary("C", rank, list(w))
+                for w in itertools.product((1, 2, 3), repeat=3)}
+        for (m, a, b), got in seen.items():
+            assert got == seen[(m, b, a)], (rank, (m, a, b))
+            verdicts.add(got[0])
+    assert verdicts == {"Character1Dim", "Induced2Dim"}

@@ -166,6 +166,15 @@ def test_uncoerced_inputs_exit_2(tmp_path, capsys):
         {"type": "C", "rank": 2, "decoration": 1.0},
         {"type": "C", "rank": 2, "decoration": "1"},
         {"type": "C", "rank": 2, "decoration": {"0": 1, "1": 1.0, "2": 1}},
+        # node keys other than the canonical decimal of a label; "0" and
+        # "00" would both name node 0, and the last would win
+        {"type": "C", "rank": 2, "decoration": {"0": 1, "00": 2, "1": 1,
+                                                "2": 1}},
+        {"type": "C", "rank": 2, "decoration": {"0": 1, " 1": 1, "2": 1}},
+        {"type": "C", "rank": 2, "decoration": {"0": 1, "+1": 1, "2": 1}},
+        {"type": "C", "rank": 2, "decoration": {"0": 1, "1": 1, "1_0": 1}},
+        {"type": "C", "rank": 2, "decoration": {"0": 1, "1": 1,
+                                                "\u0662": 1}},
         {"type": "A", "rank": True},
         {"type": "A", "rank": 2.0},
         {"type": "A", "rank": "2"},
@@ -181,6 +190,20 @@ def test_uncoerced_inputs_exit_2(tmp_path, capsys):
             assert code == 2, (command, payload)
             r = json.loads(out)
             assert set(r) == {"error"} and r["error"]["message"], payload
+    # a node named twice in the file, where json.load keeps the last
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"type": "C", "rank": 2, '
+                     '"decoration": {"0": 1, "1": 2, "1": 1, "2": 1}}')
+    code, out = run_cli(["build", "--case", str(twice)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        "a JSON object names a key twice")
+    # the canonical keys still pass, also when --p parses the case again
+    case = write_case(tmp_path, {"type": "C", "rank": 2,
+                                 "decoration": {"0": 3, "1": 1, "2": 2}})
+    code, out = run_cli(["build", "--case", case, "--p", "7"], capsys)
+    assert code == 0
+    assert json.loads(out)["case"]["decoration"] == [1, 2, 3]
 
 
 def test_characters_a7(tmp_path, capsys):
@@ -507,6 +530,28 @@ def test_memory_error_is_a_clean_internal_error(tmp_path, capsys,
     code, out = run_cli(["verify", "--case", case, "--exhaustive"], capsys)
     assert code == 3
     assert json.loads(out)["results"][0]["internal"] is True
+
+
+def test_uncertified_module_is_a_clean_internal_error(tmp_path, capsys,
+                                                     monkeypatch):
+    """A module whose commutant is not certified to be the scalars is
+    refused, not handed to the exact action: classify exits 3 with an
+    ``UncertifiedModule`` error naming the step, verify marks the row
+    internal."""
+    from heckelab import classify
+    monkeypatch.setattr(classify, "_commutant_is_scalar", lambda mod: False)
+    case = write_case(tmp_path, {"type": "C", "rank": 2,
+                                 "decoration": [1, 1, 1]})
+    code, out = run_cli(["classify", "--case", case], capsys)
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "UncertifiedModule"
+    assert "commutant not certified scalar" in error["message"]
+    code, out = run_cli(["verify", "--case", case], capsys)
+    assert code == 3
+    row, = json.loads(out)["results"]
+    assert row["internal"] is True and row["pass"] is False
+    assert row["failures"][0].startswith("UncertifiedModule: ")
 
 
 def test_classify_at_a_prime_near_two_to_the_61(tmp_path, capsys):
