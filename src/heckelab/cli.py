@@ -13,11 +13,11 @@ weights; a JSON object that names a key twice is invalid input.
 vectors.  Every field except ``type`` and ``rank``
 has a default (decoration 1, coweight lattice, generic mode, p = 5).
 
-A *suite file* holds ``{"cases": [...]}`` where each entry is either a
-bare case object or ``{"case": {...}, "expect": {...}}`` with no other
-key; expectations may pin ``verdict``, ``r``, ``dimension`` and
-``supersingular``, and no other field.  The ``verify`` command runs its
-built-in suite when no file is given.
+A *suite file* holds ``{"cases": [...]}`` with no other key, where each
+entry is either a bare case object or ``{"case": {...}, "expect":
+{...}}`` with no other key; expectations may pin ``verdict``, ``r``,
+``dimension`` and ``supersingular``, and no other field.  The
+``verify`` command runs its built-in suite when no file is given.
 
 Reports are JSON with sorted keys and no volatile fields, so repeated
 runs produce byte-identical output; opt into wall-clock data with
@@ -403,6 +403,9 @@ def _load_suite(path: str | None) -> list[dict]:
     else:
         raw = _load_json(path)
         if isinstance(raw, dict):
+            extra = set(raw) - {"cases"}
+            if extra:
+                raise ValueError(f"unknown suite fields: {sorted(extra)}")
             raw = raw.get("cases")
             if raw is None:
                 raise ValueError("a suite object needs a 'cases' list")

@@ -430,8 +430,7 @@ class OmegaGroup:
     @staticmethod
     def build(datum: RootDatum) -> "OmegaGroup":
         """The group of ``datum``: the weight-free parts of its type and
-        lattice (:func:`_omega_frame`), built once per (kind, rank,
-        lattice basis) and process, with each element bound to
+        lattice (:func:`_omega_frame`), with each element bound to
         ``datum``."""
         perms, qs, affs, by_coset = _omega_frame(datum)
         elements = tuple(ExtWeylElt(datum, q, aff)
@@ -525,11 +524,6 @@ def _coset_lattice(cartan: tuple[Vec, ...],
     return intlin.echelon_basis(cartan + reps, len(cartan))
 
 
-#: The weight-free parts of the length-zero group, by (kind, rank,
-#: lattice basis): filled by :func:`_omega_frame`, read-only once filled.
-_OMEGA_FRAMES: dict[tuple, tuple] = {}
-
-
 def _omega_frame(datum: RootDatum):
     """``(perms, qs, affs, by_coset)`` for the length-zero group of
     ``datum``'s type and lattice, which the node weights do not enter:
@@ -541,10 +535,10 @@ def _omega_frame(datum: RootDatum):
     the module docstring) and with it the affine map
     (:func:`_wall_affine`); sorted by permutation, the identity first,
     and ``by_coset`` the index of each coset's representative.  Walked
-    once per (kind, rank, lattice basis) and process, then shared."""
-    key = (datum.kind, datum.rank, datum.lattice_basis)
-    if key in _OMEGA_FRAMES:
-        return _OMEGA_FRAMES[key]
+    once per lattice basis and kept in the frame's ``_omega_frames``."""
+    frame = datum._omega_frames.get(datum.lattice_basis)
+    if frame is not None:
+        return frame
     den, n = datum.alcove_point[1], datum.rank + 1
     items = []
     for rep in datum.lattice_cosets():
@@ -562,7 +556,7 @@ def _omega_frame(datum: RootDatum):
              tuple(_wall_affine(datum, perm, q) for perm, q, _ in items),
              types.MappingProxyType(
                  {rep: i for i, (_, _, rep) in enumerate(items)}))
-    _OMEGA_FRAMES[key] = frame
+    datum._omega_frames[datum.lattice_basis] = frame
     return frame
 
 
@@ -597,7 +591,7 @@ def aut_group(datum: RootDatum) -> OmegaGroup:
     """The group of length-zero elements (lattice modulo coroot lattice)
     of ``datum``, kept in :attr:`RootDatum.length_zero_group`: its
     weight-free parts are built once per type and lattice
-    (:meth:`OmegaGroup.build`), and only their binding to the datum once
+    (:func:`_omega_frame`), and only their binding to the datum once
     per datum."""
     if datum.length_zero_group is None:
         datum.length_zero_group = OmegaGroup.build(datum)

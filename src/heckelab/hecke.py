@@ -60,11 +60,6 @@ from .laurent import Laurent, q_power
 from .rootdata import RootDatum, Vec, dominant_monoid_generators
 
 
-#: (generators, class counts) per (kind, rank, level basis), shared by
-#: every algebra with that basis (HeckeAlgebra._level_generators).
-_LEVEL_GENERATORS: dict[tuple, tuple[tuple[Vec, ...], np.ndarray]] = {}
-
-
 class HeckeAlgebra:
     """Context object tying a root datum to its Hecke algebra."""
 
@@ -146,9 +141,7 @@ class HeckeAlgebra:
         raise ValueError(f"unknown level {level!r}")
 
     def monoid_generators(self, level: str) -> tuple[Vec, ...]:
-        """Dominant monoid generators of the lattice at ``level``, built
-        once per (kind, rank, level basis) and process and shared by every
-        algebra with that basis."""
+        """Dominant monoid generators of the lattice at ``level``."""
         return self._level_generators(level)[0]
 
     def generator_class_counts(self, level: str) -> np.ndarray:
@@ -162,18 +155,18 @@ class HeckeAlgebra:
     def _level_generators(self, level: str):
         """``(generators, class counts)`` at ``level``.  The node weights
         enter neither, but they choose the effective lattice, so both are
-        built once per (kind, rank, level basis) and process, then shared
-        read-only."""
+        built once per level basis and kept in the frame's
+        ``_level_generators``."""
         datum, basis = self.datum, self._level_basis(level)
-        key = (datum.kind, datum.rank, basis)
-        if key not in _LEVEL_GENERATORS:
+        kept = datum._level_generators
+        if basis not in kept:
             gens = dominant_monoid_generators(
                 datum, "coroot" if level == "coroot" else basis)
             counts = datum.translation_class_counts(
                 np.array(gens, dtype=np.int64))
             counts.flags.writeable = False
-            _LEVEL_GENERATORS[key] = (gens, counts)
-        return _LEVEL_GENERATORS[key]
+            kept[basis] = (gens, counts)
+        return kept[basis]
 
     def lattice_coordinates(self, lam, level: str = "effective"
                             ) -> np.ndarray:

@@ -56,10 +56,6 @@ CLASS_COUNT_ROWS = 1 << 14
 # Candidate points refused by dominant_monoid_generators above this bound.
 MAX_BOX = 2_000_000
 
-# Every Weyl orbit walked in the process, by (kind, rank, dominant point):
-# a sorted, read-only (N, rank) int64 stack (RootDatum.weyl_orbit).
-_WEYL_ORBITS: dict[tuple, np.ndarray] = {}
-
 # Coxeter bond m(s,t) stored as an int; this sentinel means an infinite bond
 # (it occurs only in the affine diagram of rank one).
 INFINITE_BOND = -1
@@ -134,7 +130,16 @@ def _type_frame(kind: str, rank: int) -> Mapping:
     ``_coweight_cosets`` lists the canonical representatives of the
     coweight lattice modulo the coroot lattice, sorted: the echelon
     coroot basis is square and triangular with positive pivots $p_i$, so
-    they are the points of $\\prod_i [0, p_i)$."""
+    they are the points of $\\prod_i [0, p_i)$.
+
+    No key can be rebound.  The only mutable values are three tables the
+    type's data fill as they go, each entry built once and kept
+    read-only: ``_orbits``, the Weyl orbit of each dominant point
+    (:meth:`RootDatum.weyl_orbit`); ``_omega_frames``, the weight-free
+    parts of the length-zero group of each lattice basis
+    (:func:`heckelab.extweyl._omega_frame`); and ``_level_generators``,
+    the dominant monoid generators and their class counts of each level
+    basis (:meth:`heckelab.hecke.HeckeAlgebra.monoid_generators`)."""
     cartan = cartan_matrix(kind, rank)
     pos_roots, origins = _close_roots(cartan)
     # the highest root is the unique positive root of greatest height
@@ -169,7 +174,8 @@ def _type_frame(kind: str, rank: int) -> Mapping:
         # c_i = i + 1: v0 = (c_1, ..., c_l) and D = c_0 + <theta, v0>
         alcove_point=(v0, 1 + sum(map(mul, theta, v0))),
         _coweight_cosets=tuple(itertools.product(
-            *(range(row[i]) for i, row in enumerate(coroot_basis))))))
+            *(range(row[i]) for i, row in enumerate(coroot_basis)))),
+        _orbits={}, _omega_frames={}, _level_generators={}))
 
 
 def _close_roots(cartan: tuple[Vec, ...]
@@ -277,26 +283,16 @@ class RootDatum:
     Instances are built by :func:`build_root_datum` and treated as
     immutable.  What a datum holds comes in three layers:
 
-    * per type (kind, rank), its *frame*: ``cartan``, ``pos_roots``,
-      ``theta``, ``theta_coroot``, ``coroot_basis``, ``affine_cartan``,
-      ``coxeter_m``, ``classes``, ``class_of_node``, ``node_supports``,
-      ``alcove_point`` and the hyperplane tables of
-      :meth:`translation_class_counts`, each root's class read off the
-      simple root the root closure reached it from.  The frame is built
-      once per type and process and shared read-only, by identity, by
-      every datum of the type (its numpy tables are not writeable).  So
-      is each Weyl orbit (:meth:`weyl_orbit`), walked once per (kind,
-      rank, dominant point) and process;
+    * per type (kind, rank), its *frame* (:func:`_type_frame`):
+      ``cartan``, ``pos_roots``, ``theta``, ``theta_coroot``,
+      ``coroot_basis``, ``affine_cartan``, ``coxeter_m``, ``classes``,
+      ``class_of_node``, ``node_supports``, ``alcove_point``, the
+      hyperplane tables of :meth:`translation_class_counts` and the
+      tables the type's data fill as they go.  The frame is built once
+      per type and process and shared, by identity, by every datum of
+      the type;
     * per lattice: ``lattice_name``, ``lattice_basis``, ``lattice_index``
-      and :meth:`lattice_cosets`.  The weight-free parts of the
-      length-zero group (wall permutations, alcove vectors, affine maps
-      and coset map) are built once per (kind, rank, lattice basis) and
-      process by :meth:`heckelab.extweyl.OmegaGroup.build` and shared by
-      every datum of that type and lattice.  The dominant monoid
-      generators of a level and their class counts are built once per
-      (kind, rank, level basis) and process by
-      :meth:`heckelab.hecke.HeckeAlgebra.monoid_generators` and shared by
-      every algebra whose level has that basis;
+      and :meth:`lattice_cosets`;
     * per datum: ``weights`` (``weights[i]`` is the weight of affine node
       ``i``, constant on conjugacy classes of simple affine reflections
       by construction), ``class_weights`` and ``length_zero_group``, the
@@ -369,8 +365,8 @@ class RootDatum:
         is made once, with no set.  ``OverflowError`` past int64.
 
         The orbit depends on the type alone, so each is walked once per
-        (kind, rank, dominant point) and process and kept in a table: the
-        stack returned is that shared one, not writeable.
+        dominant point and kept in the frame's ``_orbits``: the stack
+        returned is that shared one, not writeable.
 
         The children of $\\nu$, whose first negative coordinate is $f$
         ($f$ = rank when $\\nu$ is dominant), are pruned before any image
@@ -386,8 +382,7 @@ class RootDatum:
     def _dominant_orbit(self, dom: Vec) -> np.ndarray:
         """The kept orbit of the dominant point ``dom``, walked and kept
         on its first request (:meth:`weyl_orbit`)."""
-        key = (self.kind, self.rank, dom)
-        orbit = _WEYL_ORBITS.get(key)
+        orbit = self._orbits.get(dom)
         if orbit is not None:
             return orbit
         cartan, rank = self.cartan, self.rank
@@ -407,7 +402,7 @@ class RootDatum:
                         stack.append((mu, i))
         orbit = np.array(sorted(out), dtype=np.int64)
         orbit.flags.writeable = False
-        _WEYL_ORBITS[key] = orbit
+        self._orbits[dom] = orbit
         return orbit
 
     def orbit_size(self, lam: Sequence[int]) -> int:
@@ -461,7 +456,7 @@ class RootDatum:
         if len(at) != 1:
             return False
         dom = tuple(pts[at[0]].tolist())
-        orbit = _WEYL_ORBITS.get((self.kind, self.rank, dom))
+        orbit = self._orbits.get(dom)
         if orbit is None:
             if len(pts) != self.orbit_size(dom):
                 return False

@@ -12,6 +12,7 @@ and its constant terms are checked against the oracles of
 
 import functools
 import itertools
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -245,12 +246,12 @@ def test_reflection_outcome_details():
     assert all(e["nilpotent"] for e in per)
 
 
-def test_monoid_generators_computed_once_per_level(monkeypatch):
+def test_monoid_generators_computed_once_per_level(monkeypatch,
+                                                  fresh_frames):
     """The search asks for coroot generators once per character and for
     effective ones in discreteness and supersingularity; the algebra
-    computes each level once (the shared generators emptied first)."""
+    computes each level once (in a fresh frame)."""
     from heckelab import hecke
-    monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
     seen = []
     real = hecke.dominant_monoid_generators
 
@@ -340,15 +341,13 @@ def test_argument_checks_survive_assertions_stripped():
         + ["refused", "optimize 1", ""])
 
 
-def test_discreteness_reads_the_class_counts_kept_per_level(monkeypatch):
+def test_discreteness_reads_the_class_counts_kept_per_level(monkeypatch,
+                                                            fresh_frames):
     """The exponent tables of every character of C3 [1, 2, 2] and of
     their extensions read the class counts the algebra keeps beside the
     generators of each level: one count of the hyperplanes per level,
-    read-only and equal to a fresh count (the shared generators emptied
-    first)."""
-    from heckelab import hecke
+    read-only and equal to a fresh count (in a fresh frame)."""
     from heckelab.rootdata import RootDatum
-    monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
     H = HeckeAlgebra(build_root_datum("C", 3, weights=[1, 2, 2]))
     real, calls = RootDatum.translation_class_counts, []
     monkeypatch.setattr(RootDatum, "translation_class_counts",
@@ -1240,3 +1239,42 @@ def test_end_swap_of_type_c_keeps_the_answer():
             assert got == seen[(m, b, a)], (rank, (m, a, b))
             verdicts.add(got[0])
     assert verdicts == {"Character1Dim", "Induced2Dim"}
+
+
+def test_scaling_and_diagram_isomorphisms_keep_the_answer(monkeypatch):
+    # the search's summary on the 132 README data with class weights in
+    # {1, 2} is kept by scaling every weight by 2 and by 3; the A1 node
+    # swap, B2 against C2 through both node isomorphisms (B2's long node 1
+    # is C2's node 2, and C2's end swap exchanges nodes 0 and 2) and D3
+    # against A3 keep it too; and the 132 data searched again in a
+    # shuffled order with every type's frame built afresh give the same
+    # summaries (about 1.5 s on a 2-vCPU box)
+    from heckelab import rootdata
+    from test_extweyl import README_TYPES
+    base = {(kind, rank, w): _search_summary(kind, rank, list(w))
+            for kind, rank in README_TYPES
+            for w in itertools.product((1, 2), repeat=len(
+                build_root_datum(kind, rank).classes))}
+    assert len(base) == 132
+    assert {got[0] for got in base.values()} == {
+        "Character1Dim", "Induced2Dim", "ReflectionTwist", "ExcludedTypeA",
+        "UnhandledCase"}
+    for (kind, rank, w), got in base.items():
+        for g in (2, 3):
+            assert _search_summary(kind, rank, [g * x for x in w]) == got, (
+                kind, rank, w, g)
+    for a, b in itertools.product((1, 2, 3), repeat=2):
+        assert (_search_summary("A", 1, [a, b])
+                == _search_summary("A", 1, [b, a])), (a, b)
+    for a, b, c in itertools.product((1, 2, 3), repeat=3):
+        got = _search_summary("B", 2, {1: a, 2: b, 0: c})
+        assert got == _search_summary("C", 2, {1: b, 2: a, 0: c}), (a, b, c)
+        assert got == _search_summary("C", 2, {1: b, 2: c, 0: a}), (a, b, c)
+    for w in (1, 2, 3):
+        assert _search_summary("D", 3, w) == _search_summary("A", 3, w), w
+    monkeypatch.setattr(rootdata, "_type_frame", functools.cache(
+        rootdata._type_frame.__wrapped__))
+    order = list(base)
+    random.Random(40).shuffle(order)
+    assert {key: _search_summary(key[0], key[1], list(key[2]))
+            for key in order} == base

@@ -250,18 +250,20 @@ def test_verify_suite_pass_and_mismatch(tmp_path, capsys):
 
 def test_verify_refuses_expectations_it_cannot_check(tmp_path, capsys):
     """An expectation that is not an object, or that pins a field verify
-    does not check, or an entry whose expectations sit under another key,
-    is bad input naming the field, not a pass."""
+    does not check, or an entry or a suite whose expectations sit under
+    another key, is bad input naming the field, not a pass."""
     g2 = {"type": "G", "rank": 2}
-    for entry, named in [
-            ({"case": g2, "expect": {"verdit": "Induced2Dim"}}, "'verdit'"),
-            ({"case": g2, "expect": "Induced2Dim"}, "object"),
-            ({"case": g2, "expected": {"verdict": "Induced2Dim"}},
-             "'expected'")]:
-        suite = {"cases": [entry]}
+    for suite, named in [
+            ({"cases": [{"case": g2, "expect": {"verdit": "Induced2Dim"}}]},
+             "'verdit'"),
+            ({"cases": [{"case": g2, "expect": "Induced2Dim"}]}, "object"),
+            ({"cases": [{"case": g2, "expected": {"verdict": "Induced2Dim"}}]},
+             "'expected'"),
+            ({"cases": [g2], "expect": {"verdict": "Induced2Dim"}},
+             "'expect'")]:
         f = write_case(tmp_path, suite, "suite.json")
         code, out = run_cli(["verify", "--suite", f], capsys)
-        assert code == 2, entry
+        assert code == 2, suite
         error = json.loads(out)["error"]
         assert error["type"] == "ValueError" and named in error["message"]
 

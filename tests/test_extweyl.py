@@ -369,12 +369,12 @@ def test_length_zero_group_built_once_per_datum(monkeypatch):
     assert len(builds) == 2
 
 
-def test_length_zero_group_walked_once_per_type_and_lattice(monkeypatch):
+def test_length_zero_group_walked_once_per_type_and_lattice(monkeypatch,
+                                                            fresh_frames):
     """Data of one type and lattice share the walked parts of the group
     whatever their weights: only the first datum walks the coset
     representatives, and each datum gets elements of its own.  Another
     lattice of the type walks again."""
-    monkeypatch.setattr(extweyl, "_OMEGA_FRAMES", {})
     walks = []
     real = extweyl._walk
     monkeypatch.setattr(extweyl, "_walk",

@@ -57,21 +57,18 @@ def test_golden_reports(tmp_path):
     assert not mismatched, mismatched
 
 
-def test_golden_reports_in_reverse_order(tmp_path, monkeypatch):
+def test_golden_reports_in_reverse_order(tmp_path, fresh_frames):
     """The reports made again in reverse order, in one process and with
-    the length-zero parts kept per type and lattice, the monoid
-    generators kept per type and level basis and the Weyl orbits kept per
-    type built afresh, match byte for byte: no cache kept per type,
-    lattice or algebra carries one datum's weights into the report of
-    another."""
-    from heckelab import extweyl, hecke, rootdata
-    monkeypatch.setattr(extweyl, "_OMEGA_FRAMES", {})
-    monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
-    monkeypatch.setattr(rootdata, "_WEYL_ORBITS", {})
+    every type's frame built afresh, so its Weyl orbits, length-zero
+    parts and monoid generators too, match byte for byte: no table kept
+    per type, lattice or algebra carries one datum's weights into the
+    report of another."""
+    from heckelab import rootdata
     mismatched = _mismatched(reversed(list(_runs())), str(tmp_path))
     assert not mismatched, mismatched
-    assert (extweyl._OMEGA_FRAMES and hecke._LEVEL_GENERATORS
-            and rootdata._WEYL_ORBITS)
+    frames = [rootdata._type_frame(kind, rank) for kind, rank, *_ in TABLE]
+    assert all(f["_omega_frames"] and f["_level_generators"] for f in frames)
+    assert any(f["_orbits"] for f in frames)
 
 
 

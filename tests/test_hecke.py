@@ -274,11 +274,10 @@ def test_large_orbit_sums_are_central(kind, rank, gen):
         assert z * to == to * z
 
 
-def test_lattice_rays_run_once_per_basis(monkeypatch):
+def test_lattice_rays_run_once_per_basis(fresh_frames):
     # the monoid generators and the Bernstein split of one lattice share
     # one exact inverse; 4 points of the B3 orbit of (0, 1, 0) split with
     # a shift at the coroot level, which reads the rays
-    monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
     intlin.lattice_rays.cache_clear()
     H = HeckeAlgebra(build_root_datum("B", 3))
     H.monoid_generators("coroot")
@@ -290,15 +289,14 @@ def test_lattice_rays_run_once_per_basis(monkeypatch):
     assert (info.misses, info.hits) == (1, 1)
 
 
-def test_monoid_generators_kept_per_type_and_basis(monkeypatch):
+def test_monoid_generators_kept_per_type_and_basis(fresh_frames):
     """Weightings of one type whose effective lattices differ each read
     generators and class counts of their own lattice, equal to a fresh
     computation, whatever the order of the levels asked: on every README
     type at weight 1 and with the class weights 1, 2, ..., which breaks
     some length-zero symmetries, over the coweight and the coroot
-    lattice.  The shared entries are one per (kind, rank, level basis)."""
+    lattice.  Each type's table holds one entry per level basis."""
     from test_extweyl import README_TYPES
-    monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
     algs = []
     for kind, rank in README_TYPES:
         d = build_root_datum(kind, rank)
@@ -306,7 +304,7 @@ def test_monoid_generators_kept_per_type_and_basis(monkeypatch):
         algs += [HeckeAlgebra(build_root_datum(kind, rank, weights=w,
                                                lattice=lattice))
                  for w in (1, ranked) for lattice in ("coweight", "coroot")]
-    keys = set()
+    keys = {}
     for level in ("effective", "coroot", "effective"):
         for H in algs:
             d, basis = H.datum, H._level_basis(level)
@@ -316,18 +314,19 @@ def test_monoid_generators_kept_per_type_and_basis(monkeypatch):
             assert not counts.flags.writeable
             assert (counts == d.translation_class_counts(
                 np.array(gens))).all(), (d, level)
-            keys.add((d.kind, d.rank, basis))
-    assert len(hecke._LEVEL_GENERATORS) == len(keys)
+            keys.setdefault(d.label(), set()).add(basis)
+    assert {H.datum.label(): set(H.datum._level_generators)
+            for H in algs} == keys
     c2 = [H for H in algs if H.datum.label() == "C2"]
     assert len({H.effective_basis for H in c2}) == 2
 
 
-def test_algebras_of_one_basis_share_one_computation(monkeypatch):
+def test_algebras_of_one_basis_share_one_computation(monkeypatch,
+                                                     fresh_frames):
     """Two algebras of C2 whose weights differ but keep the same effective
     lattice build its generators and class counts once and hold the same
     objects; an algebra whose weights break the length-zero symmetry has
     the coroot lattice as its effective one and builds it apart."""
-    monkeypatch.setattr(hecke, "_LEVEL_GENERATORS", {})
     seen = []
     real = hecke.dominant_monoid_generators
     monkeypatch.setattr(hecke, "dominant_monoid_generators",

@@ -213,7 +213,8 @@ def test_lattice_cosets_match_search_oracle():
 FRAME_FIELDS = ("kind", "rank", "cartan", "pos_roots", "theta",
                 "theta_coroot", "coroot_basis", "affine_cartan", "coxeter_m",
                 "classes", "class_of_node", "_hyperplane_classes",
-                "node_supports", "alcove_point", "_coweight_cosets")
+                "node_supports", "alcove_point", "_coweight_cosets",
+                "_orbits", "_omega_frames", "_level_generators")
 
 
 def test_data_of_one_type_share_the_frame():
@@ -228,6 +229,14 @@ def test_data_of_one_type_share_the_frame():
     assert d.length_zero_group is not None and e.length_zero_group is None
     HeckeAlgebra(e)
     assert e.length_zero_group is not d.length_zero_group
+
+
+def test_types_of_one_rank_hold_tables_of_their_own():
+    """B3 and C3, whose Weyl groups and lattices agree, hold distinct
+    orbit, length-zero and generator tables."""
+    b, c = build_root_datum("B", 3), build_root_datum("C", 3)
+    for name in ("_orbits", "_omega_frames", "_level_generators"):
+        assert getattr(b, name) is not getattr(c, name), name
 
 
 def test_frame_is_read_only():
@@ -332,12 +341,11 @@ def test_orbit_closure_test():
         g2.weyl_orbit((0, 2**62))
 
 
-def test_orbit_sizes_match_walks_on_monoid_generators(monkeypatch):
+def test_orbit_sizes_match_walks_on_monoid_generators(fresh_frames):
     # on every monoid generator of the coweight and the coroot lattice of
     # the README types: orbit_size against the Fraction product and, on
     # the orbits of at most 20k points, against the walk (nine E8 and E7
-    # orbits are larger); walked into a table of this test alone
-    monkeypatch.setattr(rootdata, "_WEYL_ORBITS", {})
+    # orbits are larger); walked into frames of this test alone
     walked = skipped = 0
     for kind, rank in README_TYPES:
         d = build_root_datum(kind, rank)
@@ -378,7 +386,7 @@ def test_orbit_size_on_random_dominant_points(drawn, data):
     # against the Fraction product and the walk, also read at a random
     # point of the orbit
     d, lam = drawn
-    with mock.patch.object(rootdata, "_WEYL_ORBITS", {}):
+    with mock.patch.dict(d._orbits, clear=True):
         orbit = d.weyl_orbit(lam)
     size = d.orbit_size(lam)
     assert size == _orbit_size(d, lam) == len(orbit)
@@ -386,13 +394,13 @@ def test_orbit_size_on_random_dominant_points(drawn, data):
     assert d.orbit_size(point) == size
 
 
-def test_regular_e8_stack_is_refused_without_a_walk(monkeypatch):
+def test_regular_e8_stack_is_refused_without_a_walk(monkeypatch,
+                                                    fresh_frames):
     # three points of the orbit of (1, ..., 1), all 696,729,600 elements
     # of W: refused on its size, with no walk and nothing kept
     def no_walk(self, dom):
         raise AssertionError(f"walked the orbit of {dom}")
 
-    monkeypatch.setattr(rootdata, "_WEYL_ORBITS", {})
     monkeypatch.setattr(RootDatum, "_dominant_orbit", no_walk)
     d = build_root_datum("E", 8)
     top = (1,) * 8
@@ -404,7 +412,7 @@ def test_regular_e8_stack_is_refused_without_a_walk(monkeypatch):
     with pytest.raises(NotAFullOrbit):
         d.orbit_stack(stack)
     assert time.perf_counter() - start < 0.1
-    assert rootdata._WEYL_ORBITS == {}
+    assert d._orbits == {}
 
 
 PERTURBATIONS = ("same", "drop", "duplicate", "replace", "join", "negate",
@@ -416,9 +424,9 @@ PERTURBATIONS = ("same", "drop", "duplicate", "replace", "join", "negate",
        st.booleans(), st.booleans(), st.data())
 def test_orbit_check_matches_closure_oracle(drawn, how, shuffle, cold, data):
     # a kept orbit, perturbed and maybe shuffled, against the closure
-    # oracle, with the orbit kept (warm) or the table empty (cold): a
-    # cold check keeps the orbit of the stack's dominant point, and only
-    # when the stack has its size
+    # oracle, with the orbit kept (warm) or the type's table empty (cold):
+    # a cold check keeps the orbit of the stack's dominant point, and
+    # only when the stack has its size
     d, lam = drawn
     _, mu = data.draw(small_dominant_points(types=[(d.kind, d.rank)],
                                             limit=2000))
@@ -450,21 +458,22 @@ def test_orbit_check_matches_closure_oracle(drawn, how, shuffle, cold, data):
     want = closure_is_weyl_orbit(d, stack)
     if how == "same":
         assert want
-    table = {} if cold else rootdata._WEYL_ORBITS
-    with mock.patch.object(rootdata, "_WEYL_ORBITS", table):
+    with mock.patch.dict(d._orbits, clear=cold):
         assert d.is_weyl_orbit(stack) == want, (d, lam, how, shuffle, cold)
+        kept = set(d._orbits)
     if cold:
         doms = stack[(stack >= 0).all(axis=1)].tolist()
-        assert set(table) <= {(d.kind, d.rank, tuple(dom)) for dom in doms}
-        assert not table or len(doms) == 1 and len(stack) == d.orbit_size(
+        assert kept <= {tuple(dom) for dom in doms}
+        assert not kept or len(doms) == 1 and len(stack) == d.orbit_size(
             doms[0])
 
 
-def test_orbits_kept_per_type(monkeypatch):
-    # types of one rank walk the same points into one table: each kept
-    # orbit equals a fresh walk (the search oracle), and data of one type
-    # with other weights or another lattice get the same stack
-    monkeypatch.setattr(rootdata, "_WEYL_ORBITS", {})
+def test_orbits_kept_per_type(fresh_frames):
+    # types of one rank walk the same points, each into a table of its
+    # own: each kept orbit equals a fresh walk (the search oracle), and
+    # data of one type with other weights or another lattice get the
+    # same stack
+    tables = {}
     groups = [[("B", 3), ("C", 3)], [("B", 4), ("C", 4), ("F", 4)],
               [("G", 2), ("B", 2), ("C", 2), ("A", 2)]]
     for group in groups:
@@ -481,8 +490,10 @@ def test_orbits_kept_per_type(monkeypatch):
                     list(x) for x in search_weyl_orbit(d, lam)], (kind, lam)
                 assert other.weyl_orbit(lam) is orbit, (kind, lam)
                 assert d.is_weyl_orbit(orbit[::-1]), (kind, lam)
-    assert len(rootdata._WEYL_ORBITS) == sum(
-        len(group) * (group[0][1] + 1) for group in groups)
+            tables[kind, rank] = d._orbits
+    assert len({id(t) for t in tables.values()}) == len(tables) == sum(
+        map(len, groups))
+    assert all(len(t) == rank + 1 for (_, rank), t in tables.items())
 
 
 def test_kept_orbits_are_read_only():
