@@ -206,10 +206,13 @@ def _eigen_column(a: np.ndarray, lo: int, hi: int):
     ``None``; ``None`` when neither form is found.
 
     With $a_{ij} \\neq 0$ off the diagonal, $R = a - \\mu I$ has rank one
-    exactly when $a_{ij} R = R e_j e_i^T R$, one test for all candidates
-    $\\mu = i^t v^k$, $t = 0..3$ and $k$ in ``[lo, hi]``, at once; the
-    columns of a rank one $R$ span one eigenline.  A diagonal ``a`` names
-    $e_j$ for a diagonal entry that occurs once."""
+    exactly when $a_{ij} R = R e_j e_i^T R$; the columns of a rank one
+    $R$ span one eigenline.  Of the candidates $\\mu = i^t v^k$, $t =
+    0..3$ and $k$ in ``[lo, hi]`` (least $t$ first, then least $k$), only
+    those at the two roots at most of the identity's $(j, i)$ entry,
+    $a_{ij} a_{ji} = (a_{jj} - \\mu)(a_{ii} - \\mu)$, a product of scalars
+    below $q^2$, take the whole test.  A diagonal ``a`` names $e_j$ for a
+    diagonal entry that occurs once."""
     n = len(a)
     off = np.argwhere(a * (1 - np.eye(n, dtype=np.int64)) != 0)
     if not len(off):
@@ -222,9 +225,12 @@ def _eigen_column(a: np.ndarray, lo: int, hi: int):
     turns = np.array([pow(CERT_I, t, CERT_Q) for t in range(4)],
                      dtype=np.int64)
     mus = (turns[:, None] * powers % CERT_Q).ravel()
-    r = (a - mus[:, None, None] * np.eye(n, dtype=np.int64)) % CERT_Q
+    # entry (j, i) of the identity: a_ij a_ji = (a_jj - mu)(a_ii - mu)
+    lhs = (a[j, j] - mus) % CERT_Q * ((a[i, i] - mus) % CERT_Q) % CERT_Q
+    cand = np.flatnonzero(lhs == a[i, j] * a[j, i] % CERT_Q)
+    r = (a - mus[cand, None, None] * np.eye(n, dtype=np.int64)) % CERT_Q
     outer = r[:, :, j, None] * r[:, None, i, :] % CERT_Q
-    hit = np.flatnonzero((outer == r * a[i, j] % CERT_Q).all(axis=(1, 2)))
+    hit = cand[(outer == r * a[i, j] % CERT_Q).all(axis=(1, 2))]
     if not hit.size:
         return None
     t, k = divmod(int(hit[0]), len(powers))
@@ -502,7 +508,8 @@ def _certificate(module: FinModule) -> _CentralCharacter:
 def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     """Matrix of the central orbit sum at $v = 0$ over $F_p$, acting on
     the reduction of a Laurent module with a length-zero action
-    (``ValueError`` on a module mod p).
+    (``ValueError`` on a module mod p), for a prime ``p`` below $2^{63}$
+    (else ``ValueError``, :func:`intlin.prime_below_2_63`).
 
     ``orbit`` must be one full Weyl orbit of points of the lattice the
     module sees, in any order: ``NotInLattice`` off the lattice, else
@@ -521,6 +528,7 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     if module.is_modular:
         raise ValueError("the central action is read off a Laurent module, "
                          "not its reduction mod p")
+    p = intlin.prime_below_2_63(p)
     pts = module.alg.datum.orbit_stack(orbit)
     c0 = _certificate(module).constant_term(pts)
     return np.eye(module.dim, dtype=np.int64) * (c0 % p)

@@ -43,7 +43,7 @@ from . import __version__
 from .errors import HeckeLabError, RelationsFail, UncertifiedModule
 from .rootdata import INFINITE_BOND, build_root_datum
 from .hecke import HeckeAlgebra
-from .intlin import is_int, is_prime
+from .intlin import is_int, prime_below_2_63
 from .modules import character_extends, enumerate_characters
 from .classify import (CASE_EXCLUDED_A, CASE_ONE_DIM, CASE_REFLECTION,
                        CASE_TWO_DIM, CASE_UNHANDLED, is_discrete_character,
@@ -61,7 +61,7 @@ DEFAULT_PRIME = 5
 
 _CASE_KEYS = {"type", "rank", "decoration", "lattice", "mode", "p"}
 
-_EXPECT_KEYS = {"verdict", "r", "dimension", "supersingular"}
+_EXPECT_KEYS = ("verdict", "r", "dimension", "supersingular")
 
 
 def parse_case(obj: dict) -> dict:
@@ -108,9 +108,7 @@ def parse_case(obj: dict) -> dict:
     mode = obj.get("mode", "generic")
     if mode not in ("generic", "modp"):
         raise ValueError(f"'mode' must be 'generic' or 'modp', got {mode!r}")
-    p = obj.get("p", DEFAULT_PRIME)
-    if not (is_int(p) and p < 2**63 and is_prime(p)):
-        raise ValueError(f"'p' must be a prime below 2^63, got {p!r}")
+    p = prime_below_2_63(obj.get("p", DEFAULT_PRIME))
     return {"type": kind, "rank": rank, "decoration": decoration,
             "lattice": lattice, "mode": mode, "p": p}
 
@@ -319,20 +317,12 @@ def run_classify(case: dict, exhaustive: bool = False) -> dict:
 
 
 def _check_expectations(result: dict, expect: dict) -> list[str]:
-    fails = []
-    if "verdict" in expect and result["verdict"] != expect["verdict"]:
-        fails.append(f"verdict {result['verdict']} != "
-                     f"expected {expect['verdict']}")
-    if "r" in expect and result["r"] != expect["r"]:
-        fails.append(f"r {result['r']} != expected {expect['r']}")
-    if "dimension" in expect and result["dimension"] != expect["dimension"]:
-        fails.append(f"dimension {result['dimension']} != "
-                     f"expected {expect['dimension']}")
     cert = result.get("certificate", {})
     got_ss = cert.get("supersingular_mod_p", {}).get("nilpotent")
-    if "supersingular" in expect and got_ss != expect["supersingular"]:
-        fails.append(f"supersingular {got_ss} != "
-                     f"expected {expect['supersingular']}")
+    got = {**result, "supersingular": got_ss}
+    fails = [f"{key} {got[key]} != expected {expect[key]}"
+             for key in _EXPECT_KEYS
+             if key in expect and got[key] != expect[key]]
     if result["verdict"] in (CASE_ONE_DIM, CASE_TWO_DIM, CASE_REFLECTION):
         if cert.get("relations") != "pass":
             fails.append("certificate does not record passing relations")
@@ -421,7 +411,7 @@ def _load_suite(path: str | None) -> list[dict]:
                 expect = item.get("expect", {})
                 if not isinstance(expect, dict):
                     raise ValueError("an expectation must be a JSON object")
-                unknown = set(expect) - _EXPECT_KEYS
+                unknown = set(expect).difference(_EXPECT_KEYS)
                 if unknown:
                     raise ValueError(
                         f"unknown expectation fields: {sorted(unknown)}")

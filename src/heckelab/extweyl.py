@@ -206,17 +206,6 @@ class ExtWeylElt:
         v0, den = self.datum.alcove_point
         return ExtWeylElt(self.datum, _pull_back(v0, aff, den), aff)
 
-    def __pow__(self, n: int) -> "ExtWeylElt":
-        base = self if n >= 0 else self.inv()
-        n = abs(n)
-        out = ExtWeylElt.identity(self.datum)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         """Equal alcove vectors on data that :meth:`_check` accepts."""
         if not isinstance(other, ExtWeylElt):
@@ -503,9 +492,6 @@ class OmegaGroup:
         order (:func:`_coset_lattice`)."""
         return _coset_lattice(self.datum.cartan,
                               tuple(sorted(self._by_coset)))
-
-    def inverse_index(self, i: int) -> int:
-        return self._by_perm[_perm_inverse(self.perms[i])]
 
     def node_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the group on affine node labels, sorted: the images

@@ -440,10 +440,6 @@ class HeckeElt:
 
     # ---- inspection ---------------------------------------------------------
 
-    def min_exponent(self) -> int:
-        """Smallest power of v appearing in any coefficient."""
-        return min((c.min_exp() for c in self.terms.values()), default=0)
-
     def all_coeffs_polynomial(self) -> bool:
         return all(not c.has_negative_exponents()
                    for c in self.terms.values())

@@ -66,6 +66,15 @@ def is_prime(p) -> bool:
     return True
 
 
+def prime_below_2_63(p) -> int:
+    """``p`` as a Python int when it is a prime below $2^{63}$, the bound
+    of the int64 tensors of a mod-$p$ module (numpy integers count);
+    ``ValueError`` for anything else, a bool included."""
+    if not (is_int(p) and p < 2**63 and is_prime(p)):
+        raise ValueError(f"'p' must be a prime below 2^63, got {p!r}")
+    return int(p)
+
+
 @functools.cache
 def identity(n: int) -> tuple[tuple[int, ...], ...]:
     """The n x n identity matrix, built once per n (it is immutable)."""
@@ -198,24 +207,6 @@ def in_row_lattice(echelon: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
     return not any(rem)
 
 
-def reduce_mod_lattice(
-    echelon: Sequence[Sequence[int]], v: Sequence[int]
-) -> tuple[int, ...]:
-    """Canonical representative of ``v`` modulo a full-rank row lattice.
-
-    Requires the echelon basis to be square (pivot in every column); two
-    vectors reduce to the same tuple exactly when they lie in the same
-    coset.
-    """
-    rem = list(v)
-    for row in echelon:
-        col = next(j for j, x in enumerate(row) if x)
-        f = rem[col] // row[col]
-        for j in range(len(rem)):
-            rem[j] -= f * row[j]
-    return tuple(rem)
-
-
 def lattice_reach(echelon: Sequence[Sequence[int]]) -> int:
     """The largest magnitude $M$ of the entries of a stack that
     :func:`lattice_coordinates` reduces on the basis ``echelon`` in int64:
@@ -229,9 +220,8 @@ def lattice_reach(echelon: Sequence[Sequence[int]]) -> int:
 def lattice_coordinates(echelon: Sequence[Sequence[int]], rows):
     """The coordinates in the basis ``echelon`` of every row of an
     (N, width) integer stack, by back-substitution, and the remainders,
-    two int64 stacks: :func:`reduce_mod_lattice` on every row at once,
-    one basis row at a time over all rows, where the coordinates are the
-    multiples of the basis rows that the reduction subtracts.
+    two int64 stacks: one basis row at a time over all rows, each row's
+    coordinate the multiple of it that the reduction subtracts.
 
     A row's remainder is zero exactly when it lies in the lattice, for
     any echelon basis (:func:`in_row_lattice`), and its coordinates mean

@@ -93,9 +93,6 @@ class Laurent:
         """Smallest exponent with nonzero coefficient (0 for the zero poly)."""
         return min(self.c) if self.c else 0
 
-    def max_exp(self) -> int:
-        return max(self.c) if self.c else 0
-
     def only_even_exponents(self) -> bool:
         return all(e % 2 == 0 for e in self.c)
 
@@ -125,16 +122,7 @@ class Laurent:
         return r
 
     def __sub__(self, other: "Laurent") -> "Laurent":
-        out = dict(self.c)
-        for e, a in other.c.items():
-            s = out.get(e, 0) - a
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        r = Laurent()
-        r.c = out
-        return r
+        return self + (-other)
 
     def __mul__(self, other: "Laurent | int") -> "Laurent":
         """The product with a Laurent polynomial or with an integer that
@@ -250,10 +238,6 @@ class Laurent:
             total += a * x**e
         return total
 
-    def mod_coeffs(self, p: int) -> "Laurent":
-        """Reduce every coefficient modulo p into the range [0, p)."""
-        return Laurent({e: a % p for e, a in self.c.items()})
-
     # ---- presentation ---------------------------------------------------
 
     def __str__(self) -> str:
@@ -274,19 +258,6 @@ class Laurent:
 
     def __repr__(self) -> str:
         return f"Laurent({self.c!r})"
-
-    def to_json(self) -> dict[str, int]:
-        """Exponent-to-coefficient map with string keys, sorted for stability."""
-        return {str(e): a for e, a in sorted(self.c.items())}
-
-    @staticmethod
-    def from_json(data: Mapping[str, int]) -> "Laurent":
-        """The inverse of :meth:`to_json`: each key the decimal string of
-        an integer exponent (``ValueError`` otherwise) and each value an
-        integer (``TypeError`` otherwise)."""
-        return Laurent({int(e) if isinstance(e, str) else e: a
-                        for e, a in data.items()})
-
 
 def q_power(d: int) -> Laurent:
     """The parameter v^(2d) attached to a node of weight d."""

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (CharacterExtends, DatumMismatch, NoIndexTwoStructure,
                      NotSimplyLaced, RelationsFail)
-from .intlin import is_int, is_prime
+from .intlin import prime_below_2_63
 from .laurent import _INT64_MAX, Laurent, LaurentMatrix, mod_p, q_power
 from .rootdata import RootDatum
 from .hecke import HeckeAlgebra, HeckeElt
@@ -357,6 +357,17 @@ def enumerate_characters(datum, char_mode: str = "generic") -> tuple[Character, 
     return chars
 
 
+def _stabilizer(alg: HeckeAlgebra, char: Character) -> list[int]:
+    """The indices of the weight-preserving length-zero elements that fix
+    a generic character of ``alg``'s datum: those whose node permutation
+    $\\pi$ keeps its sign, $\\chi(\\pi(s)) = \\chi(s)$ at every node
+    $s$."""
+    cls = alg.datum.class_of_node
+    signs = [char.values[cls[s]] for s in range(alg.datum.rank + 1)]
+    return [i for i, perm in enumerate(alg.omega.perms)
+            if all(signs[t] == sign for t, sign in zip(perm, signs))]
+
+
 def character_extends(algebra, char: Character):
     """Whether a generic character extends over the length-zero group.
 
@@ -364,28 +375,26 @@ def character_extends(algebra, char: Character):
     extended character per group homomorphism from the weight-preserving
     length-zero group to $\\{\\pm 1\\}$ (the group's
     :attr:`~heckelab.extweyl.OmegaGroup.sign_characters`), the all-plus
-    extension first.  The character extends exactly when its values are
-    constant on the node orbits of that group.  ``char`` must be a
-    generic character of the algebra's datum: ``ValueError`` for a mod-p
-    one, ``DatumMismatch`` for one of another datum.
+    extension first.  The character extends exactly when the whole group
+    fixes it (:func:`_stabilizer`).  ``char`` must be a generic character
+    of the algebra's datum: ``ValueError`` for a mod-p one,
+    ``DatumMismatch`` for one of another datum.
     """
-    omega = _generic_algebra(algebra, char).omega
-    for orbit in omega.node_orbits():
-        vals = {char.sign_on_node(s) for s in orbit}
-        if len(vals) > 1:
-            return False, ()
-    return True, tuple(map(char.with_omega_signs, omega.sign_characters))
+    alg = _generic_algebra(algebra, char)
+    if len(_stabilizer(alg, char)) < len(alg.omega):
+        return False, ()
+    return True, tuple(map(char.with_omega_signs, alg.omega.sign_characters))
 
 
 def stabilizer_and_twist(algebra, char: Character):
     """The indices of the weight-preserving length-zero elements that fix
-    a generic character of the algebra's datum, and its twist by the
-    first element outside them (by the identity when there is none):
-    ``ValueError`` for a mod-p character, ``DatumMismatch`` for one of
-    another datum."""
-    perms = _generic_algebra(algebra, char).omega.perms
-    stab = [i for i, perm in enumerate(perms)
-            if char.compose_with_node_permutation(perm) == char]
+    a generic character of the algebra's datum (:func:`_stabilizer`), and
+    its twist by the first element outside them (by the identity when
+    there is none): ``ValueError`` for a mod-p character,
+    ``DatumMismatch`` for one of another datum."""
+    alg = _generic_algebra(algebra, char)
+    perms = alg.omega.perms
+    stab = _stabilizer(alg, char)
     u = min(set(range(len(perms))) - set(stab), default=0)
     return stab, char.compose_with_node_permutation(perms[u])
 
@@ -394,7 +403,8 @@ def induce_character(algebra, char: Character) -> "FinModule":
     """The two dimensional module induced from a non-extending character.
 
     Requires the stabilizer of the character inside the weight-preserving
-    length-zero group to have index two; the two diagonal entries are the
+    length-zero group to have index two (``CharacterExtends`` at index
+    one, else ``NoIndexTwoStructure``); the two diagonal entries are the
     character and its twist by a fixed coset representative, and every
     length-zero element outside the stabilizer acts by the swap matrix.
     ``char`` must be a generic character of the algebra's datum:
@@ -402,12 +412,11 @@ def induce_character(algebra, char: Character) -> "FinModule":
     datum.
     """
     alg = _generic_algebra(algebra, char)
-    extends, _ = character_extends(alg, char)
-    if extends:
+    n = len(alg.omega)
+    stab, twisted = stabilizer_and_twist(alg, char)
+    if len(stab) == n:
         raise CharacterExtends(f"{char.label()} extends; induction would "
                                f"not be simple")
-    n = len(alg.omega.elements)
-    stab, twisted = stabilizer_and_twist(alg, char)
     if 2 * len(stab) != n:
         raise NoIndexTwoStructure(
             f"stabilizer has index {n // len(stab)} in the length-zero group")
@@ -428,7 +437,9 @@ class FinModule:
     ``(node, degree, n, n)``; ``omega_mats`` (when present) stacks those
     of the algebra's weight-preserving length-zero group in its element
     order.  Without ``omega_mats`` the module only sees the non-extended
-    algebra.  Both also accept nested rows of ``Laurent`` or ints.
+    algebra.  Both also accept nested rows of ``Laurent`` or ints; a
+    matrix that is not square, or length-zero matrices of another size
+    than the node matrices, raise :class:`RelationsFail`.
 
     A :class:`LaurentMatrix` may also carry *family axes* between the
     node (or element) axis and the degree axis, of shape
@@ -436,11 +447,13 @@ class FinModule:
     modules of one dimension, which :meth:`check_relations` verifies in
     one batch.
 
-    With a ``prime`` below $2^{63}$ the module lives over $F_p$ at
-    $v = 0$: its int64 tensors are the degree-0 slices of the given
-    matrices taken mod ``p``, and a reduction remembers the module it came
-    from in ``generic``.  ``checked`` is true once :meth:`check_relations`
-    has passed (or, on a reduction, once it passed on ``generic``).
+    With a ``prime`` below $2^{63}$ (else ``ValueError``, from
+    :func:`~heckelab.intlin.prime_below_2_63`) the module lives over
+    $F_p$ at $v = 0$: its int64 tensors are the degree-0 slices of the
+    given matrices taken mod ``p``, and a reduction remembers the module
+    it came from in ``generic``.  ``checked`` is true once
+    :meth:`check_relations` has passed (or, on a reduction, once it passed
+    on ``generic``).
     """
 
     __slots__ = ("alg", "smats", "omega_mats", "prime", "generic", "name",
@@ -449,10 +462,7 @@ class FinModule:
     def __init__(self, alg: HeckeAlgebra, smats, omega_mats,
                  prime: int | None = None,
                  generic: "FinModule | None" = None, name: str = ""):
-        if prime is not None:
-            if not (is_int(prime) and int(prime) < 2**63 and is_prime(prime)):
-                raise ValueError(f"{prime} is not a prime below 2^63")
-            prime = int(prime)
+        prime = None if prime is None else prime_below_2_63(prime)
         self.alg = alg
         self.prime = prime
         self.generic = generic
@@ -465,6 +475,11 @@ class FinModule:
         if len(smats) != alg.datum.rank + 1:
             raise ValueError("need one matrix per affine node")
         self.smats = self._reduce(_stack(smats, "node"))
+        if self.omega_mats is not None:
+            m, n = self.omega_mats.coeffs.shape[-1], self.dim
+            if m != n:
+                raise RelationsFail(f"length-zero matrices are {m} x {m}, "
+                                    f"node matrices {n} x {n}")
 
     @property
     def dim(self) -> int:

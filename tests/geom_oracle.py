@@ -81,6 +81,15 @@ $n^2$ unknowns that ``_commutant_is_scalar`` solved before it tested one
 cyclic element: the map $X \\mapsto (XA - AX)_A$ on $n \\times n$
 matrices, over every $T_s$ and length-zero matrix $A$ at the
 certificate's specialization.
+
+The coset oracle ``reduce_mod_lattice`` is the row-by-row reduction that
+``intlin`` kept beside ``lattice_coordinates``, whose remainders are the
+same reduction over a whole stack.
+
+The eigenvalue oracle ``stacked_eigen_column`` is the search that
+``classify._eigen_column`` ran before it filtered the candidates by one
+scalar identity: the rank-one test on one stacked $n \\times n$ matrix
+per candidate $i^t v^k$.
 """
 
 import math
@@ -203,6 +212,18 @@ def descent_hyperplane_tables(cartan, pos_roots, classes):
     return roots.T, one_hot[even], one_hot[odd]
 
 
+def reduce_mod_lattice(echelon, v) -> tuple:
+    """Canonical representative of ``v`` modulo a full-rank row lattice
+    with a square echelon basis: two vectors reduce to the same tuple
+    exactly when they lie in the same coset."""
+    rem = list(v)
+    for row in echelon:
+        col = next(j for j, x in enumerate(row) if x)
+        f = rem[col] // row[col]
+        rem = [x - f * y for x, y in zip(rem, row)]
+    return tuple(rem)
+
+
 def search_lattice_cosets(datum):
     """Canonical representatives of lattice / coroot-lattice cosets,
     sorted: the closure of the zero coset under adding the lattice
@@ -215,7 +236,7 @@ def search_lattice_cosets(datum):
         nxt = []
         for c in frontier:
             for g in gens:
-                d = intlin.reduce_mod_lattice(
+                d = reduce_mod_lattice(
                     datum.coroot_basis, tuple(a + b for a, b in zip(c, g)))
                 if d not in seen:
                     seen.add(d)
@@ -559,3 +580,29 @@ def omega_build(datum) -> OmegaGroup:
     assert perms[0] == tuple(range(n))
     assert len(set(perms)) == len(perms)
     return OmegaGroup(datum, elements, perms, by_coset)
+
+
+def stacked_eigen_column(a, lo, hi):
+    """``classify._eigen_column`` by the stack: the rank-one test
+    $a_{ij} R = R e_j e_i^T R$ on $R = a - \\mu I$ for every candidate
+    $\\mu = i^t v^k$, $t = 0..3$ and $k$ in ``[lo, hi]``, at once."""
+    from heckelab.classify import CERT_I, CERT_Q, CERT_V
+    n = len(a)
+    off = np.argwhere(a * (1 - np.eye(n, dtype=np.int64)) != 0)
+    if not len(off):
+        diag = np.diagonal(a)
+        once = np.flatnonzero((diag[:, None] == diag).sum(axis=1) == 1)
+        return (None, int(once[0])) if once.size else None
+    i, j = off[0]
+    powers = np.array([pow(CERT_V, k, CERT_Q) for k in range(lo, hi + 1)],
+                      dtype=np.int64)
+    turns = np.array([pow(CERT_I, t, CERT_Q) for t in range(4)],
+                     dtype=np.int64)
+    mus = (turns[:, None] * powers % CERT_Q).ravel()
+    r = (a - mus[:, None, None] * np.eye(n, dtype=np.int64)) % CERT_Q
+    outer = r[:, :, j, None] * r[:, None, i, :] % CERT_Q
+    hit = np.flatnonzero((outer == r * a[i, j] % CERT_Q).all(axis=(1, 2)))
+    if not hit.size:
+        return None
+    t, k = divmod(int(hit[0]), len(powers))
+    return (t, lo + k), int(j)

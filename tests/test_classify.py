@@ -45,10 +45,10 @@ from heckelab import (
 from heckelab.classify import (CERT_I, CERT_Q, _CentralCharacter,
                                _certificate,
                                _class_count_weights, _commutant_is_scalar,
-                               _replayed_weights)
+                               _eigen_column, _replayed_weights)
 from heckelab.intlin import is_prime
 from geom_oracle import (commutant_dimension, dense_central_scalar,
-                         lattice_pairing)
+                         lattice_pairing, stacked_eigen_column)
 
 # label -> exponents on the dominant generators of the coroot lattice
 C2_EXPONENTS = {
@@ -447,6 +447,20 @@ def test_points_of_the_wrong_length_are_refused():
         with pytest.raises(ValueError, match="rank-2 datum has 2 "
                                              "coordinates"):
             call()
+
+
+def test_central_orbit_matrix_refuses_what_is_not_a_prime_below_2_63():
+    # on the extension module of C2 [1, 2, 2] these once read [[3]],
+    # [[0]], [[-1]] and [[1.5]], or raised ZeroDivisionError (p = 0) and
+    # OverflowError (p = 2^70)
+    src = key_result_search(build_root_datum(
+        "C", 2, weights=[1, 2, 2])).module.generic
+    orbit = src.alg.datum.weyl_orbit(src.alg.monoid_generators(
+        "effective")[0])
+    assert central_orbit_matrix_v0(src, orbit, 5).tolist() == [[0]]
+    for p in (4, 0, -5, 2.5, True, 2**70, 2**64 - 59, "5", None):
+        with pytest.raises(ValueError, match="prime below 2\\^63"):
+            central_orbit_matrix_v0(src, orbit, p)
 
 
 def test_orbit_outside_the_coroot_lattice_is_refused():
@@ -1278,3 +1292,59 @@ def test_scaling_and_diagram_isomorphisms_keep_the_answer(monkeypatch):
     random.Random(40).shuffle(order)
     assert {key: _search_summary(key[0], key[1], list(key[2]))
             for key in order} == base
+
+
+def test_eigen_column_matches_the_stacked_search(monkeypatch):
+    """The eigenvalue search that filters its candidates by one scalar
+    entry names the same ``(shift, j)``, or ``None``, as the stack of
+    every candidate it replaced (``geom_oracle.stacked_eigen_column``) on
+    every call that certificates make: the search on the acceptance
+    table and on C2-C5 with class weights in {1, 2, 3} (a module's
+    certificate does not depend on the orbits sampled), and the
+    reflection modules of D4-D8 and E6-E8 with their star twists."""
+    from heckelab import classify
+    from test_acceptance import TABLE
+    calls = []
+
+    def record(a, lo, hi):
+        got = _eigen_column(a, lo, hi)
+        calls.append((a.copy(), lo, hi, got))
+        return got
+
+    monkeypatch.setattr(classify, "_eigen_column", record)
+    data = [(kind, rank, w) for kind, rank, w, _, _ in TABLE]
+    data += [("C", rank, list(w)) for rank in (2, 3, 4, 5)
+             for w in itertools.product((1, 2, 3), repeat=3)]
+    for kind, rank, w in data:
+        key_result_search(build_root_datum(kind, rank, weights=w))
+    for kind, rank in [("D", 4), ("D", 5), ("D", 6), ("D", 7), ("D", 8),
+                       ("E", 6), ("E", 7), ("E", 8)]:
+        refl = reflection_module(build_root_datum(kind, rank))
+        for mod in (refl, refl.star_twist()):
+            try:
+                _certificate(mod)
+            except UncertifiedModule:
+                pass
+    assert len(calls) > 40
+    for a, lo, hi, got in calls:
+        assert got == stacked_eigen_column(a, lo, hi), (lo, hi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 3), st.integers(-5, 5),
+       st.integers(0, 12), st.data())
+def test_eigen_column_matches_the_stack_on_planted_eigenvalues(
+        n, t, k, width, data):
+    """On $\\mu I + u w^T$ over $F_q$ for a planted $\\mu = i^t v^k$ and
+    random $u, w$ (small entries, so that some products vanish), with a
+    window $[lo, hi]$ around $k$ or beside it, the filtered search names
+    what the stack names."""
+    from heckelab.classify import CERT_V
+    mu = pow(CERT_I, t, CERT_Q) * pow(CERT_V, k, CERT_Q) % CERT_Q
+    entry = st.one_of(st.integers(0, 2), st.integers(0, CERT_Q - 1))
+    u, w = (np.array(data.draw(st.lists(entry, min_size=n, max_size=n)),
+                     dtype=np.int64) for _ in range(2))
+    a = (mu * np.eye(n, dtype=np.int64) + np.outer(u, w) % CERT_Q) % CERT_Q
+    lo = k - data.draw(st.integers(-3, width + 3))
+    assert _eigen_column(a, lo, lo + width) == stacked_eigen_column(
+        a, lo, lo + width)

@@ -439,6 +439,17 @@ def test_weight_bound_peaks_under_150_mb(tmp_path):
         assert code == 0 and mb < 150, (command, mb)
 
 
+def test_d5_at_the_weight_bound_classifies_under_400_mb(tmp_path):
+    """classify on D5 [10^4] in a fresh interpreter that reports its own
+    peak: the eigenvalue search runs its rank-one test only on the
+    candidates that pass one scalar entry of it (one stacked 6 x 6
+    matrix per candidate of a window of millions peaked near 1.1 GB)."""
+    case = write_case(tmp_path, {"type": "D", "rank": 5,
+                                 "decoration": 10**4})
+    code, mb = peak_run(["classify", "--case", case])
+    assert code == 0 and mb < 400, (code, mb)
+
+
 def test_b8_at_the_weight_bound_classifies_under_100_mb(tmp_path):
     """classify on B8 [10^4, 1] in a fresh interpreter that reports its
     own peak: c_0 is counted over the points at exponent 0 only, not

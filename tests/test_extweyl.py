@@ -164,7 +164,7 @@ def test_omega_group_axioms():
         assert G.index_of(G.elements[0]) == 0
         for i in range(n):
             assert G.mult_index(0, i) == i == G.mult_index(i, 0)
-            assert G.mult_index(i, G.inverse_index(i)) == 0
+            assert any(G.mult_index(i, j) == 0 for j in range(n))
             for j in range(n):
                 for k in range(n):
                     ij_k = G.mult_index(G.mult_index(i, j), k)
@@ -318,22 +318,23 @@ def test_length_zero_group_matches_the_per_datum_build():
 
 
 def test_group_law_read_off_permutations():
-    """``mult_index`` and ``inverse_index`` agree with products and
-    inverses of the group elements, on the full and decorated groups."""
+    """``mult_index`` agrees with products of the group elements, and the
+    inverse of each element lies in the group, on the full and decorated
+    groups."""
     data = [build_root_datum(kind, rank) for kind, rank in README_TYPES]
     data.append(build_root_datum("C", 3, weights=[1, 2, 2]))
     for d in data:
         for G in (aut_group(d), decorated_aut_group(d)):
             els = G.elements
             for i, x in enumerate(els):
-                assert els[G.inverse_index(i)] == x.inv()
+                assert G.mult_index(i, G.index_of(x.inv())) == 0
                 for j, y in enumerate(els):
                     assert els[G.mult_index(i, j)] == x * y, (d.label(), i, j)
 
 
 def test_length_zero_group_multiplies_no_elements(monkeypatch):
-    """The group is built, multiplied and inverted from alcove vectors
-    and permutations alone: no word replay, affine-root action, element
+    """The group is built and multiplied from alcove vectors and
+    permutations alone: no word replay, affine-root action, element
     product or matrix product."""
     def refuse(*args):
         raise AssertionError("called while building the group")
@@ -346,7 +347,6 @@ def test_length_zero_group_multiplies_no_elements(monkeypatch):
     for kind, rank in [("A", 5), ("D", 4), ("D", 6), ("E", 6), ("C", 3)]:
         G = extweyl.OmegaGroup.build(build_root_datum(kind, rank))
         for i in range(len(G)):
-            G.inverse_index(i)
             for j in range(len(G)):
                 G.mult_index(i, j)
 

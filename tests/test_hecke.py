@@ -705,4 +705,3 @@ def test_element_accessors():
     assert x.coeff(s0) == H.q_of(s0) - Laurent.one()
     assert not x.is_zero()
     assert H.zero().is_zero()
-    assert x.min_exponent() >= 0

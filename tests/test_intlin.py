@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from heckelab import HeckeAlgebra, build_root_datum
 from heckelab.intlin import (echelon_mod, in_row_lattice, is_prime,
-                             lattice_coordinates, lattice_rays, solve_mod)
+                             lattice_coordinates, lattice_rays,
+                             prime_below_2_63, solve_mod)
 from geom_oracle import frac_det, frac_lattice_rays
 from test_acceptance import TABLE
 from test_extweyl import README_TYPES
@@ -41,6 +42,18 @@ def test_is_prime_takes_numpy_integers():
     assert is_prime(np.int64(7)) and is_prime(np.uint64(2**64 - 59))
     assert not is_prime(np.int64(9)) and not is_prime(np.bool_(True))
     assert is_prime(np.int32(2**31 - 1))
+
+
+def test_one_prime_rule():
+    """A prime below 2^63 comes back as a Python int; anything else, a
+    bool, a float, a string or a prime from 2^63 on, is refused."""
+    for p in (2, 5, np.int64(7), np.uint64(2**61 - 1), 2**63 - 25):
+        got = prime_below_2_63(p)
+        assert type(got) is int and got == p
+    for bad in (4, 0, 1, -5, 2.5, True, np.bool_(True), "5", None,
+                2**64 - 59, 2**70, 318665857834031151167461):
+        with pytest.raises(ValueError, match="prime below 2\\^63"):
+            prime_below_2_63(bad)
 
 
 def test_stacked_reduction_refuses_stacks_that_could_wrap_int64():

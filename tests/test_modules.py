@@ -152,6 +152,48 @@ def test_induced_module():
         induce_character(H, chars[0])
 
 
+def test_one_stabilizer_answers_extension_and_induction(monkeypatch):
+    """On every generic character of the README types and of C2-C4 and
+    B3 with class weights in {1, 2, 3}, the stabilizer holds exactly the
+    length-zero elements whose composed character is the character, the
+    character extends exactly when its signs are constant on the node
+    orbits of the group, and induction raises ``CharacterExtends`` at
+    index one and answers at index two, the only indices these data
+    reach.  A stabilizer of index four, patched in on D4, raises
+    ``NoIndexTwoStructure``."""
+    from heckelab import NoIndexTwoStructure, modules
+    from heckelab.modules import _stabilizer
+    from test_extweyl import README_TYPES
+    data = [build_root_datum(kind, rank) for kind, rank in README_TYPES]
+    data += [build_root_datum(kind, rank, weights=list(w))
+             for kind, rank in [("B", 3), ("C", 2), ("C", 3), ("C", 4)]
+             for w in itertools.product((1, 2, 3), repeat=len(
+                 build_root_datum(kind, rank).classes))]
+    indices = set()
+    for d in data:
+        H = HeckeAlgebra(d)
+        perms, orbits = H.omega.perms, H.omega.node_orbits()
+        for ch in enumerate_characters(H, "generic"):
+            stab = _stabilizer(H, ch)
+            assert stab == [i for i, perm in enumerate(perms)
+                            if ch.compose_with_node_permutation(perm) == ch]
+            constant = all(len({ch.sign_on_node(s) for s in orbit}) == 1
+                           for orbit in orbits)
+            assert character_extends(H, ch)[0] == constant
+            index = len(perms) // len(stab)
+            indices.add(index)
+            if index == 1:
+                with pytest.raises(CharacterExtends):
+                    induce_character(H, ch)
+            else:
+                assert induce_character(H, ch).dim == 2
+    assert indices == {1, 2}
+    H = HeckeAlgebra(build_root_datum("D", 4))
+    monkeypatch.setattr(modules, "_stabilizer", lambda alg, ch: [0])
+    with pytest.raises(NoIndexTwoStructure, match="index 4"):
+        induce_character(H, enumerate_characters(H)[0])
+
+
 def test_induced_module_type_c():
     H = HeckeAlgebra(build_root_datum("C", 2))
     bad = [ch for ch in enumerate_characters(H, "generic")
@@ -369,6 +411,12 @@ def test_bad_module_matrices_rejected():
     bad = FinModule(H, (two, two, two), (one, one, one))
     with pytest.raises(RelationsFail):
         bad.check_relations()
+    # length-zero matrices of another size than the node matrices are
+    # refused when the module is made, not by a broadcast in the check
+    H = HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 2]))
+    eye = [np.eye(n, dtype=int).tolist() for n in (2, 3)]
+    with pytest.raises(RelationsFail, match="are 3 x 3, node matrices 2 x 2"):
+        FinModule(H, [eye[0]] * 3, [eye[1]] * len(H.omega))
 
 
 def test_braid_failure_rejected_in_dimension_two():

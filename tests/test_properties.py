@@ -18,7 +18,9 @@ from heckelab.hecke import HeckeElt
 from geom_oracle import (alcove_length, bernstein_star_first,
                          box_monoid_generators, check_monoid_generators,
                          laurent_check_relations, letter_by_letter,
-                         search_lattice_cosets)
+                         reduce_mod_lattice, search_lattice_cosets)
+from test_classify import _search_summary
+from test_extweyl import README_TYPES
 from test_modules import verdict
 
 
@@ -417,9 +419,9 @@ def test_dominant_decomposition_rule(d, level, data):
 @given(weighted_data(), st.data())
 def test_stacked_reduction_matches_per_point(d, data):
     """Over the coroot and the effective basis, the stacked echelon
-    reduction equals reduce_mod_lattice and in_row_lattice row by row, on
-    random points (mostly off the lattice), on lattice points and on
-    lattice points moved by a unit vector; the length-zero indices read
+    reduction equals the oracle reduce_mod_lattice and in_row_lattice row
+    by row, on random points (mostly off the lattice), on lattice points
+    and on lattice points moved by a unit vector; the length-zero indices read
     off the stacked representatives are those of the length-zero parts
     of the translations' reduced words."""
     H = HeckeAlgebra(d)
@@ -434,7 +436,7 @@ def test_stacked_reduction_matches_per_point(d, data):
         red = intlin.lattice_coordinates(basis, pts)[1]
         assert red.shape == (len(pts), d.rank)
         assert [tuple(r) for r in red.tolist()] == [
-            intlin.reduce_mod_lattice(basis, v) for v in pts]
+            reduce_mod_lattice(basis, v) for v in pts]
         assert (~red.any(axis=1)).tolist() == [
             intlin.in_row_lattice(basis, v) for v in pts]
     om = H.omega
@@ -583,3 +585,38 @@ def test_packed_check_matches_laurent_oracle_on_bumped_modules(d, data):
         return
     assert (verdict(FinModule.check_relations, reduced)
             == verdict(laurent_check_relations, reduced))
+
+
+def _isomorphic_data(kind, rank, w):
+    """The transformations that carry the datum of ``kind``, ``rank`` and
+    class weights ``w`` to one with the same answer, by name: scaling
+    every weight by 2 or 3, and the diagram isomorphisms that apply.
+    The classes of C_n come in the order (middle nodes, node n, node 0),
+    so its end swap exchanges the last two weights; A1's classes are
+    (node 1, node 0); B2's long node 1 is C2's node 2, so B2 and C2
+    exchange their first two class weights; D3's diagram is A3's."""
+    out = {f"scale by {g}": (kind, rank, [g * x for x in w]) for g in (2, 3)}
+    if kind == "C":
+        out["C end swap"] = (kind, rank, w[:-2] + [w[-1], w[-2]])
+    if (kind, rank) == ("A", 1):
+        out["A1 swap"] = (kind, rank, w[::-1])
+    if (kind, rank) in (("B", 2), ("C", 2)):
+        out["B2 <-> C2"] = ("BC".replace(kind, ""), 2, [w[1], w[0], w[2]])
+    if (kind, rank) in (("D", 3), ("A", 3)):
+        out["D3 <-> A3"] = ("DA".replace(kind, ""), 3, w)
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_isomorphic_data_keep_the_answer(data):
+    """A README type with class weights in {1, 2, 3} and one
+    transformation that applies to it (:func:`_isomorphic_data`) give
+    the same verdict, dimension, r, largest nilpotency degree and sorted
+    orbit sizes."""
+    kind, rank = data.draw(st.sampled_from(README_TYPES))
+    m = len(build_root_datum(kind, rank).classes)
+    w = data.draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    moves = _isomorphic_data(kind, rank, w)
+    other = moves[data.draw(st.sampled_from(sorted(moves)))]
+    assert _search_summary(kind, rank, w) == _search_summary(*other)

@@ -22,7 +22,6 @@ from heckelab import (
     build_root_datum,
     cartan_matrix,
     dominant_monoid_generators,
-    intlin,
     rootdata,
 )
 from geom_oracle import (
@@ -31,6 +30,7 @@ from geom_oracle import (
     closure_is_weyl_orbit,
     descent_hyperplane_tables,
     frac_det,
+    reduce_mod_lattice,
     reflect_closure,
     search_lattice_cosets,
     search_weyl_orbit,
@@ -191,8 +191,8 @@ def test_coset_separates_coroot_classes():
             lam = tuple(rng.randint(-3, 3) for _ in range(rank))
             mu = tuple(rng.randint(-3, 3) for _ in range(rank))
             diff = tuple(a - b for a, b in zip(lam, mu))
-            same = (intlin.reduce_mod_lattice(d.coroot_basis, lam)
-                    == intlin.reduce_mod_lattice(d.coroot_basis, mu))
+            same = (reduce_mod_lattice(d.coroot_basis, lam)
+                    == reduce_mod_lattice(d.coroot_basis, mu))
             assert same == d.in_coroot_lattice(diff)
 
 
