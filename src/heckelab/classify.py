@@ -66,9 +66,9 @@ from .extweyl import translation_word
 from .hecke import HeckeAlgebra
 from .laurent import LaurentMatrix
 from .modules import (Character, FinModule, character_extends,
-                      enumerate_characters, induce_character,
-                      reflection_module, stabilizer_and_twist, _as_algebra,
-                      _generic_algebra)
+                      enumerate_characters, reflection_module,
+                      stabilizer_and_twist, _as_algebra, _generic_algebra,
+                      _induced)
 from .rootdata import INFINITE_BOND
 
 CASE_ONE_DIM = "Character1Dim"
@@ -87,22 +87,17 @@ SAMPLED_ORBIT_NODE = {("E", 7): 7, ("E", 8): 8}
 
 def translation_exponent(algebra: HeckeAlgebra, char: Character,
                          lam) -> int:
-    """The signed weighted letter count of the translation by ``lam``.
-    ``char`` must be a generic character of the algebra's datum:
-    ``ValueError`` for a mod-p one, ``DatumMismatch`` for one of another
-    datum."""
+    """The signed weighted letter count of the translation by the point
+    ``lam``: the letters of each node class
+    (:meth:`RootDatum.translation_class_counts`) times the class weight
+    signed by ``char`` on the class, summed over the classes.  ``char``
+    must be a generic character of the algebra's datum: ``ValueError``
+    for a mod-p one, ``DatumMismatch`` for one of another datum.  ``lam``
+    is refused as :meth:`RootDatum._translation_point` refuses it:
+    ``ValueError``, ``TypeError`` or ``OverflowError``."""
     datum = _generic_algebra(algebra, char).datum
-    counts = datum.translation_class_counts(np.array([lam], dtype=np.int64))
-    return int(_signed_exponents(datum, char, counts)[0])
-
-
-def _signed_exponents(datum, char: Character, counts) -> np.ndarray:
-    """Per row of ``counts``, the letter counts of each node class
-    (:meth:`RootDatum.translation_class_counts`), times the class weight
-    signed by ``char`` on the class, summed over the classes."""
-    signed = [char.sign_on_class(k) * d
-              for k, d in enumerate(datum.class_weights)]
-    return counts @ np.array(signed, dtype=np.int64)
+    counts = datum.translation_class_counts(datum._translation_point(lam))
+    return int((counts * datum.class_weights @ char.values)[0])
 
 
 def _level(length_zero) -> str:
@@ -118,19 +113,18 @@ def is_discrete_character(algebra, char: Character):
     character of the non-extended algebra, the effective lattice for one
     with length-zero signs.  Returns ``(flag, table)`` where the table
     lists each generator with its exponent; the flag is true exactly when
-    all exponents are negative.  The exponents are read off the class
-    counts the algebra keeps beside the generators
-    (:meth:`HeckeAlgebra.generator_class_counts`).  ``char`` must be a
-    generic character of the algebra's datum: ``ValueError`` for a mod-p
-    one, ``DatumMismatch`` for one of another datum.
+    all exponents are negative.  The exponents are one product of the
+    class counts times the class weights, which the algebra keeps per
+    level (:meth:`HeckeAlgebra._weighted_counts`), with the character's
+    signs.  ``char`` must be a generic character of the algebra's datum:
+    ``ValueError`` for a mod-p one, ``DatumMismatch`` for one of another
+    datum.
     """
     alg = _generic_algebra(algebra, char)
     level = _level(char.omega_signs)
-    gens = alg.monoid_generators(level)
-    exps = _signed_exponents(alg.datum, char,
-                             alg.generator_class_counts(level))
+    exps = alg._weighted_counts(level) @ char.values
     rows = [{"generator": list(gen), "exponent": k}
-            for gen, k in zip(gens, exps.tolist())]
+            for gen, k in zip(alg.monoid_generators(level), exps.tolist())]
     return (all(row["exponent"] < 0 for row in rows),
             {"level": level, "rows": rows})
 
@@ -153,12 +147,23 @@ def _star_mats(module: FinModule) -> LaurentMatrix:
         module.dim)
 
 
+def _powers(lo: int, n: int) -> np.ndarray:
+    """$V^{lo}, \\ldots, V^{lo + n - 1}$ over $F_q$ for $V$ = ``CERT_V``,
+    ``CERT_Q``, as int64 entries in $[0, q)$, by doubling: the first $k$
+    powers times $V^k$ are the next $k$, so one numpy product per
+    doubling.  ``lo`` may be negative."""
+    out = np.array([pow(CERT_V, lo, CERT_Q)], dtype=np.int64)
+    while len(out) < n:
+        out = np.concatenate(
+            [out, out * pow(CERT_V, len(out), CERT_Q) % CERT_Q])
+    return out[:n]
+
+
 def _specialize(mats: LaurentMatrix) -> np.ndarray:
     """The matrices of ``mats`` at $v$ = ``CERT_V`` over $F_q$, ``CERT_Q``,
     as int64 entries in $[0, q)$."""
     c = mats.coeffs
-    powers = np.array([pow(CERT_V, int(mats.lo) + k, CERT_Q)
-                       for k in range(c.shape[-3])], dtype=np.int64)
+    powers = _powers(int(mats.lo), c.shape[-3])
     terms = (c % CERT_Q).astype(np.int64) * powers[:, None, None] % CERT_Q
     return terms.sum(axis=-3) % CERT_Q
 
@@ -184,14 +189,13 @@ def _commutant_is_scalar(module: FinModule) -> bool:
         return True
     a = np.concatenate([_specialize(mats) for mats in (
         module.smats, module.omega_mats) if mats is not None])
-    scale = np.array([pow(CERT_V, j + 1, CERT_Q) for j in range(len(a))],
-                     dtype=np.int64)
+    scale = _powers(1, len(a))
     powers = [np.eye(n, dtype=np.int64),
               (scale[:, None, None] * a % CERT_Q).sum(axis=0) % CERT_Q]
     while len(powers) < n:
         powers.append(powers[-1] @ powers[1] % CERT_Q)
     powers = np.stack(powers)
-    w = np.array([pow(CERT_V, i, CERT_Q) for i in range(n)], dtype=np.int64)
+    w = _powers(0, n)
     if len(intlin.echelon_mod(powers @ w % CERT_Q, CERT_Q)) < n:
         return False
     # column k: the entries of B^k A_j - A_j B^k over every j
@@ -220,8 +224,7 @@ def _eigen_column(a: np.ndarray, lo: int, hi: int):
         once = np.flatnonzero((diag[:, None] == diag).sum(axis=1) == 1)
         return (None, int(once[0])) if once.size else None
     i, j = off[0]
-    powers = np.array([pow(CERT_V, k, CERT_Q) for k in range(lo, hi + 1)],
-                      dtype=np.int64)
+    powers = _powers(lo, hi + 1 - lo)
     turns = np.array([pow(CERT_I, t, CERT_Q) for t in range(4)],
                      dtype=np.int64)
     mus = (turns[:, None] * powers % CERT_Q).ravel()
@@ -408,23 +411,23 @@ class _CentralCharacter:
     int64 matrix, is ``det`` times $\\lambda$'s coordinates, then
     $\\langle \\lambda, y \\rangle$ and $a(\\lambda)$ each times
     ``det``.  Here ``det`` is the product of $B$'s pivots and
-    ``form`` is $C$ [I | ``pairing``] for $C = \\det B \\cdot B^{-1}$,
-    read as :func:`intlin.lattice_coordinates` of $\\det B \\cdot I$."""
+    ``form`` is $C$ [I | ``pairing``] for $C = \\det B \\cdot B^{-1}$;
+    both are read off the level's kept tables
+    (:class:`~heckelab.rootdata._LevelTables`)."""
 
     def __init__(self, alg: HeckeAlgebra, level: str, pairing: np.ndarray):
         self.alg = alg
         self.level = level
-        basis = alg._level_basis(level)
-        rank = len(basis)
-        self.det = int(np.prod([row[i] for i, row in enumerate(basis)]))
-        inverse, _ = intlin.lattice_coordinates(
-            basis, self.det * np.eye(rank, dtype=np.int64))
-        self.form = inverse @ np.concatenate(
-            [np.eye(rank, dtype=np.int64), pairing], axis=1)
+        tables = alg._level_tables(level)
+        self.det = tables.det
+        self.form = np.concatenate(
+            [tables.inverse, tables.inverse @ pairing], axis=1)
         # the largest entry of a stack whose product with form stays in
-        # int64 and which lattice_coordinates would reduce
+        # int64, which lattice_coordinates would reduce, and whose
+        # weighted translation length stays in int64
         widest = int(np.abs(self.form).sum(axis=0).max())
-        self.reach = min(intlin.lattice_reach(basis), (2**63 - 1) // widest)
+        self.reach = min(tables.reach, (2**63 - 1) // widest,
+                         alg.datum._translation_reach)
 
     def constant_term(self, pts: np.ndarray) -> int:
         """$c_0$, the constant term of $c(v)$ on the Weyl orbit ``pts``,
@@ -447,7 +450,7 @@ class _CentralCharacter:
             raise NotInLattice(f"{tuple(pts[off][0].tolist())} is not in "
                                f"the {self.level} lattice")
         exps, a = (prod[:, rank:] // self.det).T
-        shift = self.alg.datum.translation_weighted_length(pts[0])
+        shift = self.alg.datum._weighted_length(pts[0])
         counts = np.bincount(a[exps == -shift] % 4, minlength=4)
         if counts[1] != counts[3]:
             raise ArithmeticError("the constant term of a central "
@@ -468,11 +471,13 @@ def _certificate(module: FinModule) -> _CentralCharacter:
     applies, :func:`_replayed_weights` otherwise), or a failed solve or
     lift check below.  The weights $i^{t_g} v^{k_g}$ of the generators give
     $\\langle g, y \\rangle = k_g - L(g)$ and $a(g) \\equiv t_g \\pmod 4$,
-    both linear in the coordinates of $g$ in the lattice basis
-    (:meth:`HeckeAlgebra.lattice_coordinates`).  The generators span the
-    lattice, so each system has one solution over $F_q$ and over $F_2$,
-    and $\\theta$ being multiplicative makes them consistent.  The lift of
-    $y$ from $F_q$ to $(-q/2, q/2)$ is checked over the integers; $a$ is
+    both linear in the coordinates of $g$ in the lattice basis, which the
+    level's tables keep (:class:`~heckelab.rootdata._LevelTables`).  The
+    generators span the lattice, so each system has at most one solution
+    over $F_q$ and over $F_2$, one product with a kept left inverse
+    (:func:`_solve_mod`), and $\\theta$ being
+    multiplicative makes them consistent.  The lift of $y$ from $F_q$ to
+    $(-q/2, q/2)$ is checked over the integers on every row; $a$ is
     lifted 2-adically from two solutions over $F_2$ and checked mod 4."""
     cert = _CERTIFICATES.get(module)
     if cert is not None:
@@ -480,29 +485,35 @@ def _certificate(module: FinModule) -> _CentralCharacter:
     if not _commutant_is_scalar(module):
         raise UncertifiedModule(f"{module!r}: commutant not certified "
                                 "scalar")
-    alg, datum = module.alg, module.alg.datum
+    alg = module.alg
     level = _level(module.omega_mats)
-    gens = alg.monoid_generators(level)
-    counts = alg.generator_class_counts(level)
-    weights = (_class_count_weights(module, gens, counts)
+    tables = alg._level_tables(level)
+    gens, coords = tables.generators, tables.coords
+    weights = (_class_count_weights(module, gens, tables.counts)
                or _replayed_weights(module, gens))
     if weights is None:
         raise UncertifiedModule(f"{module!r}: no common eigenvector")
     turns, ks = np.array(weights, dtype=np.int64).T
-    coords = alg.lattice_coordinates(gens, level)
-    rhs = ks - counts @ np.array(datum.class_weights, dtype=np.int64)
-    y = intlin.solve_mod(coords, rhs, CERT_Q)
-    low = intlin.solve_mod(coords, turns, 2)
-    high = (None if low is None
-            else intlin.solve_mod(coords, (turns - coords @ low) // 2, 2))
-    if y is not None and high is not None:
-        y = np.where(y > CERT_Q // 2, y - CERT_Q, y)
-        a = low + 2 * high
-        if (coords @ y == rhs).all() and not ((coords @ a - turns) % 4).any():
-            cert = _CentralCharacter(alg, level, np.stack([y, a], axis=1))
-            _CERTIFICATES[module] = cert
-            return cert
+    rhs = ks - alg._weighted_counts(level).sum(axis=1)
+    y = _solve_mod(tables, rhs, CERT_Q)
+    low = _solve_mod(tables, turns, 2)
+    high = _solve_mod(tables, (turns - coords @ low) // 2, 2)
+    y = np.where(y > CERT_Q // 2, y - CERT_Q, y)
+    a = low + 2 * high
+    if (coords @ y == rhs).all() and not ((coords @ a - turns) % 4).any():
+        cert = _CentralCharacter(alg, level, np.stack([y, a], axis=1))
+        _CERTIFICATES[module] = cert
+        return cert
     raise UncertifiedModule(f"{module!r}: solve or lift check failed")
+
+
+def _solve_mod(tables, rhs: np.ndarray, q: int) -> np.ndarray:
+    """$X$ ``rhs`` in $[0, q)$ for the left inverse $X$ over $F_q$ of the
+    generators' coordinates that the level keeps
+    (:meth:`~heckelab.rootdata._LevelTables.solver`): the solution over
+    $F_q$ of ``coords`` $x$ = ``rhs`` when it has one, which only the
+    caller's check over every row shows."""
+    return tables.solver(q) @ (rhs % q) % q
 
 
 def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
@@ -515,8 +526,8 @@ def central_orbit_matrix_v0(module: FinModule, orbit, p: int) -> np.ndarray:
     module sees, in any order: ``NotInLattice`` off the lattice, else
     ``ValueError``, ``TypeError`` or ``NotAFullOrbit`` from
     :meth:`RootDatum.orbit_stack`, which compares it with the orbit kept
-    for its dominant point (a lookup and one comparison for an orbit
-    :meth:`RootDatum.weyl_orbit` made).
+    for its dominant point (an orbit that :meth:`RootDatum.weyl_orbit`
+    returned is that kept orbit itself, and passes as it is).
     The module's certificate (:func:`_certificate`) shows that the sum
     acts as $c(v) I$, so the matrix is $c_0 I$ mod ``p``, for $c_0$ the
     constant term of $c(v)$ read off one integer product
@@ -668,9 +679,9 @@ def key_result_search(datum, p: int = 5, exhaustive: bool = False) -> SearchOutc
 
     if discrete:
         ch, table = discrete[0]
-        _, twisted = stabilizer_and_twist(alg, ch)
+        stab, twisted = stabilizer_and_twist(alg, ch)
         _, bar_table = is_discrete_character(alg, twisted)
-        return _answer(CASE_TWO_DIM, induce_character(alg, ch), ch,
+        return _answer(CASE_TWO_DIM, _induced(alg, ch, stab, twisted), ch,
                        {"method": "exponent-table",
                         "table": {"component": table,
                                   "twisted_component": bar_table}},

@@ -57,7 +57,8 @@ from . import intlin
 from .errors import DatumMismatch, NotInLattice
 from .extweyl import ExtWeylElt, aut_group, step_vector
 from .laurent import Laurent, q_power
-from .rootdata import RootDatum, Vec, dominant_monoid_generators
+from .rootdata import (RootDatum, Vec, _LevelTables,
+                       dominant_monoid_generators)
 
 
 class HeckeAlgebra:
@@ -68,6 +69,7 @@ class HeckeAlgebra:
         self.omega_full = aut_group(datum)
         self.omega = self.omega_full.decorated()
         self.effective_basis = self.omega.lattice_basis()
+        self._weighted: dict[str, np.ndarray] = {}
 
     # ---- scalars -------------------------------------------------------
 
@@ -142,7 +144,7 @@ class HeckeAlgebra:
 
     def monoid_generators(self, level: str) -> tuple[Vec, ...]:
         """Dominant monoid generators of the lattice at ``level``."""
-        return self._level_generators(level)[0]
+        return self._level_tables(level).generators
 
     def generator_class_counts(self, level: str) -> np.ndarray:
         """The letters of each node class in a reduced word of the
@@ -150,23 +152,34 @@ class HeckeAlgebra:
         (:meth:`RootDatum.translation_class_counts`), a read-only
         (generators, classes) int64 array built and shared with the
         generators."""
-        return self._level_generators(level)[1]
+        return self._level_tables(level).counts
 
-    def _level_generators(self, level: str):
-        """``(generators, class counts)`` at ``level``.  The node weights
-        enter neither, but they choose the effective lattice, so both are
-        built once per level basis and kept in the frame's
-        ``_level_generators``."""
+    def _level_tables(self, level: str) -> _LevelTables:
+        """The :class:`~heckelab.rootdata._LevelTables` of the lattice at
+        ``level``.  The node weights enter none of them, but they choose
+        the effective lattice, so they are built once per level basis and
+        kept in the frame's ``_level_generators``."""
         datum, basis = self.datum, self._level_basis(level)
         kept = datum._level_generators
         if basis not in kept:
             gens = dominant_monoid_generators(
                 datum, "coroot" if level == "coroot" else basis)
-            counts = datum.translation_class_counts(
-                np.array(gens, dtype=np.int64))
-            counts.flags.writeable = False
-            kept[basis] = (gens, counts)
+            kept[basis] = _LevelTables(datum, basis, gens)
         return kept[basis]
+
+    def _weighted_counts(self, level: str) -> np.ndarray:
+        """:meth:`generator_class_counts` at ``level`` times the class
+        weights, column by column, read-only and kept with the algebra:
+        row sums are the weighted lengths $L(g)$ of the generators, and
+        the product with a generic character's signs its exponents
+        (:func:`heckelab.classify.is_discrete_character`)."""
+        table = self._weighted.get(level)
+        if table is None:
+            table = self.generator_class_counts(level) * np.array(
+                self.datum.class_weights, dtype=np.int64)
+            table.flags.writeable = False
+            self._weighted[level] = table
+        return table
 
     def lattice_coordinates(self, lam, level: str = "effective"
                             ) -> np.ndarray:

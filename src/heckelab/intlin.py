@@ -110,11 +110,25 @@ def echelon_mod(a: np.ndarray, q: int) -> np.ndarray:
 def solve_mod(rows: IntMatrix, rhs: Sequence[int], q: int) -> np.ndarray | None:
     """One solution $x$ in $[0, q)$ of ``rows`` $x$ = ``rhs`` over $F_q$,
     free unknowns 0, or ``None`` when the system has none: Gauss-Jordan
-    elimination of the augmented matrix on Python ints, which beats
-    :func:`echelon_mod` at the few unknowns of a lattice basis."""
+    elimination of the augmented matrix on Python ints
+    (:func:`_gauss_jordan`), which beats :func:`echelon_mod` at the few
+    unknowns of a lattice basis."""
     width = np.shape(rows)[1]
     a = [[x % q for x in row] + [b % q] for row, b in zip(
         np.asarray(rows).tolist(), np.asarray(rhs).tolist())]
+    pivots = _gauss_jordan(a, width, q)
+    if any(row[-1] for row in a[len(pivots):]):
+        return None
+    x = np.zeros(width, dtype=np.int64)
+    x[pivots] = [row[-1] for row in a[:len(pivots)]]
+    return x
+
+
+def _gauss_jordan(a: list[list[int]], width: int, q: int) -> list[int]:
+    """Reduce the rows ``a``, lists of Python ints in $[0, q)$, in place
+    to reduced row echelon form over $F_q$ on their first ``width``
+    columns, carrying the columns past them along; the pivot columns, in
+    order, whose rows come first."""
     pivots: list[int] = []
     for col in range(width):
         r = len(pivots)
@@ -129,11 +143,7 @@ def solve_mod(rows: IntMatrix, rhs: Sequence[int], q: int) -> np.ndarray | None:
                 f = row[col]
                 a[i] = [(x - f * y) % q for x, y in zip(row, a[r])]
         pivots.append(col)
-    if any(row[-1] for row in a[len(pivots):]):
-        return None
-    x = np.zeros(width, dtype=np.int64)
-    x[pivots] = [row[-1] for row in a[:len(pivots)]]
-    return x
+    return pivots
 
 
 @functools.cache

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (CharacterExtends, DatumMismatch, NoIndexTwoStructure,
                      NotSimplyLaced, RelationsFail)
-from .intlin import prime_below_2_63
+from .intlin import is_int, prime_below_2_63
 from .laurent import _INT64_MAX, Laurent, LaurentMatrix, mod_p, q_power
 from .rootdata import RootDatum
 from .hecke import HeckeAlgebra, HeckeElt
@@ -117,6 +117,12 @@ def _relations(coxeter_m: tuple[tuple[int, ...], ...],
     return tuple(rel[:2] for rel in rels), words
 
 
+def _all_in(values, allowed) -> bool:
+    """Whether every entry of ``values`` is an integer that is not a bool
+    (:func:`intlin.is_int`) and lies in ``allowed``."""
+    return all(is_int(v) and v in allowed for v in values)
+
+
 class Character:
     """A one dimensional datum, generic or mod-$p$.
 
@@ -124,7 +130,9 @@ class Character:
     (``+1`` meaning $T_s \\mapsto q_s$ and ``-1`` meaning $T_s \\mapsto -1$)
     and optionally a tuple of signs on the weight-preserving length-zero
     group, aligned with its element order.  Mod-$p$ characters hold one
-    value in $\\{0, -1\\}$ per affine node.
+    value in $\\{0, -1\\}$ per affine node.  Values and signs are integers
+    that are not bools (numpy integers count, :func:`intlin.is_int`),
+    stored as Python ints; anything else is refused with ``ValueError``.
     """
 
     __slots__ = ("datum", "mode", "values", "omega_signs")
@@ -136,21 +144,33 @@ class Character:
         if mode == "generic":
             if len(values) != len(datum.classes):
                 raise ValueError("need one sign per node class")
-            if any(v not in (1, -1) for v in values):
+            if not _all_in(values, (1, -1)):
                 raise ValueError("generic character signs must be +1 or -1")
         else:
             if len(values) != datum.rank + 1:
                 raise ValueError("need one value per affine node")
-            if any(v not in (0, -1) for v in values):
+            if not _all_in(values, (0, -1)):
                 raise ValueError("mod-p character values must be 0 or -1")
             if omega_signs is not None:
                 raise ValueError("mod-p characters carry no length-zero signs")
-        if omega_signs is not None and any(v not in (1, -1) for v in omega_signs):
+        if omega_signs is not None and not _all_in(omega_signs, (1, -1)):
             raise ValueError("length-zero signs must be +1 or -1")
         self.datum = datum
         self.mode = mode
-        self.values = tuple(values)
-        self.omega_signs = None if omega_signs is None else tuple(omega_signs)
+        self.values = tuple(map(int, values))
+        self.omega_signs = (None if omega_signs is None
+                            else tuple(map(int, omega_signs)))
+
+    @classmethod
+    def _unchecked(cls, datum: RootDatum, mode: str, values: tuple[int, ...],
+                   omega_signs: tuple[int, ...] | None = None) -> "Character":
+        """The character of Python int ``values`` and ``omega_signs``
+        that are valid by construction, with none of the checks of
+        :meth:`__init__`."""
+        char = cls.__new__(cls)
+        char.datum, char.mode = datum, mode
+        char.values, char.omega_signs = values, omega_signs
+        return char
 
     @staticmethod
     def generic(datum: RootDatum, signs: Sequence[int],
@@ -216,7 +236,8 @@ class Character:
                 new[k] = v
             elif new[k] != v:
                 raise ValueError("permutation does not respect node classes")
-        return Character(self.datum, "generic", tuple(new), self.omega_signs)
+        return Character._unchecked(self.datum, "generic", tuple(new),
+                                    self.omega_signs)
 
     def label(self) -> str:
         if self.mode == "generic":
@@ -239,7 +260,7 @@ class Character:
         self._require_generic()
         vals = tuple(0 if self.sign_on_node(s) == 1 else -1
                      for s in range(self.datum.rank + 1))
-        return Character(self.datum, "modp", vals)
+        return Character._unchecked(self.datum, "modp", vals)
 
     def as_module(self, algebra, p: int | None = None) -> "FinModule":
         """The one dimensional module realizing this character.
@@ -341,7 +362,7 @@ def enumerate_characters(datum, char_mode: str = "generic") -> tuple[Character, 
     generic = char_mode == "generic"
     choices, count = (((1, -1), len(d.classes)) if generic
                       else ((0, -1), d.rank + 1))
-    chars = tuple(Character(d, char_mode, values)
+    chars = tuple(Character._unchecked(d, char_mode, values)
                   for values in itertools.product(choices, repeat=count))
     values = np.array([ch.values for ch in chars], dtype=np.int64)
     if generic:
@@ -383,7 +404,9 @@ def character_extends(algebra, char: Character):
     alg = _generic_algebra(algebra, char)
     if len(_stabilizer(alg, char)) < len(alg.omega):
         return False, ()
-    return True, tuple(map(char.with_omega_signs, alg.omega.sign_characters))
+    return True, tuple(
+        Character._unchecked(char.datum, "generic", char.values, signs)
+        for signs in alg.omega.sign_characters)
 
 
 def stabilizer_and_twist(algebra, char: Character):
@@ -412,8 +435,14 @@ def induce_character(algebra, char: Character) -> "FinModule":
     datum.
     """
     alg = _generic_algebra(algebra, char)
+    return _induced(alg, char, *stabilizer_and_twist(alg, char))
+
+
+def _induced(alg: HeckeAlgebra, char: Character, stab,
+             twisted: Character) -> "FinModule":
+    """:func:`induce_character` from the stabilizer and twist of ``char``
+    that :func:`stabilizer_and_twist` gave."""
     n = len(alg.omega)
-    stab, twisted = stabilizer_and_twist(alg, char)
     if len(stab) == n:
         raise CharacterExtends(f"{char.label()} extends; induction would "
                                f"not be simple")

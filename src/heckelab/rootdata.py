@@ -138,8 +138,8 @@ def _type_frame(kind: str, rank: int) -> Mapping:
     (:meth:`RootDatum.weyl_orbit`); ``_omega_frames``, the weight-free
     parts of the length-zero group of each lattice basis
     (:func:`heckelab.extweyl._omega_frame`); and ``_level_generators``,
-    the dominant monoid generators and their class counts of each level
-    basis (:meth:`heckelab.hecke.HeckeAlgebra.monoid_generators`)."""
+    the :class:`_LevelTables` of each level basis
+    (:meth:`heckelab.hecke.HeckeAlgebra.monoid_generators`)."""
     cartan = cartan_matrix(kind, rank)
     pos_roots, origins = _close_roots(cartan)
     # the highest root is the unique positive root of greatest height
@@ -175,6 +175,7 @@ def _type_frame(kind: str, rank: int) -> Mapping:
         alcove_point=(v0, 1 + sum(map(mul, theta, v0))),
         _coweight_cosets=tuple(itertools.product(
             *(range(row[i]) for i, row in enumerate(coroot_basis)))),
+        _height_sum=sum(sum(root) for root, _ in pos_roots),
         _orbits={}, _omega_frames={}, _level_generators={}))
 
 
@@ -277,6 +278,70 @@ def _hyperplane_tables(cartan: tuple[Vec, ...], pos_roots, origins,
     return tables
 
 
+class _LevelTables:
+    """What the certificate and the discreteness test read per level
+    lattice, a function of its echelon basis ``basis`` alone, built once
+    per basis and kept in the frame's ``_level_generators``: the dominant
+    monoid ``generators`` and their letter ``counts`` per node class
+    (:meth:`RootDatum.translation_class_counts`), then, on the first
+    read, which only the certificate makes, their ``coords`` in the basis
+    (:func:`intlin.lattice_coordinates`); ``det``, the product of the
+    basis's pivots, and ``inverse``, $\\det B \\cdot B^{-1}$, the
+    coordinates of $\\det B \\cdot I$; ``reach``,
+    :func:`intlin.lattice_reach` of the basis; and one solve setup per
+    modulus (:meth:`solver`).  The arrays are read-only."""
+
+    def __init__(self, datum: "RootDatum", basis: tuple[Vec, ...],
+                 generators: tuple[Vec, ...]):
+        self.basis = basis
+        self.generators = generators
+        self.counts = _read_only(datum.translation_class_counts(
+            np.array(generators, dtype=np.int64)))
+        self._solvers: dict[int, np.ndarray] = {}
+
+    @functools.cached_property
+    def coords(self) -> np.ndarray:
+        return _read_only(intlin.lattice_coordinates(
+            self.basis, np.array(self.generators, dtype=np.int64))[0])
+
+    @functools.cached_property
+    def det(self) -> int:
+        return math.prod(row[i] for i, row in enumerate(self.basis))
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        return _read_only(intlin.lattice_coordinates(
+            self.basis, self.det * np.eye(len(self.basis), dtype=np.int64))[0])
+
+    @functools.cached_property
+    def reach(self) -> int:
+        return intlin.lattice_reach(self.basis)
+
+    def solver(self, q: int) -> np.ndarray:
+        """A left inverse $X$ of ``coords`` over $F_q$, $q$ prime, as a
+        read-only (rank, generators) int64 matrix with entries in
+        $[0, q)$, built on the first request for ``q``: Gauss-Jordan
+        elimination of [``coords`` | I] turns ``coords`` into
+        $[I; 0]$, since the generators span the lattice and so
+        ``coords`` has full column rank over every field, and $X$ is the
+        first rank rows of the identity's image.  When ``coords`` $x = b$
+        has a solution, it is $X b$."""
+        left = self._solvers.get(q)
+        if left is None:
+            rank, n = len(self.basis), len(self.generators)
+            a = [[x % q for x in row] + [int(i == j) for j in range(n)]
+                 for i, row in enumerate(self.coords.tolist())]
+            intlin._gauss_jordan(a, rank, q)
+            left = self._solvers[q] = _read_only(np.array(
+                [row[rank:] for row in a[:rank]], dtype=np.int64))
+        return left
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
 class RootDatum:
     """An irreducible affine root datum with node weights and a lattice.
 
@@ -310,6 +375,11 @@ class RootDatum:
         # the basis is square and upper triangular with positive pivots
         self.lattice_index = math.prod(
             row[i] for i, row in enumerate(lattice_basis))
+        # the letters of a translation, over all classes, are at most the
+        # sum of |<alpha, lam>| over the positive roots alpha, so at most
+        # the sum of their heights times the largest |coordinate|
+        self._translation_reach = (2**63 - 1) // (
+            max(self.class_weights) * self._height_sum)
         # the group of length-zero elements, bound by extweyl.aut_group
         self.length_zero_group = None
 
@@ -428,7 +498,12 @@ class RootDatum:
     def orbit_stack(self, orbit) -> np.ndarray:
         """``orbit`` as an (N, rank) int64 stack (:meth:`point_stack`),
         else ``NotAFullOrbit`` unless it lists one full Weyl orbit, each
-        point once, in any order (:meth:`is_weyl_orbit`)."""
+        point once, in any order (:meth:`is_weyl_orbit`).  A kept orbit
+        of :meth:`weyl_orbit` itself, the same object, is returned as it
+        is; every other stack, a copy or a view of one included, takes
+        the full check."""
+        if any(orbit is kept for kept in self._orbits.values()):
+            return orbit
         if not len(orbit):
             raise NotAFullOrbit("empty orbit")
         pts = self.point_stack(orbit)
@@ -495,11 +570,32 @@ class RootDatum:
         n_odd = (np.abs(m) + (m < 0)) // 2
         return (np.abs(m) - n_odd) @ even + n_odd @ odd
 
+    def _translation_point(self, lam) -> np.ndarray:
+        """The point ``lam`` as a (1, rank) int64 stack
+        (:meth:`point_stack`: ``ValueError`` for another length or more
+        than one point, ``TypeError`` for a coordinate that is not an
+        integer), refused with ``OverflowError`` when a coordinate passes
+        the bound past which the letters of its translation, times a node
+        weight, could pass int64."""
+        pts = self.point_stack(lam)
+        if len(pts) != 1:
+            raise ValueError(f"expected one point, got {len(pts)}")
+        bound = self._translation_reach
+        if pts.max() > bound or pts.min() < -bound:
+            raise OverflowError("the translation of a point with a "
+                                f"coordinate beyond {bound} may pass int64")
+        return pts
+
     def translation_weighted_length(self, lam: Sequence[int]) -> int:
         """Node weights summed over a reduced word of the translation by
-        ``lam``: :meth:`translation_class_counts` times the class
-        weights."""
-        return int(self.translation_class_counts(lam) @ self.class_weights)
+        the point ``lam``, checked by :meth:`_translation_point`:
+        :meth:`translation_class_counts` times the class weights."""
+        return self._weighted_length(self._translation_point(lam)[0])
+
+    def _weighted_length(self, row: np.ndarray) -> int:
+        """:meth:`translation_weighted_length` of an int64 point already
+        within the bound of :meth:`_translation_point`."""
+        return int(self.translation_class_counts(row) @ self.class_weights)
 
     def dominant_rep(self, c: Sequence[int]) -> Vec:
         """The unique dominant coweight in the Weyl orbit of ``c``."""

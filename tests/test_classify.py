@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab import (
+    Character,
     FinModule,
     HeckeAlgebra,
     Laurent,
@@ -42,10 +43,12 @@ from heckelab import (
     translation_exponent,
     translation_word,
 )
-from heckelab.classify import (CERT_I, CERT_Q, _CentralCharacter,
+from heckelab import intlin
+from heckelab.classify import (CERT_I, CERT_Q, CERT_V, _CentralCharacter,
                                _certificate,
                                _class_count_weights, _commutant_is_scalar,
-                               _eigen_column, _replayed_weights)
+                               _eigen_column, _powers, _replayed_weights,
+                               _solve_mod)
 from heckelab.intlin import is_prime
 from geom_oracle import (commutant_dimension, dense_central_scalar,
                          lattice_pairing, stacked_eigen_column)
@@ -128,6 +131,30 @@ def test_exponents_additive_on_dominant_coroot_points():
         assert k((1, 2)) == k((1, 0)) + k((0, 2))
         assert k((2, 0)) == 2 * k((1, 0))
         assert k((3, 4)) == 3 * k((1, 0)) + 2 * k((0, 2))
+
+
+def test_translation_exponent_refuses_what_it_would_coerce():
+    # a float and a bool coordinate were read as 0 and 1, a short point
+    # met numpy's raw matmul error, and 2^62 wrapped past int64
+    d = build_root_datum("C", 2, weights=[1, 2, 2])
+    ch = enumerate_characters(d, "generic")[0]
+    for lam, error in [((0.5, 1), TypeError), ((True, 1), TypeError),
+                       ((1,), ValueError), ((2**62, 1), OverflowError),
+                       ([(1, 0), (0, 1)], ValueError)]:
+        with pytest.raises(error):
+            translation_exponent(d, ch, lam)
+        with pytest.raises(error):
+            d.translation_weighted_length(lam)
+    # the bound is the last coordinate whose letters, times any weight,
+    # stay in int64
+    top = d._translation_reach
+    assert d.translation_weighted_length((top, 0)) == sum(
+        d.translation_class_counts((top, 0)).tolist()[k] * w
+        for k, w in enumerate(d.class_weights))
+    with pytest.raises(OverflowError):
+        d.translation_weighted_length((0, -top - 1))
+    assert translation_exponent(d, ch, np.array([1, 0])) == (
+        d.translation_weighted_length((1, 0)))
 
 
 def test_discreteness_flags_c2():
@@ -1035,13 +1062,13 @@ def test_a_lift_that_fails_its_check_refuses_the_certificate(monkeypatch):
     # matrices.  A refusal is not kept: once the solve is restored the same
     # module certifies and its orbit matrices match the exact action
     from heckelab import classify
-    real = classify.intlin.solve_mod
+    real = classify._solve_mod
 
-    def off_by_one(rows, rhs, q):
-        x = real(rows, rhs, q)
+    def off_by_one(tables, rhs, q):
+        x = real(tables, rhs, q)
         return x if q != CERT_Q else (x + 1) % q
 
-    monkeypatch.setattr(classify.intlin, "solve_mod", off_by_one)
+    monkeypatch.setattr(classify, "_solve_mod", off_by_one)
     H, induced = _orbit_module("C2")
     # a copy, whose certificate is not cached
     mod = FinModule(H, induced.smats, induced.omega_mats)
@@ -1292,6 +1319,140 @@ def test_scaling_and_diagram_isomorphisms_keep_the_answer(monkeypatch):
     random.Random(40).shuffle(order)
     assert {key: _search_summary(key[0], key[1], list(key[2]))
             for key in order} == base
+
+
+def test_powers_by_doubling_match_pow():
+    for lo in (-40, -3, -1, 0, 1, 7):
+        for n in (0, 1, 2, 3, 5, 8, 33):
+            want = [pow(CERT_V, k, CERT_Q) for k in range(lo, lo + n)]
+            got = _powers(lo, n)
+            assert got.dtype == np.int64 and got.tolist() == want, (lo, n)
+
+
+def test_level_tables_match_a_fresh_computation():
+    """On every README type at weight 1 and with the class weights 1, 2,
+    ..., over both levels, each table kept per level basis equals a fresh
+    computation: the generators' coordinates, det, det B^-1 and reach
+    against :mod:`heckelab.intlin`, the kept solve setups against
+    Gauss-Jordan elimination of the whole system (:func:`intlin.solve_mod`)
+    and the weighted class counts against the class counts times the
+    weights.  The weightings of one type share one frame, so a table
+    keyed by the type alone would serve one weighting's effective lattice
+    to another."""
+    from test_extweyl import README_TYPES
+    rng = np.random.default_rng(5)
+    bases = set()
+    for kind, rank in README_TYPES:
+        classes = len(build_root_datum(kind, rank).classes)
+        for w in (1, range(1, classes + 1)):
+            H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
+            for level in ("effective", "coroot"):
+                basis, tables = H._level_basis(level), H._level_tables(level)
+                bases.add((kind, rank, basis))
+                gens = dominant_monoid_generators(H.datum, basis)
+                assert tables.generators == gens, (kind, rank, w, level)
+                det = int(np.prod([row[i] for i, row in enumerate(basis)]))
+                assert tables.det == det
+                assert (tables.coords == intlin.lattice_coordinates(
+                    basis, np.array(gens))[0]).all()
+                inverse = intlin.lattice_coordinates(
+                    basis, det * np.eye(rank, dtype=np.int64))[0]
+                assert (tables.inverse == inverse).all()
+                assert tables.reach == intlin.lattice_reach(basis)
+                assert (H._weighted_counts(level) == H.generator_class_counts(
+                    level) * np.array(H.datum.class_weights)).all()
+                for table in (tables.coords, tables.inverse,
+                              H._weighted_counts(level)):
+                    assert not table.flags.writeable
+                coords = tables.coords
+                for q in (CERT_Q, 2):
+                    x = rng.integers(-50, 50, size=rank)
+                    for rhs in (coords @ x, coords @ x + np.eye(
+                            len(coords), dtype=np.int64)[-1]):
+                        want = intlin.solve_mod(coords, rhs, q)
+                        got = _solve_mod(tables, rhs, q)
+                        if want is None:
+                            assert ((coords @ got - rhs) % q).any()
+                        else:
+                            assert got.tolist() == want.tolist()
+    # the class weights 1, 2, 3 break C2's length-zero symmetry, so its
+    # effective lattice is the coroot lattice there and not at weight 1
+    assert len({b for k, r, b in bases if (k, r) == ("C", 2)}) == 2
+
+
+def test_certificates_solve_as_gauss_jordan_does():
+    """The pairing (y, a) of each certified answer of the README table is
+    the one that three Gauss-Jordan eliminations of the whole system give
+    (:func:`intlin.solve_mod`): y over F_q, lifted to (-q/2, q/2), and a
+    lifted 2-adically from two solutions over F_2."""
+    for kind, rank, w in MONOMIAL_ROWS:
+        out = key_result_search(build_root_datum(kind, rank, weights=w))
+        if out.module is None:
+            continue
+        src = out.module.generic
+        cert, H = _certificate(src), src.alg
+        level = "coroot" if src.omega_mats is None else "effective"
+        gens = H.monoid_generators(level)
+        coords = H.lattice_coordinates(gens, level)
+        weights = (_class_count_weights(src, gens,
+                                        H.generator_class_counts(level))
+                   or _replayed_weights(src, gens))
+        turns, ks = np.array(weights, dtype=np.int64).T
+        rhs = ks - np.array([H.datum.translation_weighted_length(g)
+                             for g in gens])
+        y = intlin.solve_mod(coords, rhs, CERT_Q)
+        y = np.where(y > CERT_Q // 2, y - CERT_Q, y)
+        low = intlin.solve_mod(coords, turns, 2)
+        high = intlin.solve_mod(coords, (turns - coords @ low) // 2, 2)
+        form = H._level_tables(level).inverse @ np.stack(
+            [y, low + 2 * high], axis=1)
+        assert (cert.form[:, rank:] == form).all(), (kind, rank, w)
+
+
+def test_discreteness_rows_match_translation_exponents():
+    """Every row of :func:`is_discrete_character`, for every generic
+    character of every README type at weight 1 and with the class
+    weights 1, 2, ..., and for each extension over the length-zero group,
+    is the exponent :func:`translation_exponent` gives its generator."""
+    from test_extweyl import README_TYPES
+    for kind, rank in README_TYPES:
+        classes = len(build_root_datum(kind, rank).classes)
+        for w in (1, range(1, classes + 1)):
+            H = HeckeAlgebra(build_root_datum(kind, rank, weights=w))
+            chars = list(enumerate_characters(H, "generic"))
+            chars += [ext for ch in chars[:2]
+                      for ext in character_extends(H, ch)[1]]
+            for ch in chars:
+                flag, table = is_discrete_character(H, ch)
+                level = "coroot" if ch.omega_signs is None else "effective"
+                assert table["level"] == level
+                exps = [row["exponent"] for row in table["rows"]]
+                assert [tuple(row["generator"]) for row in table["rows"]] == (
+                    list(H.monoid_generators(level)))
+                assert exps == [translation_exponent(H, ch, g) for g in
+                                H.monoid_generators(level)], (kind, rank, w)
+                assert flag == all(k < 0 for k in exps)
+                assert all(type(k) is int for k in exps)
+
+
+def test_enumerated_characters_match_their_public_twins():
+    """Each member of :func:`enumerate_characters`, generic and mod p,
+    built with no checks, equals, hashes, labels and writes as the same
+    values through the checked public constructor."""
+    from test_extweyl import README_TYPES
+    for kind, rank in README_TYPES:
+        classes = len(build_root_datum(kind, rank).classes)
+        for w in (1, range(1, classes + 1)):
+            d = build_root_datum(kind, rank, weights=w)
+            for mode, make in (("generic", Character.generic),
+                               ("modp", Character.modp)):
+                for ch in enumerate_characters(d, mode):
+                    twin = make(d, list(ch.values))
+                    assert ch == twin and hash(ch) == hash(twin)
+                    assert ch.label() == twin.label()
+                    assert ch.to_json() == twin.to_json()
+                    assert ch.mode == mode and ch.omega_signs is None
+                    assert all(type(v) is int for v in ch.values)
 
 
 def test_eigen_column_matches_the_stacked_search(monkeypatch):

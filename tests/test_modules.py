@@ -286,6 +286,34 @@ def test_character_helpers():
     assert blob["mode"] == "generic"
 
 
+def test_character_values_must_be_ints():
+    """Values and length-zero signs are integers that are not bools: a
+    bool, though ``True == 1``, is refused in either mode, and numpy
+    integers are stored as Python ints, so the character equals, hashes
+    and writes as its int twin."""
+    d = build_root_datum("C", 2, weights=[1, 2, 2])
+    bad = [lambda: Character.generic(d, (True, -1, 1)),
+           lambda: Character.generic(d, (np.True_, -1, 1)),
+           lambda: Character.generic(d, (1, -1, 1), (True, -1)),
+           lambda: Character.generic(d, (1, -1, 1)).with_omega_signs(
+               (1, False)),
+           lambda: Character.modp(d, (False, -1, 0)),
+           lambda: Character.generic(d, (1.0, -1, 1)),
+           lambda: Character.generic(d, ("1", -1, 1))]
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
+    ints = Character.generic(d, (1, -1, 1), (1, -1))
+    for signs in [np.array([1, -1, 1]), (np.int32(1), np.int64(-1), 1)]:
+        ch = Character.generic(d, signs, np.array([1, -1]))
+        assert all(type(v) is int for v in ch.values + ch.omega_signs)
+        assert ch == ints and hash(ch) == hash(ints)
+        assert ch.to_json() == ints.to_json()
+        assert ch.to_json()["values"] == [1, -1, 1]
+    modp = Character.modp(d, np.array([0, -1, 0]))
+    assert all(type(v) is int for v in modp.values)
+
+
 def test_characters_of_another_datum_are_refused():
     """A character is read only by the algebra of its own datum: a C2
     character on the B3 algebra and a C3 [1, 1, 1] character on C3

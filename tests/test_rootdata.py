@@ -415,6 +415,32 @@ def test_regular_e8_stack_is_refused_without_a_walk(monkeypatch,
     assert d._orbits == {}
 
 
+def test_orbit_stack_passes_the_kept_orbit_as_it_is(monkeypatch):
+    """The kept orbit that ``weyl_orbit`` returned comes back from
+    ``orbit_stack`` as the same object, with no check; a copy, a view
+    and a permuted copy take the full check and pass, and a copy with one
+    row changed is refused."""
+    d = build_root_datum("C", 3)
+    orbit = d.weyl_orbit((0, 1, 0))
+    checks = []
+    real = RootDatum.is_weyl_orbit
+    monkeypatch.setattr(RootDatum, "is_weyl_orbit",
+                        lambda self, pts: checks.append(1) or real(self, pts))
+    assert d.orbit_stack(orbit) is orbit and not checks
+    assert build_root_datum("C", 3, weights=[2, 1, 1]).orbit_stack(
+        orbit) is orbit
+    for other in (orbit.copy(), orbit[:], orbit[::-1].copy(),
+                  orbit[np.random.default_rng(3).permutation(len(orbit))]):
+        checks.clear()
+        got = d.orbit_stack(other)
+        assert got is not orbit and checks == [1]
+        assert (got[np.lexsort(got.T[::-1])] == orbit).all()
+    changed = orbit.copy()
+    changed[-1] = changed[0]
+    with pytest.raises(NotAFullOrbit):
+        d.orbit_stack(changed)
+
+
 PERTURBATIONS = ("same", "drop", "duplicate", "replace", "join", "negate",
                  "no dominant", "two dominant")
 
