@@ -22,10 +22,11 @@ of an element is read off $q$:
 * the step $x \mapsto xs$ is the affine reflection of $q$ at node $s$, a
   sparse update of at most four entries, and $s$ is a right descent of
   $x$ when the simple affine root at $s$ is negative at $q / D$
-  (:func:`step_vector`, which both :meth:`ExtWeylElt.step` and the
-  letters of a Hecke product call);
+  (:func:`step_vector`, kept per type by :func:`_step`, which both
+  :meth:`ExtWeylElt.step` and the letters of a Hecke product read);
 * a reduced word walks $q$ back into the base alcove, where the vector
-  reached names the length-zero part (:func:`aut_group`);
+  reached names the length-zero part (:func:`aut_group`); each vector is
+  walked once per type (:func:`_walk`);
 * the length counts the hyperplanes between $x_0$ and $q / D$: per
   positive root $\beta$, $|\lfloor \langle \beta, q \rangle / D \rfloor|$;
 * equality and hashing compare $q$.
@@ -191,11 +192,18 @@ class ExtWeylElt:
     def step(self, s: int) -> tuple["ExtWeylElt", bool]:
         """Right product with the reflection at node ``s`` and whether
         ``s`` is a right descent: the alcove vector reflected by
-        :func:`step_vector`."""
+        :func:`step_vector`, read off the type's step table
+        (:func:`_step`).  ``s`` is an integer that is not a bool (numpy
+        integers count and step as Python ints), else ``TypeError``, in
+        0..rank, else ``ValueError``; every constructor that takes node
+        letters steps here."""
         d = self.datum
+        if not intlin.is_int(s):
+            raise TypeError(f"node label {s!r} is not an integer")
+        s = int(s)
         if not 0 <= s <= d.rank:
             raise ValueError(f"node label {s} out of range 0..{d.rank}")
-        q, descent = step_vector(d, self.q, s)
+        q, descent = _step(d, self.q, s)
         return ExtWeylElt(d, q), descent
 
     def inv(self) -> "ExtWeylElt":
@@ -268,8 +276,7 @@ class ExtWeylElt:
             d = self.datum
             q, walk = _walk(d, self.q)
             group = aut_group(d)
-            self._rw = (group.elements[group._index[q]],
-                        tuple(reversed(walk)))
+            self._rw = (group.elements[group._index[q]], walk[::-1])
         return self._rw
 
     def weighted_length(self) -> int:
@@ -300,7 +307,7 @@ def step_vector(datum: RootDatum, q: Vec, s: int) -> tuple[Vec, bool]:
     sparse coroot of :attr:`RootDatum.node_supports`; ``s`` descends when
     that coefficient is negative at ``s`` or positive at 0.
     :meth:`ExtWeylElt.step` and the letters of a Hecke product both step
-    here."""
+    here, through the type's table (:func:`_step`)."""
     if s:
         x = q[s - 1]
         descent = x < 0
@@ -313,28 +320,46 @@ def step_vector(datum: RootDatum, q: Vec, s: int) -> tuple[Vec, bool]:
     return tuple(out), descent
 
 
-def _walk(datum: RootDatum, q: Vec) -> tuple[Vec, list[int]]:
+def _step(datum: RootDatum, q: Vec, s: int) -> tuple[Vec, bool]:
+    """:func:`step_vector` of ``q`` at node ``s``, kept in the frame's
+    ``_steps[s]``: each step is computed once per type and process, and
+    the data of the type share it whatever their weights and lattices."""
+    table = datum._steps[s]
+    hit = table.get(q)
+    if hit is None:
+        hit = table[q] = step_vector(datum, q, s)
+    return hit
+
+
+def _walk(datum: RootDatum, q: Vec) -> tuple[Vec, tuple[int, ...]]:
     """The alcove vector reached from ``q`` by stepping at the first
     descent (node 0 first) until none is left, and the nodes stepped at,
-    in order: x times those reflections is the length-zero part."""
+    in order: x times those reflections is the length-zero part.  Walked
+    once per type and vector and kept in the frame's ``_walks``, which
+    :meth:`ExtWeylElt.reduced_word`, :func:`translation_word` and
+    :func:`_omega_frame` share."""
+    hit = datum._walks.get(q)
+    if hit is not None:
+        return hit
     theta, den = datum.theta, datum.alcove_point[1]
     supports = datum.node_supports
-    q = list(q)
+    p = list(q)
     walk: list[int] = []
     while True:
-        x = sum(map(mul, q, theta)) - den
+        x = sum(map(mul, p, theta)) - den
         if x > 0:
             s = 0
         else:
-            for s, x in enumerate(q, 1):
+            for s, x in enumerate(p, 1):
                 if x < 0:
                     break
             else:
                 break
         for k, c in supports[s][0]:
-            q[k] -= x * c
+            p[k] -= x * c
         walk.append(s)
-    return tuple(q), walk
+    hit = datum._walks[q] = (tuple(p), tuple(walk))
+    return hit
 
 
 def _pull_back(q: Vec, aff: Affine, den: int) -> Vec:
@@ -388,7 +413,7 @@ def translation_word(datum: RootDatum, lam: Sequence[int]) -> tuple[int, ...]:
     """
     (lam,) = datum.point_stack(lam).tolist()
     _, walk = _walk(datum, _translation_vector(datum, lam))
-    return tuple(reversed(walk))
+    return walk[::-1]
 
 
 def _translation_vector(datum: RootDatum, lam: Sequence[int]) -> Vec:

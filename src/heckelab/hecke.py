@@ -14,9 +14,11 @@ part, reduced word) of the right factor's terms depth first (:func:`_walk`),
 so each partial product $h \, T_\omega T_{s_1} \cdots T_{s_k}$ of the left
 factor $h$ is computed once; the twisted symbols take the same walk with
 twisted letters.  Terms are keyed by alcove vectors and stepped by one
-sparse reflection (:func:`heckelab.extweyl.step_vector`), so no product
-builds a matrix, and an :class:`~heckelab.extweyl.ExtWeylElt` is built only
-for each term of the result.  Each coefficient is one Python int, its value
+sparse reflection (:func:`heckelab.extweyl.step_vector`), read off the
+type's step table, which every product of the type's data shares and
+fills (:func:`heckelab.extweyl._step`), so no product builds a matrix,
+and an :class:`~heckelab.extweyl.ExtWeylElt` is built only for each term
+of the result.  Each coefficient is one Python int, its value
 at $v = 2^b$ (Kronecker substitution; Kronecker 1882, Harvey 2009), for one
 slot width $b$ per product that a bound on L1 norms proves wide enough:
 scaling by $q_s$ is a left shift, sums are integer sums, and each distinct
@@ -55,7 +57,7 @@ import numpy as np
 
 from . import intlin
 from .errors import DatumMismatch, NotInLattice
-from .extweyl import ExtWeylElt, aut_group, step_vector
+from .extweyl import ExtWeylElt, _step, aut_group
 from .laurent import Laurent, q_power
 from .rootdata import (RootDatum, Vec, _LevelTables,
                        dominant_monoid_generators)
@@ -478,10 +480,11 @@ def _walk(datum: RootDatum, left: Mapping[ExtWeylElt, int],
     (:meth:`ExtWeylElt.__mul__`); a node is [coefficient of the term that
     ends there or None, children by letter].  The walk keeps a stack of
     (parent's partial product, letter, child), so each partial product is
-    computed once and released after its last child.  Partial products,
-    their sum and the step memos, one per node, are keyed by alcove
-    vectors (:func:`_mul_letter`).  Sums that cancelled are left in
-    ``total`` as zeros.
+    computed once and released after its last child.  Partial products
+    and their sum are keyed by alcove vectors, and each letter steps
+    through the type's step table, kept across products
+    (:func:`_mul_letter`).  Sums that cancelled are left in ``total`` as
+    zeros.
     """
     roots: dict[ExtWeylElt, list] = {}
     for (omega, word), cy in right:
@@ -494,7 +497,6 @@ def _walk(datum: RootDatum, left: Mapping[ExtWeylElt, int],
             if node is None:
                 node = kids[s] = [None, {}]
         node[0] = cy
-    steps: list[dict] = [{} for _ in range(datum.rank + 1)]
     for omega, root in roots.items():
         if omega.is_identity():
             part = {x.q: c for x, c in left.items()}
@@ -504,7 +506,7 @@ def _walk(datum: RootDatum, left: Mapping[ExtWeylElt, int],
         while stack:
             part, s, (cy, kids) = stack.pop()
             if s is not None:
-                part = _mul_letter(datum, part, s, steps[s], twisted,
+                part = _mul_letter(datum, part, s, twisted,
                                    2 * datum.weights[s] * b)
             if cy is not None:
                 get = total.get
@@ -515,27 +517,24 @@ def _walk(datum: RootDatum, left: Mapping[ExtWeylElt, int],
 
 
 def _mul_letter(datum: RootDatum, part: dict[Vec, int], s: int,
-                memo: dict, twisted: bool, shift: int) -> dict[Vec, int]:
+                twisted: bool, shift: int) -> dict[Vec, int]:
     """Right multiplication of the terms ``part``, keyed by alcove
     vectors with packed coefficients, by T_s, or by $T^*_s = T_s - q_s +
     1$ when ``twisted``, for an affine node label ``s``; multiplying a
     packed coefficient by $q_s$ is ``<< shift``.
 
-    ``memo`` maps the alcove vector of x to that of xs and whether s is a
-    right descent of x (:func:`heckelab.extweyl.step_vector`), shared by
-    the letters s of one product.  $T_x T_s$ is $q_s T_{xs} + (q_s - 1)
-    T_x$ when s is a descent of x and $T_{xs}$ when it is not;
-    $T_x T^*_s$ is $q_s T_{xs}$ when s is a descent of x and
-    $T_{xs} - (q_s - 1) T_x$ when it is not.
+    The alcove vector of xs and whether s is a right descent of x are
+    read off the frame's step table (:func:`heckelab.extweyl._step`),
+    which the letters s of every product of the type share and fill.
+    $T_x T_s$ is $q_s T_{xs} + (q_s - 1) T_x$ when s is a descent of x
+    and $T_{xs}$ when it is not; $T_x T^*_s$ is $q_s T_{xs}$ when s is a
+    descent of x and $T_{xs} - (q_s - 1) T_x$ when it is not.
     """
     out: dict[Vec, int] = {}
     get = out.get
     merged = False
     for x, c in part.items():
-        hit = memo.get(x)
-        if hit is None:
-            hit = memo[x] = step_vector(datum, x, s)
-        xs, descent = hit
+        xs, descent = _step(datum, x, s)
         if descent:
             a = c << shift
             extra = None if twisted else a - c

@@ -7,8 +7,10 @@ bookkeeping.
 """
 
 import random
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from heckelab import (
@@ -374,7 +376,8 @@ def test_length_zero_group_walked_once_per_type_and_lattice(monkeypatch,
     """Data of one type and lattice share the walked parts of the group
     whatever their weights: only the first datum walks the coset
     representatives, and each datum gets elements of its own.  Another
-    lattice of the type walks again."""
+    lattice of the type builds its group again, reading the walk of its
+    one coset representative off the type's walk table."""
     walks = []
     real = extweyl._walk
     monkeypatch.setattr(extweyl, "_walk",
@@ -387,7 +390,7 @@ def test_length_zero_group_walked_once_per_type_and_lattice(monkeypatch,
     assert all(e.datum is d for e in weighted)
     assert not set(weighted.elements) & set(plain.elements)
     assert len(aut_group(build_root_datum("C", 3, lattice="coroot"))) == 1
-    assert len(walks) == 3
+    assert len(walks) == 3 and len(d._walks) == 2
 
 
 def test_equality_respects_the_datum():
@@ -473,6 +476,33 @@ def test_rank_one_step_rejects_bad_nodes():
             x.right_descent(s)
         with pytest.raises(ValueError):
             ExtWeylElt.simple_reflection(d, s)
+
+
+def test_node_letters_are_integers():
+    """Every route that takes node letters steps through
+    ``ExtWeylElt.step``, which refuses a bool or a float with a
+    ``TypeError`` naming it (True once stood for node 1, and 1.0 failed
+    inside a tuple index) and steps a numpy integer as its int twin."""
+    d = build_root_datum("C", 2)
+    H = HeckeAlgebra(d)
+    x = ExtWeylElt.translation(d, (1, 0))
+    routes = (x.step, x.right_descent,
+              lambda s: ExtWeylElt.simple_reflection(d, s),
+              lambda s: ExtWeylElt.from_word(d, (0, s)),
+              lambda s: H.t_word((s,)))
+    for bad in (True, False, 1.0, 0.0, "1", None):
+        for route in routes:
+            with pytest.raises(TypeError, match=re.escape(repr(bad))):
+                route(bad)
+    for s in range(d.rank + 1):
+        n = np.int64(s)
+        xs, descent = x.step(n)
+        assert (xs, descent) == x.step(s) and type(descent) is bool
+        assert all(type(v) is int for v in xs.q)
+        assert x.right_descent(n) == descent
+        assert (ExtWeylElt.simple_reflection(d, n)
+                == ExtWeylElt.from_word(d, (s,)))
+        assert H.t_word((n, 1)) == H.t_word((s, 1))
 
 
 @pytest.mark.parametrize("kind, rank, weights", [

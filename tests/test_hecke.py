@@ -21,7 +21,7 @@ from heckelab import (
     elements_up_to_length,
     translation_word,
 )
-from heckelab import hecke, intlin
+from heckelab import extweyl, hecke, intlin
 from geom_oracle import bernstein_star_first, letter_by_letter
 
 DATA = [
@@ -345,13 +345,15 @@ def test_algebras_of_one_basis_share_one_computation(monkeypatch,
     assert seen == [H.datum, L.datum]
 
 
-def test_product_takes_one_step_per_trie_edge(monkeypatch):
+def test_product_takes_one_step_per_trie_edge(monkeypatch, fresh_frames):
     """Each edge of the right factor's prefix trie steps every term of its
-    partial product once: the calls of ``step_vector`` from a product are
-    the pairs (letter, alcove vector of a term the letter multiplies)."""
+    partial product once, and the steps are kept in the type's frame: on
+    a fresh frame the calls of ``step_vector`` from a product are the
+    pairs (letter, alcove vector of a term the letter multiplies), and
+    the same product again makes none."""
     H = HeckeAlgebra(build_root_datum("A", 3))
     d = H.datum
-    x = H.t_word((0, 1))
+    x = ExtWeylElt.from_word(d, (0, 1))
     y21, y23 = (ExtWeylElt.from_word(d, w) for w in [(2, 1), (2, 3)])
     z = ExtWeylElt.from_word(d, (1, 2, 3, 0))
     assert [y.reduced_word()[1] for y in (y21, y23)] == [(2, 1), (2, 3)]
@@ -365,27 +367,77 @@ def test_product_takes_one_step_per_trie_edge(monkeypatch):
         return sorted((s, u.q) for s, w in zip(word, prefixes)
                       for u in product(w).terms)
 
-    plain = expected(lambda w: x * H.t(w))
+    plain = expected(lambda w: H.t(x) * H.t(w))
     star = expected(H.star_t)
-    split = x * H.t(y21) + x * H.t(y23)
+    split = H.t(x) * H.t(y21) + H.t(x) * H.t(y23)
     calls = []
-    step_vector = hecke.step_vector
+    step_vector = extweyl.step_vector
 
     def counted(datum, q, s):
         calls.append((s, q))
         return step_vector(datum, q, s)
 
-    monkeypatch.setattr(hecke, "step_vector", counted)
-    prod = x * (H.t(y21) + H.t(y23))
+    monkeypatch.setattr(extweyl, "step_vector", counted)
+
+    def counted_on_a_fresh_frame(product):
+        # the algebra and the factors rebuilt on a frame of their own
+        # from their alcove vectors, which takes no step
+        fresh_frames()
+        K = HeckeAlgebra(build_root_datum("A", 3))
+        assert K.datum._steps is not d._steps
+        factors = [ExtWeylElt(K.datum, w.q) for w in (x, y21, y23, z)]
+        calls.clear()
+        first = product(K, *factors)
+        taken = sorted(calls)
+        calls.clear()
+        assert product(K, *factors) == first
+        assert calls == []
+        return first, taken
+
+    prod, taken = counted_on_a_fresh_frame(
+        lambda K, x, y21, y23, z: K.t(x) * (K.t(y21) + K.t(y23)))
     # the prefix 2 is taken once
-    assert sorted(s for s, _ in calls) == [1, 2, 3]
+    assert [s for s, _ in taken] == [1, 2, 3]
     assert prod == split
-    calls.clear()
-    x * H.t(z)
-    assert len(plain) > len(word) and sorted(calls) == plain
-    calls.clear()
-    H.star_t(z)
-    assert sorted(calls) == star
+    _, taken = counted_on_a_fresh_frame(
+        lambda K, x, y21, y23, z: K.t(x) * K.t(z))
+    assert len(plain) > len(word) and taken == plain
+    _, taken = counted_on_a_fresh_frame(
+        lambda K, x, y21, y23, z: K.star_t(z))
+    assert taken == star
+
+
+def test_products_agree_on_warm_and_fresh_frames(fresh_frames):
+    """Steps and walks hold no weight: products, twisted products,
+    Bernstein elements and orbit sums of C2 [1,1,1] and C2 [1,2,3] are
+    the same on a frame the other weighting warmed as on a fresh one."""
+    def results(weights):
+        H = HeckeAlgebra(build_root_datum("C", 2, weights=weights))
+        d = H.datum
+        pool = sorted(supported_pool(H, 3), key=lambda w: w.q)
+        rng = random.Random(43)
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(15)]
+        pts = [lam for lam in itertools.product(range(-2, 3), repeat=2)
+               if d.in_lattice(lam) and H.in_effective_lattice(lam)]
+        out = [H.t(x) * H.t(y) for x, y in pairs]
+        out += [H.t(x) * H.star_t(y) for x, y in pairs]
+        out += [H.bernstein(lam) for lam in pts]
+        out += [H.bernstein(a) * H.bernstein(b)
+                for a, b in zip(pts, reversed(pts))]
+        out += [H.central(g) for g in eff_gens(H)]
+        return d, out
+
+    for first, second in [([1, 1, 1], [1, 2, 3]), ([1, 2, 3], [1, 1, 1])]:
+        fresh_frames()
+        warmer, _ = results(first)
+        kept = sum(map(len, warmer._steps)), len(warmer._walks)
+        assert all(kept)
+        d, warm = results(second)
+        assert d._steps is warmer._steps and d._walks is warmer._walks
+        fresh_frames()
+        e, cold = results(second)
+        assert e._steps is not d._steps and e.weights == d.weights
+        assert warm == cold
 
 
 def coefficient_objects(elt):
