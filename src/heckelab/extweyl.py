@@ -25,8 +25,7 @@ of an element is read off $q$:
   (:func:`step_vector`, kept per type by :func:`_step`, which both
   :meth:`ExtWeylElt.step` and the letters of a Hecke product read);
 * a reduced word walks $q$ back into the base alcove, where the vector
-  reached names the length-zero part (:func:`aut_group`); each vector is
-  walked once per type (:func:`_walk`);
+  reached names the length-zero part (:func:`aut_group`);
 * the length counts the hyperplanes between $x_0$ and $q / D$: per
   positive root $\beta$, $|\lfloor \langle \beta, q \rangle / D \rfloor|$;
 * equality and hashing compare $q$.
@@ -65,6 +64,12 @@ from .rootdata import RootDatum, Vec
 
 AffineRoot = tuple[Vec, int]
 Affine = tuple[Vec, tuple[Vec, ...], tuple[Vec, ...]]
+
+# Steps a node's table keeps (:func:`_step`).  A seed-11 kernel benchmark
+# pass fills at most 976 at one node (B3) and the criterion-7 battery
+# about 7,000; an entry costs about 140 bytes, so a type holds at most
+# about 0.6 MB per node.
+STEP_TABLE_SIZE = 4096
 
 
 def affine_simple(datum: RootDatum, i: int) -> AffineRoot:
@@ -276,7 +281,8 @@ class ExtWeylElt:
             d = self.datum
             q, walk = _walk(d, self.q)
             group = aut_group(d)
-            self._rw = (group.elements[group._index[q]], walk[::-1])
+            self._rw = (group.elements[group._index[q]],
+                        tuple(reversed(walk)))
         return self._rw
 
     def weighted_length(self) -> int:
@@ -322,44 +328,41 @@ def step_vector(datum: RootDatum, q: Vec, s: int) -> tuple[Vec, bool]:
 
 def _step(datum: RootDatum, q: Vec, s: int) -> tuple[Vec, bool]:
     """:func:`step_vector` of ``q`` at node ``s``, kept in the frame's
-    ``_steps[s]``: each step is computed once per type and process, and
-    the data of the type share it whatever their weights and lattices."""
+    ``_steps[s]``, which the data of the type share whatever their
+    weights and lattices.  A table that holds ``STEP_TABLE_SIZE`` steps
+    is emptied before the next one is kept, so a type keeps at most
+    (rank + 1) times that many."""
     table = datum._steps[s]
     hit = table.get(q)
     if hit is None:
+        if len(table) >= STEP_TABLE_SIZE:
+            table.clear()
         hit = table[q] = step_vector(datum, q, s)
     return hit
 
 
-def _walk(datum: RootDatum, q: Vec) -> tuple[Vec, tuple[int, ...]]:
+def _walk(datum: RootDatum, q: Vec) -> tuple[Vec, list[int]]:
     """The alcove vector reached from ``q`` by stepping at the first
     descent (node 0 first) until none is left, and the nodes stepped at,
-    in order: x times those reflections is the length-zero part.  Walked
-    once per type and vector and kept in the frame's ``_walks``, which
-    :meth:`ExtWeylElt.reduced_word`, :func:`translation_word` and
-    :func:`_omega_frame` share."""
-    hit = datum._walks.get(q)
-    if hit is not None:
-        return hit
+    in order: x times those reflections is the length-zero part."""
     theta, den = datum.theta, datum.alcove_point[1]
     supports = datum.node_supports
-    p = list(q)
+    q = list(q)
     walk: list[int] = []
     while True:
-        x = sum(map(mul, p, theta)) - den
+        x = sum(map(mul, q, theta)) - den
         if x > 0:
             s = 0
         else:
-            for s, x in enumerate(p, 1):
+            for s, x in enumerate(q, 1):
                 if x < 0:
                     break
             else:
                 break
         for k, c in supports[s][0]:
-            p[k] -= x * c
+            q[k] -= x * c
         walk.append(s)
-    hit = datum._walks[q] = (tuple(p), tuple(walk))
-    return hit
+    return tuple(q), walk
 
 
 def _pull_back(q: Vec, aff: Affine, den: int) -> Vec:
@@ -413,7 +416,7 @@ def translation_word(datum: RootDatum, lam: Sequence[int]) -> tuple[int, ...]:
     """
     (lam,) = datum.point_stack(lam).tolist()
     _, walk = _walk(datum, _translation_vector(datum, lam))
-    return walk[::-1]
+    return tuple(reversed(walk))
 
 
 def _translation_vector(datum: RootDatum, lam: Sequence[int]) -> Vec:

@@ -132,20 +132,19 @@ def _type_frame(kind: str, rank: int) -> Mapping:
     coroot basis is square and triangular with positive pivots $p_i$, so
     they are the points of $\\prod_i [0, p_i)$.
 
-    No key can be rebound.  The only mutable values are five tables the
-    type's data fill as they go, each entry built once and kept
-    read-only: ``_orbits``, the Weyl orbit of each dominant point
+    No key can be rebound.  The only mutable values are four tables the
+    type's data fill as they go, their entries read-only:
+    ``_orbits``, the Weyl orbit of each dominant point
     (:meth:`RootDatum.weyl_orbit`); ``_omega_frames``, the weight-free
     parts of the length-zero group of each lattice basis
     (:func:`heckelab.extweyl._omega_frame`); ``_level_generators``,
     the :class:`_LevelTables` of each level basis
-    (:meth:`heckelab.hecke.HeckeAlgebra.monoid_generators`); ``_steps``,
-    one dict per affine node s from an alcove vector q to that of q s
-    and whether s descends (:func:`heckelab.extweyl._step`); and
-    ``_walks``, from an alcove vector to the vector its walk reaches and
-    the letters walked (:func:`heckelab.extweyl._walk`).  Steps and
-    walks read only ``theta``, ``alcove_point`` and ``node_supports``, so
-    neither weights nor lattices enter them."""
+    (:meth:`heckelab.hecke.HeckeAlgebra.monoid_generators`); and
+    ``_steps``, one dict per affine node s from an alcove vector q to
+    that of q s and whether s descends (:func:`heckelab.extweyl._step`,
+    which empties a dict that is full).  A step reads only ``theta``,
+    ``alcove_point`` and ``node_supports``, so neither weights nor
+    lattices enter it."""
     cartan = cartan_matrix(kind, rank)
     pos_roots, origins = _close_roots(cartan)
     # the highest root is the unique positive root of greatest height
@@ -183,7 +182,7 @@ def _type_frame(kind: str, rank: int) -> Mapping:
             *(range(row[i]) for i, row in enumerate(coroot_basis)))),
         _height_sum=sum(sum(root) for root, _ in pos_roots),
         _orbits={}, _omega_frames={}, _level_generators={},
-        _steps=tuple({} for _ in range(rank + 1)), _walks={}))
+        _steps=tuple({} for _ in range(rank + 1))))
 
 
 def _close_roots(cartan: tuple[Vec, ...]

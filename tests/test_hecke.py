@@ -408,9 +408,9 @@ def test_product_takes_one_step_per_trie_edge(monkeypatch, fresh_frames):
 
 
 def test_products_agree_on_warm_and_fresh_frames(fresh_frames):
-    """Steps and walks hold no weight: products, twisted products,
-    Bernstein elements and orbit sums of C2 [1,1,1] and C2 [1,2,3] are
-    the same on a frame the other weighting warmed as on a fresh one."""
+    """Steps hold no weight: products, twisted products, Bernstein
+    elements and orbit sums of C2 [1,1,1] and C2 [1,2,3] are the same on
+    a frame the other weighting warmed as on a fresh one."""
     def results(weights):
         H = HeckeAlgebra(build_root_datum("C", 2, weights=weights))
         d = H.datum
@@ -430,14 +430,47 @@ def test_products_agree_on_warm_and_fresh_frames(fresh_frames):
     for first, second in [([1, 1, 1], [1, 2, 3]), ([1, 2, 3], [1, 1, 1])]:
         fresh_frames()
         warmer, _ = results(first)
-        kept = sum(map(len, warmer._steps)), len(warmer._walks)
-        assert all(kept)
+        assert any(warmer._steps)
         d, warm = results(second)
-        assert d._steps is warmer._steps and d._walks is warmer._walks
+        assert d._steps is warmer._steps
         fresh_frames()
         e, cold = results(second)
         assert e._steps is not d._steps and e.weights == d.weights
         assert warm == cold
+
+
+def test_full_step_tables_are_emptied(monkeypatch, fresh_frames):
+    """A node's step table that holds ``STEP_TABLE_SIZE`` steps is emptied
+    before the next step is kept, so no table grows past it, and products
+    are the same whether their steps were kept or dropped."""
+    def results():
+        H = HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 3]))
+        pool = sorted(supported_pool(H, 3), key=lambda w: w.q)
+        rng = random.Random(7)
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(15)]
+        out = [H.t(x) * H.t(y) for x, y in pairs]
+        out += [H.t(x) * H.star_t(y) for x, y in pairs]
+        out += [H.central(g) for g in eff_gens(H)]
+        return H.datum, out
+
+    d, kept = results()
+    assert min(map(len, d._steps)) > 8
+    monkeypatch.setattr(extweyl, "STEP_TABLE_SIZE", 8)
+    fresh_frames()
+    held = []
+    step_vector = extweyl.step_vector
+
+    def counted(datum, q, s):
+        held.append(len(datum._steps[s]))
+        return step_vector(datum, q, s)
+
+    monkeypatch.setattr(extweyl, "step_vector", counted)
+    e, dropped = results()
+    assert e._steps is not d._steps
+    # each table was emptied at least once after its first fill
+    assert max(held) == 7 and held.count(0) > len(e._steps)
+    assert all(len(table) <= 8 for table in e._steps)
+    assert dropped == kept
 
 
 def coefficient_objects(elt):

@@ -214,8 +214,7 @@ FRAME_FIELDS = ("kind", "rank", "cartan", "pos_roots", "theta",
                 "theta_coroot", "coroot_basis", "affine_cartan", "coxeter_m",
                 "classes", "class_of_node", "_hyperplane_classes",
                 "node_supports", "alcove_point", "_coweight_cosets",
-                "_orbits", "_omega_frames", "_level_generators", "_steps",
-                "_walks")
+                "_orbits", "_omega_frames", "_level_generators", "_steps")
 
 
 def test_data_of_one_type_share_the_frame():
@@ -234,9 +233,9 @@ def test_data_of_one_type_share_the_frame():
 
 def test_types_of_one_rank_hold_tables_of_their_own():
     """B3 and C3, whose Weyl groups and lattices agree, hold distinct
-    orbit, length-zero, generator, step and walk tables."""
+    orbit, length-zero, generator and step tables."""
     b, c = build_root_datum("B", 3), build_root_datum("C", 3)
-    for name in ("_orbits", "_omega_frames", "_level_generators", "_walks"):
+    for name in ("_orbits", "_omega_frames", "_level_generators"):
         assert getattr(b, name) is not getattr(c, name), name
     assert not set(map(id, b._steps)) & set(map(id, c._steps))
 
