@@ -284,9 +284,11 @@ class LaurentMatrix:
         self.coeffs = coeffs
 
     def magnitude(self) -> int:
-        """The largest absolute value of a coefficient (0 when empty)."""
+        """The largest absolute value of a coefficient (0 when empty), read
+        off the extremes as Python ints: ``np.abs`` leaves $-2^{63}$
+        negative on int64."""
         c = self.coeffs
-        return int(np.abs(c).max()) if c.size else 0
+        return max(int(c.max()), -int(c.min())) if c.size else 0
 
     @staticmethod
     def from_rows(mats) -> "LaurentMatrix":
@@ -363,7 +365,7 @@ class LaurentMatrix:
         # n^(k-1) times the k-th power of the largest norm, len(live) * top
         dtype = (object if (n * len(live) * top) ** width > _INT64_MAX
                  else np.int64)
-        norms = sum(abs(c[..., k, :, :]).astype(dtype) for k in live)
+        norms = sum(abs(c[..., k, :, :].astype(dtype)) for k in live)
         prod = norms[words[:, 0]]
         for column in words.T[1:]:
             prod = prod @ norms[column]

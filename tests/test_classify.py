@@ -1321,6 +1321,34 @@ def test_scaling_and_diagram_isomorphisms_keep_the_answer(monkeypatch):
             for key in order} == base
 
 
+# the data of the class-weight 1-4 sweep that still end in UnhandledCase,
+# weights in the class order of build_root_datum(...).classes; the README
+# lists the same set next to the verdicts
+UNHANDLED = {
+    ("B", 3, (1, 2)), ("B", 3, (1, 3)), ("B", 3, (1, 4)), ("B", 3, (2, 4)),
+    ("B", 4, (1, 3)), ("B", 4, (1, 4)), ("B", 5, (1, 4)),
+    ("F", 4, (2, 3)), ("F", 4, (3, 4)),
+    ("G", 2, (1, 2)), ("G", 2, (2, 3)), ("G", 2, (2, 4)),
+}
+
+
+def test_unhandled_data_of_the_class_weight_sweep():
+    # B3-B5, C2-C5, F4 and G2 with every class weight in 1-4: 336 data
+    # (about 0.5 s on a 2-vCPU box), of which exactly the README's list
+    # end in UnhandledCase
+    data = [(kind, rank, w)
+            for kind, rank in [("B", 3), ("B", 4), ("B", 5), ("C", 2),
+                               ("C", 3), ("C", 4), ("C", 5), ("F", 4),
+                               ("G", 2)]
+            for w in itertools.product((1, 2, 3, 4), repeat=len(
+                build_root_datum(kind, rank).classes))]
+    assert len(data) == 336
+    unhandled = {(kind, rank, w) for kind, rank, w in data
+                 if key_result_search(HeckeAlgebra(build_root_datum(
+                     kind, rank, weights=list(w)))).case == "UnhandledCase"}
+    assert unhandled == UNHANDLED
+
+
 def test_powers_by_doubling_match_pow():
     for lo in (-40, -3, -1, 0, 1, 7):
         for n in (0, 1, 2, 3, 5, 8, 33):

@@ -268,6 +268,30 @@ def test_laurent_matrix_product_beyond_int64():
         [huge]), 0) == _lmul(huge, huge)
 
 
+def test_int64_minimum_has_magnitude_two_to_the_63():
+    """``np.abs`` leaves $-2^{63}$ at $-2^{63}$ on int64; the magnitude is
+    still $2^{63}$, so sums and products with it leave int64 exactly."""
+    low = LaurentMatrix(0, np.array([[[[-2**63]]]]))
+    two = LaurentMatrix(0, np.array([[[[2]]]]))
+    assert low.coeffs.dtype == np.int64
+    assert low.magnitude() == 2**63 and type(low.magnitude()) is int
+    assert (low + low).coeffs.tolist() == [[[[-2**64]]]]
+    assert (low - two).coeffs.tolist() == [[[[-2**63 - 2]]]]
+    assert (low @ two).coeffs.tolist() == [[[[-2**64]]]]
+    assert (two @ low).coeffs.tolist() == [[[[-2**64]]]]
+    assert (low @ low).coeffs.tolist() == [[[[2**126]]]]
+    mixed = LaurentMatrix(0, np.array([[[[3, -2**63]], [[-7, 5]]]]))
+    assert mixed.magnitude() == 2**63
+    assert LaurentMatrix(0, np.zeros((1, 0, 2, 2), np.int64)).magnitude() == 0
+    # the L1 norm of -2^63 + v is 2^63 + 1, so a square of it is bounded by
+    # (2^63 + 1)^2, of 127 bits, and packs at a slot width of 128 bits,
+    # read off the packed value -2^63 + 2^b
+    poly = LaurentMatrix(0, np.array([[[[-2**63]], [[1]]]]))
+    packed = poly.packed_along(np.array([[0, 0]]))
+    assert packed.dtype == object
+    assert (packed[0, 0, 0] + 2**63).bit_length() - 1 == 128
+
+
 def test_concat_broadcasts_a_stack_over_family_axes():
     """A stack of k matrices joins a stack with family axes as k matrices
     repeated over every family member, for k equal to the family's

@@ -349,6 +349,8 @@ def test_modp_character_values():
 
 
 def test_modp_characters_take_one_relation_check(monkeypatch):
+    """The one check of a mod-p family stacks its members with at most two
+    values -1, 1 + k + k(k-1)/2 of the 2^k for k affine nodes."""
     from heckelab.modules import FinModule
     calls = []
     check = FinModule.check_relations
@@ -360,8 +362,68 @@ def test_modp_characters_take_one_relation_check(monkeypatch):
         calls.clear()
         chars = enumerate_characters(H, "modp")
         assert len(calls) == 1, d.label()
+        k = rank + 1
+        assert calls[0].smats.coeffs.shape[1] == 1 + k + k * (k - 1) // 2
         assert [ch.values for ch in chars] == list(
-            itertools.product((0, -1), repeat=rank + 1))
+            itertools.product((0, -1), repeat=k))
+
+
+def test_modp_check_and_full_family_check_agree_on_readme_types():
+    """On every README type the check of the members with at most two
+    values -1 passes, and so does the whole family of 2^|S| members
+    checked by :func:`modules._check_family`."""
+    from heckelab import modules
+    from test_extweyl import README_TYPES
+    for kind, rank in README_TYPES:
+        H = HeckeAlgebra(build_root_datum(kind, rank))
+        values = np.array([ch.values
+                           for ch in enumerate_characters(H, "modp")])
+        assert len(values) == 2 ** (rank + 1)
+        modules._check_modp_family(H, values)
+        modules._check_family(H, values, 0 * values, prime=5)
+
+
+def _raised(check, *args, **kwargs):
+    """The message, relation, member and node values of the
+    :class:`RelationsFail` that ``check`` raises (and it must)."""
+    with pytest.raises(RelationsFail) as caught:
+        check(*args, **kwargs)
+    exc = caught.value
+    return str(exc), exc.relation, exc.member, exc.values
+
+
+def test_planted_modp_failure_raises_as_the_full_family_check(monkeypatch):
+    """A product family with choice set {1, -1} (either order) at one node
+    and {0, -1} elsewhere breaks the quadratic relation at that node mod
+    5.  The subset check fails, the whole family is then checked, and the
+    :class:`RelationsFail` is exactly that of the full check: same member
+    index over the whole family, relation and values."""
+    from heckelab import modules
+    sizes = []
+    full = modules._check_family
+    monkeypatch.setattr(
+        modules, "_check_family",
+        lambda alg, coeffs, *rest, **kw: sizes.append(len(coeffs))
+        or full(alg, coeffs, *rest, **kw))
+    moved = 0
+    for kind, rank, node in [("A", 1, 0), ("C", 2, 1), ("D", 4, 4),
+                             ("E", 8, 0), ("E", 8, 5), ("G", 2, 2)]:
+        H, k = HeckeAlgebra(build_root_datum(kind, rank)), rank + 1
+        for planted in ((1, -1), (-1, 1)):
+            choices = [(0, -1)] * k
+            choices[node] = planted
+            values = np.array(list(itertools.product(*choices)))
+            sizes.clear()
+            got = _raised(modules._check_modp_family, H, values)
+            assert sizes == [1 + k + k * (k - 1) // 2, 2 ** k]
+            want = _raised(full, H, values, 0 * values, prime=5)
+            assert got == want, (kind, rank, node, planted)
+            assert got[1] == f"quadratic relation fails at node {node}"
+            assert values[got[2][0], node] == 1
+            few = (values != values[0]).sum(axis=1) <= 2
+            sub = _raised(full, H, values[few], 0 * values[few], prime=5)
+            moved += sub[2] != got[2]
+    assert moved
 
 
 def test_generic_characters_take_one_relation_check(monkeypatch):
@@ -690,6 +752,43 @@ def test_packed_check_on_python_ints(monkeypatch):
     assert dtypes == [object, object]
     with pytest.raises(RelationsFail, match="braid relation of order 3"):
         laurent_check_relations(bad)
+
+
+def test_int64_minimum_entries_do_not_wrap(monkeypatch):
+    """$-2^{63}$ is the one int64 whose ``np.abs`` is negative.  An A1
+    module with int64 $T_0 = (-2^{63})$ and $T_1 = (2)$ acts by
+    $T_0 T_1 = -2^{64}$, and the relation check of an upper triangular
+    module ``((q, x), (0, d))`` with $x_0 = -2^{63}$ packs on Python ints
+    and gives the oracle's verdict: it passes with $d = -1$ at both nodes
+    and fails at the node where $d = 0$."""
+    from heckelab.modules import FinModule
+    low = -2**63
+    H = HeckeAlgebra(build_root_datum("A", 1))
+    mod = FinModule(H, LaurentMatrix(0, np.array([[[[low]]], [[[2]]]])),
+                    None)
+    assert mod.smats.coeffs.dtype == np.int64
+    assert mod.act_word([0, 1]).coeffs.tolist() == [[[-2**64]]]
+    assert mod.act_word([0, 0]).coeffs.tolist() == [[[2**126]]]
+    packed, dtypes = LaurentMatrix.packed_along, []
+
+    def spy(self, words):
+        out = packed(self, words)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(LaurentMatrix, "packed_along", spy)
+    for x1, d, node in [(0, (-1, -1), None), (low, (-1, -1), None),
+                        (5, (-1, 0), 1), (0, (0, -1), 0)]:
+        c = np.zeros((2, 3, 2, 2), dtype=np.int64)
+        c[:, 2, 0, 0] = 1
+        c[:, 0, 0, 1] = low, x1
+        c[:, 0, 1, 1] = d
+        mod = FinModule(H, LaurentMatrix(0, c), None)
+        got = verdict(FinModule.check_relations, mod)
+        assert got == verdict(laurent_check_relations, mod), (x1, d)
+        assert got == (None if node is None else (
+            f"quadratic relation fails at node {node}",) * 2 + (None, None))
+    assert dtypes == [object] * 4
 
 
 def test_relation_words_are_built_once_per_shape():
