@@ -26,19 +26,20 @@ where rank can only drop, through one cyclic element of the algebra the
 module's matrices generate, and finds an exact common eigenvector of the
 $E_g$ of the monoid generators $g$ with eigenvalues $i^{t_g} v^{k_g}$,
 which fix a linear form $y$ and a character $a$ of the lattice into
-$\\mathbb{Z}/4$.  A $1 \\times 1$ module reads its eigenvalues off its own
-values and the per-class letter counts of the generators' translation
-words, with no word; a larger one multiplies each generator's word in
-chunks and steps one exact vector through them.  Then $c(v) = \\sum_{\\lambda \\in \\mathcal{O}}
-i^{a(\\lambda)} v^{L(\\mathcal{O}) + \\langle \\lambda, y \\rangle}$, with
-$L$ the weighted translation length, and the matrix is its constant term
-$c_0$ times the identity: $(y, a)$ is kept as an integer form over the
-datum's coordinates, so $c_0$ is read off one integer product of the
-orbit's points with it, exact for every prime $p < 2^{63}$, the bound of
-a mod-$p$ module's int64 tensors.  The orbit sum is nilpotent exactly
-when $c_0 \\equiv 0 \\pmod p$.  A module without the certificate is
-refused (``UncertifiedModule``, naming the step that failed): the exact
-action of a central element (:meth:`FinModule.act` on
+$\\mathbb{Z}/4$.  A $1 \\times 1$ module reads its eigenvalues off its
+own values and the per-class letter counts of the generators'
+translation words, with no word; a larger one steps one exact vector
+through each word, a sparse letter at a time, packed at $v = 2^b$.  Then
+$c(v) = \\sum_{\\lambda \\in \\mathcal{O}} i^{a(\\lambda)}
+v^{L(\\mathcal{O}) + \\langle \\lambda, y \\rangle}$, with $L$ the
+weighted translation length, and the matrix is its constant term $c_0$
+times the identity: $(y, a)$ is kept as an integer form over the datum's
+coordinates, so $c_0$ is read off one integer product of the orbit's
+points with it, exact for every prime $p < 2^{63}$, the bound of a
+mod-$p$ module's int64 tensors.  The orbit sum is nilpotent exactly when
+$c_0 \\equiv 0 \\pmod p$.  A module without the certificate is refused
+(``UncertifiedModule``, naming the step that failed): the exact action
+of a central element (:meth:`FinModule.act` on
 :meth:`HeckeAlgebra.central_from_orbit`) has no bound and runs only when
 a caller asks for it.
 
@@ -55,6 +56,7 @@ supersingularity and recorded in one certificate shape.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field
 
@@ -211,12 +213,12 @@ def _eigen_column(a: np.ndarray, lo: int, hi: int):
 
     With $a_{ij} \\neq 0$ off the diagonal, $R = a - \\mu I$ has rank one
     exactly when $a_{ij} R = R e_j e_i^T R$; the columns of a rank one
-    $R$ span one eigenline.  Of the candidates $\\mu = i^t v^k$, $t =
-    0..3$ and $k$ in ``[lo, hi]`` (least $t$ first, then least $k$), only
-    those at the two roots at most of the identity's $(j, i)$ entry,
-    $a_{ij} a_{ji} = (a_{jj} - \\mu)(a_{ii} - \\mu)$, a product of scalars
-    below $q^2$, take the whole test.  A diagonal ``a`` names $e_j$ for a
-    diagonal entry that occurs once."""
+    $R$ span one eigenline.  Of the candidates $\\mu = i^t v^k$, for $t =
+    0..3$ in turn and $k$ in ``[lo, hi]`` (least $t$ first, then least
+    $k$), only those at the two roots at most of the identity's $(j, i)$
+    entry, $a_{ij} a_{ji} = (a_{jj} - \\mu)(a_{ii} - \\mu)$, a product of
+    scalars below $q^2$, take the whole test.  A diagonal ``a`` names
+    $e_j$ for a diagonal entry that occurs once."""
     n = len(a)
     off = np.argwhere(a * (1 - np.eye(n, dtype=np.int64)) != 0)
     if not len(off):
@@ -225,89 +227,82 @@ def _eigen_column(a: np.ndarray, lo: int, hi: int):
         return (None, int(once[0])) if once.size else None
     i, j = off[0]
     powers = _powers(lo, hi + 1 - lo)
-    turns = np.array([pow(CERT_I, t, CERT_Q) for t in range(4)],
-                     dtype=np.int64)
-    mus = (turns[:, None] * powers % CERT_Q).ravel()
-    # entry (j, i) of the identity: a_ij a_ji = (a_jj - mu)(a_ii - mu)
-    lhs = (a[j, j] - mus) % CERT_Q * ((a[i, i] - mus) % CERT_Q) % CERT_Q
-    cand = np.flatnonzero(lhs == a[i, j] * a[j, i] % CERT_Q)
-    r = (a - mus[cand, None, None] * np.eye(n, dtype=np.int64)) % CERT_Q
-    outer = r[:, :, j, None] * r[:, None, i, :] % CERT_Q
-    hit = cand[(outer == r * a[i, j] % CERT_Q).all(axis=(1, 2))]
-    if not hit.size:
-        return None
-    t, k = divmod(int(hit[0]), len(powers))
-    return (t, lo + k), int(j)
+    for t in range(4):
+        mus = pow(CERT_I, t, CERT_Q) * powers % CERT_Q
+        # entry (j, i) of the identity: a_ij a_ji = (a_jj - mu)(a_ii - mu)
+        lhs = (a[j, j] - mus) % CERT_Q * ((a[i, i] - mus) % CERT_Q) % CERT_Q
+        cand = np.flatnonzero(lhs == a[i, j] * a[j, i] % CERT_Q)
+        r = (a - mus[cand, None, None] * np.eye(n, dtype=np.int64)) % CERT_Q
+        outer = r[:, :, j, None] * r[:, None, i, :] % CERT_Q
+        hit = cand[(outer == r * a[i, j] % CERT_Q).all(axis=(1, 2))]
+        if hit.size:
+            return (t, lo + int(hit[0])), int(j)
+    return None
 
 
-def _turn(u: LaurentMatrix, t: int) -> LaurentMatrix:
-    """$i^t u$ for ``u`` over $\\mathbb{Z}[i][v^{\\pm 1}]$, held as the
-    stack (re, im) of its real and imaginary parts."""
-    c = u.coeffs
-    for _ in range(t % 4):
-        c = np.stack([-c[1], c[0]])
-    return LaurentMatrix(u.lo, c)
+def _letters(mats: LaurentMatrix):
+    """Per matrix of the stack ``mats``, in turn, ``(moves, sums, lo,
+    hi)``: its rows $\\pm v^e$ that do more than copy their entry as
+    ``(row, column, e, ±1)``, its other rows as ``(row, [(column, degree,
+    coefficient)])`` and its degree bounds."""
+    for c in mats.coeffs:
+        e, i, j = np.nonzero(c)
+        rows = [[] for _ in range(c.shape[-1])]
+        for r, *term in zip(i.tolist(), j.tolist(), (e + mats.lo).tolist(),
+                            c[e, i, j].tolist()):
+            rows[r].append(tuple(term))
+        move = [len(row) == 1 and row[0][2] in (1, -1) for row in rows]
+        yield ([(r, *row[0]) for r, row in enumerate(rows)
+                if move[r] and row[0] != (r, 0, 1)],
+               [(r, row) for r, row in enumerate(rows) if not move[r]],
+               int(mats.lo + e.min(initial=0)),
+               int(mats.lo + e.max(initial=0)))
 
 
-def _eigenvalues(ws, u: LaurentMatrix):
-    """Per column vector $w$ of ``ws``, ``(t, k)`` with $w = i^t v^k u$
-    exactly, else ``None``, for vectors over $\\mathbb{Z}[i][v^{\\pm 1}]$
-    held as stacks (re, im) of shape (2, degree, n, 1), $u \\neq 0$.
-    Multiplying by $i^t$ keeps the degrees where a vector is nonzero, so
-    once both are trimmed $k$ is the gap between their lowest degrees and
-    the coefficients of $w$ are those of $i^t u$."""
-    u = u.trim()
-    turns = [_turn(u, t).coeffs for t in range(4)]
-    out = []
-    for w in ws:
-        w = w.trim()
-        t = next((t for t, c in enumerate(turns)
-                  if c.shape == w.coeffs.shape and (c == w.coeffs).all()),
-                 None)
-        out.append(None if t is None else (t, int(w.lo - u.lo)))
-    return out
+def _norms(letters, word, norms):
+    """Bounds on the sums of the absolute values of the coefficients of
+    the entries of $M u$, given ``norms`` on $u$, for $M$ of ``word``."""
+    for x in reversed(word):
+        out = list(norms)
+        for i, j, _, _ in letters[x][0]:
+            out[i] = norms[j]
+        for i, row in letters[x][1]:
+            out[i] = sum([abs(a) * norms[j] for j, _, a in row])
+        norms = out
+    return norms
 
 
-#: Neighbouring chunks of a word are multiplied into one while the chunks
-#: span at most this many degrees.  Longer chunks cost more as matrix
-#: products than they save as steps on vectors: the certificate of E8's
-#: reflection module took 1.6 s with no bound and 36 ms with this one.
-CHUNK_DEGREES = 16
+def _replay(letters, word, vec, b):
+    """$M u$ for $M$ the product of the letters of ``word`` and an entry
+    ``(p, s, lo)`` of $u$ worth $s p 2^{b \\cdot lo}$ at $v = 2^b$
+    (:meth:`Laurent.pack`): a move sets $s$ and ``lo``, a sum adds or
+    subtracts its terms shifted to their least ``lo``."""
+    for x in reversed(word):
+        out = list(vec)
+        for i, j, e, a in letters[x][0]:
+            p, s, lo = vec[j]
+            out[i] = p, s * a, lo + e
+        for i, row in letters[x][1]:
+            terms = [(p, s * a, lo + e) for j, e, a in row
+                     for p, s, lo in (vec[j],) if p]
+            low = min([t[2] for t in terms], default=0)
+            acc = 0
+            for p, a, lo in terms:
+                p <<= b * (lo - low)
+                acc = acc - p if a == -1 else acc + (p if a == 1 else a * p)
+            out[i] = acc, 1, low
+        vec = out
+    return vec
 
 
-def _word_chunks(module: FinModule, gens):
-    """``(table, chunks)``: the exact matrices of
-    $E_g = T^*_{t_g}$ for the dominant monoid generators $g$ of ``gens``,
-    each the product of the matrices ``table[c]`` for $c$ in ``chunks[g]``.
-
-    $E_g$ is the length-zero element of $t_g$ times the $T^*_s$ along
-    ``translation_word(g)``.  Starting from those letters, neighbouring
-    chunks of every word are multiplied in pairs, each distinct pair once
-    in one stacked product per level (a word of odd length takes the
-    identity last), while the table spans at most ``CHUNK_DEGREES``
-    degrees: short words end as one matrix each, long ones as chunks that
-    vectors step through."""
-    alg, n = module.alg, module.dim
-    one = LaurentMatrix.identity(n)[None]
-    star = _star_mats(module)
-    if module.omega_mats is None:
-        omega, index = one, [0] * len(gens)
-    else:
-        omega, index = (module.omega_mats,
-                        alg.omega.translation_indices(gens))
-    table = LaurentMatrix.concat([omega, star, one])
-    chunks = [[i] + [len(omega) + s for s in translation_word(alg.datum, g)]
-              for i, g in zip(index, gens)]
-    while (max(map(len, chunks)) > 1
-           and table.coeffs.shape[-3] <= CHUNK_DEGREES):
-        chunks = [c + [len(table) - 1] * (len(c) % 2) for c in chunks]
-        pairs = sorted({p for c in chunks for p in zip(c[0::2], c[1::2])})
-        left, right = (list(x) for x in zip(*pairs))
-        table = LaurentMatrix.concat([(table[left] @ table[right]).trim(),
-                                      one])
-        number = {p: k for k, p in enumerate(pairs)}
-        chunks = [[number[p] for p in zip(c[0::2], c[1::2])] for c in chunks]
-    return table, chunks
+def _canon(p, s, lo, b):
+    """The entry ``(p, s, lo)`` of :func:`_replay` with ``p`` positive and
+    ``lo`` its least degree, read off the trailing zero bits, so that
+    equal polynomials give equal entries; ``(0, 1, 0)`` for zero."""
+    if not p:
+        return 0, 1, 0
+    z = ((p & -p).bit_length() - 1) // b
+    return abs(p) >> b * z, s if p > 0 else -s, lo + z
 
 
 def _replayed_weights(module: FinModule, gens):
@@ -315,39 +310,61 @@ def _replayed_weights(module: FinModule, gens):
     $\\rho(E_g) u = i^t v^k u$ for one exact $u \\neq 0$ over
     $\\mathbb{Z}[i][v^{\\pm 1}]$, the same for all of them, else ``None``.
 
-    $\\rho(E_g)$ is applied exactly to column vectors only, a chunk of its
-    word at a time (:func:`_word_chunks`).  $u$ is a column of
-    $\\rho(E_g) - \\mu$, or a unit vector, for the first generator whose
-    specialization names one (:func:`_eigen_column`); $\\mu = i^t v^k$ with
-    $k$ over the degrees the product can reach.  Every generator is then
-    checked exactly on $u$ (:func:`_eigenvalues`)."""
-    table, chunks = _word_chunks(module, gens)
-    spec, spread = _specialize(table), table.coeffs.shape[-3] - 1
-
-    def apply(g, u):
-        for c in reversed(chunks[g]):
-            u = (table[c] @ u).trim()
-        return u
-
-    for g, word in enumerate(chunks):
-        a = spec[word[0]]
-        for c in word[1:]:
-            a = a @ spec[c] % CERT_Q
-        lo = len(word) * int(table.lo)
-        found = _eigen_column(a, lo, lo + len(word) * spread)
+    $E_g$ is the length-zero element of $t_g$ times the $T^*_s$ along
+    ``translation_word(g)``.  $u$ is a column of $\\rho(E_g) - \\mu$, or a
+    unit vector, for the first $g$ whose letters' product over $F_q$
+    names one (:func:`_eigen_column`).  Its real and imaginary parts step
+    through the words at $v = 2^b$ (:func:`_replay`) for $b$ proved first:
+    the bounds of :func:`_norms`, from $e_j$ to $u$ and from $u$ along
+    every word, keep each coefficient of $\\rho(E_g) u - i^t v^k u$ below
+    $2^b$, so equal entries of :func:`_canon` are equal polynomials."""
+    alg, n = module.alg, module.dim
+    parts = [m for m in (_star_mats(module), module.omega_mats)
+             if m is not None]
+    letters = [x for mats in parts for x in _letters(mats)]
+    spec = np.concatenate([_specialize(mats) for mats in parts])
+    words = [translation_word(alg.datum, g) for g in gens]
+    if module.omega_mats is not None:
+        index = alg.omega.translation_indices(gens)
+        words = [[len(parts[0]) + i, *word] for i, word in zip(index, words)]
+    for g, word in enumerate(words):
+        a = functools.reduce(lambda a, x: a @ spec[x] % CERT_Q, word[1:],
+                             spec[word[0]])
+        found = _eigen_column(a, *map(sum, zip(*(letters[x][2:]
+                                                 for x in word))))
         if found is not None:
             break
     else:
         return None
     shift, j = found
-    unit = np.zeros((2, 1, module.dim, 1), dtype=np.int64)
-    unit[0, 0, j, 0] = 1
-    u = LaurentMatrix(0, unit)
+    unit = [int(i == j) for i in range(n)]
+    bound = unit if shift is None else [
+        x + y for x, y in zip(_norms(letters, words[g], unit), unit)]
+    b = max(x + y for word in words
+            for x, y in zip(_norms(letters, word, bound), bound)).bit_length()
+    vec = [(x, 1, 0) for x in unit] + [(0, 1, 0)] * n
     if shift is not None:
-        t, k = shift
-        u = apply(g, u) - _turn(LaurentMatrix(k, unit), t)
-    weights = _eigenvalues([apply(g, u) for g in range(len(gens))], u)
-    return None if None in weights else weights
+        # u = E_g e_j - i^t v^k e_j: one sum row on E_g e_j and an entry 1
+        (t, k), m = shift, j + n * (shift[0] % 2)
+        vec = _replay(letters, words[g], vec[:n], b) + vec[n:] + [(1, 1, 0)]
+        vec = _replay([([], [(m, [(m, 0, 1), (2 * n, k, t // 2 * 2 - 1)])])],
+                      [0], vec, b)[:-1]
+    u = [_canon(*x, b) for x in vec]
+    low, real = min(x[2] for x in u if x[0]), not any(x[0] for x in u[n:])
+    # i (re, im) = (-im, re), one letter of moves on both parts
+    turn = [(m, (m + n) % (2 * n), 0, m // n * 2 - 1) for m in range(2 * n)]
+    weights = []
+    for word in words:
+        w = [_canon(*x, b) for x in _replay(letters, word, u[:n], b)
+             + (u[n:] if real else _replay(letters, word, u[n:], b))]
+        k = min((x[2] for x in w if x[0]), default=low) - low
+        turns = [(turn, []), ([(m, m, k, 1) for m in range(2 * n)], [])]
+        t = next((t for t in range(4) if w == [
+            _canon(*x, b) for x in _replay(turns, [1] + [0] * t, u, b)]), None)
+        if t is None:
+            return None
+        weights.append((t, k))
+    return weights
 
 
 def _units(mats: LaurentMatrix):

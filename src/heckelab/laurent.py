@@ -284,10 +284,14 @@ class LaurentMatrix:
         self.coeffs = coeffs
 
     def magnitude(self) -> int:
-        """The largest absolute value of a coefficient (0 when empty), read
-        off the extremes as Python ints: ``np.abs`` leaves $-2^{63}$
-        negative on int64."""
+        """The largest absolute value of a coefficient (0 when empty).  On
+        int64 tensors of at most $2^{17}$ entries it is one maximum of
+        ``np.abs`` read as uint64, where $-2^{63}$, which ``np.abs`` leaves
+        negative, reads $2^{63}$; larger ones and Python ints read it off
+        the extremes, with no copy of the tensor."""
         c = self.coeffs
+        if c.dtype == np.int64 and 0 < c.size <= 1 << 17:
+            return int(np.abs(c).view(np.uint64).max())
         return max(int(c.max()), -int(c.min())) if c.size else 0
 
     @staticmethod
@@ -309,24 +313,6 @@ class LaurentMatrix:
         return LaurentMatrix(lo, coeffs)
 
     @staticmethod
-    def concat(parts) -> "LaurentMatrix":
-        """One stack of all the matrices of the stacks ``parts``, in order,
-        along their first axis; the axes after it broadcast, a part with
-        fewer of them taking the missing ones, of length one, right after
-        its first axis."""
-        lo = min(part.lo for part in parts)
-        size = max(part.lo + part.coeffs.shape[-3] for part in parts) - lo
-        arrays = [part._on_degrees(lo, size) for part in parts]
-        ndim = max(a.ndim for a in arrays)
-        arrays = [a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
-                  for a in arrays]
-        shapes = {a.shape[1:] for a in arrays}
-        if len(shapes) > 1:
-            inner = np.broadcast_shapes(*shapes)
-            arrays = [np.broadcast_to(a, a.shape[:1] + inner) for a in arrays]
-        return LaurentMatrix(lo, np.concatenate(arrays))
-
-    @staticmethod
     def identity(n: int) -> "LaurentMatrix":
         return LaurentMatrix(0, np.eye(n, dtype=np.int64)[None])
 
@@ -346,12 +332,6 @@ class LaurentMatrix:
         """The degree slices that are nonzero in some stacked matrix."""
         c = self.coeffs
         return np.flatnonzero(c.any(axis=(*range(c.ndim - 3), -2, -1)))
-
-    def trim(self) -> "LaurentMatrix":
-        """Drop degree slices that are zero in every stacked matrix."""
-        live = self._live()
-        a, b = (live[0], live[-1] + 1) if live.size else (0, 1)
-        return LaurentMatrix(self.lo + a, self.coeffs[..., a:b, :, :])
 
     def packed_along(self, words: np.ndarray) -> np.ndarray:
         """Every entry packed into one integer (:meth:`Laurent.pack`) from

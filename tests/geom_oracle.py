@@ -61,7 +61,10 @@ product per letter column, each reduced mod $p$ on a mod-$p$ module, and
 the two sides of each relation subtracted degree by degree.  Its bank,
 ``laurent_bank``, is the one ``FinModule.check_relations`` assembled
 from ``LaurentMatrix`` sums and a ``concat`` before it filled one
-preallocated array.
+preallocated array.  ``concat`` and ``trim`` are the
+``LaurentMatrix.concat`` and ``LaurentMatrix.trim`` of the chunked
+replay below, which join stacks along their first axis and drop the
+degree slices that are zero in every matrix.
 
 The length-zero oracle ``omega_build`` is ``OmegaGroup.build`` as it ran
 before the weight-free parts were kept per type and lattice: the alcove
@@ -90,6 +93,12 @@ The eigenvalue oracle ``stacked_eigen_column`` is the search that
 ``classify._eigen_column`` ran before it filtered the candidates by one
 scalar identity: the rank-one test on one stacked $n \\times n$ matrix
 per candidate $i^t v^k$.
+
+The replay oracle ``chunked_replayed_weights`` is the
+``classify._replayed_weights`` that multiplied the letters of every
+generator's word into ``LaurentMatrix`` chunks, neighbours in pairs while
+the chunks spanned at most ``CHUNK_DEGREES`` degrees, and stepped one
+exact vector, its real and imaginary parts one stack, through them.
 """
 
 import math
@@ -478,7 +487,7 @@ def laurent_bank(mod) -> LaurentMatrix:
     length-zero matrices."""
     omats, smats = mod.omega_mats, mod.smats
     one = LaurentMatrix.identity(mod.dim)
-    return LaurentMatrix.concat(
+    return concat(
         [smats, smats - mod.q_stack(), smats + one, one[None],
          LaurentMatrix(0, np.zeros_like(one.coeffs[None]))]
         + ([] if omats is None else [omats]))
@@ -606,3 +615,142 @@ def stacked_eigen_column(a, lo, hi):
         return None
     t, k = divmod(int(hit[0]), len(powers))
     return (t, lo + k), int(j)
+
+
+def trim(m: LaurentMatrix) -> LaurentMatrix:
+    """``m`` without the degree slices that are zero in every stacked
+    matrix."""
+    live = m._live()
+    a, b = (live[0], live[-1] + 1) if live.size else (0, 1)
+    return LaurentMatrix(m.lo + a, m.coeffs[..., a:b, :, :])
+
+
+def concat(parts) -> LaurentMatrix:
+    """One stack of all the matrices of the stacks ``parts``, in order,
+    along their first axis; the axes after it broadcast, a part with
+    fewer of them taking the missing ones, of length one, right after
+    its first axis."""
+    lo = min(part.lo for part in parts)
+    size = max(part.lo + part.coeffs.shape[-3] for part in parts) - lo
+    arrays = [part._on_degrees(lo, size) for part in parts]
+    ndim = max(a.ndim for a in arrays)
+    arrays = [a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
+              for a in arrays]
+    shapes = {a.shape[1:] for a in arrays}
+    if len(shapes) > 1:
+        inner = np.broadcast_shapes(*shapes)
+        arrays = [np.broadcast_to(a, a.shape[:1] + inner) for a in arrays]
+    return LaurentMatrix(lo, np.concatenate(arrays))
+
+
+def _turn(u: LaurentMatrix, t: int) -> LaurentMatrix:
+    """$i^t u$ for ``u`` over $\\mathbb{Z}[i][v^{\\pm 1}]$, held as the
+    stack (re, im) of its real and imaginary parts."""
+    c = u.coeffs
+    for _ in range(t % 4):
+        c = np.stack([-c[1], c[0]])
+    return LaurentMatrix(u.lo, c)
+
+
+def _eigenvalues(ws, u: LaurentMatrix):
+    """Per column vector $w$ of ``ws``, ``(t, k)`` with $w = i^t v^k u$
+    exactly, else ``None``, for vectors over $\\mathbb{Z}[i][v^{\\pm 1}]$
+    held as stacks (re, im) of shape (2, degree, n, 1), $u \\neq 0$.
+    Multiplying by $i^t$ keeps the degrees where a vector is nonzero, so
+    once both are trimmed $k$ is the gap between their lowest degrees and
+    the coefficients of $w$ are those of $i^t u$."""
+    u = trim(u)
+    turns = [_turn(u, t).coeffs for t in range(4)]
+    out = []
+    for w in ws:
+        w = trim(w)
+        t = next((t for t, c in enumerate(turns)
+                  if c.shape == w.coeffs.shape and (c == w.coeffs).all()),
+                 None)
+        out.append(None if t is None else (t, int(w.lo - u.lo)))
+    return out
+
+
+#: Neighbouring chunks of a word are multiplied into one while the chunks
+#: span at most this many degrees.  Longer chunks cost more as matrix
+#: products than they save as steps on vectors: the certificate of E8's
+#: reflection module took 1.6 s with no bound and 36 ms with this one.
+CHUNK_DEGREES = 16
+
+
+def _word_chunks(module, gens):
+    """``(table, chunks)``: the exact matrices of
+    $E_g = T^*_{t_g}$ for the dominant monoid generators $g$ of ``gens``,
+    each the product of the matrices ``table[c]`` for $c$ in ``chunks[g]``.
+
+    $E_g$ is the length-zero element of $t_g$ times the $T^*_s$ along
+    ``translation_word(g)``.  Starting from those letters, neighbouring
+    chunks of every word are multiplied in pairs, each distinct pair once
+    in one stacked product per level (a word of odd length takes the
+    identity last), while the table spans at most ``CHUNK_DEGREES``
+    degrees: short words end as one matrix each, long ones as chunks that
+    vectors step through."""
+    from heckelab.classify import _star_mats
+    alg, n = module.alg, module.dim
+    one = LaurentMatrix.identity(n)[None]
+    star = _star_mats(module)
+    if module.omega_mats is None:
+        omega, index = one, [0] * len(gens)
+    else:
+        omega, index = (module.omega_mats,
+                        alg.omega.translation_indices(gens))
+    table = concat([omega, star, one])
+    chunks = [[i] + [len(omega) + s for s in extweyl.translation_word(alg.datum, g)]
+              for i, g in zip(index, gens)]
+    while (max(map(len, chunks)) > 1
+           and table.coeffs.shape[-3] <= CHUNK_DEGREES):
+        chunks = [c + [len(table) - 1] * (len(c) % 2) for c in chunks]
+        pairs = sorted({p for c in chunks for p in zip(c[0::2], c[1::2])})
+        left, right = (list(x) for x in zip(*pairs))
+        table = concat([trim(table[left] @ table[right]),
+                                      one])
+        number = {p: k for k, p in enumerate(pairs)}
+        chunks = [[number[p] for p in zip(c[0::2], c[1::2])] for c in chunks]
+    return table, chunks
+
+
+def chunked_replayed_weights(module, gens):
+    """Per dominant monoid generator $g$ of ``gens``, ``(t, k)`` with
+    $\\rho(E_g) u = i^t v^k u$ for one exact $u \\neq 0$ over
+    $\\mathbb{Z}[i][v^{\\pm 1}]$, the same for all of them, else ``None``.
+
+    $\\rho(E_g)$ is applied exactly to column vectors only, a chunk of its
+    word at a time (:func:`_word_chunks`).  $u$ is a column of
+    $\\rho(E_g) - \\mu$, or a unit vector, for the first generator whose
+    specialization names one (:func:`_eigen_column`); $\\mu = i^t v^k$ with
+    $k$ over the degrees the product can reach.  Every generator is then
+    checked exactly on $u$ (:func:`_eigenvalues`)."""
+    from heckelab.classify import (CERT_Q, _eigen_column, _specialize,
+                                   _star_mats)
+    table, chunks = _word_chunks(module, gens)
+    spec, spread = _specialize(table), table.coeffs.shape[-3] - 1
+
+    def apply(g, u):
+        for c in reversed(chunks[g]):
+            u = trim(table[c] @ u)
+        return u
+
+    for g, word in enumerate(chunks):
+        a = spec[word[0]]
+        for c in word[1:]:
+            a = a @ spec[c] % CERT_Q
+        lo = len(word) * int(table.lo)
+        found = _eigen_column(a, lo, lo + len(word) * spread)
+        if found is not None:
+            break
+    else:
+        return None
+    shift, j = found
+    unit = np.zeros((2, 1, module.dim, 1), dtype=np.int64)
+    unit[0, 0, j, 0] = 1
+    u = LaurentMatrix(0, unit)
+    if shift is not None:
+        t, k = shift
+        u = apply(g, u) - _turn(LaurentMatrix(k, unit), t)
+    weights = _eigenvalues([apply(g, u) for g in range(len(gens))], u)
+    return None if None in weights else weights

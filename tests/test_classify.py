@@ -50,8 +50,9 @@ from heckelab.classify import (CERT_I, CERT_Q, CERT_V, _CentralCharacter,
                                _eigen_column, _powers, _replayed_weights,
                                _solve_mod)
 from heckelab.intlin import is_prime
-from geom_oracle import (commutant_dimension, dense_central_scalar,
-                         lattice_pairing, stacked_eigen_column)
+from geom_oracle import (chunked_replayed_weights, commutant_dimension,
+                         dense_central_scalar, lattice_pairing,
+                         stacked_eigen_column, trim)
 
 # label -> exponents on the dominant generators of the coroot lattice
 C2_EXPONENTS = {
@@ -518,7 +519,7 @@ def _replayed_action(mod, orbit):
         m = (LaurentMatrix.identity(n) if mod.omega_mats is None
              else mod.omega_mats[H.omega.translation_indices([lam])[0]])
         for s in translation_word(H.datum, lam):
-            m = (m @ (star if twisted else mod.smats)[s]).trim()
+            m = trim(m @ (star if twisted else mod.smats)[s])
         return m
 
     total = LaurentMatrix(0, np.zeros((1, n, n), dtype=np.int64))
@@ -1537,3 +1538,104 @@ def test_eigen_column_matches_the_stack_on_planted_eigenvalues(
     lo = k - data.draw(st.integers(-3, width + 3))
     assert _eigen_column(a, lo, lo + width) == stacked_eigen_column(
         a, lo, lo + width)
+
+
+def _replay_generators(mod):
+    """The dominant monoid generators whose words a certificate of ``mod``
+    replays."""
+    level = "coroot" if mod.omega_mats is None else "effective"
+    return mod.alg._level_tables(level).generators
+
+
+def test_packed_replay_matches_the_chunked_oracle():
+    """The replay of every word on packed vectors names the same weights
+    as the replay through ``LaurentMatrix`` chunks
+    (``geom_oracle.chunked_replayed_weights``) on every certified module
+    of the acceptance table, on the induced answers of C2-C5 with class
+    weights in {1, 2, 3}, and on the reflection modules of D4-D8 and
+    E6-E8 with their star twists."""
+    from test_acceptance import TABLE
+    mods = []
+    for kind, rank, w, _, _ in TABLE:
+        out = key_result_search(build_root_datum(kind, rank, weights=w))
+        if out.module is not None:
+            mods.append(out.module.generic)
+    induced = 0
+    for rank in (2, 3, 4, 5):
+        for w in itertools.product((1, 2, 3), repeat=3):
+            out = key_result_search(build_root_datum("C", rank,
+                                                     weights=list(w)))
+            if out.case == "Induced2Dim":
+                mods.append(out.module.generic)
+                induced += 1
+    for kind, rank in [("D", r) for r in range(4, 9)] + [
+            ("E", r) for r in (6, 7, 8)]:
+        refl = reflection_module(build_root_datum(kind, rank))
+        mods += [refl, refl.star_twist()]
+    assert induced > 10
+    for mod in mods:
+        gens = _replay_generators(mod)
+        weights = _replayed_weights(mod, gens)
+        assert weights is not None, mod
+        assert weights == chunked_replayed_weights(mod, gens), mod
+
+
+def test_packed_replay_proves_a_slot_width_beyond_int64(monkeypatch):
+    """On E8's twisted reflection module the bounds carried along the
+    words prove a slot width above 63 bits, so the packed entries are
+    Python ints well past int64, and the weights are the oracle's."""
+    from heckelab import classify
+    widths = set()
+    replay = classify._replay
+
+    def record(letters, word, vec, b):
+        widths.add(b)
+        return replay(letters, word, vec, b)
+
+    monkeypatch.setattr(classify, "_replay", record)
+    mod = reflection_module(build_root_datum("E", 8)).star_twist()
+    gens = _replay_generators(mod)
+    weights = _replayed_weights(mod, gens)
+    assert len(widths) == 1 and min(widths) > 63, widths
+    assert weights is not None
+    assert weights == chunked_replayed_weights(mod, gens)
+
+
+def test_planted_modules_without_a_common_eigenvector(monkeypatch):
+    """Two 2 x 2 modules of C2 [1, 2, 2], with matrices that satisfy no
+    relation, have no common eigenvector, and both replays say so: one
+    whose $T^*_s$ are all $[[1, 1], [1, 0]]$, where no specialization
+    names a vector, and one whose $T^*_s$ are all $\\mathrm{diag}(v, 1)$
+    with a length-zero swap, where one generator names $e_0$ and another
+    moves it."""
+    from heckelab import classify
+    H = HeckeAlgebra(build_root_datum("C", 2, weights=[1, 2, 2]))
+    one, zero, v = Laurent.one(), Laurent.zero(), Laurent.v()
+    swap = [[0, 1], [1, 0]]
+
+    def module(star, omats):
+        # T_s = T*_s + q_s - 1
+        shift = [Laurent.v(2 * w) - one for w in H.datum.weights]
+        smats = [[[star[i][j] + (shift[s] if i == j else zero)
+                   for j in range(2)] for i in range(2)]
+                 for s in range(H.datum.rank + 1)]
+        return FinModule(H, smats, omats)
+
+    found = []
+    search = classify._eigen_column
+
+    def record(a, lo, hi):
+        found.append(search(a, lo, hi))
+        return found[-1]
+
+    monkeypatch.setattr(classify, "_eigen_column", record)
+    eye = [[1, 0], [0, 1]]
+    for star, omats, named in (([[one, one], [one, zero]], [eye, eye], False),
+                               ([[v, zero], [zero, one]], [eye, swap], True)):
+        mod = module(star, omats)
+        gens = _replay_generators(mod)
+        found.clear()
+        assert _replayed_weights(mod, gens) is None
+        assert any(x is not None for x in found) == named
+        assert chunked_replayed_weights(mod, gens) is None
+

@@ -450,6 +450,19 @@ def test_d5_at_the_weight_bound_classifies_under_400_mb(tmp_path):
     assert code == 0 and mb < 400, (code, mb)
 
 
+def test_c5_at_the_weight_bound_classifies_under_75_mb(tmp_path):
+    """classify on C5 [4999, 10^4, 10^4] in a fresh interpreter that
+    reports its own peak: the induced answer's words are replayed on
+    vectors packed into Python ints, one sparse letter at a time, and the
+    eigenvalue search holds the candidates of one power of i at a time
+    (products of chunks of letters on dense degree axes, and the
+    candidates of all four powers at once, peaked near 95 MB)."""
+    case = write_case(tmp_path, {"type": "C", "rank": 5,
+                                 "decoration": [4999, 10**4, 10**4]})
+    code, mb = peak_run(["classify", "--case", case])
+    assert code == 0 and mb < 75, (code, mb)
+
+
 def test_b8_at_the_weight_bound_classifies_under_100_mb(tmp_path):
     """classify on B8 [10^4, 1] in a fresh interpreter that reports its
     own peak: c_0 is counted over the points at exponent 0 only, not
