@@ -255,7 +255,7 @@ def _letters(mats: LaurentMatrix):
         yield ([(r, *row[0]) for r, row in enumerate(rows)
                 if move[r] and row[0] != (r, 0, 1)],
                [(r, row) for r, row in enumerate(rows) if not move[r]],
-               int(mats.lo + e.min(initial=0)),
+               int(mats.lo + (e.min() if e.size else 0)),
                int(mats.lo + e.max(initial=0)))
 
 

@@ -284,14 +284,10 @@ class LaurentMatrix:
         self.coeffs = coeffs
 
     def magnitude(self) -> int:
-        """The largest absolute value of a coefficient (0 when empty).  On
-        int64 tensors of at most $2^{17}$ entries it is one maximum of
-        ``np.abs`` read as uint64, where $-2^{63}$, which ``np.abs`` leaves
-        negative, reads $2^{63}$; larger ones and Python ints read it off
-        the extremes, with no copy of the tensor."""
+        """The largest absolute value of a coefficient (0 when empty), read
+        off the extremes as Python ints: ``np.abs`` leaves $-2^{63}$
+        negative on int64."""
         c = self.coeffs
-        if c.dtype == np.int64 and 0 < c.size <= 1 << 17:
-            return int(np.abs(c).view(np.uint64).max())
         return max(int(c.max()), -int(c.min())) if c.size else 0
 
     @staticmethod

@@ -47,8 +47,8 @@ from heckelab import intlin
 from heckelab.classify import (CERT_I, CERT_Q, CERT_V, _CentralCharacter,
                                _certificate,
                                _class_count_weights, _commutant_is_scalar,
-                               _eigen_column, _powers, _replayed_weights,
-                               _solve_mod)
+                               _eigen_column, _letters, _powers,
+                               _replayed_weights, _solve_mod)
 from heckelab.intlin import is_prime
 from geom_oracle import (chunked_replayed_weights, commutant_dimension,
                          dense_central_scalar, lattice_pairing,
@@ -1578,6 +1578,22 @@ def test_packed_replay_matches_the_chunked_oracle():
         weights = _replayed_weights(mod, gens)
         assert weights is not None, mod
         assert weights == chunked_replayed_weights(mod, gens), mod
+
+
+def test_letters_bound_each_matrix_by_its_own_live_degrees():
+    """The degree bounds of a letter are its least and greatest nonzero
+    degrees, not the ends of the stack it sits in, so the eigenvalue
+    window of a word is the sum of its letters' bounds."""
+    c = np.zeros((2, 5, 2, 2), dtype=np.int64)
+    c[0, 1] = [[1, 0], [0, 1]]
+    c[0, 3, 0, 1] = -2
+    c[1, 2, 1, 0] = 1
+    c[1, 2, 0, 1] = -1
+    first, second = _letters(LaurentMatrix(-2, c))
+    assert first[2:] == (-1, 1) and second[2:] == (0, 0)
+    assert first[0] == [(1, 1, -1, 1)]
+    assert first[1] == [(0, [(0, -1, 1), (1, 1, -2)])]
+    assert sorted(second[0]) == [(0, 1, 0, -1), (1, 0, 0, 1)]
 
 
 def test_packed_replay_proves_a_slot_width_beyond_int64(monkeypatch):
